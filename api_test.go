@@ -39,13 +39,13 @@ func TestDialErrorPaths(t *testing.T) {
 	}
 }
 
-func TestLegacySimulationErrorPaths(t *testing.T) {
-	s := NewSimulation(2, WiFiPath())
-	if _, err := s.Dial(1, 80, DefaultConfig()); err == nil {
-		t.Error("Dial with out-of-range interface index must fail")
+func TestNetworkIndexErrorPaths(t *testing.T) {
+	s, err := NewTopology(2).Connect("client", "server", WiFiLink()).Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s.Dial(-1, 80, DefaultConfig()); err == nil {
-		t.Error("Dial with negative interface index must fail")
+	if _, err := s.Dial("client", "server:80", WithInterface(1)); err == nil {
+		t.Error("Dial with out-of-range interface index must fail")
 	}
 	if err := s.SetPathDown(1, true); err == nil {
 		t.Error("SetPathDown with out-of-range path index must fail")
@@ -62,7 +62,7 @@ func TestLegacySimulationErrorPaths(t *testing.T) {
 	if err := s.SetLinkDown("nope", true); err == nil {
 		t.Error("SetLinkDown with unknown link name must fail")
 	}
-	if _, err := s.Network.Listen("nope", 80, DefaultConfig(), nil); err == nil {
+	if _, err := s.Listen("nope", 80, DefaultConfig(), nil); err == nil {
 		t.Error("Listen on unknown host must fail")
 	}
 }

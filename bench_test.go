@@ -27,7 +27,11 @@ import (
 func runExperimentBench(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		if err := experiments.RunAndPrint(io.Discard, id, experiments.Options{Quick: true, Seed: 42}); err != nil {
+		res, err := Run(id, WithQuick(), WithSeed(42))
+		if err == nil {
+			err = res.Text(io.Discard)
+		}
+		if err != nil {
 			b.Fatalf("experiment %s: %v", id, err)
 		}
 	}

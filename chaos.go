@@ -35,7 +35,7 @@ type Chaos struct {
 // NewChaos starts a chaos scenario with the given root seed: 32 members,
 // 384 KiB uploads, no faults, no adversary. Override with the setters.
 func NewChaos(seed uint64) *Chaos {
-	return &Chaos{spec: fleet.ChaosSpec{Seed: seed, Members: 32}}
+	return &Chaos{spec: fleet.ChaosSpec{Common: fleet.Common{Seed: seed}, Members: 32}}
 }
 
 // Members sets the number of dual-homed client hosts.

@@ -34,6 +34,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strings"
 	"time"
 
@@ -47,172 +48,183 @@ import (
 	"mptcpgo/internal/workload"
 )
 
-func main() {
-	list := flag.Bool("list", false, "list available experiments and exit")
-	run := flag.String("run", "", "experiment id to run (or 'all')")
-	scenario := flag.String("scenario", "", "fleet scenario to run ('list' enumerates them)")
-	quick := flag.Bool("quick", false, "run a reduced sweep that finishes in seconds")
-	seed := flag.Uint64("seed", 42, "base RNG seed (runs are deterministic per seed; 0 is a legal seed)")
-	format := flag.String("format", "text", "output format: text | json | csv")
-	out := flag.String("out", "", "write output to this file instead of stdout")
-	paperEra := flag.Bool("paper-era-cpu", false, "use the 2012-class host CPU cost model instead of calibrating on this machine")
-	clients := flag.Int("clients", 0, "fleet scenario size: clients, senders or pairs (0 = scenario default)")
-	shards := flag.Int("shards", 0, "fleet shard count (0 = one shard per 64 members)")
-	workers := flag.Int("workers", 0, "parallel shard workers (0 = GOMAXPROCS; never changes the output)")
-	pcapDir := flag.String("pcap-dir", "", "capture wire traffic into this directory: one classic pcap per fleet shard (-scenario) or per middlebox-matrix case (-run mbox); capture never changes results")
-	traceDir := flag.String("trace-dir", "", "flight recorder: write <scenario>-trace.json and <scenario>-events.jsonl into this directory (off by default; capture never changes results)")
-	probeInterval := flag.Duration("probe-interval", 0, "flight recorder: per-subflow time-series sampling cadence in simulated time (0 = events only; needs -trace-dir)")
-	rate := flag.Float64("rate", 0, "fleet-openloop: fleet-wide mean arrival rate in flows/s (0 = scenario default)")
-	duration := flag.Duration("duration", 0, "fleet-openloop: arrival window of simulated time (0 = scenario default)")
-	sizeDist := flag.String("sizedist", "webmix", "fleet-openloop: flow-size distribution: fixed:<bytes> | lognormal:<mu>,<sigma> | pareto:<alpha>,<lo>,<hi> | webmix")
-	arrival := flag.String("arrival", "poisson", "fleet-openloop: arrival process: poisson | fixed | onoff[:on_ms,off_ms]")
-	faultSpec := flag.String("faults", "", "fleet-chaos: fault schedule — a preset name ("+strings.Join(faults.PresetNames(), ", ")+") or grammar like 'flap:path=1,period=1s,down=250ms' (see internal/faults)")
-	adversary := flag.String("adversary", "", "fleet-chaos: adversarial middlebox preset: "+strings.Join(middlebox.AdversaryPresetNames(), " | "))
-	sharedLink := flag.String("shared-link", "", "coupled scenarios: the shared bottleneck as [name:]rate[:epoch], e.g. 100mbps, core:1gbps:50ms (fleet-corelink, fleet-cdn, fleet-http)")
-	progress := flag.Bool("progress", false, "fleet scenarios: print a live status line to stderr every second (telemetry never changes results)")
-	progressInterval := flag.Duration("progress-interval", time.Second, "cadence of -progress status lines")
-	metricsAddr := flag.String("metrics-addr", "", "fleet scenarios: serve Prometheus /metrics and expvar /debug/vars on this address during the run, e.g. 127.0.0.1:9090")
-	metricsLinger := flag.Duration("metrics-linger", 0, "keep the -metrics-addr endpoint up this long after the run finishes, for scrapers that poll")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-	memProfile := flag.String("memprofile", "", "write a heap profile taken at exit to this file (go tool pprof)")
-	flag.Parse()
+// cli holds the parsed command line. set names the flags given explicitly.
+type cli struct {
+	list                            bool
+	run, scenario                   string
+	quick                           bool
+	seed                            uint64
+	format, out                     string
+	paperEra                        bool
+	clients, shards, workers        int
+	pcapDir, traceDir               string
+	probeInterval                   time.Duration
+	rate                            float64
+	duration                        time.Duration
+	sizeDist, arrival               string
+	faults, adversary, sharedLink   string
+	progress                        bool
+	progressInterval, metricsLinger time.Duration
+	metricsAddr                     string
+	cpuProfile, memProfile          string
+	set                             map[string]string
+}
 
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+// flagSet declares the command line over c's fields.
+func (c *cli) flagSet(onError flag.ErrorHandling) *flag.FlagSet {
+	fs := flag.NewFlagSet("mptcpbench", onError)
+	fs.BoolVar(&c.list, "list", false, "list available experiments and exit")
+	fs.StringVar(&c.run, "run", "", "experiment id to run (or 'all')")
+	fs.StringVar(&c.scenario, "scenario", "", "fleet scenario to run ('list' enumerates them)")
+	fs.BoolVar(&c.quick, "quick", false, "run a reduced sweep that finishes in seconds")
+	fs.Uint64Var(&c.seed, "seed", 42, "base RNG seed (runs are deterministic per seed; 0 is a legal seed)")
+	fs.StringVar(&c.format, "format", "text", "output format: text | json | csv")
+	fs.StringVar(&c.out, "out", "", "write output to this file instead of stdout")
+	fs.BoolVar(&c.paperEra, "paper-era-cpu", false, "use the 2012-class host CPU cost model instead of calibrating on this machine")
+	fs.IntVar(&c.clients, "clients", 0, "fleet scenario size: clients, senders or pairs (0 = scenario default)")
+	fs.IntVar(&c.shards, "shards", 0, "fleet shard count (0 = one shard per 64 members)")
+	fs.IntVar(&c.workers, "workers", 0, "parallel shard workers (0 = GOMAXPROCS; never changes the output)")
+	fs.StringVar(&c.pcapDir, "pcap-dir", "", "capture wire traffic into this directory: one classic pcap per fleet shard (-scenario) or per middlebox-matrix case (-run mbox); capture never changes results")
+	fs.StringVar(&c.traceDir, "trace-dir", "", "flight recorder: write <scenario>-trace.json and <scenario>-events.jsonl into this directory (off by default; capture never changes results)")
+	fs.DurationVar(&c.probeInterval, "probe-interval", 0, "flight recorder: per-subflow time-series sampling cadence in simulated time (0 = events only; needs -trace-dir)")
+	fs.Float64Var(&c.rate, "rate", 0, "fleet-openloop: fleet-wide mean arrival rate in flows/s (0 = scenario default)")
+	fs.DurationVar(&c.duration, "duration", 0, "fleet-openloop: arrival window of simulated time (0 = scenario default)")
+	fs.StringVar(&c.sizeDist, "sizedist", "webmix", "fleet-openloop: flow-size distribution: fixed:<bytes> | lognormal:<mu>,<sigma> | pareto:<alpha>,<lo>,<hi> | webmix")
+	fs.StringVar(&c.arrival, "arrival", "poisson", "fleet-openloop: arrival process: poisson | fixed | onoff[:on_ms,off_ms]")
+	fs.StringVar(&c.faults, "faults", "", "fleet-chaos: fault schedule — a preset name ("+strings.Join(faults.PresetNames(), ", ")+") or grammar like 'flap:path=1,period=1s,down=250ms' (see internal/faults)")
+	fs.StringVar(&c.adversary, "adversary", "", "fleet-chaos: adversarial middlebox preset: "+strings.Join(middlebox.AdversaryPresetNames(), " | "))
+	fs.StringVar(&c.sharedLink, "shared-link", "", "coupled scenarios: the shared bottleneck as [name:]rate[:epoch], e.g. 100mbps, core:1gbps:50ms (fleet-corelink, fleet-cdn, fleet-http)")
+	fs.BoolVar(&c.progress, "progress", false, "fleet scenarios: print a live status line to stderr every second (telemetry never changes results)")
+	fs.DurationVar(&c.progressInterval, "progress-interval", time.Second, "cadence of -progress status lines")
+	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "fleet scenarios: serve Prometheus /metrics and expvar /debug/vars on this address during the run, e.g. 127.0.0.1:9090")
+	fs.DurationVar(&c.metricsLinger, "metrics-linger", 0, "keep the -metrics-addr endpoint up this long after the run finishes, for scrapers that poll")
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile taken at exit to this file (go tool pprof)")
+	return fs
+}
+
+// parseCLI parses args (without the program name) and checks the
+// combinations that cannot be honoured: a -scenario run given flags the
+// chosen scenario does not consume would silently produce output for
+// different options than requested.
+func parseCLI(args []string, onError flag.ErrorHandling) (*cli, error) {
+	c := &cli{set: map[string]string{}}
+	fs := c.flagSet(onError)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	fs.Visit(func(f *flag.Flag) { c.set[f.Name] = f.Value.String() })
+
+	switch c.format {
+	case "text", "json", "csv":
+	default:
+		return nil, fmt.Errorf("unknown output format %q (want text, json or csv)", c.format)
+	}
+	if c.scenario == "" || c.scenario == "list" {
+		if c.scenario == "" && (c.progress || c.metricsAddr != "") {
+			return nil, fmt.Errorf("-progress and -metrics-addr instrument fleet scenarios; use them with -scenario")
+		}
+		return c, nil
+	}
+	if c.run != "" {
+		return nil, fmt.Errorf("-scenario and -run are mutually exclusive")
+	}
+	if c.paperEra {
+		return nil, fmt.Errorf("-paper-era-cpu does not apply to fleet scenarios")
+	}
+	def, err := findScenario(c.scenario)
+	if err != nil {
+		return nil, err
+	}
+	var unused []string
+	for name := range c.set {
+		if flagGroups[name]&^def.accepts != 0 {
+			unused = append(unused, "-"+name)
+		}
+	}
+	if len(unused) > 0 {
+		sort.Strings(unused)
+		return nil, fmt.Errorf("scenario %s does not use %s", def.name, strings.Join(unused, ", "))
+	}
+	return c, nil
+}
+
+func main() {
+	c, err := parseCLI(os.Args[1:], flag.ExitOnError)
+	if err != nil {
+		fail(err)
+	}
+	stopProfiles, err := startProfiles(c.cpuProfile, c.memProfile)
 	if err != nil {
 		fail(err)
 	}
 	defer stopProfiles()
 
-	switch *format {
-	case "text", "json", "csv":
-	default:
-		fail(fmt.Errorf("unknown output format %q (want text, json or csv)", *format))
-	}
-
-	if *scenario == "list" {
+	switch {
+	case c.scenario == "list":
 		listScenarios()
-		return
-	}
-	if *scenario != "" {
-		// -scenario selects a fleet run; combining it with flags it cannot
-		// honour would silently produce output for different options than
-		// requested.
-		if *run != "" {
-			fail(fmt.Errorf("-scenario and -run are mutually exclusive"))
-		}
-		if *paperEra {
-			fail(fmt.Errorf("-paper-era-cpu does not apply to fleet scenarios"))
-		}
-		// The telemetry plane rides beside the deterministic core: it feeds
-		// -progress, -metrics-addr and the runinfo sidecar, and attaching it
-		// never changes the merged result (TestTelemetryChangesNothing). It is
-		// built whenever anything can observe it.
-		var plane *telemetry.Plane
-		if *progress || *metricsAddr != "" || *out != "" || *traceDir != "" {
-			plane = telemetry.New(*scenario)
-		}
-		info := telemetry.CollectRunInfo(*scenario, *seed, *quick)
-		flag.Visit(func(f *flag.Flag) { info.SetFlag(f.Name, f.Value.String()) })
-		o := scenarioOptions{
-			seed: *seed, members: *clients, shards: *shards, workers: *workers,
-			quick: *quick, pcapDir: *pcapDir,
-			trace: experiments.TraceSpec{Dir: *traceDir, ProbeInterval: *probeInterval},
-			rate:  *rate, window: *duration, sizeDist: *sizeDist, arrival: *arrival,
-			faults: *faultSpec, adversary: *adversary,
-			telem: plane,
-		}
-		if *traceDir != "" {
-			o.trace.RunInfo = info
-		}
-		if *sharedLink != "" {
-			l, err := capacity.ParseSharedLink(*sharedLink)
-			if err != nil {
-				fail(err)
-			}
-			o.shared = &l
-		}
-		var srv *telemetry.Server
-		if *metricsAddr != "" {
-			s, err := telemetry.Serve(*metricsAddr, plane)
-			if err != nil {
-				fail(err)
-			}
-			srv = s
-			fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (Prometheus text) and /debug/vars (expvar)\n", srv.Addr())
-		}
-		prog := (*telemetry.Progress)(nil)
-		if *progress {
-			prog = telemetry.StartProgress(os.Stderr, plane, *progressInterval)
-		}
-		res, elapsed, err := runScenario(*scenario, o)
-		prog.Stop()
-		if err != nil {
-			fail(err)
-		}
-		// The merged result is byte-comparable across runs and worker counts,
-		// so wall-clock goes to stderr rather than into the encoded output.
-		fmt.Fprintf(os.Stderr, "%s: %v wall-clock\n", res.ID, elapsed.Round(time.Millisecond))
-		encodeSpan := plane.StartSpan("encode")
-		writeResults(*out, *format, []*experiments.Result{res})
-		encodeSpan.End()
-		info.Finish(plane, elapsed)
-		if *out != "" {
-			// Provenance sidecar next to the encoded output: config plus the
-			// machine-dependent wall-clock/phase/latency summary. Named
-			// <out-minus-ext>-runinfo.json so BENCH freshness gates (which
-			// compare the deterministic output file) never see it.
-			side := strings.TrimSuffix(*out, filepath.Ext(*out)) + "-runinfo.json"
-			if err := info.WriteFile(side); err != nil {
-				fail(err)
-			}
-		}
-		if srv != nil {
-			if *metricsLinger > 0 {
-				fmt.Fprintf(os.Stderr, "metrics: lingering %v for scrapers\n", *metricsLinger)
-				time.Sleep(*metricsLinger)
-			}
-			srv.Close()
-		}
-		return
-	}
-
-	if *progress || *metricsAddr != "" {
-		fail(fmt.Errorf("-progress and -metrics-addr instrument fleet scenarios; use them with -scenario"))
-	}
-
-	if *list || *run == "" {
+	case c.scenario != "":
+		runFleet(c)
+	case c.list || c.run == "":
 		fmt.Println("available experiments:")
 		for _, id := range experiments.IDs() {
 			e, _ := experiments.Get(id)
 			fmt.Printf("  %-10s %s\n", id, e.Title)
 		}
 		listScenarios()
-		if *run == "" && !*list {
+		if !c.list {
 			fmt.Println("\nuse -run <id> (or -run all) to execute one")
 		}
+	default:
+		runExperiments(c)
+	}
+}
+
+// runInfo starts the provenance record of a run: config now, wall-clock
+// results at Finish.
+func (c *cli) runInfo(label string) *telemetry.RunInfo {
+	info := telemetry.CollectRunInfo(label, c.seed, c.quick)
+	for name, value := range c.set {
+		info.SetFlag(name, value)
+	}
+	return info
+}
+
+// writeSidecar writes the provenance sidecar next to the encoded -out file:
+// config plus the machine-dependent wall-clock/phase/latency summary. Named
+// <out-minus-ext>-runinfo.json so BENCH freshness gates (which compare the
+// deterministic output file) never see it.
+func (c *cli) writeSidecar(info *telemetry.RunInfo) {
+	if c.out == "" {
 		return
 	}
+	side := strings.TrimSuffix(c.out, filepath.Ext(c.out)) + "-runinfo.json"
+	if err := info.WriteFile(side); err != nil {
+		fail(err)
+	}
+}
 
-	opts := []experiments.Option{experiments.WithSeed(*seed)}
-	if *quick {
+// runExperiments executes the -run figure harnesses.
+func runExperiments(c *cli) {
+	opts := []experiments.Option{experiments.WithSeed(c.seed)}
+	if c.quick {
 		opts = append(opts, experiments.WithQuick())
 	}
-	if *paperEra {
+	if c.paperEra {
 		opts = append(opts, experiments.WithPaperEraCPU())
 	}
-	if *pcapDir != "" {
-		opts = append(opts, experiments.WithPcapDir(*pcapDir))
+	if c.pcapDir != "" {
+		opts = append(opts, experiments.WithPcapDir(c.pcapDir))
 	}
-	if *traceDir != "" {
-		opts = append(opts, experiments.WithTrace(*traceDir, *probeInterval))
+	if c.traceDir != "" {
+		opts = append(opts, experiments.WithTrace(c.traceDir, c.probeInterval))
 	}
 
-	ids := []string{*run}
-	if strings.EqualFold(*run, "all") {
+	ids := []string{c.run}
+	if strings.EqualFold(c.run, "all") {
 		ids = experiments.IDs()
 	}
-	info := telemetry.CollectRunInfo(*run, *seed, *quick)
-	flag.Visit(func(f *flag.Flag) { info.SetFlag(f.Name, f.Value.String()) })
+	info := c.runInfo(c.run)
 	start := time.Now()
 	results := make([]*experiments.Result, 0, len(ids))
 	for _, id := range ids {
@@ -223,63 +235,162 @@ func main() {
 		results = append(results, res)
 	}
 	elapsed := time.Since(start)
-	writeResults(*out, *format, results)
-	if *out != "" {
-		info.Finish(nil, elapsed)
-		side := strings.TrimSuffix(*out, filepath.Ext(*out)) + "-runinfo.json"
-		if err := info.WriteFile(side); err != nil {
+	writeResults(c.out, c.format, results)
+	info.Finish(nil, elapsed)
+	c.writeSidecar(info)
+}
+
+// runFleet executes one -scenario run with its observers attached.
+func runFleet(c *cli) {
+	def, _ := findScenario(c.scenario) // parseCLI already resolved it
+	// The telemetry plane rides beside the deterministic core: it feeds
+	// -progress, -metrics-addr and the runinfo sidecar, and attaching it
+	// never changes the merged result (TestTelemetryChangesNothing). It is
+	// built whenever anything can observe it.
+	var plane *telemetry.Plane
+	if c.progress || c.metricsAddr != "" || c.out != "" || c.traceDir != "" {
+		plane = telemetry.New(c.scenario)
+	}
+	info := c.runInfo(c.scenario)
+	o := def.size(c)
+	o.Observers = fleet.Observers{
+		PcapDir:   c.pcapDir,
+		Trace:     experiments.TraceSpec{Dir: c.traceDir, ProbeInterval: c.probeInterval},
+		Telemetry: plane,
+	}
+	if c.traceDir != "" {
+		o.Trace.RunInfo = info
+	}
+	if c.sharedLink != "" {
+		l, err := capacity.ParseSharedLink(c.sharedLink)
+		if err != nil {
 			fail(err)
 		}
+		o.Shared = &l
+	}
+	var srv *telemetry.Server
+	if c.metricsAddr != "" {
+		s, err := telemetry.Serve(c.metricsAddr, plane)
+		if err != nil {
+			fail(err)
+		}
+		srv = s
+		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (Prometheus text) and /debug/vars (expvar)\n", srv.Addr())
+	}
+	prog := (*telemetry.Progress)(nil)
+	if c.progress {
+		prog = telemetry.StartProgress(os.Stderr, plane, c.progressInterval)
+	}
+	start := time.Now()
+	res, err := def.run(o)
+	elapsed := time.Since(start)
+	prog.Stop()
+	if err != nil {
+		fail(err)
+	}
+	// The merged result is byte-comparable across runs and worker counts,
+	// so wall-clock goes to stderr rather than into the encoded output.
+	fmt.Fprintf(os.Stderr, "%s: %v wall-clock\n", res.ID, elapsed.Round(time.Millisecond))
+	encodeSpan := plane.StartSpan("encode")
+	writeResults(c.out, c.format, []*experiments.Result{res})
+	encodeSpan.End()
+	info.Finish(plane, elapsed)
+	c.writeSidecar(info)
+	if srv != nil {
+		if c.metricsLinger > 0 {
+			fmt.Fprintf(os.Stderr, "metrics: lingering %v for scrapers\n", c.metricsLinger)
+			time.Sleep(c.metricsLinger)
+		}
+		srv.Close()
 	}
 }
 
-// scenarioOptions carries the CLI sizing for one fleet scenario run.
+// flagGroup is a set of CLI flags that only some scenarios consume. Flags in
+// no group (-seed, -quick, -clients, -shards, -workers, output and observer
+// plumbing) apply to every scenario.
+type flagGroup uint8
+
+const (
+	gPcap   flagGroup = 1 << iota // per-shard wire capture
+	gTrace                        // the flight recorder
+	gShared                       // a shared bottleneck
+	gLoad                         // open-loop offered load
+	gShape                        // open-loop arrival process and flow sizes
+	gChaos                        // fault schedule and adversary
+)
+
+var flagGroups = map[string]flagGroup{
+	"pcap-dir":  gPcap,
+	"trace-dir": gTrace, "probe-interval": gTrace,
+	"shared-link": gShared,
+	"rate":        gLoad, "duration": gLoad,
+	"sizedist": gShape, "arrival": gShape,
+	"faults": gChaos, "adversary": gChaos,
+}
+
+// sizing is a scenario's scale: what -quick shrinks and what -clients, -rate
+// and -duration override. Each scenario reads the fields it has a use for.
+type sizing struct {
+	members  int           // clients, hosts, senders, pairs, members or scheduler ops
+	requests int           // fleet-http: closed-loop requests per client
+	bytes    int           // response, object or block size
+	rate     float64       // open-loop arrivals, flows/s fleet-wide
+	window   time.Duration // open-loop arrival window, or the mixed run length
+	shared   int64         // default shared-link rate in bit/s (0 = the scenario's own)
+}
+
+// scenarioOptions is what a scenario constructor gets: the runner-owned part
+// of its spec, its resolved sizing, and the workload flags.
 type scenarioOptions struct {
-	seed            uint64
-	members         int
-	shards, workers int
-	quick           bool
-	pcapDir         string
-	trace           experiments.TraceSpec
-	// telem is the run's telemetry plane (nil = detached); scenarios that
-	// support instrumentation pass it into their fleet spec.
-	telem *telemetry.Plane
-
-	// open-loop scenarios (fleet-openloop, fleet-corelink) only.
-	rate     float64
-	window   time.Duration
-	sizeDist string
-	arrival  string
-
-	// fleet-chaos only.
-	faults    string
-	adversary string
-
-	// coupled scenarios only: the -shared-link bottleneck, nil when unset.
-	shared *capacity.SharedLink
+	fleet.Common
+	sizing
+	sizeDist, arrival string // open-loop scenarios
+	faults, adversary string // fleet-chaos
 }
 
-// scenarioDef registers one fleet scenario: its name, a one-line description
-// for '-scenario list', and the runner that applies the CLI sizing.
+// scenarioDef registers one fleet scenario as data: its name, a one-line
+// description for '-scenario list', its full and -quick sizing, the flag
+// groups it consumes, and the constructor that turns options into a run.
 type scenarioDef struct {
-	name     string
-	describe string
-	run      func(o scenarioOptions) (*experiments.Result, error)
+	name        string
+	describe    string
+	full, quick sizing
+	accepts     flagGroup
+	run         func(o scenarioOptions) (*experiments.Result, error)
 }
 
-// scenarios is the ordered registry behind -scenario; runScenario and
-// '-scenario list' both walk it, so a scenario cannot be runnable but
-// unlisted or vice versa.
+// scenarios is the ordered registry behind -scenario; flag checking, sizing
+// and '-scenario list' all walk it, so a scenario cannot be runnable but
+// unlisted, or listed with flags it then ignores.
 var scenarios = []scenarioDef{
-	{"fleet-http", "1000+ closed-loop clients against sharded server replicas (-shared-link couples them)", runHTTPScenario},
-	{"fleet-openloop", "open-loop arrivals (-rate/-arrival) with drawn flow sizes (-sizedist)", runOpenLoopScenario},
-	{"fleet-corelink", "open-loop fleet whose downloads jointly transit one shared core link (-shared-link)", runCorelinkScenario},
-	{"fleet-cdn", "CDN flash crowd: every client fetches one object through a shared origin egress", runCDNScenario},
-	{"incast", "synchronized many-to-one fan-in over the N-host graph", runIncastScenario},
-	{"mixed", "MPTCP foreground vs plain-TCP background traffic", runMixedScenario},
-	{"fleet-chaos", "integrity-checked uploads under fault schedules (-faults) and adversarial middleboxes (-adversary)", runChaosScenario},
-	{"trace-overhead", "flight-recorder cost probe: one open-loop run traced and one untraced, results proven identical", runTraceOverheadScenario},
-	{"sched-equivalence", "scheduler pin: wheel vs heap firing-order checksums over deterministic churn workloads", runSchedScenario},
+	{"fleet-http", "1000+ closed-loop clients against sharded server replicas (-shared-link couples them)",
+		sizing{members: 1000, requests: 2, bytes: 32 << 10}, sizing{members: 64, requests: 1, bytes: 16 << 10},
+		gPcap | gTrace | gShared, runHTTPScenario},
+	{"fleet-openloop", "open-loop arrivals (-rate/-arrival) with drawn flow sizes (-sizedist)",
+		sizing{members: 256, rate: 400, window: 5 * time.Second}, sizing{members: 32, rate: 60, window: 2 * time.Second},
+		gPcap | gTrace | gLoad | gShape, runOpenLoopScenario},
+	{"fleet-corelink", "open-loop fleet whose downloads jointly transit one shared core link (-shared-link)",
+		sizing{members: 256, rate: 400, window: 5 * time.Second, shared: netem.Mbps(100)},
+		sizing{members: 32, rate: 60, window: 2 * time.Second, shared: netem.Mbps(10)},
+		gPcap | gTrace | gShared | gLoad | gShape, runOpenLoopScenario},
+	{"fleet-cdn", "CDN flash crowd: every client fetches one object through a shared origin egress",
+		sizing{members: 256, bytes: 1 << 20}, sizing{members: 32, bytes: 256 << 10, shared: netem.Mbps(50)},
+		gPcap | gShared, runCDNScenario},
+	{"incast", "synchronized many-to-one fan-in over the N-host graph",
+		sizing{members: 256, bytes: 256 << 10}, sizing{members: 32, bytes: 128 << 10},
+		gPcap, runIncastScenario},
+	{"mixed", "MPTCP foreground vs plain-TCP background traffic",
+		sizing{members: 32, window: 5 * time.Second}, sizing{members: 8, window: 2 * time.Second},
+		gPcap, runMixedScenario},
+	{"fleet-chaos", "integrity-checked uploads under fault schedules (-faults) and adversarial middleboxes (-adversary)",
+		sizing{members: 32}, sizing{members: 8},
+		gPcap | gTrace | gChaos, runChaosScenario},
+	{"trace-overhead", "flight-recorder cost probe: one open-loop run traced and one untraced, results proven identical",
+		sizing{members: 64, rate: 150, window: 2 * time.Second}, sizing{members: 16, rate: 80, window: time.Second},
+		gTrace | gLoad, runTraceOverheadScenario},
+	{"sched-equivalence", "scheduler pin: wheel vs heap firing-order checksums over deterministic churn workloads",
+		sizing{members: 200_000}, sizing{members: 20_000},
+		0, runSchedScenario},
 }
 
 // listScenarios prints the scenario registry, one line per scenario.
@@ -290,171 +401,87 @@ func listScenarios() {
 	}
 }
 
-// runScenario dispatches one fleet scenario with CLI sizing applied.
-func runScenario(name string, o scenarioOptions) (*experiments.Result, time.Duration, error) {
-	for _, s := range scenarios {
-		if s.name != name {
-			continue
-		}
-		start := time.Now()
-		res, err := s.run(o)
-		return res, time.Since(start), err
-	}
+func findScenario(name string) (*scenarioDef, error) {
 	names := make([]string, len(scenarios))
-	for i, s := range scenarios {
-		names[i] = s.name
+	for i := range scenarios {
+		if scenarios[i].name == name {
+			return &scenarios[i], nil
+		}
+		names[i] = scenarios[i].name
 	}
-	return nil, 0, fmt.Errorf("unknown scenario %q (want %s, or 'list')", name, strings.Join(names, ", "))
+	return nil, fmt.Errorf("unknown scenario %q (want %s, or 'list')", name, strings.Join(names, ", "))
+}
+
+// size is the one sizing step: the scenario's full or -quick scale with the
+// explicit -clients/-rate/-duration overrides applied, plus the sharding and
+// workload flags every constructor passes through.
+func (d *scenarioDef) size(c *cli) scenarioOptions {
+	s := d.full
+	if c.quick {
+		s = d.quick
+	}
+	if c.clients > 0 {
+		s.members = c.clients
+	}
+	if c.rate > 0 {
+		s.rate = c.rate
+	}
+	if c.duration > 0 {
+		s.window = c.duration
+	}
+	o := scenarioOptions{
+		Common:   fleet.Common{Seed: c.seed, Shards: c.shards, Workers: c.workers, Quick: c.quick},
+		sizing:   s,
+		sizeDist: c.sizeDist, arrival: c.arrival,
+		faults: c.faults, adversary: c.adversary,
+	}
+	if s.shared > 0 {
+		o.Shared = &capacity.SharedLink{RateBps: s.shared}
+	}
+	return o
 }
 
 func runHTTPScenario(o scenarioOptions) (*experiments.Result, error) {
-	n, requests, size := 1000, 2, 32<<10
-	if o.quick {
-		n, requests, size = 64, 1, 16<<10
-	}
-	if o.members > 0 {
-		n = o.members
-	}
-	spec := fleet.DefaultHTTPSpec(o.seed, n, requests, size)
-	spec.Shards, spec.Workers, spec.Quick, spec.PcapDir = o.shards, o.workers, o.quick, o.pcapDir
-	spec.Shared = o.shared
-	spec.Trace = o.trace
-	spec.Telemetry = o.telem
+	spec := fleet.DefaultHTTPSpec(o.Seed, o.members, o.requests, o.bytes)
+	spec.Common = o.Common
 	return fleet.RunHTTP(spec)
 }
 
-// openLoopSpecFrom resolves the open-loop flags into an OpenLoopSpec; shared
-// between fleet-openloop and fleet-corelink.
-func openLoopSpecFrom(o scenarioOptions) (fleet.OpenLoopSpec, error) {
-	hosts, rate, window := 256, 400.0, 5*time.Second
-	if o.quick {
-		hosts, rate, window = 32, 60.0, 2*time.Second
-	}
-	if o.members > 0 {
-		hosts = o.members
-	}
-	if o.rate > 0 {
-		rate = o.rate
-	}
-	if o.window > 0 {
-		window = o.window
-	}
-	arrival, err := workload.ParseArrival(o.arrival, rate)
+// runOpenLoopScenario serves fleet-openloop and fleet-corelink: the same
+// workload, coupled exactly when the registry entry or -shared-link names a
+// shared link.
+func runOpenLoopScenario(o scenarioOptions) (*experiments.Result, error) {
+	arrival, err := workload.ParseArrival(o.arrival, o.rate)
 	if err != nil {
-		return fleet.OpenLoopSpec{}, err
+		return nil, err
 	}
 	sizes, err := workload.ParseSizeDist(o.sizeDist)
 	if err != nil {
-		return fleet.OpenLoopSpec{}, err
-	}
-	return fleet.OpenLoopSpec{
-		Seed: o.seed, Hosts: hosts, Arrival: arrival, Sizes: sizes, Window: window,
-		Shards: o.shards, Workers: o.workers, Quick: o.quick, PcapDir: o.pcapDir,
-		Trace: o.trace, Telemetry: o.telem,
-	}, nil
-}
-
-func runOpenLoopScenario(o scenarioOptions) (*experiments.Result, error) {
-	if o.shared != nil {
-		return nil, fmt.Errorf("fleet-openloop shards are uncoupled; use -scenario fleet-corelink for a shared bottleneck")
-	}
-	spec, err := openLoopSpecFrom(o)
-	if err != nil {
 		return nil, err
 	}
-	return fleet.RunOpenLoop(spec)
-}
-
-func runCorelinkScenario(o scenarioOptions) (*experiments.Result, error) {
-	spec, err := openLoopSpecFrom(o)
-	if err != nil {
-		return nil, err
-	}
-	core := capacity.SharedLink{Name: capacity.DefaultName, RateBps: netem.Mbps(100)}
-	if o.quick {
-		core.RateBps = netem.Mbps(10)
-	}
-	if o.shared != nil {
-		core = *o.shared
-	}
-	return fleet.RunCorelink(fleet.CorelinkSpec{OpenLoopSpec: spec, Shared: core})
+	return fleet.RunOpenLoop(fleet.OpenLoopSpec{
+		Common: o.Common, Hosts: o.members, Arrival: arrival, Sizes: sizes, Window: o.window,
+	})
 }
 
 func runCDNScenario(o scenarioOptions) (*experiments.Result, error) {
-	if o.trace.Enabled() {
-		return nil, fmt.Errorf("fleet-cdn does not support -trace-dir (flight recording covers fleet-http, fleet-openloop, fleet-corelink and fleet-chaos)")
-	}
-	n, size := 256, 1<<20
-	if o.quick {
-		n, size = 32, 256<<10
-	}
-	if o.members > 0 {
-		n = o.members
-	}
-	spec := fleet.CDNSpec{
-		Seed: o.seed, Clients: n, ObjectSize: size,
-		Shards: o.shards, Workers: o.workers, Quick: o.quick, PcapDir: o.pcapDir,
-	}
-	if o.quick {
-		spec.Shared.RateBps = netem.Mbps(50)
-	}
-	if o.shared != nil {
-		spec.Shared = *o.shared
-	}
-	return fleet.RunCDN(spec)
+	return fleet.RunCDN(fleet.CDNSpec{Common: o.Common, Clients: o.members, ObjectSize: o.bytes})
 }
 
 func runIncastScenario(o scenarioOptions) (*experiments.Result, error) {
-	if o.trace.Enabled() {
-		return nil, fmt.Errorf("incast does not support -trace-dir (flight recording covers fleet-http, fleet-openloop, fleet-corelink and fleet-chaos)")
-	}
-	n, block := 256, 256<<10
-	if o.quick {
-		n, block = 32, 128<<10
-	}
-	if o.members > 0 {
-		n = o.members
-	}
-	return fleet.RunIncast(fleet.IncastSpec{
-		Seed: o.seed, Senders: n, BlockSize: block,
-		Shards: o.shards, Workers: o.workers, Quick: o.quick, PcapDir: o.pcapDir,
-	})
+	return fleet.RunIncast(fleet.IncastSpec{Common: o.Common, Senders: o.members, BlockSize: o.bytes})
 }
 
 func runMixedScenario(o scenarioOptions) (*experiments.Result, error) {
-	if o.trace.Enabled() {
-		return nil, fmt.Errorf("mixed does not support -trace-dir (flight recording covers fleet-http, fleet-openloop, fleet-corelink and fleet-chaos)")
-	}
-	n, dur := 32, 5*time.Second
-	if o.quick {
-		n, dur = 8, 2*time.Second
-	}
-	if o.members > 0 {
-		n = o.members
-	}
-	return fleet.RunMixed(fleet.MixedSpec{
-		Seed: o.seed, Pairs: n, Duration: dur,
-		Shards: o.shards, Workers: o.workers, Quick: o.quick, PcapDir: o.pcapDir,
-	})
+	return fleet.RunMixed(fleet.MixedSpec{Common: o.Common, Pairs: o.members, Duration: o.window})
 }
 
 func runChaosScenario(o scenarioOptions) (*experiments.Result, error) {
-	n := 32
-	if o.quick {
-		n = 8
-	}
-	if o.members > 0 {
-		n = o.members
-	}
 	spec, err := faults.Parse(o.faults)
 	if err != nil {
 		return nil, err
 	}
-	return fleet.RunChaos(fleet.ChaosSpec{
-		Seed: o.seed, Members: n, Faults: spec, Adversary: o.adversary,
-		Shards: o.shards, Workers: o.workers, Quick: o.quick, PcapDir: o.pcapDir,
-		Trace: o.trace, Telemetry: o.telem,
-	})
+	return fleet.RunChaos(fleet.ChaosSpec{Common: o.Common, Members: o.members, Faults: spec, Adversary: o.adversary})
 }
 
 // writeResults encodes results to the -out file or stdout.

@@ -20,28 +20,22 @@ import (
 // scheduler change that reorders events flips a checksum and fails the diff.
 // Wheel-vs-heap wall-clock goes to stderr only.
 func runSchedScenario(o scenarioOptions) (*experiments.Result, error) {
-	ops := 200_000
-	if o.quick {
-		ops = 20_000
-	}
-	if o.members > 0 {
-		ops = o.members
-	}
+	ops := o.members
 
 	res := &experiments.Result{
 		ID:    "sched-equivalence",
 		Title: fmt.Sprintf("scheduler equivalence: wheel vs heap over %d-op deterministic workloads", ops),
-		Seed:  o.seed, Quick: o.quick,
+		Seed:  o.Seed, Quick: o.Quick,
 	}
 	table := experiments.NewTable("firing-order checksums (wheel must equal heap)",
 		"workload", "events", "finalTime", "checksum", "identical")
 	allIdentical := true
 	for _, w := range schedWorkloads {
 		startW := time.Now()
-		wheelSum, wheelEvents, wheelEnd := w.run(sim.SchedulerWheel, o.seed, ops)
+		wheelSum, wheelEvents, wheelEnd := w.run(sim.SchedulerWheel, o.Seed, ops)
 		wallWheel := time.Since(startW)
 		startH := time.Now()
-		heapSum, heapEvents, heapEnd := w.run(sim.SchedulerHeap, o.seed, ops)
+		heapSum, heapEvents, heapEnd := w.run(sim.SchedulerHeap, o.Seed, ops)
 		wallHeap := time.Since(startH)
 		identical := wheelSum == heapSum && wheelEvents == heapEvents && wheelEnd == heapEnd
 		allIdentical = allIdentical && identical

@@ -35,22 +35,11 @@ const telemetryOverheadFloor = 200 * time.Millisecond
 // baseline clears the floor. CI commits its quick JSON as
 // bench/BENCH_trace.json under the freshness gate.
 func runTraceOverheadScenario(o scenarioOptions) (*experiments.Result, error) {
-	hosts, rate, window := 64, 150.0, 2*time.Second
-	if o.quick {
-		hosts, rate, window = 16, 80.0, 1*time.Second
-	}
-	if o.members > 0 {
-		hosts = o.members
-	}
-	if o.rate > 0 {
-		rate = o.rate
-	}
-	if o.window > 0 {
-		window = o.window
-	}
-	base := fleet.DefaultOpenLoopSpec(o.seed, hosts, rate, window)
+	hosts, rate, window := o.members, o.rate, o.window
+	// The three variants attach their own observers; none of the run's.
+	base := fleet.DefaultOpenLoopSpec(o.Seed, hosts, rate, window)
 	base.Sizes = workload.FixedSize(16 << 10)
-	base.Shards, base.Workers, base.Quick = o.shards, o.workers, o.quick
+	base.Shards, base.Workers, base.Quick = o.Shards, o.Workers, o.Quick
 
 	// Three paired (plain, telemetry-attached) runs: the first pair's plain
 	// result doubles as the identity baseline, and the minimum on/off ratio
@@ -91,7 +80,7 @@ func runTraceOverheadScenario(o scenarioOptions) (*experiments.Result, error) {
 
 	// The traced run needs a directory; an ephemeral one keeps the scenario
 	// self-contained unless the caller asked for the files via -trace-dir.
-	dir := o.trace.Dir
+	dir := o.Trace.Dir
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "trace-overhead")
 		if err != nil {
@@ -100,7 +89,7 @@ func runTraceOverheadScenario(o scenarioOptions) (*experiments.Result, error) {
 		defer os.RemoveAll(tmp)
 		dir = tmp
 	}
-	interval := o.trace.ProbeInterval
+	interval := o.Trace.ProbeInterval
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
 	}
@@ -133,7 +122,7 @@ func runTraceOverheadScenario(o scenarioOptions) (*experiments.Result, error) {
 	res := &experiments.Result{
 		ID:    "trace-overhead",
 		Title: fmt.Sprintf("flight-recorder overhead: %d hosts, %.0f flows/s, %v window, %v sampling", hosts, rate, window, interval),
-		Seed:  o.seed, Quick: o.quick,
+		Seed:  o.Seed, Quick: o.Quick,
 	}
 	table := experiments.NewTable("traced/instrumented vs plain open-loop run (scenario output must not change)",
 		"metric", "value")

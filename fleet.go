@@ -11,16 +11,13 @@ import (
 	"mptcpgo/internal/workload"
 )
 
-// sharedBottleneck carries a builder's SharedBottleneck declaration until Run
-// resolves it into a capacity.SharedLink.
-type sharedBottleneck struct {
-	name     string
-	rateMbps float64
-	weight   func(i int) float64
-}
-
-func (s *sharedBottleneck) link() capacity.SharedLink {
-	return capacity.SharedLink{Name: s.name, RateBps: netem.Mbps(s.rateMbps)}
+// sharedBottleneck validates a builder's SharedBottleneck declaration and
+// lowers it to the engine's form.
+func sharedBottleneck(name string, rateMbps float64) (*capacity.SharedLink, error) {
+	if rateMbps <= 0 {
+		return nil, fmt.Errorf("mptcpgo: shared bottleneck %q needs a positive rate, got %g Mbps", name, rateMbps)
+	}
+	return &capacity.SharedLink{Name: name, RateBps: netem.Mbps(rateMbps)}, nil
 }
 
 // ClientGroup declares a homogeneous group of closed-loop HTTP clients in a
@@ -54,24 +51,15 @@ type ClientGroup struct {
 // per-shard results deterministically. The merged Result is byte-identical
 // at any worker count for a fixed seed and shard count.
 type Fleet struct {
-	seed     uint64
-	groups   []ClientGroup
-	shards   int
-	workers  int
-	deadline time.Duration
-	label    string
-	server   *Config
-	shared   *sharedBottleneck
-	trace    experiments.TraceSpec
-	telem    *Telemetry
-	capLat   int
-	err      error
+	spec   fleet.HTTPSpec
+	groups []ClientGroup
+	err    error
 }
 
 // NewFleet starts an empty fleet whose shard seeds derive from the given
 // root seed.
 func NewFleet(seed uint64) *Fleet {
-	return &Fleet{seed: seed}
+	return &Fleet{spec: fleet.HTTPSpec{Common: fleet.Common{Seed: seed}}}
 }
 
 // Group appends a client group. Declarations chain; errors are accumulated
@@ -88,41 +76,41 @@ func (f *Fleet) Group(g ClientGroup) *Fleet {
 // Shards fixes the shard count. The shard count is part of the scenario — it
 // decides how many clients share one server replica — so changing it changes
 // the workload; the default is one shard per 64 clients.
-func (f *Fleet) Shards(n int) *Fleet { f.shards = n; return f }
+func (f *Fleet) Shards(n int) *Fleet { f.spec.Shards = n; return f }
 
 // Workers bounds how many shards run in parallel (default GOMAXPROCS). The
 // worker count never changes the merged result.
-func (f *Fleet) Workers(n int) *Fleet { f.workers = n; return f }
+func (f *Fleet) Workers(n int) *Fleet { f.spec.Workers = n; return f }
 
 // Deadline caps each shard's simulated time (default 10 minutes).
-func (f *Fleet) Deadline(d time.Duration) *Fleet { f.deadline = d; return f }
+func (f *Fleet) Deadline(d time.Duration) *Fleet { f.spec.Deadline = d; return f }
 
 // Label overrides the result title.
-func (f *Fleet) Label(s string) *Fleet { f.label = s; return f }
+func (f *Fleet) Label(s string) *Fleet { f.spec.Label = s; return f }
 
 // ServerConfig overrides the listener configuration of every server replica.
-func (f *Fleet) ServerConfig(cfg Config) *Fleet { f.server = &cfg; return f }
+func (f *Fleet) ServerConfig(cfg Config) *Fleet { f.spec.Server = &cfg; return f }
 
 // Trace attaches the flight recorder: typed protocol events (and, when
 // probeInterval > 0, per-subflow time series at that sim-time cadence) are
 // written as fleet-http-trace.json and fleet-http-events.jsonl into dir.
 // Capture never changes the scenario's results.
 func (f *Fleet) Trace(dir string, probeInterval time.Duration) *Fleet {
-	f.trace = experiments.TraceSpec{Dir: dir, ProbeInterval: probeInterval}
+	f.spec.Trace = experiments.TraceSpec{Dir: dir, ProbeInterval: probeInterval}
 	return f
 }
 
 // Telemetry attaches a metrics plane to the run: live per-shard progress,
 // phase profiling and the merged latency histogram flow into it while the
 // fleet executes. Attachment never changes the merged result.
-func (f *Fleet) Telemetry(t *Telemetry) *Fleet { f.telem = t; return f }
+func (f *Fleet) Telemetry(t *Telemetry) *Fleet { f.spec.Telemetry = planeOf(t); return f }
 
 // LatencySampleCap bounds how many raw latency samples each client pool
 // retains (0 = unlimited, today's behavior). Once a pool hits the cap, its
 // latency table switches from exact order statistics to the log-scale
 // histogram — quantiles stay within the histogram's ~10% bucket resolution
 // while merge memory stops growing with the flow count.
-func (f *Fleet) LatencySampleCap(n int) *Fleet { f.capLat = n; return f }
+func (f *Fleet) LatencySampleCap(n int) *Fleet { f.spec.LatencySampleCap = n; return f }
 
 // SharedBottleneck couples every client's download direction to one named
 // fleet-global resource of the given rate: the shards run in lock-stepped
@@ -131,11 +119,12 @@ func (f *Fleet) LatencySampleCap(n int) *Fleet { f.capLat = n; return f }
 // matter how the clients are sharded. weight gives client i's allocation
 // weight (nil = equal); a shard's weight is the sum of its clients'.
 func (f *Fleet) SharedBottleneck(name string, rateMbps float64, weight func(i int) float64) *Fleet {
-	if rateMbps <= 0 {
-		f.fail(fmt.Errorf("mptcpgo: shared bottleneck %q needs a positive rate, got %g Mbps", name, rateMbps))
+	l, err := sharedBottleneck(name, rateMbps)
+	if err != nil {
+		f.fail(err)
 		return f
 	}
-	f.shared = &sharedBottleneck{name: name, rateMbps: rateMbps, weight: weight}
+	f.spec.Shared, f.spec.Weight = l, weight
 	return f
 }
 
@@ -154,22 +143,7 @@ func (f *Fleet) Run() (*Result, error) {
 	if len(f.groups) == 0 {
 		return nil, fmt.Errorf("mptcpgo: fleet has no client groups")
 	}
-	spec := fleet.HTTPSpec{
-		Seed:             f.seed,
-		Shards:           f.shards,
-		Workers:          f.workers,
-		Deadline:         f.deadline,
-		Label:            f.label,
-		Server:           f.server,
-		Trace:            f.trace,
-		Telemetry:        planeOf(f.telem),
-		LatencySampleCap: f.capLat,
-	}
-	if f.shared != nil {
-		l := f.shared.link()
-		spec.Shared = &l
-		spec.Weight = f.shared.weight
-	}
+	spec := f.spec
 	i := 0
 	for _, g := range f.groups {
 		cfg := connConfigFor(g)
@@ -208,7 +182,6 @@ type OpenLoop struct {
 	// arrivalSpec remembers the last process family chosen via Arrival, so
 	// Rate can re-parameterize it instead of silently switching families.
 	arrivalSpec string
-	shared      *sharedBottleneck
 	err         error
 }
 
@@ -217,7 +190,7 @@ type OpenLoop struct {
 // 100 flows/s fleet-wide, web-mix sizes, a 5 s arrival window and a 10 s
 // flow deadline. Override with the chained setters.
 func NewOpenLoop(seed uint64) *OpenLoop {
-	return &OpenLoop{spec: fleet.OpenLoopSpec{Seed: seed, Hosts: 64}}
+	return &OpenLoop{spec: fleet.OpenLoopSpec{Common: fleet.Common{Seed: seed}, Hosts: 64}}
 }
 
 // Hosts sets the number of arrival hosts (each on its own access link).
@@ -320,11 +293,12 @@ func (o *OpenLoop) LatencySampleCap(n int) *OpenLoop {
 // past rateMbps produces a global goodput knee instead of per-shard ones.
 // weight gives host i's allocation weight (nil = equal).
 func (o *OpenLoop) SharedBottleneck(name string, rateMbps float64, weight func(i int) float64) *OpenLoop {
-	if rateMbps <= 0 {
-		o.fail(fmt.Errorf("mptcpgo: shared bottleneck %q needs a positive rate, got %g Mbps", name, rateMbps))
+	l, err := sharedBottleneck(name, rateMbps)
+	if err != nil {
+		o.fail(err)
 		return o
 	}
-	o.shared = &sharedBottleneck{name: name, rateMbps: rateMbps, weight: weight}
+	o.spec.Shared, o.spec.Weight = l, weight
 	return o
 }
 
@@ -339,13 +313,6 @@ func (o *OpenLoop) Run() (*Result, error) {
 	if o.err != nil {
 		return nil, o.err
 	}
-	if o.shared != nil {
-		return fleet.RunCorelink(fleet.CorelinkSpec{
-			OpenLoopSpec: o.spec,
-			Shared:       o.shared.link(),
-			Weight:       o.shared.weight,
-		})
-	}
 	return fleet.RunOpenLoop(o.spec)
 }
 
@@ -354,16 +321,8 @@ func connConfigFor(g ClientGroup) Config {
 	if g.Config != nil {
 		return *g.Config
 	}
-	var cfg Config
 	if g.TCPOnly {
-		cfg = TCPConfig()
-	} else {
-		cfg = DefaultConfig()
+		return fleet.StarConfig(TCPConfig())
 	}
-	// Star topologies give each client one access link; advertising the
-	// server's other addresses would only open duplicate subflows over it.
-	cfg.AdvertiseAddresses = false
-	cfg.SendBufBytes = 128 << 10
-	cfg.RecvBufBytes = 128 << 10
-	return cfg
+	return fleet.StarConfig(DefaultConfig())
 }

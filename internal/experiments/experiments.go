@@ -222,23 +222,3 @@ func RunWithOptions(id string, opt Options) (*Result, error) {
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
-
-// RunAll runs every registered experiment and writes the tables to w.
-func RunAll(w io.Writer, opt Options) error {
-	for _, id := range IDs() {
-		if err := RunAndPrint(w, id, opt); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RunAndPrint runs one experiment by id and writes its tables to w as
-// aligned text (the historical output format).
-func RunAndPrint(w io.Writer, id string, opt Options) error {
-	res, err := RunWithOptions(id, opt)
-	if err != nil {
-		return err
-	}
-	return res.Text(w)
-}

@@ -39,7 +39,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	if err := RunAndPrint(&bytes.Buffer{}, "nope", Options{}); err == nil {
+	if _, err := RunWithOptions("nope", Options{}); err == nil {
 		t.Fatal("unknown experiment id must error")
 	}
 }

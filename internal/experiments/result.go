@@ -27,8 +27,7 @@ type Series struct {
 
 // Result is the structured outcome of one experiment run: the rendered
 // tables, the numeric series behind them, and run metadata. Encoders render
-// it as aligned text (byte-identical to the historical RunAndPrint output),
-// JSON or CSV.
+// it as aligned text (the layout TestResultTextFormat pins), JSON or CSV.
 type Result struct {
 	// ID and Title identify the experiment ("fig4", ...).
 	ID    string `json:"id"`
@@ -52,9 +51,8 @@ func (r *Result) AddTable(t *Table) { r.Tables = append(r.Tables, t) }
 // AddSeries appends a numeric series.
 func (r *Result) AddSeries(s Series) { r.Series = append(r.Series, s) }
 
-// Text renders the result as aligned text. The output is byte-identical to
-// what RunAndPrint has always produced: a "# id — title" header followed by
-// each table.
+// Text renders the result as aligned text: a "# id — title" header followed
+// by each table.
 func (r *Result) Text(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "# %s — %s\n\n", r.ID, r.Title); err != nil {
 		return err

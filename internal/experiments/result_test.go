@@ -34,8 +34,8 @@ func TestOptionsSeedDefaulting(t *testing.T) {
 	}
 }
 
-// TestResultTextFormat pins the text encoding to the historical RunAndPrint
-// byte layout: header, then each table with aligned columns and notes.
+// TestResultTextFormat pins the text encoding to its historical byte layout:
+// header, then each table with aligned columns and notes.
 func TestResultTextFormat(t *testing.T) {
 	tbl := NewTable("demo", "col", "x")
 	tbl.AddRow("value", "1")
@@ -53,24 +53,6 @@ func TestResultTextFormat(t *testing.T) {
 		"\n"
 	if buf.String() != want {
 		t.Fatalf("text encoding drifted:\n got %q\nwant %q", buf.String(), want)
-	}
-}
-
-func TestRunMatchesRunAndPrint(t *testing.T) {
-	// The structured path and the legacy printer must render the same bytes.
-	res, err := Run("rationale", WithQuick(), WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var structured, legacy bytes.Buffer
-	if err := res.Text(&structured); err != nil {
-		t.Fatal(err)
-	}
-	if err := RunAndPrint(&legacy, "rationale", Options{Quick: true, Seed: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if structured.String() != legacy.String() {
-		t.Fatalf("structured Text and RunAndPrint disagree:\n--- structured\n%s\n--- legacy\n%s", structured.String(), legacy.String())
 	}
 }
 

@@ -63,30 +63,25 @@ func runAdversarial(opt experiments.Options) (*experiments.Result, error) {
 		}
 	}
 
-	type advOut struct {
-		merge chaosMerge
-	}
-	outs, err := experiments.Sweep(len(cells), func(i int) (advOut, error) {
+	outs, err := experiments.Sweep(len(cells), func(i int) (chaosMerge, error) {
 		c := cells[i]
-		pcapDir := ""
-		if opt.PcapDir != "" {
-			pcapDir = opt.PcapDir
-		}
 		_, merge, err := runChaos(ChaosSpec{
-			Seed:          opt.Seed + uint64(i)*101,
+			Common: Common{
+				Seed:      opt.Seed + uint64(i)*101,
+				Quick:     opt.Quick,
+				Label:     fmt.Sprintf("adversarial[%02d]: adversary=%s faults=%s", i, c.adv, c.fault),
+				Observers: Observers{PcapDir: opt.PcapDir},
+			},
 			Members:       members,
 			TransferBytes: transfer,
 			Faults:        faults.MustParse(c.fault),
 			Adversary:     c.adv,
-			Quick:         opt.Quick,
-			PcapDir:       pcapDir,
 			CaptureName:   fmt.Sprintf("adversarial-%02d", i),
-			Label:         fmt.Sprintf("adversarial[%02d]: adversary=%s faults=%s", i, c.adv, c.fault),
 		})
 		if err != nil {
-			return advOut{}, fmt.Errorf("adversarial case %d (adversary=%s faults=%s): %w", i, c.adv, c.fault, err)
+			return merge, fmt.Errorf("adversarial case %d (adversary=%s faults=%s): %w", i, c.adv, c.fault, err)
 		}
-		return advOut{merge: merge}, nil
+		return merge, nil
 	})
 	if err != nil {
 		return nil, err
@@ -97,7 +92,7 @@ func runAdversarial(opt experiments.Options) (*experiments.Result, error) {
 		"case", "adversary", "faults", "ok", "fallback", "stalled", "failed", "intact", "reasons", "verdict", "expected")
 	violations := 0
 	for i, c := range cells {
-		m := outs[i].merge
+		m := outs[i]
 		verdict := "pass"
 		if m.stalled > 0 || m.failed > 0 || m.intact != m.members || m.encodeErrors > 0 {
 			verdict = "VIOLATION"

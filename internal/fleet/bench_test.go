@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mptcpgo/internal/experiments"
 	"mptcpgo/internal/telemetry"
 	"mptcpgo/internal/workload"
 )
@@ -37,14 +38,14 @@ func benchmarkFleetSegmentRate(b *testing.B, plane *telemetry.Plane) {
 	var segments uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		outs, err := Run(spec.Seed, spec.Hosts, spec.Shards, spec.Workers, func(sh *Shard) (openLoopShardOut, error) {
-			return runOpenLoopShard(&spec, sh)
-		})
+		_, err := Run[*openLoopState, openLoopOut](spec.Common, "fleet-openloop", "", spec.Hosts, openLoopScenario{&spec},
+			func(_ *experiments.Result, outs []openLoopOut) {
+				for _, out := range outs {
+					segments += out.segments
+				}
+			})
 		if err != nil {
 			b.Fatal(err)
-		}
-		for _, out := range outs {
-			segments += out.segments
 		}
 	}
 	b.StopTimer()

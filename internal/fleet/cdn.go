@@ -9,7 +9,7 @@ import (
 	"mptcpgo/internal/experiments"
 	"mptcpgo/internal/httpsim"
 	"mptcpgo/internal/netem"
-	"mptcpgo/internal/trace"
+	"mptcpgo/internal/packet"
 )
 
 // CDNSpec describes the fleet-cdn scenario: a CDN-egress incast. Every
@@ -20,20 +20,15 @@ import (
 // saturates at the shared rate and the completion-time tail stretches with
 // the crowd size, regardless of how the clients are sharded.
 type CDNSpec struct {
-	// Seed is the root RNG seed.
-	Seed uint64
+	// Common.Shared is the egress port every download transits (nil or zero
+	// fields = "egress" at 200 Mbps, 100 ms epochs); Common.Deadline defaults
+	// to 60 s — a flash crowd that has not drained by then is reported as
+	// failed, not hung.
+	Common
 	// Clients is the flash-crowd size.
 	Clients int
 	// ObjectSize is the bytes each client fetches (default 1 MB).
 	ObjectSize int
-	// Shards partitions the clients (0 = default partition); Workers bounds
-	// parallel shard execution (0 = GOMAXPROCS; never changes the output).
-	Shards, Workers int
-	// Shared is the egress port every download transits (zero value =
-	// "egress" at 200 Mbps, 100 ms epochs).
-	Shared capacity.SharedLink
-	// Weight gives client i's allocation weight on the egress (nil = equal).
-	Weight func(i int) float64
 	// Access configures each client's access link; zero selects a symmetric
 	// 50 Mbps link with 10 ms one-way delay and 128 KB of buffering — fast
 	// enough that the egress, not the access, is the bottleneck.
@@ -42,148 +37,70 @@ type CDNSpec struct {
 	// address advertisement, 128 KB buffers); Server configures the
 	// replicas' listeners.
 	Conn, Server *core.Config
-	// Deadline caps each shard's simulated time (default 60 s — a flash
-	// crowd that has not drained by then is reported as failed, not hung).
-	Deadline time.Duration
-	// Label overrides the result title; Quick is recorded in the metadata.
-	Label string
-	Quick bool
-	// PcapDir, when non-empty, captures every shard's wire traffic into
-	// <PcapDir>/fleet-cdn-shard<NNN>.pcap.
-	PcapDir string
 }
 
 func (s CDNSpec) withDefaults() CDNSpec {
 	if s.ObjectSize <= 0 {
 		s.ObjectSize = 1 << 20
 	}
-	if s.Shared.RateBps == 0 {
-		s.Shared.RateBps = netem.Mbps(200)
+	egress := capacity.SharedLink{}
+	if s.Shared != nil {
+		egress = *s.Shared
 	}
-	if s.Shared.Name == "" {
-		s.Shared.Name = "egress"
+	if egress.RateBps == 0 {
+		egress.RateBps = netem.Mbps(200)
 	}
-	if s.Shared.Epoch == 0 {
-		s.Shared.Epoch = capacity.DefaultEpoch
+	if egress.Name == "" {
+		egress.Name = "egress"
 	}
+	s.Shared = &egress
+	s.Common = s.Common.withDefaults(60 * time.Second)
 	if s.Access == (netem.PathConfig{}) {
 		s.Access = netem.SymmetricPath(netem.Mbps(50), 10*time.Millisecond, 128<<10, 0)
 	}
-	if s.Conn == nil {
-		conn := core.DefaultConfig()
-		conn.AdvertiseAddresses = false
-		conn.SendBufBytes = 128 << 10
-		conn.RecvBufBytes = 128 << 10
-		s.Conn = &conn
-	}
-	if s.Server == nil {
-		srv := core.DefaultConfig()
-		srv.AdvertiseAddresses = false
-		s.Server = &srv
-	}
-	if s.Deadline <= 0 {
-		s.Deadline = 60 * time.Second
-	}
+	s.Conn, s.Server = starClient(s.Conn), starServer(s.Server)
 	return s
 }
 
-// cdnState is one shard's live flash crowd.
-type cdnState struct {
-	graph        netem.GraphSpec
-	pools        []*httpsim.ClientPool
-	remaining    int
-	closeCapture func() error
-}
+// cdnScenario is the flash crowd: one single-request pool per client, every
+// one dialing at t=0.
+type cdnScenario struct{ spec *CDNSpec }
 
-// cdnShardOut is one shard's contribution: per-client completion times in
-// client order, plus totals.
-type cdnShardOut struct {
-	clients     int
-	finished    int
-	failed      int
-	bytes       uint64
-	completions []float64
-	events      uint64
-}
-
-// cdnScenario adapts the flash crowd to the epoch-coupled runner.
-type cdnScenario struct {
-	spec *CDNSpec
-	c    *capacity.Coupler
-}
-
-func (cs *cdnScenario) Setup(sh *Shard) (*cdnState, *capacity.Meter, error) {
-	spec := cs.spec
-	g := netem.GraphSpec{}
-	g.AddHost("server")
-	for gi := sh.Lo; gi < sh.Hi; gi++ {
-		g.AddLink(netem.LinkSpec{
-			Name: fmt.Sprintf("access%d", gi),
-			A:    clientHostName(gi), B: "server", Config: spec.Access,
-			// Downloads flow server (B) to client (A): that direction shares
-			// the origin's egress port.
-			SharedBA: spec.Shared.Name,
+func (s cdnScenario) Setup(sh *Shard) (*httpState, error) {
+	spec := s.spec
+	return buildStar(&spec.Common, sh, spec.Server,
+		func(gi int) (string, netem.PathConfig) { return accessLinkName(gi), spec.Access },
+		func(gi int, mgr *core.Manager, iface *netem.Interface, serverAddr packet.Addr, onDone func()) (*httpsim.ClientPool, error) {
+			pool, err := httpsim.NewClientPool(mgr, httpsim.ClientPoolConfig{
+				Clients:       1,
+				TotalRequests: 1,
+				TransferSize:  spec.ObjectSize,
+				ServerAddr:    serverAddr,
+				ServerPort:    80,
+				Conn:          *spec.Conn,
+				Iface:         iface,
+				OnDone:        onDone,
+			})
+			if err == nil {
+				// Flash crowd: every client dials at t=0; the shared egress, not
+				// a staggered start, decides who finishes when.
+				sh.Sim.Schedule(0, pool.Start)
+			}
+			return pool, err
 		})
-	}
-	if err := sh.Materialize(g); err != nil {
-		return nil, nil, err
-	}
-	closeCapture, err := sh.StartCapture(spec.PcapDir, "fleet-cdn")
-	if err != nil {
-		return nil, nil, err
-	}
-	st := &cdnState{graph: g, remaining: sh.Members(), closeCapture: closeCapture}
-
-	if _, err := httpsim.StartServer(sh.Manager("server"), httpsim.ServerConfig{Port: 80, Conn: *spec.Server}); err != nil {
-		return nil, nil, err
-	}
-	for gi := sh.Lo; gi < sh.Hi; gi++ {
-		mgr := sh.Manager(clientHostName(gi))
-		iface := mgr.Host().Interfaces()[0]
-		pool, err := httpsim.NewClientPool(mgr, httpsim.ClientPoolConfig{
-			Clients:       1,
-			TotalRequests: 1,
-			TransferSize:  spec.ObjectSize,
-			ServerAddr:    iface.Path().Peer(iface).Addr(),
-			ServerPort:    80,
-			Conn:          *spec.Conn,
-			Iface:         iface,
-			OnDone:        func() { st.remaining-- },
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("fleet: shard %d client %d: %w", sh.Index, gi, err)
-		}
-		st.pools = append(st.pools, pool)
-		// Flash crowd: every client dials at t=0; the shared egress, not a
-		// staggered start, decides who finishes when.
-		sh.Sim.Schedule(0, pool.Start)
-	}
-
-	var weightOf func(i int) float64
-	if spec.Weight != nil {
-		lo := sh.Lo
-		weightOf = func(i int) float64 { return spec.Weight(lo + i) }
-	}
-	m, err := capacity.NewMeter(cs.c, sh.Net, g, weightOf)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fleet: shard %d: %w", sh.Index, err)
-	}
-	return st, m, nil
 }
 
-func (cs *cdnScenario) Done(_ *Shard, st *cdnState) bool { return st.remaining == 0 }
+func (cdnScenario) Done(st *httpState) bool { return st.done() }
 
-func (cs *cdnScenario) Collect(sh *Shard, st *cdnState) (cdnShardOut, error) {
-	out := cdnShardOut{clients: sh.Members(), events: sh.Sim.Processed}
+// Collect reports per-client completion times in client order, plus totals.
+func (cdnScenario) Collect(sh *Shard, st *httpState) (burstOut, error) {
+	out := burstOut{members: sh.Members(), events: sh.probeEvents()}
 	for _, p := range st.pools {
 		r := p.Result()
 		out.finished += r.Completed
 		out.failed += r.Failed
 		out.bytes += r.BytesReceived
 		out.completions = append(out.completions, p.LatencySamples()...)
-	}
-	if err := st.closeCapture(); err != nil {
-		return cdnShardOut{}, err
 	}
 	return out, nil
 }
@@ -192,70 +109,14 @@ func (cs *cdnScenario) Collect(sh *Shard, st *cdnState) (cdnShardOut, error) {
 // byte-identical at any worker count for a fixed spec.
 func RunCDN(spec CDNSpec) (*experiments.Result, error) {
 	spec = spec.withDefaults()
-	if spec.Clients <= 0 {
-		return nil, fmt.Errorf("fleet: cdn workload has no clients")
-	}
-	if err := spec.Shared.Validate(); err != nil {
-		return nil, err
-	}
-
-	var coupler *capacity.Coupler
-	scn := &cdnScenario{spec: &spec}
-	outs, err := RunCoupled[*cdnState, cdnShardOut](
-		spec.Seed, spec.Clients, spec.Shards, spec.Workers, spec.Deadline,
-		func(descs []Shard) (*capacity.Coupler, error) {
-			c, err := capacity.NewCoupler([]capacity.SharedLink{spec.Shared}, memberWeights(descs, spec.Weight))
-			if err != nil {
-				return nil, err
-			}
-			coupler = c
-			scn.c = c
-			return c, nil
-		}, scn)
-	if err != nil {
-		return nil, err
-	}
-
-	title := spec.Label
-	if title == "" {
-		title = fmt.Sprintf("CDN flash crowd through shared egress %s (%s)",
-			spec.Shared.Name, capacity.FormatRate(spec.Shared.RateBps))
-	}
-	res := &experiments.Result{ID: "fleet-cdn", Title: title, Seed: spec.Seed, Quick: spec.Quick}
-
-	table := experiments.NewTable(
-		fmt.Sprintf("%d clients × %sMB objects across %d shards, shared %s",
-			spec.Clients, fmtMB(uint64(spec.ObjectSize)), len(outs), spec.Shared),
-		"shard", "clients", "finished", "failed", "MB", "slowest ms", "p95 ms", "goodput Mbps", "events")
-	var all cdnShardOut
-	var allCompletions []float64
-	slowest := make([]float64, len(outs))
-	goodput := make([]float64, len(outs))
-	for i, out := range outs {
-		slowest[i] = trace.Max(out.completions)
-		goodput[i] = shardGoodputMbps(out.bytes, slowest[i])
-		table.AddRow(fmt.Sprintf("%d", i), fmt.Sprintf("%d", out.clients),
-			fmt.Sprintf("%d", out.finished), fmt.Sprintf("%d", out.failed),
-			fmtMB(out.bytes), fmt.Sprintf("%.2f", slowest[i]),
-			fmt.Sprintf("%.2f", trace.Percentile(out.completions, 95)),
-			fmt.Sprintf("%.1f", goodput[i]), fmt.Sprintf("%d", out.events))
-		all.finished += out.finished
-		all.failed += out.failed
-		all.bytes += out.bytes
-		all.events += out.events
-		allCompletions = append(allCompletions, out.completions...)
-	}
-	worst := trace.Max(allCompletions)
-	table.AddRow("all", fmt.Sprintf("%d", spec.Clients),
-		fmt.Sprintf("%d", all.finished), fmt.Sprintf("%d", all.failed),
-		fmtMB(all.bytes), fmt.Sprintf("%.2f", worst),
-		fmt.Sprintf("%.2f", trace.Percentile(allCompletions, 95)),
-		fmt.Sprintf("%.1f", shardGoodputMbps(all.bytes, worst)), fmt.Sprintf("%d", all.events))
-	table.AddNote("flash crowd: every client dials at t=0 and every download transits shared egress %q — fleet goodput divides total bytes by the slowest completion and saturates at the egress rate",
-		spec.Shared.Name)
-	res.AddTable(table)
-	res.AddSeries(ShardSeries("slowest completion", "ms", slowest))
-	res.AddSeries(ShardSeries("goodput", "Mbps", goodput))
-	addCapacityReport(res, coupler)
-	return res, nil
+	title := fmt.Sprintf("CDN flash crowd through shared egress %s (%s)",
+		spec.Shared.Name, capacity.FormatRate(spec.Shared.RateBps))
+	return Run[*httpState, burstOut](spec.Common, "fleet-cdn", title, spec.Clients, cdnScenario{&spec},
+		func(res *experiments.Result, outs []burstOut) {
+			renderBurst(res, outs,
+				fmt.Sprintf("%d clients × %sMB objects across %d shards, shared %s",
+					spec.Clients, fmtMB(uint64(spec.ObjectSize)), len(outs), spec.Shared),
+				"clients", "goodput",
+				fmt.Sprintf("flash crowd: every client dials at t=0 and every download transits shared egress %q — fleet goodput divides total bytes by the slowest completion and saturates at the egress rate", spec.Shared.Name))
+		})
 }

@@ -3,6 +3,8 @@ package fleet
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"mptcpgo/internal/core"
@@ -13,7 +15,6 @@ import (
 	"mptcpgo/internal/packet"
 	"mptcpgo/internal/probe"
 	"mptcpgo/internal/sim"
-	"mptcpgo/internal/telemetry"
 )
 
 // chaosStream offsets the DeriveSeed stream indices used for per-member
@@ -36,14 +37,11 @@ const chaosStream = 0x0C4A_0000
 // TCP with a taxonomized reason — corruption, duplication and silent hangs
 // are failures.
 type ChaosSpec struct {
-	// Seed is the root RNG seed; shard seeds, fault jitter and payload
-	// patterns all derive from it.
-	Seed uint64
+	// Common.Seed also roots fault jitter and payload patterns;
+	// Common.Deadline defaults to 45s.
+	Common
 	// Members is the number of dual-homed client hosts.
 	Members int
-	// Shards partitions the members (0 = default); Workers bounds parallel
-	// shard execution (0 = GOMAXPROCS; never changes the output).
-	Shards, Workers int
 	// TransferBytes is each member's upload size (default 384 KiB).
 	TransferBytes int
 	// Faults is the fault schedule applied independently to every member's
@@ -54,40 +52,26 @@ type ChaosSpec struct {
 	Adversary string
 	// WatchdogInterval is the stall-detection sampling period (default 2s).
 	WatchdogInterval time.Duration
-	// Deadline caps each shard's simulated time (default 45s).
-	Deadline time.Duration
 	// Conn configures member connections (nil = MPTCP, no address
 	// advertisement, 4 RTO retries per subflow so dead paths fail fast).
 	Conn *core.Config
 	// Server configures the server replicas (nil = same hardening).
 	Server *core.Config
-	// Label overrides the result title; Quick is recorded in the metadata.
-	Label string
-	Quick bool
-	// PcapDir, when non-empty, captures every shard's wire traffic into
-	// <PcapDir>/<CaptureName>-shard<NNN>.pcap (fallback handshakes included).
-	PcapDir string
-	// CaptureName overrides the capture file prefix (default "fleet-chaos");
-	// the adversarial grid uses it for per-case file names.
+	// CaptureName overrides the observer file prefix (default "fleet-chaos":
+	// <PcapDir>/<CaptureName>-shard<NNN>.pcap, fallback handshakes included,
+	// and <Trace.Dir>/<CaptureName>-trace.json); the adversarial grid uses it
+	// for per-case file names.
 	CaptureName string
-	// Trace enables the flight recorder: typed events, per-member counters
-	// and per-subflow samples written to <Trace.Dir>/<CaptureName>-trace.json
-	// and -events.jsonl. Never changes the scenario's own result.
-	Trace experiments.TraceSpec
-	// Telemetry, when non-nil, attaches the run to a telemetry plane (live
-	// shard cells, phase spans). Attaching never changes the merged result.
-	Telemetry *telemetry.Plane
 }
 
 func (s ChaosSpec) withDefaults() ChaosSpec {
+	s.Common = s.Common.withDefaults(45 * time.Second)
+	s.prefix = s.CaptureName
 	if s.TransferBytes <= 0 {
 		s.TransferBytes = 384 << 10
 	}
 	if s.WatchdogInterval <= 0 {
 		s.WatchdogInterval = 2 * time.Second
-	}
-	if s.Deadline <= 0 {
-		s.Deadline = 45 * time.Second
 	}
 	if s.Conn == nil {
 		conn := chaosConnConfig()
@@ -97,9 +81,6 @@ func (s ChaosSpec) withDefaults() ChaosSpec {
 		srv := chaosConnConfig()
 		s.Server = &srv
 	}
-	if s.CaptureName == "" {
-		s.CaptureName = "fleet-chaos"
-	}
 	return s
 }
 
@@ -107,10 +88,7 @@ func (s ChaosSpec) withDefaults() ChaosSpec {
 // declare a path dead after 4 consecutive RTOs (instead of TCP's patient 10)
 // so reinjection onto survivors happens within seconds of an outage.
 func chaosConnConfig() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.AdvertiseAddresses = false
-	cfg.SendBufBytes = 128 << 10
-	cfg.RecvBufBytes = 128 << 10
+	cfg := StarConfig(core.DefaultConfig())
 	cfg.SubflowTemplate.MaxRTORetries = 4
 	return cfg
 }
@@ -235,7 +213,8 @@ func (m *chaosMember) maybeFinish() {
 }
 
 // chaosMerge accumulates member outcomes deterministically (member order
-// within a shard, shard order across the fleet).
+// within a shard, shard order across the fleet): one shard's contribution, or
+// the fleet total.
 type chaosMerge struct {
 	members      int
 	ok           int
@@ -251,6 +230,7 @@ type chaosMerge struct {
 	removals     int
 	restores     int
 	encodeErrors int
+	events       uint64
 	reasons      map[string]int
 	stallDumps   []string
 }
@@ -277,6 +257,7 @@ func (m *chaosMerge) merge(o chaosMerge) {
 	m.removals += o.removals
 	m.restores += o.restores
 	m.encodeErrors += o.encodeErrors
+	m.events += o.events
 	for k, v := range o.reasons {
 		if m.reasons == nil {
 			m.reasons = make(map[string]int)
@@ -295,29 +276,18 @@ func (m *chaosMerge) reasonSummary() string {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s:%d", k, m.reasons[k]))
+	for i, k := range keys {
+		keys[i] = fmt.Sprintf("%s:%d", k, m.reasons[k])
 	}
-	return joinComma(parts)
+	return strings.Join(keys, ",")
 }
 
-func joinComma(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += ","
-		}
-		out += p
-	}
-	return out
-}
-
-// chaosShardOut is one shard's contribution to the merged result.
-type chaosShardOut struct {
-	merge  chaosMerge
-	events uint64
-	rec    *probe.Recorder
+func (m *chaosMerge) row(label string) []string {
+	return []string{label, strconv.Itoa(m.members), strconv.Itoa(m.ok), strconv.Itoa(m.fallback),
+		strconv.Itoa(m.stalled), strconv.Itoa(m.stallEps), strconv.Itoa(m.failed), strconv.Itoa(m.intact),
+		fmt.Sprint(m.reinjections), fmt.Sprint(m.connRtx),
+		strconv.Itoa(m.flaps), strconv.Itoa(m.removals), strconv.Itoa(m.restores),
+		m.reasonSummary(), fmt.Sprint(m.events)}
 }
 
 // RunChaos executes the fleet-chaos scenario and returns the merged result,
@@ -331,98 +301,59 @@ func RunChaos(spec ChaosSpec) (*experiments.Result, error) {
 // experiment grid consumes directly instead of re-parsing the table.
 func runChaos(spec ChaosSpec) (*experiments.Result, chaosMerge, error) {
 	spec = spec.withDefaults()
-	if spec.Members <= 0 {
-		return nil, chaosMerge{}, fmt.Errorf("fleet: chaos workload has no members")
-	}
 	if _, _, ok := middlebox.AdversaryPreset(spec.Adversary); !ok {
 		return nil, chaosMerge{}, fmt.Errorf("fleet: unknown adversary preset %q (have %v)",
 			spec.Adversary, middlebox.AdversaryPresetNames())
 	}
-	outs, err := Run(spec.Seed, spec.Members, spec.Shards, spec.Workers, func(sh *Shard) (chaosShardOut, error) {
-		return runChaosShard(&spec, sh)
-	})
-	if err != nil {
-		return nil, chaosMerge{}, err
+	adv, fault := spec.Adversary, spec.Faults.String()
+	if adv == "" {
+		adv = "none"
 	}
-
-	title := spec.Label
-	if title == "" {
-		adv := spec.Adversary
-		if adv == "" {
-			adv = "none"
-		}
-		fault := spec.Faults.String()
-		if fault == "" {
-			fault = "none"
-		}
-		title = fmt.Sprintf("chaos: %d members, faults=%s, adversary=%s", spec.Members, fault, adv)
+	if fault == "" {
+		fault = "none"
 	}
-	res := &experiments.Result{ID: "fleet-chaos", Title: title, Seed: spec.Seed, Quick: spec.Quick}
-
-	table := experiments.NewTable(
-		fmt.Sprintf("%d members across %d shards, %d KiB each, watchdog %v",
-			spec.Members, len(outs), spec.TransferBytes>>10, spec.WatchdogInterval),
-		"shard", "members", "ok", "fallback", "stalled", "stallEp", "failed", "intact",
-		"reinject", "connRtx", "flaps", "ifdown", "ifup", "reasons", "events")
-	mergeSpan := spec.Telemetry.StartSpan("merge")
+	title := fmt.Sprintf("chaos: %d members, faults=%s, adversary=%s", spec.Members, fault, adv)
 	var total chaosMerge
-	var totalEvents uint64
-	okSeries := make([]float64, len(outs))
-	for i, out := range outs {
-		okSeries[i] = float64(out.merge.ok + out.merge.fallback)
-		table.AddRow(fmt.Sprintf("%d", i), fmt.Sprintf("%d", out.merge.members),
-			fmt.Sprintf("%d", out.merge.ok), fmt.Sprintf("%d", out.merge.fallback),
-			fmt.Sprintf("%d", out.merge.stalled), fmt.Sprintf("%d", out.merge.stallEps),
-			fmt.Sprintf("%d", out.merge.failed),
-			fmt.Sprintf("%d", out.merge.intact),
-			fmt.Sprintf("%d", out.merge.reinjections), fmt.Sprintf("%d", out.merge.connRtx),
-			fmt.Sprintf("%d", out.merge.flaps), fmt.Sprintf("%d", out.merge.removals),
-			fmt.Sprintf("%d", out.merge.restores),
-			out.merge.reasonSummary(), fmt.Sprintf("%d", out.events))
-		total.merge(out.merge)
-		totalEvents += out.events
-	}
-	table.AddRow("all", fmt.Sprintf("%d", total.members),
-		fmt.Sprintf("%d", total.ok), fmt.Sprintf("%d", total.fallback),
-		fmt.Sprintf("%d", total.stalled), fmt.Sprintf("%d", total.stallEps),
-		fmt.Sprintf("%d", total.failed),
-		fmt.Sprintf("%d", total.intact),
-		fmt.Sprintf("%d", total.reinjections), fmt.Sprintf("%d", total.connRtx),
-		fmt.Sprintf("%d", total.flaps), fmt.Sprintf("%d", total.removals),
-		fmt.Sprintf("%d", total.restores),
-		total.reasonSummary(), fmt.Sprintf("%d", totalEvents))
-	table.AddNote("invariant: every member must finish ok (intact hash, multipath), or fallback (intact hash, taxonomized reason); stalled = watchdog abort, failed = connection error or integrity violation")
-	table.AddNote("stallEp counts distinct watchdog stall episodes (runs of no-progress intervals) across the shard's members")
-	if !spec.Faults.Empty() {
-		table.AddNote("fault schedule: %s (per-member jitter streams via DeriveSeed)", spec.Faults.String())
-	}
-	if total.encodeErrors > 0 {
-		table.AddNote("WIRE VIOLATION: %d captured segments rejected by the codec (option set exceeds the 40-byte TCP option space)", total.encodeErrors)
-	}
-	res.AddTable(table)
-	res.AddSeries(ShardSeries("completed members", "count", okSeries))
-	for _, dump := range total.stallDumps {
-		table.AddNote("%s", dump)
-	}
-	mergeSpan.End()
-	if spec.Trace.Enabled() {
-		recs := make([]*probe.Recorder, len(outs))
-		for i, out := range outs {
-			recs[i] = out.rec
-		}
-		tr := experiments.BuildTraceResult("fleet-chaos-trace", title+" (flight recorder)", spec.Seed, spec.Quick, recs)
-		if err := experiments.WriteTraceFiles(spec.Trace, spec.CaptureName, tr, experiments.MergedEvents(recs)); err != nil {
-			return nil, chaosMerge{}, err
-		}
-	}
-	return res, total, nil
+	res, err := Run[*chaosState, chaosMerge](spec.Common, "fleet-chaos", title, spec.Members, chaosScenario{&spec},
+		func(res *experiments.Result, outs []chaosMerge) {
+			table := experiments.NewTable(
+				fmt.Sprintf("%d members across %d shards, %d KiB each, watchdog %v",
+					spec.Members, len(outs), spec.TransferBytes>>10, spec.WatchdogInterval),
+				"shard", "members", "ok", "fallback", "stalled", "stallEp", "failed", "intact",
+				"reinject", "connRtx", "flaps", "ifdown", "ifup", "reasons", "events")
+			total = addShardRows(table, outs)
+			table.AddNote("invariant: every member must finish ok (intact hash, multipath), or fallback (intact hash, taxonomized reason); stalled = watchdog abort, failed = connection error or integrity violation")
+			table.AddNote("stallEp counts distinct watchdog stall episodes (runs of no-progress intervals) across the shard's members")
+			if !spec.Faults.Empty() {
+				table.AddNote("fault schedule: %s (per-member jitter streams via DeriveSeed)", spec.Faults.String())
+			}
+			if total.encodeErrors > 0 {
+				table.AddNote("WIRE VIOLATION: %d captured segments rejected by the codec (option set exceeds the 40-byte TCP option space)", total.encodeErrors)
+			}
+			res.AddTable(table)
+			res.AddSeries(shardSeries("completed members", "count", outs, func(m *chaosMerge) float64 { return float64(m.ok + m.fallback) }))
+			for _, dump := range total.stallDumps {
+				table.AddNote("%s", dump)
+			}
+		})
+	return res, total, err
 }
 
-// runChaosShard builds one shard: a server replica plus the shard's members,
+// chaosScenario builds one shard: a server replica plus the shard's members,
 // each a dual-homed client with per-member fault injection and an integrity-
 // checked upload.
-func runChaosShard(spec *ChaosSpec, sh *Shard) (chaosShardOut, error) {
-	buildSpan := spec.Telemetry.StartSpan("build-graph")
+type chaosScenario struct{ spec *ChaosSpec }
+
+// chaosState is one shard's live members (member order), the spec link
+// indices of each member's two paths, and the count still running.
+type chaosState struct {
+	members   []*chaosMember
+	pathIdx   map[int][2]int
+	remaining int
+}
+
+func (s chaosScenario) Setup(sh *Shard) (*chaosState, error) {
+	spec := s.spec
 	g := netem.GraphSpec{}
 	g.AddHost("server")
 	pathIdx := make(map[int][2]int, sh.Members())
@@ -443,18 +374,11 @@ func runChaosShard(spec *ChaosSpec, sh *Shard) (chaosShardOut, error) {
 		pathIdx[gi] = [2]int{ia, ib}
 	}
 	if err := sh.Materialize(g); err != nil {
-		return chaosShardOut{}, err
+		return nil, err
 	}
-	closeCapture, err := sh.StartCapture(spec.PcapDir, spec.CaptureName)
-	if err != nil {
-		return chaosShardOut{}, err
-	}
-	defer closeCapture()
-	rec := sh.StartProbe(spec.Trace)
-
+	rec := sh.Probe
+	st := &chaosState{pathIdx: pathIdx, remaining: sh.Members()}
 	srvMgr := sh.Manager("server")
-	remaining := sh.Members()
-	members := make([]*chaosMember, 0, sh.Members())
 	for gi := sh.Lo; gi < sh.Hi; gi++ {
 		gi := gi
 		mgr := sh.Manager(clientHostName(gi))
@@ -467,9 +391,9 @@ func runChaosShard(spec *ChaosSpec, sh *Shard) (chaosShardOut, error) {
 			// Freeze the member's recording at its own completion time: the
 			// shard keeps simulating for its slowest member, and post-done
 			// fault/teardown events would otherwise depend on the partition.
-			onDone: func() { remaining--; rec.Freeze(gi) },
+			onDone: func() { st.remaining--; rec.Freeze(gi) },
 		}
-		members = append(members, m)
+		st.members = append(st.members, m)
 
 		port := uint16(8000 + gi - sh.Lo)
 		if _, err := srvMgr.Listen(port, *spec.Server, func(conn *core.Connection) {
@@ -486,14 +410,14 @@ func runChaosShard(spec *ChaosSpec, sh *Shard) (chaosShardOut, error) {
 				m.maybeFinish()
 			}
 		}); err != nil {
-			return chaosShardOut{}, fmt.Errorf("fleet: shard %d member %d: %w", sh.Index, gi, err)
+			return nil, fmt.Errorf("fleet: shard %d member %d: %w", sh.Index, gi, err)
 		}
 
 		iface := mgr.Host().Interfaces()[0]
 		serverAddr := iface.Path().Peer(iface).Addr()
 		conn, err := mgr.Dial(iface, packet.Endpoint{Addr: serverAddr, Port: port}, *spec.Conn)
 		if err != nil {
-			return chaosShardOut{}, fmt.Errorf("fleet: shard %d member %d dial: %w", sh.Index, gi, err)
+			return nil, fmt.Errorf("fleet: shard %d member %d dial: %w", sh.Index, gi, err)
 		}
 		m.client = conn
 		conn.OnEstablished = m.pump
@@ -531,16 +455,16 @@ func runChaosShard(spec *ChaosSpec, sh *Shard) (chaosShardOut, error) {
 	}
 
 	members64 := int64(sh.Members())
-	sh.AttachTelemetry(spec.Telemetry, func() (int64, int64) {
-		return members64 - int64(remaining), members64
-	})
-	buildSpan.End()
-	rec.StartSampler(func() bool { return remaining == 0 })
-	sh.StepUntil(spec.Deadline, func() bool { return remaining == 0 })
+	sh.flows = func() (int64, int64) { return members64 - int64(st.remaining), members64 }
+	return st, nil
+}
 
-	out := chaosShardOut{events: sh.probeEvents(), rec: rec}
-	out.merge.members = sh.Members()
-	for _, m := range members {
+func (chaosScenario) Done(st *chaosState) bool { return st.remaining == 0 }
+
+func (chaosScenario) Collect(sh *Shard, st *chaosState) (chaosMerge, error) {
+	rec := sh.Probe
+	out := chaosMerge{members: sh.Members(), events: sh.probeEvents()}
+	for _, m := range st.members {
 		if !m.done {
 			// Deadline expiry without watchdog abort (possible only when the
 			// deadline undercuts the watchdog interval): count as stalled.
@@ -553,36 +477,36 @@ func runChaosShard(spec *ChaosSpec, sh *Shard) (chaosShardOut, error) {
 		}
 		switch m.outcome {
 		case outcomeOK:
-			out.merge.ok++
+			out.ok++
 		case outcomeFallback:
-			out.merge.fallback++
-			out.merge.addReason(faults.ClassifyFallback(m.fallbackReason))
+			out.fallback++
+			out.addReason(faults.ClassifyFallback(m.fallbackReason))
 		case outcomeStalled:
-			out.merge.stalled++
-			out.merge.stallDumps = append(out.merge.stallDumps, m.stallDump)
+			out.stalled++
+			out.stallDumps = append(out.stallDumps, m.stallDump)
 		default:
-			out.merge.failed++
+			out.failed++
 			if m.fallbackReason != "" {
-				out.merge.addReason(faults.ClassifyFallback(m.fallbackReason))
+				out.addReason(faults.ClassifyFallback(m.fallbackReason))
 			}
 		}
 		if m.checker.Intact() {
-			out.merge.intact++
+			out.intact++
 		}
-		out.merge.bytes += m.checker.Received()
+		out.bytes += m.checker.Received()
 		if m.client != nil {
 			st := m.client.Stats()
-			out.merge.reinjections += st.Reinjections
-			out.merge.connRtx += st.ConnLevelRtx
+			out.reinjections += st.Reinjections
+			out.connRtx += st.ConnLevelRtx
 		}
-		out.merge.flaps += m.injector.Flaps
-		out.merge.removals += m.injector.Removals
-		out.merge.restores += m.injector.Restores
-		out.merge.stallEps += m.watchdog.Episodes
+		out.flaps += m.injector.Flaps
+		out.removals += m.injector.Removals
+		out.restores += m.injector.Restores
+		out.stallEps += m.watchdog.Episodes
 		if rec != nil {
 			// Fold the member's wire drops (both paths, both directions) into
 			// its counter registry at collect time.
-			idx := pathIdx[m.gi]
+			idx := st.pathIdx[m.gi]
 			var drops uint64
 			for _, pi := range idx {
 				for _, l := range []*netem.Link{sh.Net.Paths[pi].LinkAB(), sh.Net.Paths[pi].LinkBA()} {
@@ -593,12 +517,8 @@ func runChaosShard(spec *ChaosSpec, sh *Shard) (chaosShardOut, error) {
 			rec.CountFinal(m.gi, probe.CtrDrops, drops)
 		}
 	}
-	if err := closeCapture(); err != nil {
-		return chaosShardOut{}, err
-	}
 	if sh.Capture != nil {
-		out.merge.encodeErrors = sh.Capture.EncodeErrors
+		out.encodeErrors = sh.Capture.EncodeErrors
 	}
-	sh.FinishTelemetry()
 	return out, nil
 }

@@ -41,10 +41,9 @@ const (
 
 func TestChaosBaseline(t *testing.T) {
 	row := chaosRow(t, ChaosSpec{
-		Seed:          7,
+		Common:        Common{Seed: 7, Quick: true},
 		Members:       4,
 		TransferBytes: 96 << 10,
-		Quick:         true,
 	})
 	if row[colOK] != "4" || row[colStalled] != "0" || row[colFailed] != "0" || row[colIntact] != "4" {
 		t.Fatalf("baseline members should all complete intact: %v", row)
@@ -61,12 +60,11 @@ func TestChaosMatrix(t *testing.T) {
 			t.Run(adv+"/"+fault, func(t *testing.T) {
 				t.Parallel()
 				row := chaosRow(t, ChaosSpec{
-					Seed:          11,
+					Common:        Common{Seed: 11, Quick: true},
 					Members:       2,
 					TransferBytes: 64 << 10,
 					Faults:        faults.MustParse(fault),
 					Adversary:     adv,
-					Quick:         true,
 				})
 				if row[colStalled] != "0" || row[colFailed] != "0" {
 					t.Errorf("adversary=%s faults=%s: stalls/failures in %v", adv, fault, row)
@@ -89,13 +87,11 @@ func TestChaosMatrix(t *testing.T) {
 // 1 and 4 workers: schedules and payloads depend only on (seed, member index).
 func TestChaosWorkerDeterminism(t *testing.T) {
 	spec := ChaosSpec{
-		Seed:          23,
+		Common:        Common{Seed: 23, Shards: 3, Quick: true},
 		Members:       6,
-		Shards:        3,
 		TransferBytes: 64 << 10,
 		Faults:        faults.MustParse("flap500"),
 		Adversary:     "rst",
-		Quick:         true,
 	}
 	spec.Workers = 1
 	r1, err := RunChaos(spec)
@@ -120,12 +116,10 @@ func TestChaosWorkerDeterminism(t *testing.T) {
 // a subflow.
 func TestChaosIfdownSendsRemoveAddr(t *testing.T) {
 	row := chaosRow(t, ChaosSpec{
-		Seed:          5,
+		Common:        Common{Seed: 5, Quick: true, Deadline: 60 * time.Second},
 		Members:       2,
 		TransferBytes: 2 << 20,
 		Faults:        faults.MustParse("ifchurn"),
-		Quick:         true,
-		Deadline:      60 * time.Second,
 	})
 	if row[colOK] != "2" || row[colIntact] != "2" {
 		t.Fatalf("ifchurn transfer should survive intact: %v", row)
@@ -142,12 +136,10 @@ func TestChaosIfdownSendsRemoveAddr(t *testing.T) {
 func TestChaosCaptureWireClean(t *testing.T) {
 	dir := t.TempDir()
 	res, err := RunChaos(ChaosSpec{
-		Seed:          13,
+		Common:        Common{Seed: 13, Quick: true, Observers: Observers{PcapDir: dir}},
 		Members:       2,
 		TransferBytes: 96 << 10,
 		Faults:        faults.MustParse("flap"),
-		Quick:         true,
-		PcapDir:       dir,
 	})
 	if err != nil {
 		t.Fatalf("RunChaos: %v", err)
@@ -184,7 +176,7 @@ func TestChaosCaptureWireClean(t *testing.T) {
 }
 
 func TestChaosUnknownAdversary(t *testing.T) {
-	_, err := RunChaos(ChaosSpec{Seed: 1, Members: 1, Adversary: "nope"})
+	_, err := RunChaos(ChaosSpec{Common: Common{Seed: 1}, Members: 1, Adversary: "nope"})
 	if err == nil || !strings.Contains(err.Error(), "unknown adversary") {
 		t.Fatalf("expected unknown-adversary error, got %v", err)
 	}

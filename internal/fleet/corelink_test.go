@@ -41,7 +41,7 @@ func coreBusyThrough(res *experiments.Result) float64 {
 // testCorelinkSpec is a small fleet-corelink workload: 12 hosts across 4
 // shards all downloading through one shared core link. The 50ms epoch keeps
 // the capacity exchange adapting well within the short test window.
-func testCorelinkSpec(workers int, rate float64, coreMbps float64) CorelinkSpec {
+func testCorelinkSpec(workers int, rate float64, coreMbps float64) OpenLoopSpec {
 	spec := DefaultCorelinkSpec(42, 12, rate, 3*time.Second, netem.Mbps(coreMbps))
 	spec.Shards = 4
 	spec.Workers = workers

@@ -17,10 +17,11 @@ package fleet
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"time"
 
 	"mptcpgo/internal/core"
-	"mptcpgo/internal/experiments"
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/probe"
 	"mptcpgo/internal/sim"
@@ -38,9 +39,9 @@ const DefaultMembersPerShard = 64
 // completion condition (all requests served, all blocks transferred).
 const DefaultDeadline = 10 * time.Minute
 
-// Shard is the per-shard execution context handed to a scenario's shard
-// function: the global member range the shard owns, its derived seed, and —
-// after Materialize — the shard-private simulator, network and MPTCP stacks.
+// Shard is the per-shard execution context handed to a scenario: the global
+// member range the shard owns, its derived seed, and — after Materialize —
+// the shard-private simulator, network, MPTCP stacks and observers.
 type Shard struct {
 	// Index and Count identify the shard within the fleet.
 	Index, Count int
@@ -55,13 +56,15 @@ type Shard struct {
 	Net      *netem.Network
 	Managers map[string]*core.Manager
 
-	// Capture is the shard's pcap writer when StartCapture opened one;
-	// scenarios check its EncodeErrors after the run — the stacks emit only
-	// wire-expressible segments, so any skipped record is an emulator bug.
+	// Capture is the shard's pcap writer when the run has a PcapDir (nil
+	// otherwise); scenarios check its EncodeErrors in Collect — the stacks
+	// emit only wire-expressible segments, so any skipped record is an
+	// emulator bug.
 	Capture *trace.PcapWriter
 
-	// Probe is the shard's flight recorder when StartProbe opened one (nil
-	// otherwise; see probe.go). Its member range is the shard's [Lo, Hi).
+	// Probe is the shard's flight recorder when the run is traced (nil
+	// otherwise; every Recorder method is nil-safe). Its member range is the
+	// shard's [Lo, Hi).
 	Probe *probe.Recorder
 
 	// Telem is the shard's telemetry publication cell when a telemetry plane
@@ -69,12 +72,15 @@ type Shard struct {
 	// it; progress/exposition goroutines only load — telemetry never feeds
 	// back into the simulation.
 	Telem *telemetry.ShardCell
-	// Prof is the attached plane's phase profiler (shared across shards;
-	// Profiler is concurrency-safe). Nil when telemetry is detached.
-	Prof *telemetry.Profiler
 	// flows reports live workload progress (done, offered) for the shard;
-	// set by scenario shard functions via AttachTelemetry.
+	// scenarios that can tell set it in Setup (called on the shard goroutine
+	// only).
 	flows func() (done, offered int64)
+
+	// obs is what the run observes, set by Run before Setup; graph is the
+	// spec Materialize built, whose shared tags the capacity meter reads.
+	obs   Observers
+	graph netem.GraphSpec
 }
 
 // Members returns the number of workload members the shard owns.
@@ -82,17 +88,80 @@ func (sh *Shard) Members() int { return sh.Hi - sh.Lo }
 
 // Materialize builds the shard's private runtime from a graph spec: a fresh
 // simulator seeded with the shard seed, the emulated network, and one MPTCP
-// stack per host.
+// stack per host. It then attaches the run's observers — the one place a
+// capture, a recorder or a telemetry cell meets a shard — so they see every
+// segment and event from t=0; Run closes and finishes them on every path.
 func (sh *Shard) Materialize(spec netem.GraphSpec) error {
 	sh.Sim = sim.New(sh.Seed)
 	n, err := netem.BuildGraph(sh.Sim, spec)
 	if err != nil {
 		return fmt.Errorf("fleet: shard %d: %w", sh.Index, err)
 	}
-	sh.Net = n
+	sh.Net, sh.graph = n, spec
 	sh.Managers = make(map[string]*core.Manager, len(n.Hosts))
 	for _, h := range n.Hosts {
 		sh.Managers[h.Name()] = core.NewManager(h)
+	}
+	return sh.observe()
+}
+
+// observe attaches the run's observers to the freshly built shard. All three
+// shard the same way the workload does and only ever read:
+//
+//   - Wire capture: one classic pcap file per shard, <prefix>-shard<NNN>.pcap,
+//     holding every segment any of the shard's links accepted (both
+//     directions), stamped with shard sim-time. Taps write through the
+//     unified wire codec and never touch the segment.
+//   - Flight recorder: one probe.Recorder covering the shard's member range,
+//     running inside the shard's simulator, so the merged stream (shard-index
+//     order, members ascending within a shard) is byte-identical at any
+//     worker count. Its own timer events are self-counted so probeEvents can
+//     subtract them, and all emission sites are nil-guarded.
+//   - Telemetry: the shard's atomic publication cell on the run's plane.
+//
+// Under that discipline attaching any of them cannot change a merged result.
+func (sh *Shard) observe() error {
+	o := &sh.obs
+	if o.PcapDir != "" {
+		if err := os.MkdirAll(o.PcapDir, 0o755); err != nil {
+			return fmt.Errorf("fleet: shard %d capture: %w", sh.Index, err)
+		}
+		w, err := trace.NewPcapFile(filepath.Join(o.PcapDir, fmt.Sprintf("%s-shard%03d.pcap", o.prefix, sh.Index)))
+		if err != nil {
+			return fmt.Errorf("fleet: shard %d capture: %w", sh.Index, err)
+		}
+		sh.Capture = w
+		trace.CapturePaths(w, sh.Sim.Now, sh.Net.Paths...)
+	}
+	if o.Trace.Enabled() {
+		sh.Probe = probe.NewRecorder(sh.Sim, sh.Lo, sh.Members(), o.Trace.ProbeConfig())
+	}
+	if p := o.Telemetry; p != nil {
+		sh.Telem = p.Track.Cell(sh.Index, sh.Count)
+	}
+	return nil
+}
+
+// closeCapture flushes and closes the shard's capture file, if one was
+// opened. PcapWriter.Close is idempotent, so Run pairs a deferred call on
+// every path with the error-checked one in finish.
+func (sh *Shard) closeCapture() error {
+	if sh.Capture == nil {
+		return nil
+	}
+	return sh.Capture.Close()
+}
+
+// finish ends a collected shard's observation: the capture is closed (a
+// flush error fails the shard) and the final counters are published with the
+// shard marked done.
+func (sh *Shard) finish() error {
+	if err := sh.closeCapture(); err != nil {
+		return err
+	}
+	if sh.Telem != nil {
+		sh.publishTelemetry()
+		sh.Telem.Done.Store(true)
 	}
 	return nil
 }
@@ -100,10 +169,17 @@ func (sh *Shard) Materialize(spec netem.GraphSpec) error {
 // Manager returns the MPTCP stack of the named shard host, or nil.
 func (sh *Shard) Manager(host string) *core.Manager { return sh.Managers[host] }
 
-// SegmentsSent totals the wire segments serialized by every directional link
+// probeEvents returns Sim.Processed minus the recorder's own sampler firings, so
+// the "events" column a scenario reports is identical with and without the
+// flight recorder attached.
+func (sh *Shard) probeEvents() uint64 {
+	return sh.Sim.Processed - sh.Probe.TimerEvents()
+}
+
+// segmentsSent totals the wire segments serialized by every directional link
 // of the shard's network — the per-shard numerator of the fleet-wide
 // segments-per-second rate that BenchmarkFleetSegmentRate reports.
-func (sh *Shard) SegmentsSent() uint64 {
+func (sh *Shard) segmentsSent() uint64 {
 	if sh.Net == nil {
 		return 0
 	}
@@ -112,20 +188,6 @@ func (sh *Shard) SegmentsSent() uint64 {
 		n += p.LinkAB().Stats().SentPackets + p.LinkBA().Stats().SentPackets
 	}
 	return n
-}
-
-// AttachTelemetry wires the shard to a telemetry plane: allocates its
-// publication cell and remembers the live flow-progress closure (called on
-// the shard goroutine only). A nil plane is a no-op, keeping the untelemetered
-// step loop exactly as it was.
-func (sh *Shard) AttachTelemetry(p *telemetry.Plane, flows func() (done, offered int64)) {
-	if p == nil {
-		return
-	}
-	sh.Telem = p.Track.Cell(sh.Index, sh.Count)
-	sh.Prof = p.Prof
-	sh.flows = flows
-	sh.publishTelemetry()
 }
 
 // publishTelemetry stores the shard's current counters into its atomic cell.
@@ -138,7 +200,7 @@ func (sh *Shard) publishTelemetry() {
 	}
 	c.SimNowNs.Store(int64(sh.Sim.Now()))
 	c.Events.Store(sh.Sim.Processed)
-	c.Segments.Store(sh.SegmentsSent())
+	c.Segments.Store(sh.segmentsSent())
 	if sh.flows != nil {
 		done, offered := sh.flows()
 		c.FlowsDone.Store(done)
@@ -146,31 +208,22 @@ func (sh *Shard) publishTelemetry() {
 	}
 }
 
-// FinishTelemetry marks the shard collected and publishes its final counters.
-func (sh *Shard) FinishTelemetry() {
-	if sh.Telem == nil {
-		return
-	}
-	sh.publishTelemetry()
-	sh.Telem.Done.Store(true)
-}
-
 // telemetryStride is how many simulator events the step loop processes
 // between telemetry publications: rare enough to keep the hot loop free of
 // atomic-store overhead, frequent enough for second-granularity progress.
 const telemetryStride = 2048
 
-// StepUntil steps the shard's simulator until done reports true, the event
-// queue drains, or the simulated deadline passes — whichever comes first.
-// Scenario shard functions use it with a completion counter so a shard stops
-// the moment its last member finishes instead of idling to the deadline.
-func (sh *Shard) StepUntil(deadline time.Duration, done func() bool) {
+// stepUntil steps the shard's simulator until done reports true, the event
+// queue drains, or the simulated deadline passes — whichever comes first —
+// so a shard stops the moment its last member finishes instead of idling to
+// the deadline.
+func (sh *Shard) stepUntil(deadline time.Duration, done func() bool) {
 	s := sh.Sim
 	if sh.Telem == nil {
 		for !done() && s.Now() < deadline && s.Step() {
 		}
 	} else {
-		span := sh.Prof.Start("shard-step")
+		span := sh.obs.Telemetry.StartSpan("shard-step")
 		n := 0
 		for !done() && s.Now() < deadline && s.Step() {
 			n++
@@ -181,7 +234,7 @@ func (sh *Shard) StepUntil(deadline time.Duration, done func() bool) {
 		span.End()
 	}
 	// Bring lazily-settled counters (virtual link dequeues) up to the exact
-	// stop point before the caller reads Sim.Processed or link stats.
+	// stop point before Collect reads Sim.Processed or link stats.
 	s.Settle()
 	sh.publishTelemetry()
 }
@@ -228,19 +281,4 @@ func MakeShards(root uint64, members, count int) ([]Shard, error) {
 		lo += n
 	}
 	return shards, nil
-}
-
-// Run partitions members items across shards (0 = default partition), runs fn
-// for every shard on up to workers goroutines (0 = GOMAXPROCS) and returns the
-// per-shard outputs in shard-index order. fn must treat everything outside its
-// Shard as immutable; under that contract the outputs — and anything merged
-// from them in shard order — are identical at any worker count.
-func Run[T any](root uint64, members, shards, workers int, fn func(sh *Shard) (T, error)) ([]T, error) {
-	descs, err := MakeShards(root, members, shards)
-	if err != nil {
-		return nil, err
-	}
-	return experiments.SweepWorkers(len(descs), workers, func(i int) (T, error) {
-		return fn(&descs[i])
-	})
 }

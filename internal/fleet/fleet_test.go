@@ -127,7 +127,7 @@ func TestFleetHTTPShardCountDeterminism(t *testing.T) {
 // TestFleetIncastDeterminism covers the incast scenario: parallel and
 // sequential runs merge to the same bytes.
 func TestFleetIncastDeterminism(t *testing.T) {
-	spec := IncastSpec{Seed: 7, Senders: 24, BlockSize: 64 << 10, Shards: 3}
+	spec := IncastSpec{Common: Common{Seed: 7, Shards: 3}, Senders: 24, BlockSize: 64 << 10}
 	seq := spec
 	seq.Workers = 1
 	par := spec
@@ -148,7 +148,7 @@ func TestFleetIncastDeterminism(t *testing.T) {
 // TestFleetMixedDeterminism covers the mixed scenario at a small size (it is
 // the most event-heavy of the three).
 func TestFleetMixedDeterminism(t *testing.T) {
-	spec := MixedSpec{Seed: 7, Pairs: 4, Shards: 2, Duration: time.Second}
+	spec := MixedSpec{Common: Common{Seed: 7, Shards: 2}, Pairs: 4, Duration: time.Second}
 	seq := spec
 	seq.Workers = 1
 	par := spec

@@ -9,8 +9,7 @@ import (
 	"mptcpgo/internal/experiments"
 	"mptcpgo/internal/httpsim"
 	"mptcpgo/internal/netem"
-	"mptcpgo/internal/probe"
-	"mptcpgo/internal/telemetry"
+	"mptcpgo/internal/packet"
 )
 
 // HTTPClient is the resolved spec of one closed-loop client in an HTTP
@@ -34,46 +33,16 @@ type HTTPClient struct {
 
 // HTTPSpec describes a fleet-http run: a pool of closed-loop clients, each on
 // its own access link to a server, partitioned into shards that each own a
-// server replica plus the shard's client hosts.
+// server replica plus the shard's client hosts. With Common.Shared set, every
+// client's download direction transits the shared bottleneck.
 type HTTPSpec struct {
-	// Seed is the root RNG seed; every shard derives its own seed from it.
-	Seed uint64
-	// Shards partitions the clients (0 = one shard per DefaultMembersPerShard
-	// clients). The shard count is part of the scenario; the worker count is
-	// not.
-	Shards int
-	// Workers bounds the parallel shard executions (0 = GOMAXPROCS).
-	Workers int
-	// Deadline caps each shard's simulated time (default DefaultDeadline).
-	Deadline time.Duration
+	Common
 	// Clients lists the resolved per-client specs; the global client index is
 	// the position in this slice.
 	Clients []HTTPClient
 	// Server is the listener configuration of every server replica (nil =
 	// MPTCP-enabled default without address advertisement).
 	Server *core.Config
-	// Label overrides the result title.
-	Label string
-	// Quick is recorded in the result metadata.
-	Quick bool
-	// PcapDir, when non-empty, captures every shard's wire traffic into
-	// <PcapDir>/fleet-http-shard<NNN>.pcap (classic pcap, raw IPv4).
-	// Capture never changes the merged result.
-	PcapDir string
-	// Shared, when non-nil, couples every client's download direction to the
-	// named shared bottleneck: the shards run in lock-stepped epoch windows
-	// and jointly respect its rate. Nil keeps the shards free-running.
-	Shared *capacity.SharedLink
-	// Weight gives client i's allocation weight on the shared bottleneck
-	// (nil = equal weights); ignored when Shared is nil.
-	Weight func(i int) float64
-	// Trace enables the flight recorder (events + counters + samples written
-	// to Trace.Dir). Never changes the scenario's own result.
-	Trace experiments.TraceSpec
-	// Telemetry, when non-nil, attaches the run to a telemetry plane: live
-	// shard progress cells, phase-profiler spans and the merged latency
-	// histogram. Attaching never changes the merged result.
-	Telemetry *telemetry.Plane
 	// LatencySampleCap bounds per-pool raw latency-sample retention (0 =
 	// unlimited, today's exact behavior). When capped, merged latency
 	// statistics come from the log-scale histograms instead of raw samples —
@@ -92,16 +61,43 @@ func DefaultAccessLink(i int) netem.PathConfig {
 		int(float64(rate)/8*0.250), 0)
 }
 
+// StarConfig adapts a connection configuration to the fleet's star
+// topologies, where each client has one access link to its server: nothing
+// useful for the server to advertise back (its other addresses would only
+// open duplicate subflows over that link), and per-client buffers can stay
+// modest at 128 KB.
+func StarConfig(cfg core.Config) core.Config {
+	cfg.AdvertiseAddresses = false
+	cfg.SendBufBytes = 128 << 10
+	cfg.RecvBufBytes = 128 << 10
+	return cfg
+}
+
+// starClient and starServer resolve the optional connection configurations
+// of a star scenario: clients default to StarConfig over full MPTCP, server
+// replicas to the MPTCP default without address advertisement.
+func starClient(cfg *core.Config) *core.Config {
+	if cfg == nil {
+		c := StarConfig(core.DefaultConfig())
+		cfg = &c
+	}
+	return cfg
+}
+
+func starServer(cfg *core.Config) *core.Config {
+	if cfg == nil {
+		c := core.DefaultConfig()
+		c.AdvertiseAddresses = false
+		cfg = &c
+	}
+	return cfg
+}
+
 // DefaultHTTPSpec builds the stock fleet-http workload: clients closed-loop
 // clients on heterogeneous access links, requests MPTCP requests each for
 // size-byte responses.
 func DefaultHTTPSpec(seed uint64, clients, requests, size int) HTTPSpec {
-	conn := core.DefaultConfig()
-	// One access link per client: nothing useful for the server to advertise
-	// back, and per-client buffers can stay modest.
-	conn.AdvertiseAddresses = false
-	conn.SendBufBytes = 128 << 10
-	conn.RecvBufBytes = 128 << 10
+	conn := StarConfig(core.DefaultConfig())
 	specs := make([]HTTPClient, clients)
 	for i := range specs {
 		specs[i] = HTTPClient{
@@ -111,18 +107,12 @@ func DefaultHTTPSpec(seed uint64, clients, requests, size int) HTTPSpec {
 			Conn:         conn,
 		}
 	}
-	return HTTPSpec{Seed: seed, Clients: specs}
+	return HTTPSpec{Common: Common{Seed: seed}, Clients: specs}
 }
 
 func (s HTTPSpec) withDefaults() HTTPSpec {
-	if s.Deadline <= 0 {
-		s.Deadline = DefaultDeadline
-	}
-	if s.Server == nil {
-		srv := core.DefaultConfig()
-		srv.AdvertiseAddresses = false
-		s.Server = &srv
-	}
+	s.Common = s.Common.withDefaults(DefaultDeadline)
+	s.Server = starServer(s.Server)
 	for i := range s.Clients {
 		c := &s.Clients[i]
 		if c.Requests <= 0 {
@@ -132,25 +122,7 @@ func (s HTTPSpec) withDefaults() HTTPSpec {
 			c.TransferSize = 64 << 10
 		}
 	}
-	if s.Shared != nil {
-		shared := *s.Shared
-		if shared.Name == "" {
-			shared.Name = capacity.DefaultName
-		}
-		if shared.Epoch == 0 {
-			shared.Epoch = capacity.DefaultEpoch
-		}
-		s.Shared = &shared
-	}
 	return s
-}
-
-// httpShardOut is one shard's contribution to the merged result.
-type httpShardOut struct {
-	clients int
-	merge   PoolMerge
-	events  uint64
-	rec     *probe.Recorder
 }
 
 // clientHostName names the global client i's host; zero-padding keeps names
@@ -162,164 +134,74 @@ func clientHostName(i int) string { return fmt.Sprintf("c%05d", i) }
 // (seed, clients, shards).
 func RunHTTP(spec HTTPSpec) (*experiments.Result, error) {
 	spec = spec.withDefaults()
-	var outs []httpShardOut
-	var coupler *capacity.Coupler
-	var err error
+	title := "sharded closed-loop HTTP server workload"
 	if spec.Shared != nil {
-		if err := spec.Shared.Validate(); err != nil {
-			return nil, err
-		}
-		scn := &httpCoupledScenario{spec: &spec}
-		outs, err = RunCoupled[*httpState, httpShardOut](
-			spec.Seed, len(spec.Clients), spec.Shards, spec.Workers, spec.Deadline,
-			func(descs []Shard) (*capacity.Coupler, error) {
-				c, err := capacity.NewCoupler([]capacity.SharedLink{*spec.Shared}, memberWeights(descs, spec.Weight))
-				if err != nil {
-					return nil, err
-				}
-				if spec.Telemetry != nil {
-					c.Attach(spec.Telemetry.Reg, spec.Telemetry.Prof)
-				}
-				coupler = c
-				scn.c = c
-				return c, nil
-			}, scn)
-	} else {
-		outs, err = Run(spec.Seed, len(spec.Clients), spec.Shards, spec.Workers, func(sh *Shard) (httpShardOut, error) {
-			return runHTTPShard(&spec, sh)
+		title = fmt.Sprintf("sharded closed-loop HTTP through shared %s (%s)",
+			spec.Shared.Name, capacity.FormatRate(spec.Shared.RateBps))
+	}
+	return Run[*httpState, poolMerge](spec.Common, "fleet-http", title, len(spec.Clients), httpScenario{&spec},
+		func(res *experiments.Result, outs []poolMerge) {
+			table := experiments.NewTable(
+				fmt.Sprintf("%d closed-loop clients across %d shards", len(spec.Clients), len(outs)),
+				"shard", "clients", "completed", "failed", "req/s", "mean ms", "p95 ms", "MB", "events")
+			total := addShardRows(table, outs)
+			res.AddTable(table)
+			res.AddSeries(shardSeries("req/s", "req/s", outs, (*poolMerge).requestsPerSec))
+			res.AddSeries(shardSeries("latency p95", "ms", outs, func(m *poolMerge) float64 { return m.percentile(95) }))
+			spec.Telemetry.SetLatency(total.hist)
 		})
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	title := spec.Label
-	if title == "" {
-		title = "sharded closed-loop HTTP server workload"
-		if spec.Shared != nil {
-			title = fmt.Sprintf("sharded closed-loop HTTP through shared %s (%s)",
-				spec.Shared.Name, capacity.FormatRate(spec.Shared.RateBps))
-		}
-	}
-	res := &experiments.Result{ID: "fleet-http", Title: title, Seed: spec.Seed, Quick: spec.Quick}
-
-	table := experiments.NewTable(
-		fmt.Sprintf("%d closed-loop clients across %d shards", len(spec.Clients), len(outs)),
-		"shard", "clients", "completed", "failed", "req/s", "mean ms", "p95 ms", "MB", "events")
-	mergeSpan := spec.Telemetry.StartSpan("merge")
-	var total PoolMerge
-	var totalEvents uint64
-	rps := make([]float64, len(outs))
-	p95 := make([]float64, len(outs))
-	for i, out := range outs {
-		r := out.merge.Result()
-		rps[i] = r.RequestsPerSec
-		p95[i] = out.merge.Percentile(95)
-		table.AddRow(fmt.Sprintf("%d", i), fmt.Sprintf("%d", out.clients),
-			fmt.Sprintf("%d", r.Completed), fmt.Sprintf("%d", r.Failed),
-			fmt.Sprintf("%.1f", r.RequestsPerSec), fmtMs(r.MeanLatency), fmtMs(r.P95Latency),
-			fmtMB(r.BytesReceived), fmt.Sprintf("%d", out.events))
-		total.Merge(out.merge)
-		totalEvents += out.events
-	}
-	tr := total.Result()
-	table.AddRow("all", fmt.Sprintf("%d", len(spec.Clients)),
-		fmt.Sprintf("%d", tr.Completed), fmt.Sprintf("%d", tr.Failed),
-		fmt.Sprintf("%.1f", tr.RequestsPerSec), fmtMs(tr.MeanLatency), fmtMs(tr.P95Latency),
-		fmtMB(tr.BytesReceived), fmt.Sprintf("%d", totalEvents))
-	res.AddTable(table)
-	res.AddSeries(ShardSeries("req/s", "req/s", rps))
-	res.AddSeries(ShardSeries("latency p95", "ms", p95))
-	if coupler != nil {
-		addCapacityReport(res, coupler)
-	}
-	mergeSpan.End()
-	spec.Telemetry.SetLatency(total.Hist)
-	if spec.Trace.Enabled() {
-		recs := make([]*probe.Recorder, len(outs))
-		for i, out := range outs {
-			recs[i] = out.rec
-		}
-		trr := experiments.BuildTraceResult("fleet-http-trace", title+" (flight recorder)", spec.Seed, spec.Quick, recs)
-		if err := experiments.WriteTraceFiles(spec.Trace, "fleet-http", trr, experiments.MergedEvents(recs)); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
 }
 
-// httpState is one shard's live closed-loop workload between the build and
-// collect halves of a run.
-type httpState struct {
-	graph        netem.GraphSpec
-	pools        []*httpsim.ClientPool
-	remaining    int
-	closeCapture func() error
+// starPool is what the star scenarios need of either httpsim pool kind.
+type starPool interface {
+	latencySource
+	Progress() (done, offered int)
 }
 
-func (st *httpState) done() bool { return st.remaining == 0 }
+// starState is one shard's live star workload between Setup and Collect: one
+// pool per client host, in member order, and the count of pools still
+// running.
+type starState[P starPool] struct {
+	pools     []P
+	remaining int
+}
 
-// buildHTTPShard materializes one shard without running it: a server replica
-// plus the shard's client hosts, one single-client closed-loop pool per
-// client host. tag, when non-nil, edits each client's link spec (by global
-// client index) before the graph is built — the hook the coupled runner uses
-// to mark shared directions.
-func buildHTTPShard(spec *HTTPSpec, sh *Shard, tag func(gi int, l *netem.LinkSpec)) (*httpState, error) {
-	buildSpan := spec.Telemetry.StartSpan("build-graph")
-	defer buildSpan.End()
+func (st *starState[P]) done() bool { return st.remaining == 0 }
+
+// buildStar materializes a star shard without running it: a "server" host
+// with a listening replica on port 80, plus one client host per member on
+// its own access link, whose download direction — responses flow server (B)
+// to client (A) — carries the run's shared tag. link names and configures
+// member gi's access link; newPool builds member gi's pool on its host and
+// schedules its start.
+func buildStar[P starPool](c *Common, sh *Shard, server *core.Config,
+	link func(gi int) (name string, cfg netem.PathConfig),
+	newPool func(gi int, mgr *core.Manager, iface *netem.Interface, serverAddr packet.Addr, onDone func()) (P, error)) (*starState[P], error) {
+
 	g := netem.GraphSpec{}
 	g.AddHost("server")
 	for gi := sh.Lo; gi < sh.Hi; gi++ {
-		c := &spec.Clients[gi]
-		name := c.LinkName
-		if name == "" {
-			name = fmt.Sprintf("access%d", gi)
-		}
-		l := netem.LinkSpec{Name: name, A: clientHostName(gi), B: "server", Config: c.Link}
-		if tag != nil {
-			tag(gi, &l)
-		}
-		g.AddLink(l)
+		name, cfg := link(gi)
+		g.AddLink(netem.LinkSpec{Name: name, A: clientHostName(gi), B: "server", Config: cfg, SharedBA: c.sharedTag()})
 	}
 	if err := sh.Materialize(g); err != nil {
 		return nil, err
 	}
-	closeCapture, err := sh.StartCapture(spec.PcapDir, "fleet-http")
-	if err != nil {
+	if _, err := httpsim.StartServer(sh.Manager("server"), httpsim.ServerConfig{Port: 80, Conn: *server}); err != nil {
 		return nil, err
 	}
-	rec := sh.StartProbe(spec.Trace)
-	st := &httpState{graph: g, remaining: sh.Members(), closeCapture: closeCapture}
-
-	if _, err := httpsim.StartServer(sh.Manager("server"), httpsim.ServerConfig{Port: 80, Conn: *spec.Server}); err != nil {
-		return nil, err
-	}
-
+	st := &starState[P]{remaining: sh.Members()}
 	for gi := sh.Lo; gi < sh.Hi; gi++ {
-		c := &spec.Clients[gi]
 		mgr := sh.Manager(clientHostName(gi))
-		mgr.SetProbe(rec, gi)
+		mgr.SetProbe(sh.Probe, gi)
 		iface := mgr.Host().Interfaces()[0]
-		pool, err := httpsim.NewClientPool(mgr, httpsim.ClientPoolConfig{
-			Clients:       1,
-			TotalRequests: c.Requests,
-			TransferSize:  c.TransferSize,
-			ServerAddr:    iface.Path().Peer(iface).Addr(),
-			ServerPort:    80,
-			Conn:          c.Conn,
-			Iface:         iface,
-			OnDone:        func() { st.remaining-- },
-			SampleCap:     spec.LatencySampleCap,
-		})
+		pool, err := newPool(gi, mgr, iface, iface.Path().Peer(iface).Addr(), func() { st.remaining-- })
 		if err != nil {
 			return nil, fmt.Errorf("fleet: shard %d client %d: %w", sh.Index, gi, err)
 		}
 		st.pools = append(st.pools, pool)
-		// Stagger starts by global index so the fleet-wide handshake herd is
-		// spread out the same way regardless of the partition.
-		sh.Sim.Schedule(time.Duration(gi%97)*127*time.Microsecond, pool.Start)
 	}
-	sh.AttachTelemetry(spec.Telemetry, func() (int64, int64) {
+	sh.flows = func() (int64, int64) {
 		var done, offered int64
 		for _, p := range st.pools {
 			d, o := p.Progress()
@@ -327,65 +209,56 @@ func buildHTTPShard(spec *HTTPSpec, sh *Shard, tag func(gi int, l *netem.LinkSpe
 			offered += int64(o)
 		}
 		return done, offered
-	})
-	rec.StartSampler(st.done)
+	}
 	return st, nil
 }
 
-// collect finalizes one shard and returns its merge contribution.
-func (st *httpState) collect(sh *Shard) (httpShardOut, error) {
-	out := httpShardOut{clients: sh.Members(), events: sh.probeEvents(), rec: sh.Probe}
+func accessLinkName(gi int) string { return fmt.Sprintf("access%d", gi) }
+
+// httpScenario is the closed-loop workload: one single-client pool per
+// client host.
+type httpScenario struct{ spec *HTTPSpec }
+
+type httpState = starState[*httpsim.ClientPool]
+
+func (s httpScenario) Setup(sh *Shard) (*httpState, error) {
+	spec := s.spec
+	return buildStar(&spec.Common, sh, spec.Server,
+		func(gi int) (string, netem.PathConfig) {
+			c := &spec.Clients[gi]
+			if c.LinkName != "" {
+				return c.LinkName, c.Link
+			}
+			return accessLinkName(gi), c.Link
+		},
+		func(gi int, mgr *core.Manager, iface *netem.Interface, serverAddr packet.Addr, onDone func()) (*httpsim.ClientPool, error) {
+			c := &spec.Clients[gi]
+			pool, err := httpsim.NewClientPool(mgr, httpsim.ClientPoolConfig{
+				Clients:       1,
+				TotalRequests: c.Requests,
+				TransferSize:  c.TransferSize,
+				ServerAddr:    serverAddr,
+				ServerPort:    80,
+				Conn:          c.Conn,
+				Iface:         iface,
+				OnDone:        onDone,
+				SampleCap:     spec.LatencySampleCap,
+			})
+			if err == nil {
+				// Stagger starts by global index so the fleet-wide handshake
+				// herd is spread out the same way regardless of the partition.
+				sh.Sim.Schedule(time.Duration(gi%97)*127*time.Microsecond, pool.Start)
+			}
+			return pool, err
+		})
+}
+
+func (httpScenario) Done(st *httpState) bool { return st.done() }
+
+func (httpScenario) Collect(sh *Shard, st *httpState) (poolMerge, error) {
+	out := poolMerge{clients: sh.Members(), events: sh.probeEvents()}
 	for _, p := range st.pools {
-		out.merge.Add(p.Result(), p.LatencySamples(), p.LatencyHist(), p.Capped())
+		out.add(p.Result(), latencyOf(p))
 	}
-	if err := st.closeCapture(); err != nil {
-		return httpShardOut{}, err
-	}
-	sh.FinishTelemetry()
 	return out, nil
-}
-
-// runHTTPShard builds and free-runs one shard to completion or deadline.
-func runHTTPShard(spec *HTTPSpec, sh *Shard) (httpShardOut, error) {
-	st, err := buildHTTPShard(spec, sh, nil)
-	if err != nil {
-		return httpShardOut{}, err
-	}
-	sh.StepUntil(spec.Deadline, st.done)
-	return st.collect(sh)
-}
-
-// httpCoupledScenario adapts the closed-loop workload to the epoch-coupled
-// runner: the same graphs and pools, but every client's download direction is
-// tagged with the shared bottleneck and the shards step in epoch windows.
-type httpCoupledScenario struct {
-	spec *HTTPSpec
-	c    *capacity.Coupler
-}
-
-func (cs *httpCoupledScenario) Setup(sh *Shard) (*httpState, *capacity.Meter, error) {
-	// Responses flow server (B) to client (A); that direction transits the
-	// shared bottleneck.
-	st, err := buildHTTPShard(cs.spec, sh, func(gi int, l *netem.LinkSpec) {
-		l.SharedBA = cs.spec.Shared.Name
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	var weightOf func(i int) float64
-	if cs.spec.Weight != nil {
-		lo := sh.Lo
-		weightOf = func(i int) float64 { return cs.spec.Weight(lo + i) }
-	}
-	m, err := capacity.NewMeter(cs.c, sh.Net, st.graph, weightOf)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fleet: shard %d: %w", sh.Index, err)
-	}
-	return st, m, nil
-}
-
-func (cs *httpCoupledScenario) Done(_ *Shard, st *httpState) bool { return st.done() }
-
-func (cs *httpCoupledScenario) Collect(sh *Shard, st *httpState) (httpShardOut, error) {
-	return st.collect(sh)
 }

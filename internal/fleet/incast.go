@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"mptcpgo/internal/core"
@@ -17,32 +18,21 @@ import (
 // storage and MapReduce shuffles. Shards partition the senders; each shard
 // owns an aggregator replica.
 type IncastSpec struct {
-	// Seed is the root RNG seed.
-	Seed uint64
+	Common
 	// Senders is the total number of senders.
 	Senders int
 	// BlockSize is the bytes each sender transfers (default 256 KB).
 	BlockSize int
-	// Shards partitions the senders (0 = default partition); Workers bounds
-	// parallel shard execution (0 = GOMAXPROCS).
-	Shards, Workers int
 	// Link configures each sender's access link to the aggregator; zero
 	// selects a gigabit link with a shallow 64 KB queue.
 	Link netem.PathConfig
 	// Conn is the sender connection configuration; nil selects single-path
 	// TCP (one link per sender, so multipath adds nothing).
 	Conn *core.Config
-	// Deadline caps each shard's simulated time (default DefaultDeadline).
-	Deadline time.Duration
-	// Label overrides the result title; Quick is recorded in the metadata.
-	Label string
-	Quick bool
-	// PcapDir, when non-empty, captures every shard's wire traffic into
-	// <PcapDir>/incast-shard<NNN>.pcap.
-	PcapDir string
 }
 
 func (s IncastSpec) withDefaults() IncastSpec {
+	s.Common = s.Common.withDefaults(DefaultDeadline)
 	if s.BlockSize <= 0 {
 		s.BlockSize = 256 << 10
 	}
@@ -55,16 +45,15 @@ func (s IncastSpec) withDefaults() IncastSpec {
 		conn.RecvBufBytes = 256 << 10
 		s.Conn = &conn
 	}
-	if s.Deadline <= 0 {
-		s.Deadline = DefaultDeadline
-	}
 	return s
 }
 
-// incastShardOut is one shard's contribution: per-sender completion times (ms,
-// sender order), received bytes and the shard's event count.
-type incastShardOut struct {
-	senders     int
+// burstOut is a synchronized-start transfer tally — one shard's, or the
+// fleet's: per-member completion times (ms, member order), received bytes
+// and the event count. incast (fan-in to an aggregator) and fleet-cdn
+// (fan-out from an origin) both report it.
+type burstOut struct {
+	members     int
 	finished    int
 	failed      int
 	bytes       uint64
@@ -72,69 +61,74 @@ type incastShardOut struct {
 	events      uint64
 }
 
+func (m *burstOut) merge(o burstOut) {
+	m.members += o.members
+	m.finished += o.finished
+	m.failed += o.failed
+	m.bytes += o.bytes
+	m.completions = append(m.completions, o.completions...)
+	m.events += o.events
+}
+
+func (m *burstOut) slowestMs() float64 { return trace.Max(m.completions) }
+
+// goodputMbps is bytes transferred over the barrier window — up to the
+// slowest completion — in Mbps.
+func (m *burstOut) goodputMbps() float64 {
+	slowest := m.slowestMs()
+	if slowest <= 0 {
+		return 0
+	}
+	return float64(m.bytes) * 8 / (slowest / 1e3) / 1e6
+}
+
+func (m *burstOut) row(label string) []string {
+	return []string{label, strconv.Itoa(m.members), strconv.Itoa(m.finished), strconv.Itoa(m.failed),
+		fmtMB(m.bytes), fmt.Sprintf("%.2f", m.slowestMs()),
+		fmt.Sprintf("%.2f", trace.Percentile(m.completions, 95)),
+		fmt.Sprintf("%.1f", m.goodputMbps()), fmt.Sprint(m.events)}
+}
+
+// renderBurst fills a synchronized-start result: the per-shard table under
+// heading (members names the member column), its note, and the slowest-
+// completion and goodput series.
+func renderBurst(res *experiments.Result, outs []burstOut, heading, members, goodputSeries, note string) {
+	table := experiments.NewTable(heading,
+		"shard", members, "finished", "failed", "MB", "slowest ms", "p95 ms", "goodput Mbps", "events")
+	addShardRows(table, outs)
+	table.AddNote("%s", note)
+	res.AddTable(table)
+	res.AddSeries(shardSeries("slowest completion", "ms", outs, (*burstOut).slowestMs))
+	res.AddSeries(shardSeries(goodputSeries, "Mbps", outs, (*burstOut).goodputMbps))
+}
+
 // RunIncast executes the incast scenario and returns the merged result.
 func RunIncast(spec IncastSpec) (*experiments.Result, error) {
 	spec = spec.withDefaults()
-	outs, err := Run(spec.Seed, spec.Senders, spec.Shards, spec.Workers, func(sh *Shard) (incastShardOut, error) {
-		return runIncastShard(&spec, sh)
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	title := spec.Label
-	if title == "" {
-		title = "synchronized fan-in to one aggregator"
-	}
-	res := &experiments.Result{ID: "incast", Title: title, Seed: spec.Seed, Quick: spec.Quick}
-
-	table := experiments.NewTable(
-		fmt.Sprintf("%d senders × %s blocks across %d shards", spec.Senders, fmtMB(uint64(spec.BlockSize))+"MB", len(outs)),
-		"shard", "senders", "finished", "failed", "MB", "slowest ms", "p95 ms", "goodput Mbps", "events")
-	var all incastShardOut
-	var allCompletions []float64
-	slowest := make([]float64, len(outs))
-	goodput := make([]float64, len(outs))
-	for i, out := range outs {
-		slowest[i] = trace.Max(out.completions)
-		goodput[i] = shardGoodputMbps(out.bytes, slowest[i])
-		table.AddRow(fmt.Sprintf("%d", i), fmt.Sprintf("%d", out.senders),
-			fmt.Sprintf("%d", out.finished), fmt.Sprintf("%d", out.failed),
-			fmtMB(out.bytes), fmt.Sprintf("%.2f", slowest[i]),
-			fmt.Sprintf("%.2f", trace.Percentile(out.completions, 95)),
-			fmt.Sprintf("%.1f", goodput[i]), fmt.Sprintf("%d", out.events))
-		all.finished += out.finished
-		all.failed += out.failed
-		all.bytes += out.bytes
-		all.events += out.events
-		allCompletions = append(allCompletions, out.completions...)
-	}
-	worst := trace.Max(allCompletions)
-	table.AddRow("all", fmt.Sprintf("%d", spec.Senders),
-		fmt.Sprintf("%d", all.finished), fmt.Sprintf("%d", all.failed),
-		fmtMB(all.bytes), fmt.Sprintf("%.2f", worst),
-		fmt.Sprintf("%.2f", trace.Percentile(allCompletions, 95)),
-		fmt.Sprintf("%.1f", shardGoodputMbps(all.bytes, worst)), fmt.Sprintf("%d", all.events))
-	table.AddNote("completion time is per-sender block transfer time; fleet goodput divides total bytes by the slowest completion (the fan-in barrier)")
-	res.AddTable(table)
-	res.AddSeries(ShardSeries("slowest completion", "ms", slowest))
-	res.AddSeries(ShardSeries("aggregate goodput", "Mbps", goodput))
-	return res, nil
-}
-
-// shardGoodputMbps is bytes transferred over the barrier window in Mbps.
-func shardGoodputMbps(bytes uint64, slowestMs float64) float64 {
-	if slowestMs <= 0 {
-		return 0
-	}
-	return float64(bytes) * 8 / (slowestMs / 1e3) / 1e6
+	return Run[*incastState, burstOut](spec.Common, "incast", "synchronized fan-in to one aggregator", spec.Senders, incastScenario{&spec},
+		func(res *experiments.Result, outs []burstOut) {
+			renderBurst(res, outs,
+				fmt.Sprintf("%d senders × %sMB blocks across %d shards", spec.Senders, fmtMB(uint64(spec.BlockSize)), len(outs)),
+				"senders", "aggregate goodput",
+				"completion time is per-sender block transfer time; fleet goodput divides total bytes by the slowest completion (the fan-in barrier)")
+		})
 }
 
 func senderHostName(i int) string { return fmt.Sprintf("s%05d", i) }
 
-// runIncastShard builds one aggregator replica plus the shard's senders and
-// runs the synchronized fan-in to completion.
-func runIncastShard(spec *IncastSpec, sh *Shard) (incastShardOut, error) {
+// incastScenario builds one aggregator replica plus the shard's senders; the
+// fan-in runs until every block is delivered.
+type incastScenario struct{ spec *IncastSpec }
+
+// incastState is one shard's live fan-in: the tally the aggregator fills as
+// blocks complete, and the blocks still outstanding.
+type incastState struct {
+	out       burstOut
+	remaining int
+}
+
+func (s incastScenario) Setup(sh *Shard) (*incastState, error) {
+	spec := s.spec
 	g := netem.GraphSpec{}
 	g.AddHost("agg")
 	for gi := sh.Lo; gi < sh.Hi; gi++ {
@@ -144,16 +138,10 @@ func runIncastShard(spec *IncastSpec, sh *Shard) (incastShardOut, error) {
 		})
 	}
 	if err := sh.Materialize(g); err != nil {
-		return incastShardOut{}, err
+		return nil, err
 	}
-	closeCapture, err := sh.StartCapture(spec.PcapDir, "incast")
-	if err != nil {
-		return incastShardOut{}, err
-	}
-	defer closeCapture()
-
-	out := incastShardOut{senders: sh.Members()}
-	remaining := sh.Members()
+	st := &incastState{out: burstOut{members: sh.Members()}, remaining: sh.Members()}
+	out := &st.out
 
 	// The aggregator drains every connection; a sender's block counts as
 	// complete the moment its last byte is delivered in order (the metric
@@ -176,22 +164,24 @@ func runIncastShard(spec *IncastSpec, sh *Shard) (incastShardOut, error) {
 				completed = true
 				out.finished++
 				out.completions = append(out.completions, float64(sh.Sim.Now())/float64(time.Millisecond))
-				remaining--
+				st.remaining--
 			}
 			if c.EOF() {
 				c.Close()
 			}
 		}
 	}); err != nil {
-		return incastShardOut{}, err
+		return nil, err
 	}
+	// All senders dial at t=0: the fan-in is barrier-synchronized, which is
+	// exactly what makes incast hard.
 	payload := make([]byte, 32<<10)
 	for gi := sh.Lo; gi < sh.Hi; gi++ {
 		mgr := sh.Manager(senderHostName(gi))
 		iface := mgr.Host().Interfaces()[0]
 		conn, err := mgr.Dial(iface, packet.Endpoint{Addr: iface.Path().Peer(iface).Addr(), Port: 80}, *spec.Conn)
 		if err != nil {
-			return incastShardOut{}, fmt.Errorf("fleet: shard %d sender %d: %w", sh.Index, gi, err)
+			return nil, fmt.Errorf("fleet: shard %d sender %d: %w", sh.Index, gi, err)
 		}
 		written := 0
 		pump := func() {
@@ -211,14 +201,13 @@ func runIncastShard(spec *IncastSpec, sh *Shard) (incastShardOut, error) {
 		conn.OnEstablished = pump
 		conn.OnWritable = pump
 	}
+	return st, nil
+}
 
-	// All senders start at t=0: the fan-in is barrier-synchronized, which is
-	// exactly what makes incast hard.
-	sh.StepUntil(spec.Deadline, func() bool { return remaining == 0 })
-	out.failed = out.senders - out.finished // blocks still incomplete at the deadline
-	out.events = sh.Sim.Processed
-	if err := closeCapture(); err != nil {
-		return incastShardOut{}, err
-	}
-	return out, nil
+func (incastScenario) Done(st *incastState) bool { return st.remaining == 0 }
+
+func (incastScenario) Collect(sh *Shard, st *incastState) (burstOut, error) {
+	st.out.failed = st.out.members - st.out.finished // blocks still incomplete at the deadline
+	st.out.events = sh.probeEvents()
+	return st.out, nil
 }

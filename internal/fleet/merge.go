@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"mptcpgo/internal/experiments"
@@ -10,119 +11,150 @@ import (
 	"mptcpgo/internal/trace"
 )
 
-// PoolMerge folds httpsim.PoolResults (and their latency traces) into one
-// aggregate. Merging is deterministic as long as Add is called in a stable
-// order — the engine always merges pools in member order within a shard and
-// shards in index order.
-type PoolMerge struct {
-	Completed int
-	Failed    int
-	Bytes     uint64
-	// Duration is the longest member window; with shards running concurrently
-	// in the emulated fleet, the slowest member bounds the fleet wall-clock.
-	Duration time.Duration
-	// Samples holds the merged per-request latencies (milliseconds) in merge
-	// order.
-	Samples []float64
-	// Hist is the merged log-scale latency histogram (always populated when
-	// the pools carry one); Capped marks that at least one pool dropped raw
-	// samples at its SampleCap, in which case latency statistics must come
-	// from Hist.
-	Hist   *telemetry.Histogram
-	Capped bool
+// latencyStats is the mergeable latency record every HTTP workload folds:
+// the raw per-request latencies (milliseconds) in merge order, the log-scale
+// histogram, and whether any pool dropped raw samples at its SampleCap — in
+// which case statistics must come from the histogram. Merging is
+// deterministic as long as it happens in a stable order; the engine always
+// merges pools in member order within a shard and shards in index order,
+// which also keeps fleet-level percentiles weighting requests, not shards.
+type latencyStats struct {
+	samples []float64
+	hist    *telemetry.Histogram
+	capped  bool
 }
 
-// Add folds one pool result and its latency samples into the aggregate.
-// Callers fold pools in member order within a shard and shards in index
-// order, which keeps the histogram merge (and hence Sum) deterministic.
-func (m *PoolMerge) Add(r httpsim.PoolResult, samples []float64, hist *telemetry.Histogram, capped bool) {
-	m.Completed += r.Completed
-	m.Failed += r.Failed
-	m.Bytes += r.BytesReceived
-	if r.Duration > m.Duration {
-		m.Duration = r.Duration
-	}
-	m.Samples = append(m.Samples, samples...)
-	m.mergeHist(hist)
-	m.Capped = m.Capped || capped
+// latencySource is what both httpsim pool kinds expose of their latencies.
+type latencySource interface {
+	LatencySamples() []float64
+	LatencyHist() *telemetry.Histogram
+	Capped() bool
 }
 
-// Merge folds another aggregate (typically one shard's) into this one,
-// preserving the raw samples so fleet-level percentiles weight requests, not
-// shards.
-func (m *PoolMerge) Merge(other PoolMerge) {
-	m.Completed += other.Completed
-	m.Failed += other.Failed
-	m.Bytes += other.Bytes
-	if other.Duration > m.Duration {
-		m.Duration = other.Duration
-	}
-	m.Samples = append(m.Samples, other.Samples...)
-	m.mergeHist(other.Hist)
-	m.Capped = m.Capped || other.Capped
+func latencyOf(p latencySource) latencyStats {
+	return latencyStats{samples: p.LatencySamples(), hist: p.LatencyHist(), capped: p.Capped()}
 }
 
-func (m *PoolMerge) mergeHist(h *telemetry.Histogram) {
-	if h.Count() == 0 {
+func (l *latencyStats) merge(o latencyStats) {
+	l.samples = append(l.samples, o.samples...)
+	l.capped = l.capped || o.capped
+	if o.hist.Count() == 0 {
 		return
 	}
-	if m.Hist == nil {
-		m.Hist = telemetry.NewLatencyHistogram()
+	if l.hist == nil {
+		l.hist = telemetry.NewLatencyHistogram()
 	}
-	if err := m.Hist.Merge(h); err != nil {
+	if err := l.hist.Merge(o.hist); err != nil {
 		// All pool histograms share one constructor; a mismatch is a bug.
 		panic(err)
 	}
 }
 
-// Percentile returns the merged latency percentile in milliseconds: the exact
+// percentile returns the merged latency percentile in milliseconds: the exact
 // order statistic from the raw samples when retention was unlimited, the
 // histogram quantile once any pool was capped.
-func (m *PoolMerge) Percentile(p float64) float64 {
-	if m.Capped {
-		return m.Hist.Quantile(p)
+func (l *latencyStats) percentile(p float64) float64 {
+	if l.capped {
+		return l.hist.Quantile(p)
 	}
-	return trace.Percentile(m.Samples, p)
+	return trace.Percentile(l.samples, p)
 }
 
-// MeanLatencyMs returns the merged mean latency in milliseconds under the
-// same raw-vs-histogram dispatch as Percentile.
-func (m *PoolMerge) MeanLatencyMs() float64 {
-	if m.Capped {
-		return m.Hist.Mean()
+// mean returns the merged mean latency in milliseconds under the same
+// raw-vs-histogram dispatch as percentile.
+func (l *latencyStats) mean() float64 {
+	if l.capped {
+		return l.hist.Mean()
 	}
-	return trace.Mean(m.Samples)
+	return trace.Mean(l.samples)
 }
 
-// Result renders the aggregate as a PoolResult: counts and bytes are sums,
-// the rate uses the merged window, and the latency statistics are recomputed
-// from the merged samples (not averaged from per-shard statistics, which
-// would weight shards instead of requests).
-func (m *PoolMerge) Result() httpsim.PoolResult {
-	res := httpsim.PoolResult{
-		Completed:     m.Completed,
-		Failed:        m.Failed,
-		Duration:      m.Duration,
-		BytesReceived: m.Bytes,
-	}
-	if m.Duration > 0 {
-		res.RequestsPerSec = float64(m.Completed) / m.Duration.Seconds()
-	}
-	if m.Capped || len(m.Samples) > 0 {
-		res.MeanLatency = time.Duration(m.MeanLatencyMs() * float64(time.Millisecond))
-		res.P95Latency = time.Duration(m.Percentile(95) * float64(time.Millisecond))
-	}
-	return res
+// poolMerge folds closed-loop httpsim.PoolResults (and their latencies) into
+// one aggregate: a shard's, or the fleet's.
+type poolMerge struct {
+	clients   int
+	completed int
+	failed    int
+	bytes     uint64
+	// duration is the longest member window; with shards running concurrently
+	// in the emulated fleet, the slowest member bounds the fleet wall-clock.
+	duration time.Duration
+	events   uint64
+	latencyStats
 }
 
-// ShardSeries builds a numeric series indexed by shard: X is the shard index,
-// Y the per-shard value in shard order.
-func ShardSeries(name, unit string, y []float64) experiments.Series {
-	x := make([]float64, len(y))
-	for i := range x {
-		x[i] = float64(i)
+func (m *poolMerge) add(r httpsim.PoolResult, lat latencyStats) {
+	m.merge(poolMerge{completed: r.Completed, failed: r.Failed, bytes: r.BytesReceived,
+		duration: r.Duration, latencyStats: lat})
+}
+
+func (m *poolMerge) merge(o poolMerge) {
+	m.clients += o.clients
+	m.completed += o.completed
+	m.failed += o.failed
+	m.bytes += o.bytes
+	if o.duration > m.duration {
+		m.duration = o.duration
 	}
-	return experiments.Series{Name: name, Unit: unit, XLabel: "shard", X: x, Y: y}
+	m.events += o.events
+	m.latencyStats.merge(o.latencyStats)
+}
+
+// requestsPerSec is the completion rate over the merged window.
+func (m *poolMerge) requestsPerSec() float64 {
+	if m.duration <= 0 {
+		return 0
+	}
+	return float64(m.completed) / m.duration.Seconds()
+}
+
+// row renders the aggregate as one fleet-http table row. Latency statistics
+// are recomputed from the merged samples (not averaged from per-shard
+// statistics, which would weight shards instead of requests) and truncated
+// to whole nanoseconds the way httpsim.PoolResult reports them.
+func (m *poolMerge) row(label string) []string {
+	var mean, p95 time.Duration
+	if m.capped || len(m.samples) > 0 {
+		mean = time.Duration(m.mean() * float64(time.Millisecond))
+		p95 = time.Duration(m.percentile(95) * float64(time.Millisecond))
+	}
+	return []string{label, strconv.Itoa(m.clients), strconv.Itoa(m.completed), strconv.Itoa(m.failed),
+		fmt.Sprintf("%.1f", m.requestsPerSec()), fmtMs(mean), fmtMs(p95),
+		fmtMB(m.bytes), fmt.Sprint(m.events)}
+}
+
+// merger is a shard output that folds into a fleet total and renders as one
+// table row; P is the pointer type carrying the methods.
+type merger[T any] interface {
+	*T
+	merge(T)
+	row(label string) []string
+}
+
+// addShardRows renders the table every scenario ends on: one row per shard
+// in index order plus a trailing "all" row of the merged total, which it
+// returns. Both kinds of row come from T's one row method, so each column is
+// listed once.
+func addShardRows[T any, P merger[T]](table *experiments.Table, outs []T) T {
+	var total T
+	for i := range outs {
+		table.AddRow(P(&outs[i]).row(strconv.Itoa(i))...)
+		P(&total).merge(outs[i])
+	}
+	table.AddRow(P(&total).row("all")...)
+	return total
+}
+
+// shardSeries builds a numeric series indexed by shard: X is the shard index,
+// Y is y applied to each shard's output in shard order.
+func shardSeries[T any](name, unit string, outs []T, y func(*T) float64) experiments.Series {
+	s := experiments.Series{Name: name, Unit: unit, XLabel: "shard",
+		X: make([]float64, len(outs)), Y: make([]float64, len(outs))}
+	for i := range outs {
+		s.X[i] = float64(i)
+		s.Y[i] = y(&outs[i])
+	}
+	return s
 }
 
 // fmtMs renders a duration as milliseconds with fixed precision, for table

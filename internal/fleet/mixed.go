@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"mptcpgo/internal/core"
@@ -17,8 +18,10 @@ import (
 // "does MPTCP coexist with background TCP" question at fleet scale. Shards
 // partition the pairs.
 type MixedSpec struct {
-	// Seed is the root RNG seed.
-	Seed uint64
+	// Common.Deadline is not a separate knob here: a pair has no completion
+	// condition, so every shard runs until the measurement window closes at
+	// Duration.
+	Common
 	// Pairs is the total number of client/server pairs.
 	Pairs int
 	// Background is the number of plain-TCP background flows per pair
@@ -27,15 +30,6 @@ type MixedSpec struct {
 	// Duration is the simulated run length (default 5s); Warmup is excluded
 	// from goodput measurement (default Duration/5).
 	Duration, Warmup time.Duration
-	// Shards partitions the pairs (0 = default partition); Workers bounds
-	// parallel shard execution (0 = GOMAXPROCS).
-	Shards, Workers int
-	// Label overrides the result title; Quick is recorded in the metadata.
-	Label string
-	Quick bool
-	// PcapDir, when non-empty, captures every shard's wire traffic into
-	// <PcapDir>/mixed-shard<NNN>.pcap.
-	PcapDir string
 }
 
 func (s MixedSpec) withDefaults() MixedSpec {
@@ -48,74 +42,73 @@ func (s MixedSpec) withDefaults() MixedSpec {
 	if s.Warmup <= 0 || s.Warmup >= s.Duration {
 		s.Warmup = s.Duration / 5
 	}
+	s.Deadline = s.Duration + time.Nanosecond // only has to lie past the window's end
+	s.Common = s.Common.withDefaults(s.Deadline)
 	return s
 }
 
-// mixedShardOut carries one shard's per-pair goodputs (pair order).
-type mixedShardOut struct {
+// mixedOut carries per-pair goodputs in pair order: one shard's, or the
+// fleet's.
+type mixedOut struct {
 	pairs  int
 	fgMbps []float64 // foreground MPTCP goodput per pair
 	bgMbps []float64 // aggregate background TCP goodput per pair
 	events uint64
 }
 
+func (m *mixedOut) merge(o mixedOut) {
+	m.pairs += o.pairs
+	m.fgMbps = append(m.fgMbps, o.fgMbps...)
+	m.bgMbps = append(m.bgMbps, o.bgMbps...)
+	m.events += o.events
+}
+
+func (m *mixedOut) fgMean() float64 { return trace.Mean(m.fgMbps) }
+func (m *mixedOut) bgMean() float64 { return trace.Mean(m.bgMbps) }
+
+func (m *mixedOut) row(label string) []string {
+	fg, bg := m.fgMean(), m.bgMean()
+	share := 0.0
+	if fg+bg > 0 {
+		share = 100 * fg / (fg + bg)
+	}
+	return []string{label, strconv.Itoa(m.pairs), fmt.Sprintf("%.2f", fg), fmt.Sprintf("%.2f", bg),
+		fmt.Sprintf("%.1f", share), fmt.Sprint(m.events)}
+}
+
 // RunMixed executes the mixed-traffic scenario and returns the merged result.
 func RunMixed(spec MixedSpec) (*experiments.Result, error) {
 	spec = spec.withDefaults()
-	outs, err := Run(spec.Seed, spec.Pairs, spec.Shards, spec.Workers, func(sh *Shard) (mixedShardOut, error) {
-		return runMixedShard(&spec, sh)
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	title := spec.Label
-	if title == "" {
-		title = "MPTCP foreground vs plain-TCP background traffic"
-	}
-	res := &experiments.Result{ID: "mixed", Title: title, Seed: spec.Seed, Quick: spec.Quick}
-
-	table := experiments.NewTable(
-		fmt.Sprintf("%d WiFi+3G pairs, %d background TCP flows each, across %d shards",
-			spec.Pairs, spec.Background, len(outs)),
-		"shard", "pairs", "fg Mbps (mean)", "bg Mbps (mean)", "fg share %", "events")
-	var allFg, allBg []float64
-	var events uint64
-	fgSeries := make([]float64, len(outs))
-	bgSeries := make([]float64, len(outs))
-	for i, out := range outs {
-		fgSeries[i] = trace.Mean(out.fgMbps)
-		bgSeries[i] = trace.Mean(out.bgMbps)
-		table.AddRow(fmt.Sprintf("%d", i), fmt.Sprintf("%d", out.pairs),
-			fmt.Sprintf("%.2f", fgSeries[i]), fmt.Sprintf("%.2f", bgSeries[i]),
-			fmt.Sprintf("%.1f", shareP(fgSeries[i], bgSeries[i])),
-			fmt.Sprintf("%d", out.events))
-		allFg = append(allFg, out.fgMbps...)
-		allBg = append(allBg, out.bgMbps...)
-		events += out.events
-	}
-	fgMean, bgMean := trace.Mean(allFg), trace.Mean(allBg)
-	table.AddRow("all", fmt.Sprintf("%d", spec.Pairs),
-		fmt.Sprintf("%.2f", fgMean), fmt.Sprintf("%.2f", bgMean),
-		fmt.Sprintf("%.1f", shareP(fgMean, bgMean)), fmt.Sprintf("%d", events))
-	table.AddNote("fg = one MPTCP bulk flow over WiFi+3G; bg = aggregate of the plain-TCP flows sharing the WiFi link; the coupled controller should leave the background flows their fair share of WiFi while the foreground adds 3G capacity")
-	res.AddTable(table)
-	res.AddSeries(ShardSeries("foreground goodput", "Mbps", fgSeries))
-	res.AddSeries(ShardSeries("background goodput", "Mbps", bgSeries))
-	return res, nil
+	return Run[*mixedState, mixedOut](spec.Common, "mixed", "MPTCP foreground vs plain-TCP background traffic", spec.Pairs, mixedScenario{&spec},
+		func(res *experiments.Result, outs []mixedOut) {
+			table := experiments.NewTable(
+				fmt.Sprintf("%d WiFi+3G pairs, %d background TCP flows each, across %d shards",
+					spec.Pairs, spec.Background, len(outs)),
+				"shard", "pairs", "fg Mbps (mean)", "bg Mbps (mean)", "fg share %", "events")
+			addShardRows(table, outs)
+			table.AddNote("fg = one MPTCP bulk flow over WiFi+3G; bg = aggregate of the plain-TCP flows sharing the WiFi link; the coupled controller should leave the background flows their fair share of WiFi while the foreground adds 3G capacity")
+			res.AddTable(table)
+			res.AddSeries(shardSeries("foreground goodput", "Mbps", outs, (*mixedOut).fgMean))
+			res.AddSeries(shardSeries("background goodput", "Mbps", outs, (*mixedOut).bgMean))
+		})
 }
 
-func shareP(fg, bg float64) float64 {
-	if fg+bg <= 0 {
-		return 0
-	}
-	return 100 * fg / (fg + bg)
-}
-
-// runMixedShard builds the shard's client/server pairs — each pair its own
+// mixedScenario builds the shard's client/server pairs — each pair its own
 // WiFi+3G island inside the shard simulator — and measures per-pair goodput
 // over the post-warmup window.
-func runMixedShard(spec *MixedSpec, sh *Shard) (mixedShardOut, error) {
+type mixedScenario struct{ spec *MixedSpec }
+
+// mixedState is one shard's live byte counters: per pair, what the servers
+// have read so far and what they had read at the end of warmup.
+type mixedState struct {
+	fgBytes, bgBytes []uint64
+	fgBase, bgBase   []uint64
+	// finished is set by the event that ends the measurement window.
+	finished bool
+}
+
+func (s mixedScenario) Setup(sh *Shard) (*mixedState, error) {
+	spec := s.spec
 	g := netem.GraphSpec{}
 	wifi := netem.WiFi3GSpec()[0].Config
 	threeG := netem.WiFi3GSpec()[1].Config
@@ -125,18 +118,11 @@ func runMixedShard(spec *MixedSpec, sh *Shard) (mixedShardOut, error) {
 		g.AddLink(netem.LinkSpec{Name: fmt.Sprintf("3g%d", gi), A: cli, B: srv, Config: threeG})
 	}
 	if err := sh.Materialize(g); err != nil {
-		return mixedShardOut{}, err
+		return nil, err
 	}
-	closeCapture, err := sh.StartCapture(spec.PcapDir, "mixed")
-	if err != nil {
-		return mixedShardOut{}, err
-	}
-	defer closeCapture()
-
 	n := sh.Members()
-	out := mixedShardOut{pairs: n, fgMbps: make([]float64, n), bgMbps: make([]float64, n)}
-	fgBytes := make([]uint64, n)
-	bgBytes := make([]uint64, n)
+	st := &mixedState{fgBytes: make([]uint64, n), bgBytes: make([]uint64, n),
+		fgBase: make([]uint64, n), bgBase: make([]uint64, n)}
 
 	fgCfg := core.DefaultConfig()
 	fgCfg.SendBufBytes = 256 << 10
@@ -166,11 +152,11 @@ func runMixedShard(spec *MixedSpec, sh *Shard) (mixedShardOut, error) {
 				}
 			}
 		}
-		if _, err := srvMgr.Listen(80, fgCfg, counter(&fgBytes[rel])); err != nil {
-			return mixedShardOut{}, err
+		if _, err := srvMgr.Listen(80, fgCfg, counter(&st.fgBytes[rel])); err != nil {
+			return nil, err
 		}
-		if _, err := srvMgr.Listen(81, bgCfg, counter(&bgBytes[rel])); err != nil {
-			return mixedShardOut{}, err
+		if _, err := srvMgr.Listen(81, bgCfg, counter(&st.bgBytes[rel])); err != nil {
+			return nil, err
 		}
 
 		dialBulk := func(cfg core.Config, port uint16) error {
@@ -187,34 +173,34 @@ func runMixedShard(spec *MixedSpec, sh *Shard) (mixedShardOut, error) {
 			return nil
 		}
 		if err := dialBulk(fgCfg, 80); err != nil {
-			return mixedShardOut{}, fmt.Errorf("fleet: shard %d pair %d: %w", sh.Index, gi, err)
+			return nil, fmt.Errorf("fleet: shard %d pair %d: %w", sh.Index, gi, err)
 		}
 		for b := 0; b < spec.Background; b++ {
 			if err := dialBulk(bgCfg, 81); err != nil {
-				return mixedShardOut{}, fmt.Errorf("fleet: shard %d pair %d bg %d: %w", sh.Index, gi, b, err)
+				return nil, fmt.Errorf("fleet: shard %d pair %d bg %d: %w", sh.Index, gi, b, err)
 			}
 		}
 	}
 
 	// Snapshot at warmup, measure until Duration.
-	fgBase := make([]uint64, n)
-	bgBase := make([]uint64, n)
 	sh.Sim.Schedule(spec.Warmup, func() {
-		copy(fgBase, fgBytes)
-		copy(bgBase, bgBytes)
+		copy(st.fgBase, st.fgBytes)
+		copy(st.bgBase, st.bgBytes)
 	})
-	if err := sh.Sim.RunUntil(spec.Duration); err != nil {
-		return mixedShardOut{}, err
-	}
+	sh.Sim.Schedule(spec.Duration, func() { st.finished = true })
+	return st, nil
+}
 
-	window := (spec.Duration - spec.Warmup).Seconds()
+func (mixedScenario) Done(st *mixedState) bool { return st.finished }
+
+func (s mixedScenario) Collect(sh *Shard, st *mixedState) (mixedOut, error) {
+	n := sh.Members()
+	// The window-closing event is the harness's own, not the workload's.
+	out := mixedOut{pairs: n, fgMbps: make([]float64, n), bgMbps: make([]float64, n), events: sh.probeEvents() - 1}
+	window := (s.spec.Duration - s.spec.Warmup).Seconds()
 	for i := 0; i < n; i++ {
-		out.fgMbps[i] = float64(fgBytes[i]-fgBase[i]) * 8 / window / 1e6
-		out.bgMbps[i] = float64(bgBytes[i]-bgBase[i]) * 8 / window / 1e6
-	}
-	out.events = sh.Sim.Processed
-	if err := closeCapture(); err != nil {
-		return mixedShardOut{}, err
+		out.fgMbps[i] = float64(st.fgBytes[i]-st.fgBase[i]) * 8 / window / 1e6
+		out.bgMbps[i] = float64(st.bgBytes[i]-st.bgBase[i]) * 8 / window / 1e6
 	}
 	return out, nil
 }

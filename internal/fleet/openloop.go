@@ -2,16 +2,17 @@ package fleet
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
+	"mptcpgo/internal/capacity"
 	"mptcpgo/internal/core"
 	"mptcpgo/internal/experiments"
 	"mptcpgo/internal/httpsim"
 	"mptcpgo/internal/netem"
+	"mptcpgo/internal/packet"
 	"mptcpgo/internal/probe"
 	"mptcpgo/internal/sim"
-	"mptcpgo/internal/telemetry"
-	"mptcpgo/internal/trace"
 	"mptcpgo/internal/workload"
 )
 
@@ -34,14 +35,16 @@ const openLoopStream = 0x0517_0000
 // (Seed, openLoopStream+i) — so the offered schedule depends only on the
 // spec, never on the shard partition or worker scheduling.
 type OpenLoopSpec struct {
-	// Seed is the root RNG seed; shard seeds and per-host workload streams
-	// both derive from it.
-	Seed uint64
+	// Common.Seed also roots the per-host workload streams. With
+	// Common.Shared set this is the fleet-corelink scenario: every member's
+	// download direction transits the one shared core link whose capacity all
+	// shards jointly respect. Without the coupling a "fleet-scale" overload
+	// is N disjoint per-shard overloads; with it, the goodput knee and the
+	// p99 collapse appear at the global offered load against the shared rate
+	// — overload becomes a system property.
+	Common
 	// Hosts is the number of client hosts (arrival points).
 	Hosts int
-	// Shards partitions the hosts (0 = default partition); Workers bounds
-	// parallel shard execution (0 = GOMAXPROCS; never changes the output).
-	Shards, Workers int
 	// Arrival is the fleet-wide arrival process (nil = Poisson at 100/s).
 	Arrival workload.ArrivalProcess
 	// Sizes draws per-flow transfer sizes (nil = the empirical web mix).
@@ -61,22 +64,6 @@ type OpenLoopSpec struct {
 	Conn *core.Config
 	// Server is the listener configuration of every server replica.
 	Server *core.Config
-	// Deadline caps each shard's simulated time (default Window +
-	// FlowDeadline + 5s — past that point every flow has settled).
-	Deadline time.Duration
-	// Label overrides the result title; Quick is recorded in the metadata.
-	Label string
-	Quick bool
-	// PcapDir, when non-empty, captures every shard's wire traffic into
-	// <PcapDir>/fleet-openloop-shard<NNN>.pcap.
-	PcapDir string
-	// Trace enables the flight recorder (events + counters + samples written
-	// to Trace.Dir). Never changes the scenario's own result.
-	Trace experiments.TraceSpec
-	// Telemetry, when non-nil, attaches the run to a telemetry plane (live
-	// shard cells, phase spans, merged latency histogram). Attaching never
-	// changes the merged result.
-	Telemetry *telemetry.Plane
 	// LatencySampleCap bounds per-pool raw latency-sample retention (0 =
 	// unlimited, today's exact behavior); capped runs report latency from the
 	// log-scale histograms.
@@ -88,12 +75,20 @@ type OpenLoopSpec struct {
 // fleet-wide, web-mix flow sizes.
 func DefaultOpenLoopSpec(seed uint64, hosts int, rate float64, window time.Duration) OpenLoopSpec {
 	return OpenLoopSpec{
-		Seed:    seed,
+		Common:  Common{Seed: seed},
 		Hosts:   hosts,
 		Arrival: workload.Poisson(rate),
 		Sizes:   workload.WebMix(),
 		Window:  window,
 	}
+}
+
+// DefaultCorelinkSpec builds the stock fleet-corelink workload: the
+// fleet-openloop defaults plus a shared core link of the given rate.
+func DefaultCorelinkSpec(seed uint64, hosts int, rate float64, window time.Duration, coreBps int64) OpenLoopSpec {
+	spec := DefaultOpenLoopSpec(seed, hosts, rate, window)
+	spec.Shared = &capacity.SharedLink{Name: "core", RateBps: coreBps}
+	return spec
 }
 
 func (s OpenLoopSpec) withDefaults() OpenLoopSpec {
@@ -109,34 +104,27 @@ func (s OpenLoopSpec) withDefaults() OpenLoopSpec {
 	if s.FlowDeadline == 0 {
 		s.FlowDeadline = 10 * time.Second
 	}
+	// Past Window + FlowDeadline + 5s every flow has settled; without a flow
+	// deadline only the engine default bounds the run.
+	deadline := s.Window + s.FlowDeadline + 5*time.Second
 	if s.FlowDeadline < 0 {
 		s.FlowDeadline = 0
+		deadline = DefaultDeadline
 	}
-	if s.Deadline <= 0 {
-		s.Deadline = s.Window + s.FlowDeadline + 5*time.Second
-		if s.FlowDeadline == 0 {
-			s.Deadline = DefaultDeadline
-		}
+	s.Common = s.Common.withDefaults(deadline)
+	if s.Link == nil {
+		s.Link = DefaultAccessLink
 	}
-	if s.Conn == nil {
-		conn := core.DefaultConfig()
-		conn.AdvertiseAddresses = false
-		conn.SendBufBytes = 128 << 10
-		conn.RecvBufBytes = 128 << 10
-		s.Conn = &conn
-	}
-	if s.Server == nil {
-		srv := core.DefaultConfig()
-		srv.AdvertiseAddresses = false
-		s.Server = &srv
-	}
+	s.Conn, s.Server = starClient(s.Conn), starServer(s.Server)
 	return s
 }
 
-// openLoopMerge folds httpsim.OpenLoopResults deterministically (host order
+// openLoopOut folds httpsim.OpenLoopResults deterministically (host order
 // within a shard, shard order across the fleet), keeping raw latency samples
-// so fleet percentiles weight flows, not shards.
-type openLoopMerge struct {
+// so fleet percentiles weight flows, not shards: one host's result, a
+// shard's contribution or the fleet total.
+type openLoopOut struct {
+	hosts        int
 	offered      int
 	offeredBytes uint64
 	completed    int
@@ -147,78 +135,44 @@ type openLoopMerge struct {
 	unfinished   int
 	window       time.Duration
 	elapsed      time.Duration
-	samples      []float64
-	// hist is the merged log-scale latency histogram; capped marks that at
-	// least one pool dropped raw samples at its SampleCap, in which case
-	// latency statistics come from hist.
-	hist   *telemetry.Histogram
-	capped bool
+	events       uint64
+	// segments counts the wire segments every link of the shard serialized —
+	// the numerator of the BenchmarkFleetSegmentRate headline metric. It is
+	// accounted but deliberately kept out of the rendered tables so the
+	// merged output stays byte-identical to earlier releases.
+	segments uint64
+	latencyStats
 }
 
-func (m *openLoopMerge) add(r httpsim.OpenLoopResult, samples []float64, hist *telemetry.Histogram, capped bool) {
-	m.offered += r.Offered
-	m.offeredBytes += r.OfferedBytes
-	m.completed += r.Completed
-	m.bytes += r.BytesReceived
-	m.dropped += r.Dropped
-	m.shed += r.Shed
-	m.failed += r.Failed
-	m.unfinished += r.Unfinished
-	if r.Window > m.window {
-		m.window = r.Window
-	}
-	if r.Elapsed > m.elapsed {
-		m.elapsed = r.Elapsed
-	}
-	m.samples = append(m.samples, samples...)
-	m.mergeHist(hist)
-	m.capped = m.capped || capped
+func (m *openLoopOut) add(r httpsim.OpenLoopResult, lat latencyStats) {
+	m.merge(openLoopOut{offered: r.Offered, offeredBytes: r.OfferedBytes, completed: r.Completed,
+		bytes: r.BytesReceived, dropped: r.Dropped, shed: r.Shed, failed: r.Failed, unfinished: r.Unfinished,
+		window: r.Window, elapsed: r.Elapsed, latencyStats: lat})
 }
 
-func (m *openLoopMerge) merge(other openLoopMerge) {
-	m.offered += other.offered
-	m.offeredBytes += other.offeredBytes
-	m.completed += other.completed
-	m.bytes += other.bytes
-	m.dropped += other.dropped
-	m.shed += other.shed
-	m.failed += other.failed
-	m.unfinished += other.unfinished
-	if other.window > m.window {
-		m.window = other.window
+func (m *openLoopOut) merge(o openLoopOut) {
+	m.hosts += o.hosts
+	m.offered += o.offered
+	m.offeredBytes += o.offeredBytes
+	m.completed += o.completed
+	m.bytes += o.bytes
+	m.dropped += o.dropped
+	m.shed += o.shed
+	m.failed += o.failed
+	m.unfinished += o.unfinished
+	if o.window > m.window {
+		m.window = o.window
 	}
-	if other.elapsed > m.elapsed {
-		m.elapsed = other.elapsed
+	if o.elapsed > m.elapsed {
+		m.elapsed = o.elapsed
 	}
-	m.samples = append(m.samples, other.samples...)
-	m.mergeHist(other.hist)
-	m.capped = m.capped || other.capped
-}
-
-func (m *openLoopMerge) mergeHist(h *telemetry.Histogram) {
-	if h.Count() == 0 {
-		return
-	}
-	if m.hist == nil {
-		m.hist = telemetry.NewLatencyHistogram()
-	}
-	if err := m.hist.Merge(h); err != nil {
-		// All pool histograms share one constructor; a mismatch is a bug.
-		panic(err)
-	}
-}
-
-// percentile dispatches between exact raw-sample order statistics (default)
-// and histogram quantiles (once any pool capped raw retention).
-func (m *openLoopMerge) percentile(p float64) float64 {
-	if m.capped {
-		return m.hist.Quantile(p)
-	}
-	return trace.Percentile(m.samples, p)
+	m.events += o.events
+	m.segments += o.segments
+	m.latencyStats.merge(o.latencyStats)
 }
 
 // offeredMbps is the injected load over the arrival window.
-func (m *openLoopMerge) offeredMbps() float64 {
+func (m *openLoopOut) offeredMbps() float64 {
 	if m.window <= 0 {
 		return 0
 	}
@@ -227,193 +181,112 @@ func (m *openLoopMerge) offeredMbps() float64 {
 
 // goodputMbps is the delivered load over the slowest member's window (the
 // fleet-level elapsed time).
-func (m *openLoopMerge) goodputMbps() float64 {
+func (m *openLoopOut) goodputMbps() float64 {
 	if m.elapsed <= 0 {
 		return 0
 	}
 	return float64(m.bytes) * 8 / m.elapsed.Seconds() / 1e6
 }
 
-// openLoopShardOut is one shard's contribution to the merged result.
-type openLoopShardOut struct {
-	hosts  int
-	merge  openLoopMerge
-	events uint64
-	rec    *probe.Recorder
-	// segments counts the wire segments every link of the shard serialized —
-	// the numerator of the BenchmarkFleetSegmentRate headline metric. It is
-	// accounted but deliberately kept out of the rendered tables so the
-	// merged output stays byte-identical to earlier releases.
-	segments uint64
+func (m *openLoopOut) row(label string) []string {
+	return []string{label, strconv.Itoa(m.hosts), strconv.Itoa(m.offered), strconv.Itoa(m.completed),
+		strconv.Itoa(m.dropped), strconv.Itoa(m.shed), strconv.Itoa(m.failed), strconv.Itoa(m.unfinished),
+		fmt.Sprintf("%.2f", m.offeredMbps()), fmt.Sprintf("%.2f", m.goodputMbps()),
+		fmt.Sprintf("%.2f", m.percentile(50)), fmt.Sprintf("%.2f", m.percentile(99)), fmt.Sprint(m.events)}
 }
 
-// RunOpenLoop executes the fleet-openloop scenario and returns the merged
-// result, byte-identical at any worker count for a fixed spec.
+// RunOpenLoop executes the open-loop workload and returns the merged result,
+// byte-identical at any worker count for a fixed spec: as fleet-openloop when
+// the shards are uncoupled, as fleet-corelink when spec.Shared couples them.
 func RunOpenLoop(spec OpenLoopSpec) (*experiments.Result, error) {
 	spec = spec.withDefaults()
-	if spec.Hosts <= 0 {
-		return nil, fmt.Errorf("fleet: open-loop workload has no hosts")
+	id := "fleet-openloop"
+	title := fmt.Sprintf("open-loop HTTP workload: %s arrivals, %s sizes", spec.Arrival.Name(), spec.Sizes.Name())
+	shared := ""
+	if spec.Shared != nil {
+		id = "fleet-corelink"
+		title = fmt.Sprintf("open-loop fleet contending for shared link %s (%s)",
+			spec.Shared.Name, capacity.FormatRate(spec.Shared.RateBps))
+		shared = ", shared " + spec.Shared.String()
 	}
-	outs, err := Run(spec.Seed, spec.Hosts, spec.Shards, spec.Workers, func(sh *Shard) (openLoopShardOut, error) {
-		return runOpenLoopShard(&spec, sh)
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	title := spec.Label
-	if title == "" {
-		title = fmt.Sprintf("open-loop HTTP workload: %s arrivals, %s sizes",
-			spec.Arrival.Name(), spec.Sizes.Name())
-	}
-	res := &experiments.Result{ID: "fleet-openloop", Title: title, Seed: spec.Seed, Quick: spec.Quick}
-
-	table := experiments.NewTable(
-		fmt.Sprintf("%d arrival hosts across %d shards, %v window", spec.Hosts, len(outs), spec.Window),
-		"shard", "hosts", "offered", "done", "dropped", "shed", "failed", "open",
-		"offered Mbps", "goodput Mbps", "p50 ms", "p99 ms", "events")
-	mergeSpan := spec.Telemetry.StartSpan("merge")
-	var total openLoopMerge
-	var totalEvents uint64
-	goodput := make([]float64, len(outs))
-	p99 := make([]float64, len(outs))
-	for i, out := range outs {
-		goodput[i] = out.merge.goodputMbps()
-		p99[i] = out.merge.percentile(99)
-		table.AddRow(fmt.Sprintf("%d", i), fmt.Sprintf("%d", out.hosts),
-			fmt.Sprintf("%d", out.merge.offered), fmt.Sprintf("%d", out.merge.completed),
-			fmt.Sprintf("%d", out.merge.dropped), fmt.Sprintf("%d", out.merge.shed),
-			fmt.Sprintf("%d", out.merge.failed), fmt.Sprintf("%d", out.merge.unfinished),
-			fmt.Sprintf("%.2f", out.merge.offeredMbps()), fmt.Sprintf("%.2f", goodput[i]),
-			fmt.Sprintf("%.2f", out.merge.percentile(50)),
-			fmt.Sprintf("%.2f", p99[i]), fmt.Sprintf("%d", out.events))
-		total.merge(out.merge)
-		totalEvents += out.events
-	}
-	table.AddRow("all", fmt.Sprintf("%d", spec.Hosts),
-		fmt.Sprintf("%d", total.offered), fmt.Sprintf("%d", total.completed),
-		fmt.Sprintf("%d", total.dropped), fmt.Sprintf("%d", total.shed),
-		fmt.Sprintf("%d", total.failed), fmt.Sprintf("%d", total.unfinished),
-		fmt.Sprintf("%.2f", total.offeredMbps()), fmt.Sprintf("%.2f", total.goodputMbps()),
-		fmt.Sprintf("%.2f", total.percentile(50)),
-		fmt.Sprintf("%.2f", total.percentile(99)), fmt.Sprintf("%d", totalEvents))
-	table.AddNote("open-loop: arrivals are injected by the process regardless of completions; dropped = hit the %v flow deadline, shed = refused at the in-flight cap, open = still in flight at the simulation deadline", spec.FlowDeadline)
-	res.AddTable(table)
-	res.AddSeries(ShardSeries("goodput", "Mbps", goodput))
-	res.AddSeries(ShardSeries("latency p99", "ms", p99))
-	mergeSpan.End()
-	spec.Telemetry.SetLatency(total.hist)
-	if spec.Trace.Enabled() {
-		recs := make([]*probe.Recorder, len(outs))
-		for i, out := range outs {
-			recs[i] = out.rec
-		}
-		tr := experiments.BuildTraceResult("fleet-openloop-trace", title+" (flight recorder)", spec.Seed, spec.Quick, recs)
-		if err := experiments.WriteTraceFiles(spec.Trace, "fleet-openloop", tr, experiments.MergedEvents(recs)); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
-// openLoopState is one shard's live open-loop workload: the spec the shard
-// was built from (tags and all), its pools and its settlement counter. The
-// free-running fleet-openloop scenario and the epoch-coupled fleet-corelink
-// scenario share it — only how the simulator is advanced differs.
-type openLoopState struct {
-	graph        netem.GraphSpec
-	pools        []*httpsim.OpenLoopPool
-	remaining    int
-	closeCapture func() error
-}
-
-// done reports whether every one of the shard's flows has settled.
-func (st *openLoopState) done() bool { return st.remaining == 0 }
-
-// buildOpenLoopShard materializes one shard — a server replica plus the
-// shard's client hosts, one open-loop pool per host drawing from its thinned
-// arrival stream — without running it. tag, when non-nil, may edit each
-// access link's spec before it is added (the corelink scenario uses it to
-// mark shared-bottleneck membership).
-func buildOpenLoopShard(spec *OpenLoopSpec, sh *Shard, scenario string, tag func(gi int, l *netem.LinkSpec)) (*openLoopState, error) {
-	buildSpan := spec.Telemetry.StartSpan("build-graph")
-	defer buildSpan.End()
-	g := netem.GraphSpec{}
-	g.AddHost("server")
-	for gi := sh.Lo; gi < sh.Hi; gi++ {
-		link := DefaultAccessLink(gi)
-		if spec.Link != nil {
-			link = spec.Link(gi)
-		}
-		ls := netem.LinkSpec{
-			Name: fmt.Sprintf("access%d", gi),
-			A:    clientHostName(gi), B: "server", Config: link,
-		}
-		if tag != nil {
-			tag(gi, &ls)
-		}
-		g.AddLink(ls)
-	}
-	if err := sh.Materialize(g); err != nil {
-		return nil, err
-	}
-	closeCapture, err := sh.StartCapture(spec.PcapDir, scenario)
-	if err != nil {
-		return nil, err
-	}
-	rec := sh.StartProbe(spec.Trace)
-	st := &openLoopState{graph: g, remaining: sh.Members(), closeCapture: closeCapture}
-
-	if _, err := httpsim.StartServer(sh.Manager("server"), httpsim.ServerConfig{Port: 80, Conn: *spec.Server}); err != nil {
-		return nil, err
-	}
-
-	fraction := 1 / float64(spec.Hosts)
-	for gi := sh.Lo; gi < sh.Hi; gi++ {
-		mgr := sh.Manager(clientHostName(gi))
-		mgr.SetProbe(rec, gi)
-		iface := mgr.Host().Interfaces()[0]
-		pool, err := httpsim.NewOpenLoopPool(mgr, httpsim.OpenLoopConfig{
-			Arrival:      spec.Arrival.Thin(fraction),
-			Sizes:        spec.Sizes,
-			Rng:          sim.NewRNG(sim.DeriveSeed(spec.Seed, openLoopStream+uint64(gi))),
-			Window:       spec.Window,
-			FlowDeadline: spec.FlowDeadline,
-			MaxInFlight:  spec.MaxInFlightPerHost,
-			ServerAddr:   iface.Path().Peer(iface).Addr(),
-			ServerPort:   80,
-			Conn:         *spec.Conn,
-			Iface:        iface,
-			OnDone:       func() { st.remaining-- },
-			SampleCap:    spec.LatencySampleCap,
+	return Run[*openLoopState, openLoopOut](spec.Common, id, title, spec.Hosts, openLoopScenario{&spec},
+		func(res *experiments.Result, outs []openLoopOut) {
+			table := experiments.NewTable(
+				fmt.Sprintf("%d arrival hosts across %d shards, %v window%s", spec.Hosts, len(outs), spec.Window, shared),
+				"shard", "hosts", "offered", "done", "dropped", "shed", "failed", "open",
+				"offered Mbps", "goodput Mbps", "p50 ms", "p99 ms", "events")
+			total := addShardRows(table, outs)
+			if spec.Shared == nil {
+				table.AddNote("open-loop: arrivals are injected by the process regardless of completions; dropped = hit the %v flow deadline, shed = refused at the in-flight cap, open = still in flight at the simulation deadline", spec.FlowDeadline)
+			} else {
+				table.AddNote("every download direction transits shared link %q: global goodput saturates at its %s no matter how the fleet is sharded — overload is a system property, not a per-shard one",
+					spec.Shared.Name, capacity.FormatRate(spec.Shared.RateBps))
+			}
+			res.AddTable(table)
+			res.AddSeries(shardSeries("goodput", "Mbps", outs, (*openLoopOut).goodputMbps))
+			res.AddSeries(shardSeries("latency p99", "ms", outs, func(m *openLoopOut) float64 { return m.percentile(99) }))
+			spec.Telemetry.SetLatency(total.hist)
 		})
-		if err != nil {
-			return nil, fmt.Errorf("fleet: shard %d host %d: %w", sh.Index, gi, err)
-		}
-		st.pools = append(st.pools, pool)
-		// All pools start at t=0: the arrival processes themselves spread the
-		// load (their first gaps differ per host stream).
-		sh.Sim.Schedule(0, pool.Start)
-	}
-	sh.AttachTelemetry(spec.Telemetry, func() (int64, int64) {
-		var done, offered int64
-		for _, p := range st.pools {
-			d, o := p.Progress()
-			done += int64(d)
-			offered += int64(o)
-		}
-		return done, offered
-	})
-	rec.StartSampler(st.done)
-	return st, nil
 }
 
-// collect finalizes the shard after its last step: fold the pool results in
-// host order, count serialized segments and close the capture.
-func (st *openLoopState) collect(sh *Shard) (openLoopShardOut, error) {
-	out := openLoopShardOut{hosts: sh.Members(), events: sh.probeEvents(), segments: sh.SegmentsSent(), rec: sh.Probe}
+// RunCorelink executes the fleet-corelink scenario: RunOpenLoop through a
+// shared core link, "core" at 100 Mbps with 100 ms epochs unless spec.Shared
+// says otherwise.
+func RunCorelink(spec OpenLoopSpec) (*experiments.Result, error) {
+	core := capacity.SharedLink{RateBps: netem.Mbps(100)}
+	if spec.Shared != nil {
+		core = *spec.Shared
+		if core.RateBps == 0 {
+			core.RateBps = netem.Mbps(100)
+		}
+	}
+	spec.Shared = &core
+	return RunOpenLoop(spec)
+}
+
+// openLoopScenario is the open-loop workload: one pool per host drawing from
+// its thinned arrival stream.
+type openLoopScenario struct{ spec *OpenLoopSpec }
+
+type openLoopState = starState[*httpsim.OpenLoopPool]
+
+func (s openLoopScenario) Setup(sh *Shard) (*openLoopState, error) {
+	spec := s.spec
+	fraction := 1 / float64(spec.Hosts)
+	return buildStar(&spec.Common, sh, spec.Server,
+		func(gi int) (string, netem.PathConfig) { return accessLinkName(gi), spec.Link(gi) },
+		func(gi int, mgr *core.Manager, iface *netem.Interface, serverAddr packet.Addr, onDone func()) (*httpsim.OpenLoopPool, error) {
+			pool, err := httpsim.NewOpenLoopPool(mgr, httpsim.OpenLoopConfig{
+				Arrival:      spec.Arrival.Thin(fraction),
+				Sizes:        spec.Sizes,
+				Rng:          sim.NewRNG(sim.DeriveSeed(spec.Seed, openLoopStream+uint64(gi))),
+				Window:       spec.Window,
+				FlowDeadline: spec.FlowDeadline,
+				MaxInFlight:  spec.MaxInFlightPerHost,
+				ServerAddr:   serverAddr,
+				ServerPort:   80,
+				Conn:         *spec.Conn,
+				Iface:        iface,
+				OnDone:       onDone,
+				SampleCap:    spec.LatencySampleCap,
+			})
+			if err == nil {
+				// All pools start at t=0: the arrival processes themselves
+				// spread the load (their first gaps differ per host stream).
+				sh.Sim.Schedule(0, pool.Start)
+			}
+			return pool, err
+		})
+}
+
+func (openLoopScenario) Done(st *openLoopState) bool { return st.done() }
+
+// Collect folds the pool results in host order and counts serialized
+// segments.
+func (openLoopScenario) Collect(sh *Shard, st *openLoopState) (openLoopOut, error) {
+	out := openLoopOut{hosts: sh.Members(), events: sh.probeEvents(), segments: sh.segmentsSent()}
 	for _, p := range st.pools {
-		out.merge.add(p.Result(), p.LatencySamples(), p.LatencyHist(), p.Capped())
+		out.add(p.Result(), latencyOf(p))
 	}
 	if sh.Probe != nil {
 		// Fold each host's access-link wire drops into its counter registry.
@@ -423,20 +296,5 @@ func (st *openLoopState) collect(sh *Shard) (openLoopShardOut, error) {
 			sh.Probe.Count(gi, probe.CtrDrops, sa.DroppedQueue+sa.DroppedRandom+sb.DroppedQueue+sb.DroppedRandom)
 		}
 	}
-	if err := st.closeCapture(); err != nil {
-		return openLoopShardOut{}, err
-	}
-	sh.FinishTelemetry()
 	return out, nil
-}
-
-// runOpenLoopShard builds and free-runs one shard to settlement or deadline.
-func runOpenLoopShard(spec *OpenLoopSpec, sh *Shard) (openLoopShardOut, error) {
-	st, err := buildOpenLoopShard(spec, sh, "fleet-openloop", nil)
-	if err != nil {
-		return openLoopShardOut{}, err
-	}
-	defer st.closeCapture()
-	sh.StepUntil(spec.Deadline, st.done)
-	return st.collect(sh)
 }

@@ -25,13 +25,10 @@ func testTraceSpec(dir string) experiments.TraceSpec {
 // index) alone and the recorded streams are comparable across shard layouts.
 func testChaosTraceSpec(workers, shards int) ChaosSpec {
 	return ChaosSpec{
-		Seed:          23,
+		Common:        Common{Seed: 23, Shards: shards, Workers: workers, Quick: true},
 		Members:       6,
-		Shards:        shards,
-		Workers:       workers,
 		TransferBytes: 64 << 10,
 		Faults:        faults.MustParse("flap500"),
-		Quick:         true,
 	}
 }
 
@@ -199,12 +196,10 @@ func TestTraceGolden(t *testing.T) {
 	const goldenLines = 60
 	dir := t.TempDir()
 	spec := ChaosSpec{
-		Seed:          7,
+		Common:        Common{Seed: 7, Quick: true, Observers: Observers{Trace: testTraceSpec(dir)}},
 		Members:       2,
 		TransferBytes: 48 << 10,
 		Faults:        faults.MustParse("flap500"),
-		Quick:         true,
-		Trace:         testTraceSpec(dir),
 	}
 	if _, err := RunChaos(spec); err != nil {
 		t.Fatal(err)
@@ -244,14 +239,12 @@ func TestTraceGolden(t *testing.T) {
 func TestTraceDrainTailQuantified(t *testing.T) {
 	dir := t.TempDir()
 	spec := ChaosSpec{
-		Seed:          31,
+		Common:        Common{Seed: 31, Quick: true, Observers: Observers{Trace: testTraceSpec(dir)}},
 		Members:       4,
 		TransferBytes: 64 << 10,
 		// Deep loss: 50% on both paths kills enough retransmissions that
 		// recovery has to fall through fast retransmit into RTO backoff.
 		Faults: faults.MustParse("loss:path=all,rate=0.5,at=200ms,dur=3s"),
-		Quick:  true,
-		Trace:  testTraceSpec(dir),
 	}
 	if _, err := RunChaos(spec); err != nil {
 		t.Fatal(err)

@@ -8,7 +8,7 @@
 // evaluation.
 //
 // The package is the public facade over the internal packages (netem, tcp,
-// core, experiments), split across four files:
+// core, experiments, fleet), split by pillar:
 //
 //   - topology.go — the composable Topology builder: named hosts joined by
 //     (possibly asymmetric) links and middlebox chains, N clients × M
@@ -18,64 +18,16 @@
 //     io.ReadWriteClosers.
 //   - results.go — structured experiment access: Run returns a typed Result
 //     with Text/JSON/CSV encoders.
-//   - mptcp.go (this file) — configurations plus the original two-host
-//     NewSimulation facade, kept as a thin compatibility wrapper over the
-//     builder.
+//   - fleet.go, chaos.go, telemetry.go — the sharded many-connection
+//     scenario builders (Fleet, OpenLoop, Chaos) and the run-observability
+//     plane they feed.
+//   - mptcp.go (this file) — connection configurations.
 //
 // See the examples/ directory for runnable programs and DESIGN.md for the
 // system inventory and the facade layering.
 package mptcpgo
 
-import (
-	"fmt"
-	"time"
-
-	"mptcpgo/internal/core"
-)
-
-// PathSpec describes one bidirectional path between the client and the
-// server of a two-host simulation (compatibility form of Link).
-type PathSpec struct {
-	// Name labels the path in traces ("wifi", "3g", ...).
-	Name string
-	// RateMbps is the link rate in megabits per second (0 = unlimited).
-	RateMbps float64
-	// RTT is the base round-trip time of the path.
-	RTT time.Duration
-	// QueueBytes is the bottleneck buffer in bytes (0 = unlimited). Deep
-	// queues reproduce cellular bufferbloat.
-	QueueBytes int
-	// LossRate is the random loss probability per packet.
-	LossRate float64
-}
-
-// toLink converts the symmetric path description to a Link.
-func (p PathSpec) toLink() Link {
-	lc := LinkConfig{
-		RateMbps:   p.RateMbps,
-		Delay:      p.RTT / 2,
-		QueueBytes: p.QueueBytes,
-		LossRate:   p.LossRate,
-	}
-	return Link{Name: p.Name, AtoB: lc, BtoA: lc}
-}
-
-// WiFiPath returns the paper's emulated WiFi path (8 Mbps, 20 ms RTT, 80 ms
-// of buffering).
-func WiFiPath() PathSpec {
-	return PathSpec{Name: "wifi", RateMbps: 8, RTT: 20 * time.Millisecond, QueueBytes: 80 << 10}
-}
-
-// ThreeGPath returns the paper's emulated 3G path (2 Mbps, 150 ms RTT, two
-// seconds of buffering).
-func ThreeGPath() PathSpec {
-	return PathSpec{Name: "3g", RateMbps: 2, RTT: 150 * time.Millisecond, QueueBytes: 500 << 10}
-}
-
-// GigabitPath returns a 1 Gbps datacenter-style path.
-func GigabitPath(name string) PathSpec {
-	return PathSpec{Name: name, RateMbps: 1000, RTT: 200 * time.Microsecond, QueueBytes: 512 << 10}
-}
+import "mptcpgo/internal/core"
 
 // Config selects the connection behaviour. The zero value is not valid; use
 // DefaultConfig, RegularMPTCPConfig or TCPConfig as a starting point.
@@ -98,51 +50,3 @@ type Conn = core.Connection
 
 // Listener accepts connections on the server host.
 type Listener = core.Listener
-
-// Simulation is the original two-host facade: a client and a server
-// connected by one or more symmetric paths. It is a thin compatibility
-// wrapper over the Topology builder — the embedded Network carries the
-// general API (Dial by host name, streams, link control), while the methods
-// below keep the historical positional signatures.
-type Simulation struct {
-	*Network
-}
-
-// NewSimulation builds a client/server topology with one path per spec.
-func NewSimulation(seed uint64, paths ...PathSpec) *Simulation {
-	if len(paths) == 0 {
-		paths = []PathSpec{WiFiPath(), ThreeGPath()}
-	}
-	t := NewTopology(seed)
-	for _, p := range paths {
-		t.Connect("client", "server", p.toLink())
-	}
-	n, err := t.Build()
-	if err != nil {
-		// Unreachable: the generated topology is structurally valid.
-		panic(err)
-	}
-	return &Simulation{Network: n}
-}
-
-// Listen installs a server listener on the given port; accept is invoked for
-// every new connection before any data arrives.
-func (s *Simulation) Listen(port uint16, cfg Config, accept func(*Conn)) (*Listener, error) {
-	return s.Network.Listen("server", port, cfg, accept)
-}
-
-// Dial opens a connection from the client's i-th interface to the server's
-// address on the same path index.
-func (s *Simulation) Dial(ifaceIndex int, port uint16, cfg Config) (*Conn, error) {
-	if ifaceIndex < 0 {
-		return nil, fmt.Errorf("mptcpgo: interface index %d out of range", ifaceIndex)
-	}
-	return s.Network.Dial("client", fmt.Sprintf("server:%d", port),
-		WithConfig(cfg), WithInterface(ifaceIndex))
-}
-
-// ClientManager exposes the client-side MPTCP stack for advanced use.
-func (s *Simulation) ClientManager() *core.Manager { return s.Manager("client") }
-
-// ServerManager exposes the server-side MPTCP stack for advanced use.
-func (s *Simulation) ServerManager() *core.Manager { return s.Manager("server") }

@@ -6,14 +6,20 @@ import (
 )
 
 // TestFacadeTransfer exercises the public API end to end: build a WiFi+3G
-// simulation, transfer data over MPTCP, fail the WiFi path mid-transfer and
+// topology, transfer data over MPTCP, fail the WiFi path mid-transfer and
 // verify the connection survives on the remaining subflow.
 func TestFacadeTransfer(t *testing.T) {
-	s := NewSimulation(3, WiFiPath(), ThreeGPath())
+	s, err := NewTopology(3).
+		Connect("client", "server", WiFiLink()).
+		Connect("client", "server", ThreeGLink()).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const total = 3 << 20
 	received := 0
-	_, err := s.Listen(80, DefaultConfig(), func(c *Conn) {
+	_, err = s.Listen("server", 80, DefaultConfig(), func(c *Conn) {
 		c.OnReadable = func() {
 			for {
 				data := c.Read(64 << 10)
@@ -30,7 +36,7 @@ func TestFacadeTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := s.Dial(0, 80, DefaultConfig())
+	conn, err := s.Dial("client", "server:80")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,9 +74,12 @@ func TestFacadeTransfer(t *testing.T) {
 }
 
 func TestFacadeTCPOnly(t *testing.T) {
-	s := NewSimulation(4, GigabitPath("a"))
+	s, err := NewTopology(4).Connect("client", "server", GigabitLink("a")).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	received := 0
-	_, err := s.Listen(80, TCPConfig(), func(c *Conn) {
+	_, err = s.Listen("server", 80, TCPConfig(), func(c *Conn) {
 		c.OnReadable = func() {
 			for len(c.Read(64<<10)) > 0 {
 			}
@@ -80,7 +89,7 @@ func TestFacadeTCPOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := s.Dial(0, 80, TCPConfig())
+	conn, err := s.Dial("client", "server:80", WithTCPOnly())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package mptcpgo
 
-import (
-	"io"
-
-	"mptcpgo/internal/experiments"
-)
+import "mptcpgo/internal/experiments"
 
 // Result is the structured outcome of one paper experiment: tables, numeric
 // series and run metadata, with Text, JSON and CSV encoders.
@@ -37,14 +33,4 @@ func ExperimentIDs() []string { return experiments.IDs() }
 // result.
 func Run(id string, opts ...ExperimentOption) (*Result, error) {
 	return experiments.Run(id, opts...)
-}
-
-// RunExperiment runs one of the paper's experiments and writes its tables to
-// w as aligned text. Set quick to true for a reduced sweep.
-//
-// Deprecated-style compatibility wrapper: new code should use Run and the
-// Result encoders. Note that for historical compatibility seed 0 selects the
-// default seed (42) here; use Run with WithSeed(0) to really run seed 0.
-func RunExperiment(w io.Writer, id string, quick bool, seed uint64) error {
-	return experiments.RunAndPrint(w, id, experiments.Options{Quick: quick, Seed: seed})
 }

@@ -59,14 +59,14 @@ func SymmetricLink(name string, rateMbps float64, rtt time.Duration, queueBytes 
 
 // WiFiLink returns the paper's emulated WiFi access link (8 Mbps, 20 ms RTT,
 // 80 ms of buffering).
-func WiFiLink() Link { return WiFiPath().toLink() }
+func WiFiLink() Link { return SymmetricLink("wifi", 8, 20*time.Millisecond, 80<<10) }
 
 // ThreeGLink returns the paper's emulated 3G link (2 Mbps, 150 ms RTT, two
 // seconds of buffering).
-func ThreeGLink() Link { return ThreeGPath().toLink() }
+func ThreeGLink() Link { return SymmetricLink("3g", 2, 150*time.Millisecond, 500<<10) }
 
 // GigabitLink returns a 1 Gbps datacenter-style link.
-func GigabitLink(name string) Link { return GigabitPath(name).toLink() }
+func GigabitLink(name string) Link { return SymmetricLink(name, 1000, 200*time.Microsecond, 512<<10) }
 
 // Box is an on-path middlebox element (NAT, option stripper, resegmenter,
 // ...); implementations live in internal/middlebox and are re-exported
