@@ -1,6 +1,8 @@
 package mptcpgo
 
 import (
+	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
@@ -225,7 +227,7 @@ func sendPathCycleAllocs(t *testing.T, traced, telem bool) float64 {
 // TestSendPathSteadyStateAllocs guards the chunk + DSS recycling on the
 // full MPTCP send path: once a connection reaches steady state, a
 // write→deliver→read cycle must not allocate per segment. Every moving part
-// is recycled — chunk structs and their DSS options (per-endpoint free
+// is recycled — chunk structs and their DSS options (shard-scoped free
 // lists), outgoing segments and payload buffers (pools), outgoing options
 // (per-segment arenas), events (simulator free list) — so the average
 // allocation count per cycle is pinned near zero. The small budget absorbs
@@ -264,11 +266,52 @@ func TestSendPathTelemetrySteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestShortFlowAllocBudget pins what one short flow costs in heap bytes on
+// the fleet path: bench/perf's churn shape (open-loop arrivals of fixed
+// 16 KiB flows, each on a fresh connection) at a quarter of its size. Send
+// and receive queues draw fixed blocks from internal/pool and chunks, DSS
+// options and mappings come from shard-scoped free lists, so a flow costs
+// its connection, endpoint and subflow structs and little else: ~16 KB here.
+// When every queue grew from nil by doubling it was ~90 KB.
+func TestShortFlowAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short-flow budget is not measured in -short mode")
+	}
+	run := func() (done float64) {
+		res, err := NewOpenLoop(3).Hosts(32).Rate(500).SizeDist("fixed:16384").
+			Window(2 * time.Second).FlowDeadline(3 * time.Second).Shards(4).Workers(2).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := res.Tables[0]
+		for i, col := range all.Columns {
+			if col == "done" {
+				done, _ = strconv.ParseFloat(all.Rows[len(all.Rows)-1][i], 64)
+			}
+		}
+		if done < 500 {
+			t.Fatalf("only %v flows completed", done)
+		}
+		return done
+	}
+	run() // warm the pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	done := run()
+	runtime.ReadMemStats(&after)
+	perFlow := float64(after.TotalAlloc-before.TotalAlloc) / done
+	const budget = 30 << 10
+	if perFlow > budget {
+		t.Fatalf("a 16 KiB flow allocates %.0f bytes (%.0f flows); budget %d", perFlow, done, budget)
+	}
+}
+
 // TestBulkTransferAllocBudget pins the end-to-end allocation footprint of
 // the short WiFi+3G bulk transfer that BenchmarkBulkTransferAllocs measures.
-// The hot-path work (PR 1: pools and send-queue slicing; this PR: chunk/DSS
-// recycling, per-segment option arenas, capacity-preserving queues) brought
-// it from ~268k to ~59.8k to ~3.2k allocs/op; the budget holds the new
+// The hot-path work (PR 1: pools and send-queue slicing; PR 4: chunk/DSS
+// recycling, per-segment option arenas, capacity-preserving queues; PR 13:
+// block-pooled byte queues held by value, shard-scoped free lists) brought it
+// from ~268k to ~59.8k to ~3.2k to ~2.8k allocs/op; the budget holds the new
 // steady state with headroom for GC-induced pool refills.
 func TestBulkTransferAllocBudget(t *testing.T) {
 	if testing.Short() {
@@ -290,7 +333,7 @@ func TestBulkTransferAllocBudget(t *testing.T) {
 		}
 	}
 	avg := testing.AllocsPerRun(3, run)
-	const budget = 8000
+	const budget = 7000
 	if avg > budget {
 		t.Fatalf("bulk transfer allocates %.0f allocs/run; budget %d (pre-recycling figure was ~59.8k)", avg, budget)
 	}

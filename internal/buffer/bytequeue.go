@@ -4,22 +4,52 @@
 // the paper (Regular, Tree, Shortcuts, AllShortcuts).
 package buffer
 
+import "mptcpgo/internal/pool"
+
+// blockSize is the one size of payload block a ByteQueue is built from (an
+// internal/pool size class, so blocks are recycled across queues and flows).
+const blockSize = 16 << 10
+
+// inlineBlocks is the size of the block table embedded in the queue itself:
+// a queue holding up to 64 KiB (at most five blocks once its head sits inside
+// one) allocates nothing of its own. A power of two, like every table size.
+const inlineBlocks = 8
+
+type block = [blockSize]byte
+
 // ByteQueue is a FIFO byte stream with an absolute offset for its head. It
-// backs both the subflow send buffer (offsets are subflow sequence numbers
-// relative to the ISN) and the connection-level receive queue (offsets are
-// data sequence numbers).
+// backs the subflow and connection send buffers (offsets are stream offsets
+// of the queued payload) and the in-order receive queues.
 //
-// Consumed bytes are tracked with an explicit head index instead of
-// re-slicing, so Append can reclaim the consumed prefix of the backing array
-// before growing: a steady-state write→ack cycle reuses one buffer forever
-// instead of leaking capacity off the front and reallocating.
+// The bytes live in fixed-size blocks drawn from internal/pool. Append fills
+// the tail block and takes another from the pool; TrimTo and Pop hand each
+// block back the moment its last byte is consumed. Bytes are written once
+// and never moved, and a drained queue holds nothing from the pool.
+//
+// Blocks never escape the queue: a slice returned by Peek is borrowed and is
+// valid only until the next call on the same queue. An owner that is done
+// with a queue that still holds bytes calls Release; a queue that is simply
+// abandoned leaves its blocks to the garbage collector (pool's "when in
+// doubt, drop" rule).
+//
+// The zero value is an empty queue with its head at offset 0. A queue must
+// not be copied once it has been used.
 type ByteQueue struct {
-	data []byte
-	// head indexes the first live byte in data; bytes before it have been
-	// consumed and their space is reclaimed on the next growing Append.
+	// tab is the block table, a ring of len(tab) slots (a power of two)
+	// holding count blocks from index first on. A nil tab stands for the
+	// inline table, so the struct carries no pointer into itself.
+	tab    []*block
+	inline [inlineBlocks]*block
+	first  int
+	count  int
+	// head is the position of the first live byte inside the first block
+	// and size the number of live bytes from there on.
 	head int
-	// headOffset is the absolute stream offset of data[head].
+	size int
+	// headOffset is the absolute stream offset of the first live byte.
 	headOffset uint64
+	// scratch backs Peek results that straddle a block boundary; pool-owned.
+	scratch []byte
 }
 
 // NewByteQueue returns an empty queue whose head sits at the given absolute
@@ -29,92 +59,174 @@ func NewByteQueue(headOffset uint64) *ByteQueue {
 }
 
 // Len returns the number of buffered bytes.
-func (q *ByteQueue) Len() int { return len(q.data) - q.head }
+func (q *ByteQueue) Len() int { return q.size }
 
 // HeadOffset returns the absolute offset of the first buffered byte.
 func (q *ByteQueue) HeadOffset() uint64 { return q.headOffset }
 
 // TailOffset returns the absolute offset one past the last buffered byte.
-func (q *ByteQueue) TailOffset() uint64 { return q.headOffset + uint64(q.Len()) }
+func (q *ByteQueue) TailOffset() uint64 { return q.headOffset + uint64(q.size) }
+
+func (q *ByteQueue) table() []*block {
+	if q.tab == nil {
+		return q.inline[:]
+	}
+	return q.tab
+}
+
+// blockAt returns the block holding position pos, counted in bytes from the
+// start of the first block.
+func (q *ByteQueue) blockAt(pos int) *block {
+	t := q.table()
+	return t[(q.first+pos/blockSize)&(len(t)-1)]
+}
+
+// pushBlock takes a block from the pool and makes it the tail block, doubling
+// the block table first when every slot is taken.
+func (q *ByteQueue) pushBlock() {
+	t := q.table()
+	if q.count == len(t) {
+		grown := make([]*block, 2*len(t))
+		for i := range t {
+			grown[i] = q.blockAt(i * blockSize)
+		}
+		q.inline = [inlineBlocks]*block{}
+		q.tab, q.first, t = grown, 0, grown
+	}
+	t[(q.first+q.count)&(len(t)-1)] = (*block)(pool.Bytes(blockSize))
+	q.count++
+}
+
+// popBlock recycles the first block.
+func (q *ByteQueue) popBlock() {
+	t := q.table()
+	pool.Recycle(t[q.first][:])
+	t[q.first] = nil
+	q.first = (q.first + 1) & (len(t) - 1)
+	q.count--
+}
 
 // Append adds data at the tail of the stream.
 func (q *ByteQueue) Append(b []byte) {
-	if q.head > 0 && len(q.data)+len(b) > cap(q.data) {
-		// Reclaim the consumed prefix before the append would grow the
-		// backing array.
-		n := copy(q.data, q.data[q.head:])
-		q.data = q.data[:n]
-		q.head = 0
+	for len(b) > 0 {
+		end := q.head + q.size
+		if end == q.count*blockSize {
+			q.pushBlock()
+		}
+		n := copy(q.blockAt(end)[end%blockSize:], b)
+		q.size += n
+		b = b[n:]
 	}
-	q.data = append(q.data, b...)
+}
+
+// locate clamps the range of n bytes at absolute offset off to the buffered
+// bytes and returns its position relative to the first block and its length,
+// which is 0 when off is outside the buffered range.
+func (q *ByteQueue) locate(off uint64, n int) (pos, length int) {
+	if off < q.headOffset || off >= q.TailOffset() {
+		return 0, 0
+	}
+	rel := int(off - q.headOffset)
+	if n > q.size-rel {
+		n = q.size - rel
+	}
+	return q.head + rel, n
+}
+
+// copyOut copies the n bytes at pos (relative to the first block) into p.
+func (q *ByteQueue) copyOut(p []byte, pos, n int) {
+	for done := 0; done < n; {
+		at := pos + done
+		done += copy(p[done:n], q.blockAt(at)[at%blockSize:])
+	}
 }
 
 // Peek returns up to n bytes starting at absolute offset off without removing
-// them. It returns nil if off is outside the buffered range.
+// them: exactly n, or as many as are buffered past off. It returns nil if off
+// is outside the buffered range. The result is borrowed — it aliases a block
+// or, when the range straddles two blocks, the queue's scratch buffer — and
+// is valid only until the next call on the queue. Callers that copy the
+// bytes out anyway use CopyAt.
 func (q *ByteQueue) Peek(off uint64, n int) []byte {
-	if off < q.headOffset || off >= q.TailOffset() {
+	pos, n := q.locate(off, n)
+	if n <= 0 {
 		return nil
 	}
-	start := q.head + int(off-q.headOffset)
-	end := start + n
-	if end > len(q.data) {
-		end = len(q.data)
+	if in := pos % blockSize; in+n <= blockSize {
+		return q.blockAt(pos)[in : in+n : in+n]
 	}
-	return q.data[start:end]
+	if cap(q.scratch) < n {
+		if q.scratch != nil {
+			pool.Recycle(q.scratch)
+		}
+		q.scratch = pool.Bytes(n)
+	}
+	q.copyOut(q.scratch, pos, n)
+	return q.scratch[:n:n]
+}
+
+// CopyAt copies up to len(p) bytes starting at absolute offset off into p,
+// block by block, without removing them, and returns the number of bytes
+// copied (0 if off is outside the buffered range).
+func (q *ByteQueue) CopyAt(p []byte, off uint64) int {
+	pos, n := q.locate(off, len(p))
+	q.copyOut(p, pos, n)
+	return n
 }
 
 // Pop removes and returns up to n bytes from the head of the queue. The
-// returned slice is freshly allocated; zero-allocation consumers use Peek +
+// returned slice is freshly allocated; zero-allocation consumers use CopyAt +
 // TrimTo instead.
 func (q *ByteQueue) Pop(n int) []byte {
-	if n > q.Len() {
-		n = q.Len()
+	if n > q.size {
+		n = q.size
 	}
-	out := append([]byte(nil), q.data[q.head:q.head+n]...)
-	q.discard(n)
+	out := make([]byte, n)
+	q.copyOut(out, q.head, n)
+	q.TrimTo(q.headOffset + uint64(n))
 	return out
 }
 
 // TrimTo discards all bytes before absolute offset off (typically the
-// cumulative acknowledgement point).
+// cumulative acknowledgement point), recycling every block they emptied.
 func (q *ByteQueue) TrimTo(off uint64) {
 	if off <= q.headOffset {
 		return
 	}
-	n := off - q.headOffset
-	if n >= uint64(q.Len()) {
-		q.data = q.data[:0]
-		q.head = 0
-		q.headOffset = off
+	if off >= q.TailOffset() {
+		q.Reset(off)
 		return
 	}
-	q.discard(int(n))
-}
-
-func (q *ByteQueue) discard(n int) {
-	q.headOffset += uint64(n)
+	n := int(off - q.headOffset)
+	q.headOffset = off
+	q.size -= n
 	q.head += n
-	if q.head == len(q.data) {
-		q.data = q.data[:0]
-		q.head = 0
-		return
-	}
-	// Shed a high-water backing array once the live bytes fall well below
-	// it, so a queue that once absorbed a burst does not pin that peak for
-	// the connection's lifetime. Small arrays are kept forever — that is
-	// what makes the steady-state cycle allocation-free.
-	if cap(q.data) > 1<<16 && q.Len() < cap(q.data)/4 {
-		q.data = append([]byte(nil), q.data[q.head:]...)
-		q.head = 0
+	for q.head >= blockSize {
+		q.popBlock()
+		q.head -= blockSize
 	}
 }
 
-// Reset empties the queue and moves its head to the given offset.
+// Reset empties the queue and moves its head to the given offset. Everything
+// the queue held goes back to the pool — every block and the Peek scratch
+// buffer — and the queue is back on its inline table.
 func (q *ByteQueue) Reset(headOffset uint64) {
-	q.data = q.data[:0]
-	q.head = 0
+	for q.count > 0 {
+		q.popBlock()
+	}
+	if q.scratch != nil {
+		pool.Recycle(q.scratch)
+		q.scratch = nil
+	}
+	q.tab, q.first, q.head, q.size = nil, 0, 0, 0
 	q.headOffset = headOffset
 }
+
+// Release discards whatever is still queued, leaving the tail offset where
+// it was. Owners call it when the stream the queue carried is over (endpoint
+// teardown, connection finish) so that unacknowledged bytes do not keep
+// their blocks out of the pool; the queue remains usable.
+func (q *ByteQueue) Release() { q.Reset(q.TailOffset()) }
 
 // CompactPrefix removes the first n elements of q in place: survivors shift
 // to the front, the vacated tail slots are zeroed — load-bearing for

@@ -9,6 +9,7 @@ import (
 	"mptcpgo/internal/cc"
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
+	"mptcpgo/internal/pool"
 	"mptcpgo/internal/probe"
 	"mptcpgo/internal/sched"
 	"mptcpgo/internal/sim"
@@ -111,14 +112,15 @@ type Connection struct {
 
 	// ---- data-level send state (relative sequence numbers, 0-based) ----
 	autotunedSndBuf int
-	sndBuf          *buffer.ByteQueue
+	sndBuf          buffer.ByteQueue
 	dataUna         uint64
 	dataNxt         uint64
 	rwndLimit       uint64
 	inflight        []*txMapping
 	// mappingFree recycles txMapping structs popped by cumulative DATA_ACKs
-	// (one mapping is created per transmitted chunk).
-	mappingFree   []*txMapping
+	// (one mapping is created per transmitted chunk). The list belongs to
+	// the simulator, so every connection of a shard shares it.
+	mappingFree   *pool.FreeList[txMapping]
 	dataFinQueued bool
 	dataFinSent   bool
 	dataFinAcked  bool
@@ -127,7 +129,7 @@ type Connection struct {
 	pumping       bool
 
 	// ---- data-level receive state ----
-	rcvBuf           *buffer.ByteQueue
+	rcvBuf           buffer.ByteQueue
 	ofo              buffer.OfoQueue
 	ofoBySubflow     map[int]int
 	dataRcvNxt       uint64
@@ -157,8 +159,7 @@ func newConnection(mgr *Manager, cfg Config, isClient bool) *Connection {
 		isClient:     isClient,
 		scheduler:    sched.New(cfg.Scheduler),
 		ccGroup:      cc.NewCoupledGroup(),
-		sndBuf:       buffer.NewByteQueue(0),
-		rcvBuf:       buffer.NewByteQueue(0),
+		mappingFree:  sim.Local[pool.FreeList[txMapping]](mgr.host.Sim()),
 		ofo:          buffer.NewOfoQueue(cfg.OfoAlgorithm),
 		ofoBySubflow: make(map[int]int),
 		usedRemote:   make(map[packet.Endpoint]bool),
@@ -341,7 +342,7 @@ func (c *Connection) ReadInto(p []byte) int {
 	}
 	before := c.receiveWindowWouldBe()
 	head := c.rcvBuf.HeadOffset()
-	n := copy(p, c.rcvBuf.Peek(head, len(p)))
+	n := c.rcvBuf.CopyAt(p, head)
 	c.rcvBuf.TrimTo(head + uint64(n))
 	c.stats.BytesDelivered += uint64(n)
 	// Window update: if reading freed a meaningful amount of the shared
@@ -914,7 +915,9 @@ func (c *Connection) enterFallback(reason string, keep *Subflow) {
 	c.pump()
 }
 
-// finish terminates the connection and releases resources.
+// finish terminates the connection and releases resources, the send queue's
+// blocks among them. The receive queue stays readable after the close (EOF
+// depends on it): it gives its blocks back as the application reads them.
 func (c *Connection) finish(err error) {
 	if c.closed {
 		return
@@ -922,6 +925,7 @@ func (c *Connection) finish(err error) {
 	c.closed = true
 	c.err = err
 	c.connRtx.Stop()
+	c.sndBuf.Release()
 	c.mgr.removeConnection(c)
 	if c.OnClosed != nil {
 		cb := c.OnClosed

@@ -6,6 +6,7 @@ import (
 
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
+	"mptcpgo/internal/pool"
 	"mptcpgo/internal/sim"
 )
 
@@ -255,4 +256,40 @@ func (b *stripBox) Process(_ netem.BoxContext, _ netem.Direction, seg *packet.Se
 	}
 	b.removed += seg.RemoveOptions(func(o packet.Option) bool { return o.Kind() == packet.OptMPTCP })
 	return []*packet.Segment{seg}
+}
+
+// TestFinishReleasesSendQueues aborts an MPTCP sender in the middle of a
+// transfer. The connection-level queue (bytes not yet DATA_ACKed) and the
+// subflow queue (bytes not yet subflow-ACKed) both hold blocks at that point;
+// finish and the subflow teardown must hand them back, and the receiver's
+// queue returns its own as it is read, so once the network has drained no
+// pool buffer is outstanding — none leaked, none put back twice.
+func TestFinishReleasesSendQueues(t *testing.T) {
+	outstanding := func() int64 { return pool.Stats().Outstanding() }
+	start := outstanding()
+
+	// One path with a queue deep enough never to drop: nothing is parked in
+	// a reassembly queue when the reset arrives (an abandoned receive-side
+	// queue leaves its buffers to the garbage collector by design), so the
+	// send side is all that can be left holding blocks.
+	h := newHarness(t, 5, []netem.PathSpec{netem.Symmetric("p", netem.Mbps(10), 5*time.Millisecond, 1<<20, 0)})
+	cfg := DefaultConfig()
+	cfg.SendBufBytes = 512 << 10
+	cfg.RecvBufBytes = 512 << 10
+	const total = 1 << 20
+	senderMemory := 0
+	h.net.Sim.Schedule(200*time.Millisecond, func() {
+		senderMemory = h.clientC.SenderMemory()
+		h.clientC.Abort()
+	})
+	res := h.runBulkTransfer(cfg, cfg, total, 10*time.Second)
+	if senderMemory < 64<<10 || res.received == 0 || res.received >= total {
+		t.Fatalf("abort was not mid-transfer: %d bytes in the send queue at abort, %d of %d received", senderMemory, res.received, total)
+	}
+	if !res.clientConn.Closed() || res.clientConn.SenderMemory() != 0 {
+		t.Fatalf("client closed=%v with %d bytes still queued", res.clientConn.Closed(), res.clientConn.SenderMemory())
+	}
+	if got := outstanding(); got != start {
+		t.Fatalf("%d pool buffers outstanding after the aborted transfer drained", got-start)
+	}
 }

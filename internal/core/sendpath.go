@@ -110,12 +110,16 @@ func (c *Connection) schedulerCandidates() ([]sched.Candidate, []*Subflow) {
 
 // sendMapping transmits one chunk of connection-level data on a subflow with
 // its data sequence mapping. When reinject is non-nil this is a
-// retransmission of an existing mapping on a different subflow.
+// retransmission of an existing mapping on a different subflow. data is
+// usually a borrowed Peek view of c.sndBuf: it is copied into the subflow's
+// own queue by SendChunkWithOpt, and nothing here may call into c.sndBuf
+// before that.
 func (c *Connection) sendMapping(sf *Subflow, dataSeq uint64, data []byte, reinject *txMapping) bool {
 	offset := uint32(sf.ep.QueuedPayloadBytes())
-	// The DSS option comes from (and returns to) the subflow endpoint's free
-	// list: ownership transfers with SendChunkWithOpt and the endpoint
-	// recycles it once the mapping's bytes are fully acknowledged.
+	// The DSS option comes from (and returns to) the shard's free list by way
+	// of the subflow endpoint: ownership transfers with SendChunkWithOpt and
+	// the endpoint recycles it once the mapping's bytes are fully
+	// acknowledged.
 	dss := sf.ep.NewDSSOption()
 	dss.HasDataACK = true
 	dss.DataACK = c.wireDataAck()
@@ -135,13 +139,7 @@ func (c *Connection) sendMapping(sf *Subflow, dataSeq uint64, data []byte, reinj
 	c.stats.MappingsSent++
 	now := c.sim.Now()
 	if reinject == nil {
-		var m *txMapping
-		if n := len(c.mappingFree); n > 0 {
-			m = c.mappingFree[n-1]
-			c.mappingFree = c.mappingFree[:n-1]
-		} else {
-			m = &txMapping{}
-		}
+		m := c.mappingFree.Get()
 		*m = txMapping{
 			dataSeq:     dataSeq,
 			length:      len(data),
@@ -341,7 +339,9 @@ func (c *Connection) onDataAck(from *Subflow, relAck uint64, windowBytes int) {
 		c.sndBuf.TrimTo(minUint64(c.dataUna, c.sndBuf.TailOffset()))
 		freed := 0
 		for freed < len(c.inflight) && c.inflight[freed].end() <= c.dataUna {
-			c.mappingFree = append(c.mappingFree, c.inflight[freed])
+			// Zeroed so a free mapping does not pin its subflow.
+			*c.inflight[freed] = txMapping{}
+			c.mappingFree.Put(c.inflight[freed])
 			freed++
 		}
 		if freed > 0 {

@@ -13,6 +13,9 @@
 // whose capacity does not exactly match a size class, so re-sliced buffers
 // are always safe to "recycle".
 //
+// Building with -tags poolcheck turns the discipline into a check: Recycle
+// poisons what it takes back and panics on a double release (poolcheck_on.go).
+//
 // Buffer contents are undefined on Get; callers must overwrite the bytes
 // they use. This keeps the pool free of zeroing cost and, because every user
 // copies exact lengths, keeps simulation results independent of pool state.
@@ -60,6 +63,13 @@ type Counters struct {
 	Drops uint64
 }
 
+// Outstanding returns how many buffers are handed out and not yet given back
+// or dropped. A component whose work leaves it where it started has leaked
+// nothing and recycled nothing twice.
+func (c Counters) Outstanding() int64 {
+	return int64(c.Gets+c.Misses) - int64(c.Puts+c.Drops)
+}
+
 var gets, misses, puts, drops atomic.Uint64
 
 // Stats returns a snapshot of the pool counters.
@@ -95,6 +105,7 @@ func Bytes(n int) []byte {
 	select {
 	case b := <-c.free:
 		gets.Add(1)
+		checkAcquire(b)
 		return b[:n]
 	default:
 		misses.Add(1)
@@ -119,10 +130,13 @@ func Recycle(b []byte) {
 		drops.Add(1)
 		return
 	}
+	b = b[:c.size]
+	checkRelease(b)
 	select {
-	case c.free <- b[:c.size]:
+	case c.free <- b:
 		puts.Add(1)
 	default:
+		checkAcquire(b)
 		drops.Add(1)
 	}
 }

@@ -80,3 +80,24 @@ func TestSteadyStateNoAllocs(t *testing.T) {
 		t.Fatalf("Bytes/Recycle cycle allocates %.2f allocs/op; want 0", avg)
 	}
 }
+
+func TestFreeListRecyclesLIFO(t *testing.T) {
+	type obj struct{ n int }
+	var f FreeList[obj]
+	a := f.Get()
+	if a == nil || a.n != 0 {
+		t.Fatalf("Get on an empty list returned %v; want a new zero object", a)
+	}
+	b := f.Get()
+	f.Put(a)
+	f.Put(b)
+	if got := f.Get(); got != b {
+		t.Fatal("Get did not return the most recently Put object")
+	}
+	if got := f.Get(); got != a {
+		t.Fatal("Get did not return the remaining object")
+	}
+	if got := f.Get(); got == a || got == b {
+		t.Fatal("an object was handed out twice")
+	}
+}

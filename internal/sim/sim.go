@@ -230,6 +230,10 @@ type Simulator struct {
 	// *Event (Timer clears its reference on both paths).
 	free []*Event
 
+	// locals holds one value per type for the packages layered on the
+	// simulator (see Local).
+	locals map[any]any
+
 	// Processed counts events executed so far, useful for run-away detection
 	// in tests. Virtual events elided by batching layers (netem.Link's
 	// dequeue completions) are credited here when they are drained, so the
@@ -258,6 +262,24 @@ func NewWithScheduler(seed uint64, kind SchedulerKind) *Simulator {
 		s.sched = newWheelSched()
 	}
 	return s
+}
+
+// Local returns the simulator's value of type T, a zero T created on first
+// use. Packages layered on the simulator keep in it the state that everything
+// running on one event loop shares — free lists above all: a simulator is
+// single-threaded, so such state needs no lock, and it is scoped to one
+// shard rather than to the process.
+func Local[T any](s *Simulator) *T {
+	key := any((*T)(nil))
+	if v, ok := s.locals[key]; ok {
+		return v.(*T)
+	}
+	if s.locals == nil {
+		s.locals = make(map[any]any)
+	}
+	v := new(T)
+	s.locals[key] = v
+	return v
 }
 
 // Now returns the current simulation time.

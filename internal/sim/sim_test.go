@@ -141,3 +141,20 @@ func TestMaxEventsGuard(t *testing.T) {
 		t.Fatal("expected MaxEvents to abort a runaway simulation")
 	}
 }
+
+func TestLocalIsPerSimulatorAndPerType(t *testing.T) {
+	type a struct{ n int }
+	type b struct{ n int }
+	s1, s2 := New(1), New(1)
+	x := Local[a](s1)
+	x.n = 7
+	if Local[a](s1) != x {
+		t.Fatal("Local returned a different value for the same simulator and type")
+	}
+	if Local[a](s2) == x || Local[a](s2).n != 0 {
+		t.Fatal("Local shared a value between two simulators")
+	}
+	if Local[b](s1).n != 0 {
+		t.Fatal("Local shared a value between two types")
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"mptcpgo/internal/cc"
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
+	"mptcpgo/internal/pool"
 	"mptcpgo/internal/sim"
 )
 
@@ -48,18 +49,19 @@ type Endpoint struct {
 	queuedBytes        int      // payload bytes across both queues
 	queuedPayloadTotal uint64   // cumulative payload bytes ever queued
 
-	// chunkFree and dssFree recycle chunk structs and the DSS options
-	// attached to them once their retransmission lifetime ends (fully
-	// acknowledged, popped from the queues). Together with the send-queue
-	// ByteQueue and the segment/payload pools this makes the steady-state
-	// send path allocation-free.
-	chunkFree []*chunk
-	dssFree   []*packet.DSSOption
+	// free recycles chunk structs and the DSS options attached to them once
+	// their retransmission lifetime ends (fully acknowledged, popped from
+	// the queues). The lists belong to the simulator, so every endpoint of a
+	// shard shares them. Together with the block-pooled send queue and the
+	// segment/payload pools this makes the steady-state send path
+	// allocation-free.
+	free *freeLists
 
 	// sndBuf holds the queued payload bytes exactly once; chunks reference
 	// ranges of it (see chunk in tcp.go). Its head is trimmed as the
-	// cumulative acknowledgement advances.
-	sndBuf *buffer.ByteQueue
+	// cumulative acknowledgement advances, and teardown releases what is
+	// left.
+	sndBuf buffer.ByteQueue
 
 	dupAcks       int
 	inRecovery    bool
@@ -91,8 +93,8 @@ type Endpoint struct {
 	sackRanges        []packet.SACKBlock
 	rcvBufMax         int
 	rcvBufActual      int
-	recvQueue         *buffer.ByteQueue // in-order data awaiting application Read
-	recvOfo           buffer.OfoQueue   // out-of-order subflow segments
+	recvQueue         buffer.ByteQueue // in-order data awaiting application Read
+	recvOfo           buffer.OfoQueue  // out-of-order subflow segments
 	finReceived       bool
 	lastAdvertisedWnd int
 	delackTimer       *sim.Timer
@@ -129,6 +131,7 @@ func newEndpoint(iface *netem.Interface, local, remote packet.Endpoint, cfg Conf
 	host := iface.Host()
 	e := &Endpoint{
 		sim:       host.Sim(),
+		free:      sim.Local[freeLists](host.Sim()),
 		host:      host,
 		iface:     iface,
 		local:     local,
@@ -140,7 +143,6 @@ func newEndpoint(iface *netem.Interface, local, remote packet.Endpoint, cfg Conf
 		rcvBufMax: cfg.RecvBufBytes,
 		rto:       cfg.InitialRTO,
 		recvOfo:   buffer.NewOfoQueue(buffer.AlgRegular),
-		sndBuf:    buffer.NewByteQueue(0),
 		sndWnd:    cfg.MSS, // until the peer advertises
 	}
 	e.rcvBufActual = e.rcvBufMax
@@ -376,11 +378,7 @@ func (e *Endpoint) QueuedBytes() int { return e.queuedBytes }
 // ReceiveQueuedBytes returns payload bytes held in the receive path (in-order
 // unread plus out-of-order).
 func (e *Endpoint) ReceiveQueuedBytes() int {
-	n := e.recvOfo.Bytes()
-	if e.recvQueue != nil {
-		n += e.recvQueue.Len()
-	}
-	return n
+	return e.recvOfo.Bytes() + e.recvQueue.Len()
 }
 
 func (e *Endpoint) effectiveSendBuf() int {
@@ -492,7 +490,7 @@ func (e *Endpoint) SendChunkWithOpt(payload []byte, opt packet.Option) bool {
 // Read removes and returns up to max bytes of in-order received data (plain
 // TCP applications). It returns nil when nothing is buffered.
 func (e *Endpoint) Read(max int) []byte {
-	if e.recvQueue == nil || e.recvQueue.Len() == 0 {
+	if e.recvQueue.Len() == 0 {
 		return nil
 	}
 	data := e.recvQueue.Pop(max)
@@ -501,17 +499,12 @@ func (e *Endpoint) Read(max int) []byte {
 }
 
 // ReadableBytes returns the number of bytes Read would return.
-func (e *Endpoint) ReadableBytes() int {
-	if e.recvQueue == nil {
-		return 0
-	}
-	return e.recvQueue.Len()
-}
+func (e *Endpoint) ReadableBytes() int { return e.recvQueue.Len() }
 
 // EOF reports whether the peer has closed its sending direction and all data
 // has been read.
 func (e *Endpoint) EOF() bool {
-	return e.finReceived && (e.recvQueue == nil || e.recvQueue.Len() == 0)
+	return e.finReceived && e.recvQueue.Len() == 0
 }
 
 // Close closes the sending direction: a FIN is queued after any pending data.
@@ -588,28 +581,20 @@ func popChunk(q []*chunk) ([]*chunk, *chunk) {
 	return buffer.CompactPrefix(q, 1), c
 }
 
-// chunkFreeCap and dssFreeCap bound the per-endpoint free lists; a 256 KiB
-// send buffer holds at most ~180 MSS chunks, so these caps cover the deepest
-// configured windows with headroom while keeping idle endpoints small.
-const (
-	chunkFreeCap = 512
-	dssFreeCap   = 512
-)
-
-// newChunk returns a zeroed chunk, recycled from the endpoint's free list
-// when possible (the opts slice retains its capacity across reuses).
-func (e *Endpoint) newChunk() *chunk {
-	if n := len(e.chunkFree); n > 0 {
-		c := e.chunkFree[n-1]
-		e.chunkFree[n-1] = nil
-		e.chunkFree = e.chunkFree[:n-1]
-		return c
-	}
-	return &chunk{}
+// freeLists are the free lists all endpoints on one simulator share (see
+// sim.Local): a short flow reuses the chunks and options of the flows that
+// ran before it on the same shard instead of allocating its own.
+type freeLists struct {
+	chunks pool.FreeList[chunk]
+	dss    pool.FreeList[packet.DSSOption]
 }
 
+// newChunk returns a zeroed chunk, recycled when possible (the opts slice
+// retains its capacity across reuses).
+func (e *Endpoint) newChunk() *chunk { return e.free.chunks.Get() }
+
 // freeChunk ends a chunk's retransmission lifetime: option objects the chunk
-// owns go back to their free lists, and the chunk itself is zeroed and
+// owns go back to their free list, and the chunk itself is zeroed and
 // retained for reuse. Callers must not touch the chunk afterwards.
 func (e *Endpoint) freeChunk(c *chunk) {
 	if c.ownsOpts {
@@ -624,34 +609,24 @@ func (e *Endpoint) freeChunk(c *chunk) {
 	}
 	opts := c.opts[:0]
 	*c = chunk{opts: opts}
-	if len(e.chunkFree) < chunkFreeCap {
-		e.chunkFree = append(e.chunkFree, c)
-	}
+	e.free.chunks.Put(c)
 }
 
-// NewDSSOption returns a zeroed DSS option from the endpoint's free list.
+// NewDSSOption returns a zeroed DSS option from the shard's free list.
 // Ownership transfers to the endpoint when the option is attached to a chunk
 // via SendChunkWithOpt; the endpoint recycles it once the chunk's data has
 // been fully acknowledged. Callers must not retain the pointer beyond the
 // SendChunkWithOpt call.
-func (e *Endpoint) NewDSSOption() *packet.DSSOption {
-	if n := len(e.dssFree); n > 0 {
-		d := e.dssFree[n-1]
-		e.dssFree[n-1] = nil
-		e.dssFree = e.dssFree[:n-1]
-		return d
-	}
-	return &packet.DSSOption{}
-}
+func (e *Endpoint) NewDSSOption() *packet.DSSOption { return e.free.dss.Get() }
 
 func (e *Endpoint) recycleDSS(d *packet.DSSOption) {
 	*d = packet.DSSOption{}
-	if len(e.dssFree) < dssFreeCap {
-		e.dssFree = append(e.dssFree, d)
-	}
+	e.free.dss.Put(d)
 }
 
-// teardown releases host resources and reports the terminal error.
+// teardown releases host resources and the send queue's blocks and reports
+// the terminal error. The receive queue stays readable: it gives its blocks
+// back as the application reads them.
 func (e *Endpoint) teardown(err error) {
 	if e.state == StateClosed && e.err != nil {
 		return
@@ -666,6 +641,7 @@ func (e *Endpoint) teardown(err error) {
 		e.timeWaitTimer.Stop()
 	}
 	e.host.Unregister(e.local, e.remote)
+	e.sndBuf.Release()
 	e.setState(StateClosed)
 	if e.OnClosed != nil {
 		cb := e.OnClosed

@@ -69,7 +69,6 @@ func (e *Endpoint) handleSynSent(seg *packet.Segment) {
 	e.rcvNxt = seg.Seq.Add(1)
 	e.sndUna = seg.Ack
 	e.sndWnd = int(seg.Window)
-	e.recvQueue = buffer.NewByteQueue(0)
 	// Remove the SYN chunk from the retransmission queue and take an RTT
 	// sample from the handshake.
 	if len(e.retransQ) > 0 && e.retransQ[0].syn {
@@ -107,7 +106,6 @@ func (e *Endpoint) handleSynReceived(seg *packet.Segment) {
 	}
 	e.sndUna = seg.Ack
 	e.sndWnd = int(seg.Window) << uint(e.peerWndShift)
-	e.recvQueue = buffer.NewByteQueue(0)
 	if len(e.retransQ) > 0 && e.retransQ[0].syn {
 		var c *chunk
 		e.retransQ, c = popChunk(e.retransQ)
@@ -219,7 +217,7 @@ func (e *Endpoint) deliver(seq packet.SeqNum, data []byte) {
 	e.stats.BytesDelivered += uint64(len(data))
 	rel := uint32(seq.DiffFrom(e.irs.Add(1)))
 	e.hooks.OnDataDelivered(e, rel, data)
-	if e.recvQueue != nil && !e.cfg.PayloadToHooksOnly {
+	if !e.cfg.PayloadToHooksOnly {
 		e.recvQueue.Append(data)
 	}
 	e.maybeAutotuneRecvBuffer(len(data))

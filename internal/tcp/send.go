@@ -134,7 +134,7 @@ func (e *Endpoint) transmitChunk(c *chunk, retransmission bool) {
 	seg := e.makeSegment(flags, c.seq, nil, opts)
 	if c.payLen > 0 {
 		buf := pool.Bytes(c.payLen)
-		copy(buf, e.sndBuf.Peek(c.payOff, c.payLen))
+		e.sndBuf.CopyAt(buf, c.payOff)
 		seg.AttachPayload(buf)
 	}
 	c.sentAt = e.sim.Now()

@@ -7,6 +7,7 @@ import (
 
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
+	"mptcpgo/internal/pool"
 	"mptcpgo/internal/sim"
 )
 
@@ -193,4 +194,58 @@ func TestRTTEstimate(t *testing.T) {
 	// sane band.
 	// (Validated indirectly through completion; direct SRTT access tested in
 	// endpoint_more_test.go.)
+}
+
+// TestTeardownReleasesSendQueue aborts a sender in the middle of a transfer:
+// the unacknowledged bytes' blocks must go back to the pool with the
+// teardown, and the receiver's queue gives its own back as it is read, so
+// once the network has drained no pool buffer is outstanding — none leaked,
+// none put back twice.
+func TestTeardownReleasesSendQueue(t *testing.T) {
+	outstanding := func() int64 { return pool.Stats().Outstanding() }
+	start := outstanding()
+
+	n := testNet(t, netem.LinkConfig{RateBps: netem.Mbps(10), Delay: 5 * time.Millisecond, QueueBytes: 64 << 10})
+	cfg := Config{SendBufBytes: 256 << 10}
+	received := 0
+	_, err := Listen(n.Server, 80, cfg, func(ep *Endpoint, _ *packet.Segment) {
+		ep.OnReadable = func() {
+			for data := ep.Read(4096); len(data) > 0; data = ep.Read(4096) {
+				received += len(data)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	client, err := Dial(n.Client.Interfaces()[0], packet.Endpoint{Addr: n.ServerAddr(0), Port: 80}, cfg, nil)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	const total = 200 << 10
+	client.OnEstablished = func() {
+		if w := client.Write(make([]byte, total)); w != total {
+			t.Errorf("write accepted %d of %d bytes", w, total)
+		}
+	}
+	queuedAtAbort := 0
+	n.Sim.Schedule(60*time.Millisecond, func() {
+		queuedAtAbort = client.QueuedBytes()
+		if held := outstanding() - start; held < int64(queuedAtAbort/(16<<10)) {
+			t.Errorf("%d bytes queued but only %d pool buffers outstanding", queuedAtAbort, held)
+		}
+		client.Abort()
+	})
+	if err := n.Sim.RunUntil(5 * time.Second); err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	if queuedAtAbort < 64<<10 || received == 0 || received >= total {
+		t.Fatalf("abort was not mid-transfer: %d bytes queued at abort, %d of %d received", queuedAtAbort, received, total)
+	}
+	if client.State() != StateClosed {
+		t.Fatalf("client state = %v, want CLOSED", client.State())
+	}
+	if got := outstanding(); got != start {
+		t.Fatalf("%d pool buffers outstanding after the aborted transfer drained", got-start)
+	}
 }
