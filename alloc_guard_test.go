@@ -151,8 +151,8 @@ func TestChecksumMatchesReference(t *testing.T) {
 // true a flight recorder is attached to the client stack first (events only —
 // no sampler — so the cycle exercises the Emit/Count hot path, not the
 // time-series machinery). When telem is true each cycle also performs one
-// telemetry publish — the shard-cell atomic stores plus one latency histogram
-// observation — mirroring what an attached plane costs the fleet step loop.
+// telemetry publish — the shard-cell atomic stores — mirroring what an
+// attached plane costs the fleet step loop.
 func sendPathCycleAllocs(t *testing.T, traced, telem bool) float64 {
 	t.Helper()
 	s := sim.New(7)
@@ -186,12 +186,8 @@ func sendPathCycleAllocs(t *testing.T, traced, telem bool) float64 {
 	}
 
 	var cell *telemetry.ShardCell
-	var hist *telemetry.Histogram
 	if telem {
-		plane := telemetry.New("alloc-guard")
-		cell = plane.Track.Cell(0, 1)
-		hist = telemetry.NewLatencyHistogram()
-		hist.Observe(1) // touch min/max once so Observe runs its full path
+		cell = telemetry.New("alloc-guard").Track.Cell(0, 1)
 	}
 
 	payload := make([]byte, 1460)
@@ -215,7 +211,6 @@ func sendPathCycleAllocs(t *testing.T, traced, telem bool) float64 {
 			cell.SimNowNs.Store(int64(s.Now()))
 			cell.Events.Store(s.Processed)
 			cell.Segments.Add(1)
-			hist.Observe(float64(s.Now()) / float64(time.Millisecond))
 		}
 	}
 	for i := 0; i < 64; i++ {
@@ -256,13 +251,12 @@ func TestSendPathTracedSteadyStateAllocs(t *testing.T) {
 }
 
 // TestSendPathTelemetrySteadyStateAllocs pins the telemetry plane's hot-path
-// budget: a shard-cell publish is a handful of atomic stores and a histogram
-// observation is a binary search plus an atomic-free bucket increment, so the
+// budget: a shard-cell publish is a handful of atomic stores, so the
 // instrumented cycle must meet the same < 4 allocs/op budget as the bare one.
 func TestSendPathTelemetrySteadyStateAllocs(t *testing.T) {
 	avg := sendPathCycleAllocs(t, false, true)
 	if avg >= 4 {
-		t.Fatalf("telemetry steady-state send cycle allocates %.2f allocs/op; want < 4 (cells and buckets are preallocated)", avg)
+		t.Fatalf("telemetry steady-state send cycle allocates %.2f allocs/op; want < 4 (cells are preallocated)", avg)
 	}
 }
 

@@ -101,16 +101,9 @@ func (f *Fleet) Trace(dir string, probeInterval time.Duration) *Fleet {
 }
 
 // Telemetry attaches a metrics plane to the run: live per-shard progress,
-// phase profiling and the merged latency histogram flow into it while the
+// phase profiling and the merged latency samples flow into it while the
 // fleet executes. Attachment never changes the merged result.
 func (f *Fleet) Telemetry(t *Telemetry) *Fleet { f.spec.Telemetry = planeOf(t); return f }
-
-// LatencySampleCap bounds how many raw latency samples each client pool
-// retains (0 = unlimited, today's behavior). Once a pool hits the cap, its
-// latency table switches from exact order statistics to the log-scale
-// histogram — quantiles stay within the histogram's ~10% bucket resolution
-// while merge memory stops growing with the flow count.
-func (f *Fleet) LatencySampleCap(n int) *Fleet { f.spec.LatencySampleCap = n; return f }
 
 // SharedBottleneck couples every client's download direction to one named
 // fleet-global resource of the given rate: the shards run in lock-stepped
@@ -271,18 +264,10 @@ func (o *OpenLoop) Trace(dir string, probeInterval time.Duration) *OpenLoop {
 }
 
 // Telemetry attaches a metrics plane to the run: live per-shard progress,
-// phase profiling and the merged latency histogram flow into it while the
+// phase profiling and the merged latency samples flow into it while the
 // fleet executes. Attachment never changes the merged result.
 func (o *OpenLoop) Telemetry(t *Telemetry) *OpenLoop {
 	o.spec.Telemetry = planeOf(t)
-	return o
-}
-
-// LatencySampleCap bounds how many raw latency samples each arrival pool
-// retains (0 = unlimited, today's behavior). Capped pools report quantiles
-// from the log-scale histogram instead of exact order statistics.
-func (o *OpenLoop) LatencySampleCap(n int) *OpenLoop {
-	o.spec.LatencySampleCap = n
 	return o
 }
 

@@ -214,15 +214,14 @@ func RunBulk(opt BulkOptions) (BulkResult, error) {
 	conn.OnWritable = pump
 
 	// Memory samplers.
-	sndMem := trace.NewSampler()
-	rcvMem := trace.NewSampler()
+	var sndMem, rcvMem []float64
 	if opt.MemorySampling {
 		var sample func()
 		sample = func() {
 			if s.Now() >= opt.Warmup {
-				sndMem.Record(float64(conn.SenderMemory())/1024, s.Now())
+				sndMem = append(sndMem, float64(conn.SenderMemory())/1024)
 				if serverConn != nil {
-					rcvMem.Record(float64(serverConn.ReceiverMemory())/1024, s.Now())
+					rcvMem = append(rcvMem, float64(serverConn.ReceiverMemory())/1024)
 				}
 			}
 			if s.Now() < opt.Duration {
@@ -260,10 +259,10 @@ func RunBulk(opt BulkOptions) (BulkResult, error) {
 		}
 	}
 	if opt.MemorySampling {
-		res.SenderMemMeanKB = sndMem.Mean()
-		res.SenderMemMaxKB = sndMem.Max()
-		res.ReceiverMemMeanKB = rcvMem.Mean()
-		res.ReceiverMemMaxKB = rcvMem.Max()
+		res.SenderMemMeanKB = trace.Mean(sndMem)
+		res.SenderMemMaxKB = trace.Max(sndMem)
+		res.ReceiverMemMeanKB = trace.Mean(rcvMem)
+		res.ReceiverMemMaxKB = trace.Max(rcvMem)
 	}
 	// A capture that failed to flush must fail the run, not silently hand
 	// back a truncated file.

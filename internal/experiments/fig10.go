@@ -49,7 +49,7 @@ func runFig10(opt Options) (*Result, error) {
 
 	for _, cfgCase := range configs {
 		hist := trace.NewHistogram(1) // 1 µs bins, as in the figure
-		samples := trace.NewSampler()
+		var samples []float64
 
 		table := core.NewTokenTable()
 		for i := 0; i < cfgCase.existing; i++ {
@@ -76,16 +76,16 @@ func runFig10(opt Options) (*Result, error) {
 			elapsed := time.Since(start)
 			us := float64(elapsed) / float64(time.Microsecond)
 			hist.Add(us)
-			samples.Record(us, 0)
+			samples = append(samples, us)
 		}
 
 		summary.AddRow(cfgCase.name,
-			fmt.Sprintf("%.2f", samples.Mean()),
-			fmt.Sprintf("%.2f", samples.Percentile(50)),
-			fmt.Sprintf("%.2f", samples.Percentile(95)),
+			fmt.Sprintf("%.2f", trace.Mean(samples)),
+			fmt.Sprintf("%.2f", trace.Percentile(samples, 50)),
+			fmt.Sprintf("%.2f", trace.Percentile(samples, 95)),
 			fmt.Sprintf("%d", attempts))
 		meanSeries.X = append(meanSeries.X, float64(len(meanSeries.Y)))
-		meanSeries.Y = append(meanSeries.Y, samples.Mean())
+		meanSeries.Y = append(meanSeries.Y, trace.Mean(samples))
 
 		pdf := NewTable(fmt.Sprintf("PDF of SYN processing delay — %s (1µs bins)", cfgCase.name), "delay (µs)", "fraction %")
 		for _, b := range hist.PDF() {

@@ -10,6 +10,7 @@ import (
 	"mptcpgo/internal/httpsim"
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
+	"mptcpgo/internal/trace"
 )
 
 // HTTPClient is the resolved spec of one closed-loop client in an HTTP
@@ -43,11 +44,6 @@ type HTTPSpec struct {
 	// Server is the listener configuration of every server replica (nil =
 	// MPTCP-enabled default without address advertisement).
 	Server *core.Config
-	// LatencySampleCap bounds per-pool raw latency-sample retention (0 =
-	// unlimited, today's exact behavior). When capped, merged latency
-	// statistics come from the log-scale histograms instead of raw samples —
-	// within histogram bucket resolution of the exact order statistics.
-	LatencySampleCap int
 }
 
 // DefaultAccessLink derives the deterministic heterogeneous access link used
@@ -147,14 +143,13 @@ func RunHTTP(spec HTTPSpec) (*experiments.Result, error) {
 			total := addShardRows(table, outs)
 			res.AddTable(table)
 			res.AddSeries(shardSeries("req/s", "req/s", outs, (*poolMerge).requestsPerSec))
-			res.AddSeries(shardSeries("latency p95", "ms", outs, func(m *poolMerge) float64 { return m.percentile(95) }))
-			spec.Telemetry.SetLatency(total.hist)
+			res.AddSeries(shardSeries("latency p95", "ms", outs, func(m *poolMerge) float64 { return trace.Percentile(m.latencies, 95) }))
+			spec.Telemetry.SetLatency(total.latencies)
 		})
 }
 
 // starPool is what the star scenarios need of either httpsim pool kind.
 type starPool interface {
-	latencySource
 	Progress() (done, offered int)
 }
 
@@ -242,7 +237,6 @@ func (s httpScenario) Setup(sh *Shard) (*httpState, error) {
 				Conn:          c.Conn,
 				Iface:         iface,
 				OnDone:        onDone,
-				SampleCap:     spec.LatencySampleCap,
 			})
 			if err == nil {
 				// Stagger starts by global index so the fleet-wide handshake
@@ -258,7 +252,7 @@ func (httpScenario) Done(st *httpState) bool { return st.done() }
 func (httpScenario) Collect(sh *Shard, st *httpState) (poolMerge, error) {
 	out := poolMerge{clients: sh.Members(), events: sh.probeEvents()}
 	for _, p := range st.pools {
-		out.add(p.Result(), latencyOf(p))
+		out.add(p)
 	}
 	return out, nil
 }

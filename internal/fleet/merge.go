@@ -7,67 +7,16 @@ import (
 
 	"mptcpgo/internal/experiments"
 	"mptcpgo/internal/httpsim"
-	"mptcpgo/internal/telemetry"
 	"mptcpgo/internal/trace"
 )
 
-// latencyStats is the mergeable latency record every HTTP workload folds:
-// the raw per-request latencies (milliseconds) in merge order, the log-scale
-// histogram, and whether any pool dropped raw samples at its SampleCap — in
-// which case statistics must come from the histogram. Merging is
-// deterministic as long as it happens in a stable order; the engine always
-// merges pools in member order within a shard and shards in index order,
-// which also keeps fleet-level percentiles weighting requests, not shards.
-type latencyStats struct {
-	samples []float64
-	hist    *telemetry.Histogram
-	capped  bool
-}
-
-// latencySource is what both httpsim pool kinds expose of their latencies.
-type latencySource interface {
-	LatencySamples() []float64
-	LatencyHist() *telemetry.Histogram
-	Capped() bool
-}
-
-func latencyOf(p latencySource) latencyStats {
-	return latencyStats{samples: p.LatencySamples(), hist: p.LatencyHist(), capped: p.Capped()}
-}
-
-func (l *latencyStats) merge(o latencyStats) {
-	l.samples = append(l.samples, o.samples...)
-	l.capped = l.capped || o.capped
-	if o.hist.Count() == 0 {
-		return
-	}
-	if l.hist == nil {
-		l.hist = telemetry.NewLatencyHistogram()
-	}
-	if err := l.hist.Merge(o.hist); err != nil {
-		// All pool histograms share one constructor; a mismatch is a bug.
-		panic(err)
-	}
-}
-
-// percentile returns the merged latency percentile in milliseconds: the exact
-// order statistic from the raw samples when retention was unlimited, the
-// histogram quantile once any pool was capped.
-func (l *latencyStats) percentile(p float64) float64 {
-	if l.capped {
-		return l.hist.Quantile(p)
-	}
-	return trace.Percentile(l.samples, p)
-}
-
-// mean returns the merged mean latency in milliseconds under the same
-// raw-vs-histogram dispatch as percentile.
-func (l *latencyStats) mean() float64 {
-	if l.capped {
-		return l.hist.Mean()
-	}
-	return trace.Mean(l.samples)
-}
+// latencies is the latency record every HTTP workload folds: one completion
+// latency in milliseconds per completed flow. Merging is append, and the
+// engine always appends pools in member order within a shard and shards in
+// index order: trace.Mean sums in slice order, so that order is part of the
+// goldens, and one flat slice keeps fleet-level percentiles weighting
+// requests, not shards.
+type latencies []float64
 
 // poolMerge folds closed-loop httpsim.PoolResults (and their latencies) into
 // one aggregate: a shard's, or the fleet's.
@@ -80,12 +29,13 @@ type poolMerge struct {
 	// in the emulated fleet, the slowest member bounds the fleet wall-clock.
 	duration time.Duration
 	events   uint64
-	latencyStats
+	latencies
 }
 
-func (m *poolMerge) add(r httpsim.PoolResult, lat latencyStats) {
+func (m *poolMerge) add(p *httpsim.ClientPool) {
+	r := p.Result()
 	m.merge(poolMerge{completed: r.Completed, failed: r.Failed, bytes: r.BytesReceived,
-		duration: r.Duration, latencyStats: lat})
+		duration: r.Duration, latencies: p.LatencySamples()})
 }
 
 func (m *poolMerge) merge(o poolMerge) {
@@ -97,7 +47,7 @@ func (m *poolMerge) merge(o poolMerge) {
 		m.duration = o.duration
 	}
 	m.events += o.events
-	m.latencyStats.merge(o.latencyStats)
+	m.latencies = append(m.latencies, o.latencies...)
 }
 
 // requestsPerSec is the completion rate over the merged window.
@@ -113,11 +63,8 @@ func (m *poolMerge) requestsPerSec() float64 {
 // statistics, which would weight shards instead of requests) and truncated
 // to whole nanoseconds the way httpsim.PoolResult reports them.
 func (m *poolMerge) row(label string) []string {
-	var mean, p95 time.Duration
-	if m.capped || len(m.samples) > 0 {
-		mean = time.Duration(m.mean() * float64(time.Millisecond))
-		p95 = time.Duration(m.percentile(95) * float64(time.Millisecond))
-	}
+	mean := time.Duration(trace.Mean(m.latencies) * float64(time.Millisecond))
+	p95 := time.Duration(trace.Percentile(m.latencies, 95) * float64(time.Millisecond))
 	return []string{label, strconv.Itoa(m.clients), strconv.Itoa(m.completed), strconv.Itoa(m.failed),
 		fmt.Sprintf("%.1f", m.requestsPerSec()), fmtMs(mean), fmtMs(p95),
 		fmtMB(m.bytes), fmt.Sprint(m.events)}

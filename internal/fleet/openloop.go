@@ -13,6 +13,7 @@ import (
 	"mptcpgo/internal/packet"
 	"mptcpgo/internal/probe"
 	"mptcpgo/internal/sim"
+	"mptcpgo/internal/trace"
 	"mptcpgo/internal/workload"
 )
 
@@ -64,10 +65,6 @@ type OpenLoopSpec struct {
 	Conn *core.Config
 	// Server is the listener configuration of every server replica.
 	Server *core.Config
-	// LatencySampleCap bounds per-pool raw latency-sample retention (0 =
-	// unlimited, today's exact behavior); capped runs report latency from the
-	// log-scale histograms.
-	LatencySampleCap int
 }
 
 // DefaultOpenLoopSpec builds the stock fleet-openloop workload: hosts client
@@ -141,13 +138,14 @@ type openLoopOut struct {
 	// accounted but deliberately kept out of the rendered tables so the
 	// merged output stays byte-identical to earlier releases.
 	segments uint64
-	latencyStats
+	latencies
 }
 
-func (m *openLoopOut) add(r httpsim.OpenLoopResult, lat latencyStats) {
+func (m *openLoopOut) add(p *httpsim.OpenLoopPool) {
+	r := p.Result()
 	m.merge(openLoopOut{offered: r.Offered, offeredBytes: r.OfferedBytes, completed: r.Completed,
 		bytes: r.BytesReceived, dropped: r.Dropped, shed: r.Shed, failed: r.Failed, unfinished: r.Unfinished,
-		window: r.Window, elapsed: r.Elapsed, latencyStats: lat})
+		window: r.Window, elapsed: r.Elapsed, latencies: p.LatencySamples()})
 }
 
 func (m *openLoopOut) merge(o openLoopOut) {
@@ -168,7 +166,7 @@ func (m *openLoopOut) merge(o openLoopOut) {
 	}
 	m.events += o.events
 	m.segments += o.segments
-	m.latencyStats.merge(o.latencyStats)
+	m.latencies = append(m.latencies, o.latencies...)
 }
 
 // offeredMbps is the injected load over the arrival window.
@@ -192,7 +190,7 @@ func (m *openLoopOut) row(label string) []string {
 	return []string{label, strconv.Itoa(m.hosts), strconv.Itoa(m.offered), strconv.Itoa(m.completed),
 		strconv.Itoa(m.dropped), strconv.Itoa(m.shed), strconv.Itoa(m.failed), strconv.Itoa(m.unfinished),
 		fmt.Sprintf("%.2f", m.offeredMbps()), fmt.Sprintf("%.2f", m.goodputMbps()),
-		fmt.Sprintf("%.2f", m.percentile(50)), fmt.Sprintf("%.2f", m.percentile(99)), fmt.Sprint(m.events)}
+		fmt.Sprintf("%.2f", trace.Percentile(m.latencies, 50)), fmt.Sprintf("%.2f", trace.Percentile(m.latencies, 99)), fmt.Sprint(m.events)}
 }
 
 // RunOpenLoop executes the open-loop workload and returns the merged result,
@@ -224,8 +222,8 @@ func RunOpenLoop(spec OpenLoopSpec) (*experiments.Result, error) {
 			}
 			res.AddTable(table)
 			res.AddSeries(shardSeries("goodput", "Mbps", outs, (*openLoopOut).goodputMbps))
-			res.AddSeries(shardSeries("latency p99", "ms", outs, func(m *openLoopOut) float64 { return m.percentile(99) }))
-			spec.Telemetry.SetLatency(total.hist)
+			res.AddSeries(shardSeries("latency p99", "ms", outs, func(m *openLoopOut) float64 { return trace.Percentile(m.latencies, 99) }))
+			spec.Telemetry.SetLatency(total.latencies)
 		})
 }
 
@@ -268,7 +266,6 @@ func (s openLoopScenario) Setup(sh *Shard) (*openLoopState, error) {
 				Conn:         *spec.Conn,
 				Iface:        iface,
 				OnDone:       onDone,
-				SampleCap:    spec.LatencySampleCap,
 			})
 			if err == nil {
 				// All pools start at t=0: the arrival processes themselves
@@ -286,7 +283,7 @@ func (openLoopScenario) Done(st *openLoopState) bool { return st.done() }
 func (openLoopScenario) Collect(sh *Shard, st *openLoopState) (openLoopOut, error) {
 	out := openLoopOut{hosts: sh.Members(), events: sh.probeEvents(), segments: sh.segmentsSent()}
 	for _, p := range st.pools {
-		out.add(p.Result(), latencyOf(p))
+		out.add(p)
 	}
 	if sh.Probe != nil {
 		// Fold each host's access-link wire drops into its counter registry.

@@ -24,7 +24,7 @@ type Observers struct {
 	Trace experiments.TraceSpec
 	// Telemetry, when non-nil, attaches the run to a telemetry plane: live
 	// shard progress cells, phase-profiler spans and, for the HTTP workloads,
-	// the merged latency histogram.
+	// the merged latency samples.
 	Telemetry *telemetry.Plane
 
 	// prefix names the observer files; Run defaults it to the scenario id.

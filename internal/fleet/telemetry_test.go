@@ -17,7 +17,7 @@ import (
 
 // TestTelemetryChangesNothing is the telemetry plane's core contract (the
 // same one the flight recorder honours): attaching a full plane — registry,
-// profiler, per-shard tracker cells, latency histogram — must leave every
+// profiler, per-shard tracker cells, latency samples — must leave every
 // scenario's merged result byte-identical to a detached run. All telemetry
 // writes go to atomic side-channel cells and all reads are passive.
 func TestTelemetryChangesNothing(t *testing.T) {
@@ -94,7 +94,7 @@ func TestTelemetryChangesNothing(t *testing.T) {
 }
 
 // latencyQuantileBits runs the open-loop workload with an attached plane and
-// returns the exact bit patterns of the merged latency histogram's quantiles.
+// returns the exact bit patterns of the published latency percentiles.
 func latencyQuantileBits(t *testing.T, workers, shards int) [3]uint64 {
 	t.Helper()
 	spec := testOpenLoopSpec(workers, 60)
@@ -104,21 +104,20 @@ func latencyQuantileBits(t *testing.T, workers, shards int) [3]uint64 {
 	if _, err := RunOpenLoop(spec); err != nil {
 		t.Fatal(err)
 	}
-	h := plane.Latency()
-	if h.Count() == 0 {
-		t.Fatal("run populated no latency histogram")
+	if len(plane.Latency()) == 0 {
+		t.Fatal("run published no latency samples")
 	}
 	return [3]uint64{
-		math.Float64bits(h.Quantile(50)),
-		math.Float64bits(h.Quantile(95)),
-		math.Float64bits(h.Quantile(99)),
+		math.Float64bits(plane.LatencyQuantile(50)),
+		math.Float64bits(plane.LatencyQuantile(95)),
+		math.Float64bits(plane.LatencyQuantile(99)),
 	}
 }
 
-// TestTelemetryQuantilesWorkerInvariant pins the histogram path of the fleet
-// latency pipeline: because quantiles are a pure function of integer bucket
-// counts against fixed boundaries, and shard histograms merge in shard-index
-// order, the reported quantiles are bit-identical at any worker count and any
+// TestTelemetryQuantilesWorkerInvariant pins the telemetry end of the fleet
+// latency pipeline: the published samples are the merged slice, appended in
+// member order within a shard and shard-index order across the fleet, so the
+// reported percentiles are bit-identical at any worker count and any
 // GOMAXPROCS.
 func TestTelemetryQuantilesWorkerInvariant(t *testing.T) {
 	base := latencyQuantileBits(t, 1, 3)
@@ -164,44 +163,44 @@ func allRow(t *testing.T, res *experiments.Result) map[string]string {
 	return nil
 }
 
-// TestOpenLoopLatencySampleCap exercises the capped-retention path: with a
-// tiny per-pool sample cap the pools stop retaining raw samples and the
-// scenario's percentiles come from the log-scale histogram instead of exact
-// order statistics. Counts must not move at all; the latency columns may only
-// move within the histogram's bucket resolution.
-func TestOpenLoopLatencySampleCap(t *testing.T) {
-	exact, err := RunOpenLoop(testOpenLoopSpec(2, 60))
+// TestTelemetryReportsTheTablesLatency is the one-number rule: the plane, and
+// through it /metrics, publish the very percentiles the result table prints
+// and count the very flows it counts as done. A second statistic beside the
+// table's (a bucketed estimate, a per-shard average) fails it.
+func TestTelemetryReportsTheTablesLatency(t *testing.T) {
+	spec := testOpenLoopSpec(2, 60)
+	plane := telemetry.New("one-number")
+	spec.Telemetry = plane
+	res, err := RunOpenLoop(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped := testOpenLoopSpec(2, 60)
-	capped.LatencySampleCap = 4
-	approx, err := RunOpenLoop(capped)
+	all := allRow(t, res)
+	if got := strconv.Itoa(len(plane.Latency())); got != all["done"] {
+		t.Fatalf("plane holds %s latency samples, table says done = %s", got, all["done"])
+	}
+	for col, pct := range map[string]float64{"p50 ms": 50, "p99 ms": 99} {
+		if got := fmt.Sprintf("%.2f", plane.LatencyQuantile(pct)); got != all[col] {
+			t.Errorf("plane p%g = %s ms, table %q = %s", pct, got, col, all[col])
+		}
+	}
+	var page strings.Builder
+	plane.WritePrometheus(&page)
+	const p99Line = `fleet_latency_ms{quantile="0.99"} `
+	_, rest, ok := strings.Cut(page.String(), p99Line)
+	if !ok {
+		t.Fatalf("exposition has no %q line:\n%s", p99Line, page.String())
+	}
+	val, _, _ := strings.Cut(rest, "\n")
+	p99, err := strconv.ParseFloat(val, 64)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("unparseable p99 %q: %v", val, err)
 	}
-	er, ar := allRow(t, exact), allRow(t, approx)
-	for _, col := range []string{"offered", "done", "dropped", "shed", "failed"} {
-		if er[col] != ar[col] {
-			t.Fatalf("sample cap changed %q: exact=%s capped=%s", col, er[col], ar[col])
-		}
+	if got := fmt.Sprintf("%.2f", p99); got != all["p99 ms"] {
+		t.Errorf("/metrics p99 = %s ms, table p99 = %s", got, all["p99 ms"])
 	}
-	res := telemetry.NewLatencyHistogram().RelativeResolution()
-	for _, col := range []string{"p50 ms", "p99 ms"} {
-		ev, err1 := strconv.ParseFloat(er[col], 64)
-		av, err2 := strconv.ParseFloat(ar[col], 64)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("unparseable latency cells %q: %q vs %q", col, er[col], ar[col])
-		}
-		if ev <= 0 || av <= 0 {
-			t.Fatalf("%q not positive: exact=%g capped=%g", col, ev, av)
-		}
-		// Two bucket widths of slack: the capped value is a bucket
-		// representative, the exact one an order statistic.
-		if diff := math.Abs(av-ev) / ev; diff > 2*res+0.01 {
-			t.Fatalf("%q drifted %.1f%% under the cap (resolution %.1f%%): exact=%g capped=%g",
-				col, diff*100, res*100, ev, av)
-		}
+	if want := "fleet_latency_samples_total " + all["done"] + "\n"; !strings.Contains(page.String(), want) {
+		t.Errorf("exposition missing %q", want)
 	}
 }
 

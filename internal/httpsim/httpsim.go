@@ -19,7 +19,6 @@ import (
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
 	"mptcpgo/internal/sim"
-	"mptcpgo/internal/telemetry"
 	"mptcpgo/internal/trace"
 )
 
@@ -109,6 +108,159 @@ func (s *Server) handle(c *core.Connection) {
 	c.OnWritable = pumpResponse
 }
 
+// fetcher is what the two pool kinds share: where flows go, the per-flow
+// dial → request → drain → close sequence, and the record of completed flows.
+type fetcher struct {
+	mgr     *core.Manager
+	sim     *sim.Simulator
+	iface   *netem.Interface
+	server  packet.Endpoint
+	connCfg core.Config
+	// settle is the owning pool's end-of-flow hook (see fetch), bound once at
+	// construction so a flow does not allocate a closure for it.
+	settle func(outcome, received int)
+
+	completed int
+	bytes     uint64
+	// latency holds one completion latency in milliseconds per completed
+	// flow, in completion order: trace.Mean sums in slice order, so the order
+	// is part of every result that reports a mean.
+	latency []float64
+	// doneFired is set by the owning pool once its run is over. A flow that
+	// ends afterwards falls outside the measurement window and is dropped
+	// unreported (see fetch).
+	doneFired bool
+
+	// scratch is the shared response-drain buffer: flows only count received
+	// bytes, so the read loop consumes into it without allocating. Its size
+	// is the read granularity, which feeds the receive-window-update
+	// heuristic, so it must not change.
+	scratch []byte
+	// req is the request header every flow sends. Connection.Write copies it
+	// into the send queue before returning and the simulator is
+	// single-threaded, so one buffer serves all flows; only the length field
+	// is ever written.
+	req [requestSize]byte
+}
+
+func newFetcher(mgr *core.Manager, iface *netem.Interface, addr packet.Addr, port uint16, conn core.Config) (fetcher, error) {
+	if port == 0 {
+		port = 80
+	}
+	if iface == nil {
+		ifaces := mgr.Host().Interfaces()
+		if len(ifaces) == 0 {
+			return fetcher{}, fmt.Errorf("httpsim: client host has no interfaces")
+		}
+		iface = ifaces[0]
+	}
+	return fetcher{
+		mgr:     mgr,
+		sim:     mgr.Host().Sim(),
+		iface:   iface,
+		server:  packet.Endpoint{Addr: addr, Port: port},
+		connCfg: conn,
+		scratch: make([]byte, 64<<10),
+	}, nil
+}
+
+// Flow outcomes, as fetch reports them and as KindFlowDone carries them in
+// its A payload.
+const (
+	flowFailed  = 0
+	flowOK      = 1
+	flowDropped = 2
+)
+
+// fetch runs one flow: dial the server, request size bytes, drain the
+// response, close. A dial error is returned and nothing else happens.
+// Otherwise f.settle runs exactly once, when the flow ends, with its outcome
+// and the bytes it received: flowOK once the whole response and EOF have
+// arrived (the flow is entered in completed, bytes and latency first),
+// flowFailed when the connection closes short or with an error, flowDropped
+// when a positive deadline passes first, in which case the connection is
+// then aborted. The one exception is a flow that ends after doneFired: it is
+// neither recorded nor reported.
+func (f *fetcher) fetch(size int, deadline time.Duration) error {
+	start := f.sim.Now()
+	conn, err := f.mgr.Dial(f.iface, f.server, f.connCfg)
+	if err != nil {
+		return err
+	}
+
+	received := 0
+	settled := false
+	var timeout *sim.Event
+	finish := func(outcome int) {
+		if settled {
+			return
+		}
+		settled = true
+		f.sim.Cancel(timeout)
+		if f.doneFired {
+			return
+		}
+		if outcome == flowOK {
+			f.completed++
+			f.bytes += uint64(received)
+			f.latency = append(f.latency, float64(f.sim.Now()-start)/float64(time.Millisecond))
+		}
+		f.settle(outcome, received)
+	}
+	if deadline > 0 {
+		timeout = f.sim.Schedule(deadline, func() {
+			timeout = nil // fired: nothing left for finish to cancel
+			finish(flowDropped)
+			// Abort, not Close: a flow only reaches its deadline because it
+			// has stalled (e.g. a subflow died mid-fetch), and a graceful
+			// DATA_FIN would strand the wedged connection retransmitting long
+			// after the pool wrote the flow off. Resetting every subflow
+			// reclaims both endpoints immediately.
+			conn.Abort()
+		})
+	}
+
+	conn.OnEstablished = func() {
+		binary.BigEndian.PutUint32(f.req[0:4], uint32(size))
+		conn.Write(f.req[:])
+	}
+	conn.OnReadable = func() {
+		for {
+			n := conn.ReadInto(f.scratch)
+			if n == 0 {
+				break
+			}
+			received += n
+		}
+		if conn.EOF() {
+			conn.Close()
+			finish(outcomeOf(received >= size))
+		}
+	}
+	conn.OnClosed = func(err error) {
+		finish(outcomeOf(err == nil && received >= size))
+	}
+	return nil
+}
+
+func outcomeOf(ok bool) int {
+	if ok {
+		return flowOK
+	}
+	return flowFailed
+}
+
+// Done reports whether the pool's run is over: a closed-loop pool has
+// exhausted its TotalRequests budget (never, for a deadline-bounded pool with
+// TotalRequests == 0); an open-loop pool's arrival window has closed and
+// every flow has settled.
+func (f *fetcher) Done() bool { return f.doneFired }
+
+// LatencySamples returns the per-flow completion latencies in milliseconds,
+// in completion order. The slice is owned by the pool; callers that outlive
+// it must copy.
+func (f *fetcher) LatencySamples() []float64 { return f.latency }
+
 // ClientPoolConfig configures the closed-loop client pool.
 type ClientPoolConfig struct {
 	// Clients is the number of concurrent closed-loop clients
@@ -130,11 +282,6 @@ type ClientPoolConfig struct {
 	// completed (or failed). Sharded drivers use it to stop stepping the
 	// shard's simulator as soon as its last pool finishes.
 	OnDone func()
-	// SampleCap bounds raw latency-sample retention. Zero keeps every sample
-	// (exact percentiles, today's behavior); a positive cap stops appending
-	// raw samples once reached, after which Result's latency statistics come
-	// from the pool's log-scale histogram instead.
-	SampleCap int
 }
 
 // PoolResult summarises a benchmark run.
@@ -150,29 +297,16 @@ type PoolResult struct {
 
 // ClientPool drives the closed-loop clients.
 type ClientPool struct {
+	fetcher
 	cfg     ClientPoolConfig
-	mgr     *core.Manager
-	sim     *sim.Simulator
 	started time.Duration
 
-	completed int
-	failed    int
-	bytes     uint64
-	latency   *trace.Sampler
-	hist      *telemetry.Histogram
-	capped    bool
-	stopped   bool
+	failed  int
+	stopped bool
 	// finishedAt records when the TotalRequests-th request completed, so
 	// Result measures the actual benchmark window rather than however far the
 	// caller happened to run the simulator afterwards.
 	finishedAt time.Duration
-	doneFired  bool
-
-	// scratch is the shared response-drain buffer: clients only count
-	// received bytes, so the read loop consumes into it without allocating.
-	// Its size matches the old per-call Read cap — read granularity feeds
-	// the receive-window-update heuristic, so it must not change.
-	scratch []byte
 }
 
 // NewClientPool creates a pool bound to the client's manager.
@@ -183,24 +317,13 @@ func NewClientPool(mgr *core.Manager, cfg ClientPoolConfig) (*ClientPool, error)
 	if cfg.TransferSize <= 0 {
 		cfg.TransferSize = 64 << 10
 	}
-	if cfg.ServerPort == 0 {
-		cfg.ServerPort = 80
+	f, err := newFetcher(mgr, cfg.Iface, cfg.ServerAddr, cfg.ServerPort, cfg.Conn)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Iface == nil {
-		if ifaces := mgr.Host().Interfaces(); len(ifaces) > 0 {
-			cfg.Iface = ifaces[0]
-		} else {
-			return nil, fmt.Errorf("httpsim: client host has no interfaces")
-		}
-	}
-	return &ClientPool{
-		cfg:     cfg,
-		mgr:     mgr,
-		sim:     mgr.Host().Sim(),
-		latency: trace.NewSampler(),
-		hist:    telemetry.NewLatencyHistogram(),
-		scratch: make([]byte, 64<<10),
-	}, nil
+	p := &ClientPool{fetcher: f, cfg: cfg}
+	p.settle = p.requestEnded
+	return p, nil
 }
 
 // Start launches all clients at the current simulation time.
@@ -217,70 +340,31 @@ func (p *ClientPool) Start() {
 // Stop prevents new requests from being issued.
 func (p *ClientPool) Stop() { p.stopped = true }
 
-// issueRequest opens a connection, sends one request and reads the response.
+// issueRequest fetches one response.
 func (p *ClientPool) issueRequest() {
 	if p.stopped || (p.cfg.TotalRequests > 0 && p.completed+p.failed >= p.cfg.TotalRequests) {
 		return
 	}
-	start := p.sim.Now()
-	conn, err := p.mgr.Dial(p.cfg.Iface, packet.Endpoint{Addr: p.cfg.ServerAddr, Port: p.cfg.ServerPort}, p.cfg.Conn)
-	if err != nil {
+	if err := p.fetch(p.cfg.TransferSize, 0); err != nil {
 		p.failed++
 		p.noteProgress() // a dial failure can be the budget-exhausting event
-		// Stay closed-loop like finish() does, but back off a little: a
-		// synchronous dial failure rescheduled at delay 0 would spin the
-		// event queue without advancing simulated time.
+		// Stay closed-loop, but back off a little: a synchronous dial failure
+		// rescheduled at delay 0 would spin the event queue without advancing
+		// simulated time.
 		p.sim.Schedule(time.Millisecond, p.issueRequest)
-		return
 	}
+}
 
-	received := 0
-	done := false
-	finish := func(ok bool) {
-		if done {
-			return
-		}
-		done = true
-		if p.doneFired {
-			// The request budget was reached while this request was still in
-			// flight: it falls outside the measurement window and is not
-			// counted, so Completed never exceeds TotalRequests and the
-			// (count, window) pair stays consistent.
-			return
-		}
-		if ok {
-			p.completed++
-			p.bytes += uint64(received)
-			p.recordLatency(float64(p.sim.Now()-start) / float64(time.Millisecond))
-		} else {
-			p.failed++
-		}
-		p.noteProgress()
-		// Closed loop: immediately issue the next request.
-		p.sim.Schedule(0, p.issueRequest)
+// requestEnded counts a request that did not complete and, closed loop,
+// issues the next one at once. A request still in flight when the budget is
+// reached never gets here (fetch drops it), so Completed never exceeds
+// TotalRequests and the (count, window) pair stays consistent.
+func (p *ClientPool) requestEnded(outcome, _ int) {
+	if outcome != flowOK {
+		p.failed++
 	}
-
-	conn.OnEstablished = func() {
-		req := make([]byte, requestSize)
-		binary.BigEndian.PutUint32(req[0:4], uint32(p.cfg.TransferSize))
-		conn.Write(req)
-	}
-	conn.OnReadable = func() {
-		for {
-			n := conn.ReadInto(p.scratch)
-			if n == 0 {
-				break
-			}
-			received += n
-		}
-		if conn.EOF() {
-			conn.Close()
-			finish(received >= p.cfg.TransferSize)
-		}
-	}
-	conn.OnClosed = func(err error) {
-		finish(err == nil && received >= p.cfg.TransferSize)
-	}
+	p.noteProgress()
+	p.sim.Schedule(0, p.issueRequest)
 }
 
 // noteProgress records the completion time of the final request and fires
@@ -296,41 +380,12 @@ func (p *ClientPool) noteProgress() {
 	}
 }
 
-// recordLatency feeds one completed-request latency (milliseconds) into the
-// histogram (always) and the raw sampler (until SampleCap, if set).
-func (p *ClientPool) recordLatency(ms float64) {
-	p.hist.Observe(ms)
-	if p.cfg.SampleCap > 0 && p.latency.Len() >= p.cfg.SampleCap {
-		p.capped = true
-		return
-	}
-	p.latency.Record(ms, p.sim.Now())
-}
-
-// Done reports whether the pool has exhausted its TotalRequests budget (always
-// false for deadline-bounded pools with TotalRequests == 0).
-func (p *ClientPool) Done() bool { return p.doneFired }
-
-// LatencyHist returns the pool's log-scale latency histogram. Always
-// populated, whether or not raw samples are capped.
-func (p *ClientPool) LatencyHist() *telemetry.Histogram { return p.hist }
-
-// Capped reports whether raw latency samples were dropped due to SampleCap;
-// when true, exact-order-statistic percentiles are unavailable and callers
-// must use the histogram.
-func (p *ClientPool) Capped() bool { return p.capped }
-
 // Progress returns live workload counters (completed+failed, offered). Safe
 // only on the pool's own shard goroutine; telemetry publication copies the
 // values into atomic cells for cross-goroutine readers.
 func (p *ClientPool) Progress() (done, offered int) {
 	return p.completed + p.failed, p.cfg.TotalRequests
 }
-
-// LatencySamples returns the per-request latencies in milliseconds, in
-// completion order. The slice is owned by the pool; callers that outlive it
-// must copy.
-func (p *ClientPool) LatencySamples() []float64 { return p.latency.Samples() }
 
 // Result returns the benchmark summary as of the current simulation time. For
 // pools with a TotalRequests budget that has been reached, the measurement
@@ -347,19 +402,11 @@ func (p *ClientPool) Result() PoolResult {
 		Failed:        p.failed,
 		Duration:      dur,
 		BytesReceived: p.bytes,
+		MeanLatency:   time.Duration(trace.Mean(p.latency) * float64(time.Millisecond)),
+		P95Latency:    time.Duration(trace.Percentile(p.latency, 95) * float64(time.Millisecond)),
 	}
 	if dur > 0 {
 		res.RequestsPerSec = float64(p.completed) / dur.Seconds()
-	}
-	switch {
-	case p.capped:
-		// Raw samples were truncated at SampleCap: report from the histogram,
-		// which saw every observation.
-		res.MeanLatency = time.Duration(p.hist.Mean() * float64(time.Millisecond))
-		res.P95Latency = time.Duration(p.hist.Quantile(95) * float64(time.Millisecond))
-	case p.latency.Len() > 0:
-		res.MeanLatency = time.Duration(p.latency.Mean() * float64(time.Millisecond))
-		res.P95Latency = time.Duration(p.latency.Percentile(95) * float64(time.Millisecond))
 	}
 	return res
 }

@@ -1,7 +1,6 @@
 package httpsim
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -10,7 +9,6 @@ import (
 	"mptcpgo/internal/packet"
 	"mptcpgo/internal/probe"
 	"mptcpgo/internal/sim"
-	"mptcpgo/internal/telemetry"
 	"mptcpgo/internal/trace"
 	"mptcpgo/internal/workload"
 )
@@ -52,11 +50,6 @@ type OpenLoopConfig struct {
 	// OnDone, if set, fires once when the arrival window has closed and
 	// every arrived flow has settled (completed, failed, shed or dropped).
 	OnDone func()
-	// SampleCap bounds raw latency-sample retention. Zero keeps every sample
-	// (exact percentiles, today's behavior); a positive cap stops appending
-	// raw samples once reached, after which Result's latency statistics come
-	// from the pool's log-scale histogram instead.
-	SampleCap int
 }
 
 // OpenLoopResult summarises one pool's run.
@@ -94,15 +87,12 @@ type OpenLoopResult struct {
 
 // OpenLoopPool drives open-loop flows against an HTTP-like server.
 type OpenLoopPool struct {
+	fetcher
 	cfg     OpenLoopConfig
-	mgr     *core.Manager
-	sim     *sim.Simulator
 	started time.Duration
 
 	offered      int
 	offeredBytes uint64
-	completed    int
-	bytes        uint64
 	dropped      int
 	shed         int
 	failed       int
@@ -110,21 +100,11 @@ type OpenLoopPool struct {
 	peakInFlight int
 	arrivalsDone bool
 	settledAt    time.Duration
-	doneFired    bool
-	latency      *trace.Sampler
-	hist         *telemetry.Histogram
-	capped       bool
 
 	// rec/member mirror the manager's flight recorder at pool construction
 	// (nil recorder = no tracing); flow settlements emit KindFlowDone.
 	rec    *probe.Recorder
 	member int
-
-	// scratch is the shared response-drain buffer: flows only count received
-	// bytes, so the read loop consumes into it without allocating. Its size
-	// matches the old per-call Read cap — read granularity feeds the
-	// receive-window-update heuristic, so it must not change.
-	scratch []byte
 }
 
 // NewOpenLoopPool creates a pool bound to the client's manager.
@@ -135,34 +115,15 @@ func NewOpenLoopPool(mgr *core.Manager, cfg OpenLoopConfig) (*OpenLoopPool, erro
 	if cfg.Window <= 0 {
 		return nil, fmt.Errorf("httpsim: open-loop pool needs a positive arrival window")
 	}
-	if cfg.ServerPort == 0 {
-		cfg.ServerPort = 80
+	f, err := newFetcher(mgr, cfg.Iface, cfg.ServerAddr, cfg.ServerPort, cfg.Conn)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Iface == nil {
-		if ifaces := mgr.Host().Interfaces(); len(ifaces) > 0 {
-			cfg.Iface = ifaces[0]
-		} else {
-			return nil, fmt.Errorf("httpsim: client host has no interfaces")
-		}
-	}
-	p := &OpenLoopPool{
-		cfg:     cfg,
-		mgr:     mgr,
-		sim:     mgr.Host().Sim(),
-		latency: trace.NewSampler(),
-		hist:    telemetry.NewLatencyHistogram(),
-		scratch: make([]byte, 64<<10),
-	}
+	p := &OpenLoopPool{fetcher: f, cfg: cfg}
+	p.settle = p.flowEnded
 	p.rec, p.member = mgr.Probe()
 	return p, nil
 }
-
-// flowDone outcome codes carried in KindFlowDone's A payload.
-const (
-	flowFailed  = 0
-	flowOK      = 1
-	flowDropped = 2
-)
 
 // Start begins generating arrivals at the current simulation time.
 func (p *OpenLoopPool) Start() {
@@ -196,94 +157,43 @@ func (p *OpenLoopPool) arrive() {
 
 	if p.cfg.MaxInFlight > 0 && p.inFlight >= p.cfg.MaxInFlight {
 		p.shed++
-		p.settle()
+		p.departed()
 	} else {
 		p.startFlow(size)
 	}
 	p.scheduleNextArrival()
 }
 
-// startFlow dials, requests size bytes, and accounts the flow's departure.
+// startFlow starts fetching size bytes.
 func (p *OpenLoopPool) startFlow(size int) {
-	start := p.sim.Now()
-	conn, err := p.mgr.Dial(p.cfg.Iface, packet.Endpoint{Addr: p.cfg.ServerAddr, Port: p.cfg.ServerPort}, p.cfg.Conn)
-	if err != nil {
+	if err := p.fetch(size, p.cfg.FlowDeadline); err != nil {
 		p.failed++
 		p.rec.Emit(p.member, probe.KindFlowDone, -1, -1, flowFailed, 0)
-		p.settle()
+		p.departed()
 		return
 	}
 	p.inFlight++
 	if p.inFlight > p.peakInFlight {
 		p.peakInFlight = p.inFlight
 	}
-
-	received := 0
-	settled := false
-	var deadline *sim.Event
-	finish := func(ok bool) {
-		if settled {
-			return
-		}
-		settled = true
-		p.sim.Cancel(deadline)
-		p.inFlight--
-		if ok {
-			p.completed++
-			p.bytes += uint64(received)
-			p.recordLatency(float64(p.sim.Now()-start) / float64(time.Millisecond))
-			p.rec.Emit(p.member, probe.KindFlowDone, -1, -1, flowOK, int64(received))
-		} else {
-			p.failed++
-			p.rec.Emit(p.member, probe.KindFlowDone, -1, -1, flowFailed, int64(received))
-		}
-		p.settle()
-	}
-	if p.cfg.FlowDeadline > 0 {
-		deadline = p.sim.Schedule(p.cfg.FlowDeadline, func() {
-			if settled {
-				return
-			}
-			settled = true
-			p.inFlight--
-			p.dropped++
-			p.rec.Emit(p.member, probe.KindFlowDone, -1, -1, flowDropped, int64(received))
-			// Abort, not Close: a flow only reaches its deadline because it
-			// has stalled (e.g. a subflow died mid-fetch), and a graceful
-			// DATA_FIN would strand the wedged connection retransmitting long
-			// after the pool wrote the flow off. Resetting every subflow
-			// reclaims both endpoints immediately.
-			conn.Abort()
-			p.settle()
-		})
-	}
-
-	conn.OnEstablished = func() {
-		req := make([]byte, requestSize)
-		binary.BigEndian.PutUint32(req[0:4], uint32(size))
-		conn.Write(req)
-	}
-	conn.OnReadable = func() {
-		for {
-			n := conn.ReadInto(p.scratch)
-			if n == 0 {
-				break
-			}
-			received += n
-		}
-		if conn.EOF() {
-			conn.Close()
-			finish(received >= size)
-		}
-	}
-	conn.OnClosed = func(err error) {
-		finish(err == nil && received >= size)
-	}
 }
 
-// settle records the departure time and fires OnDone once the window has
+// flowEnded accounts the departure of a flow that was in flight.
+func (p *OpenLoopPool) flowEnded(outcome, received int) {
+	p.inFlight--
+	switch outcome {
+	case flowDropped:
+		p.dropped++
+	case flowFailed:
+		p.failed++
+	}
+	p.rec.Emit(p.member, probe.KindFlowDone, -1, -1, int64(outcome), int64(received))
+	p.departed()
+}
+
+// departed records the departure time and fires OnDone once the window has
 // closed and no flows remain in flight.
-func (p *OpenLoopPool) settle() {
+func (p *OpenLoopPool) departed() {
 	p.settledAt = p.sim.Now()
 	p.checkDone()
 }
@@ -298,36 +208,11 @@ func (p *OpenLoopPool) checkDone() {
 	}
 }
 
-// recordLatency feeds one flow-completion latency (milliseconds) into the
-// histogram (always) and the raw sampler (until SampleCap, if set).
-func (p *OpenLoopPool) recordLatency(ms float64) {
-	p.hist.Observe(ms)
-	if p.cfg.SampleCap > 0 && p.latency.Len() >= p.cfg.SampleCap {
-		p.capped = true
-		return
-	}
-	p.latency.Record(ms, p.sim.Now())
-}
-
-// Done reports whether the arrival window has closed and every flow settled.
-func (p *OpenLoopPool) Done() bool { return p.doneFired }
-
-// LatencyHist returns the pool's log-scale latency histogram. Always
-// populated, whether or not raw samples are capped.
-func (p *OpenLoopPool) LatencyHist() *telemetry.Histogram { return p.hist }
-
-// Capped reports whether raw latency samples were dropped due to SampleCap.
-func (p *OpenLoopPool) Capped() bool { return p.capped }
-
 // Progress returns live workload counters (settled flows, offered arrivals).
 // Safe only on the pool's own shard goroutine.
 func (p *OpenLoopPool) Progress() (done, offered int) {
 	return p.completed + p.dropped + p.shed + p.failed, p.offered
 }
-
-// LatencySamples returns the per-flow completion latencies in milliseconds,
-// in completion order. The slice is owned by the pool.
-func (p *OpenLoopPool) LatencySamples() []float64 { return p.latency.Samples() }
 
 // Result returns the pool summary as of the current simulation time.
 func (p *OpenLoopPool) Result() OpenLoopResult {
@@ -350,17 +235,8 @@ func (p *OpenLoopPool) Result() OpenLoopResult {
 	if res.Elapsed > 0 {
 		res.GoodputMbps = float64(p.bytes) * 8 / res.Elapsed.Seconds() / 1e6
 	}
-	switch {
-	case p.capped:
-		// Raw samples were truncated at SampleCap: report from the histogram,
-		// which saw every observation.
-		res.MeanLatency = time.Duration(p.hist.Mean() * float64(time.Millisecond))
-		res.P50Latency = time.Duration(p.hist.Quantile(50) * float64(time.Millisecond))
-		res.P99Latency = time.Duration(p.hist.Quantile(99) * float64(time.Millisecond))
-	case p.latency.Len() > 0:
-		res.MeanLatency = time.Duration(p.latency.Mean() * float64(time.Millisecond))
-		res.P50Latency = time.Duration(p.latency.Percentile(50) * float64(time.Millisecond))
-		res.P99Latency = time.Duration(p.latency.Percentile(99) * float64(time.Millisecond))
-	}
+	res.MeanLatency = time.Duration(trace.Mean(p.latency) * float64(time.Millisecond))
+	res.P50Latency = time.Duration(trace.Percentile(p.latency, 50) * float64(time.Millisecond))
+	res.P99Latency = time.Duration(trace.Percentile(p.latency, 99) * float64(time.Millisecond))
 	return res
 }

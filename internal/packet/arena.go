@@ -54,198 +54,82 @@ func (s *Segment) arena() *optionArena {
 	return s.optArena
 }
 
-// Typed allocators. Each returns a zeroed value backed by the segment's
-// arena, falling back to the heap when the arena slots are exhausted.
-
-func (s *Segment) newMSS() *MSSOption {
-	a := s.arena()
-	if int(a.nMSS) < len(a.mss) {
-		o := &a.mss[a.nMSS]
-		a.nMSS++
-		*o = MSSOption{}
-		return o
+// carve hands out the next free slot of one option kind, zeroed, or a heap
+// value once the kind's slots are used up.
+func carve[T any](slots []T, used *uint8) *T {
+	if int(*used) == len(slots) {
+		return new(T)
 	}
-	return &MSSOption{}
+	o := &slots[*used]
+	*used++
+	var zero T
+	*o = zero
+	return o
 }
 
-func (s *Segment) newWindowScale() *WindowScaleOption {
-	a := s.arena()
-	if int(a.nWS) < len(a.ws) {
-		o := &a.ws[a.nWS]
-		a.nWS++
-		*o = WindowScaleOption{}
-		return o
+// carveN is carve for the backing stores: a zeroed run of n elements, its
+// capacity clamped so appends never spill into the neighbouring run, or a
+// heap slice when the store cannot fit it.
+func carveN[T any](store []T, used *uint8, n int) []T {
+	lo := int(*used)
+	if lo+n > len(store) {
+		return make([]T, n)
 	}
-	return &WindowScaleOption{}
+	*used += uint8(n)
+	run := store[lo : lo+n : lo+n]
+	clear(run)
+	return run
 }
 
-func (s *Segment) newTimestamps() *TimestampsOption {
-	a := s.arena()
-	if int(a.nTS) < len(a.ts) {
-		o := &a.ts[a.nTS]
-		a.nTS++
-		*o = TimestampsOption{}
-		return o
-	}
-	return &TimestampsOption{}
-}
+// Typed allocators: each binds carve to one kind's slots.
+
+func (s *Segment) newMSS() *MSSOption { a := s.arena(); return carve(a.mss[:], &a.nMSS) }
+
+func (s *Segment) newWindowScale() *WindowScaleOption { a := s.arena(); return carve(a.ws[:], &a.nWS) }
+
+func (s *Segment) newTimestamps() *TimestampsOption { a := s.arena(); return carve(a.ts[:], &a.nTS) }
 
 func (s *Segment) newSACKPermitted() *SACKPermittedOption {
 	a := s.arena()
-	if int(a.nSackP) < len(a.sackP) {
-		o := &a.sackP[a.nSackP]
-		a.nSackP++
-		*o = SACKPermittedOption{}
-		return o
-	}
-	return &SACKPermittedOption{}
+	return carve(a.sackP[:], &a.nSackP)
 }
 
-// newSACK returns a SACK option whose Blocks slice has length n (zeroed),
-// arena-backed when it fits.
+// newSACK returns a SACK option whose Blocks slice has length n (zeroed).
 func (s *Segment) newSACK(n int) *SACKOption {
 	a := s.arena()
-	var o *SACKOption
-	if int(a.nSack) < len(a.sack) {
-		o = &a.sack[a.nSack]
-		a.nSack++
-		*o = SACKOption{}
-	} else {
-		o = &SACKOption{}
-	}
-	o.Blocks = s.newSACKBlocks(n)
+	o := carve(a.sack[:], &a.nSack)
+	o.Blocks = carveN(a.blocks[:], &a.nBlocks, n)
 	return o
 }
 
-// newSACKBlocks carves a zeroed block slice out of the arena (full capacity
-// clamp, so appends never spill into neighbouring allocations).
-func (s *Segment) newSACKBlocks(n int) []SACKBlock {
-	a := s.arena()
-	if int(a.nBlocks)+n <= len(a.blocks) {
-		lo := int(a.nBlocks)
-		a.nBlocks += uint8(n)
-		bl := a.blocks[lo : lo+n : lo+n]
-		for i := range bl {
-			bl[i] = SACKBlock{}
-		}
-		return bl
-	}
-	return make([]SACKBlock, n)
-}
+func (s *Segment) newMPCapable() *MPCapableOption { a := s.arena(); return carve(a.mpc[:], &a.nMPC) }
 
-func (s *Segment) newMPCapable() *MPCapableOption {
-	a := s.arena()
-	if int(a.nMPC) < len(a.mpc) {
-		o := &a.mpc[a.nMPC]
-		a.nMPC++
-		*o = MPCapableOption{}
-		return o
-	}
-	return &MPCapableOption{}
-}
-
-func (s *Segment) newMPJoin() *MPJoinOption {
-	a := s.arena()
-	if int(a.nJoin) < len(a.join) {
-		o := &a.join[a.nJoin]
-		a.nJoin++
-		*o = MPJoinOption{}
-		return o
-	}
-	return &MPJoinOption{}
-}
+func (s *Segment) newMPJoin() *MPJoinOption { a := s.arena(); return carve(a.join[:], &a.nJoin) }
 
 // arenaBytes carves n bytes out of the arena's HMAC store (for MP_JOIN
-// HMACs), or heap-allocates when full.
-func (s *Segment) arenaBytes(n int) []byte {
-	a := s.arena()
-	if int(a.nHMAC)+n <= len(a.hmac) {
-		lo := int(a.nHMAC)
-		a.nHMAC += uint8(n)
-		return a.hmac[lo : lo+n : lo+n]
-	}
-	return make([]byte, n)
-}
+// HMACs).
+func (s *Segment) arenaBytes(n int) []byte { a := s.arena(); return carveN(a.hmac[:], &a.nHMAC, n) }
 
 // NewDSSOption returns a zeroed DSS option backed by the segment's arena.
 // The returned option is valid only for the lifetime of the segment.
-func (s *Segment) NewDSSOption() *DSSOption {
-	a := s.arena()
-	if int(a.nDSS) < len(a.dss) {
-		o := &a.dss[a.nDSS]
-		a.nDSS++
-		*o = DSSOption{}
-		return o
-	}
-	return &DSSOption{}
-}
+func (s *Segment) NewDSSOption() *DSSOption { a := s.arena(); return carve(a.dss[:], &a.nDSS) }
 
-func (s *Segment) newAddAddr() *AddAddrOption {
-	a := s.arena()
-	if int(a.nAdd) < len(a.add) {
-		o := &a.add[a.nAdd]
-		a.nAdd++
-		*o = AddAddrOption{}
-		return o
-	}
-	return &AddAddrOption{}
-}
+func (s *Segment) newAddAddr() *AddAddrOption { a := s.arena(); return carve(a.add[:], &a.nAdd) }
 
+// newRemoveAddr returns a REMOVE_ADDR option whose AddrIDs slice has length
+// n (zeroed).
 func (s *Segment) newRemoveAddr(n int) *RemoveAddrOption {
 	a := s.arena()
-	var o *RemoveAddrOption
-	if int(a.nRm) < len(a.rm) {
-		o = &a.rm[a.nRm]
-		a.nRm++
-		*o = RemoveAddrOption{}
-	} else {
-		o = &RemoveAddrOption{}
-	}
-	if int(a.nIDs)+n <= len(a.ids) {
-		lo := int(a.nIDs)
-		a.nIDs += uint8(n)
-		o.AddrIDs = a.ids[lo : lo+n : lo+n]
-		for i := range o.AddrIDs {
-			o.AddrIDs[i] = 0
-		}
-	} else {
-		o.AddrIDs = make([]uint8, n)
-	}
+	o := carve(a.rm[:], &a.nRm)
+	o.AddrIDs = carveN(a.ids[:], &a.nIDs, n)
 	return o
 }
 
-func (s *Segment) newMPPrio() *MPPrioOption {
-	a := s.arena()
-	if int(a.nPrio) < len(a.prio) {
-		o := &a.prio[a.nPrio]
-		a.nPrio++
-		*o = MPPrioOption{}
-		return o
-	}
-	return &MPPrioOption{}
-}
+func (s *Segment) newMPPrio() *MPPrioOption { a := s.arena(); return carve(a.prio[:], &a.nPrio) }
 
-func (s *Segment) newMPFail() *MPFailOption {
-	a := s.arena()
-	if int(a.nFail) < len(a.fail) {
-		o := &a.fail[a.nFail]
-		a.nFail++
-		*o = MPFailOption{}
-		return o
-	}
-	return &MPFailOption{}
-}
+func (s *Segment) newMPFail() *MPFailOption { a := s.arena(); return carve(a.fail[:], &a.nFail) }
 
-func (s *Segment) newFastclose() *FastcloseOption {
-	a := s.arena()
-	if int(a.nFC) < len(a.fc) {
-		o := &a.fc[a.nFC]
-		a.nFC++
-		*o = FastcloseOption{}
-		return o
-	}
-	return &FastcloseOption{}
-}
+func (s *Segment) newFastclose() *FastcloseOption { a := s.arena(); return carve(a.fc[:], &a.nFC) }
 
 // ---------------------------------------------------------------------------
 // Hot-path builders used by the TCP/MPTCP send path

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"time"
+
+	"mptcpgo/internal/trace"
 )
 
 // RunInfo is the provenance block for one benchmark run: enough to
@@ -92,11 +94,10 @@ func (ri *RunInfo) Finish(p *Plane, wall time.Duration) {
 		return
 	}
 	ri.Phases = p.Prof.Snapshot()
-	if h := p.Latency(); h.Count() > 0 {
-		ri.LatencyP50 = h.Quantile(50)
-		ri.LatencyP99 = h.Quantile(99)
-		ri.LatencyObs = h.Count()
-	}
+	ms := p.Latency()
+	ri.LatencyP50 = trace.Percentile(ms, 50)
+	ri.LatencyP99 = trace.Percentile(ms, 99)
+	ri.LatencyObs = uint64(len(ms))
 }
 
 // Config returns a copy with the machine-dependent result fields cleared —

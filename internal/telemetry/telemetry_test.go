@@ -4,10 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
-	"math/rand"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -29,117 +26,6 @@ func httpGet(t *testing.T, url string) string {
 		t.Fatalf("GET %s: %s", url, resp.Status)
 	}
 	return string(body)
-}
-
-// rawPercentile mirrors trace.Percentile's ceil-rank convention.
-func rawPercentile(samples []float64, p float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
-}
-
-func TestHistogramQuantileTracksRaw(t *testing.T) {
-	h := NewLatencyHistogram()
-	rng := rand.New(rand.NewSource(7))
-	var samples []float64
-	for i := 0; i < 10000; i++ {
-		// Log-uniform over ~5 decades, the shape of latency data.
-		v := math.Pow(10, rng.Float64()*5-2)
-		samples = append(samples, v)
-		h.Observe(v)
-	}
-	tol := h.RelativeResolution() * 2 // full bucket width
-	for _, p := range []float64{50, 90, 95, 99, 99.9} {
-		raw := rawPercentile(samples, p)
-		got := h.Quantile(p)
-		if math.Abs(got-raw)/raw > tol {
-			t.Errorf("p%g: hist %g vs raw %g exceeds bucket resolution %g", p, got, raw, tol)
-		}
-	}
-	if h.Min() != rawPercentile(samples, 0.0001) {
-		// Min must be exact.
-		min := samples[0]
-		for _, v := range samples {
-			if v < min {
-				min = v
-			}
-		}
-		if h.Min() != min {
-			t.Errorf("Min %g != exact %g", h.Min(), min)
-		}
-	}
-}
-
-func TestHistogramSingleValueExact(t *testing.T) {
-	h := NewLatencyHistogram()
-	h.Observe(3.7)
-	for _, p := range []float64{50, 95, 99} {
-		if got := h.Quantile(p); got != 3.7 {
-			t.Errorf("p%g of single observation = %g, want exact 3.7", p, got)
-		}
-	}
-	if h.Mean() != 3.7 || h.Min() != 3.7 || h.Max() != 3.7 {
-		t.Errorf("single-value stats: mean %g min %g max %g", h.Mean(), h.Min(), h.Max())
-	}
-}
-
-func TestHistogramMergeInvariance(t *testing.T) {
-	// The same multiset split into 1, 2, or 4 parts must produce
-	// bit-identical quantiles after merge, regardless of split.
-	rng := rand.New(rand.NewSource(42))
-	var samples []float64
-	for i := 0; i < 5000; i++ {
-		samples = append(samples, math.Pow(10, rng.Float64()*4-1))
-	}
-	quantiles := func(parts int) string {
-		hs := make([]*Histogram, parts)
-		for i := range hs {
-			hs[i] = NewLatencyHistogram()
-		}
-		for i, v := range samples {
-			hs[i%parts].Observe(v)
-		}
-		total := NewLatencyHistogram()
-		for _, h := range hs {
-			if err := total.Merge(h); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return fmt.Sprintf("%x %x %x %x %x %d",
-			math.Float64bits(total.Quantile(50)), math.Float64bits(total.Quantile(95)),
-			math.Float64bits(total.Quantile(99)), math.Float64bits(total.Min()),
-			math.Float64bits(total.Max()), total.Count())
-	}
-	base := quantiles(1)
-	for _, parts := range []int{2, 4, 7} {
-		if got := quantiles(parts); got != base {
-			t.Errorf("%d-way split quantiles differ:\n  1-way: %s\n  %d-way: %s", parts, base, parts, got)
-		}
-	}
-}
-
-func TestHistogramMergeIncompatible(t *testing.T) {
-	a := NewHistogram(1e-3, 9, 12)
-	b := NewHistogram(1e-2, 9, 12)
-	b.Observe(1)
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merging histograms with different boundaries should error")
-	}
-}
-
-func TestHistogramNilSafe(t *testing.T) {
-	var h *Histogram
-	h.Observe(1)
-	if h.Count() != 0 || h.Quantile(50) != 0 || h.Mean() != 0 {
-		t.Fatal("nil histogram should read as empty")
-	}
 }
 
 func TestProfilerSpanNesting(t *testing.T) {
@@ -245,10 +131,7 @@ func TestPlanePrometheusRender(t *testing.T) {
 	p.Track.Cell(1, 2).SimNowNs.Store(int64(time.Second))
 	span := p.StartSpan("run")
 	span.End()
-	h := NewLatencyHistogram()
-	h.Observe(5)
-	h.Observe(50)
-	p.SetLatency(h)
+	p.SetLatency([]float64{50, 5})
 
 	var sb strings.Builder
 	p.WritePrometheus(&sb)
@@ -315,11 +198,9 @@ func TestRunInfoRoundTrip(t *testing.T) {
 	}
 	p := New("x")
 	p.StartSpan("run").End()
-	h := NewLatencyHistogram()
-	h.Observe(10)
-	p.SetLatency(h)
+	p.SetLatency([]float64{30, 10, 20})
 	ri.Finish(p, 123*time.Millisecond)
-	if ri.WallClockMs != 123 || len(ri.Phases) != 1 || ri.LatencyObs != 1 {
+	if ri.WallClockMs != 123 || len(ri.Phases) != 1 || ri.LatencyObs != 3 || ri.LatencyP50 != 20 || ri.LatencyP99 != 30 {
 		t.Fatalf("finish did not fold results: %+v", ri)
 	}
 	cfg := ri.Config()
@@ -338,8 +219,8 @@ func TestRunInfoRoundTrip(t *testing.T) {
 func TestNilPlaneSafe(t *testing.T) {
 	var p *Plane
 	p.StartSpan("x").Child("y").End()
-	p.SetLatency(NewLatencyHistogram())
-	if p.Latency() != nil {
+	p.SetLatency([]float64{1})
+	if p.Latency() != nil || p.LatencyQuantile(50) != 0 {
 		t.Fatal("nil plane latency")
 	}
 	var sb strings.Builder

@@ -1,7 +1,7 @@
 // Package trace provides the measurement utilities the experiments use:
-// goodput/throughput meters, time-weighted samplers for memory usage, latency
-// histograms and probability density functions matching the figures in the
-// paper.
+// goodput/throughput meters, the sample statistics (mean, max, ceil-rank
+// percentile) every result table is computed with, the linear-bin histogram
+// behind the figures' probability density functions, and pcap export.
 package trace
 
 import (
@@ -60,43 +60,10 @@ func (m *Meter) RateSinceMarkMbps(end time.Duration) float64 {
 	return float64(m.total-m.markTotal) * 8 / d.Seconds() / 1e6
 }
 
-// Sampler keeps a time series of scalar samples (e.g. memory usage) and
-// reports aggregates.
-type Sampler struct {
-	samples []float64
-	times   []time.Duration
-}
-
-// NewSampler creates an empty sampler.
-func NewSampler() *Sampler { return &Sampler{} }
-
-// Record appends one sample.
-func (s *Sampler) Record(v float64, now time.Duration) {
-	s.samples = append(s.samples, v)
-	s.times = append(s.times, now)
-}
-
-// Len returns the number of samples.
-func (s *Sampler) Len() int { return len(s.samples) }
-
-// Samples returns the recorded values in record order, so consumers that
-// fold samples across simulators (the fleet merge layer) can aggregate raw
-// values. The slice is owned by the sampler; callers that outlive it must
-// copy.
-func (s *Sampler) Samples() []float64 { return s.samples }
-
-// Mean returns the arithmetic mean of the samples (0 when empty).
-func (s *Sampler) Mean() float64 { return Mean(s.samples) }
-
-// Max returns the largest sample.
-func (s *Sampler) Max() float64 { return Max(s.samples) }
-
-// Percentile returns the p-th percentile (0..100) of the samples.
-func (s *Sampler) Percentile(p float64) float64 { return Percentile(s.samples, p) }
-
-// Mean returns the arithmetic mean of xs (0 when empty). The package-level
-// statistics exist so consumers that merge raw sample slices across shards
-// (internal/fleet) share one convention with Sampler.
+// Mean returns the arithmetic mean of xs (0 when empty), summing in slice
+// order. Mean, Max and Percentile are the repo's only sample statistics:
+// every latency, completion-time and memory table is one of them over a
+// plain []float64.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0

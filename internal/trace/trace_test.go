@@ -21,20 +21,22 @@ func TestMeterRates(t *testing.T) {
 	}
 }
 
-func TestSamplerStats(t *testing.T) {
-	s := NewSampler()
-	for i := 1; i <= 100; i++ {
-		s.Record(float64(i), time.Duration(i))
+func TestSampleStats(t *testing.T) {
+	var xs []float64
+	for i := 100; i >= 1; i-- {
+		xs = append(xs, float64(i))
 	}
-	if s.Len() != 100 || s.Mean() != 50.5 || s.Max() != 100 {
-		t.Fatalf("sampler stats wrong: len=%d mean=%v max=%v", s.Len(), s.Mean(), s.Max())
+	if Mean(xs) != 50.5 || Max(xs) != 100 {
+		t.Fatalf("sample stats wrong: mean=%v max=%v", Mean(xs), Max(xs))
 	}
-	if p := s.Percentile(95); p != 95 {
+	if p := Percentile(xs, 95); p != 95 {
 		t.Fatalf("p95 = %v", p)
 	}
-	empty := NewSampler()
-	if empty.Mean() != 0 || empty.Percentile(50) != 0 {
-		t.Fatal("empty sampler must report zeros")
+	if xs[0] != 100 {
+		t.Fatal("Percentile must not reorder its input")
+	}
+	if Mean(nil) != 0 || Max(nil) != 0 || Percentile(nil, 50) != 0 {
+		t.Fatal("empty samples must report zeros")
 	}
 }
 

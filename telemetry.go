@@ -9,7 +9,7 @@ import (
 
 // Telemetry is the run-observability facade: one metrics plane (counter/gauge
 // registry, wall-clock phase profiler, per-shard progress tracker, merged
-// latency histogram) that a Fleet, OpenLoop or Chaos run feeds while it
+// latency samples) that a Fleet, OpenLoop or Chaos run feeds while it
 // executes. Attaching telemetry NEVER changes a scenario's merged result —
 // every number it exposes is either read from atomic snapshots beside the
 // deterministic core or derived from the wall clock, and nothing flows back.
@@ -59,12 +59,12 @@ func (t *Telemetry) WritePrometheus(w io.Writer) {
 	t.plane.WritePrometheus(w)
 }
 
-// LatencyQuantile returns the merged latency histogram's p-th percentile in
-// milliseconds (0 when no run has completed yet). Quantiles come from
-// fixed-boundary log-scale buckets, so they are identical at any worker or
-// shard count.
+// LatencyQuantile returns the p-th percentile (0..100) of the last run's
+// merged flow latencies in milliseconds (0 when no run has completed yet). It
+// is the exact order statistic the run's result table prints, so it is
+// identical at any worker count.
 func (t *Telemetry) LatencyQuantile(p float64) float64 {
-	return t.plane.Latency().Quantile(p)
+	return t.plane.LatencyQuantile(p)
 }
 
 // Close stops the progress printer and metrics server, if started. Safe on a

@@ -11,9 +11,8 @@ import (
 )
 
 // TestTelemetryFacade drives the public observability surface end to end:
-// progress lines into a buffer, a live /metrics endpoint, the latency
-// quantile accessor, and the sample-cap knob — all attached to one open-loop
-// run through the builder.
+// progress lines into a buffer, a live /metrics endpoint and the latency
+// quantile accessor — all attached to one open-loop run through the builder.
 func TestTelemetryFacade(t *testing.T) {
 	tele := NewTelemetry("facade")
 	defer tele.Close()
@@ -30,7 +29,6 @@ func TestTelemetryFacade(t *testing.T) {
 		Window(time.Second).
 		Shards(2).
 		Telemetry(tele).
-		LatencySampleCap(4).
 		Run()
 	if err != nil {
 		t.Fatal(err)
