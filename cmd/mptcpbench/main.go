@@ -96,7 +96,7 @@ func (c *cli) flagSet(onError flag.ErrorHandling) *flag.FlagSet {
 	fs.StringVar(&c.sharedLink, "shared-link", "", "coupled scenarios: the shared bottleneck as [name:]rate[:epoch], e.g. 100mbps, core:1gbps:50ms (fleet-corelink, fleet-cdn, fleet-http)")
 	fs.BoolVar(&c.progress, "progress", false, "fleet scenarios: print a live status line to stderr every second (telemetry never changes results)")
 	fs.DurationVar(&c.progressInterval, "progress-interval", time.Second, "cadence of -progress status lines")
-	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "fleet scenarios: serve Prometheus /metrics and expvar /debug/vars on this address during the run, e.g. 127.0.0.1:9090")
+	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "fleet scenarios: serve Prometheus text on /metrics at this address during the run, e.g. 127.0.0.1:9090")
 	fs.DurationVar(&c.metricsLinger, "metrics-linger", 0, "keep the -metrics-addr endpoint up this long after the run finishes, for scrapers that poll")
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile taken at exit to this file (go tool pprof)")
@@ -275,7 +275,7 @@ func runFleet(c *cli) {
 			fail(err)
 		}
 		srv = s
-		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (Prometheus text) and /debug/vars (expvar)\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (Prometheus text)\n", srv.Addr())
 	}
 	prog := (*telemetry.Progress)(nil)
 	if c.progress {

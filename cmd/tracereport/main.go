@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -51,35 +52,28 @@ func main() {
 	}
 
 	empty := 0
-	if *format == "json" {
-		reports := make([]fileReport, 0, len(files))
-		for _, path := range files {
-			r, err := buildReport(path)
-			if err != nil {
-				fail(err)
-			}
-			if r.Events == 0 {
-				empty++
-			}
-			reports = append(reports, r)
+	reports := make([]fileReport, 0, len(files))
+	for i, path := range files {
+		r, events, err := buildReport(path)
+		if err != nil {
+			fail(err)
 		}
+		if r.Events == 0 {
+			empty++
+		}
+		reports = append(reports, r)
+		if *format == "text" {
+			if i > 0 {
+				fmt.Println()
+			}
+			writeText(os.Stdout, r, events, *width, *top, !*noTimeline)
+		}
+	}
+	if *format == "json" {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(reports); err != nil {
 			fail(err)
-		}
-	} else {
-		for i, path := range files {
-			if i > 0 {
-				fmt.Println()
-			}
-			n, err := report(path, *width, *top, !*noTimeline)
-			if err != nil {
-				fail(err)
-			}
-			if n == 0 {
-				empty++
-			}
 		}
 	}
 	if *requireEvents && empty > 0 {
@@ -88,9 +82,10 @@ func main() {
 	}
 }
 
-// fileReport is the -format json summary of one events file: the same kind
-// tally, stall attribution and drain-tail breakdown the text report renders,
-// minus the timelines (which are a terminal visualisation, not data).
+// fileReport is the summary of one events file: the kind tally, stall
+// attribution and drain-tail breakdown. -format json encodes it, the text
+// report renders it and adds the timelines (a terminal visualisation, not
+// data), so the two formats cannot disagree.
 type fileReport struct {
 	File          string            `json:"file"`
 	Events        int               `json:"events"`
@@ -122,20 +117,21 @@ type tailReport struct {
 	TailNs    int64 `json:"tail_ns"`
 }
 
-// buildReport parses one events file into its machine-readable summary.
-func buildReport(path string) (fileReport, error) {
+// buildReport parses one events file into its summary; the events are
+// returned for the timelines.
+func buildReport(path string) (fileReport, []probe.Event, error) {
 	r := fileReport{File: filepath.Base(path)}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return r, err
+		return r, nil, err
 	}
 	events, err := probe.ParseJSONL(data)
 	if err != nil {
-		return r, fmt.Errorf("%s: %w", path, err)
+		return r, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	r.Events = len(events)
 	if len(events) == 0 {
-		return r, nil
+		return r, nil, nil
 	}
 	first, last := events[0].At, events[0].At
 	memberSet := map[int32]bool{}
@@ -171,6 +167,7 @@ func buildReport(path string) (fileReport, error) {
 
 	r.DrainTailNs = int64(probe.DrainTail(events))
 	tails := probe.DrainTails(events)
+	// Worst tails first; the breakdown shows where the completion time went.
 	sort.SliceStable(tails, func(i, j int) bool { return tails[i].Tail() > tails[j].Tail() })
 	for _, t := range tails {
 		r.DrainTails = append(r.DrainTails, tailReport{
@@ -179,7 +176,7 @@ func buildReport(path string) (fileReport, error) {
 			LastRTONs: int64(t.LastRTO), TailNs: int64(t.Tail()),
 		})
 	}
-	return r, nil
+	return r, events, nil
 }
 
 // collectFiles expands each argument: a directory yields every
@@ -205,73 +202,55 @@ func collectFiles(args []string) ([]string, error) {
 	return files, nil
 }
 
-func report(path string, width, top int, timeline bool) (int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
+// writeText renders one file's report for a terminal.
+func writeText(w io.Writer, r fileReport, events []probe.Event, width, top int, timeline bool) {
+	fmt.Fprintf(w, "== %s ==\n", r.File)
+	if r.Events == 0 {
+		fmt.Fprintln(w, "no events")
+		return
 	}
-	events, err := probe.ParseJSONL(data)
-	if err != nil {
-		return 0, fmt.Errorf("%s: %w", path, err)
-	}
+	fmt.Fprintf(w, "%d events, %d members, %s .. %s\n\n",
+		r.Events, r.Members, fmtT(time.Duration(r.FirstNs)), fmtT(time.Duration(r.LastNs)))
 
-	fmt.Printf("== %s ==\n", filepath.Base(path))
-	if len(events) == 0 {
-		fmt.Println("no events")
-		return 0, nil
-	}
-	first, last := events[0].At, events[0].At
-	memberSet := map[int32]bool{}
-	for _, e := range events {
-		if e.At < first {
-			first = e.At
+	fmt.Fprintln(w, "events by kind:")
+	// Kind order, not the map's: the tally array has one slot per kind.
+	for k := range probe.CountKinds(nil) {
+		if n := r.Kinds[probe.Kind(k).String()]; n > 0 {
+			fmt.Fprintf(w, "  %-14s %d\n", probe.Kind(k).String(), n)
 		}
-		if e.At > last {
-			last = e.At
-		}
-		memberSet[e.Member] = true
 	}
-	fmt.Printf("%d events, %d members, %s .. %s\n\n",
-		len(events), len(memberSet), fmtT(first), fmtT(last))
+	fmt.Fprintln(w)
 
-	reportKinds(events)
-	reportStalls(events)
-	reportDrainTail(events)
+	fmt.Fprintf(w, "stall episodes: %d\n", r.StallEpisodes)
+	for _, st := range r.Stalls {
+		fmt.Fprintf(w, "  t=%s member=%d entry-bytes=%d cause: %s\n", fmtT(time.Duration(st.AtNs)), st.Member, st.EntryBytes, st.Cause)
+	}
+	fmt.Fprintln(w)
+
+	fmt.Fprintf(w, "rto drain tail: %s (max over %d subflows with RTOs)\n",
+		fmtT(time.Duration(r.DrainTailNs)), len(r.DrainTails))
+	shown := len(r.DrainTails)
+	if shown > 10 {
+		shown = 10
+	}
+	for _, t := range r.DrainTails[:shown] {
+		fmt.Fprintf(w, "  member=%d conn=%d sf=%d: %d consecutive RTOs %s..%s, last backoff %s -> tail %s\n",
+			t.Member, t.Conn, t.Subflow, t.Count, fmtT(time.Duration(t.StartNs)), fmtT(time.Duration(t.LastNs)),
+			fmtT(time.Duration(t.LastRTONs)), fmtT(time.Duration(t.TailNs)))
+	}
+	if shown < len(r.DrainTails) {
+		fmt.Fprintf(w, "  ... %d more subflows\n", len(r.DrainTails)-shown)
+	}
+	fmt.Fprintln(w)
+
 	if timeline {
-		reportTimelines(events, width, top)
+		writeTimelines(w, events, width, top)
 	}
-	return len(events), nil
-}
-
-func reportKinds(events []probe.Event) {
-	counts := probe.CountKinds(events)
-	fmt.Println("events by kind:")
-	for k, n := range counts {
-		if n > 0 {
-			fmt.Printf("  %-14s %d\n", probe.Kind(k).String(), n)
-		}
-	}
-	fmt.Println()
-}
-
-// reportStalls lists watchdog stall-entry events and attributes each to the
-// most recent preceding fault, RTO or subflow death on the same member.
-func reportStalls(events []probe.Event) {
-	n := probe.StallEpisodes(events)
-	fmt.Printf("stall episodes: %d\n", n)
-	for i, e := range events {
-		if e.Kind != probe.KindStall {
-			continue
-		}
-		fmt.Printf("  t=%s member=%d entry-bytes=%d cause: %s\n", fmtT(e.At), e.Member, e.A, stallCause(events, i))
-	}
-	fmt.Println()
 }
 
 // stallCause attributes the stall-entry event at index i to the most recent
 // preceding fault, RTO, subflow death or REMOVE_ADDR on the same member
-// within the lookback window. Shared by the text and JSON reports so both
-// attribute identically.
+// within the lookback window.
 func stallCause(events []probe.Event, i int) string {
 	const lookback = 10 * time.Second
 	e := events[i]
@@ -303,34 +282,14 @@ func stallCause(events []probe.Event, i int) string {
 	return "no prior fault/RTO on this member within 10s"
 }
 
-func reportDrainTail(events []probe.Event) {
-	tails := probe.DrainTails(events)
-	fmt.Printf("rto drain tail: %s (max over %d subflows with RTOs)\n",
-		fmtT(probe.DrainTail(events)), len(tails))
-	// Worst tails first; the breakdown shows where the completion time went.
-	sort.SliceStable(tails, func(i, j int) bool { return tails[i].Tail() > tails[j].Tail() })
-	shown := len(tails)
-	if shown > 10 {
-		shown = 10
-	}
-	for _, t := range tails[:shown] {
-		fmt.Printf("  member=%d conn=%d sf=%d: %d consecutive RTOs %s..%s, last backoff %s -> tail %s\n",
-			t.Member, t.Conn, t.Subflow, t.Count, fmtT(t.Start), fmtT(t.Last), fmtT(t.LastRTO), fmtT(t.Tail()))
-	}
-	if shown < len(tails) {
-		fmt.Printf("  ... %d more subflows\n", len(tails)-shown)
-	}
-	fmt.Println()
-}
-
 // sfKey identifies one subflow across the event stream.
 type sfKey struct {
 	member, conn, subflow int32
 }
 
-// reportTimelines renders per-subflow cwnd timelines from the congestion-
+// writeTimelines renders per-subflow cwnd timelines from the congestion-
 // control transition events (cc_* events carry A=cwnd at the transition).
-func reportTimelines(events []probe.Event, width, top int) {
+func writeTimelines(w io.Writer, events []probe.Event, width, top int) {
 	type point struct {
 		at   time.Duration
 		cwnd int64
@@ -354,7 +313,7 @@ func reportTimelines(events []probe.Event, width, top int) {
 		}
 	}
 	if len(series) == 0 {
-		fmt.Println("cwnd timelines: no cc events recorded")
+		fmt.Fprintln(w, "cwnd timelines: no cc events recorded")
 		return
 	}
 	keys := make([]sfKey, 0, len(series))
@@ -376,10 +335,10 @@ func reportTimelines(events []probe.Event, width, top int) {
 		return a.subflow < b.subflow
 	})
 	if top > 0 && len(keys) > top {
-		fmt.Printf("cwnd timelines (%d busiest of %d subflows, from cc transition events):\n", top, len(keys))
+		fmt.Fprintf(w, "cwnd timelines (%d busiest of %d subflows, from cc transition events):\n", top, len(keys))
 		keys = keys[:top]
 	} else {
-		fmt.Printf("cwnd timelines (%d subflows, from cc transition events):\n", len(keys))
+		fmt.Fprintf(w, "cwnd timelines (%d subflows, from cc transition events):\n", len(keys))
 	}
 
 	span := last - first
@@ -415,10 +374,10 @@ func reportTimelines(events []probe.Event, width, top int) {
 			prev = v
 			line[i] = levels[int(v*int64(len(levels)-1)/peak)]
 		}
-		fmt.Printf("  member=%-3d conn=%-3d sf=%d |%s| peak %d B (%d transitions)\n",
+		fmt.Fprintf(w, "  member=%-3d conn=%-3d sf=%d |%s| peak %d B (%d transitions)\n",
 			k.member, k.conn, k.subflow, line, peak, len(pts))
 	}
-	fmt.Printf("  scale: '%c' = 0 .. '%c' = per-line peak cwnd; x spans %s .. %s\n",
+	fmt.Fprintf(w, "  scale: '%c' = 0 .. '%c' = per-line peak cwnd; x spans %s .. %s\n",
 		levels[0], levels[len(levels)-1], fmtT(first), fmtT(last))
 }
 

@@ -133,9 +133,6 @@ func (c *Coupler) Links() []SharedLink { return c.links }
 // Epoch returns the capacity-exchange window length.
 func (c *Coupler) Epoch() time.Duration { return c.epoch }
 
-// Shards returns the number of shards the coupler allocates across.
-func (c *Coupler) Shards() int { return len(c.weights) }
-
 // LinkIndex resolves a shared-link name, or -1.
 func (c *Coupler) LinkIndex(name string) int {
 	for i, l := range c.links {

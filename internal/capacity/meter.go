@@ -2,13 +2,10 @@ package capacity
 
 import (
 	"fmt"
-	"os"
 
 	"mptcpgo/internal/faults"
 	"mptcpgo/internal/netem"
 )
-
-var capDebug = os.Getenv("CAPDEBUG") != ""
 
 // memberLink is one tagged link direction owned by a shard: the directional
 // link, its pre-coupling configuration (the restore point for every swap),
@@ -126,9 +123,6 @@ func (m *Meter) Apply(allocs []int64) {
 			}
 			ml.link.SetConfig(capLink(ml.orig, shares[i]))
 		}
-		if capDebug {
-			fmt.Fprintf(os.Stderr, "CAPDBG apply link=%d alloc=%d demands=%v shares=%v\n", j, allocs[j], demands, shares)
-		}
 	}
 }
 
@@ -169,10 +163,6 @@ func (m *Meter) Collect() (offered, sent []uint64) {
 			ml.demandBps = SmoothDemand(ml.demandBps, int64(float64(dOff)*8/epochSec))
 			off += dOff
 			snt += dSnt
-			if capDebug {
-				fmt.Fprintf(os.Stderr, "CAPDBG collect link=%d off=%d sent=%d queued=%d dropQ=%d cap=%d\n",
-					j, dOff, dSnt, ml.link.QueueBytes(), st.DroppedQueue, ml.link.Config().RateBps)
-			}
 		}
 		m.offered[j], m.sent[j] = off, snt
 	}

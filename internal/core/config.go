@@ -78,11 +78,6 @@ type Config struct {
 	// client waits before opening additional subflows (the implementation
 	// waits for the handshake to settle first).
 	AddSubflowDelay time.Duration
-
-	// ConnRetransmitInterval is the connection-level retransmission timer of
-	// §3.3.5: if a mapping is not DATA_ACKed within this interval it is
-	// reinjected on another subflow. Zero derives it from subflow RTOs.
-	ConnRetransmitInterval time.Duration
 }
 
 // DefaultConfig returns the configuration used by the paper's "MPTCP+M1,2"
@@ -145,7 +140,7 @@ func (c Config) withDefaults() Config {
 // hooks, whether or not MPTCP ends up being negotiated (fallback connections
 // simply use an implicit one-to-one mapping), so the endpoint is always
 // configured for hook-managed operation.
-func (c Config) subflowConfig(bool) tcp.Config {
+func (c Config) subflowConfig() tcp.Config {
 	sc := c.SubflowTemplate
 	// Subflow buffers are bounded by the connection-level buffers: the
 	// subflow-level limits must never be the bottleneck for MPTCP, and for
@@ -158,7 +153,6 @@ func (c Config) subflowConfig(bool) tcp.Config {
 	sc.PayloadToHooksOnly = true
 	// The congestion-controller factory for MPTCP subflows is installed by
 	// the connection because the coupled controller needs the shared group.
-	sc.AutoTuneBuffers = false
 	return sc
 }
 

@@ -198,16 +198,10 @@ func (c *Connection) Err() error { return c.err }
 // Subflows returns the connection's current subflows.
 func (c *Connection) Subflows() []*Subflow { return c.subflows }
 
-// LocalToken returns the connection's local token.
-func (c *Connection) LocalToken() uint32 { return c.localToken }
-
 // ReassemblySteps returns the cumulative number of search steps performed by
 // the connection-level out-of-order queue; Figure 8 uses it (together with
 // the micro-benchmarks in bench_test.go) as the receiver CPU-cost proxy.
 func (c *Connection) ReassemblySteps() uint64 { return c.ofo.Steps() }
-
-// OfoAlgorithmName returns the reassembly algorithm in use.
-func (c *Connection) OfoAlgorithmName() string { return c.ofo.Name() }
 
 // Stats returns a copy of the connection counters.
 func (c *Connection) Stats() ConnStats { return c.stats }
@@ -590,16 +584,6 @@ func (c *Connection) subflowCountOnInterface(ifc *netem.Interface) int {
 	return n
 }
 
-// subflowOnInterface reports whether a subflow already uses the interface.
-func (c *Connection) subflowOnInterface(ifc *netem.Interface) bool {
-	for _, s := range c.subflows {
-		if s.ep != nil && s.ep.Interface() == ifc {
-			return true
-		}
-	}
-	return false
-}
-
 // watchSubflow registers the subflow with the flight recorder's time-series
 // sampler. The closure reads live endpoint state on each tick and emits a
 // quantized coupled-alpha transition event when the group's alpha moves; it
@@ -634,7 +618,7 @@ func (c *Connection) watchSubflow(s *Subflow) {
 func (c *Connection) dialJoinSubflow(ifc *netem.Interface, remote packet.Endpoint) {
 	s := c.newSubflow(RoleJoin, true)
 	s.localNonce = c.sim.RNG().Uint32()
-	cfg := c.cfg.subflowConfig(true)
+	cfg := c.cfg.subflowConfig()
 	cfg.CongestionControl = c.cfg.controllerFactory(c.ccGroup, true)
 	if c.probe != nil {
 		cfg.Probe = s

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -291,5 +292,72 @@ func TestFinishReleasesSendQueues(t *testing.T) {
 	}
 	if got := outstanding(); got != start {
 		t.Fatalf("%d pool buffers outstanding after the aborted transfer drained", got-start)
+	}
+}
+
+// TestServerMemoryFlatInCompletedConnections is the regression guard for the
+// listeners' accept logs: a server replica must not retain anything per
+// finished connection. Sequential 16 KiB flows are dialled, drained and closed
+// against one listener; the live heap after 4,000 of them has to match the
+// live heap after 400.
+func TestServerMemoryFlatInCompletedConnections(t *testing.T) {
+	h := newHarness(t, 9, []netem.PathSpec{netem.Symmetric("p", netem.Mbps(100), time.Millisecond, 1<<20, 0)})
+	cfg := DefaultConfig()
+	const flowBytes = 16 << 10
+	received := 0
+	if _, err := h.srvMgr.Listen(80, cfg, func(c *Connection) {
+		c.OnReadable = func() {
+			for data := c.Read(64 << 10); len(data) > 0; data = c.Read(64 << 10) {
+				received += len(data)
+			}
+			if c.EOF() {
+				c.Close()
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, flowBytes)
+	remaining := 0
+	var dial func()
+	dial = func() {
+		if remaining == 0 {
+			return
+		}
+		remaining--
+		conn, err := h.cliMgr.Dial(h.net.Client.Interfaces()[0], packet.Endpoint{Addr: h.net.ServerAddr(0), Port: 80}, cfg)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		conn.OnEstablished = func() {
+			if w := conn.Write(payload); w != flowBytes {
+				t.Fatalf("short write: %d", w)
+			}
+			conn.Close()
+		}
+		conn.OnClosed = func(error) { h.net.Sim.Schedule(0, dial) }
+	}
+	liveHeapAfter := func(flows int) uint64 {
+		remaining = flows
+		dial()
+		if err := h.net.Sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	early := liveHeapAfter(400)
+	late := liveHeapAfter(3600)
+	if received != 4000*flowBytes {
+		t.Fatalf("received %d bytes, want %d", received, 4000*flowBytes)
+	}
+	if n := len(h.srvMgr.Connections()) + len(h.cliMgr.Connections()); n != 0 {
+		t.Fatalf("%d connections still tracked after every flow closed", n)
+	}
+	if growth := int64(late) - int64(early); growth > 256<<10 {
+		t.Fatalf("live heap grew %d KiB between 400 and 4000 completed flows (%d -> %d bytes)", growth>>10, early, late)
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
 	"mptcpgo/internal/probe"
@@ -46,10 +44,6 @@ func (m *Manager) SetProbe(rec *probe.Recorder, member int) {
 // the member index it records under.
 func (m *Manager) Probe() (*probe.Recorder, int) { return m.probeRec, m.probeMember }
 
-// Tokens exposes the token table (experiments measuring connection-setup
-// latency populate it directly).
-func (m *Manager) Tokens() *TokenTable { return m.tokens }
-
 // Connections returns the currently tracked connections.
 func (m *Manager) Connections() []*Connection { return m.conns }
 
@@ -87,7 +81,7 @@ func (m *Manager) Dial(iface *netem.Interface, remote packet.Endpoint, cfg Confi
 		m.tokens.Insert(token, c)
 	}
 	s := c.newSubflow(RoleInitial, true)
-	scfg := c.cfg.subflowConfig(true)
+	scfg := c.cfg.subflowConfig()
 	scfg.CongestionControl = c.cfg.controllerFactory(c.ccGroup, c.cfg.EnableMPTCP)
 	if c.probe != nil {
 		scfg.Probe = s
@@ -132,21 +126,13 @@ type Listener struct {
 	// pendingNew marks whether the pending subflow's connection is new (so
 	// the application callback fires exactly once per connection).
 	pendingNew bool
-
-	// SetupDurations records the wall-clock time spent processing each
-	// received SYN (key generation, token-uniqueness check, HMAC
-	// validation); the connection-setup-latency experiment (Figure 10) reads
-	// these.
-	SetupDurations []time.Duration
-
-	accepted []*Connection
 }
 
 // Listen installs an MPTCP listener on the manager's host.
 func (m *Manager) Listen(port uint16, cfg Config, acceptCb AcceptCallback) (*Listener, error) {
 	cfg = cfg.withDefaults()
 	l := &Listener{mgr: m, cfg: cfg, port: port, acceptCb: acceptCb}
-	tl, err := tcp.Listen(m.host, port, cfg.subflowConfig(true), l.onAccept)
+	tl, err := tcp.Listen(m.host, port, cfg.subflowConfig(), l.onAccept)
 	if err != nil {
 		return nil, err
 	}
@@ -158,18 +144,12 @@ func (m *Manager) Listen(port uint16, cfg Config, acceptCb AcceptCallback) (*Lis
 // Port returns the listening port.
 func (l *Listener) Port() uint16 { return l.port }
 
-// Accepted returns the connections accepted so far.
-func (l *Listener) Accepted() []*Connection { return l.accepted }
-
 // Close removes the listener.
 func (l *Listener) Close() { l.tl.Close() }
 
 // hooksForSYN inspects a SYN and builds the subflow (and, for MP_CAPABLE,
 // the connection) it belongs to. Returning ok=false rejects the SYN.
 func (l *Listener) hooksForSYN(syn *packet.Segment) (tcp.Hooks, bool) {
-	start := time.Now()
-	defer func() { l.SetupDurations = append(l.SetupDurations, time.Since(start)) }()
-
 	l.pending = nil
 	l.pendingNew = false
 
@@ -242,10 +222,7 @@ func (l *Listener) onAccept(ep *tcp.Endpoint, syn *packet.Segment) {
 	if conn.cfg.AdvertiseAddresses && conn.MPTCPActive() && s.role == RoleInitial {
 		s.addAddrRepeats = 3
 	}
-	if l.pendingNew {
-		l.accepted = append(l.accepted, conn)
-		if l.acceptCb != nil {
-			l.acceptCb(conn)
-		}
+	if l.pendingNew && l.acceptCb != nil {
+		l.acceptCb(conn)
 	}
 }

@@ -371,10 +371,9 @@ func (c *Connection) onDataAck(from *Subflow, relAck uint64, windowBytes int) {
 // Connection-level retransmission (§3.3.5)
 // ---------------------------------------------------------------------------
 
+// connRtxInterval is twice the largest RTO among usable subflows (at least
+// 400 ms): a mapping not DATA_ACKed by then is reinjected.
 func (c *Connection) connRtxInterval() time.Duration {
-	if c.cfg.ConnRetransmitInterval > 0 {
-		return c.cfg.ConnRetransmitInterval
-	}
 	interval := 200 * time.Millisecond
 	for _, s := range c.usableSubflows() {
 		if rto := s.ep.RTO(); rto > interval {

@@ -38,11 +38,10 @@ func runFig5(opt Options) (*Result, error) {
 
 	results, err := sweepGrid(len(buffers), len(variants), func(r, c int) (BulkResult, error) {
 		buf, v := buffers[r], variants[c]
+		// The single-path TCP baselines run with fixed buffers of the
+		// configured size: Mechanism 3 is connection-level and does not apply
+		// to a plain-TCP connection.
 		cfg := v.cfg(buf)
-		// Single-path TCP baselines use the endpoint's own autotuning.
-		if !cfg.EnableMPTCP {
-			cfg.SubflowTemplate.AutoTuneBuffers = true
-		}
 		return RunBulk(BulkOptions{
 			Seed:           opt.Seed + uint64(buf)*7,
 			Specs:          netem.WiFi3GSpec(),

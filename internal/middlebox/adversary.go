@@ -147,8 +147,7 @@ func (r *RSTInjector) matches(seg *packet.Segment) bool {
 
 // Process implements netem.Box.
 func (r *RSTInjector) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) []*packet.Segment {
-	// Never interfere with RSTs — including the ones this box injected,
-	// which re-traverse the chain.
+	// Never interfere with RSTs.
 	if seg.Flags.Has(packet.FlagRST) {
 		return forward(seg)
 	}

@@ -169,6 +169,39 @@ func TestProactiveACKerContiguityAndRetransmit(t *testing.T) {
 	}
 }
 
+// On a real path the proxy's own forged ACK must not come back to it as if the
+// receiver had sent it: that would discard the copy it has just taken
+// responsibility for, and the retransmission below could never happen.
+func TestProactiveACKerKeepsAckedDataOnPath(t *testing.T) {
+	s := sim.New(1)
+	n := netem.Build(s, netem.Symmetric("p", netem.Mbps(10), time.Millisecond, 0, 0))
+	p := NewProactiveACKer()
+	n.Path(0).AddBox(p)
+	var atServer, atClient []*packet.Segment
+	n.Server.OnUnmatched = func(_ *netem.Interface, seg *packet.Segment) { atServer = append(atServer, seg) }
+	n.Client.OnUnmatched = func(_ *netem.Interface, seg *packet.Segment) { atClient = append(atClient, seg) }
+
+	data := dataSeg(0, "aaaa")
+	flow := data.Tuple()
+	n.Client.Interfaces()[0].Send(data)
+	_ = s.Run()
+	if len(atClient) != 1 || atClient[0].Ack != 4 || p.Acked != 1 {
+		t.Fatalf("expected one proxy ACK for 4 at the client, got %v (acked %d)", atClient, p.Acked)
+	}
+	if len(atServer) != 1 || p.buffered[flow][0] == nil {
+		t.Fatalf("proxy dropped the segment it acknowledged: delivered %d, buffered %v", len(atServer), p.buffered[flow])
+	}
+	// The receiver lost it after the proxy: its third duplicate ACK for 0
+	// makes the proxy retransmit its copy.
+	for i := 0; i < 3; i++ {
+		n.Server.Interfaces()[0].Send(&packet.Segment{Src: data.Dst, Dst: data.Src, Flags: packet.FlagACK, Ack: 0})
+	}
+	_ = s.Run()
+	if p.Retransmitted != 1 || len(atServer) != 2 || string(atServer[1].Payload) != "aaaa" {
+		t.Fatalf("expected the proxy to retransmit its copy: retransmitted %d, server saw %v", p.Retransmitted, atServer)
+	}
+}
+
 func TestPayloadRewriterAdjustsLaterSequences(t *testing.T) {
 	r := NewPayloadRewriter("cat", "tiger")
 	ctx := nopCtx{s: sim.New(1)}

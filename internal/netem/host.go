@@ -102,7 +102,7 @@ func (h *Host) Stats() HostStats {
 
 // AddInterface attaches a new interface with the given address.
 func (h *Host) AddInterface(addr packet.Addr) *Interface {
-	ifc := &Interface{host: h, addr: addr, mtu: 1500}
+	ifc := &Interface{host: h, addr: addr}
 	h.ifaces = append(h.ifaces, ifc)
 	return ifc
 }
@@ -251,7 +251,6 @@ type Sender interface {
 type Interface struct {
 	host *Host
 	addr packet.Addr
-	mtu  int
 
 	// out is the transmit side of the attached path for this interface.
 	out Sender
@@ -264,12 +263,6 @@ func (i *Interface) Host() *Host { return i.host }
 
 // Addr returns the interface address.
 func (i *Interface) Addr() packet.Addr { return i.addr }
-
-// MTU returns the interface MTU in bytes.
-func (i *Interface) MTU() int { return i.mtu }
-
-// SetMTU changes the interface MTU (jumbo frames for the Fig. 3 sweep).
-func (i *Interface) SetMTU(mtu int) { i.mtu = mtu }
 
 // Path returns the path the interface is attached to, or nil.
 func (i *Interface) Path() *Path { return i.path }

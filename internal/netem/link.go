@@ -132,9 +132,6 @@ func (l *Link) Config() LinkConfig { return l.cfg }
 // as a WiFi link degrading mid-connection).
 func (l *Link) SetConfig(cfg LinkConfig) { l.cfg = cfg }
 
-// SetReceiver points the link at a new far end.
-func (l *Link) SetReceiver(dst Receiver) { l.dst = dst }
-
 // Stats returns a copy of the link counters.
 func (l *Link) Stats() LinkStats { return l.stats }
 
@@ -226,7 +223,7 @@ func (l *Link) Send(seg *packet.Segment) {
 	// Reserve the seqs the unbatched schedule would have consumed (dequeue
 	// first, then delivery), append to the burst FIFO, and arm the delivery
 	// pump only when it is idle — one scheduler insertion replaces two, and
-	// the closure-free ScheduleArgsAt form is kept.
+	// the closure-free ScheduleArgsAtSeq form is kept.
 	dqSeq := l.sim.ReserveSeq()
 	dlSeq := l.sim.ReserveSeq()
 	l.fifo = append(l.fifo, txEntry{

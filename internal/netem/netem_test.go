@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -230,5 +231,75 @@ func TestBuildGraphAliasesAreNameBased(t *testing.T) {
 	}
 	if n.Server != n.Host("server") {
 		t.Fatal("Server alias must resolve to the host named server")
+	}
+}
+
+// recordingBox notes every injected segment (marked by port 9) it sees and,
+// when it is the injector, answers each ordinary segment by injecting one.
+type recordingBox struct {
+	name   string
+	inject *Direction // nil: never injects
+	seen   *[]string
+}
+
+func (b *recordingBox) Name() string { return b.name }
+
+func (b *recordingBox) Process(ctx BoxContext, _ Direction, seg *packet.Segment) []*packet.Segment {
+	if seg.Src.Port == 9 {
+		*b.seen = append(*b.seen, b.name)
+	} else if b.inject != nil {
+		ctx.Inject(*b.inject, &packet.Segment{Src: packet.Endpoint{Port: 9}, Flags: packet.FlagACK})
+	}
+	return []*packet.Segment{seg}
+}
+
+// An injected segment starts at the injecting element's position: only the
+// elements downstream of it along the injection direction process it.
+func TestInjectBypassesTraversedElements(t *testing.T) {
+	cases := []struct {
+		injector  int
+		travel    Direction
+		inject    Direction
+		wantBoxes string
+	}{
+		{1, AtoB, AtoB, "box2"},
+		{1, AtoB, BtoA, "box0"},
+		{1, BtoA, BtoA, "box0"},
+		{1, BtoA, AtoB, "box2"},
+		{0, AtoB, AtoB, "box1 box2"},
+		{0, AtoB, BtoA, ""},
+		{0, BtoA, BtoA, ""},
+		{0, BtoA, AtoB, "box1 box2"},
+	}
+	for _, tc := range cases {
+		s := sim.New(1)
+		n := Build(s, Symmetric("p", Mbps(10), time.Millisecond, 0, 0))
+		var seen []string
+		delivered := map[Direction]int{}
+		n.Server.OnUnmatched = func(_ *Interface, seg *packet.Segment) { delivered[AtoB]++ }
+		n.Client.OnUnmatched = func(_ *Interface, seg *packet.Segment) { delivered[BtoA]++ }
+		for i, name := range []string{"box0", "box1", "box2"} {
+			b := &recordingBox{name: name, seen: &seen}
+			if i == tc.injector {
+				b.inject = &tc.inject
+			}
+			n.Path(0).AddBox(b)
+		}
+		src := n.Client
+		if tc.travel == BtoA {
+			src = n.Server
+		}
+		src.Interfaces()[0].Send(testSegment(10))
+		_ = s.Run()
+		if got := strings.Join(seen, " "); got != tc.wantBoxes {
+			t.Errorf("box%d injecting %v while processing %v: seen by %q, want %q",
+				tc.injector, tc.inject, tc.travel, got, tc.wantBoxes)
+		}
+		want := map[Direction]int{tc.travel: 1}
+		want[tc.inject]++
+		if delivered[AtoB] != want[AtoB] || delivered[BtoA] != want[BtoA] {
+			t.Errorf("box%d injecting %v while processing %v: delivered %v, want %v",
+				tc.injector, tc.inject, tc.travel, delivered, want)
+		}
 	}
 }

@@ -179,7 +179,7 @@ func (p *Path) runChain(dir Direction, from int, seg *packet.Segment) []*packet.
 		box := p.boxAt(dir, i)
 		var next []*packet.Segment
 		for _, s := range segs {
-			out := box.Process(&boxCtx{path: p, index: i}, dir, s)
+			out := box.Process(&boxCtx{path: p, dir: dir, index: i}, dir, s)
 			next = append(next, out...)
 		}
 		segs = next
@@ -198,8 +198,10 @@ func (p *Path) boxAt(dir Direction, i int) Box {
 	return p.boxes[len(p.boxes)-1-i]
 }
 
+// boxCtx is the context of the element at position index along dir.
 type boxCtx struct {
 	path  *Path
+	dir   Direction
 	index int
 }
 
@@ -218,20 +220,14 @@ func (c *boxCtx) Inject(dir Direction, seg *packet.Segment) {
 		return
 	}
 	// The injecting element sits at position index along its own direction;
-	// translate that to a starting index along dir.
-	start := 0
+	// the elements downstream of it along dir start right after it, which
+	// seen from the other end of the chain is len(boxes)-index.
+	start := c.index + 1
+	if dir != c.dir {
+		start = len(p.boxes) - c.index
+	}
 	segs := p.runChain(dir, start, seg)
 	for _, s := range segs {
 		p.destination(dir).Receive(s)
-	}
-}
-
-// SendDirect bypasses the attached interfaces and pushes a segment onto the
-// path in the given direction; probes and tests use it to craft raw traffic.
-func (p *Path) SendDirect(dir Direction, seg *packet.Segment) {
-	if dir == AtoB {
-		p.linkAB.Send(seg)
-	} else {
-		p.linkBA.Send(seg)
 	}
 }

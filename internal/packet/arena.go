@@ -1,5 +1,7 @@
 package packet
 
+import "fmt"
+
 // Per-segment option arena. Decoding a segment used to allocate one heap
 // object per option (plus a slice per SACK block list, HMAC and address-ID
 // list), and the send path allocated fresh Timestamps/SACK/DSS objects for
@@ -7,8 +9,7 @@ package packet
 // of inline option storage instead: options are carved out of the arena,
 // live exactly as long as the segment, and are reclaimed wholesale when the
 // segment is released. Option pointers obtained from a segment's arena must
-// therefore never outlive the segment — copy the values out (or CloneOption)
-// to keep them.
+// therefore never outlive the segment — copy the values out to keep them.
 //
 // The slot counts cover everything a 40-byte TCP option space can carry in
 // practice; pathological inputs (e.g. a fuzzed header stuffed with ten MSS
@@ -219,7 +220,7 @@ func (s *Segment) AppendOptionCopy(o Option) {
 		*n = *opt
 		c = n
 	default:
-		c = o.CloneOption()
+		panic(fmt.Sprintf("packet: AppendOptionCopy: unknown option type %T", o))
 	}
 	s.Options = append(s.Options, c)
 }

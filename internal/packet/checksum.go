@@ -76,25 +76,9 @@ func FoldChecksum(sum uint32) uint16 {
 	return ^uint16(sum)
 }
 
-// CombineChecksums adds a previously folded checksum value back into a
-// running sum (used when composing pseudo-header and payload sums).
-func CombineChecksums(sum uint32, folded uint16) uint32 {
-	return sum + uint32(^folded)
-}
-
-// DSSPseudoHeader builds the MPTCP DSS checksum pseudo-header: the 64-bit
+// DSSChecksum computes the DSS checksum over the pseudo-header (the 64-bit
 // data sequence number, the 32-bit relative subflow sequence number, the
-// 16-bit data-level length and a zero pad (RFC 6824 §3.3.1).
-func DSSPseudoHeader(dataSeq DataSeq, subflowOffset uint32, length uint16) []byte {
-	var b [16]byte
-	binary.BigEndian.PutUint64(b[0:8], uint64(dataSeq))
-	binary.BigEndian.PutUint32(b[8:12], subflowOffset)
-	binary.BigEndian.PutUint16(b[12:14], length)
-	// b[14:16] is the zero-filled checksum field.
-	return b[:]
-}
-
-// DSSChecksum computes the DSS checksum over the pseudo-header and payload.
+// 16-bit data-level length and a zero pad, RFC 6824 §3.3.1) and payload.
 // The pseudo-header is summed from a stack array (no allocation): this is
 // the per-segment hot path when UseDSSChecksum is on, charged once at the
 // sender and once at the receiver.

@@ -70,8 +70,6 @@ type Option interface {
 	Subtype() MPTCPSubtype
 	// WireLen returns the option's encoded length in bytes (without padding).
 	WireLen() int
-	// CloneOption returns a deep copy of the option.
-	CloneOption() Option
 	// String renders the option for traces.
 	String() string
 }
@@ -94,9 +92,6 @@ func (o *MSSOption) Subtype() MPTCPSubtype { return SubNone }
 // WireLen implements Option.
 func (o *MSSOption) WireLen() int { return 4 }
 
-// CloneOption implements Option.
-func (o *MSSOption) CloneOption() Option { c := *o; return &c }
-
 // String implements Option.
 func (o *MSSOption) String() string { return fmt.Sprintf("mss=%d", o.MSS) }
 
@@ -113,9 +108,6 @@ func (o *WindowScaleOption) Subtype() MPTCPSubtype { return SubNone }
 
 // WireLen implements Option.
 func (o *WindowScaleOption) WireLen() int { return 3 }
-
-// CloneOption implements Option.
-func (o *WindowScaleOption) CloneOption() Option { c := *o; return &c }
 
 // String implements Option.
 func (o *WindowScaleOption) String() string { return fmt.Sprintf("wscale=%d", o.Shift) }
@@ -135,9 +127,6 @@ func (o *TimestampsOption) Subtype() MPTCPSubtype { return SubNone }
 // WireLen implements Option.
 func (o *TimestampsOption) WireLen() int { return 10 }
 
-// CloneOption implements Option.
-func (o *TimestampsOption) CloneOption() Option { c := *o; return &c }
-
 // String implements Option.
 func (o *TimestampsOption) String() string { return fmt.Sprintf("ts val=%d ecr=%d", o.Val, o.Echo) }
 
@@ -152,9 +141,6 @@ func (o *SACKPermittedOption) Subtype() MPTCPSubtype { return SubNone }
 
 // WireLen implements Option.
 func (o *SACKPermittedOption) WireLen() int { return 2 }
-
-// CloneOption implements Option.
-func (o *SACKPermittedOption) CloneOption() Option { c := *o; return &c }
 
 // String implements Option.
 func (o *SACKPermittedOption) String() string { return "sackOK" }
@@ -178,12 +164,6 @@ func (o *SACKOption) Subtype() MPTCPSubtype { return SubNone }
 
 // WireLen implements Option.
 func (o *SACKOption) WireLen() int { return 2 + 8*len(o.Blocks) }
-
-// CloneOption implements Option.
-func (o *SACKOption) CloneOption() Option {
-	c := &SACKOption{Blocks: append([]SACKBlock(nil), o.Blocks...)}
-	return c
-}
 
 // String implements Option.
 func (o *SACKOption) String() string { return fmt.Sprintf("sack %v", o.Blocks) }
@@ -219,9 +199,6 @@ func (o *MPCapableOption) WireLen() int {
 	}
 	return 12
 }
-
-// CloneOption implements Option.
-func (o *MPCapableOption) CloneOption() Option { c := *o; return &c }
 
 // String implements Option.
 func (o *MPCapableOption) String() string {
@@ -277,13 +254,6 @@ func (o *MPJoinOption) WireLen() int {
 	}
 }
 
-// CloneOption implements Option.
-func (o *MPJoinOption) CloneOption() Option {
-	c := *o
-	c.SenderHMAC = append([]byte(nil), o.SenderHMAC...)
-	return &c
-}
-
 // String implements Option.
 func (o *MPJoinOption) String() string {
 	return fmt.Sprintf("mp_join[phase=%d id=%d tok=%x]", o.Phase, o.AddrID, o.ReceiverToken)
@@ -335,9 +305,6 @@ func (o *DSSOption) WireLen() int {
 	return n
 }
 
-// CloneOption implements Option.
-func (o *DSSOption) CloneOption() Option { c := *o; return &c }
-
 // String implements Option.
 func (o *DSSOption) String() string {
 	s := "dss["
@@ -355,9 +322,6 @@ func (o *DSSOption) String() string {
 	}
 	return s + "]"
 }
-
-// MappingEnd returns the data sequence number just past this mapping.
-func (o *DSSOption) MappingEnd() DataSeq { return o.DataSeq + DataSeq(o.Length) }
 
 // AddAddrOption advertises an additional address owned by the sender (§3.2).
 type AddAddrOption struct {
@@ -380,9 +344,6 @@ func (o *AddAddrOption) WireLen() int {
 	return 8
 }
 
-// CloneOption implements Option.
-func (o *AddAddrOption) CloneOption() Option { c := *o; return &c }
-
 // String implements Option.
 func (o *AddAddrOption) String() string {
 	return fmt.Sprintf("add_addr[id=%d %s:%d]", o.AddrID, o.Addr, o.Port)
@@ -402,11 +363,6 @@ func (o *RemoveAddrOption) Subtype() MPTCPSubtype { return SubRemoveAddr }
 // WireLen implements Option.
 func (o *RemoveAddrOption) WireLen() int { return 3 + len(o.AddrIDs) }
 
-// CloneOption implements Option.
-func (o *RemoveAddrOption) CloneOption() Option {
-	return &RemoveAddrOption{AddrIDs: append([]uint8(nil), o.AddrIDs...)}
-}
-
 // String implements Option.
 func (o *RemoveAddrOption) String() string { return fmt.Sprintf("remove_addr%v", o.AddrIDs) }
 
@@ -424,9 +380,6 @@ func (o *MPPrioOption) Subtype() MPTCPSubtype { return SubMPPrio }
 
 // WireLen implements Option.
 func (o *MPPrioOption) WireLen() int { return 4 }
-
-// CloneOption implements Option.
-func (o *MPPrioOption) CloneOption() Option { c := *o; return &c }
 
 // String implements Option.
 func (o *MPPrioOption) String() string {
@@ -447,9 +400,6 @@ func (o *MPFailOption) Subtype() MPTCPSubtype { return SubMPFail }
 // WireLen implements Option.
 func (o *MPFailOption) WireLen() int { return 12 }
 
-// CloneOption implements Option.
-func (o *MPFailOption) CloneOption() Option { c := *o; return &c }
-
 // String implements Option.
 func (o *MPFailOption) String() string { return fmt.Sprintf("mp_fail[dseq=%d]", o.DataSeq) }
 
@@ -467,9 +417,6 @@ func (o *FastcloseOption) Subtype() MPTCPSubtype { return SubFastclose }
 
 // WireLen implements Option.
 func (o *FastcloseOption) WireLen() int { return 12 }
-
-// CloneOption implements Option.
-func (o *FastcloseOption) CloneOption() Option { c := *o; return &c }
 
 // String implements Option.
 func (o *FastcloseOption) String() string { return fmt.Sprintf("fastclose[k=%x]", o.ReceiverKey) }

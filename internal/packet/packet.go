@@ -141,7 +141,7 @@ type Segment struct {
 	Ordinal uint64
 
 	// ownsPayload marks Payload as a pool-owned buffer that Release will
-	// recycle (see AttachPayload / DetachPayload in pool.go).
+	// recycle (see AttachPayload in pool.go).
 	ownsPayload bool
 	// released guards against double-release of pooled segments.
 	released bool

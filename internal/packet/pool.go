@@ -40,15 +40,6 @@ func (s *Segment) AttachPayload(buf []byte) {
 	s.ownsPayload = true
 }
 
-// DetachPayload transfers ownership of the payload buffer to the caller:
-// Release will no longer recycle it.
-func (s *Segment) DetachPayload() []byte {
-	b := s.Payload
-	s.Payload = nil
-	s.ownsPayload = false
-	return b
-}
-
 // Release returns the segment (and its payload buffer, when pool-owned) to
 // the pools. The caller must not touch the segment afterwards. Releasing a
 // segment twice panics: it would put the same pointer into the pool twice

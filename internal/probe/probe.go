@@ -94,9 +94,6 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// NumKinds is the number of defined event kinds.
-func NumKinds() int { return int(numKinds) }
-
 // Fault-action codes carried in the A field of KindFaultAction events.
 const (
 	FaultLinkDown int64 = iota
@@ -302,15 +299,6 @@ func (r *Recorder) Lo() int {
 		return 0
 	}
 	return r.lo
-}
-
-// SampleInterval returns the configured time-series cadence (zero when
-// sampling is disabled).
-func (r *Recorder) SampleInterval() time.Duration {
-	if r == nil {
-		return 0
-	}
-	return r.cfg.SampleInterval
 }
 
 // Emit records one event for the given global member. Nil-receiver safe and

@@ -30,7 +30,7 @@ type Event struct {
 	At time.Duration
 	// Fn is invoked when the event fires. It must not block.
 	Fn func()
-	// fn2/a/b carry the argument-passing form (ScheduleArgsAt), which lets
+	// fn2/a/b carry the argument-passing form (ScheduleArgsAtSeq), which lets
 	// per-packet callers schedule a shared top-level function with pointer
 	// arguments instead of allocating a fresh closure per packet.
 	fn2  func(a, b any)
@@ -314,24 +314,6 @@ func (s *Simulator) ScheduleAt(at time.Duration, fn func()) *Event {
 	return ev
 }
 
-// ScheduleArgsAt schedules fn(a, b) at absolute time at. Unlike ScheduleAt,
-// the callback receives its context as arguments, so hot paths can pass a
-// shared top-level function plus two pointers and avoid allocating a closure
-// per call (pointers stored in an interface do not allocate).
-func (s *Simulator) ScheduleArgsAt(at time.Duration, fn func(a, b any), a, b any) *Event {
-	if fn == nil {
-		panic("sim: ScheduleArgsAt with nil fn")
-	}
-	if at < s.now {
-		at = s.now
-	}
-	ev := s.newEvent()
-	ev.At, ev.fn2, ev.a, ev.b, ev.seq = at, fn, a, b, s.nextSeq
-	s.nextSeq++
-	s.sched.insert(ev)
-	return ev
-}
-
 // ReserveSeq consumes and returns the next event sequence number without
 // scheduling anything. Batching layers that elide per-packet events use it to
 // keep the (At, seq) order of the remaining events exactly as if the elided
@@ -353,6 +335,9 @@ func (s *Simulator) RunningSeq() uint64 { return s.runningSeq }
 // number previously obtained from ReserveSeq. The caller must pass each
 // reserved seq to at most one schedule call; replay-exact batching depends on
 // the (at, seq) pair matching what the unbatched schedule would have used.
+// The callback receives its context as arguments, so per-packet callers pass
+// a shared top-level function plus two pointers and allocate no closure
+// (pointers stored in an interface do not allocate).
 func (s *Simulator) ScheduleArgsAtSeq(at time.Duration, seq uint64, fn func(a, b any), a, b any) *Event {
 	if fn == nil {
 		panic("sim: ScheduleArgsAtSeq with nil fn")
@@ -544,15 +529,6 @@ func (t *Timer) Stop() {
 
 // Pending reports whether the timer is armed.
 func (t *Timer) Pending() bool { return t.ev != nil && !t.ev.Canceled() }
-
-// ExpiresAt returns the absolute expiry time, or a negative duration if the
-// timer is stopped.
-func (t *Timer) ExpiresAt() time.Duration {
-	if !t.Pending() {
-		return -1
-	}
-	return t.ev.At
-}
 
 // DeriveSeed deterministically derives an independent child seed from a root
 // seed and a stream index (splitmix64 over root+stream). Sharded runs use it

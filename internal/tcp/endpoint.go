@@ -17,7 +17,7 @@ import (
 var (
 	ErrClosed         = errors.New("tcp: endpoint closed")
 	ErrReset          = errors.New("tcp: connection reset by peer")
-	ErrTimeout        = errors.New("tcp: user timeout exceeded")
+	ErrTimeout        = errors.New("tcp: retransmission limit exceeded")
 	ErrNotEstablished = errors.New("tcp: connection not established")
 )
 
@@ -72,14 +72,13 @@ type Endpoint struct {
 	peerTSOK      bool
 	tsRecent      uint32 // peer's most recent timestamp value (to echo)
 
-	rtoTimer          *sim.Timer
-	persistTimer      *sim.Timer
-	srtt              time.Duration
-	rttvar            time.Duration
-	baseRTT           time.Duration
-	rto               time.Duration
-	rtoBackoff        int
-	firstUnackedSince time.Duration
+	rtoTimer     *sim.Timer
+	persistTimer *sim.Timer
+	srtt         time.Duration
+	rttvar       time.Duration
+	baseRTT      time.Duration
+	rto          time.Duration
+	rtoBackoff   int
 	// ccState is the last congestion phase reported through cfg.Probe; only
 	// maintained when a probe is attached (endpoints start in slow start).
 	ccState CCState
@@ -91,20 +90,12 @@ type Endpoint struct {
 	rcvNxt            packet.SeqNum
 	rcvWndShift       uint8
 	sackRanges        []packet.SACKBlock
-	rcvBufMax         int
-	rcvBufActual      int
 	recvQueue         buffer.ByteQueue // in-order data awaiting application Read
 	recvOfo           buffer.OfoQueue  // out-of-order subflow segments
 	finReceived       bool
 	lastAdvertisedWnd int
-	delackTimer       *sim.Timer
-	delackPending     int
 
 	timeWaitTimer *sim.Timer
-
-	// autotuning bookkeeping
-	rttDataCount   int
-	rttWindowStart time.Duration
 
 	stats Stats
 	err   error
@@ -130,29 +121,23 @@ func newEndpoint(iface *netem.Interface, local, remote packet.Endpoint, cfg Conf
 	}
 	host := iface.Host()
 	e := &Endpoint{
-		sim:       host.Sim(),
-		free:      sim.Local[freeLists](host.Sim()),
-		host:      host,
-		iface:     iface,
-		local:     local,
-		remote:    remote,
-		cfg:       cfg,
-		hooks:     hooks,
-		state:     StateClosed,
-		peerMSS:   cfg.MSS,
-		rcvBufMax: cfg.RecvBufBytes,
-		rto:       cfg.InitialRTO,
-		recvOfo:   buffer.NewOfoQueue(buffer.AlgRegular),
-		sndWnd:    cfg.MSS, // until the peer advertises
-	}
-	e.rcvBufActual = e.rcvBufMax
-	if cfg.AutoTuneBuffers {
-		e.rcvBufActual = minInt(e.rcvBufMax, 64<<10)
+		sim:     host.Sim(),
+		free:    sim.Local[freeLists](host.Sim()),
+		host:    host,
+		iface:   iface,
+		local:   local,
+		remote:  remote,
+		cfg:     cfg,
+		hooks:   hooks,
+		state:   StateClosed,
+		peerMSS: cfg.MSS,
+		rto:     cfg.InitialRTO,
+		recvOfo: buffer.NewOfoQueue(buffer.AlgRegular),
+		sndWnd:  cfg.MSS, // until the peer advertises
 	}
 	e.ctrl = cfg.CongestionControl(cc.Config{MSS: cfg.MSS})
 	e.rtoTimer = e.sim.NewTimer(e.onRTO)
 	e.persistTimer = e.sim.NewTimer(e.onPersist)
-	e.delackTimer = e.sim.NewTimer(e.flushDelayedAck)
 	return e
 }
 
@@ -215,12 +200,6 @@ func accept(iface *netem.Interface, syn *packet.Segment, cfg Config, hooks Hooks
 // State returns the connection state.
 func (e *Endpoint) State() State { return e.state }
 
-// LocalEndpoint returns the local address and port.
-func (e *Endpoint) LocalEndpoint() packet.Endpoint { return e.local }
-
-// RemoteEndpoint returns the remote address and port.
-func (e *Endpoint) RemoteEndpoint() packet.Endpoint { return e.remote }
-
 // Interface returns the interface the endpoint is bound to.
 func (e *Endpoint) Interface() *netem.Interface { return e.iface }
 
@@ -229,15 +208,6 @@ func (e *Endpoint) Sim() *sim.Simulator { return e.sim }
 
 // Config returns the endpoint configuration (after defaulting).
 func (e *Endpoint) Config() Config { return e.cfg }
-
-// SetHooks replaces the hook set; intended to be called before the handshake
-// completes (listeners call it from their accept callback).
-func (e *Endpoint) SetHooks(h Hooks) {
-	if h == nil {
-		h = NopHooks{}
-	}
-	e.hooks = h
-}
 
 // Stats returns a copy of the endpoint counters.
 func (e *Endpoint) Stats() Stats { return e.stats }
@@ -324,9 +294,6 @@ func (e *Endpoint) PeerWindowScale() uint8 { return e.peerWndShift }
 // ISS returns our initial sequence number.
 func (e *Endpoint) ISS() packet.SeqNum { return e.iss }
 
-// IRS returns the peer's initial sequence number.
-func (e *Endpoint) IRS() packet.SeqNum { return e.irs }
-
 // PeerWindow returns the peer's advertised receive window in bytes.
 func (e *Endpoint) PeerWindow() int { return e.sndWnd }
 
@@ -363,8 +330,7 @@ func (e *Endpoint) SendSpace() int {
 
 // SendBufferSpace returns how many more payload bytes Write will accept.
 func (e *Endpoint) SendBufferSpace() int {
-	limit := e.effectiveSendBuf()
-	space := limit - e.queuedBytes
+	space := e.cfg.SendBufBytes - e.queuedBytes
 	if space < 0 {
 		space = 0
 	}
@@ -379,19 +345,6 @@ func (e *Endpoint) QueuedBytes() int { return e.queuedBytes }
 // unread plus out-of-order).
 func (e *Endpoint) ReceiveQueuedBytes() int {
 	return e.recvOfo.Bytes() + e.recvQueue.Len()
-}
-
-func (e *Endpoint) effectiveSendBuf() int {
-	if !e.cfg.AutoTuneBuffers {
-		return e.cfg.SendBufBytes
-	}
-	// Autotuning: allow roughly two congestion windows of data, within the
-	// configured maximum.
-	want := 2 * e.ctrl.Cwnd()
-	if want < 16<<10 {
-		want = 16 << 10
-	}
-	return minInt(want, e.cfg.SendBufBytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -535,7 +488,6 @@ func (e *Endpoint) SendAck() {
 	if e.state == StateClosed || e.state == StateSynSent {
 		return
 	}
-	e.cancelDelayedAck()
 	seg := e.makeSegment(packet.FlagACK, e.sndNxt, nil, nil)
 	e.sendSegment(seg, false)
 }
@@ -636,7 +588,6 @@ func (e *Endpoint) teardown(err error) {
 	}
 	e.rtoTimer.Stop()
 	e.persistTimer.Stop()
-	e.delackTimer.Stop()
 	if e.timeWaitTimer != nil {
 		e.timeWaitTimer.Stop()
 	}
@@ -656,13 +607,6 @@ func (e *Endpoint) String() string {
 
 func minInt(a, b int) int {
 	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
 		return a
 	}
 	return b

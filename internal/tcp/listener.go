@@ -24,8 +24,6 @@ type Listener struct {
 	// or ok=false to refuse the SYN with a RST (e.g. an MP_JOIN with an
 	// invalid token).
 	HooksFactory func(syn *packet.Segment) (h Hooks, ok bool)
-
-	accepted []*Endpoint
 }
 
 // Listen installs a listener on the host.
@@ -39,9 +37,6 @@ func Listen(host *netem.Host, port uint16, cfg Config, accept AcceptFunc) (*List
 
 // Port returns the listening port.
 func (l *Listener) Port() uint16 { return l.port }
-
-// Accepted returns all endpoints accepted so far.
-func (l *Listener) Accepted() []*Endpoint { return l.accepted }
 
 // Close removes the listener (established connections are unaffected).
 func (l *Listener) Close() { l.host.Unlisten(l.port) }
@@ -68,7 +63,6 @@ func (l *Listener) HandleSYN(ingress *netem.Interface, syn *packet.Segment) {
 	if err != nil {
 		return
 	}
-	l.accepted = append(l.accepted, ep)
 	if l.accept != nil {
 		l.accept(ep, syn)
 	}

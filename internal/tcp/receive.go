@@ -1,8 +1,6 @@
 package tcp
 
 import (
-	"time"
-
 	"mptcpgo/internal/buffer"
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
@@ -35,7 +33,7 @@ func (e *Endpoint) HandleSegment(_ *netem.Interface, seg *packet.Segment) {
 		return
 	}
 
-	if ts, ok := seg.FindOption(packet.OptTimestamps).(*packet.TimestampsOption); ok && !e.cfg.DisableTimestamps {
+	if ts, ok := seg.FindOption(packet.OptTimestamps).(*packet.TimestampsOption); ok {
 		e.peerTSOK = true
 		e.tsRecent = ts.Val
 	}
@@ -128,7 +126,7 @@ func (e *Endpoint) handleSynReceived(seg *packet.Segment) {
 
 // sequenceAcceptable implements the RFC 793 acceptability test, loosely.
 func (e *Endpoint) sequenceAcceptable(seg *packet.Segment) bool {
-	win := uint32(e.rcvBufActual)
+	win := uint32(e.cfg.RecvBufBytes)
 	if win == 0 {
 		return seg.Seq == e.rcvNxt
 	}
@@ -153,7 +151,7 @@ func (e *Endpoint) processPayload(seg *packet.Segment) {
 		if skip >= len(payload) {
 			if !hasFin || seg.EndSeq().LessThanEq(e.rcvNxt) {
 				// Entirely old segment: re-ACK so the sender resynchronizes.
-				e.scheduleAck(true)
+				e.SendAck()
 				return
 			}
 			payload = nil
@@ -190,7 +188,7 @@ func (e *Endpoint) processPayload(seg *packet.Segment) {
 				e.handleFIN()
 			}
 		}
-		e.scheduleAck(hasFin || e.recvOfo.Len() > 0)
+		e.SendAck()
 		if len(payload) > 0 || hasFin {
 			e.notifyReadable()
 		}
@@ -208,7 +206,7 @@ func (e *Endpoint) processPayload(seg *packet.Segment) {
 		e.recordSackRange(segSeq, segSeq.Add(uint32(len(payload))))
 	}
 	// Immediate duplicate ACK to trigger the peer's fast retransmit.
-	e.scheduleAck(true)
+	e.SendAck()
 }
 
 // deliver hands in-order payload to the application buffer or, for MPTCP
@@ -219,32 +217,6 @@ func (e *Endpoint) deliver(seq packet.SeqNum, data []byte) {
 	e.hooks.OnDataDelivered(e, rel, data)
 	if !e.cfg.PayloadToHooksOnly {
 		e.recvQueue.Append(data)
-	}
-	e.maybeAutotuneRecvBuffer(len(data))
-}
-
-// maybeAutotuneRecvBuffer grows the receive buffer toward its configured
-// maximum when the incoming rate suggests the current buffer limits
-// throughput (a simplified dynamic right-sizing).
-func (e *Endpoint) maybeAutotuneRecvBuffer(n int) {
-	if !e.cfg.AutoTuneBuffers || e.rcvBufActual >= e.rcvBufMax {
-		return
-	}
-	now := e.sim.Now()
-	if e.rttWindowStart == 0 {
-		e.rttWindowStart = now
-	}
-	e.rttDataCount += n
-	rtt := e.SRTT()
-	if rtt <= 0 {
-		rtt = 100 * time.Millisecond
-	}
-	if now-e.rttWindowStart >= rtt {
-		if 2*e.rttDataCount > e.rcvBufActual {
-			e.rcvBufActual = minInt(e.rcvBufMax, maxInt(2*e.rttDataCount, e.rcvBufActual*2))
-		}
-		e.rttDataCount = 0
-		e.rttWindowStart = now
 	}
 }
 
@@ -274,47 +246,8 @@ func (e *Endpoint) notifyReadable() {
 }
 
 // ---------------------------------------------------------------------------
-// Acknowledgement generation
+// Window updates
 // ---------------------------------------------------------------------------
-
-// scheduleAck sends an ACK now or arms the delayed-ACK timer.
-func (e *Endpoint) scheduleAck(immediate bool) {
-	if !e.cfg.DelayedACK || immediate {
-		e.cancelDelayedAck()
-		e.SendAck()
-		return
-	}
-	e.delackPending++
-	if e.delackPending >= 2 {
-		e.cancelDelayedAck()
-		e.SendAck()
-		return
-	}
-	if !e.delackTimer.Pending() {
-		e.delackTimer.Reset(40 * time.Millisecond)
-	}
-}
-
-func (e *Endpoint) flushDelayedAck() {
-	if e.delackPending > 0 {
-		e.delackPending = 0
-		e.SendAck()
-	}
-}
-
-func (e *Endpoint) cancelDelayedAck() {
-	e.delackPending = 0
-	e.delackTimer.Stop()
-}
-
-// cancelDelayedAckIfCovered clears the pending delayed ACK when an outgoing
-// segment already carries the current acknowledgement.
-func (e *Endpoint) cancelDelayedAckIfCovered(seg *packet.Segment) {
-	if seg.Flags.Has(packet.FlagACK) && seg.Ack == e.rcvNxt {
-		e.delackPending = 0
-		e.delackTimer.Stop()
-	}
-}
 
 // maybeSendWindowUpdate advertises newly freed receive buffer after the
 // application reads, so a sender stalled on a closed window can resume
@@ -326,7 +259,7 @@ func (e *Endpoint) maybeSendWindowUpdate() {
 	current := e.advertisedWindowBytes()
 	grown := current - e.lastAdvertisedWnd
 	if grown >= e.EffectiveMSS() || (e.lastAdvertisedWnd == 0 && current > 0) ||
-		(current >= e.rcvBufActual/4 && grown >= e.rcvBufActual/4) {
+		(current >= e.cfg.RecvBufBytes/4 && grown >= e.cfg.RecvBufBytes/4) {
 		e.SendAck()
 	}
 }

@@ -35,7 +35,7 @@ func (e *Endpoint) makeSegment(flags packet.Flags, seq packet.SeqNum, payload []
 		}
 	}
 	// Timestamps provide retransmission-ambiguity-free RTT samples.
-	if !e.cfg.DisableTimestamps && (flags.Has(packet.FlagSYN) || e.peerTSOK) {
+	if flags.Has(packet.FlagSYN) || e.peerTSOK {
 		seg.AppendTimestamps(uint32(e.sim.Now()/time.Millisecond), e.tsRecent)
 	}
 	seg.Window = e.windowField(flags.Has(packet.FlagSYN))
@@ -72,7 +72,7 @@ func (e *Endpoint) advertisedWindowBytes() int {
 		return win
 	}
 	used := e.ReceiveQueuedBytes()
-	win := e.rcvBufActual - used
+	win := e.cfg.RecvBufBytes - used
 	if win < 0 {
 		win = 0
 	}
@@ -108,7 +108,7 @@ func (e *Endpoint) processSYNOptions(seg *packet.Segment) {
 		case *packet.SACKPermittedOption:
 			e.peerSackOK = true
 		case *packet.TimestampsOption:
-			e.peerTSOK = !e.cfg.DisableTimestamps
+			e.peerTSOK = true
 			e.tsRecent = opt.Val
 		}
 	}
@@ -164,7 +164,6 @@ func (e *Endpoint) sendSegment(seg *packet.Segment, retransmission bool) {
 	}
 	e.stats.SegmentsSent++
 	e.stats.BytesSent += uint64(len(seg.Payload))
-	e.cancelDelayedAckIfCovered(seg)
 	e.iface.Send(seg)
 }
 
@@ -204,9 +203,6 @@ func (e *Endpoint) output() {
 			e.onFINSent()
 		}
 		e.transmitChunk(c, false)
-		if e.firstUnackedSince == 0 {
-			e.firstUnackedSince = e.sim.Now()
-		}
 	}
 	if popped > 0 {
 		// Compact once for the whole burst (per-pop compaction would make a
@@ -254,7 +250,7 @@ func (e *Endpoint) processAck(seg *packet.Segment) {
 	// A timestamp echo on an ACK advancing the cumulative point gives a
 	// retransmission-ambiguity-free RTT sample.
 	var tsSample time.Duration
-	if ts, ok := seg.FindOption(packet.OptTimestamps).(*packet.TimestampsOption); ok && ts.Echo != 0 && !e.cfg.DisableTimestamps {
+	if ts, ok := seg.FindOption(packet.OptTimestamps).(*packet.TimestampsOption); ok && ts.Echo != 0 {
 		echoed := time.Duration(ts.Echo) * time.Millisecond
 		if now := e.sim.Now(); now >= echoed {
 			tsSample = now - echoed
@@ -294,14 +290,14 @@ func (e *Endpoint) onAckAdvance(ack packet.SeqNum, tsSample time.Duration) {
 	ackedBytes := int(ack.DiffFrom(e.sndUna))
 	e.sndUna = ack
 	e.rtoBackoff = 0
-	e.firstUnackedSince = 0
 
 	rttSample := tsSample
-	// Release fully acknowledged chunks. When timestamps are off, the RTT
-	// sample is taken from the chunk at the leading edge of the
-	// acknowledgement, and only if it was never retransmitted (Karn's
-	// algorithm); sampling older chunks would inflate the estimate whenever
-	// a cumulative ACK jumps across a repaired hole.
+	// Release fully acknowledged chunks. When the peer sends no timestamps
+	// (a middlebox stripped the option from its SYN), the RTT sample is
+	// taken from the chunk at the leading edge of the acknowledgement, and
+	// only if it was never retransmitted (Karn's algorithm); sampling older
+	// chunks would inflate the estimate whenever a cumulative ACK jumps
+	// across a repaired hole.
 	freed := 0
 	for freed < len(e.retransQ) {
 		c := e.retransQ[freed]
@@ -488,11 +484,6 @@ func (e *Endpoint) armRTO() {
 // onRTO handles a retransmission timeout.
 func (e *Endpoint) onRTO() {
 	if len(e.retransQ) == 0 {
-		return
-	}
-	if e.cfg.UserTimeout > 0 && e.firstUnackedSince > 0 &&
-		e.sim.Now()-e.firstUnackedSince > e.cfg.UserTimeout {
-		e.teardown(ErrTimeout)
 		return
 	}
 	e.stats.Timeouts++

@@ -78,33 +78,17 @@ type Config struct {
 	// RecvBufBytes bounds the receive buffer; it also bounds the advertised
 	// window.
 	RecvBufBytes int
-	// AutoTuneBuffers enables send/receive buffer autotuning: the effective
-	// buffer grows with the congestion window up to the configured maximum.
-	AutoTuneBuffers bool
 
 	// WindowScale is the receive-window scale shift to advertise. A negative
 	// value disables window scaling; zero selects an automatic shift large
 	// enough to cover RecvBufBytes.
 	WindowScale int
 
-	// DelayedACK enables acknowledging every other segment (with a 40 ms
-	// cap) instead of every segment.
-	DelayedACK bool
-
-	// DisableTimestamps turns off RFC 1323 timestamps. They are on by
-	// default because the retransmission-ambiguity-free RTT samples they
-	// provide are what keeps the RTO sane across loss bursts.
-	DisableTimestamps bool
-
 	// InitialRTO is the retransmission timeout before the first RTT sample.
 	InitialRTO time.Duration
 	// MinRTO and MaxRTO clamp the computed retransmission timeout.
 	MinRTO time.Duration
 	MaxRTO time.Duration
-
-	// UserTimeout aborts the connection when data remains unacknowledged for
-	// this long (zero disables).
-	UserTimeout time.Duration
 
 	// MaxRTORetries tears the connection down after this many consecutive
 	// retransmission timeouts without an intervening ACK (default 10, the

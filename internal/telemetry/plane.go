@@ -1,6 +1,6 @@
 // Package telemetry is the run-observability plane of the fleet engine: a
 // metrics registry (counters, gauges), a wall-clock phase profiler, a live run
-// tracker with Prometheus/expvar exposition, and run-provenance capture.
+// tracker with Prometheus exposition, and run-provenance capture.
 //
 // The package obeys the same attach-changes-nothing discipline as the flight
 // recorder: nothing here ever feeds back into the deterministic simulation.
@@ -102,34 +102,4 @@ func (p *Plane) WritePrometheus(w io.Writer) {
 	}
 	fmt.Fprintf(w, "# HELP go_goroutines current goroutine count\n# TYPE go_goroutines gauge\ngo_goroutines %d\n", runtime.NumGoroutine())
 	fmt.Fprintf(w, "# HELP go_gomaxprocs GOMAXPROCS\n# TYPE go_gomaxprocs gauge\ngo_gomaxprocs %d\n", runtime.GOMAXPROCS(0))
-}
-
-// WriteVars renders the plane as a flat expvar-style JSON object.
-func (p *Plane) WriteVars(w io.Writer) {
-	if p == nil {
-		fmt.Fprint(w, "{}\n")
-		return
-	}
-	fmt.Fprint(w, "{\n")
-	first := p.Reg.WriteVars(w, true)
-	snap := p.Track.Snapshot()
-	emit := func(name, val string) {
-		if !first {
-			fmt.Fprint(w, ",\n")
-		}
-		first = false
-		fmt.Fprintf(w, "%q: %s", name, val)
-	}
-	emit("fleet_shards", fmt.Sprintf("%d", snap.Shards))
-	emit("fleet_shards_done", fmt.Sprintf("%d", snap.ShardsDone))
-	emit("fleet_sim_time_seconds", fmt.Sprintf("%g", snap.SimMax.Seconds()))
-	emit("fleet_events_total", fmt.Sprintf("%d", snap.Events))
-	emit("fleet_segments_total", fmt.Sprintf("%d", snap.Segments))
-	emit("fleet_flows_done", fmt.Sprintf("%d", snap.FlowsDone))
-	emit("fleet_flows_offered", fmt.Sprintf("%d", snap.FlowsOffered))
-	if ms := p.Latency(); len(ms) > 0 {
-		emit("fleet_latency_p50_ms", fmt.Sprintf("%g", trace.Percentile(ms, 50)))
-		emit("fleet_latency_p99_ms", fmt.Sprintf("%g", trace.Percentile(ms, 99)))
-	}
-	fmt.Fprint(w, "\n}\n")
 }

@@ -103,23 +103,6 @@ func (p *Profiler) Snapshot() []PhaseStat {
 	return out
 }
 
-// WriteReport renders a human-readable phase table (wall-clock; goes to
-// stderr, never into deterministic results).
-func (p *Profiler) WriteReport(w io.Writer) {
-	stats := p.Snapshot()
-	if len(stats) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "phase profile (wall-clock):\n")
-	for _, st := range stats {
-		total := time.Duration(st.TotalNs)
-		fmt.Fprintf(w, "  %-40s %6dx total %-12v min %-12v max %v\n",
-			st.Path, st.Count, total.Round(time.Microsecond),
-			time.Duration(st.MinNs).Round(time.Microsecond),
-			time.Duration(st.MaxNs).Round(time.Microsecond))
-	}
-}
-
 // WritePrometheus renders per-phase totals as counters.
 func (p *Profiler) WritePrometheus(w io.Writer) {
 	stats := p.Snapshot()

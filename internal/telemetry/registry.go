@@ -148,34 +148,3 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		}
 	}
 }
-
-// WriteVars renders every registered metric as a flat JSON object (expvar
-// style), sorted by name.
-func (r *Registry) WriteVars(w io.Writer, first bool) bool {
-	if r == nil {
-		return first
-	}
-	r.mu.Lock()
-	type kv struct {
-		name string
-		val  string
-	}
-	vars := make([]kv, 0, len(r.counters)+len(r.gauges))
-	for name, c := range r.counters {
-		vars = append(vars, kv{name, fmt.Sprintf("%d", c.Value())})
-	}
-	for name, g := range r.gauges {
-		vars = append(vars, kv{name, fmt.Sprintf("%g", g.Value())})
-	}
-	r.mu.Unlock()
-
-	sort.Slice(vars, func(i, j int) bool { return vars[i].name < vars[j].name })
-	for _, v := range vars {
-		if !first {
-			fmt.Fprint(w, ",\n")
-		}
-		first = false
-		fmt.Fprintf(w, "%q: %s", v.name, v.val)
-	}
-	return first
-}

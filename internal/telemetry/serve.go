@@ -7,11 +7,9 @@ import (
 	"time"
 )
 
-// Server exposes a plane over HTTP: /metrics in Prometheus text format and
-// /debug/vars as flat expvar-style JSON. It is self-hosted (its own mux and
-// listener, never the process-global expvar/http registries, which panic on
-// duplicate registration under `go test`) and reads only atomic snapshots,
-// so it is safe to scrape mid-run.
+// Server exposes a plane over HTTP: /metrics in Prometheus text format. It is
+// self-hosted (its own mux and listener, never the process-global http
+// registry) and reads only atomic snapshots, so it is safe to scrape mid-run.
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
@@ -28,10 +26,6 @@ func Serve(addr string, p *Plane) (*Server, error) {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		p.WritePrometheus(w)
-	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		p.WriteVars(w)
 	})
 	s := &Server{
 		ln: ln,

@@ -1,64 +1,13 @@
-// Package trace provides the measurement utilities the experiments use:
-// goodput/throughput meters, the sample statistics (mean, max, ceil-rank
-// percentile) every result table is computed with, the linear-bin histogram
-// behind the figures' probability density functions, and pcap export.
+// Package trace provides the measurement utilities the experiments use: the
+// sample statistics (mean, max, ceil-rank percentile) every result table is
+// computed with, the linear-bin histogram behind the figures' probability
+// density functions, and pcap export.
 package trace
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"time"
 )
-
-// Meter accumulates a byte count over simulated time and reports rates.
-type Meter struct {
-	total     uint64
-	start     time.Duration
-	last      time.Duration
-	markTotal uint64
-	markTime  time.Duration
-}
-
-// NewMeter creates a meter starting at the given simulation time.
-func NewMeter(start time.Duration) *Meter {
-	return &Meter{start: start, last: start, markTime: start}
-}
-
-// Add records n bytes at simulation time now.
-func (m *Meter) Add(n int, now time.Duration) {
-	m.total += uint64(n)
-	m.last = now
-}
-
-// Total returns the cumulative byte count.
-func (m *Meter) Total() uint64 { return m.total }
-
-// Mark sets a checkpoint; RateSinceMark measures from this point, which lets
-// experiments exclude the slow-start transient.
-func (m *Meter) Mark(now time.Duration) {
-	m.markTotal = m.total
-	m.markTime = now
-}
-
-// RateMbps returns the average rate since the meter started, in Mbps, using
-// the supplied end time.
-func (m *Meter) RateMbps(end time.Duration) float64 {
-	d := end - m.start
-	if d <= 0 {
-		return 0
-	}
-	return float64(m.total) * 8 / d.Seconds() / 1e6
-}
-
-// RateSinceMarkMbps returns the rate since the last Mark.
-func (m *Meter) RateSinceMarkMbps(end time.Duration) float64 {
-	d := end - m.markTime
-	if d <= 0 {
-		return 0
-	}
-	return float64(m.total-m.markTotal) * 8 / d.Seconds() / 1e6
-}
 
 // Mean returns the arithmetic mean of xs (0 when empty), summing in slice
 // order. Mean, Max and Percentile are the repo's only sample statistics:
@@ -111,8 +60,7 @@ type Histogram struct {
 	BinWidth float64
 	counts   map[int]int
 	total    int
-	min, max float64
-	any      bool
+	max      float64
 }
 
 // NewHistogram creates a histogram with the given bin width.
@@ -124,21 +72,14 @@ func NewHistogram(binWidth float64) *Histogram {
 func (h *Histogram) Add(v float64) {
 	bin := int(math.Floor(v / h.BinWidth))
 	h.counts[bin]++
-	h.total++
-	if !h.any || v < h.min {
-		h.min = v
-	}
-	if !h.any || v > h.max {
+	if h.total == 0 || v > h.max {
 		h.max = v
 	}
-	h.any = true
+	h.total++
 }
 
 // Total returns the number of observations.
 func (h *Histogram) Total() int { return h.total }
-
-// Min returns the smallest observation.
-func (h *Histogram) Min() float64 { return h.min }
 
 // Max returns the largest observation.
 func (h *Histogram) Max() float64 { return h.max }
@@ -186,16 +127,4 @@ func (h *Histogram) Mean() float64 {
 		sum += center * float64(c)
 	}
 	return sum / float64(h.total)
-}
-
-// FormatBytes renders a byte count in a human-friendly KB/MB form for tables.
-func FormatBytes(n int) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.0fKB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
 }

@@ -1,25 +1,6 @@
 package trace
 
-import (
-	"testing"
-	"time"
-)
-
-func TestMeterRates(t *testing.T) {
-	m := NewMeter(0)
-	m.Add(1_000_000, time.Second)
-	if got := m.RateMbps(time.Second); got < 7.9 || got > 8.1 {
-		t.Fatalf("RateMbps = %v, want ~8", got)
-	}
-	m.Mark(time.Second)
-	m.Add(500_000, 2*time.Second)
-	if got := m.RateSinceMarkMbps(2 * time.Second); got < 3.9 || got > 4.1 {
-		t.Fatalf("RateSinceMarkMbps = %v, want ~4", got)
-	}
-	if m.Total() != 1_500_000 {
-		t.Fatalf("Total = %d", m.Total())
-	}
-}
+import "testing"
 
 func TestSampleStats(t *testing.T) {
 	var xs []float64
@@ -58,17 +39,11 @@ func TestHistogramPDF(t *testing.T) {
 	if pdf[1].Low != 20 || pdf[1].Fraction != 0.4 {
 		t.Fatalf("bin1 = %+v", pdf[1])
 	}
-	if h.Total() != 100 || h.Min() != 5 || h.Max() != 25 {
-		t.Fatalf("histogram aggregates wrong: %d %v %v", h.Total(), h.Min(), h.Max())
+	if h.Total() != 100 || h.Max() != 25 {
+		t.Fatalf("histogram aggregates wrong: %d %v", h.Total(), h.Max())
 	}
 	// Bin-centre approximation: 0.6·5 + 0.4·25 = 13.
 	if mean := h.Mean(); mean < 12.5 || mean > 13.5 {
 		t.Fatalf("mean = %v", mean)
-	}
-}
-
-func TestFormatBytes(t *testing.T) {
-	if FormatBytes(512) != "512B" || FormatBytes(2048) != "2KB" || FormatBytes(3<<20) != "3.0MB" {
-		t.Fatalf("unexpected formats: %s %s %s", FormatBytes(512), FormatBytes(2048), FormatBytes(3<<20))
 	}
 }

@@ -41,8 +41,8 @@ func (t *Telemetry) Progress(w io.Writer, interval time.Duration) *Telemetry {
 }
 
 // ServeMetrics starts an HTTP endpoint on addr (e.g. "127.0.0.1:0") serving
-// Prometheus text on /metrics and expvar JSON on /debug/vars, and returns the
-// bound address. The server runs until Close.
+// Prometheus text on /metrics, and returns the bound address. The server runs
+// until Close.
 func (t *Telemetry) ServeMetrics(addr string) (string, error) {
 	s, err := telemetry.Serve(addr, t.plane)
 	if err != nil {
