@@ -300,6 +300,37 @@ func TestShortFlowAllocBudget(t *testing.T) {
 	}
 }
 
+// TestOpenLoopHostMarginalAllocBudget pins what one more arrival host costs a
+// fleet that does the same work: the same open-loop run (seed, fleet-wide
+// rate, sizes, window) at 256 hosts and at 64. The difference is the hosts
+// themselves: host, interface, links, manager and pool structs, a few KiB.
+// Scratch buffers are per shard (sim.Local), so they are not in it; when
+// every host's pool owned a 64 KiB drain buffer and every link FIFO grew to
+// thousands of entries, a host cost 66 KiB.
+func TestOpenLoopHostMarginalAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("per-host budget is not measured in -short mode")
+	}
+	run := func(hosts int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := NewOpenLoop(3).Hosts(hosts).Rate(200).SizeDist("fixed:16384").
+			Window(time.Second).Shards(4).Workers(2).Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run(64) // warm the pools
+	small, large := run(64), run(256)
+	perHost := (float64(large) - float64(small)) / (256 - 64)
+	const budget = 16 << 10
+	if perHost > budget {
+		t.Fatalf("an extra open-loop host allocates %.0f bytes (%d at 64 hosts, %d at 256); budget %d",
+			perHost, small, large, budget)
+	}
+}
+
 // TestBulkTransferAllocBudget pins the end-to-end allocation footprint of
 // the short WiFi+3G bulk transfer that BenchmarkBulkTransferAllocs measures.
 // The hot-path work (PR 1: pools and send-queue slicing; PR 4: chunk/DSS

@@ -14,7 +14,7 @@ import (
 // upload byte streams that the server verifies exact-once and in-order while
 // a deterministic fault schedule batters the paths and an optional
 // adversarial middlebox preset sits on them. A member passes by completing
-// with an intact hash — over multipath or after a clean fallback to regular
+// with an intact stream — over multipath or after a clean fallback to regular
 // TCP — and fails by stalling, corrupting the stream or dying; a per-member
 // watchdog converts silent hangs into diagnosed failures.
 //

@@ -232,11 +232,8 @@ func (c *Connection) ReceiverMemory() int {
 // Write queues application data and returns the number of bytes accepted
 // (bounded by the connection-level send buffer). It never blocks.
 func (c *Connection) Write(data []byte) int {
-	if c.closed || c.err != nil || c.dataFinQueued {
-		return 0
-	}
-	space := c.sendBufferSpace()
-	if space <= 0 {
+	space := c.SendBufferSpace()
+	if space == 0 {
 		return 0
 	}
 	if len(data) > space {
@@ -246,6 +243,17 @@ func (c *Connection) Write(data []byte) int {
 	c.stats.BytesWritten += uint64(len(data))
 	c.pump()
 	return len(data)
+}
+
+// SendBufferSpace returns how many bytes the next Write would accept: 0 once
+// the connection is closed, has failed or Close was called, else the free
+// space in the send buffer. A caller that generates its payload can size the
+// next chunk to it instead of producing bytes Write would turn away.
+func (c *Connection) SendBufferSpace() int {
+	if c.closed || c.err != nil || c.dataFinQueued {
+		return 0
+	}
+	return maxInt(c.sendBufferSpace(), 0)
 }
 
 // sendBufferSpace returns the free space in the connection-level send buffer,

@@ -361,3 +361,72 @@ func TestServerMemoryFlatInCompletedConnections(t *testing.T) {
 		t.Fatalf("live heap grew %d KiB between 400 and 4000 completed flows (%d -> %d bytes)", growth>>10, early, late)
 	}
 }
+
+// TestSendBufferSpaceIsWhatWriteAccepts pins the accessor generators size
+// their next chunk by: in every state, with and without Mechanism 3, it
+// equals what Write then takes from a slice larger than any buffer.
+func TestSendBufferSpaceIsWhatWriteAccepts(t *testing.T) {
+	oversized := make([]byte, 1<<20)
+	for _, autotune := range []bool{true, false} {
+		for _, fallback := range []bool{false, true} {
+			h := newHarness(t, 6, netem.WiFi3GSpec())
+			if fallback {
+				h.net.Path(0).AddBox(&stripBox{synOnly: true})
+			}
+			cfg := DefaultConfig()
+			cfg.AutoTuneBuffers = autotune
+			var accepted *Connection
+			if _, err := h.srvMgr.Listen(80, cfg, func(c *Connection) {
+				accepted = c
+				c.OnReadable = func() {
+					for len(c.Read(64<<10)) > 0 {
+					}
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			dial := func() *Connection {
+				c, err := h.cliMgr.Dial(h.net.Client.Interfaces()[0], packet.Endpoint{Addr: h.net.ServerAddr(0), Port: 80}, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.net.Sim.RunFor(time.Second)
+				if !c.Established() || c.Fallback() != fallback {
+					t.Fatalf("autotune=%v: established=%v fallback=%v, want fallback=%v", autotune, c.Established(), c.Fallback(), fallback)
+				}
+				return c
+			}
+			check := func(c *Connection, state string, wantZero bool) {
+				t.Helper()
+				space := c.SendBufferSpace()
+				took := c.Write(oversized)
+				if space != took || (space == 0) != wantZero {
+					t.Fatalf("autotune=%v fallback=%v, %s: SendBufferSpace()=%d, Write took %d (want zero: %v)",
+						autotune, fallback, state, space, took, wantZero)
+				}
+			}
+
+			c := dial()
+			check(c, "empty buffer", false)
+			check(c, "full buffer", true)
+			h.net.Sim.RunFor(200 * time.Millisecond) // some of it is acknowledged
+			if c.SenderMemory() == 0 {
+				t.Fatal("send buffer drained completely; the partly-full case needs bytes in it")
+			}
+			check(c, "partly full buffer", false)
+			h.net.Sim.RunFor(200 * time.Millisecond)
+			c.Close()
+			check(c, "after Close", true)
+
+			c = dial()
+			c.Write(oversized[:1000])
+			check(c, "1000 bytes queued", false)
+			accepted.Abort() // the peer resets every subflow
+			h.net.Sim.RunFor(time.Second)
+			if c.Err() == nil {
+				t.Fatal("connection reset by the peer reports no error")
+			}
+			check(c, "after an error", true)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"time"
@@ -12,37 +13,24 @@ import (
 // End-to-end integrity invariants. Whatever the chaos layer does to the
 // network, an MPTCP connection must deliver the application byte stream
 // exactly once, in order — or die with an explicit error. The Checker
-// verifies this byte-for-byte against a deterministic pattern (so duplicated,
-// reordered or corrupted delivery is caught at the first bad byte, not just
-// in an end-of-run hash comparison), and maintains a rolling FNV-1a hash as
-// an independent cross-check. The Watchdog enforces the liveness half of the
-// invariant: a connection that silently stops making progress is a bug, and
-// it is reported with a diagnostic dump instead of idling until a scenario
-// deadline expires.
+// verifies this byte-for-byte against a deterministic pattern, so duplicated,
+// reordered or corrupted delivery is caught at the first bad byte; equality
+// with the pattern at every offset plus the exact-length check is stream
+// equality, so there is no separate end-of-run hash. The Watchdog enforces
+// the liveness half of the invariant: a connection that silently stops making
+// progress is a bug, and it is reported with a diagnostic dump instead of
+// idling until a scenario deadline expires.
+
+// patternWord returns the 64-bit word covering stream offsets [8w, 8w+8) for
+// a given stream seed: the splitmix64 sequence seeded with seed, so every
+// word and seed yields effectively independent bytes.
+func patternWord(seed, w uint64) uint64 { return sim.DeriveSeed(seed, w) }
 
 // PatternByte returns the expected payload byte at stream offset off for a
-// given stream seed (a splitmix64-style mix, so every offset and seed yields
-// an effectively independent byte).
+// given stream seed: byte off&7 of the little-endian encoding of pattern word
+// off>>3, the same on any host.
 func PatternByte(seed, off uint64) byte {
-	x := off + seed*0x9e3779b97f4a7c15
-	x ^= x >> 29
-	x *= 0xff51afd7ed558ccd
-	return byte(x ^ (x >> 32))
-}
-
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-// ExpectedHash returns the FNV-1a hash of the first n pattern bytes; the
-// receiver's rolling hash must equal it after a complete transfer.
-func ExpectedHash(seed, n uint64) uint64 {
-	h := uint64(fnvOffset)
-	for i := uint64(0); i < n; i++ {
-		h = (h ^ uint64(PatternByte(seed, i))) * fnvPrime
-	}
-	return h
+	return byte(patternWord(seed, off>>3) >> (8 * (off & 7)))
 }
 
 // Checker verifies exact-once in-order delivery of a patterned byte stream.
@@ -51,41 +39,54 @@ type Checker struct {
 	Expected uint64 // total bytes the sender will transmit
 
 	received uint64
-	hash     uint64
 	mismatch int64 // stream offset of the first wrong byte; -1 = none
 }
 
 // NewChecker builds a checker for a transfer of `expected` bytes generated
 // from `seed`.
 func NewChecker(seed uint64, expected int) *Checker {
-	return &Checker{Seed: seed, Expected: uint64(expected), hash: fnvOffset, mismatch: -1}
+	return &Checker{Seed: seed, Expected: uint64(expected), mismatch: -1}
 }
 
 // Fill writes the pattern for stream offsets [off, off+len(p)) into p; the
-// sender uses it to generate the transfer without materializing it.
+// sender uses it to generate the transfer without materializing it. Whole
+// words are stored eight bytes per mix, an unaligned head and tail per byte.
 func (k *Checker) Fill(p []byte, off uint64) {
+	for ; len(p) > 0 && off&7 != 0; p, off = p[1:], off+1 {
+		p[0] = PatternByte(k.Seed, off)
+	}
+	for ; len(p) >= 8; p, off = p[8:], off+8 {
+		binary.LittleEndian.PutUint64(p, patternWord(k.Seed, off>>3))
+	}
 	for i := range p {
 		p[i] = PatternByte(k.Seed, off+uint64(i))
 	}
 }
 
 // Feed consumes received bytes in application order, verifying each against
-// the pattern and folding it into the rolling hash.
+// the pattern: an aligned run eight bytes per mix, everything else (and the
+// first word that differs, to locate the wrong byte in it) per byte. Bytes
+// after the first wrong one are only counted.
 func (k *Checker) Feed(p []byte) {
-	for _, b := range p {
-		if k.mismatch < 0 && b != PatternByte(k.Seed, k.received) {
-			k.mismatch = int64(k.received)
+	for len(p) > 0 && k.mismatch < 0 {
+		if k.received&7 == 0 && len(p) >= 8 &&
+			binary.LittleEndian.Uint64(p) == patternWord(k.Seed, k.received>>3) {
+			p = p[8:]
+			k.received += 8
+			continue
 		}
-		k.hash = (k.hash ^ uint64(b)) * fnvPrime
+		if p[0] != PatternByte(k.Seed, k.received) {
+			k.mismatch = int64(k.received)
+			break
+		}
+		p = p[1:]
 		k.received++
 	}
+	k.received += uint64(len(p))
 }
 
 // Received returns the number of bytes consumed so far.
 func (k *Checker) Received() uint64 { return k.received }
-
-// Hash returns the rolling FNV-1a hash of the bytes consumed so far.
-func (k *Checker) Hash() uint64 { return k.hash }
 
 // Intact reports whether every byte so far matched the pattern.
 func (k *Checker) Intact() bool { return k.mismatch < 0 }

@@ -33,7 +33,7 @@ const chaosStream = 0x0C4A_0000
 //
 // The invariant the scenario checks is the paper's robustness claim: under
 // every fault×adversary combination each member must either complete with an
-// intact hash (surviving on the remaining subflows) or fall back to regular
+// intact stream (surviving on the remaining subflows) or fall back to regular
 // TCP with a taxonomized reason — corruption, duplication and silent hangs
 // are failures.
 type ChaosSpec struct {
@@ -101,6 +101,11 @@ const (
 	outcomeFailed   = "failed"   // connection error or integrity violation
 )
 
+// chaosScratch is the one fill/drain buffer the members of a shard share
+// (sim.Local). Its size is the ReadInto granularity, which feeds the
+// receive-window-update heuristic, so it must not change.
+type chaosScratch [32 << 10]byte
+
 // chaosMember is the per-member harness state.
 type chaosMember struct {
 	spec    *ChaosSpec
@@ -108,7 +113,9 @@ type chaosMember struct {
 	checker *faults.Checker
 	client  *core.Connection
 	server  *core.Connection
-	buf     []byte
+	// buf is the shard's chaosScratch: both uses (Fill then Write, ReadInto
+	// then Feed) are over before any other member runs.
+	buf []byte
 
 	sent           uint64
 	serverEOF      bool
@@ -128,22 +135,23 @@ type chaosMember struct {
 func (m *chaosMember) total() uint64 { return uint64(m.spec.TransferBytes) }
 
 // pump writes patterned payload until the transfer is fully queued, then
-// closes the sending direction (DATA_FIN).
+// closes the sending direction (DATA_FIN). It generates only what the next
+// Write will take, so each pattern byte is produced once; Write sees the
+// lengths it would have truncated a full buffer to.
 func (m *chaosMember) pump() {
 	if m.done || m.client == nil || m.client.Closed() {
 		return
 	}
 	for m.sent < m.total() {
-		n := len(m.buf)
+		n := min(len(m.buf), m.client.SendBufferSpace())
 		if rem := m.total() - m.sent; rem < uint64(n) {
 			n = int(rem)
 		}
-		m.checker.Fill(m.buf[:n], m.sent)
-		w := m.client.Write(m.buf[:n])
-		if w == 0 {
+		if n == 0 {
 			return
 		}
-		m.sent += uint64(w)
+		m.checker.Fill(m.buf[:n], m.sent)
+		m.sent += uint64(m.client.Write(m.buf[:n]))
 	}
 	m.client.Close()
 }
@@ -387,7 +395,7 @@ func (s chaosScenario) Setup(sh *Shard) (*chaosState, error) {
 			spec:    spec,
 			gi:      gi,
 			checker: faults.NewChecker(sim.DeriveSeed(spec.Seed, chaosStream+uint64(gi)), spec.TransferBytes),
-			buf:     make([]byte, 32<<10),
+			buf:     sim.Local[chaosScratch](sh.Sim)[:],
 			// Freeze the member's recording at its own completion time: the
 			// shard keeps simulating for its slowest member, and post-done
 			// fault/teardown events would otherwise depend on the partition.

@@ -7,8 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"mptcpgo/internal/core"
 	"mptcpgo/internal/faults"
 	"mptcpgo/internal/middlebox"
+	"mptcpgo/internal/netem"
+	"mptcpgo/internal/packet"
+	"mptcpgo/internal/sim"
 	"mptcpgo/internal/trace"
 )
 
@@ -179,5 +183,66 @@ func TestChaosUnknownAdversary(t *testing.T) {
 	_, err := RunChaos(ChaosSpec{Common: Common{Seed: 1}, Members: 1, Adversary: "nope"})
 	if err == nil || !strings.Contains(err.Error(), "unknown adversary") {
 		t.Fatalf("expected unknown-adversary error, got %v", err)
+	}
+}
+
+// TestChaosMemberGeneratesEachByteOnce drives one member whose send buffer
+// (16 KiB) is far smaller than its transfer: every OnWritable has room for a
+// segment or two, and pump must generate just that, not a buffer-full that
+// Write then mostly turns away. Generated bytes are counted from outside:
+// before each pump the buffer is poisoned with the complement of what a fill
+// at the current offset would store, so every byte pump generates shows.
+func TestChaosMemberGeneratesEachByteOnce(t *testing.T) {
+	const seed, total = 5, 256 << 10
+	s := sim.New(3)
+	n := netem.Build(s, netem.WiFi3GSpec()...)
+	cfg := chaosConnConfig()
+	cfg.SendBufBytes = 16 << 10
+	spec := ChaosSpec{TransferBytes: total}
+	m := &chaosMember{
+		spec:    &spec,
+		checker: faults.NewChecker(seed, total),
+		buf:     sim.Local[chaosScratch](s)[:],
+		onDone:  func() {},
+	}
+	m.watchdog = faults.NewWatchdog(s, time.Second, m.checker.Received, func() bool { return m.done })
+	if _, err := core.NewManager(n.Server).Listen(80, cfg, func(c *core.Connection) {
+		m.server = c
+		c.OnReadable = m.drain
+	}); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := core.NewManager(n.Client).Dial(n.Client.Interfaces()[0], packet.Endpoint{Addr: n.ServerAddr(0), Port: 80}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.client = conn
+
+	generated, pumps := 0, 0
+	poison := make([]byte, len(m.buf))
+	countedPump := func() {
+		for i := range poison {
+			poison[i] = ^faults.PatternByte(seed, m.sent+uint64(i))
+		}
+		copy(m.buf, poison)
+		m.pump()
+		pumps++
+		for i, b := range m.buf {
+			if b != poison[i] {
+				generated++
+			}
+		}
+	}
+	conn.OnEstablished = countedPump
+	conn.OnWritable = countedPump
+	if err := s.RunUntil(60 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !m.done || !m.checker.Complete() {
+		t.Fatalf("transfer did not complete intact: done=%v %v", m.done, m.checker.Err())
+	}
+	if generated != total {
+		t.Fatalf("member generated %d pattern bytes over %d pumps for a %d-byte transfer; each byte must be generated once",
+			generated, pumps, total)
 	}
 }

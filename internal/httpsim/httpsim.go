@@ -131,10 +131,9 @@ type fetcher struct {
 	// unreported (see fetch).
 	doneFired bool
 
-	// scratch is the shared response-drain buffer: flows only count received
-	// bytes, so the read loop consumes into it without allocating. Its size
-	// is the read granularity, which feeds the receive-window-update
-	// heuristic, so it must not change.
+	// scratch is the shard's response-drain buffer (drainScratch): flows only
+	// count received bytes, so the read loop consumes into it without
+	// allocating and nothing ever reads it back.
 	scratch []byte
 	// req is the request header every flow sends. Connection.Write copies it
 	// into the send queue before returning and the simulator is
@@ -142,6 +141,12 @@ type fetcher struct {
 	// is ever written.
 	req [requestSize]byte
 }
+
+// drainScratch is the one drain buffer every fetcher on a simulator shares
+// (sim.Local): a fleet builds a pool per host, and a buffer per pool was most
+// of what an idle host cost. Its size is the read granularity, which feeds
+// the receive-window-update heuristic, so it must not change.
+type drainScratch [64 << 10]byte
 
 func newFetcher(mgr *core.Manager, iface *netem.Interface, addr packet.Addr, port uint16, conn core.Config) (fetcher, error) {
 	if port == 0 {
@@ -154,13 +159,14 @@ func newFetcher(mgr *core.Manager, iface *netem.Interface, addr packet.Addr, por
 		}
 		iface = ifaces[0]
 	}
+	s := mgr.Host().Sim()
 	return fetcher{
 		mgr:     mgr,
-		sim:     mgr.Host().Sim(),
+		sim:     s,
 		iface:   iface,
 		server:  packet.Endpoint{Addr: addr, Port: port},
 		connCfg: conn,
-		scratch: make([]byte, 64<<10),
+		scratch: sim.Local[drainScratch](s)[:],
 	}, nil
 }
 

@@ -236,6 +236,14 @@ func (l *Link) Send(seg *packet.Segment) {
 	}
 }
 
+// fifoCompactMin is the delivered-prefix length from which deliverBurst
+// compacts the FIFO. The copy moves at most head entries and the next one is
+// at least this many deliveries away, so it stays amortised O(1) per segment;
+// the FIFO's capacity stays within this plus twice the peak in-flight count
+// (doubled once by append) instead of growing to thousands of entries on a
+// link that carries a handful of segments at a time.
+const fifoCompactMin = 32
+
 // deliverBurst fires at the head entry's delivery time with its reserved seq:
 // it completes that transmission and re-arms for the next FIFO entry at its
 // own pre-reserved (at, seq), so the interleaving with every other simulator
@@ -249,7 +257,7 @@ func deliverBurst(a, _ any) {
 	e.seg = nil
 	l.head++
 	if l.head < len(l.fifo) {
-		if l.head >= 1024 && l.head*2 >= len(l.fifo) {
+		if l.head >= fifoCompactMin && l.head*2 >= len(l.fifo) {
 			// A continuously-busy link never fully drains; compact the
 			// delivered prefix so the FIFO stays bounded by the in-flight
 			// segment count.

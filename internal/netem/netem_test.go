@@ -54,6 +54,41 @@ func TestLinkQueueOverflowDrops(t *testing.T) {
 	}
 }
 
+// TestLinkFIFOBoundedByInFlight keeps a link busy for 10 000 segments, never
+// more than 8 of them in flight and never fully drained: the burst FIFO must
+// stay sized to what is in flight, not to what has passed through, while
+// delivery order and the event accounting stay those of the unbatched
+// schedule (one dequeue and one delivery per segment).
+func TestLinkFIFOBoundedByInFlight(t *testing.T) {
+	const total, window = 10000, 8
+	s := sim.New(1)
+	var link *Link
+	sent, delivered := 0, 0
+	var lastOrdinal uint64
+	link = NewLink(s, "l", LinkConfig{RateBps: Mbps(100), Delay: time.Millisecond}, ReceiverFunc(func(seg *packet.Segment) {
+		delivered++
+		if seg.Ordinal != lastOrdinal+1 {
+			t.Fatalf("segment %d delivered after %d", seg.Ordinal, lastOrdinal)
+		}
+		lastOrdinal = seg.Ordinal
+		if sent < total {
+			sent++
+			link.Send(testSegment(1000))
+		}
+	}))
+	for ; sent < window; sent++ {
+		link.Send(testSegment(1000))
+	}
+	_ = s.Run()
+	if delivered != total || link.QueueBytes() != 0 || s.Processed != 2*total {
+		t.Fatalf("delivered %d of %d, %d bytes still queued, %d events processed (want %d)",
+			delivered, total, link.QueueBytes(), s.Processed, 2*total)
+	}
+	if c := cap(link.fifo); c > 128 {
+		t.Fatalf("FIFO capacity %d entries after %d segments with at most %d in flight; want <= 128", c, total, window)
+	}
+}
+
 func TestLinkRandomLoss(t *testing.T) {
 	s := sim.New(7)
 	delivered := 0
