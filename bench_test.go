@@ -275,6 +275,23 @@ func BenchmarkBulkTransferAllocs(b *testing.B) {
 	}
 }
 
+// BenchmarkOpenLoopChurn is bench/perf's `churn` workload through the facade:
+// 64 hosts, 1000 fixed 16 KiB flows/s for 4 s, each on a fresh connection, so
+// allocs/op divided by the ~4000 flows is what a short flow costs in heap
+// objects. It is the edit-loop and profiling entry point (bench/perf gives the
+// verdict): `-memprofilerate 4096 -memprofile` plus `go tool pprof
+// -sample_index=alloc_objects -top` names the allocation sites; CI uploads
+// that table next to the benchmark JSON.
+func BenchmarkOpenLoopChurn(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewOpenLoop(3).Hosts(64).Rate(1000).SizeDist("fixed:16384").
+			Window(4 * time.Second).FlowDeadline(3 * time.Second).Shards(4).Workers(2).Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Wire codec benchmarks
 // ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ type listQueue struct {
 	useShortcuts bool
 	useBatches   bool
 
-	hints map[int]listHint
+	hints map[int]listHint // built when a Shortcuts queue stores its first item
 
 	count int
 	bytes int
@@ -63,11 +63,7 @@ type listHint struct {
 }
 
 func newListQueue(shortcuts, batches bool) *listQueue {
-	return &listQueue{
-		useShortcuts: shortcuts,
-		useBatches:   batches,
-		hints:        make(map[int]listHint),
-	}
+	return &listQueue{useShortcuts: shortcuts, useBatches: batches}
 }
 
 // Name implements OfoQueue.
@@ -178,6 +174,9 @@ func (q *listQueue) insert(it Item) (steps int) {
 	q.count++
 	q.bytes += len(it.Data)
 	if q.useShortcuts {
+		if q.hints == nil {
+			q.hints = make(map[int]listHint)
+		}
 		q.hints[it.Subflow] = listHint{n: n, gen: n.gen}
 	}
 	q.attachBatch(n)

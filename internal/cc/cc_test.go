@@ -130,3 +130,33 @@ func TestCoupledReductionsAndCap(t *testing.T) {
 		t.Fatalf("cap violated: %d", c.Cwnd())
 	}
 }
+
+// TestCoupledGroupHeldByValue: a connection holds its group by value and each
+// subflow its controller, so the zero group must work, Add must initialise a
+// controller in place exactly as NewController builds one, and membership
+// must survive outgrowing the group's inline member array.
+func TestCoupledGroupHeldByValue(t *testing.T) {
+	var g CoupledGroup
+	held := make([]Coupled, 2*len(g.membersBuf)+1)
+	for i := range held {
+		held[i].cwnd = 12345 // Add overwrites whatever was there
+		g.Add(&held[i], Config{MSS: 1000})
+	}
+	fresh := NewCoupledGroup().NewController(Config{MSS: 1000})
+	if held[0].Cwnd() != fresh.Cwnd() || held[0].Ssthresh() != fresh.Ssthresh() || held[0].SRTT() != fresh.SRTT() {
+		t.Fatalf("Add initialised %+v, NewController builds %+v", held[0], *fresh)
+	}
+	if want := len(held) * fresh.Cwnd(); g.TotalCwnd() != want {
+		t.Fatalf("total cwnd %d over %d members, want %d", g.TotalCwnd(), len(held), want)
+	}
+	g.Remove(&held[1])
+	g.Remove(&held[len(held)-1])
+	g.Remove(fresh) // never a member: a no-op
+	if want := (len(held) - 2) * fresh.Cwnd(); g.TotalCwnd() != want {
+		t.Fatalf("total cwnd %d after removing two members, want %d", g.TotalCwnd(), want)
+	}
+	held[0].OnAck(1000, 10*time.Millisecond)
+	if g.TotalCwnd() != (len(held)-2)*fresh.Cwnd()+1000 {
+		t.Fatalf("a held controller's growth does not show in its group: total %d", g.TotalCwnd())
+	}
+}

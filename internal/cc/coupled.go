@@ -15,24 +15,36 @@ import "time"
 // Decrease behaviour is standard TCP (per-subflow halving).
 type CoupledGroup struct {
 	members []*Coupled
+	// membersBuf is the first backing store of members; append spills past it.
+	membersBuf [2]*Coupled
 }
 
-// NewCoupledGroup creates an empty group.
+// NewCoupledGroup creates an empty group. The zero CoupledGroup is one too, so
+// a connection can hold its group by value; do not copy a group with members.
 func NewCoupledGroup() *CoupledGroup { return &CoupledGroup{} }
 
 // NewController creates a controller for one subflow and adds it to the
 // group.
 func (g *CoupledGroup) NewController(cfg Config) *Coupled {
+	c := new(Coupled)
+	g.Add(c, cfg)
+	return c
+}
+
+// Add initialises c, a controller its subflow holds, and adds it to the group.
+func (g *CoupledGroup) Add(c *Coupled, cfg Config) {
 	cfg = cfg.withDefaults()
-	c := &Coupled{
+	*c = Coupled{
 		cfg:      cfg,
 		group:    g,
 		cwnd:     cfg.MSS * cfg.InitialCwndSegments,
 		ssthresh: maxSsthresh,
 		srtt:     100 * time.Millisecond,
 	}
+	if g.members == nil {
+		g.members = g.membersBuf[:0]
+	}
 	g.members = append(g.members, c)
-	return c
 }
 
 // Remove detaches a subflow's controller from the group (subflow closed).

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"mptcpgo/internal/buffer"
-	"mptcpgo/internal/cc"
 	"mptcpgo/internal/tcp"
 )
 
@@ -151,15 +150,7 @@ func (c Config) subflowConfig() tcp.Config {
 	// enforces the peer's advertised window, exactly like plain TCP would.
 	sc.ConnectionLevelWindow = !c.PerSubflowReceiveWindow
 	sc.PayloadToHooksOnly = true
-	// The congestion-controller factory for MPTCP subflows is installed by
-	// the connection because the coupled controller needs the shared group.
+	// The congestion controller of an MPTCP subflow is supplied through the
+	// hooks (Subflow.NewController): it needs the connection's shared group.
 	return sc
-}
-
-// controllerFactory builds the congestion-controller factory for a subflow.
-func (c Config) controllerFactory(group *cc.CoupledGroup, mptcpActive bool) func(cc.Config) cc.Controller {
-	if c.CoupledCC && mptcpActive && group != nil {
-		return func(cfg cc.Config) cc.Controller { return group.NewController(cfg) }
-	}
-	return func(cfg cc.Config) cc.Controller { return cc.NewNewReno(cfg) }
 }

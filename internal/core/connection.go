@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"mptcpgo/internal/buffer"
@@ -63,8 +64,6 @@ type Connection struct {
 	cfg Config
 	sim *sim.Simulator
 
-	isClient bool
-
 	localKey    Key
 	remoteKey   Key
 	localToken  uint32
@@ -80,9 +79,10 @@ type Connection struct {
 
 	established bool
 	closed      bool
+	isClient    bool
 	err         error
 
-	ccGroup   *cc.CoupledGroup
+	ccGroup   cc.CoupledGroup
 	scheduler sched.Scheduler
 
 	// Flight-recorder identity, copied from the manager at creation. probe
@@ -96,14 +96,23 @@ type Connection struct {
 	nextSubflowID int
 
 	// Scratch slices reused by the per-chunk scheduling hot path (see
-	// usableSubflows and schedulerCandidates).
+	// usableSubflows and pickSubflow).
 	usableScratch []*Subflow
-	subsScratch   []*Subflow
 	candScratch   []sched.Candidate
 	// remoteAddrs are addresses learned through ADD_ADDR.
 	remoteAddrs []packet.Endpoint
-	// usedRemote tracks remote endpoints already used by a subflow.
-	usedRemote map[packet.Endpoint]bool
+	// usedRemote lists the remote endpoints a subflow was ever dialed to.
+	usedRemote []packet.Endpoint
+
+	// inline is the first backing store of each small slice above and below:
+	// usually it is all a connection needs, and append spills to the heap
+	// past it exactly as it grew from nil, so no size here is a limit.
+	inline struct {
+		subflows, usable [subflowsInline]*Subflow
+		cands            [subflowsInline]sched.Candidate
+		usedRemote       [subflowsInline]packet.Endpoint
+		inflight         [inflightInline]*txMapping
+	}
 
 	dialCfg struct {
 		remote packet.Endpoint
@@ -124,18 +133,19 @@ type Connection struct {
 	dataFinQueued bool
 	dataFinSent   bool
 	dataFinAcked  bool
-	dataFinSeq    uint64
-	connRtx       *sim.Timer
 	pumping       bool
+	dataFinSeq    uint64
+	connRtx       sim.Timer
 
 	// ---- data-level receive state ----
-	rcvBuf           buffer.ByteQueue
+	rcvBuf buffer.ByteQueue
+	// Built at the first out-of-order arrival (insertData); nil is empty.
 	ofo              buffer.OfoQueue
 	ofoBySubflow     map[int]int
 	dataRcvNxt       uint64
 	remoteDataFin    bool
-	remoteDataFinSeq uint64
 	eofConsumed      bool
+	remoteDataFinSeq uint64
 	lastAdvertised   int
 
 	stats ConnStats
@@ -153,25 +163,24 @@ type Connection struct {
 func newConnection(mgr *Manager, cfg Config, isClient bool) *Connection {
 	cfg = cfg.withDefaults()
 	c := &Connection{
-		mgr:          mgr,
-		cfg:          cfg,
-		sim:          mgr.host.Sim(),
-		isClient:     isClient,
-		scheduler:    sched.New(cfg.Scheduler),
-		ccGroup:      cc.NewCoupledGroup(),
-		mappingFree:  sim.Local[pool.FreeList[txMapping]](mgr.host.Sim()),
-		ofo:          buffer.NewOfoQueue(cfg.OfoAlgorithm),
-		ofoBySubflow: make(map[int]int),
-		usedRemote:   make(map[packet.Endpoint]bool),
-		rwndLimit:    64 << 10,
+		mgr:         mgr,
+		cfg:         cfg,
+		sim:         mgr.host.Sim(),
+		isClient:    isClient,
+		scheduler:   sched.New(cfg.Scheduler),
+		mappingFree: sim.Local[pool.FreeList[txMapping]](mgr.host.Sim()),
+		rwndLimit:   64 << 10,
 	}
+	c.subflows, c.usableScratch = c.inline.subflows[:0], c.inline.usable[:0]
+	c.candScratch, c.usedRemote = c.inline.cands[:0], c.inline.usedRemote[:0]
+	c.inflight = c.inline.inflight[:0]
 	if isClient && mgr.probeRec != nil {
 		c.probe = mgr.probeRec
 		c.member = mgr.probeMember
 		c.connID = mgr.nextConnID
 		mgr.nextConnID++
 	}
-	c.connRtx = c.sim.NewTimer(c.onConnRetransmitTimeout)
+	c.connRtx.Init(c.sim, func(a any) { a.(*Connection).onConnRetransmitTimeout() }, c)
 	return c
 }
 
@@ -201,7 +210,12 @@ func (c *Connection) Subflows() []*Subflow { return c.subflows }
 // ReassemblySteps returns the cumulative number of search steps performed by
 // the connection-level out-of-order queue; Figure 8 uses it (together with
 // the micro-benchmarks in bench_test.go) as the receiver CPU-cost proxy.
-func (c *Connection) ReassemblySteps() uint64 { return c.ofo.Steps() }
+func (c *Connection) ReassemblySteps() uint64 {
+	if c.ofo == nil {
+		return 0
+	}
+	return c.ofo.Steps()
+}
 
 // Stats returns a copy of the connection counters.
 func (c *Connection) Stats() ConnStats { return c.stats }
@@ -217,13 +231,7 @@ func (c *Connection) SenderMemory() int { return c.sndBuf.Len() }
 // ReceiverMemory returns the bytes held in the connection-level receive and
 // reassembly queues plus the subflow-level out-of-order queues — the
 // receiver-side memory metric of Figure 5.
-func (c *Connection) ReceiverMemory() int {
-	n := c.rcvBuf.Len() + c.ofo.Bytes()
-	for _, s := range c.subflows {
-		n += s.ep.ReceiveQueuedBytes()
-	}
-	return n
-}
+func (c *Connection) ReceiverMemory() int { return c.receiveBufferUsed() }
 
 // ---------------------------------------------------------------------------
 // Application byte-stream API
@@ -315,7 +323,10 @@ func (c *Connection) receiveWindow() int {
 }
 
 func (c *Connection) receiveBufferUsed() int {
-	used := c.rcvBuf.Len() + c.ofo.Bytes()
+	used := c.rcvBuf.Len()
+	if c.ofo != nil {
+		used += c.ofo.Bytes()
+	}
 	for _, s := range c.subflows {
 		if s.ep != nil {
 			used += s.ep.ReceiveQueuedBytes()
@@ -462,6 +473,7 @@ func (c *Connection) newSubflow(role SubflowRole, client bool) *Subflow {
 		client:  client,
 		started: c.sim.Now(),
 	}
+	s.rxMappings = s.rxMappingsBuf[:0]
 	c.nextSubflowID++
 	c.subflows = append(c.subflows, s)
 	c.stats.SubflowsOpened++
@@ -495,8 +507,7 @@ func (c *Connection) onSubflowEstablished(s *Subflow) {
 		}
 		// Open additional subflows shortly after the first one settles.
 		if c.isClient && c.MPTCPActive() {
-			delay := c.cfg.AddSubflowDelay
-			c.sim.Schedule(delay, c.openAdditionalSubflows)
+			c.openAdditionalSubflowsAfter(c.cfg.AddSubflowDelay)
 		}
 	}
 	if s.role == RoleJoin && c.OnSubflowEstablished != nil {
@@ -508,6 +519,13 @@ func (c *Connection) onSubflowEstablished(s *Subflow) {
 		s.established = true
 	}
 	c.pump()
+}
+
+// openAdditionalSubflowsAfter runs openAdditionalSubflows after d. Every client
+// connection schedules one, so it goes through the event's closure-free form.
+func (c *Connection) openAdditionalSubflowsAfter(d time.Duration) {
+	c.sim.ScheduleArgsAtSeq(c.sim.Now()+d, c.sim.ReserveSeq(),
+		func(a, _ any) { a.(*Connection).openAdditionalSubflows() }, c, nil)
 }
 
 // openAdditionalSubflows creates subflows for the local interfaces not yet in
@@ -526,7 +544,8 @@ func (c *Connection) openAdditionalSubflows() {
 	}
 	ifaces := c.mgr.host.Interfaces()
 	// Candidate remote endpoints: the one we dialed plus any advertised.
-	remotes := append([]packet.Endpoint{c.dialCfg.remote}, c.remoteAddrs...)
+	var remotesBuf [subflowsInline]packet.Endpoint
+	remotes := append(append(remotesBuf[:0], c.dialCfg.remote), c.remoteAddrs...)
 	idx := 0
 	for _, ifc := range ifaces {
 		if !ifc.Attached() {
@@ -545,7 +564,7 @@ func (c *Connection) openAdditionalSubflows() {
 		if idx < len(remotes) {
 			remote = remotes[idx]
 		}
-		if c.usedRemote[remote] && have == 0 && len(remotes) > idx+1 {
+		if slices.Contains(c.usedRemote, remote) && have == 0 && len(remotes) > idx+1 {
 			remote = remotes[idx+1]
 		}
 		for have < perIface {
@@ -627,7 +646,6 @@ func (c *Connection) dialJoinSubflow(ifc *netem.Interface, remote packet.Endpoin
 	s := c.newSubflow(RoleJoin, true)
 	s.localNonce = c.sim.RNG().Uint32()
 	cfg := c.cfg.subflowConfig()
-	cfg.CongestionControl = c.cfg.controllerFactory(c.ccGroup, true)
 	if c.probe != nil {
 		cfg.Probe = s
 	}
@@ -637,7 +655,13 @@ func (c *Connection) dialJoinSubflow(ifc *netem.Interface, remote packet.Endpoin
 		return
 	}
 	s.ep = ep
-	c.usedRemote[remote] = true
+	c.markRemoteUsed(remote)
+}
+
+func (c *Connection) markRemoteUsed(remote packet.Endpoint) {
+	if !slices.Contains(c.usedRemote, remote) {
+		c.usedRemote = append(c.usedRemote, remote)
+	}
 }
 
 // onSubflowFailed handles a subflow that was reset by MPTCP itself (HMAC or
@@ -723,16 +747,14 @@ func (c *Connection) removeSubflow(s *Subflow) {
 			break
 		}
 	}
-	if coupled, ok := s.ep.Controller().(*cc.Coupled); ok && coupled != nil {
-		c.ccGroup.Remove(coupled)
-	}
+	c.ccGroup.Remove(&s.coupled)
 }
 
 // usableSubflows returns the usable subflows in a scratch slice reused
 // between calls: it runs several times per transmitted chunk, so it must not
 // allocate. Callers may iterate the result but must not retain it across
-// another usableSubflows call (schedulerCandidates keeps its own scratch for
-// exactly that reason).
+// another usableSubflows call (pickSubflow keeps its own scratch for exactly
+// that reason).
 func (c *Connection) usableSubflows() []*Subflow {
 	out := c.usableScratch[:0]
 	for _, s := range c.subflows {
@@ -780,7 +802,7 @@ func (c *Connection) onRemoteAddressAdvertised(opt packet.AddAddrOption) {
 	}
 	c.remoteAddrs = append(c.remoteAddrs, ep)
 	if c.isClient && c.MPTCPActive() && c.established {
-		c.sim.Schedule(time.Millisecond, c.openAdditionalSubflows)
+		c.openAdditionalSubflowsAfter(time.Millisecond)
 	}
 }
 
@@ -848,7 +870,7 @@ func (c *Connection) RestoreLocalInterface(ifc *netem.Interface) {
 		c.probe.Emit(c.member, probe.KindAddrRestored, c.connID, -1, 0, 0)
 	}
 	if c.isClient {
-		c.sim.Schedule(time.Millisecond, c.openAdditionalSubflows)
+		c.openAdditionalSubflowsAfter(time.Millisecond)
 		return
 	}
 	if c.cfg.AdvertiseAddresses {
@@ -890,7 +912,7 @@ func (c *Connection) enterFallback(reason string, keep *Subflow) {
 		}
 	}
 	if keep != nil {
-		c.subflows = []*Subflow{keep}
+		c.subflows = append(c.subflows[:0], keep)
 	}
 	// From the fallback point onward incoming bytes map implicitly onto the
 	// data stream; anchor the implicit mapping at the current delivery

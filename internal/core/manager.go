@@ -82,7 +82,6 @@ func (m *Manager) Dial(iface *netem.Interface, remote packet.Endpoint, cfg Confi
 	}
 	s := c.newSubflow(RoleInitial, true)
 	scfg := c.cfg.subflowConfig()
-	scfg.CongestionControl = c.cfg.controllerFactory(c.ccGroup, c.cfg.EnableMPTCP)
 	if c.probe != nil {
 		scfg.Probe = s
 	}
@@ -91,7 +90,7 @@ func (m *Manager) Dial(iface *netem.Interface, remote packet.Endpoint, cfg Confi
 		return nil, err
 	}
 	s.ep = ep
-	c.usedRemote[remote] = true
+	c.markRemoteUsed(remote)
 	m.conns = append(m.conns, c)
 	return c, nil
 }
@@ -211,12 +210,6 @@ func (l *Listener) onAccept(ep *tcp.Endpoint, syn *packet.Segment) {
 	l.pending = nil
 	s.ep = ep
 	conn := s.conn
-	// Replace the default controller with the connection's (coupled) one;
-	// no data has been exchanged yet, so this is safe.
-	if conn.MPTCPActive() {
-		factory := conn.cfg.controllerFactory(conn.ccGroup, true)
-		ep.SetController(factory(ep.ControllerConfig()))
-	}
 	// Servers advertise their additional addresses so clients behind NATs
 	// can open subflows toward them (§3.2).
 	if conn.cfg.AdvertiseAddresses && conn.MPTCPActive() && s.role == RoleInitial {

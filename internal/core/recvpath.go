@@ -124,19 +124,26 @@ func (c *Connection) insertData(s *Subflow, dataSeq uint64, data []byte) {
 	if dataSeq == c.dataRcvNxt {
 		c.rcvBuf.Append(data)
 		c.dataRcvNxt += uint64(len(data))
-		for _, it := range c.ofo.PopContiguous(c.dataRcvNxt) {
-			c.rcvBuf.Append(it.Data)
-			c.dataRcvNxt = it.End()
-			if n := c.ofoBySubflow[it.Subflow]; n > 0 {
-				c.ofoBySubflow[it.Subflow] = maxInt(0, n-len(it.Data))
+		if c.ofo != nil {
+			for _, it := range c.ofo.PopContiguous(c.dataRcvNxt) {
+				c.rcvBuf.Append(it.Data)
+				c.dataRcvNxt = it.End()
+				if n := c.ofoBySubflow[it.Subflow]; n > 0 {
+					c.ofoBySubflow[it.Subflow] = maxInt(0, n-len(it.Data))
+				}
+				pool.Recycle(it.Data)
 			}
-			pool.Recycle(it.Data)
 		}
 		c.maybeConsumeRemoteDataFin()
 		if c.OnReadable != nil {
 			c.OnReadable()
 		}
 		return
+	}
+	// Built here, at the first out-of-order arrival: most flows never get one.
+	if c.ofo == nil {
+		c.ofo = buffer.NewOfoQueue(c.cfg.OfoAlgorithm)
+		c.ofoBySubflow = make(map[int]int)
 	}
 	c.ofo.Insert(buffer.Item{Seq: dataSeq, Data: data, Subflow: s.id})
 	c.ofoBySubflow[s.id] += len(data)

@@ -6,7 +6,6 @@ import (
 	"mptcpgo/internal/buffer"
 	"mptcpgo/internal/packet"
 	"mptcpgo/internal/probe"
-	"mptcpgo/internal/sched"
 )
 
 // pump is the sender engine: it maps application data onto subflows according
@@ -61,12 +60,10 @@ func (c *Connection) pump() {
 			}
 			break
 		}
-		cands, subs := c.schedulerCandidates()
-		idx := c.scheduler.Pick(cands, want)
-		if idx < 0 {
+		sf := c.pickSubflow(want)
+		if sf == nil {
 			break
 		}
-		sf := subs[idx]
 		size := want
 		if m := sf.ep.EffectiveMSS(); size > m {
 			size = m
@@ -90,22 +87,23 @@ func (c *Connection) pump() {
 	c.maybeSendDataFin()
 }
 
-// schedulerCandidates builds the scheduler's view of the current subflows in
-// scratch slices owned by the connection. The result is valid until the next
-// schedulerCandidates call; it is kept separate from the usableSubflows
-// scratch because sendMapping (called between Pick and the next rebuild)
-// re-enters usableSubflows via the retransmission-timer arming.
-func (c *Connection) schedulerCandidates() ([]sched.Candidate, []*Subflow) {
-	subs := c.subsScratch[:0]
+// pickSubflow asks the scheduler which usable subflow should carry the next
+// size bytes; nil means none can send now. The scheduler's view is built in a
+// scratch slice owned by the connection (this runs once per transmitted
+// chunk), separate from the usableSubflows scratch, whose callers may still
+// be iterating it when they get here through pump.
+func (c *Connection) pickSubflow(size int) *Subflow {
 	cands := c.candScratch[:0]
 	for _, s := range c.subflows {
 		if s.Usable() {
-			subs = append(subs, s)
 			cands = append(cands, s)
 		}
 	}
-	c.subsScratch, c.candScratch = subs, cands
-	return cands, subs
+	c.candScratch = cands
+	if idx := c.scheduler.Pick(cands, size); idx >= 0 {
+		return cands[idx].(*Subflow)
+	}
+	return nil
 }
 
 // sendMapping transmits one chunk of connection-level data on a subflow with
@@ -232,10 +230,7 @@ func (c *Connection) onReceiveWindowLimited() {
 
 	var fast *Subflow
 	if c.cfg.OpportunisticRetransmit {
-		cands, subs := c.schedulerCandidates()
-		if idx := c.scheduler.Pick(cands, m.length); idx >= 0 {
-			fast = subs[idx]
-		}
+		fast = c.pickSubflow(m.length)
 		if fast != nil && fast != m.subflow {
 			// Rate-limit reinjection of the same mapping to roughly once per
 			// RTT of the fast path.
@@ -406,9 +401,7 @@ func (c *Connection) onConnRetransmitTimeout() {
 	}
 	if len(c.inflight) > 0 {
 		m := c.inflight[0]
-		cands, subs := c.schedulerCandidates()
-		if idx := c.scheduler.Pick(cands, m.length); idx >= 0 {
-			sf := subs[idx]
+		if sf := c.pickSubflow(m.length); sf != nil {
 			data := c.sndBuf.Peek(m.dataSeq, m.length)
 			if len(data) == m.length && c.sendMapping(sf, m.dataSeq, data, m) {
 				c.stats.ConnLevelRtx++
@@ -453,14 +446,13 @@ func (c *Connection) recoverDroppedMappings() {
 	if now-m.sentAt < wait || (m.lastReinject != 0 && now-m.lastReinject < wait) {
 		return
 	}
-	cands, subs := c.schedulerCandidates()
-	idx := c.scheduler.Pick(cands, m.length)
-	if idx < 0 {
+	to := c.pickSubflow(m.length)
+	if to == nil {
 		return
 	}
 	data := c.sndBuf.Peek(m.dataSeq, m.length)
 	if len(data) == m.length {
-		c.sendMapping(subs[idx], m.dataSeq, data, m)
+		c.sendMapping(to, m.dataSeq, data, m)
 	}
 }
 
@@ -474,15 +466,13 @@ func (c *Connection) reinjectSubflowData(failed *Subflow) {
 		if m.subflow != failed {
 			continue
 		}
-		cands, subs := c.schedulerCandidates()
-		idx := c.scheduler.Pick(cands, m.length)
-		if idx < 0 {
+		sf := c.pickSubflow(m.length)
+		if sf == nil {
 			// No subflow can take it right now; the connection-level
 			// retransmission timer will retry.
 			c.armConnRtx()
 			continue
 		}
-		sf := subs[idx]
 		if sf == failed {
 			continue
 		}

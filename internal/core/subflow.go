@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"mptcpgo/internal/cc"
 	"mptcpgo/internal/packet"
 	"mptcpgo/internal/probe"
 	"mptcpgo/internal/tcp"
@@ -31,12 +32,27 @@ type rxMapping struct {
 
 func (m rxMapping) end() uint32 { return m.subflowOffset + uint32(m.length) }
 
+// Inline capacities of the small per-connection slices (Connection.inline,
+// Subflow.rxMappingsBuf), sized to what the bench/perf fleets were measured to
+// hold and never a limit: one or two paths per host; at most 11 mappings in
+// flight while a flow fits its initial window of 10 segments (all of `churn`,
+// half of `corelink`'s flows); one received mapping at a time on an in-order
+// subflow, one more after a reordering. TestConnectionFootprint pins the cost.
+const (
+	subflowsInline   = 2
+	inflightInline   = 12
+	rxMappingsInline = 2
+)
+
 // Subflow is one TCP subflow of an MPTCP connection. It implements tcp.Hooks
 // to attach MPTCP options to outgoing segments and to interpret them on
 // arriving ones.
 type Subflow struct {
 	conn *Connection
 	ep   *tcp.Endpoint
+	// coupled is the subflow's congestion controller when the connection
+	// couples its subflows (see NewController).
+	coupled cc.Coupled
 
 	id      int
 	addrID  uint8
@@ -60,8 +76,10 @@ type Subflow struct {
 	// options and the connection must drop to regular TCP.
 	sawNonSYNSegment bool
 
-	// Receiver-side mappings, kept sorted by subflow offset.
-	rxMappings []rxMapping
+	// Receiver-side mappings, kept sorted by subflow offset; rxMappingsBuf is
+	// their first backing store.
+	rxMappings    []rxMapping
+	rxMappingsBuf [rxMappingsInline]rxMapping
 
 	// addAddrRepeats counts how many more outgoing segments should carry the
 	// ADD_ADDR advertisements (sent a few times for robustness).
@@ -159,7 +177,7 @@ func (s *Subflow) OnSegmentSent(e *tcp.Endpoint, seg *packet.Segment, retransmis
 	handshakeRepeat := false
 	if s.role == RoleInitial && s.client && !s.mpConfirmed {
 		if seg.MPTCPOption(packet.SubMPCapable) == nil {
-			seg.Options = append(seg.Options, &packet.MPCapableOption{
+			seg.AppendMPCapable(packet.MPCapableOption{
 				Version:          0,
 				ChecksumRequired: c.cfg.UseDSSChecksum,
 				SenderKey:        uint64(c.localKey),
@@ -176,7 +194,7 @@ func (s *Subflow) OnSegmentSent(e *tcp.Endpoint, seg *packet.Segment, retransmis
 	if s.role == RoleJoin && s.client && !s.mpConfirmed && len(seg.Payload) == 0 {
 		if seg.MPTCPOption(packet.SubMPJoin) == nil {
 			mac := joinHMAC(c.localKey, c.remoteKey, s.localNonce, s.remoteNonce)
-			seg.Options = append(seg.Options, &packet.MPJoinOption{
+			seg.AppendMPJoin(packet.MPJoinOption{
 				Phase:      packet.JoinACK,
 				AddrID:     s.addrID,
 				SenderHMAC: mac,
@@ -284,14 +302,14 @@ func (s *Subflow) addHandshakeOptions(seg *packet.Segment, retransmission bool) 
 		if !c.mptcpActive && !s.client {
 			return
 		}
-		seg.Options = append(seg.Options, &packet.MPCapableOption{
+		seg.AppendMPCapable(packet.MPCapableOption{
 			Version:          0,
 			ChecksumRequired: c.cfg.UseDSSChecksum,
 			SenderKey:        uint64(c.localKey),
 		})
 	case RoleJoin:
 		if s.client {
-			seg.Options = append(seg.Options, &packet.MPJoinOption{
+			seg.AppendMPJoin(packet.MPJoinOption{
 				Phase:         packet.JoinSYN,
 				AddrID:        s.addrID,
 				Backup:        s.backup,
@@ -300,7 +318,7 @@ func (s *Subflow) addHandshakeOptions(seg *packet.Segment, retransmission bool) 
 			})
 		} else {
 			mac := joinHMAC(c.localKey, c.remoteKey, s.localNonce, s.remoteNonce)
-			seg.Options = append(seg.Options, &packet.MPJoinOption{
+			seg.AppendMPJoin(packet.MPJoinOption{
 				Phase:       packet.JoinSYNACK,
 				AddrID:      s.addrID,
 				Backup:      s.backup,
@@ -593,6 +611,19 @@ func (s *Subflow) AdvertiseWindow(e *tcp.Endpoint) (int, bool) {
 		return 0, false
 	}
 	return c.receiveWindow(), true
+}
+
+// NewController implements tcp.Hooks: under coupled congestion control the
+// subflow holds its controller itself, linked into the connection's group. The
+// active opener decides from its configuration (the handshake has not run
+// yet), the passive opener from what the SYN negotiated.
+func (s *Subflow) NewController(cfg cc.Config) cc.Controller {
+	c := s.conn
+	if !c.cfg.CoupledCC || !c.cfg.EnableMPTCP || (!s.client && !c.MPTCPActive()) {
+		return nil
+	}
+	c.ccGroup.Add(&s.coupled, cfg)
+	return &s.coupled
 }
 
 // ---------------------------------------------------------------------------

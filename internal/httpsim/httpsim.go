@@ -64,48 +64,59 @@ func StartServer(mgr *core.Manager, cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
+// serverConn is the server's side of one connection: the request so far and
+// what is left of the response. Its methods are the connection's callbacks, so
+// a connection costs the server this one struct.
+type serverConn struct {
+	s          *Server
+	c          *core.Connection
+	req        [requestSize]byte
+	got        int // request bytes buffered in req
+	responding bool
+	remaining  int
+}
+
 func (s *Server) handle(c *core.Connection) {
-	var reqBuf []byte
-	responding := false
-	var remaining int
+	sc := &serverConn{s: s, c: c}
+	c.OnReadable = sc.onReadable
+	c.OnWritable = sc.pumpResponse
+}
 
-	var pumpResponse func()
-	pumpResponse = func() {
-		for remaining > 0 {
-			n := len(s.chunk)
-			if n > remaining {
-				n = remaining
-			}
-			w := c.Write(s.chunk[:n])
-			if w == 0 {
-				return
-			}
-			remaining -= w
+func (sc *serverConn) pumpResponse() {
+	s := sc.s
+	for sc.remaining > 0 {
+		n := len(s.chunk)
+		if n > sc.remaining {
+			n = sc.remaining
 		}
-		if remaining == 0 && responding {
-			responding = false
-			s.Served++
-			c.Close()
+		w := sc.c.Write(s.chunk[:n])
+		if w == 0 {
+			return
 		}
+		sc.remaining -= w
 	}
+	if sc.remaining == 0 && sc.responding {
+		sc.responding = false
+		s.Served++
+		sc.c.Close()
+	}
+}
 
-	c.OnReadable = func() {
-		for {
-			n := c.ReadInto(s.scratch)
-			if n == 0 {
-				break
-			}
-			reqBuf = append(reqBuf, s.scratch[:n]...)
+func (sc *serverConn) onReadable() {
+	for {
+		n := sc.c.ReadInto(sc.s.scratch)
+		if n == 0 {
+			break
 		}
-		if !responding && len(reqBuf) >= requestSize {
-			size := int(binary.BigEndian.Uint32(reqBuf[0:4]))
-			reqBuf = reqBuf[requestSize:]
-			responding = true
-			remaining = size
-			pumpResponse()
-		}
+		// Whatever arrives beyond a request before it is taken is dropped.
+		sc.got += copy(sc.req[sc.got:], sc.s.scratch[:n])
 	}
-	c.OnWritable = pumpResponse
+	if !sc.responding && sc.got >= requestSize {
+		sc.got = 0
+		sc.responding = true
+		sc.remaining = int(binary.BigEndian.Uint32(sc.req[0:4]))
+		sc.pumpResponse()
+	}
 }
 
 // fetcher is what the two pool kinds share: where flows go, the per-flow
@@ -116,9 +127,10 @@ type fetcher struct {
 	iface   *netem.Interface
 	server  packet.Endpoint
 	connCfg core.Config
-	// settle is the owning pool's end-of-flow hook (see fetch), bound once at
-	// construction so a flow does not allocate a closure for it.
+	// settle is the owning pool's end-of-flow hook (see fetch), next the method
+	// it schedules to start a flow; both are bound once, not once per flow.
 	settle func(outcome, received int)
+	next   func()
 
 	completed int
 	bytes     uint64
@@ -178,6 +190,19 @@ const (
 	flowDropped = 2
 )
 
+// flow is one fetch in flight: its connection, its progress and its deadline.
+// Its methods are the connection's callbacks and the deadline is a timer it
+// holds, so a flow costs the client this one struct beside the connection.
+type flow struct {
+	f        *fetcher
+	conn     *core.Connection
+	size     int
+	received int
+	start    time.Duration
+	settled  bool
+	deadline sim.Timer
+}
+
 // fetch runs one flow: dial the server, request size bytes, drain the
 // response, close. A dial error is returned and nothing else happens.
 // Otherwise f.settle runs exactly once, when the flow ends, with its outcome
@@ -193,60 +218,66 @@ func (f *fetcher) fetch(size int, deadline time.Duration) error {
 	if err != nil {
 		return err
 	}
-
-	received := 0
-	settled := false
-	var timeout *sim.Event
-	finish := func(outcome int) {
-		if settled {
-			return
-		}
-		settled = true
-		f.sim.Cancel(timeout)
-		if f.doneFired {
-			return
-		}
-		if outcome == flowOK {
-			f.completed++
-			f.bytes += uint64(received)
-			f.latency = append(f.latency, float64(f.sim.Now()-start)/float64(time.Millisecond))
-		}
-		f.settle(outcome, received)
-	}
+	fl := &flow{f: f, conn: conn, size: size, start: start}
 	if deadline > 0 {
-		timeout = f.sim.Schedule(deadline, func() {
-			timeout = nil // fired: nothing left for finish to cancel
-			finish(flowDropped)
-			// Abort, not Close: a flow only reaches its deadline because it
-			// has stalled (e.g. a subflow died mid-fetch), and a graceful
-			// DATA_FIN would strand the wedged connection retransmitting long
-			// after the pool wrote the flow off. Resetting every subflow
-			// reclaims both endpoints immediately.
-			conn.Abort()
-		})
+		fl.deadline.Init(f.sim, func(a any) { a.(*flow).onDeadline() }, fl)
+		fl.deadline.Reset(deadline)
 	}
-
-	conn.OnEstablished = func() {
-		binary.BigEndian.PutUint32(f.req[0:4], uint32(size))
-		conn.Write(f.req[:])
-	}
-	conn.OnReadable = func() {
-		for {
-			n := conn.ReadInto(f.scratch)
-			if n == 0 {
-				break
-			}
-			received += n
-		}
-		if conn.EOF() {
-			conn.Close()
-			finish(outcomeOf(received >= size))
-		}
-	}
-	conn.OnClosed = func(err error) {
-		finish(outcomeOf(err == nil && received >= size))
-	}
+	conn.OnEstablished = fl.onEstablished
+	conn.OnReadable = fl.onReadable
+	conn.OnClosed = fl.onClosed
 	return nil
+}
+
+func (fl *flow) finish(outcome int) {
+	if fl.settled {
+		return
+	}
+	fl.settled = true
+	fl.deadline.Stop()
+	f := fl.f
+	if f.doneFired {
+		return
+	}
+	if outcome == flowOK {
+		f.completed++
+		f.bytes += uint64(fl.received)
+		f.latency = append(f.latency, float64(f.sim.Now()-fl.start)/float64(time.Millisecond))
+	}
+	f.settle(outcome, fl.received)
+}
+
+func (fl *flow) onDeadline() {
+	fl.finish(flowDropped)
+	// Abort, not Close: a flow only reaches its deadline because it has
+	// stalled (e.g. a subflow died mid-fetch), and a graceful DATA_FIN would
+	// strand the wedged connection retransmitting long after the pool wrote
+	// the flow off. Resetting every subflow reclaims both endpoints
+	// immediately.
+	fl.conn.Abort()
+}
+
+func (fl *flow) onEstablished() {
+	binary.BigEndian.PutUint32(fl.f.req[0:4], uint32(fl.size))
+	fl.conn.Write(fl.f.req[:])
+}
+
+func (fl *flow) onReadable() {
+	for {
+		n := fl.conn.ReadInto(fl.f.scratch)
+		if n == 0 {
+			break
+		}
+		fl.received += n
+	}
+	if fl.conn.EOF() {
+		fl.conn.Close()
+		fl.finish(outcomeOf(fl.received >= fl.size))
+	}
+}
+
+func (fl *flow) onClosed(err error) {
+	fl.finish(outcomeOf(err == nil && fl.received >= fl.size))
 }
 
 func outcomeOf(ok bool) int {
@@ -328,7 +359,7 @@ func NewClientPool(mgr *core.Manager, cfg ClientPoolConfig) (*ClientPool, error)
 		return nil, err
 	}
 	p := &ClientPool{fetcher: f, cfg: cfg}
-	p.settle = p.requestEnded
+	p.settle, p.next = p.requestEnded, p.issueRequest
 	return p, nil
 }
 
@@ -339,7 +370,7 @@ func (p *ClientPool) Start() {
 		// Stagger client start slightly so the initial handshakes do not all
 		// collide in one burst.
 		delay := time.Duration(i) * 100 * time.Microsecond
-		p.sim.Schedule(delay, p.issueRequest)
+		p.sim.Schedule(delay, p.next)
 	}
 }
 
@@ -357,7 +388,7 @@ func (p *ClientPool) issueRequest() {
 		// Stay closed-loop, but back off a little: a synchronous dial failure
 		// rescheduled at delay 0 would spin the event queue without advancing
 		// simulated time.
-		p.sim.Schedule(time.Millisecond, p.issueRequest)
+		p.sim.Schedule(time.Millisecond, p.next)
 	}
 }
 
@@ -370,7 +401,7 @@ func (p *ClientPool) requestEnded(outcome, _ int) {
 		p.failed++
 	}
 	p.noteProgress()
-	p.sim.Schedule(0, p.issueRequest)
+	p.sim.Schedule(0, p.next)
 }
 
 // noteProgress records the completion time of the final request and fires

@@ -120,7 +120,7 @@ func NewOpenLoopPool(mgr *core.Manager, cfg OpenLoopConfig) (*OpenLoopPool, erro
 		return nil, err
 	}
 	p := &OpenLoopPool{fetcher: f, cfg: cfg}
-	p.settle = p.flowEnded
+	p.settle, p.next = p.flowEnded, p.arrive
 	p.rec, p.member = mgr.Probe()
 	return p, nil
 }
@@ -142,7 +142,7 @@ func (p *OpenLoopPool) scheduleNextArrival() {
 		p.checkDone()
 		return
 	}
-	p.sim.ScheduleAt(at, p.arrive)
+	p.sim.ScheduleAt(at, p.next)
 }
 
 // arrive spawns one flow and schedules the next arrival. The flow is started

@@ -158,69 +158,87 @@ func (s *Segment) AppendSACK(blocks []SACKBlock) {
 	s.Options = append(s.Options, o)
 }
 
+// AppendMSS appends an arena-backed MSS option (SYN).
+func (s *Segment) AppendMSS(mss uint16) {
+	o := s.newMSS()
+	o.MSS = mss
+	s.Options = append(s.Options, o)
+}
+
+// AppendSACKPermitted appends an arena-backed SACK-permitted option (SYN).
+func (s *Segment) AppendSACKPermitted() {
+	s.Options = append(s.Options, s.newSACKPermitted())
+}
+
+// AppendWindowScale appends an arena-backed window-scale option (SYN).
+func (s *Segment) AppendWindowScale(shift uint8) {
+	o := s.newWindowScale()
+	o.Shift = shift
+	s.Options = append(s.Options, o)
+}
+
+// AppendMPCapable appends an arena-backed copy of v: taking handshake options
+// by value lets the sender build them where they will live, not on the heap.
+func (s *Segment) AppendMPCapable(v MPCapableOption) {
+	o := s.newMPCapable()
+	*o = v
+	s.Options = append(s.Options, o)
+}
+
+// AppendMPJoin appends an arena-backed copy of v, its HMAC bytes included.
+func (s *Segment) AppendMPJoin(v MPJoinOption) {
+	o := s.newMPJoin()
+	*o = v
+	if v.SenderHMAC != nil {
+		o.SenderHMAC = s.arenaBytes(len(v.SenderHMAC))
+		copy(o.SenderHMAC, v.SenderHMAC)
+	}
+	s.Options = append(s.Options, o)
+}
+
 // AppendOptionCopy appends a deep copy of o drawn from the segment's arena.
 // The send path uses it to give every outgoing segment its own option
 // objects: a segment in flight never aliases the sender's retransmission
 // state, which is what makes recycling chunks and their DSS options safe.
 func (s *Segment) AppendOptionCopy(o Option) {
-	var c Option
 	switch opt := o.(type) {
 	case *MSSOption:
-		n := s.newMSS()
-		*n = *opt
-		c = n
+		s.AppendMSS(opt.MSS)
 	case *WindowScaleOption:
-		n := s.newWindowScale()
-		*n = *opt
-		c = n
+		s.AppendWindowScale(opt.Shift)
 	case *TimestampsOption:
-		n := s.newTimestamps()
-		*n = *opt
-		c = n
+		s.AppendTimestamps(opt.Val, opt.Echo)
 	case *SACKPermittedOption:
-		c = s.newSACKPermitted()
+		s.AppendSACKPermitted()
 	case *SACKOption:
-		n := s.newSACK(len(opt.Blocks))
-		copy(n.Blocks, opt.Blocks)
-		c = n
+		s.AppendSACK(opt.Blocks)
 	case *MPCapableOption:
-		n := s.newMPCapable()
-		*n = *opt
-		c = n
+		s.AppendMPCapable(*opt)
 	case *MPJoinOption:
-		n := s.newMPJoin()
-		*n = *opt
-		if opt.SenderHMAC != nil {
-			n.SenderHMAC = s.arenaBytes(len(opt.SenderHMAC))
-			copy(n.SenderHMAC, opt.SenderHMAC)
-		}
-		c = n
+		s.AppendMPJoin(*opt)
 	case *DSSOption:
-		n := s.NewDSSOption()
-		*n = *opt
-		c = n
+		*s.AppendDSS() = *opt
 	case *AddAddrOption:
 		n := s.newAddAddr()
 		*n = *opt
-		c = n
+		s.Options = append(s.Options, n)
 	case *RemoveAddrOption:
 		n := s.newRemoveAddr(len(opt.AddrIDs))
 		copy(n.AddrIDs, opt.AddrIDs)
-		c = n
+		s.Options = append(s.Options, n)
 	case *MPPrioOption:
 		n := s.newMPPrio()
 		*n = *opt
-		c = n
+		s.Options = append(s.Options, n)
 	case *MPFailOption:
 		n := s.newMPFail()
 		*n = *opt
-		c = n
+		s.Options = append(s.Options, n)
 	case *FastcloseOption:
 		n := s.newFastclose()
 		*n = *opt
-		c = n
+		s.Options = append(s.Options, n)
 	default:
 		panic(fmt.Sprintf("packet: AppendOptionCopy: unknown option type %T", o))
 	}
-	s.Options = append(s.Options, c)
 }

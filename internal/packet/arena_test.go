@@ -177,3 +177,40 @@ func TestArenaFallbackAndReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestHandshakeOptionsBuiltInArena: the typed appenders take handshake
+// options by value and build them in the segment's arena, so a SYN with its
+// MSS, SACK-permitted, window-scale, MP_CAPABLE and MP_JOIN options costs no
+// heap object beside the segment.
+func TestHandshakeOptionsBuiltInArena(t *testing.T) {
+	mac := filled(20, 7)
+	seg := NewSegment()
+	build := func() {
+		// What Release does to the options, without the segment pool (the
+		// race detector makes sync.Pool drop objects at random).
+		seg.Options = seg.Options[:0]
+		seg.arena().reset()
+		seg.AppendMSS(1460)
+		seg.AppendSACKPermitted()
+		seg.AppendWindowScale(7)
+		seg.AppendMPCapable(MPCapableOption{ChecksumRequired: true, SenderKey: 0xabc, ReceiverKey: 0xdef, HasReceiverKey: true})
+		seg.AppendMPJoin(MPJoinOption{Phase: JoinACK, AddrID: 2, SenderHMAC: mac})
+	}
+	build()
+	for _, o := range seg.Options {
+		if !inArena(seg, o) {
+			t.Errorf("%T built outside the arena", o)
+		}
+	}
+	join := seg.MPTCPOption(SubMPJoin).(*MPJoinOption)
+	if !reflect.DeepEqual(join.SenderHMAC, mac) || &join.SenderHMAC[0] == &mac[0] {
+		t.Errorf("MP_JOIN HMAC %v: want a copy of %v", join.SenderHMAC, mac)
+	}
+	if mpc := seg.MPTCPOption(SubMPCapable).(*MPCapableOption); mpc.SenderKey != 0xabc || !mpc.HasReceiverKey || mpc.WireLen() != 20 {
+		t.Errorf("MP_CAPABLE came out as %+v", mpc)
+	}
+	if avg := testing.AllocsPerRun(200, build); avg != 0 {
+		t.Fatalf("building the handshake options allocates %.1f times per segment, want 0", avg)
+	}
+	seg.Release()
+}

@@ -1,9 +1,6 @@
 package packet
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // OptionKind is a TCP option kind value.
 type OptionKind uint8
@@ -443,8 +440,16 @@ const MaxOptionSpace = 40
 // rejects oversized option sets.
 func FitsOptionSpace(opts []Option) bool { return OptionsWireLen(opts) <= MaxOptionSpace }
 
-// SortSACKBlocks orders SACK blocks by left edge (ascending); convenient for
-// deterministic encoding and tests.
+// SortSACKBlocks orders SACK blocks by left edge (ascending) in place, by
+// insertion: the receiver's list is sorted except for the one merged block it
+// has just appended, so a call is one pass and a short shift, with neither
+// the closure nor the reflection-based swapper a generic slice sort builds on
+// every call. Left edges of disjoint blocks are distinct, so the order is
+// unique.
 func SortSACKBlocks(blocks []SACKBlock) {
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].Left.LessThan(blocks[j].Left) })
+	for i := 1; i < len(blocks); i++ {
+		for j := i; j > 0 && blocks[j].Left.LessThan(blocks[j-1].Left); j-- {
+			blocks[j], blocks[j-1] = blocks[j-1], blocks[j]
+		}
+	}
 }

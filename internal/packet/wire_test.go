@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -202,5 +203,55 @@ func TestRemoveOptions(t *testing.T) {
 	removed := seg.RemoveOptions(func(o Option) bool { return o.Kind() == OptMPTCP })
 	if removed != 1 || seg.HasMPTCP() {
 		t.Fatalf("expected exactly the MPTCP option to be removed, removed=%d", removed)
+	}
+}
+
+// TestSortSACKBlocksMatchesReference sorts random disjoint block sets, in
+// random order and in the receiver's order (sorted but for the block appended
+// last), and compares with sort.Slice over the same comparison. Left edges of
+// disjoint blocks are distinct, so there is one right answer.
+func TestSortSACKBlocksMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(9)
+		blocks := make([]SACKBlock, n)
+		// Disjoint blocks laid out from a random start, wrap-around included.
+		at := SeqNum(rng.Uint32())
+		for i := range blocks {
+			at = at.Add(1 + uint32(rng.Intn(3000)))
+			blocks[i].Left = at
+			at = at.Add(1 + uint32(rng.Intn(3000)))
+			blocks[i].Right = at
+		}
+		if trial%2 == 0 {
+			rng.Shuffle(n, func(i, j int) { blocks[i], blocks[j] = blocks[j], blocks[i] })
+		} else if n > 1 {
+			i := rng.Intn(n) // the receiver's case: one block out of place, at the end
+			moved := blocks[i]
+			copy(blocks[i:], blocks[i+1:])
+			blocks[n-1] = moved
+		}
+		want := append([]SACKBlock{}, blocks...)
+		sort.Slice(want, func(i, j int) bool { return want[i].Left.LessThan(want[j].Left) })
+		SortSACKBlocks(blocks)
+		if !reflect.DeepEqual(blocks, want) {
+			t.Fatalf("trial %d: sorted %v, reference %v", trial, blocks, want)
+		}
+	}
+}
+
+// TestSortSACKBlocksNoAllocs: the receiver sorts its range list on every
+// out-of-order arrival.
+func TestSortSACKBlocksNoAllocs(t *testing.T) {
+	blocks := []SACKBlock{{100, 200}, {300, 400}, {500, 600}, {700, 800}}
+	avg := testing.AllocsPerRun(500, func() {
+		blocks[0], blocks[3] = blocks[3], blocks[0]
+		SortSACKBlocks(blocks)
+	})
+	if avg != 0 {
+		t.Fatalf("SortSACKBlocks allocates %.1f times per call, want 0", avg)
+	}
+	if blocks[0].Left != 100 || blocks[3].Left != 700 {
+		t.Fatalf("not sorted: %v", blocks)
 	}
 }

@@ -5,6 +5,11 @@ package pool
 // 2 MiB send buffers of MSS-sized chunks) stay well inside it.
 const freeListCap = 1 << 14
 
+// freeListSlab is how many objects one miss allocates: a shard's high-water
+// mark is paid slab by slab, not object by object, and as the lists live as
+// long as their simulator, a slab pinned by one live object costs nothing.
+const freeListSlab = 64
+
 // FreeList recycles small structs of one type for code that runs on a single
 // goroutine — in practice everything driven by one sim.Simulator, which is
 // where the lists hang (sim.Local), so all the connections a shard creates
@@ -15,13 +20,19 @@ const freeListCap = 1 << 14
 // object neither leaks state into its next user nor pins what it pointed to.
 type FreeList[T any] struct {
 	free []*T
+	slab []T // unused rest of the last slab allocated on a miss
 }
 
 // Get returns a recycled object, or a new zero one when the list is empty.
 func (f *FreeList[T]) Get() *T {
 	n := len(f.free)
 	if n == 0 {
-		return new(T)
+		if len(f.slab) == 0 {
+			f.slab = make([]T, freeListSlab)
+		}
+		x := &f.slab[0]
+		f.slab = f.slab[1:]
+		return x
 	}
 	x := f.free[n-1]
 	f.free[n-1] = nil

@@ -101,3 +101,30 @@ func TestFreeListRecyclesLIFO(t *testing.T) {
 		t.Fatal("an object was handed out twice")
 	}
 }
+
+// TestFreeListRefillsBySlab: a run of misses costs one allocation per
+// freeListSlab objects, not one each, and every object handed out is distinct
+// and zero.
+func TestFreeListRefillsBySlab(t *testing.T) {
+	type obj struct{ n, m int }
+	var f FreeList[obj]
+	const gets = 4 * freeListSlab
+	seen := make(map[*obj]bool, gets)
+	var out [gets]*obj
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := range out {
+			out[i] = f.Get()
+		}
+	})
+	// AllocsPerRun runs the function once to warm up and once measured.
+	if allocs != gets/freeListSlab {
+		t.Fatalf("%d misses cost %.0f allocations, want %d slabs", gets, allocs, gets/freeListSlab)
+	}
+	for _, x := range out {
+		if x == nil || *x != (obj{}) || seen[x] {
+			t.Fatalf("Get returned %v (seen before: %v); want distinct zero objects", x, seen[x])
+		}
+		seen[x] = true
+		x.n = 1
+	}
+}

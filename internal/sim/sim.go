@@ -229,6 +229,9 @@ type Simulator struct {
 	// they fire or are canceled — after either, callers must not retain the
 	// *Event (Timer clears its reference on both paths).
 	free []*Event
+	// slab is the unused rest of the last eventSlab events allocated on a
+	// free-list miss: the pending high-water mark is paid slab by slab.
+	slab []Event
 
 	// locals holds one value per type for the packages layered on the
 	// simulator (see Local).
@@ -354,6 +357,10 @@ func (s *Simulator) ScheduleArgsAtSeq(at time.Duration, seq uint64, fn func(a, b
 	return ev
 }
 
+// eventSlab is how many events one free-list miss allocates (the list lives
+// as long as the simulator, so a slab pinned by one event costs nothing).
+const eventSlab = 64
+
 func (s *Simulator) newEvent() *Event {
 	if n := len(s.free); n > 0 {
 		ev := s.free[n-1]
@@ -361,7 +368,12 @@ func (s *Simulator) newEvent() *Event {
 		*ev = Event{}
 		return ev
 	}
-	return &Event{}
+	if len(s.slab) == 0 {
+		s.slab = make([]Event, eventSlab)
+	}
+	ev := &s.slab[0]
+	s.slab = s.slab[1:]
+	return ev
 }
 
 // Cancel removes a previously scheduled event. Canceling a nil, fired or
@@ -467,14 +479,26 @@ func (s *Simulator) RunUntil(deadline time.Duration) error {
 func (s *Simulator) RunFor(d time.Duration) error { return s.RunUntil(s.now + d) }
 
 // Timer is a restartable one-shot timer bound to a simulator, analogous to a
-// kernel timer (e.g. the TCP retransmission timer).
+// kernel timer (e.g. the TCP retransmission timer). It is meant to be a field
+// of its owner: Init binds it in place, expiry is an argument-passing event
+// carrying the timer, and the callback gets the owner back as arg, so a timer
+// costs no object beside its owner. The zero Timer is stopped; a Timer must
+// not be copied once armed (the pending event points at it).
 type Timer struct {
 	sim *Simulator
 	ev  *Event
-	fn  func()
-	// fireFn caches the t.fire method value so Reset does not allocate a
-	// fresh closure on every (re)arm — timers re-arm once per ACK.
-	fireFn func()
+	fn  func(arg any)
+	arg any
+}
+
+// Init binds the timer to s and to the callback fn(arg), leaving it stopped.
+// Owners pass a package-level function and themselves (a pointer in an
+// interface does not allocate; a bound method value would).
+func (t *Timer) Init(s *Simulator, fn func(arg any), arg any) {
+	if fn == nil {
+		panic("sim: Timer.Init with nil fn")
+	}
+	t.sim, t.fn, t.arg = s, fn, arg
 }
 
 // NewTimer creates a stopped timer that invokes fn when it expires.
@@ -482,15 +506,16 @@ func (s *Simulator) NewTimer(fn func()) *Timer {
 	if fn == nil {
 		panic("sim: NewTimer with nil fn")
 	}
-	t := &Timer{sim: s, fn: fn}
-	t.fireFn = t.fire
+	t := new(Timer)
+	t.Init(s, func(f any) { f.(func())() }, fn)
 	return t
 }
 
 // Reset (re)arms the timer to fire after d. Any previously pending expiry is
 // canceled. A pending timer re-arms in place: the event is unlinked, stamped
 // with a fresh (At, seq) and reinserted, skipping the cancel/free/alloc round
-// trip — with the wheel scheduler this is the O(1) per-ACK RTO path.
+// trip — with the wheel scheduler this is the O(1) per-ACK RTO path. Either
+// way arming consumes exactly one sequence number, as Schedule does.
 func (t *Timer) Reset(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -504,7 +529,7 @@ func (t *Timer) Reset(d time.Duration) {
 		s.sched.insert(ev)
 		return
 	}
-	t.ev = s.Schedule(d, t.fireFn)
+	t.ev = s.ScheduleArgsAtSeq(s.now+d, s.ReserveSeq(), fireTimer, t, nil)
 }
 
 // ResetIfStopped arms the timer only if it is not already pending.
@@ -514,12 +539,15 @@ func (t *Timer) ResetIfStopped(d time.Duration) {
 	}
 }
 
-func (t *Timer) fire() {
+// fireTimer is the expiry event of every timer.
+func fireTimer(a, _ any) {
+	t := a.(*Timer)
 	t.ev = nil
-	t.fn()
+	t.fn(t.arg)
 }
 
-// Stop cancels a pending expiry. It is safe to call on a stopped timer.
+// Stop cancels a pending expiry. It is safe to call on a stopped timer, a
+// never-initialised zero Timer included.
 func (t *Timer) Stop() {
 	if t.ev != nil {
 		t.sim.Cancel(t.ev)

@@ -239,6 +239,129 @@ func TestTimerResetSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestEmbeddedTimerCycleNoAllocs: a timer held by value costs its owner
+// nothing beside itself. Once the event free list is warm, binding it, arming
+// it, letting it fire and stopping it allocate nothing: no timer object, no
+// cached method value, no closure over the owner.
+func TestEmbeddedTimerCycleNoAllocs(t *testing.T) {
+	type owner struct {
+		fires int
+		tm    Timer
+	}
+	s := New(1)
+	o := new(owner)
+	cycle := func() {
+		o.tm = Timer{}
+		o.tm.Init(s, func(a any) { a.(*owner).fires++ }, o)
+		o.tm.Reset(tick(3))
+		s.Step() // fires
+		o.tm.Reset(tick(70))
+		o.tm.Stop()
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Fatalf("embedded timer Init/Reset/fire/Stop cycle allocates %.1f times, want 0", avg)
+	}
+	if o.fires == 0 || s.Pending() != 0 {
+		t.Fatalf("fires=%d pending=%d, want fires > 0 and nothing pending", o.fires, s.Pending())
+	}
+}
+
+// TestZeroTimerStopIsNoOp: owners stop their timers at teardown whether or
+// not they were ever bound (a flow without a deadline never calls Init).
+func TestZeroTimerStopIsNoOp(t *testing.T) {
+	var tm Timer
+	tm.Stop()
+	if tm.Pending() {
+		t.Fatal("zero Timer reports pending")
+	}
+}
+
+// TestTimerFormsFireInScheduleOrder pins what arming a timer consumes: one
+// sequence number, exactly as Schedule does, whichever way the timer was
+// made. The same script runs with both timers built by plain Schedule/Cancel
+// (the reference), both by NewTimer, and one by NewTimer beside one bound
+// with Init; ties at one instant, plain events between them and re-arms of a
+// pending timer must come out in the same order every time.
+func TestTimerFormsFireInScheduleOrder(t *testing.T) {
+	type armer interface {
+		Reset(time.Duration)
+		Stop()
+	}
+	run := func(make func(s *Simulator, fire func()) armer) []firing {
+		s := New(7)
+		var log []firing
+		a := make(s, func() { log = append(log, firing{-1, s.Now()}) })
+		b := make(s, func() { log = append(log, firing{-3, s.Now()}) })
+		plain := func(id int, d time.Duration) {
+			s.Schedule(d, func() { log = append(log, firing{id, s.Now()}) })
+		}
+		a.Reset(tick(5))
+		plain(0, tick(5))
+		b.Reset(tick(5))
+		plain(1, tick(5))
+		a.Reset(tick(5)) // re-armed while pending: now after b and both plain events
+		s.Step()
+		b.Reset(tick(9))
+		a.Reset(tick(9))
+		plain(2, tick(9))
+		b.Stop()
+		b.Reset(tick(9)) // stopped and armed again: a fresh sequence number
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return log
+	}
+	mixed := 0
+	forms := map[string]func(*Simulator, func()) armer{
+		"reference": func(s *Simulator, fire func()) armer { return &scheduleTimer{s: s, fire: fire} },
+		"NewTimer":  func(s *Simulator, fire func()) armer { return s.NewTimer(fire) },
+		"NewTimer+Init": func(s *Simulator, fire func()) armer {
+			if mixed++; mixed%2 == 1 {
+				return s.NewTimer(fire)
+			}
+			tm := new(Timer)
+			tm.Init(s, func(f any) { f.(func())() }, fire)
+			return tm
+		},
+	}
+	want := run(forms["reference"])
+	if len(want) != 5 {
+		t.Fatalf("reference fired %d entries, want 5: %+v", len(want), want)
+	}
+	for name, form := range forms {
+		got := run(form)
+		if len(got) != len(want) {
+			t.Fatalf("%s fired %d entries, reference %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s diverges at entry %d: %+v, reference %+v", name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// scheduleTimer is the reference for TestTimerFormsFireInScheduleOrder: a
+// restartable timer made of nothing but Schedule and Cancel.
+type scheduleTimer struct {
+	s    *Simulator
+	ev   *Event
+	fire func()
+}
+
+func (r *scheduleTimer) Reset(d time.Duration) {
+	r.Stop()
+	r.ev = r.s.Schedule(d, func() { r.ev = nil; r.fire() })
+}
+
+func (r *scheduleTimer) Stop() {
+	r.s.Cancel(r.ev)
+	r.ev = nil
+}
+
 // schedOp is one action in a differential scheduler script; see runSchedScript.
 type schedOp struct {
 	kind  uint8 // 0 schedule, 1 cancel, 2 step, 3 runUntil, 4 timerReset, 5 timerStop, 6 reserveSchedule
@@ -283,11 +406,11 @@ func runSchedScript(kind SchedulerKind, ops []schedOp) []firing {
 			}))
 		}
 	}
-	timerFires := 0
-	tm := s.NewTimer(func() {
-		log = append(log, firing{-1, s.Now()})
-		timerFires++
-	})
+	// Two timers, one of each form (pick selects): a NewTimer and one held by
+	// value and bound with Init, as the protocol structs hold theirs.
+	var held Timer
+	held.Init(s, func(any) { log = append(log, firing{-3, s.Now()}) }, nil)
+	tms := [2]*Timer{s.NewTimer(func() { log = append(log, firing{-1, s.Now()}) }), &held}
 	for _, op := range ops {
 		d := schedDelays[int(op.delay)%len(schedDelays)]
 		switch op.kind % 7 {
@@ -304,9 +427,9 @@ func runSchedScript(kind SchedulerKind, ops []schedOp) []firing {
 				panic(err)
 			}
 		case 4:
-			tm.Reset(d)
+			tms[op.pick%2].Reset(d)
 		case 5:
-			tm.Stop()
+			tms[op.pick%2].Stop()
 		case 6:
 			schedule(d, true)
 		}
@@ -354,6 +477,9 @@ func TestSchedulerEquivalenceHandBuilt(t *testing.T) {
 		},
 		"timer-churn": {
 			{4, 2, 0}, {4, 6, 0}, {2, 0, 0}, {4, 1, 0}, {5, 0, 0}, {4, 3, 0}, {3, 7, 0},
+		},
+		"timer-forms-interleave": {
+			{4, 3, 0}, {4, 3, 1}, {0, 3, 0}, {4, 3, 0}, {2, 0, 0}, {4, 6, 1}, {5, 0, 0}, {4, 2, 0}, {3, 7, 0},
 		},
 		"reserved-seq-interleave": {
 			{6, 2, 0}, {0, 2, 0}, {6, 2, 0}, {0, 3, 0}, {2, 0, 0}, {6, 1, 0},

@@ -57,8 +57,8 @@ func TestDebugTCPStall(t *testing.T) {
 		fmt.Printf("t=%v sent=%d recv=%d | cli: state=%v una->nxt=%d cwnd=%d inflight=%d retransQ=%d sendQ=%d dupacks=%d recovery=%v rtoPending=%v rto=%v stats=%+v\n",
 			n.Sim.Now(), sent, received, client.state, client.sndNxt.DiffFrom(client.sndUna), client.Cwnd(), client.BytesInFlight(), len(client.retransQ), len(client.sendQueue), client.dupAcks, client.inRecovery, client.rtoTimer.Pending(), client.backedOffRTO(), client.stats)
 		if srv != nil {
-			fmt.Printf("   srv: rcvNxt-irs=%d ofoLen=%d ofoBytes=%d sackRanges=%d unread=%d\n",
-				srv.RelativeRcvNxt(), srv.recvOfo.Len(), srv.recvOfo.Bytes(), len(srv.sackRanges), srv.ReadableBytes())
+			fmt.Printf("   srv: rcvNxt-irs=%d ofoBytes=%d sackRanges=%d unread=%d\n",
+				srv.RelativeRcvNxt(), srv.ReceiveQueuedBytes()-srv.ReadableBytes(), len(srv.sackRanges), srv.ReadableBytes())
 		}
 		if received >= total {
 			break

@@ -34,20 +34,25 @@ type Endpoint struct {
 	hooks Hooks
 	state State
 
+	// ctrl is the controller the hooks supplied (Hooks.NewController), else reno.
 	ctrl cc.Controller
+	reno cc.NewReno
 
 	// ---- send state ----
 	iss          packet.SeqNum
 	sndUna       packet.SeqNum
 	sndNxt       packet.SeqNum
-	sndWnd       int // peer advertised window in bytes (already scaled)
-	peerWndShift uint8
+	peerWndShift uint8 // shares sndNxt's word, which keeps the struct inside a size class
+	sndWnd       int   // peer advertised window in bytes (already scaled)
 	peerMSS      int
 
 	sendQueue          []*chunk // not yet transmitted
 	retransQ           []*chunk // transmitted, not fully acknowledged
 	queuedBytes        int      // payload bytes across both queues
 	queuedPayloadTotal uint64   // cumulative payload bytes ever queued
+	// First backing stores of the two queues; append spills to the heap past them.
+	sendQueueBuf [sendQueueInline]*chunk
+	retransQBuf  [retransQInline]*chunk
 
 	// free recycles chunk structs and the DSS options attached to them once
 	// their retransmission lifetime ends (fully acknowledged, popped from
@@ -72,8 +77,8 @@ type Endpoint struct {
 	peerTSOK      bool
 	tsRecent      uint32 // peer's most recent timestamp value (to echo)
 
-	rtoTimer     *sim.Timer
-	persistTimer *sim.Timer
+	rtoTimer     sim.Timer
+	persistTimer sim.Timer
 	srtt         time.Duration
 	rttvar       time.Duration
 	baseRTT      time.Duration
@@ -91,11 +96,11 @@ type Endpoint struct {
 	rcvWndShift       uint8
 	sackRanges        []packet.SACKBlock
 	recvQueue         buffer.ByteQueue // in-order data awaiting application Read
-	recvOfo           buffer.OfoQueue  // out-of-order subflow segments
+	recvOfo           buffer.OfoQueue  // out-of-order subflow segments; nil until the first one
 	finReceived       bool
 	lastAdvertisedWnd int
 
-	timeWaitTimer *sim.Timer
+	timeWaitTimer sim.Timer
 
 	stats Stats
 	err   error
@@ -132,12 +137,16 @@ func newEndpoint(iface *netem.Interface, local, remote packet.Endpoint, cfg Conf
 		state:   StateClosed,
 		peerMSS: cfg.MSS,
 		rto:     cfg.InitialRTO,
-		recvOfo: buffer.NewOfoQueue(buffer.AlgRegular),
 		sndWnd:  cfg.MSS, // until the peer advertises
 	}
-	e.ctrl = cfg.CongestionControl(cc.Config{MSS: cfg.MSS})
-	e.rtoTimer = e.sim.NewTimer(e.onRTO)
-	e.persistTimer = e.sim.NewTimer(e.onPersist)
+	e.sendQueue, e.retransQ = e.sendQueueBuf[:0], e.retransQBuf[:0]
+	if e.ctrl = hooks.NewController(cc.Config{MSS: cfg.MSS}); e.ctrl == nil {
+		e.reno = *cc.NewNewReno(cc.Config{MSS: cfg.MSS})
+		e.ctrl = &e.reno
+	}
+	e.rtoTimer.Init(e.sim, func(a any) { a.(*Endpoint).onRTO() }, e)
+	e.persistTimer.Init(e.sim, func(a any) { a.(*Endpoint).onPersist() }, e)
+	e.timeWaitTimer.Init(e.sim, func(a any) { a.(*Endpoint).teardown(nil) }, e)
 	return e
 }
 
@@ -224,20 +233,6 @@ func (e *Endpoint) Cwnd() int { return e.ctrl.Cwnd() }
 // Controller returns the congestion controller (the MPTCP layer uses it for
 // Mechanisms 2 and 4).
 func (e *Endpoint) Controller() cc.Controller { return e.ctrl }
-
-// SetController replaces the congestion controller. It is intended to be
-// called right after a passive open is accepted, before any data has been
-// exchanged (the MPTCP listener installs the connection's coupled controller
-// this way).
-func (e *Endpoint) SetController(ctrl cc.Controller) {
-	if ctrl != nil {
-		e.ctrl = ctrl
-	}
-}
-
-// ControllerConfig returns the congestion-control parameters derived from the
-// endpoint configuration, for callers constructing a replacement controller.
-func (e *Endpoint) ControllerConfig() cc.Config { return cc.Config{MSS: e.cfg.MSS} }
 
 // SRTT returns the smoothed round-trip time estimate.
 func (e *Endpoint) SRTT() time.Duration {
@@ -344,7 +339,11 @@ func (e *Endpoint) QueuedBytes() int { return e.queuedBytes }
 // ReceiveQueuedBytes returns payload bytes held in the receive path (in-order
 // unread plus out-of-order).
 func (e *Endpoint) ReceiveQueuedBytes() int {
-	return e.recvOfo.Bytes() + e.recvQueue.Len()
+	n := e.recvQueue.Len()
+	if e.recvOfo != nil {
+		n += e.recvOfo.Bytes()
+	}
+	return n
 }
 
 // ---------------------------------------------------------------------------
@@ -410,7 +409,7 @@ func (e *Endpoint) SendChunk(payload []byte, opts []packet.Option) bool {
 	if !ok {
 		return false
 	}
-	c.opts = append(c.opts[:0], opts...)
+	c.opts = append(c.optsBuf[:0], opts...)
 	c.ownsOpts = len(opts) > 0
 	e.enqueueChunk(c)
 	e.output()
@@ -432,7 +431,7 @@ func (e *Endpoint) SendChunkWithOpt(payload []byte, opt packet.Option) bool {
 		return false
 	}
 	if opt != nil {
-		c.opts = append(c.opts[:0], opt)
+		c.opts = append(c.optsBuf[:0], opt)
 		c.ownsOpts = true
 	}
 	e.enqueueChunk(c)
@@ -541,8 +540,7 @@ type freeLists struct {
 	dss    pool.FreeList[packet.DSSOption]
 }
 
-// newChunk returns a zeroed chunk, recycled when possible (the opts slice
-// retains its capacity across reuses).
+// newChunk returns a zeroed chunk, recycled when possible.
 func (e *Endpoint) newChunk() *chunk { return e.free.chunks.Get() }
 
 // freeChunk ends a chunk's retransmission lifetime: option objects the chunk
@@ -556,11 +554,7 @@ func (e *Endpoint) freeChunk(c *chunk) {
 			}
 		}
 	}
-	for i := range c.opts {
-		c.opts[i] = nil
-	}
-	opts := c.opts[:0]
-	*c = chunk{opts: opts}
+	*c = chunk{}
 	e.free.chunks.Put(c)
 }
 
@@ -588,9 +582,7 @@ func (e *Endpoint) teardown(err error) {
 	}
 	e.rtoTimer.Stop()
 	e.persistTimer.Stop()
-	if e.timeWaitTimer != nil {
-		e.timeWaitTimer.Stop()
-	}
+	e.timeWaitTimer.Stop()
 	e.host.Unregister(e.local, e.remote)
 	e.sndBuf.Release()
 	e.setState(StateClosed)

@@ -171,12 +171,14 @@ func (e *Endpoint) processPayload(seg *packet.Segment) {
 		// Drain anything now contiguous from the out-of-order queue; each
 		// item's pool-owned buffer is recycled once its bytes have been
 		// copied into the downstream queues.
-		rel := uint64(uint32(e.rcvNxt.DiffFrom(e.irs.Add(1))))
-		for _, it := range e.recvOfo.PopContiguous(rel) {
-			e.deliver(e.rcvNxt, it.Data)
-			e.rcvNxt = e.rcvNxt.Add(uint32(len(it.Data)))
-			rel = it.End()
-			pool.Recycle(it.Data)
+		if e.recvOfo != nil {
+			rel := uint64(uint32(e.rcvNxt.DiffFrom(e.irs.Add(1))))
+			for _, it := range e.recvOfo.PopContiguous(rel) {
+				e.deliver(e.rcvNxt, it.Data)
+				e.rcvNxt = e.rcvNxt.Add(uint32(len(it.Data)))
+				rel = it.End()
+				pool.Recycle(it.Data)
+			}
 		}
 		e.pruneSackRanges()
 		if hasFin {
@@ -201,7 +203,11 @@ func (e *Endpoint) processPayload(seg *packet.Segment) {
 	if len(payload) > 0 {
 		rel := uint64(uint32(segSeq.DiffFrom(e.irs.Add(1))))
 		// Insert copies the payload into a pool-owned buffer; the segment
-		// keeps ownership of the slice passed in.
+		// keeps ownership of the slice passed in. The queue is built here, at
+		// the first out-of-order arrival: an in-order flow never has one.
+		if e.recvOfo == nil {
+			e.recvOfo = buffer.NewOfoQueue(buffer.AlgRegular)
+		}
 		e.recvOfo.Insert(buffer.Item{Seq: rel, Data: payload})
 		e.recordSackRange(segSeq, segSeq.Add(uint32(len(payload))))
 	}

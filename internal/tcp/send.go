@@ -20,6 +20,15 @@ func (e *Endpoint) makeSegment(flags packet.Flags, seq packet.SeqNum, payload []
 	seg.Seq = seq
 	seg.Flags = flags
 	seg.Payload = payload
+	if flags.Has(packet.FlagSYN) {
+		// What SYN and SYN/ACK advertise, built in the segment's arena.
+		seg.AppendMSS(uint16(e.cfg.MSS))
+		seg.AppendSACKPermitted()
+		if e.cfg.WindowScale > 0 {
+			seg.AppendWindowScale(uint8(e.cfg.WindowScale))
+			e.rcvWndShift = uint8(e.cfg.WindowScale)
+		}
+	}
 	for _, o := range opts {
 		seg.AppendOptionCopy(o)
 	}
@@ -79,19 +88,6 @@ func (e *Endpoint) advertisedWindowBytes() int {
 	return win
 }
 
-// synOptions returns the options advertised on SYN and SYN/ACK segments.
-func (e *Endpoint) synOptions() []packet.Option {
-	opts := []packet.Option{
-		&packet.MSSOption{MSS: uint16(e.cfg.MSS)},
-		&packet.SACKPermittedOption{},
-	}
-	if e.cfg.WindowScale > 0 {
-		opts = append(opts, &packet.WindowScaleOption{Shift: uint8(e.cfg.WindowScale)})
-		e.rcvWndShift = uint8(e.cfg.WindowScale)
-	}
-	return opts
-}
-
 // processSYNOptions applies the peer's SYN/SYN-ACK options.
 func (e *Endpoint) processSYNOptions(seg *packet.Segment) {
 	e.peerWndShift = 0
@@ -120,10 +116,8 @@ func (e *Endpoint) processSYNOptions(seg *packet.Segment) {
 // the segment reaches its sink.
 func (e *Endpoint) transmitChunk(c *chunk, retransmission bool) {
 	flags := packet.Flags(0)
-	opts := c.opts
 	if c.syn {
 		flags |= packet.FlagSYN
-		opts = append(e.synOptions(), c.opts...)
 	}
 	if c.fin {
 		flags |= packet.FlagFIN
@@ -131,7 +125,7 @@ func (e *Endpoint) transmitChunk(c *chunk, retransmission bool) {
 	if c.payLen > 0 {
 		flags |= packet.FlagPSH
 	}
-	seg := e.makeSegment(flags, c.seq, nil, opts)
+	seg := e.makeSegment(flags, c.seq, nil, c.opts)
 	if c.payLen > 0 {
 		buf := pool.Bytes(c.payLen)
 		e.sndBuf.CopyAt(buf, c.payOff)
@@ -532,7 +526,7 @@ func (e *Endpoint) onPersist() {
 		// owning chunk outlives it in the queues, so the owner frees them.
 		probe := e.newChunk()
 		probe.payOff, probe.payLen = c.payOff, 1
-		probe.opts = append(probe.opts[:0], c.opts...)
+		probe.opts = append(probe.optsBuf[:0], c.opts...)
 		c.payOff++
 		c.payLen--
 		probe.seq = e.sndNxt
@@ -559,8 +553,5 @@ func (e *Endpoint) maybeNotifyWritable() {
 // enterTimeWait schedules the final teardown after 2*MSL.
 func (e *Endpoint) enterTimeWait() {
 	e.setState(StateTimeWait)
-	if e.timeWaitTimer == nil {
-		e.timeWaitTimer = e.sim.NewTimer(func() { e.teardown(nil) })
-	}
 	e.timeWaitTimer.Reset(e.cfg.TimeWaitDuration)
 }

@@ -97,10 +97,6 @@ type Config struct {
 	// surviving subflows. Negative disables the limit.
 	MaxRTORetries int
 
-	// CongestionControl constructs the congestion controller; nil selects
-	// NewReno.
-	CongestionControl func(cc.Config) cc.Controller
-
 	// ConnectionLevelWindow makes the endpoint ignore the peer's advertised
 	// receive window when deciding how much to transmit: MPTCP subflows are
 	// governed by the shared connection-level window instead (§3.3.1).
@@ -194,9 +190,6 @@ func (c Config) WithDefaults() Config {
 	if c.MaxRTORetries == 0 {
 		c.MaxRTORetries = 10
 	}
-	if c.CongestionControl == nil {
-		c.CongestionControl = func(cfg cc.Config) cc.Controller { return cc.NewNewReno(cfg) }
-	}
 	if c.TimeWaitDuration <= 0 {
 		c.TimeWaitDuration = 2 * time.Second
 	}
@@ -228,6 +221,9 @@ type Hooks interface {
 	// window (in bytes) for the subflow's own. ok=false keeps the
 	// endpoint's computation.
 	AdvertiseWindow(e *Endpoint) (win int, ok bool)
+	// NewController supplies the congestion controller when the endpoint is
+	// created (MPTCP subflows couple theirs); nil keeps the endpoint's NewReno.
+	NewController(cfg cc.Config) cc.Controller
 }
 
 // NopHooks is the default no-op hook set used by plain TCP endpoints.
@@ -251,6 +247,18 @@ func (NopHooks) OnSendSpaceAvailable(*Endpoint) {}
 // AdvertiseWindow implements Hooks.
 func (NopHooks) AdvertiseWindow(*Endpoint) (int, bool) { return 0, false }
 
+// NewController implements Hooks.
+func (NopHooks) NewController(cc.Config) cc.Controller { return nil }
+
+// Inline capacities of an endpoint's chunk queues (Endpoint.sendQueueBuf),
+// sized to what the bench/perf fleets were measured to hold and never a limit:
+// MPTCP hands a chunk down only when it can be sent at once (one queued, plus
+// a FIN), and a flow inside its initial window has at most 11 unacknowledged.
+const (
+	sendQueueInline = 2
+	retransQInline  = 12
+)
+
 // chunk is one send-queue entry: at most one MSS of payload plus the options
 // that must accompany it on the wire (for MPTCP, its data sequence mapping).
 // SYN and FIN are represented as flag-only chunks so that the retransmission
@@ -268,6 +276,8 @@ type chunk struct {
 	opts   []packet.Option
 	syn    bool
 	fin    bool
+	// optsBuf backs opts for the usual single option, a DSS mapping.
+	optsBuf [1]packet.Option
 
 	// ownsOpts marks the option objects in opts as owned by this chunk:
 	// when the chunk's retransmission lifetime ends (fully acknowledged and

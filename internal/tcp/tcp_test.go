@@ -249,3 +249,89 @@ func TestTeardownReleasesSendQueue(t *testing.T) {
 		t.Fatalf("%d pool buffers outstanding after the aborted transfer drained", got-start)
 	}
 }
+
+// TestSpillPastInlineQueuesChangesNothing: an endpoint's chunk queues start
+// on arrays inside the endpoint and move to the heap when they outgrow them.
+// A lossy plain-TCP transfer whose queues hold hundreds of chunks must run
+// exactly like the same transfer with both queues on roomy heap arrays from
+// the start: same bytes at the same time, same counters on both ends. The
+// out-of-order queue, built at the first hole, must have been built.
+func TestSpillPastInlineQueuesChangesNothing(t *testing.T) {
+	link := netem.LinkConfig{RateBps: netem.Mbps(10), Delay: 10 * time.Millisecond, QueueBytes: 32 << 10, LossRate: 0.01}
+	const total = 400 << 10
+	run := func(onHeap bool) (done time.Duration, received int, cli, srv Stats, sendQ, retransQ int) {
+		n := testNet(t, link)
+		prep := func(e *Endpoint) {
+			if onHeap {
+				e.sendQueue = append(make([]*chunk, 0, 4096), e.sendQueue...)
+				e.retransQ = append(make([]*chunk, 0, 4096), e.retransQ...)
+			}
+		}
+		var server *Endpoint
+		_, err := Listen(n.Server, 80, Config{}, func(ep *Endpoint, _ *packet.Segment) {
+			server = ep
+			prep(ep)
+			ep.OnReadable = func() {
+				for data := ep.Read(64 << 10); len(data) > 0; data = ep.Read(64 << 10) {
+					for _, b := range data {
+						if b != byte(received*7) {
+							t.Fatalf("byte %d corrupted", received)
+						}
+						received++
+					}
+				}
+				if received >= total && done == 0 {
+					done = n.Sim.Now()
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		client, err := Dial(n.Client.Interfaces()[0], packet.Endpoint{Addr: n.ServerAddr(0), Port: 80}, Config{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep(client)
+		sent := 0
+		buf := make([]byte, 32<<10)
+		pump := func() {
+			for sent < total {
+				k := minInt(len(buf), total-sent)
+				for i := range buf[:k] {
+					buf[i] = byte((sent + i) * 7)
+				}
+				w := client.Write(buf[:k])
+				sent += w
+				sendQ, retransQ = max(sendQ, len(client.sendQueue)), max(retransQ, len(client.retransQ))
+				if w == 0 {
+					return
+				}
+			}
+		}
+		client.OnEstablished = pump
+		client.OnWritable = pump
+		if err := n.Sim.RunUntil(30 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if server == nil || server.recvOfo == nil || server.stats.SegmentsReceived == 0 {
+			t.Fatal("the lossy transfer never queued a segment out of order: the test exercises nothing")
+		}
+		if client.recvOfo != nil {
+			t.Fatal("the sender, which received no data, built an out-of-order queue")
+		}
+		return done, received, client.Stats(), server.Stats(), sendQ, retransQ
+	}
+	refDone, refReceived, refCli, refSrv, _, _ := run(true)
+	done, received, cli, srv, sendQ, retransQ := run(false)
+	if received != total || done == 0 {
+		t.Fatalf("received %d of %d bytes (done at %v)", received, total, done)
+	}
+	if done != refDone || received != refReceived || cli != refCli || srv != refSrv {
+		t.Fatalf("inline-then-heap run differs from the all-heap reference:\ndone %v vs %v, received %d vs %d\nclient %+v\n   ref %+v\nserver %+v\n   ref %+v",
+			done, refDone, received, refReceived, cli, refCli, srv, refSrv)
+	}
+	if sendQ <= sendQueueInline || retransQ <= retransQInline {
+		t.Fatalf("queues peaked at %d and %d chunks; the inline arrays hold %d and %d, so nothing spilled", sendQ, retransQ, sendQueueInline, retransQInline)
+	}
+}
