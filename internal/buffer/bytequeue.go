@@ -50,6 +50,9 @@ type ByteQueue struct {
 	headOffset uint64
 	// scratch backs Peek results that straddle a block boundary; pool-owned.
 	scratch []byte
+	// bufs is where blocks and scratch come from and go back to: the front
+	// of the owner's simulator (UsePool), nil for the shared pool.
+	bufs *pool.Local
 }
 
 // NewByteQueue returns an empty queue whose head sits at the given absolute
@@ -57,6 +60,10 @@ type ByteQueue struct {
 func NewByteQueue(headOffset uint64) *ByteQueue {
 	return &ByteQueue{headOffset: headOffset}
 }
+
+// UsePool makes the queue draw from l, the pool front of the simulator its
+// owner runs on, instead of the shared pool.
+func (q *ByteQueue) UsePool(l *pool.Local) { q.bufs = l }
 
 // Len returns the number of buffered bytes.
 func (q *ByteQueue) Len() int { return q.size }
@@ -93,14 +100,14 @@ func (q *ByteQueue) pushBlock() {
 		q.inline = [inlineBlocks]*block{}
 		q.tab, q.first, t = grown, 0, grown
 	}
-	t[(q.first+q.count)&(len(t)-1)] = (*block)(pool.Bytes(blockSize))
+	t[(q.first+q.count)&(len(t)-1)] = (*block)(q.bufs.Bytes(blockSize))
 	q.count++
 }
 
 // popBlock recycles the first block.
 func (q *ByteQueue) popBlock() {
 	t := q.table()
-	pool.Recycle(t[q.first][:])
+	q.bufs.Recycle(t[q.first][:])
 	t[q.first] = nil
 	q.first = (q.first + 1) & (len(t) - 1)
 	q.count--
@@ -157,9 +164,9 @@ func (q *ByteQueue) Peek(off uint64, n int) []byte {
 	}
 	if cap(q.scratch) < n {
 		if q.scratch != nil {
-			pool.Recycle(q.scratch)
+			q.bufs.Recycle(q.scratch)
 		}
-		q.scratch = pool.Bytes(n)
+		q.scratch = q.bufs.Bytes(n)
 	}
 	q.copyOut(q.scratch, pos, n)
 	return q.scratch[:n:n]
@@ -215,7 +222,7 @@ func (q *ByteQueue) Reset(headOffset uint64) {
 		q.popBlock()
 	}
 	if q.scratch != nil {
-		pool.Recycle(q.scratch)
+		q.bufs.Recycle(q.scratch)
 		q.scratch = nil
 	}
 	q.tab, q.first, q.head, q.size = nil, 0, 0, 0

@@ -20,6 +20,7 @@ package buffer
 // so stale subflow hints can never mistake a reused node for the one they
 // remembered.
 type listQueue struct {
+	itemPool
 	head, tail *listNode
 	batches    *batchNode // first batch (ordered)
 	lastBatch  *batchNode
@@ -168,7 +169,7 @@ func (q *listQueue) insert(it Item) (steps int) {
 	}
 
 	// 3. Splice in the new node, adopting a pool-owned copy of the payload.
-	adoptItemData(&it)
+	q.adoptItemData(&it)
 	n := q.newNode(it)
 	q.insertAfter(after, n)
 	q.count++
@@ -373,7 +374,7 @@ func (q *listQueue) PopContiguous(nextSeq uint64) []Item {
 		if n.it.End() <= nextSeq {
 			it := n.it
 			q.removeNode(n)
-			discardItemData(&it)
+			q.discardItemData(&it)
 			continue
 		}
 		if n.it.Seq > nextSeq {
@@ -382,7 +383,7 @@ func (q *listQueue) PopContiguous(nextSeq uint64) []Item {
 		it := n.it
 		q.removeNode(n)
 		if !trimItem(&it, nextSeq) {
-			discardItemData(&it)
+			q.discardItemData(&it)
 			continue
 		}
 		out = append(out, it)

@@ -46,6 +46,9 @@ type OfoQueue interface {
 	Steps() uint64
 	// Name returns the algorithm name used in reports.
 	Name() string
+	// UsePool makes the queue copy into buffers from l, where the caller then
+	// recycles what PopContiguous returns; without it, the shared pool.
+	UsePool(l *pool.Local)
 }
 
 // Algorithm selects an out-of-order reassembly implementation.
@@ -116,15 +119,22 @@ func trimItem(it *Item, nextSeq uint64) bool {
 	return len(it.Data) > 0
 }
 
+// itemPool is the part the implementations share: where the pool-owned
+// copies of item data come from (nil for the shared pool).
+type itemPool struct{ bufs *pool.Local }
+
+// UsePool implements OfoQueue.
+func (p *itemPool) UsePool(l *pool.Local) { p.bufs = l }
+
 // adoptItemData replaces the item's (borrowed) data slice with a pool-owned
 // copy; implementations call it right before storing a new item.
-func adoptItemData(it *Item) {
-	it.Data = pool.Copy(it.Data)
+func (p *itemPool) adoptItemData(it *Item) {
+	it.Data = p.bufs.Copy(it.Data)
 }
 
 // discardItemData recycles the pool-owned buffer of an item the queue is
 // dropping internally (fully-duplicate or below the delivery point).
-func discardItemData(it *Item) {
-	pool.Recycle(it.Data)
+func (p *itemPool) discardItemData(it *Item) {
+	p.bufs.Recycle(it.Data)
 	it.Data = nil
 }

@@ -8,6 +8,7 @@ package buffer
 // Tree nodes are free-listed per queue (like the list queue's nodes) so
 // steady-state insert/pop cycles do not allocate.
 type treeQueue struct {
+	itemPool
 	root  *treeNode
 	count int
 	bytes int
@@ -71,7 +72,7 @@ func (q *treeQueue) Insert(it Item) int {
 		it.Data = it.Data[:keep]
 	}
 
-	adoptItemData(&it)
+	q.adoptItemData(&it)
 	q.root = q.insertNode(q.root, q.newNode(it, q.nextPrio()), &steps)
 	q.count++
 	q.bytes += len(it.Data)
@@ -210,7 +211,7 @@ func (q *treeQueue) PopContiguous(nextSeq uint64) []Item {
 			n := q.popMin()
 			it := n.it
 			q.recycleNode(n)
-			discardItemData(&it)
+			q.discardItemData(&it)
 			continue
 		}
 		if min.it.Seq > nextSeq {
@@ -220,7 +221,7 @@ func (q *treeQueue) PopContiguous(nextSeq uint64) []Item {
 		it := n.it
 		q.recycleNode(n)
 		if !trimItem(&it, nextSeq) {
-			discardItemData(&it)
+			q.discardItemData(&it)
 			continue
 		}
 		out = append(out, it)

@@ -129,7 +129,10 @@ type Connection struct {
 	// mappingFree recycles txMapping structs popped by cumulative DATA_ACKs
 	// (one mapping is created per transmitted chunk). The list belongs to
 	// the simulator, so every connection of a shard shares it.
-	mappingFree   *pool.FreeList[txMapping]
+	mappingFree *pool.FreeList[txMapping]
+	// bufs is the simulator's front of the buffer pool, where the two
+	// connection-level queues and the out-of-order copies live.
+	bufs          *pool.Local
 	dataFinQueued bool
 	dataFinSent   bool
 	dataFinAcked  bool
@@ -169,11 +172,14 @@ func newConnection(mgr *Manager, cfg Config, isClient bool) *Connection {
 		isClient:    isClient,
 		scheduler:   sched.New(cfg.Scheduler),
 		mappingFree: sim.Local[pool.FreeList[txMapping]](mgr.host.Sim()),
+		bufs:        sim.Local[pool.Local](mgr.host.Sim()),
 		rwndLimit:   64 << 10,
 	}
 	c.subflows, c.usableScratch = c.inline.subflows[:0], c.inline.usable[:0]
 	c.candScratch, c.usedRemote = c.inline.cands[:0], c.inline.usedRemote[:0]
 	c.inflight = c.inline.inflight[:0]
+	c.sndBuf.UsePool(c.bufs)
+	c.rcvBuf.UsePool(c.bufs)
 	if isClient && mgr.probeRec != nil {
 		c.probe = mgr.probeRec
 		c.member = mgr.probeMember

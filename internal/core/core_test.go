@@ -266,14 +266,17 @@ func (b *stripBox) Process(_ netem.BoxContext, _ netem.Direction, seg *packet.Se
 // queue returns its own as it is read, so once the network has drained no
 // pool buffer is outstanding — none leaked, none put back twice.
 func TestFinishReleasesSendQueues(t *testing.T) {
-	outstanding := func() int64 { return pool.Stats().Outstanding() }
-	start := outstanding()
-
 	// One path with a queue deep enough never to drop: nothing is parked in
 	// a reassembly queue when the reset arrives (an abandoned receive-side
 	// queue leaves its buffers to the garbage collector by design), so the
 	// send side is all that can be left holding blocks.
 	h := newHarness(t, 5, []netem.PathSpec{netem.Symmetric("p", netem.Mbps(10), 5*time.Millisecond, 1<<20, 0)})
+	// The shared counters cover the simulator's front once it is flushed.
+	outstanding := func() int64 {
+		sim.Local[pool.Local](h.net.Sim).Flush()
+		return pool.Stats().Outstanding()
+	}
+	start := outstanding()
 	cfg := DefaultConfig()
 	cfg.SendBufBytes = 512 << 10
 	cfg.RecvBufBytes = 512 << 10
@@ -281,6 +284,9 @@ func TestFinishReleasesSendQueues(t *testing.T) {
 	senderMemory := 0
 	h.net.Sim.Schedule(200*time.Millisecond, func() {
 		senderMemory = h.clientC.SenderMemory()
+		if held := outstanding() - start; held < int64(senderMemory/(16<<10)) {
+			t.Errorf("%d bytes queued but only %d pool buffers outstanding", senderMemory, held)
+		}
 		h.clientC.Abort()
 	})
 	res := h.runBulkTransfer(cfg, cfg, total, 10*time.Second)

@@ -51,14 +51,24 @@ func (k Key) IDSN() packet.DataSeq {
 }
 
 // joinHMAC computes the MP_JOIN authentication code: HMAC-SHA1 keyed with
-// the concatenation of the two 64-bit keys over the two 32-bit nonces.
-func joinHMAC(keyLocal, keyRemote Key, nonceLocal, nonceRemote uint32) []byte {
-	mac := hmac.New(sha1.New, append(keyLocal.bytes(), keyRemote.bytes()...))
-	var msg [8]byte
-	binary.BigEndian.PutUint32(msg[0:4], nonceLocal)
-	binary.BigEndian.PutUint32(msg[4:8], nonceRemote)
-	mac.Write(msg[:])
-	return mac.Sum(nil)
+// the concatenation of the two 64-bit keys over the two 32-bit nonces. It is
+// HMAC by its definition (RFC 2104), H(K^opad || H(K^ipad || msg)), over two
+// stack arrays: the 16-byte key is shorter than SHA-1's 64-byte block, so the
+// padded key is the key followed by zeros, and nothing reaches the heap.
+func joinHMAC(keyLocal, keyRemote Key, nonceLocal, nonceRemote uint32) [sha1.Size]byte {
+	var inner [sha1.BlockSize + 8]byte
+	var outer [sha1.BlockSize + sha1.Size]byte
+	binary.BigEndian.PutUint64(inner[0:8], uint64(keyLocal))
+	binary.BigEndian.PutUint64(inner[8:16], uint64(keyRemote))
+	for i := 0; i < sha1.BlockSize; i++ {
+		outer[i] = inner[i] ^ 0x5c
+		inner[i] ^= 0x36
+	}
+	binary.BigEndian.PutUint32(inner[sha1.BlockSize:], nonceLocal)
+	binary.BigEndian.PutUint32(inner[sha1.BlockSize+4:], nonceRemote)
+	sum := sha1.Sum(inner[:])
+	copy(outer[sha1.BlockSize:], sum[:])
+	return sha1.Sum(outer[:])
 }
 
 // truncatedHMAC returns the first n bytes of an HMAC value.

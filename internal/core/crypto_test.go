@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"crypto/hmac"
+	"crypto/sha1"
+	"encoding/binary"
 	"testing"
 
 	"mptcpgo/internal/sim"
@@ -27,19 +31,51 @@ func TestJoinHMACSymmetryAndValidation(t *testing.T) {
 	// with the arguments swapped the same way.
 	serverMAC := joinHMAC(serverKey, clientKey, serverNonce, clientNonce)
 	clientExpectation := joinHMAC(serverKey, clientKey, serverNonce, clientNonce)
-	if !hmacEqual(serverMAC, clientExpectation) {
+	if !hmacEqual(serverMAC[:], clientExpectation[:]) {
 		t.Fatal("identical computation must produce identical MACs")
 	}
 	// Any change in keys or nonces must change the MAC (blind spoofing fails).
-	if hmacEqual(serverMAC, joinHMAC(serverKey, Key(333), serverNonce, clientNonce)) {
+	if serverMAC == joinHMAC(serverKey, Key(333), serverNonce, clientNonce) {
 		t.Fatal("MAC must depend on both keys")
 	}
-	if hmacEqual(serverMAC, joinHMAC(serverKey, clientKey, serverNonce, clientNonce+1)) {
+	if serverMAC == joinHMAC(serverKey, clientKey, serverNonce, clientNonce+1) {
 		t.Fatal("MAC must depend on the nonces")
 	}
-	if len(truncatedHMAC(serverMAC, 8)) != 8 {
+	if len(truncatedHMAC(serverMAC[:], 8)) != 8 {
 		t.Fatal("truncation length wrong")
 	}
+}
+
+// referenceJoinHMAC is the crypto/hmac construction joinHMAC replaced.
+func referenceJoinHMAC(keyLocal, keyRemote Key, nonceLocal, nonceRemote uint32) []byte {
+	mac := hmac.New(sha1.New, append(keyLocal.bytes(), keyRemote.bytes()...))
+	var msg [8]byte
+	binary.BigEndian.PutUint32(msg[0:4], nonceLocal)
+	binary.BigEndian.PutUint32(msg[4:8], nonceRemote)
+	mac.Write(msg[:])
+	return mac.Sum(nil)
+}
+
+// TestJoinHMACMatchesCryptoHMAC: the stack computation is HMAC-SHA1, byte for
+// byte, on inputs nobody chose.
+func TestJoinHMACMatchesCryptoHMAC(t *testing.T) {
+	rng := sim.NewRNG(24)
+	for i := 0; i < 10000; i++ {
+		kl, kr := Key(rng.Uint64()), Key(rng.Uint64())
+		nl, nr := rng.Uint32(), rng.Uint32()
+		got, want := joinHMAC(kl, kr, nl, nr), referenceJoinHMAC(kl, kr, nl, nr)
+		if !bytes.Equal(got[:], want) {
+			t.Fatalf("joinHMAC(%#x, %#x, %#x, %#x) = %x, crypto/hmac says %x", kl, kr, nl, nr, got, want)
+		}
+	}
+}
+
+func TestJoinHMACAllocatesNothing(t *testing.T) {
+	var mac [sha1.Size]byte
+	if avg := testing.AllocsPerRun(1000, func() { mac = joinHMAC(Key(1), Key(2), 3, 4) }); avg != 0 {
+		t.Fatalf("joinHMAC allocates %.1f objects per call; want 0", avg)
+	}
+	_ = mac
 }
 
 func TestTokenTable(t *testing.T) {

@@ -3,7 +3,6 @@ package core
 import (
 	"mptcpgo/internal/buffer"
 	"mptcpgo/internal/packet"
-	"mptcpgo/internal/pool"
 )
 
 // onSubflowData maps in-order subflow payload into the connection-level data
@@ -131,7 +130,7 @@ func (c *Connection) insertData(s *Subflow, dataSeq uint64, data []byte) {
 				if n := c.ofoBySubflow[it.Subflow]; n > 0 {
 					c.ofoBySubflow[it.Subflow] = maxInt(0, n-len(it.Data))
 				}
-				pool.Recycle(it.Data)
+				c.bufs.Recycle(it.Data)
 			}
 		}
 		c.maybeConsumeRemoteDataFin()
@@ -143,6 +142,7 @@ func (c *Connection) insertData(s *Subflow, dataSeq uint64, data []byte) {
 	// Built here, at the first out-of-order arrival: most flows never get one.
 	if c.ofo == nil {
 		c.ofo = buffer.NewOfoQueue(c.cfg.OfoAlgorithm)
+		c.ofo.UsePool(c.bufs)
 		c.ofoBySubflow = make(map[int]int)
 	}
 	c.ofo.Insert(buffer.Item{Seq: dataSeq, Data: data, Subflow: s.id})

@@ -197,7 +197,7 @@ func (s *Subflow) OnSegmentSent(e *tcp.Endpoint, seg *packet.Segment, retransmis
 			seg.AppendMPJoin(packet.MPJoinOption{
 				Phase:      packet.JoinACK,
 				AddrID:     s.addrID,
-				SenderHMAC: mac,
+				SenderHMAC: mac[:],
 			})
 		}
 		handshakeRepeat = true
@@ -322,7 +322,7 @@ func (s *Subflow) addHandshakeOptions(seg *packet.Segment, retransmission bool) 
 				Phase:       packet.JoinSYNACK,
 				AddrID:      s.addrID,
 				Backup:      s.backup,
-				SenderHMAC:  truncatedHMAC(mac, 8),
+				SenderHMAC:  truncatedHMAC(mac[:], 8),
 				SenderNonce: s.localNonce,
 			})
 		}
@@ -386,7 +386,7 @@ func (s *Subflow) OnSegmentReceived(e *tcp.Endpoint, seg *packet.Segment) {
 		case *packet.MPJoinOption:
 			if opt.Phase == packet.JoinACK && !s.client {
 				expected := joinHMAC(c.remoteKey, c.localKey, s.remoteNonce, s.localNonce)
-				if !hmacEqual(opt.SenderHMAC, expected) {
+				if !hmacEqual(opt.SenderHMAC, expected[:]) {
 					s.failSubflow("mp_join hmac validation failed")
 					return
 				}
@@ -532,8 +532,8 @@ func (s *Subflow) handleHandshakeOptions(seg *packet.Segment) {
 				return
 			}
 			s.remoteNonce = opt.SenderNonce
-			expected := truncatedHMAC(joinHMAC(c.remoteKey, c.localKey, s.remoteNonce, s.localNonce), 8)
-			if !hmacEqual(opt.SenderHMAC, expected) {
+			expected := joinHMAC(c.remoteKey, c.localKey, s.remoteNonce, s.localNonce)
+			if !hmacEqual(opt.SenderHMAC, truncatedHMAC(expected[:], 8)) {
 				s.failSubflow("mp_join hmac validation failed (SYN/ACK)")
 				return
 			}

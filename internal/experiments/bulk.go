@@ -7,6 +7,7 @@ import (
 	"mptcpgo/internal/core"
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
+	"mptcpgo/internal/pool"
 	"mptcpgo/internal/probe"
 	"mptcpgo/internal/sim"
 	"mptcpgo/internal/trace"
@@ -91,6 +92,7 @@ func RunBulk(opt BulkOptions) (BulkResult, error) {
 	}
 
 	s := sim.New(opt.Seed)
+	defer sim.Local[pool.Local](s).Flush()
 	net := netem.Build(s, opt.Specs...)
 	for idx, boxes := range opt.Boxes {
 		if idx < 0 || idx >= len(net.Paths) {

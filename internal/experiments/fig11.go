@@ -8,6 +8,7 @@ import (
 	"mptcpgo/internal/core"
 	"mptcpgo/internal/httpsim"
 	"mptcpgo/internal/netem"
+	"mptcpgo/internal/pool"
 	"mptcpgo/internal/probe"
 	"mptcpgo/internal/sim"
 )
@@ -51,6 +52,7 @@ func RunFig11Point(seed uint64, mode string, size, clients, requests int) (https
 // are written to its directory. Capture never changes the returned result.
 func RunFig11PointTraced(seed uint64, mode string, size, clients, requests int, tspec TraceSpec) (httpsim.PoolResult, error) {
 	s := sim.New(seed)
+	defer sim.Local[pool.Local](s).Flush()
 	gig := netem.LinkConfig{RateBps: netem.Gbps(1), Delay: 100 * time.Microsecond, QueueBytes: 512 << 10}
 
 	var clientHost, serverHost *netem.Host

@@ -7,6 +7,7 @@ import (
 	"mptcpgo/internal/core"
 	"mptcpgo/internal/httpsim"
 	"mptcpgo/internal/netem"
+	"mptcpgo/internal/pool"
 	"mptcpgo/internal/sim"
 	"mptcpgo/internal/trace"
 	"mptcpgo/internal/workload"
@@ -93,6 +94,7 @@ func runOpenLoopPoint(seed uint64, dist workload.SizeDist, factor float64, windo
 	rate := factor * openLoopCapacityMbps * 1e6 / (dist.Mean() * 8)
 
 	s := sim.New(seed)
+	defer sim.Local[pool.Local](s).Flush()
 	net := netem.Build(s, netem.Symmetric("bottleneck",
 		netem.Mbps(openLoopCapacityMbps), 10*time.Millisecond,
 		int(float64(netem.Mbps(openLoopCapacityMbps))/8*0.100), 0))

@@ -7,6 +7,7 @@ import (
 	"mptcpgo/internal/core"
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
+	"mptcpgo/internal/pool"
 	"mptcpgo/internal/sim"
 )
 
@@ -28,6 +29,7 @@ func init() {
 // mid-transfer, and reports how much the application ultimately received.
 func runWindowScenario(seed uint64, perSubflowWindow bool, total int, deadline time.Duration) (received int, completed bool, err error) {
 	s := sim.New(seed)
+	defer sim.Local[pool.Local](s).Flush()
 	net := netem.Build(s, netem.WiFi3GSpec()...)
 
 	cfg := core.RegularMPTCPConfig()

@@ -23,6 +23,7 @@ import (
 
 	"mptcpgo/internal/core"
 	"mptcpgo/internal/netem"
+	"mptcpgo/internal/pool"
 	"mptcpgo/internal/probe"
 	"mptcpgo/internal/sim"
 	"mptcpgo/internal/telemetry"
@@ -152,10 +153,12 @@ func (sh *Shard) closeCapture() error {
 	return sh.Capture.Close()
 }
 
-// finish ends a collected shard's observation: the capture is closed (a
-// flush error fails the shard) and the final counters are published with the
-// shard marked done.
+// finish ends a collected shard: nobody steps its simulator again, so the
+// buffers its pool front holds go back to the shared classes; the capture is
+// closed (a flush error fails the shard) and the final counters are published
+// with the shard marked done.
 func (sh *Shard) finish() error {
+	sim.Local[pool.Local](sh.Sim).Flush()
 	if err := sh.closeCapture(); err != nil {
 		return err
 	}

@@ -188,7 +188,10 @@ func (s *Segment) AppendMPCapable(v MPCapableOption) {
 // AppendMPJoin appends an arena-backed copy of v, its HMAC bytes included.
 func (s *Segment) AppendMPJoin(v MPJoinOption) {
 	o := s.newMPJoin()
-	*o = v
+	// Field by field, the HMAC slice left out: v never reaches the heap, so
+	// a caller's MAC array stays on its stack.
+	*o = MPJoinOption{Phase: v.Phase, AddrID: v.AddrID, Backup: v.Backup,
+		ReceiverToken: v.ReceiverToken, SenderNonce: v.SenderNonce}
 	if v.SenderHMAC != nil {
 		o.SenderHMAC = s.arenaBytes(len(v.SenderHMAC))
 		copy(o.SenderHMAC, v.SenderHMAC)

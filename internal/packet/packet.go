@@ -140,6 +140,9 @@ type Segment struct {
 	// enqueue time, useful for traces and deterministic tie-breaking.
 	Ordinal uint64
 
+	// payloadFrom is where Release recycles an owned payload: the pool.Local
+	// it was taken from (AttachPayloadFrom), nil for the shared pool.
+	payloadFrom *pool.Local
 	// ownsPayload marks Payload as a pool-owned buffer that Release will
 	// recycle (see AttachPayload in pool.go).
 	ownsPayload bool

@@ -35,9 +35,15 @@ func NewSegment() *Segment {
 // AttachPayload sets the segment payload to buf and records that buf is a
 // pool-owned buffer: Release will recycle it. buf must come from pool.Bytes
 // or pool.Copy and ownership transfers to the segment.
-func (s *Segment) AttachPayload(buf []byte) {
+func (s *Segment) AttachPayload(buf []byte) { s.AttachPayloadFrom(nil, buf) }
+
+// AttachPayloadFrom is AttachPayload for a buffer taken from l, the front of
+// the simulator the segment lives and dies on: Release recycles it there. A
+// nil l is the shared pool.
+func (s *Segment) AttachPayloadFrom(l *pool.Local, buf []byte) {
 	s.Payload = buf
 	s.ownsPayload = true
+	s.payloadFrom = l
 }
 
 // Release returns the segment (and its payload buffer, when pool-owned) to
@@ -52,7 +58,7 @@ func (s *Segment) Release() {
 		panic("packet: Segment released twice")
 	}
 	if s.ownsPayload {
-		pool.Recycle(s.Payload)
+		s.payloadFrom.Recycle(s.Payload)
 	}
 	opts := s.Options[:0]
 	arena := s.optArena

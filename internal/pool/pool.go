@@ -39,13 +39,15 @@ const perClassCap = 4096
 type class struct {
 	size int
 	free chan []byte
+	// keep is how many buffers of this class a Local's stack holds at most.
+	keep int
 }
 
 var classes [len(classSizes)]class
 
 func init() {
 	for i, size := range classSizes {
-		classes[i] = class{size: size, free: make(chan []byte, perClassCap)}
+		classes[i] = class{size: size, free: make(chan []byte, perClassCap), keep: min(localSlots, localBytes/size)}
 	}
 }
 
@@ -82,13 +84,22 @@ func Stats() Counters {
 	}
 }
 
+// classIndex returns the index of the smallest class that fits n, or -1 if n
+// exceeds the largest class.
+func classIndex(n int) int {
+	for i := range classes {
+		if n <= classes[i].size {
+			return i
+		}
+	}
+	return -1
+}
+
 // classFor returns the smallest class that fits n, or nil if n exceeds the
 // largest class.
 func classFor(n int) *class {
-	for i := range classes {
-		if n <= classes[i].size {
-			return &classes[i]
-		}
+	if i := classIndex(n); i >= 0 {
+		return &classes[i]
 	}
 	return nil
 }

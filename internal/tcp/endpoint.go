@@ -61,6 +61,9 @@ type Endpoint struct {
 	// segment/payload pools this makes the steady-state send path
 	// allocation-free.
 	free *freeLists
+	// bufs is the simulator's front of the buffer pool: segment payloads,
+	// queue blocks and out-of-order copies come from it and go back to it.
+	bufs *pool.Local
 
 	// sndBuf holds the queued payload bytes exactly once; chunks reference
 	// ranges of it (see chunk in tcp.go). Its head is trimmed as the
@@ -128,6 +131,7 @@ func newEndpoint(iface *netem.Interface, local, remote packet.Endpoint, cfg Conf
 	e := &Endpoint{
 		sim:     host.Sim(),
 		free:    sim.Local[freeLists](host.Sim()),
+		bufs:    sim.Local[pool.Local](host.Sim()),
 		host:    host,
 		iface:   iface,
 		local:   local,
@@ -140,6 +144,8 @@ func newEndpoint(iface *netem.Interface, local, remote packet.Endpoint, cfg Conf
 		sndWnd:  cfg.MSS, // until the peer advertises
 	}
 	e.sendQueue, e.retransQ = e.sendQueueBuf[:0], e.retransQBuf[:0]
+	e.sndBuf.UsePool(e.bufs)
+	e.recvQueue.UsePool(e.bufs)
 	if e.ctrl = hooks.NewController(cc.Config{MSS: cfg.MSS}); e.ctrl == nil {
 		e.reno = *cc.NewNewReno(cc.Config{MSS: cfg.MSS})
 		e.ctrl = &e.reno

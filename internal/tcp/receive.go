@@ -4,7 +4,6 @@ import (
 	"mptcpgo/internal/buffer"
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
-	"mptcpgo/internal/pool"
 )
 
 // HandleSegment implements netem.SegmentHandler; every segment addressed to
@@ -177,7 +176,7 @@ func (e *Endpoint) processPayload(seg *packet.Segment) {
 				e.deliver(e.rcvNxt, it.Data)
 				e.rcvNxt = e.rcvNxt.Add(uint32(len(it.Data)))
 				rel = it.End()
-				pool.Recycle(it.Data)
+				e.bufs.Recycle(it.Data)
 			}
 		}
 		e.pruneSackRanges()
@@ -207,6 +206,7 @@ func (e *Endpoint) processPayload(seg *packet.Segment) {
 		// the first out-of-order arrival: an in-order flow never has one.
 		if e.recvOfo == nil {
 			e.recvOfo = buffer.NewOfoQueue(buffer.AlgRegular)
+			e.recvOfo.UsePool(e.bufs)
 		}
 		e.recvOfo.Insert(buffer.Item{Seq: rel, Data: payload})
 		e.recordSackRange(segSeq, segSeq.Add(uint32(len(payload))))

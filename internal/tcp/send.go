@@ -5,7 +5,6 @@ import (
 
 	"mptcpgo/internal/buffer"
 	"mptcpgo/internal/packet"
-	"mptcpgo/internal/pool"
 )
 
 // makeSegment builds an outgoing segment with the current acknowledgement and
@@ -127,9 +126,9 @@ func (e *Endpoint) transmitChunk(c *chunk, retransmission bool) {
 	}
 	seg := e.makeSegment(flags, c.seq, nil, c.opts)
 	if c.payLen > 0 {
-		buf := pool.Bytes(c.payLen)
+		buf := e.bufs.Bytes(c.payLen)
 		e.sndBuf.CopyAt(buf, c.payOff)
-		seg.AttachPayload(buf)
+		seg.AttachPayloadFrom(e.bufs, buf)
 	}
 	c.sentAt = e.sim.Now()
 	c.transmissions++

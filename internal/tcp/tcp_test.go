@@ -202,10 +202,14 @@ func TestRTTEstimate(t *testing.T) {
 // once the network has drained no pool buffer is outstanding — none leaked,
 // none put back twice.
 func TestTeardownReleasesSendQueue(t *testing.T) {
-	outstanding := func() int64 { return pool.Stats().Outstanding() }
+	n := testNet(t, netem.LinkConfig{RateBps: netem.Mbps(10), Delay: 5 * time.Millisecond, QueueBytes: 64 << 10})
+	// The shared counters cover the simulator's front once it is flushed.
+	outstanding := func() int64 {
+		sim.Local[pool.Local](n.Sim).Flush()
+		return pool.Stats().Outstanding()
+	}
 	start := outstanding()
 
-	n := testNet(t, netem.LinkConfig{RateBps: netem.Mbps(10), Delay: 5 * time.Millisecond, QueueBytes: 64 << 10})
 	cfg := Config{SendBufBytes: 256 << 10}
 	received := 0
 	_, err := Listen(n.Server, 80, cfg, func(ep *Endpoint, _ *packet.Segment) {

@@ -6,6 +6,7 @@ import (
 
 	"mptcpgo/internal/core"
 	"mptcpgo/internal/netem"
+	"mptcpgo/internal/pool"
 	"mptcpgo/internal/sim"
 )
 
@@ -178,10 +179,15 @@ type Network struct {
 func (n *Network) Now() time.Duration { return n.sim.Now() }
 
 // Run advances the simulation by d.
-func (n *Network) Run(d time.Duration) error { return n.sim.RunFor(d) }
+func (n *Network) Run(d time.Duration) error { return n.RunUntil(n.sim.Now() + d) }
 
 // RunUntil advances the simulation to the absolute time t.
-func (n *Network) RunUntil(t time.Duration) error { return n.sim.RunUntil(t) }
+func (n *Network) RunUntil(t time.Duration) error {
+	// Nobody is stepping the simulator once this returns, perhaps for good:
+	// the buffers its pool front holds go back to the shared classes.
+	defer sim.Local[pool.Local](n.sim).Flush()
+	return n.sim.RunUntil(t)
+}
 
 // Schedule runs fn after delay d of simulated time.
 func (n *Network) Schedule(d time.Duration, fn func()) { n.sim.Schedule(d, fn) }
