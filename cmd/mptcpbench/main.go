@@ -228,10 +228,14 @@ func runExperiments(c *cli) {
 	start := time.Now()
 	results := make([]*experiments.Result, 0, len(ids))
 	for _, id := range ids {
+		t0 := time.Now()
 		res, err := experiments.Run(id, opts...)
 		if err != nil {
 			fail(err)
 		}
+		// As for -scenario: the encoded result is byte-comparable, so
+		// wall-clock goes to stderr (and, in total, to the runinfo sidecar).
+		fmt.Fprintf(os.Stderr, "%s: %v wall-clock\n", id, time.Since(t0).Round(time.Millisecond))
 		results = append(results, res)
 	}
 	elapsed := time.Since(start)

@@ -58,6 +58,19 @@ func (t *TokenTable) Insert(token uint32, conn *Connection) bool {
 	return true
 }
 
+// Compares returns how many entries Contains(token) compares: its bucket's
+// chain up to and including a match. It is the per-probe cost of the
+// uniqueness check that Figure 10 counts.
+func (t *TokenTable) Compares(token uint32) int {
+	chain := t.buckets[t.bucket(token)]
+	for i, e := range chain {
+		if e.token == token {
+			return i + 1
+		}
+	}
+	return len(chain)
+}
+
 // Lookup returns the connection registered under token, or nil.
 func (t *TokenTable) Lookup(token uint32) *Connection {
 	for _, e := range t.buckets[t.bucket(token)] {

@@ -209,16 +209,16 @@ func RunWithOptions(id string, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %s)", id, strings.Join(IDs(), ", "))
 	}
 	opt = opt.withDefaults()
-	start := time.Now()
 	res, err := e.Run(opt)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", id, err)
 	}
+	// Elapsed stays 0: a result is a function of (id, options), so encoded
+	// results are byte-comparable; callers time runs themselves.
 	res.ID = e.ID
 	res.Title = e.Title
 	res.Seed = opt.Seed
 	res.Quick = opt.Quick
 	res.PaperEraCPU = opt.PaperEraCPU
-	res.Elapsed = time.Since(start)
 	return res, nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -83,13 +84,39 @@ func TestRunBulkTCPvsMPTCPOrdering(t *testing.T) {
 	}
 }
 
+// TestFig10KeyGenerationOrdering asserts the paper's ordering, TCP < MPTCP <
+// MPTCP-100 < MPTCP-1000, on the counted SYN work: each row does at least the
+// previous row's work in every count and strictly more in one.
 func TestFig10KeyGenerationOrdering(t *testing.T) {
 	res, err := runFig10(Options{Quick: true, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Tables) == 0 || len(res.Tables[0].Rows) != 4 {
+	rows := res.Tables[0].Rows
+	if len(rows) != 4 {
 		t.Fatalf("fig10 should produce a 4-row summary, got %+v", res.Tables)
+	}
+	counts := make([][3]float64, len(rows))
+	for i, row := range rows {
+		for j := range counts[i] {
+			v, err := strconv.ParseFloat(row[1+j], 64)
+			if err != nil {
+				t.Fatalf("row %q: %v", row[0], err)
+			}
+			counts[i][j] = v
+		}
+	}
+	for i := 1; i < len(counts); i++ {
+		more := false
+		for j := range counts[i] {
+			if counts[i][j] < counts[i-1][j] {
+				t.Fatalf("%s does less work than %s: %v vs %v", rows[i][0], rows[i-1][0], counts[i], counts[i-1])
+			}
+			more = more || counts[i][j] > counts[i-1][j]
+		}
+		if !more {
+			t.Fatalf("%s does no more work than %s: %v", rows[i][0], rows[i-1][0], counts[i])
+		}
 	}
 }
 

@@ -38,7 +38,9 @@ type Result struct {
 	Quick bool `json:"quick"`
 	// PaperEraCPU reports whether the 2012-era CPU cost model was used.
 	PaperEraCPU bool `json:"paper_era_cpu,omitempty"`
-	// Elapsed is the wall-clock runtime of the experiment.
+	// Elapsed is always 0 in results this repository produces: wall-clock is
+	// machine-dependent and goes to stderr and the runinfo sidecar, so an
+	// encoded result stays byte-comparable.
 	Elapsed time.Duration `json:"elapsed_ns"`
 
 	Tables []*Table `json:"tables"`

@@ -57,15 +57,13 @@ func TestResultTextFormat(t *testing.T) {
 }
 
 // TestGoldenJSON pins the JSON encoding of one quick experiment. The run is
-// deterministic (fixed seed, simulated clock); only the wall-clock Elapsed
-// field is normalised. Regenerate with: go test ./internal/experiments -run
-// TestGoldenJSON -update
+// deterministic (fixed seed, simulated clock, no wall-clock field).
+// Regenerate with: go test ./internal/experiments -run TestGoldenJSON -update
 func TestGoldenJSON(t *testing.T) {
 	res, err := Run("rationale", WithQuick(), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Elapsed = 0
 	var buf bytes.Buffer
 	if err := res.JSON(&buf); err != nil {
 		t.Fatal(err)
