@@ -84,8 +84,8 @@ func (c *cli) flagSet(onError flag.ErrorHandling) *flag.FlagSet {
 	fs.IntVar(&c.clients, "clients", 0, "fleet scenario size: clients, senders or pairs (0 = scenario default)")
 	fs.IntVar(&c.shards, "shards", 0, "fleet shard count (0 = one shard per 64 members)")
 	fs.IntVar(&c.workers, "workers", 0, "parallel shard workers (0 = GOMAXPROCS; never changes the output)")
-	fs.StringVar(&c.pcapDir, "pcap-dir", "", "capture wire traffic into this directory: one classic pcap per fleet shard (-scenario) or per middlebox-matrix case (-run mbox); capture never changes results")
-	fs.StringVar(&c.traceDir, "trace-dir", "", "flight recorder: write <scenario>-trace.json and <scenario>-events.jsonl into this directory (off by default; capture never changes results)")
+	fs.StringVar(&c.pcapDir, "pcap-dir", "", "capture wire traffic into this directory: one classic pcap per fleet shard (<scenario>-shard<NNN>.pcap) or per simulated sweep point of a -run experiment (<id>-<NN>.pcap; fig11's bonding points have no path to tap); capture never changes results")
+	fs.StringVar(&c.traceDir, "trace-dir", "", "flight recorder: write <scenario>-trace.json and <scenario>-events.jsonl, or per -run sweep point <id>-<NN>-trace.json and -events.jsonl, into this directory (off by default; capture never changes results)")
 	fs.DurationVar(&c.probeInterval, "probe-interval", 0, "flight recorder: per-subflow time-series sampling cadence in simulated time (0 = events only; needs -trace-dir)")
 	fs.Float64Var(&c.rate, "rate", 0, "fleet-openloop: fleet-wide mean arrival rate in flows/s (0 = scenario default)")
 	fs.DurationVar(&c.duration, "duration", 0, "fleet-openloop: arrival window of simulated time (0 = scenario default)")
@@ -104,9 +104,9 @@ func (c *cli) flagSet(onError flag.ErrorHandling) *flag.FlagSet {
 }
 
 // parseCLI parses args (without the program name) and checks the
-// combinations that cannot be honoured: a -scenario run given flags the
-// chosen scenario does not consume would silently produce output for
-// different options than requested.
+// combinations that cannot be honoured: a -run or -scenario run given flags
+// it does not consume would silently produce output for different options
+// than requested.
 func parseCLI(args []string, onError flag.ErrorHandling) (*cli, error) {
 	c := &cli{set: map[string]string{}}
 	fs := c.flagSet(onError)
@@ -120,31 +120,29 @@ func parseCLI(args []string, onError flag.ErrorHandling) (*cli, error) {
 	default:
 		return nil, fmt.Errorf("unknown output format %q (want text, json or csv)", c.format)
 	}
-	if c.scenario == "" || c.scenario == "list" {
-		if c.scenario == "" && (c.progress || c.metricsAddr != "") {
-			return nil, fmt.Errorf("-progress and -metrics-addr instrument fleet scenarios; use them with -scenario")
-		}
+	if c.scenario == "list" {
 		return c, nil
 	}
-	if c.run != "" {
+	if c.scenario != "" && c.run != "" {
 		return nil, fmt.Errorf("-scenario and -run are mutually exclusive")
 	}
-	if c.paperEra {
-		return nil, fmt.Errorf("-paper-era-cpu does not apply to fleet scenarios")
-	}
-	def, err := findScenario(c.scenario)
-	if err != nil {
-		return nil, err
+	accepts, user := runAccepts, "-run"
+	if c.scenario != "" {
+		def, err := findScenario(c.scenario)
+		if err != nil {
+			return nil, err
+		}
+		accepts, user = def.accepts|gFleet, "scenario "+def.name
 	}
 	var unused []string
 	for name := range c.set {
-		if flagGroups[name]&^def.accepts != 0 {
+		if flagGroups[name]&^accepts != 0 {
 			unused = append(unused, "-"+name)
 		}
 	}
 	if len(unused) > 0 {
 		sort.Strings(unused)
-		return nil, fmt.Errorf("scenario %s does not use %s", def.name, strings.Join(unused, ", "))
+		return nil, fmt.Errorf("%s does not use %s", user, strings.Join(unused, ", "))
 	}
 	return c, nil
 }
@@ -233,8 +231,7 @@ func runExperiments(c *cli) {
 		if err != nil {
 			fail(err)
 		}
-		// As for -scenario: the encoded result is byte-comparable, so
-		// wall-clock goes to stderr (and, in total, to the runinfo sidecar).
+		// As for -scenario, wall-clock goes to stderr and the runinfo sidecar.
 		fmt.Fprintf(os.Stderr, "%s: %v wall-clock\n", id, time.Since(t0).Round(time.Millisecond))
 		results = append(results, res)
 	}
@@ -309,19 +306,23 @@ func runFleet(c *cli) {
 	}
 }
 
-// flagGroup is a set of CLI flags that only some scenarios consume. Flags in
-// no group (-seed, -quick, -clients, -shards, -workers, output and observer
-// plumbing) apply to every scenario.
+// flagGroup is a set of CLI flags that only some runs consume. Flags in no
+// group (-seed, -quick, output and profiling) apply to every run.
 type flagGroup uint8
 
 const (
-	gPcap   flagGroup = 1 << iota // per-shard wire capture
+	gPcap   flagGroup = 1 << iota // wire capture
 	gTrace                        // the flight recorder
 	gShared                       // a shared bottleneck
 	gLoad                         // open-loop offered load
 	gShape                        // open-loop arrival process and flow sizes
 	gChaos                        // fault schedule and adversary
+	gFleet                        // sharding and live telemetry: every scenario
+	gFigure                       // the figures' host CPU model: -run only
 )
+
+// runAccepts is what -run consumes (per-point captures and traces, fig3's CPU model).
+const runAccepts = gPcap | gTrace | gFigure
 
 var flagGroups = map[string]flagGroup{
 	"pcap-dir":  gPcap,
@@ -330,6 +331,9 @@ var flagGroups = map[string]flagGroup{
 	"rate":        gLoad, "duration": gLoad,
 	"sizedist": gShape, "arrival": gShape,
 	"faults": gChaos, "adversary": gChaos,
+	"clients": gFleet, "shards": gFleet, "workers": gFleet,
+	"progress": gFleet, "progress-interval": gFleet, "metrics-addr": gFleet, "metrics-linger": gFleet,
+	"paper-era-cpu": gFigure,
 }
 
 // sizing is a scenario's scale: what -quick shrinks and what -clients, -rate
@@ -365,7 +369,8 @@ type scenarioDef struct {
 
 // scenarios is the ordered registry behind -scenario; flag checking, sizing
 // and '-scenario list' all walk it, so a scenario cannot be runnable but
-// unlisted, or listed with flags it then ignores.
+// unlisted, or listed with flags it then ignores. Every scenario also takes
+// gFleet.
 var scenarios = []scenarioDef{
 	{"fleet-http", "1000+ closed-loop clients against sharded server replicas (-shared-link couples them)",
 		sizing{members: 1000, requests: 2, bytes: 32 << 10}, sizing{members: 64, requests: 1, bytes: 16 << 10},

@@ -48,6 +48,26 @@ func TestScenarioFlagChecking(t *testing.T) {
 			t.Errorf("rejection %q does not name %s", err, name)
 		}
 	}
+
+	// -run: the experiments consume the observers and the figures' CPU model
+	// and nothing of the fleet's.
+	if _, err := parseCLI(strings.Fields("-run rationale -quick -pcap-dir p -trace-dir t -probe-interval 1s -paper-era-cpu"), flag.ContinueOnError); err != nil {
+		t.Errorf("-run rejected flags it consumes: %v", err)
+	}
+	fleetFlags := strings.Fields("-clients 5 -shards 2 -workers 2 -rate 3 -duration 1s -sizedist webmix -arrival fixed -faults flap -adversary rst -shared-link 10mbps -progress -metrics-addr 127.0.0.1:0")
+	_, err = parseCLI(append([]string{"-run", "rationale", "-quick"}, fleetFlags...), flag.ContinueOnError)
+	if err == nil {
+		t.Fatal("-run accepted fleet flags it cannot honour")
+	}
+	for _, name := range fleetFlags {
+		if strings.HasPrefix(name, "-") && !strings.Contains(err.Error(), name) {
+			t.Errorf("rejection %q does not name %s", err, name)
+		}
+	}
+	// ... and a scenario does not take the figures' CPU model.
+	if _, err := parseCLI(strings.Fields("-scenario incast -paper-era-cpu"), flag.ContinueOnError); err == nil || !strings.Contains(err.Error(), "-paper-era-cpu") {
+		t.Errorf("scenario with -paper-era-cpu: err = %v", err)
+	}
 }
 
 // TestFlagGroupsNameRealFlags keeps the group table honest: an entry for a

@@ -1,6 +1,6 @@
 // Command tracereport summarises flight-recorder output: given one or more
 // `*-events.jsonl` files (or directories containing them, as written by the
-// -trace-dir flag of mptcpbench / httpbench), it renders the
+// -trace-dir flag of mptcpbench -scenario and -run), it renders the
 // event tally by kind, per-subflow cwnd timelines, watchdog stall episodes
 // with cause attribution, and the RTO drain-tail breakdown.
 //

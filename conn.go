@@ -46,7 +46,7 @@ func WithTCPOnly() DialOption {
 // MPTCP then opens additional subflows over the remaining paths between the
 // two hosts as usual.
 func (n *Network) Dial(host, target string, opts ...DialOption) (*Conn, error) {
-	mgr := n.managers[host]
+	mgr := n.w.Managers[host]
 	if mgr == nil {
 		return nil, fmt.Errorf("mptcpgo: unknown host %q", host)
 	}
@@ -54,7 +54,7 @@ func (n *Network) Dial(host, target string, opts ...DialOption) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	targetHost := n.net.Host(targetName)
+	targetHost := n.w.Net.Host(targetName)
 	if targetHost == nil {
 		return nil, fmt.Errorf("mptcpgo: dial %q: unknown host %q", target, targetName)
 	}
@@ -164,7 +164,7 @@ var _ io.ReadWriteCloser = (*Stream)(nil)
 // NewStream wraps an established (or establishing) connection of this
 // network.
 func (n *Network) NewStream(c *Conn) *Stream {
-	return &Stream{conn: c, sim: n.sim}
+	return &Stream{conn: c, sim: n.w.Sim}
 }
 
 // Conn returns the wrapped connection.

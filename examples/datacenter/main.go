@@ -1,7 +1,9 @@
-// datacenter runs the dual-gigabit HTTP scenario of Figure 11: closed-loop
-// clients fetching fixed-size objects from a server over regular TCP on one
-// link, TCP over two bonded links, and MPTCP over both links, printing the
-// requests/second each transport sustains.
+// datacenter runs single points of the dual-gigabit HTTP scenario of
+// Figure 11: closed-loop clients fetching fixed-size objects from a server
+// over regular TCP on one link, TCP over two bonded links, and MPTCP over
+// both links, printing the requests/second each transport sustains. The
+// whole sweep is `mptcpbench -run fig11`; add -pcap-dir or -trace-dir there
+// for a point's wire capture or flight recorder.
 package main
 
 import (
@@ -22,7 +24,7 @@ func main() {
 		*clients, *requests, *sizeKB)
 
 	for _, mode := range []string{"tcp", "bonding", "mptcp"} {
-		res, err := experiments.RunFig11Point(99, mode, *sizeKB<<10, *clients, *requests)
+		res, err := experiments.RunFig11Point(99, mode, *sizeKB<<10, *clients, *requests, experiments.Options{}, "")
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -62,14 +62,3 @@ func Attach(s *sim.Simulator, name string, a, b *netem.Interface, member netem.L
 	b.AttachSender(ba)
 	return &Pair{AtoB: ab, BtoA: ba}
 }
-
-// BuildBondedHostPair creates a client and server connected by a bond of
-// count identical links (the Fig. 11 "TCP with link-bonding" configuration).
-func BuildBondedHostPair(s *sim.Simulator, member netem.LinkConfig, count int) (*netem.Host, *netem.Host, *Pair) {
-	client := netem.NewHost(s, "client")
-	server := netem.NewHost(s, "server")
-	ci := client.AddInterface(packet.MakeAddr(10, 10, 0, 1))
-	si := server.AddInterface(packet.MakeAddr(10, 10, 0, 2))
-	pair := Attach(s, "bond", ci, si, member, count)
-	return client, server, pair
-}

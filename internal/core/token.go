@@ -58,9 +58,8 @@ func (t *TokenTable) Insert(token uint32, conn *Connection) bool {
 	return true
 }
 
-// Compares returns how many entries Contains(token) compares: its bucket's
-// chain up to and including a match. It is the per-probe cost of the
-// uniqueness check that Figure 10 counts.
+// Compares returns how many entries Contains(token) compares, the cost of
+// one uniqueness probe that Figure 10 counts.
 func (t *TokenTable) Compares(token uint32) int {
 	chain := t.buckets[t.bucket(token)]
 	for i, e := range chain {

@@ -7,9 +7,6 @@ import (
 	"mptcpgo/internal/core"
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
-	"mptcpgo/internal/pool"
-	"mptcpgo/internal/probe"
-	"mptcpgo/internal/sim"
 	"mptcpgo/internal/trace"
 )
 
@@ -44,18 +41,6 @@ type BulkOptions struct {
 	// HostCPU, when set, installs the host packet-processing cost model on
 	// both hosts (Figure 3's per-packet and software-checksum costs).
 	HostCPU *netem.CPUModel
-
-	// PcapPath, when non-empty, captures every segment the run's links
-	// accept (both paths, both directions) into a classic pcap file at this
-	// path via the unified wire codec. Capture only observes; the run's
-	// results are unchanged.
-	PcapPath string
-
-	// Trace, when enabled, attaches the flight recorder to the client stack
-	// and writes <TraceName>-trace.json and <TraceName>-events.jsonl into
-	// Trace.Dir. Capture never changes the run's results.
-	Trace     TraceSpec
-	TraceName string
 }
 
 // BulkResult summarises one bulk-transfer run.
@@ -80,7 +65,10 @@ type BulkResult struct {
 }
 
 // RunBulk executes one bulk-transfer run and returns its measurements.
-func RunBulk(opt BulkOptions) (BulkResult, error) {
+func RunBulk(opt BulkOptions) (BulkResult, error) { return runBulk(opt, Options{}, "") }
+
+// runBulk is RunBulk with obs's observers attached, their files named name.
+func runBulk(opt BulkOptions, obs Options, name string) (BulkResult, error) {
 	if opt.Duration <= 0 {
 		opt.Duration = 20 * time.Second
 	}
@@ -91,44 +79,27 @@ func RunBulk(opt BulkOptions) (BulkResult, error) {
 		opt.SampleInterval = 100 * time.Millisecond
 	}
 
-	s := sim.New(opt.Seed)
-	defer sim.Local[pool.Local](s).Flush()
-	net := netem.Build(s, opt.Specs...)
+	spec := netem.TwoHostSpec(opt.Specs...)
 	for idx, boxes := range opt.Boxes {
-		if idx < 0 || idx >= len(net.Paths) {
+		if idx < 0 || idx >= len(spec.Links) {
 			return BulkResult{}, fmt.Errorf("bulk: box index %d out of range", idx)
 		}
-		for _, b := range boxes {
-			net.Path(idx).AddBox(b)
-		}
+		spec.Links[idx].Boxes = boxes
 	}
-
+	w, err := NewWorld(opt.Seed, spec, obs.PcapDir, obs.Trace, name, 0, 1)
+	if err != nil {
+		return BulkResult{}, err
+	}
+	defer w.Stop()
+	w.Managers["client"].SetProbe(w.Probe, 0)
+	s, net := w.Sim, w.Net
 	if opt.HostCPU != nil {
 		net.Client.CPU = *opt.HostCPU
 		net.Server.CPU = *opt.HostCPU
 	}
-
-	closePcap := func() error { return nil }
-	if opt.PcapPath != "" {
-		pw, err := trace.NewPcapFile(opt.PcapPath)
-		if err != nil {
-			return BulkResult{}, err
-		}
-		closePcap = pw.Close // idempotent: deferred for error paths, checked below
-		defer pw.Close()
-		trace.CapturePaths(pw, s.Now, net.Paths...)
-	}
-
-	cliMgr := core.NewManager(net.Client)
-	srvMgr := core.NewManager(net.Server)
-	var rec *probe.Recorder
-	if opt.Trace.Enabled() {
-		rec = probe.NewRecorder(s, 0, 1, opt.Trace.ProbeConfig())
-		cliMgr.SetProbe(rec, 0)
-		// The run ends at a fixed simulated Duration, so the sampler never
-		// needs a completion signal; unprocessed ticks past it are dropped.
-		rec.StartSampler(func() bool { return false })
-	}
+	// The run ends at a fixed simulated Duration, so the sampler never needs
+	// a completion signal; unprocessed ticks past it are dropped.
+	w.Probe.StartSampler(func() bool { return false })
 
 	received := 0
 	var serverConn *core.Connection
@@ -138,7 +109,7 @@ func RunBulk(opt BulkOptions) (BulkResult, error) {
 		blockDelays = trace.NewHistogram(10) // 10 ms bins, as in Figure 7
 	}
 
-	_, err := srvMgr.Listen(80, opt.Server, func(c *core.Connection) {
+	_, err = w.Managers["server"].Listen(80, opt.Server, func(c *core.Connection) {
 		serverConn = c
 		c.OnReadable = func() {
 			for {
@@ -169,7 +140,7 @@ func RunBulk(opt BulkOptions) (BulkResult, error) {
 		opt.ClientIface = 0
 	}
 	serverAddr := net.ServerAddr(opt.ClientIface)
-	conn, err := cliMgr.Dial(ifaces[opt.ClientIface], packet.Endpoint{Addr: serverAddr, Port: 80}, opt.Client)
+	conn, err := w.Managers["client"].Dial(ifaces[opt.ClientIface], packet.Endpoint{Addr: serverAddr, Port: 80}, opt.Client)
 	if err != nil {
 		return BulkResult{}, err
 	}
@@ -266,21 +237,8 @@ func RunBulk(opt BulkOptions) (BulkResult, error) {
 		res.ReceiverMemMeanKB = trace.Mean(rcvMem)
 		res.ReceiverMemMaxKB = trace.Max(rcvMem)
 	}
-	// A capture that failed to flush must fail the run, not silently hand
-	// back a truncated file.
-	if err := closePcap(); err != nil {
+	if err := finishPoint(&w, opt.Seed, obs, name); err != nil {
 		return BulkResult{}, err
-	}
-	if opt.Trace.Enabled() {
-		name := opt.TraceName
-		if name == "" {
-			name = "bulk"
-		}
-		recs := []*probe.Recorder{rec}
-		tr := BuildTraceResult(name+"-trace", name+" (flight recorder)", opt.Seed, false, recs)
-		if err := WriteTraceFiles(opt.Trace, name, tr, MergedEvents(recs)); err != nil {
-			return BulkResult{}, err
-		}
 	}
 	return res, nil
 }

@@ -32,15 +32,15 @@ type Options struct {
 	// hardware.
 	PaperEraCPU bool
 
-	// PcapDir, when non-empty, makes experiments that support wire capture
-	// (currently the middlebox matrix) write one classic pcap file per case
-	// into this directory. Capture taps only observe traffic through the
-	// wire codec; results are unchanged.
+	// PcapDir, when non-empty, makes every simulated sweep point write a
+	// classic pcap file, <id>-<NN>.pcap, into this directory (see World).
+	// Capture taps only observe traffic through the wire codec; results are
+	// unchanged.
 	PcapDir string
 
-	// Trace, when enabled (non-empty Dir), makes experiments that support
-	// the flight recorder write `<case>-trace.json` and `<case>-events.jsonl`
-	// into Trace.Dir. Capture never changes the experiment's own results.
+	// Trace, when enabled (non-empty Dir), makes every simulated sweep point
+	// write `<id>-<NN>-trace.json` and `<id>-<NN>-events.jsonl` into
+	// Trace.Dir. Capture never changes the experiment's own results.
 	Trace TraceSpec
 
 	// seedSet records that Seed was supplied explicitly (WithSeed), making
@@ -66,8 +66,7 @@ func WithSeed(seed uint64) Option {
 // WithPaperEraCPU selects the 2012-class host CPU cost model.
 func WithPaperEraCPU() Option { return func(o *Options) { o.PaperEraCPU = true } }
 
-// WithPcapDir enables per-case pcap capture into dir for experiments that
-// support it.
+// WithPcapDir enables per-point pcap capture into dir.
 func WithPcapDir(dir string) Option { return func(o *Options) { o.PcapDir = dir } }
 
 // WithTrace enables flight-recorder capture into dir; interval sets the

@@ -129,11 +129,11 @@ func TestCalibrateChecksumCostPositive(t *testing.T) {
 func TestRationaleShowsDeadlockDifference(t *testing.T) {
 	// The shared-window design must deliver everything; the per-subflow
 	// ablation must get stuck after the silent path failure.
-	recvShared, okShared, err := runWindowScenario(11, false, 1<<20, 30*time.Second)
+	recvShared, okShared, err := runWindowScenario(11, false, 1<<20, 30*time.Second, Options{}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	recvPer, okPer, err := runWindowScenario(11, true, 1<<20, 30*time.Second)
+	recvPer, okPer, err := runWindowScenario(11, true, 1<<20, 30*time.Second, Options{}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

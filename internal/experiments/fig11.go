@@ -8,9 +8,7 @@ import (
 	"mptcpgo/internal/core"
 	"mptcpgo/internal/httpsim"
 	"mptcpgo/internal/netem"
-	"mptcpgo/internal/pool"
-	"mptcpgo/internal/probe"
-	"mptcpgo/internal/sim"
+	"mptcpgo/internal/packet"
 )
 
 // Figure 11: apachebench-style HTTP benchmark — requests per second served
@@ -41,85 +39,59 @@ func fig11Params(quick bool) (clients, requests int) {
 	return 100, 2000
 }
 
-// RunFig11Point runs one (mode, size) combination and returns requests/sec.
-// Mode is one of "tcp", "bonding", "mptcp".
-func RunFig11Point(seed uint64, mode string, size, clients, requests int) (httpsim.PoolResult, error) {
-	return RunFig11PointTraced(seed, mode, size, clients, requests, TraceSpec{})
-}
-
-// RunFig11PointTraced is RunFig11Point with an optional flight recorder:
-// when the spec is enabled, httpbench-trace.json and httpbench-events.jsonl
-// are written to its directory. Capture never changes the returned result.
-func RunFig11PointTraced(seed uint64, mode string, size, clients, requests int, tspec TraceSpec) (httpsim.PoolResult, error) {
-	s := sim.New(seed)
-	defer sim.Local[pool.Local](s).Flush()
-	gig := netem.LinkConfig{RateBps: netem.Gbps(1), Delay: 100 * time.Microsecond, QueueBytes: 512 << 10}
-
-	var clientHost, serverHost *netem.Host
-	var clientIface *netem.Interface
-
+// RunFig11Point runs one (mode, size) combination and returns the pool's
+// result. Mode is one of "tcp", "bonding", "mptcp". obs's observers
+// (PcapDir, Trace) are attached, their files named name; a bonding point has
+// no netem.Path, so it writes no capture.
+func RunFig11Point(seed uint64, mode string, size, clients, requests int, obs Options, name string) (httpsim.PoolResult, error) {
 	connCfg := core.TCPOnlyConfig()
+	spec := netem.TwoHostSpec(netem.DualGigabitSpec()[:1]...) // plain TCP over a single gigabit link
+	switch mode {
+	case "bonding":
+		spec = netem.GraphSpec{Hosts: []string{"client", "server"}}
+	case "mptcp":
+		spec = netem.TwoHostSpec(netem.DualGigabitSpec()...)
+		connCfg = core.DefaultConfig()
+	}
 	connCfg.SendBufBytes = 1 << 20
 	connCfg.RecvBufBytes = 1 << 20
 
-	switch mode {
-	case "bonding":
-		c, srv, _ := bonding.BuildBondedHostPair(s, gig, 2)
-		clientHost, serverHost = c, srv
-		clientIface = c.Interfaces()[0]
-	case "mptcp":
-		n := netem.Build(s, netem.DualGigabitSpec()...)
-		clientHost, serverHost = n.Client, n.Server
-		clientIface = n.Client.Interfaces()[0]
-		connCfg = core.DefaultConfig()
-		connCfg.SendBufBytes = 1 << 20
-		connCfg.RecvBufBytes = 1 << 20
-	default: // plain TCP over a single gigabit link
-		n := netem.Build(s, netem.DualGigabitSpec()[:1]...)
-		clientHost, serverHost = n.Client, n.Server
-		clientIface = n.Client.Interfaces()[0]
-	}
-
-	cliMgr := core.NewManager(clientHost)
-	srvMgr := core.NewManager(serverHost)
-
-	_, err := httpsim.StartServer(srvMgr, httpsim.ServerConfig{Port: 80, Conn: connCfg})
+	w, err := NewWorld(seed, spec, obs.PcapDir, obs.Trace, name, 0, 1)
 	if err != nil {
 		return httpsim.PoolResult{}, err
 	}
-
-	var rec *probe.Recorder
-	if tspec.Enabled() {
-		rec = probe.NewRecorder(s, 0, 1, tspec.ProbeConfig())
-		cliMgr.SetProbe(rec, 0)
+	defer w.Stop()
+	w.Managers["client"].SetProbe(w.Probe, 0)
+	client, server := w.Net.Client, w.Net.Server
+	if mode == "bonding" {
+		// Linux balance-rr over two gigabit links, below TCP.
+		gig := netem.LinkConfig{RateBps: netem.Gbps(1), Delay: 100 * time.Microsecond, QueueBytes: 512 << 10}
+		bonding.Attach(w.Sim, "bond", client.AddInterface(packet.MakeAddr(10, 10, 0, 1)),
+			server.AddInterface(packet.MakeAddr(10, 10, 0, 2)), gig, 2)
 	}
 
-	serverIfaceAddr := serverHost.Interfaces()[0].Addr()
-	pool, err := httpsim.NewClientPool(cliMgr, httpsim.ClientPoolConfig{
+	if _, err := httpsim.StartServer(w.Managers["server"], httpsim.ServerConfig{Port: 80, Conn: connCfg}); err != nil {
+		return httpsim.PoolResult{}, err
+	}
+	pool, err := httpsim.NewClientPool(w.Managers["client"], httpsim.ClientPoolConfig{
 		Clients:       clients,
 		TotalRequests: requests,
 		TransferSize:  size,
-		ServerAddr:    serverIfaceAddr,
+		ServerAddr:    server.Interfaces()[0].Addr(),
 		ServerPort:    80,
 		Conn:          connCfg,
-		Iface:         clientIface,
+		Iface:         client.Interfaces()[0],
 	})
 	if err != nil {
 		return httpsim.PoolResult{}, err
 	}
-	rec.StartSampler(pool.Done)
+	w.Probe.StartSampler(pool.Done)
 	pool.Start()
-	if err := s.RunUntil(10 * time.Minute); err != nil {
+	if err := w.Sim.RunUntil(10 * time.Minute); err != nil {
 		return httpsim.PoolResult{}, err
 	}
-	if tspec.Enabled() {
-		recs := []*probe.Recorder{rec}
-		tr := BuildTraceResult("httpbench-trace",
-			fmt.Sprintf("httpbench mode=%s size=%d (flight recorder)", mode, size),
-			seed, false, recs)
-		if err := WriteTraceFiles(tspec, "httpbench", tr, MergedEvents(recs)); err != nil {
-			return httpsim.PoolResult{}, err
-		}
+	if err := finishPoint(&w, seed, obs, name); err != nil {
+		return httpsim.PoolResult{}, err
 	}
 	return pool.Result(), nil
 }
@@ -131,8 +103,8 @@ func runFig11(opt Options) (*Result, error) {
 	table := NewTable(fmt.Sprintf("HTTP requests/second (%d closed-loop clients, %d requests per point)", clients, requests),
 		"transfer size", "regular TCP", "bonding TCP", "MPTCP")
 	modes := []string{"tcp", "bonding", "mptcp"}
-	results, err := sweepGrid(len(sizes), len(modes), func(r, c int) (httpsim.PoolResult, error) {
-		return RunFig11Point(opt.Seed+uint64(sizes[r]), modes[c], sizes[r], clients, requests)
+	results, err := sweepGrid("fig11", len(sizes), len(modes), func(r, c int, name string) (httpsim.PoolResult, error) {
+		return RunFig11Point(opt.Seed+uint64(sizes[r]), modes[c], sizes[r], clients, requests, opt, name)
 	})
 	if err != nil {
 		return nil, err

@@ -89,12 +89,12 @@ func runFig3(opt Options) (*Result, error) {
 		fig3PerPacketCost, costKind, perByte)
 
 	variants := []bool{false, true} // columns: (no checksum, checksum)
-	results, err := sweepGrid(len(msses), len(variants), func(r, c int) (float64, error) {
+	results, err := sweepGrid("fig3", len(msses), len(variants), func(r, c int, name string) (float64, error) {
 		mss, withChecksum := msses[r], variants[c]
 		cfg := mptcpM12(16 << 20)
 		cfg.UseDSSChecksum = withChecksum
 		cfg.SubflowTemplate.MSS = mss
-		return runFig3Point(opt.Seed+uint64(mss), cfg, withChecksum, perByte, duration, warmup)
+		return runFig3Point(opt.Seed+uint64(mss), cfg, withChecksum, perByte, duration, warmup, opt, name)
 	})
 	if err != nil {
 		return nil, err
@@ -120,11 +120,10 @@ func runFig3(opt Options) (*Result, error) {
 
 // runFig3Point runs one bulk transfer over the 10G topology with the CPU
 // model installed and returns goodput in Mbps.
-func runFig3Point(seed uint64, cfg core.Config, checksummed bool, perByte time.Duration, duration, warmup time.Duration) (float64, error) {
-	specs := netem.TenGigSpec()
-	opt := BulkOptions{
+func runFig3Point(seed uint64, cfg core.Config, checksummed bool, perByte time.Duration, duration, warmup time.Duration, obs Options, name string) (float64, error) {
+	res, err := runBulk(BulkOptions{
 		Seed:     seed,
-		Specs:    specs,
+		Specs:    netem.TenGigSpec(),
 		Client:   cfg,
 		Server:   cfg,
 		Duration: duration,
@@ -133,8 +132,7 @@ func runFig3Point(seed uint64, cfg core.Config, checksummed bool, perByte time.D
 			PerPacket:      fig3PerPacketCost,
 			PerPayloadByte: cpuPerByte(checksummed, perByte),
 		},
-	}
-	res, err := RunBulk(opt)
+	}, obs, name)
 	if err != nil {
 		return 0, err
 	}

@@ -65,9 +65,9 @@ func runFig4(opt Options) (*Result, error) {
 		"rcv/snd buffer", "goodput Mbps", "throughput Mbps")
 
 	variants := fig4Variants()
-	results, err := sweepGrid(len(buffers), len(variants), func(r, c int) (BulkResult, error) {
+	results, err := sweepGrid("fig4", len(buffers), len(variants), func(r, c int, name string) (BulkResult, error) {
 		buf, v := buffers[r], variants[c]
-		return RunBulk(BulkOptions{
+		return runBulk(BulkOptions{
 			Seed:        opt.Seed + uint64(buf),
 			Specs:       netem.WiFi3GSpec(),
 			Client:      v.cfg(buf),
@@ -75,7 +75,7 @@ func runFig4(opt Options) (*Result, error) {
 			ClientIface: v.iface,
 			Duration:    duration,
 			Warmup:      warmup,
-		})
+		}, opt, name)
 	})
 	if err != nil {
 		return nil, err

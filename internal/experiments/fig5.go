@@ -36,13 +36,13 @@ func runFig5(opt Options) (*Result, error) {
 	receiver := NewTable("Receiver memory (mean KB) vs configured receive buffer",
 		append([]string{"max buffer"}, variantNames(variants)...)...)
 
-	results, err := sweepGrid(len(buffers), len(variants), func(r, c int) (BulkResult, error) {
+	results, err := sweepGrid("fig5", len(buffers), len(variants), func(r, c int, name string) (BulkResult, error) {
 		buf, v := buffers[r], variants[c]
 		// The single-path TCP baselines run with fixed buffers of the
 		// configured size: Mechanism 3 is connection-level and does not apply
 		// to a plain-TCP connection.
 		cfg := v.cfg(buf)
-		return RunBulk(BulkOptions{
+		return runBulk(BulkOptions{
 			Seed:           opt.Seed + uint64(buf)*7,
 			Specs:          netem.WiFi3GSpec(),
 			Client:         cfg,
@@ -52,7 +52,7 @@ func runFig5(opt Options) (*Result, error) {
 			Warmup:         warmup,
 			MemorySampling: true,
 			SampleInterval: 50 * time.Millisecond,
-		})
+		}, opt, name)
 	})
 	if err != nil {
 		return nil, err

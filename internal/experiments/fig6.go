@@ -92,9 +92,9 @@ func runFig6(opt Options, which string) (*Result, error) {
 	sc := fig6Config(which, opt.Quick)
 	table := NewTable(fmt.Sprintf("Fig. 6(%s): goodput (Mbps) vs rcv/snd buffer", which),
 		append([]string{"buffer"}, variantNames(sc.variants)...)...)
-	results, err := sweepGrid(len(sc.buffers), len(sc.variants), func(r, c int) (BulkResult, error) {
+	results, err := sweepGrid("fig6"+which, len(sc.buffers), len(sc.variants), func(r, c int, name string) (BulkResult, error) {
 		buf, v := sc.buffers[r], sc.variants[c]
-		return RunBulk(BulkOptions{
+		return runBulk(BulkOptions{
 			Seed:        opt.Seed + uint64(buf)*13,
 			Specs:       sc.specs,
 			Client:      v.cfg(buf),
@@ -102,7 +102,7 @@ func runFig6(opt Options, which string) (*Result, error) {
 			ClientIface: v.iface,
 			Duration:    sc.duration,
 			Warmup:      sc.warmup,
-		})
+		}, opt, name)
 	})
 	if err != nil {
 		return nil, err

@@ -35,9 +35,9 @@ func runFig7(opt Options) (*Result, error) {
 	var pdfs []*Table
 	var series []Series
 
-	results, err := Sweep(len(variants), func(i int) (BulkResult, error) {
+	results, err := SweepWorkers(len(variants), 0, func(i int) (BulkResult, error) {
 		v := variants[i]
-		return RunBulk(BulkOptions{
+		return runBulk(BulkOptions{
 			Seed:        opt.Seed + 77,
 			Specs:       netem.WiFi3GSpec(),
 			Client:      v.cfg(buf),
@@ -46,7 +46,7 @@ func runFig7(opt Options) (*Result, error) {
 			Duration:    duration,
 			Warmup:      warmup,
 			BlockSize:   8 << 10,
-		})
+		}, opt, pointName("fig7", i))
 	})
 	if err != nil {
 		return nil, err

@@ -37,18 +37,18 @@ func runFig8(opt Options) (*Result, error) {
 
 	algs := buffer.Algorithms()
 	perIfaces := []int{1, 4} // 2 paths × {1,4} = 2 and 8 subflows
-	results, err := sweepGrid(len(algs), len(perIfaces), func(r, c int) (BulkResult, error) {
+	results, err := sweepGrid("fig8", len(algs), len(perIfaces), func(r, c int, name string) (BulkResult, error) {
 		cfg := mptcpM12(4 << 20)
 		cfg.OfoAlgorithm = algs[r]
 		cfg.SubflowsPerInterface = perIfaces[c]
-		return RunBulk(BulkOptions{
+		return runBulk(BulkOptions{
 			Seed:     opt.Seed + uint64(algs[r])*31 + uint64(perIfaces[c]),
 			Specs:    netem.DualGigabitSpec(),
 			Client:   cfg,
 			Server:   cfg,
 			Duration: duration,
 			Warmup:   warmup,
-		})
+		}, opt, name)
 	})
 	if err != nil {
 		return nil, err

@@ -35,7 +35,7 @@ func runFig9(opt Options) (*Result, error) {
 	table := NewTable("Goodput (Mbps) vs rcv/snd buffer (2 Mbps WiFi + 2 Mbps 3G)",
 		append([]string{"buffer"}, variantNames(variants)...)...)
 
-	results, err := sweepGrid(len(buffers), len(variants), func(r, c int) (BulkResult, error) {
+	results, err := sweepGrid("fig9", len(buffers), len(variants), func(r, c int, name string) (BulkResult, error) {
 		buf, v := buffers[r], variants[c]
 		// The 3G path (index 1) carries the operator's middleboxes; they are
 		// stateful, so each sweep point builds its own chain.
@@ -45,7 +45,7 @@ func runFig9(opt Options) (*Result, error) {
 				middlebox.NewProactiveACKer(),
 			},
 		}
-		return RunBulk(BulkOptions{
+		return runBulk(BulkOptions{
 			Seed:        opt.Seed + uint64(buf)*3,
 			Specs:       netem.Capped3GWiFiSpec(),
 			Boxes:       boxes,
@@ -54,7 +54,7 @@ func runFig9(opt Options) (*Result, error) {
 			ClientIface: v.iface,
 			Duration:    duration,
 			Warmup:      warmup,
-		})
+		}, opt, name)
 	})
 	if err != nil {
 		return nil, err

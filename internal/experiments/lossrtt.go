@@ -52,27 +52,29 @@ func runLossRTT(opt Options) (*Result, error) {
 		return specs
 	}
 
-	results, err := sweepGrid(len(losses), len(rtts), func(r, c int) (lossRTTPoint, error) {
+	// Each sweep index runs two transfers: its files are <name>-mptcp and
+	// <name>-tcp.
+	results, err := sweepGrid("lossrtt", len(losses), len(rtts), func(r, c int, name string) (lossRTTPoint, error) {
 		seed := opt.Seed + uint64(r)*17 + uint64(c)*3
-		mp, err := RunBulk(BulkOptions{
+		mp, err := runBulk(BulkOptions{
 			Seed:     seed,
 			Specs:    pathsFor(losses[r], rtts[c], 2),
 			Client:   mptcpM12(1 << 20),
 			Server:   mptcpM12(1 << 20),
 			Duration: duration,
 			Warmup:   warmup,
-		})
+		}, opt, name+"-mptcp")
 		if err != nil {
 			return lossRTTPoint{}, err
 		}
-		tcp, err := RunBulk(BulkOptions{
+		tcp, err := runBulk(BulkOptions{
 			Seed:     seed + 1,
 			Specs:    pathsFor(losses[r], rtts[c], 1),
 			Client:   tcpBaseline(1 << 20),
 			Server:   tcpBaseline(1 << 20),
 			Duration: duration,
 			Warmup:   warmup,
-		})
+		}, opt, name+"-tcp")
 		if err != nil {
 			return lossRTTPoint{}, err
 		}

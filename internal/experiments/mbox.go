@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"mptcpgo/internal/core"
@@ -68,7 +66,7 @@ func runMbox(opt Options) (*Result, error) {
 		"middlebox", "transfer ok", "mptcp active", "fell back", "subflows", "csum failures", "expected")
 
 	cases := mboxCases()
-	results, err := Sweep(len(cases), func(i int) (BulkResult, error) {
+	results, err := SweepWorkers(len(cases), 0, func(i int) (BulkResult, error) {
 		mc := cases[i]
 		// Middlebox elements are stateful: each sweep point builds its own.
 		boxes := map[int][]netem.Box{0: mc.boxes()}
@@ -78,25 +76,15 @@ func runMbox(opt Options) (*Result, error) {
 		cfg := core.DefaultConfig()
 		cfg.SendBufBytes = 200 << 10
 		cfg.RecvBufBytes = 200 << 10
-		pcapPath := ""
-		if opt.PcapDir != "" {
-			if err := os.MkdirAll(opt.PcapDir, 0o755); err != nil {
-				return BulkResult{}, err
-			}
-			pcapPath = filepath.Join(opt.PcapDir, fmt.Sprintf("mbox-%02d.pcap", i))
-		}
-		return RunBulk(BulkOptions{
-			Seed:      opt.Seed + uint64(i)*101,
-			Specs:     netem.WiFi3GSpec(),
-			Boxes:     boxes,
-			Client:    cfg,
-			Server:    cfg,
-			Duration:  duration,
-			Warmup:    duration / 4,
-			PcapPath:  pcapPath,
-			Trace:     opt.Trace,
-			TraceName: fmt.Sprintf("mbox-%02d", i),
-		})
+		return runBulk(BulkOptions{
+			Seed:     opt.Seed + uint64(i)*101,
+			Specs:    netem.WiFi3GSpec(),
+			Boxes:    boxes,
+			Client:   cfg,
+			Server:   cfg,
+			Duration: duration,
+			Warmup:   duration / 4,
+		}, opt, pointName("mbox", i))
 	})
 	if err != nil {
 		return nil, err

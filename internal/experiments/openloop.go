@@ -7,7 +7,6 @@ import (
 	"mptcpgo/internal/core"
 	"mptcpgo/internal/httpsim"
 	"mptcpgo/internal/netem"
-	"mptcpgo/internal/pool"
 	"mptcpgo/internal/sim"
 	"mptcpgo/internal/trace"
 	"mptcpgo/internal/workload"
@@ -18,7 +17,7 @@ import (
 // of several flow-size distributions. Past the knee (offered ≈ capacity)
 // goodput saturates and the completion-latency tail rises — the open-loop
 // regime a closed-loop workload structurally cannot reach. Every grid point
-// is a self-contained simulation, fanned across the Sweep worker pool.
+// is a self-contained simulation, fanned across the sweep worker pool.
 
 func init() {
 	Register(Experiment{
@@ -56,8 +55,8 @@ func runOpenLoopSweep(opt Options) (*Result, error) {
 		workload.BoundedPareto(1.2, 4<<10, 1<<20),
 	}
 
-	results, err := sweepGrid(len(dists), len(factors), func(r, c int) (openLoopPoint, error) {
-		return runOpenLoopPoint(opt.Seed+uint64(r)*131+uint64(c), dists[r], factors[c], window, flowDeadline)
+	results, err := sweepGrid("openloop", len(dists), len(factors), func(r, c int, name string) (openLoopPoint, error) {
+		return runOpenLoopPoint(opt.Seed+uint64(r)*131+uint64(c), dists[r], factors[c], window, flowDeadline, opt, name)
 	})
 	if err != nil {
 		return nil, err
@@ -89,19 +88,24 @@ func runOpenLoopSweep(opt Options) (*Result, error) {
 
 // runOpenLoopPoint runs one self-contained open-loop simulation: a two-host
 // topology with one bottleneck path, a server, and a Poisson open-loop pool
-// offering factor × capacity.
-func runOpenLoopPoint(seed uint64, dist workload.SizeDist, factor float64, window, flowDeadline time.Duration) (openLoopPoint, error) {
+// offering factor × capacity. obs's observers are attached, their files
+// named name.
+func runOpenLoopPoint(seed uint64, dist workload.SizeDist, factor float64, window, flowDeadline time.Duration, obs Options, name string) (openLoopPoint, error) {
 	rate := factor * openLoopCapacityMbps * 1e6 / (dist.Mean() * 8)
 
-	s := sim.New(seed)
-	defer sim.Local[pool.Local](s).Flush()
-	net := netem.Build(s, netem.Symmetric("bottleneck",
+	w, err := NewWorld(seed, netem.TwoHostSpec(netem.Symmetric("bottleneck",
 		netem.Mbps(openLoopCapacityMbps), 10*time.Millisecond,
-		int(float64(netem.Mbps(openLoopCapacityMbps))/8*0.100), 0))
+		int(float64(netem.Mbps(openLoopCapacityMbps))/8*0.100), 0)), obs.PcapDir, obs.Trace, name, 0, 1)
+	if err != nil {
+		return openLoopPoint{}, err
+	}
+	defer w.Stop()
+	w.Managers["client"].SetProbe(w.Probe, 0)
+	s, net := w.Sim, w.Net
 
 	srvCfg := core.DefaultConfig()
 	srvCfg.AdvertiseAddresses = false
-	if _, err := httpsim.StartServer(core.NewManager(net.Server), httpsim.ServerConfig{Port: 80, Conn: srvCfg}); err != nil {
+	if _, err := httpsim.StartServer(w.Managers["server"], httpsim.ServerConfig{Port: 80, Conn: srvCfg}); err != nil {
 		return openLoopPoint{}, err
 	}
 
@@ -109,7 +113,7 @@ func runOpenLoopPoint(seed uint64, dist workload.SizeDist, factor float64, windo
 	cliCfg.AdvertiseAddresses = false
 	cliCfg.SendBufBytes = 128 << 10
 	cliCfg.RecvBufBytes = 128 << 10
-	pool, err := httpsim.NewOpenLoopPool(core.NewManager(net.Client), httpsim.OpenLoopConfig{
+	pool, err := httpsim.NewOpenLoopPool(w.Managers["client"], httpsim.OpenLoopConfig{
 		Arrival:      workload.Poisson(rate),
 		Sizes:        dist,
 		Rng:          sim.NewRNG(sim.DeriveSeed(seed, 1)),
@@ -124,8 +128,12 @@ func runOpenLoopPoint(seed uint64, dist workload.SizeDist, factor float64, windo
 		return openLoopPoint{}, err
 	}
 	s.Schedule(0, pool.Start)
+	w.Probe.StartSampler(pool.Done)
 	deadline := window + flowDeadline + 5*time.Second
 	for !pool.Done() && s.Now() < deadline && s.Step() {
+	}
+	if err := finishPoint(&w, seed, obs, name); err != nil {
+		return openLoopPoint{}, err
 	}
 
 	r := pool.Result()

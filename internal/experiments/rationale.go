@@ -7,8 +7,6 @@ import (
 	"mptcpgo/internal/core"
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
-	"mptcpgo/internal/pool"
-	"mptcpgo/internal/sim"
 )
 
 // rationale demonstrates the §3.3.1 design argument experimentally: if MPTCP
@@ -27,10 +25,15 @@ func init() {
 
 // runWindowScenario transfers data over WiFi+3G, fails the 3G path silently
 // mid-transfer, and reports how much the application ultimately received.
-func runWindowScenario(seed uint64, perSubflowWindow bool, total int, deadline time.Duration) (received int, completed bool, err error) {
-	s := sim.New(seed)
-	defer sim.Local[pool.Local](s).Flush()
-	net := netem.Build(s, netem.WiFi3GSpec()...)
+// obs's observers are attached, their files named name.
+func runWindowScenario(seed uint64, perSubflowWindow bool, total int, deadline time.Duration, obs Options, name string) (received int, completed bool, err error) {
+	w, err := NewWorld(seed, netem.TwoHostSpec(netem.WiFi3GSpec()...), obs.PcapDir, obs.Trace, name, 0, 1)
+	if err != nil {
+		return 0, false, err
+	}
+	defer w.Stop()
+	w.Managers["client"].SetProbe(w.Probe, 0)
+	s, net := w.Sim, w.Net
 
 	cfg := core.RegularMPTCPConfig()
 	cfg.PerSubflowReceiveWindow = perSubflowWindow
@@ -41,10 +44,7 @@ func runWindowScenario(seed uint64, perSubflowWindow bool, total int, deadline t
 	cfg.OpportunisticRetransmit = false
 	cfg.PenalizeSlowSubflows = false
 
-	cliMgr := core.NewManager(net.Client)
-	srvMgr := core.NewManager(net.Server)
-
-	_, err = srvMgr.Listen(80, cfg, func(c *core.Connection) {
+	_, err = w.Managers["server"].Listen(80, cfg, func(c *core.Connection) {
 		c.OnReadable = func() {
 			for {
 				data := c.Read(64 << 10)
@@ -58,7 +58,7 @@ func runWindowScenario(seed uint64, perSubflowWindow bool, total int, deadline t
 	if err != nil {
 		return 0, false, err
 	}
-	conn, err := cliMgr.Dial(net.Client.Interfaces()[0], packet.Endpoint{Addr: net.ServerAddr(0), Port: 80}, cfg)
+	conn, err := w.Managers["client"].Dial(net.Client.Interfaces()[0], packet.Endpoint{Addr: net.ServerAddr(0), Port: 80}, cfg)
 	if err != nil {
 		return 0, false, err
 	}
@@ -78,11 +78,12 @@ func runWindowScenario(seed uint64, perSubflowWindow bool, total int, deadline t
 
 	// Fail the 3G path silently once both subflows carry data.
 	s.Schedule(2*time.Second, func() { net.Path(1).SetDown(true) })
+	w.Probe.StartSampler(func() bool { return received >= total })
 
 	if err := s.RunUntil(deadline); err != nil {
 		return received, false, err
 	}
-	return received, received >= total, nil
+	return received, received >= total, finishPoint(&w, seed, obs, name)
 }
 
 func runRationale(opt Options) (*Result, error) {
@@ -100,8 +101,8 @@ func runRationale(opt Options) (*Result, error) {
 		received  int
 		completed bool
 	}
-	results, err := Sweep(len(semantics), func(i int) (windowResult, error) {
-		received, completed, err := runWindowScenario(opt.Seed+9, semantics[i], total, deadline)
+	results, err := SweepWorkers(len(semantics), 0, func(i int) (windowResult, error) {
+		received, completed, err := runWindowScenario(opt.Seed+9, semantics[i], total, deadline, opt, pointName("rationale", i))
 		return windowResult{received, completed}, err
 	})
 	if err != nil {

@@ -6,24 +6,14 @@ import (
 	"sync/atomic"
 )
 
-// Sweep runs fn(i) for every i in [0, n) across up to GOMAXPROCS (by
-// default runtime.NumCPU()) worker goroutines and returns the results in
-// index order.
+// SweepWorkers runs fn(i) for every i in [0, n) across up to workers
+// goroutines (0 means GOMAXPROCS) and returns the results in index order.
 //
-// Every experiment sweep point is self-contained — it builds its own
-// sim.Simulator with a seed derived from the point's parameters — so results
-// (and therefore the rendered tables) are bit-identical regardless of how
-// the points are scheduled across workers. Errors are reported from the
-// lowest-indexed failing point so output stays deterministic too.
-func Sweep[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	return SweepWorkers(n, 0, fn)
-}
-
-// SweepWorkers is Sweep with an explicit worker count: fn(i) runs for every i
-// in [0, n) across up to workers goroutines (0 means GOMAXPROCS) and results
-// come back in index order. The fleet engine uses it to scale shard execution
-// independently of GOMAXPROCS; results must not depend on the worker count,
-// which holds whenever every point is self-contained.
+// Every experiment sweep point and every fleet shard is self-contained — it
+// builds its own World with a seed derived from the point's parameters — so
+// results (and therefore the rendered tables) are bit-identical regardless
+// of how the points are scheduled across workers. Errors are reported from
+// the lowest-indexed failing point so output stays deterministic too.
 func SweepWorkers[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	if n == 0 {
@@ -70,12 +60,12 @@ func SweepWorkers[T any](n, workers int, fn func(i int) (T, error)) ([]T, error)
 	return out, nil
 }
 
-// sweepGrid runs a rows × cols grid of sweep points in parallel and returns
-// the results indexed [row][col]. The figure harnesses use it for their
-// buffer × variant sweeps.
-func sweepGrid[T any](rows, cols int, fn func(r, c int) (T, error)) ([][]T, error) {
-	flat, err := Sweep(rows*cols, func(i int) (T, error) {
-		return fn(i/cols, i%cols)
+// sweepGrid runs a rows × cols grid of sweep points of experiment id in
+// parallel and returns the results indexed [row][col]. Point (r, c) is sweep
+// index r*cols+c, and fn gets that point's observer file name (pointName).
+func sweepGrid[T any](id string, rows, cols int, fn func(r, c int, name string) (T, error)) ([][]T, error) {
+	flat, err := SweepWorkers(rows*cols, 0, func(i int) (T, error) {
+		return fn(i/cols, i%cols, pointName(id, i))
 	})
 	if err != nil {
 		return nil, err

@@ -35,29 +35,59 @@ func (t TraceSpec) ProbeConfig() probe.Config {
 	return probe.Config{EventCap: t.EventCap, SampleInterval: t.ProbeInterval}
 }
 
-// MergedEvents concatenates the recorders' events in recorder order (fleet
-// callers pass recorders in shard-index order), members ascending within
-// each — i.e. global-member-ascending, time-ascending within a member. Nil
-// recorders are skipped.
-func MergedEvents(recs []*probe.Recorder) []probe.Event {
-	var out []probe.Event
+// WriteTraceFiles writes the flight-recorder files of a run whose recorders are
+// recs (fleet callers pass them in shard-index order) into spec.Dir:
+// `<name>-trace.json`, the counter registry, event tally and per-subflow
+// samples as a Result titled "<title> (flight recorder)", and
+// `<name>-events.jsonl`, the merged typed event stream. A disabled spec
+// writes nothing.
+func WriteTraceFiles(spec TraceSpec, name, title string, seed uint64, quick bool, recs []*probe.Recorder) error {
+	if !spec.Enabled() {
+		return nil
+	}
+	// The merged stream is in recorder order (fleet shards in index order),
+	// members ascending within each: global-member-ascending, time-ascending
+	// within a member. Nil recorders hold no members.
+	var events []probe.Event
 	for _, r := range recs {
-		if r == nil {
-			continue
-		}
 		for m := r.Lo(); m < r.Lo()+r.Members(); m++ {
-			out = r.AppendEvents(out, m)
+			events = r.AppendEvents(events, m)
 		}
 	}
-	return out
+	res := traceResult(name+"-trace", title+" (flight recorder)", seed, quick, recs, events)
+	if err := os.MkdirAll(spec.Dir, 0o755); err != nil {
+		return fmt.Errorf("trace dir: %w", err)
+	}
+	f, err := os.Create(filepath.Join(spec.Dir, name+"-trace.json"))
+	if err != nil {
+		return err
+	}
+	if err := res.JSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := os.WriteFile(filepath.Join(spec.Dir, name+"-events.jsonl"), probe.AppendJSONL(nil, events), 0o644); err != nil {
+		return err
+	}
+	if spec.RunInfo != nil {
+		// Provenance sidecar: trace.json itself must stay machine-independent,
+		// so the runinfo (which records go version, CPU count, VCS state) rides
+		// next to it instead of inside it.
+		if err := spec.RunInfo.Config().WriteFile(filepath.Join(spec.Dir, name+"-runinfo.json")); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// BuildTraceResult renders the recorders' content — counter registry, event
-// kind tally, per-subflow time series — as an experiments.Result, so the
-// trace reuses the standard text/JSON/CSV encoders. Elapsed is pinned to 0:
-// a trace file is a function of (seed, scenario), byte-comparable across
-// machines and worker counts.
-func BuildTraceResult(id, title string, seed uint64, quick bool, recs []*probe.Recorder) *Result {
+// traceResult renders the recorders' content — counter registry, event kind
+// tally, per-subflow time series — as a Result, so the trace reuses the
+// standard text/JSON/CSV encoders. A trace file is a function of (seed,
+// scenario), byte-comparable across machines and worker counts.
+func traceResult(id, title string, seed uint64, quick bool, recs []*probe.Recorder, events []probe.Event) *Result {
 	res := &Result{ID: id, Title: title, Seed: seed, Quick: quick}
 
 	// Counter registry: one row per member, in global member order.
@@ -95,7 +125,6 @@ func BuildTraceResult(id, title string, seed uint64, quick bool, recs []*probe.R
 	res.AddTable(reg)
 
 	// Event tally by kind.
-	events := MergedEvents(recs)
 	kinds := probe.CountKinds(events)
 	tally := NewTable("events by kind", "kind", "count")
 	for k, n := range kinds {
@@ -138,41 +167,6 @@ func BuildTraceResult(id, title string, seed uint64, quick bool, recs []*probe.R
 		res.AddTable(samples)
 	}
 	return res
-}
-
-// WriteTraceFiles writes `<name>-trace.json` (the BuildTraceResult output as
-// JSON) and `<name>-events.jsonl` (the merged typed event stream) into
-// spec.Dir.
-func WriteTraceFiles(spec TraceSpec, name string, res *Result, events []probe.Event) error {
-	if !spec.Enabled() {
-		return nil
-	}
-	if err := os.MkdirAll(spec.Dir, 0o755); err != nil {
-		return fmt.Errorf("trace dir: %w", err)
-	}
-	f, err := os.Create(filepath.Join(spec.Dir, name+"-trace.json"))
-	if err != nil {
-		return err
-	}
-	if err := res.JSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(spec.Dir, name+"-events.jsonl"), probe.AppendJSONL(nil, events), 0o644); err != nil {
-		return err
-	}
-	if spec.RunInfo != nil {
-		// Provenance sidecar: trace.json itself must stay machine-independent,
-		// so the runinfo (which records go version, CPU count, VCS state) rides
-		// next to it instead of inside it.
-		if err := spec.RunInfo.Config().WriteFile(filepath.Join(spec.Dir, name+"-runinfo.json")); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // counterColumns is the registry table header: member, one column per

@@ -63,14 +63,14 @@ func runAdversarial(opt experiments.Options) (*experiments.Result, error) {
 		}
 	}
 
-	outs, err := experiments.Sweep(len(cells), func(i int) (chaosMerge, error) {
+	outs, err := experiments.SweepWorkers(len(cells), 0, func(i int) (chaosMerge, error) {
 		c := cells[i]
 		_, merge, err := runChaos(ChaosSpec{
 			Common: Common{
 				Seed:      opt.Seed + uint64(i)*101,
 				Quick:     opt.Quick,
 				Label:     fmt.Sprintf("adversarial[%02d]: adversary=%s faults=%s", i, c.adv, c.fault),
-				Observers: Observers{PcapDir: opt.PcapDir},
+				Observers: Observers{PcapDir: opt.PcapDir, Trace: opt.Trace},
 			},
 			Members:       members,
 			TransferBytes: transfer,

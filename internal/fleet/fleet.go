@@ -4,9 +4,9 @@
 // shards in parallel across a worker pool, and merges the per-shard results
 // deterministically.
 //
-// Each shard owns a private sim.Simulator, its own netem graph (built from an
-// immutable spec slice) and one core.Manager per shard host; shards share
-// nothing mutable — only the spec they were derived from and the
+// Each shard owns a private experiments.World — simulator, netem graph (built
+// from an immutable spec slice) and one core.Manager per shard host; shards
+// share nothing mutable — only the spec they were derived from and the
 // concurrency-safe buffer pools. A shard's RNG seed is derived from the root
 // seed and the shard index alone (sim.DeriveSeed), and merging walks shards
 // in index order, so the merged output is byte-identical at any worker count.
@@ -17,17 +17,13 @@ package fleet
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"mptcpgo/internal/core"
+	"mptcpgo/internal/experiments"
 	"mptcpgo/internal/netem"
-	"mptcpgo/internal/pool"
-	"mptcpgo/internal/probe"
 	"mptcpgo/internal/sim"
 	"mptcpgo/internal/telemetry"
-	"mptcpgo/internal/trace"
 )
 
 // DefaultMembersPerShard sizes the default partition: one shard per 64
@@ -42,7 +38,9 @@ const DefaultDeadline = 10 * time.Minute
 
 // Shard is the per-shard execution context handed to a scenario: the global
 // member range the shard owns, its derived seed, and — after Materialize —
-// the shard-private simulator, network, MPTCP stacks and observers.
+// the shard's World: its private simulator, network, MPTCP stacks and
+// observers. Scenarios check Capture.EncodeErrors in Collect; the recorder's
+// member range is the shard's [Lo, Hi).
 type Shard struct {
 	// Index and Count identify the shard within the fleet.
 	Index, Count int
@@ -51,22 +49,7 @@ type Shard struct {
 	// Lo and Hi delimit the global member indices [Lo, Hi) this shard owns.
 	Lo, Hi int
 
-	// Sim, Net and Managers are the shard-private runtime, populated by
-	// Materialize. Nothing in them is shared with other shards.
-	Sim      *sim.Simulator
-	Net      *netem.Network
-	Managers map[string]*core.Manager
-
-	// Capture is the shard's pcap writer when the run has a PcapDir (nil
-	// otherwise); scenarios check its EncodeErrors in Collect — the stacks
-	// emit only wire-expressible segments, so any skipped record is an
-	// emulator bug.
-	Capture *trace.PcapWriter
-
-	// Probe is the shard's flight recorder when the run is traced (nil
-	// otherwise; every Recorder method is nil-safe). Its member range is the
-	// shard's [Lo, Hi).
-	Probe *probe.Recorder
+	experiments.World
 
 	// Telem is the shard's telemetry publication cell when a telemetry plane
 	// is attached (nil otherwise). The step loop stores atomic snapshots into
@@ -87,79 +70,36 @@ type Shard struct {
 // Members returns the number of workload members the shard owns.
 func (sh *Shard) Members() int { return sh.Hi - sh.Lo }
 
-// Materialize builds the shard's private runtime from a graph spec: a fresh
-// simulator seeded with the shard seed, the emulated network, and one MPTCP
-// stack per host. It then attaches the run's observers — the one place a
-// capture, a recorder or a telemetry cell meets a shard — so they see every
-// segment and event from t=0; Run closes and finishes them on every path.
+// Materialize builds the shard's World from a graph spec, seeded with the
+// shard seed: the world attaches the run's capture (<prefix>-shard<NNN>.pcap)
+// and a flight recorder over the shard's member range from t=0, and
+// Materialize adds the shard's telemetry cell — the one place an observer
+// meets a shard. The merged trace stream (shard-index order, members
+// ascending within a shard) is byte-identical at any worker count, and the
+// recorder's own timer events are self-counted so probeEvents can subtract
+// them. Run stops the world and finishes the observers on every path.
 func (sh *Shard) Materialize(spec netem.GraphSpec) error {
-	sh.Sim = sim.New(sh.Seed)
-	n, err := netem.BuildGraph(sh.Sim, spec)
+	o := &sh.obs
+	var name string
+	if o.PcapDir != "" {
+		name = fmt.Sprintf("%s-shard%03d", o.prefix, sh.Index)
+	}
+	w, err := experiments.NewWorld(sh.Seed, spec, o.PcapDir, o.Trace, name, sh.Lo, sh.Members())
 	if err != nil {
 		return fmt.Errorf("fleet: shard %d: %w", sh.Index, err)
 	}
-	sh.Net, sh.graph = n, spec
-	sh.Managers = make(map[string]*core.Manager, len(n.Hosts))
-	for _, h := range n.Hosts {
-		sh.Managers[h.Name()] = core.NewManager(h)
-	}
-	return sh.observe()
-}
-
-// observe attaches the run's observers to the freshly built shard. All three
-// shard the same way the workload does and only ever read:
-//
-//   - Wire capture: one classic pcap file per shard, <prefix>-shard<NNN>.pcap,
-//     holding every segment any of the shard's links accepted (both
-//     directions), stamped with shard sim-time. Taps write through the
-//     unified wire codec and never touch the segment.
-//   - Flight recorder: one probe.Recorder covering the shard's member range,
-//     running inside the shard's simulator, so the merged stream (shard-index
-//     order, members ascending within a shard) is byte-identical at any
-//     worker count. Its own timer events are self-counted so probeEvents can
-//     subtract them, and all emission sites are nil-guarded.
-//   - Telemetry: the shard's atomic publication cell on the run's plane.
-//
-// Under that discipline attaching any of them cannot change a merged result.
-func (sh *Shard) observe() error {
-	o := &sh.obs
-	if o.PcapDir != "" {
-		if err := os.MkdirAll(o.PcapDir, 0o755); err != nil {
-			return fmt.Errorf("fleet: shard %d capture: %w", sh.Index, err)
-		}
-		w, err := trace.NewPcapFile(filepath.Join(o.PcapDir, fmt.Sprintf("%s-shard%03d.pcap", o.prefix, sh.Index)))
-		if err != nil {
-			return fmt.Errorf("fleet: shard %d capture: %w", sh.Index, err)
-		}
-		sh.Capture = w
-		trace.CapturePaths(w, sh.Sim.Now, sh.Net.Paths...)
-	}
-	if o.Trace.Enabled() {
-		sh.Probe = probe.NewRecorder(sh.Sim, sh.Lo, sh.Members(), o.Trace.ProbeConfig())
-	}
+	sh.World, sh.graph = w, spec
 	if p := o.Telemetry; p != nil {
 		sh.Telem = p.Track.Cell(sh.Index, sh.Count)
 	}
 	return nil
 }
 
-// closeCapture flushes and closes the shard's capture file, if one was
-// opened. PcapWriter.Close is idempotent, so Run pairs a deferred call on
-// every path with the error-checked one in finish.
-func (sh *Shard) closeCapture() error {
-	if sh.Capture == nil {
-		return nil
-	}
-	return sh.Capture.Close()
-}
-
-// finish ends a collected shard: nobody steps its simulator again, so the
-// buffers its pool front holds go back to the shared classes; the capture is
-// closed (a flush error fails the shard) and the final counters are published
-// with the shard marked done.
+// finish ends a collected shard: its world stops (a capture flush error fails
+// the shard) and the final counters are published with the shard marked
+// done.
 func (sh *Shard) finish() error {
-	sim.Local[pool.Local](sh.Sim).Flush()
-	if err := sh.closeCapture(); err != nil {
+	if err := sh.Stop(); err != nil {
 		return err
 	}
 	if sh.Telem != nil {

@@ -11,7 +11,8 @@ import (
 )
 
 // Observers bundles the three passive observers a run can attach. Each shards
-// with the workload and is attached by Shard.Materialize; none of them can
+// with the workload and is attached by Shard.Materialize (capture and
+// recorder through the shard's experiments.World); none of them can
 // change a merged result (TestTraceChangesNothing, TestTelemetryChangesNothing,
 // TestFleetPcapCapture).
 type Observers struct {
@@ -122,8 +123,9 @@ type Scenario[S any, T any] interface {
 //     lock-stepped epoch windows (see epochs), because the capacity exchange
 //     needs every shard's demand at each boundary.
 //
-// Run owns the observers' lifetime: captures are closed on every path,
-// including a failing Setup, step or Collect on any shard.
+// Run owns the worlds' lifetime: every shard's world is stopped — its pool
+// front flushed, its capture closed — on every path, including a failing
+// Setup, step or Collect on any shard.
 func Run[S any, T any](c Common, id, title string, members int, scn Scenario[S, T],
 	render func(res *experiments.Result, outs []T)) (*experiments.Result, error) {
 
@@ -146,7 +148,7 @@ func Run[S any, T any](c Common, id, title string, members int, scn Scenario[S, 
 	if c.Shared == nil {
 		outs, err = experiments.SweepWorkers(len(shards), c.Workers, func(i int) (T, error) {
 			sh := &shards[i]
-			defer sh.closeCapture()
+			defer sh.Stop()
 			st, err := setup(sh, scn)
 			if err != nil {
 				var zero T
@@ -174,8 +176,7 @@ func Run[S any, T any](c Common, id, title string, members int, scn Scenario[S, 
 		for i := range shards {
 			recs[i] = shards[i].Probe
 		}
-		tr := experiments.BuildTraceResult(id+"-trace", title+" (flight recorder)", c.Seed, c.Quick, recs)
-		if err := experiments.WriteTraceFiles(c.Trace, c.prefix, tr, experiments.MergedEvents(recs)); err != nil {
+		if err := experiments.WriteTraceFiles(c.Trace, c.prefix, title, c.Seed, c.Quick, recs); err != nil {
 			return nil, err
 		}
 	}
@@ -262,11 +263,12 @@ func epochs[S any, T any](c *Common, shards []Shard, scn Scenario[S, T]) ([]T, *
 			}
 		}
 	}
-	// Shards outlive their worker tasks here, so one deferred sweep closes
-	// whatever captures any failing path leaves open.
+	// Shards outlive their worker tasks here, so one deferred sweep stops
+	// whatever worlds any failing path leaves running. It runs after the last
+	// worker-pool join, so no shard is being stepped.
 	defer func() {
 		for i := range shards {
-			shards[i].closeCapture()
+			shards[i].Stop()
 		}
 	}()
 

@@ -166,15 +166,20 @@ func BuildGraph(s *sim.Simulator, spec GraphSpec) (*Network, error) {
 	return n, nil
 }
 
-// Build constructs a client and a server connected by one path per spec. The
-// client's i-th interface gets address 10.0.i.1, the server's 10.0.i.2. It is
-// the two-host special case of BuildGraph.
-func Build(s *sim.Simulator, specs ...PathSpec) *Network {
+// TwoHostSpec declares the classic two-host topology: a "client" and a
+// "server" joined by one path per spec, the client on the A side, so the
+// client's i-th interface gets address 10.0.i.1 and the server's 10.0.i.2.
+func TwoHostSpec(specs ...PathSpec) GraphSpec {
 	g := GraphSpec{Hosts: []string{"client", "server"}}
 	for _, spec := range specs {
 		g.Links = append(g.Links, LinkSpec{Name: spec.Name, A: "client", B: "server", Config: spec.Config})
 	}
-	n, err := BuildGraph(s, g)
+	return g
+}
+
+// Build constructs the TwoHostSpec topology on s.
+func Build(s *sim.Simulator, specs ...PathSpec) *Network {
+	n, err := BuildGraph(s, TwoHostSpec(specs...))
 	if err != nil {
 		// The generated spec is structurally valid by construction.
 		panic(err)

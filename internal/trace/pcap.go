@@ -236,8 +236,8 @@ func ReadPcapFile(path string) ([]PcapRecord, error) {
 // accepts is encoded through the wire codec and recorded, stamped with the
 // time now() reports (the owning simulator's clock). Taps only observe —
 // they never mutate or retain the segment — so capture cannot change
-// simulation results. This is the one place the tap wiring lives; the fleet
-// shards and the bulk-experiment harness both go through it.
+// simulation results. This is the one place the tap wiring lives; every
+// experiments.World with a capture goes through it.
 func CapturePaths(w *PcapWriter, now func() time.Duration, paths ...*netem.Path) {
 	for _, p := range paths {
 		for _, l := range []*netem.Link{p.LinkAB(), p.LinkBA()} {

@@ -5,9 +5,8 @@ import (
 	"time"
 
 	"mptcpgo/internal/core"
+	"mptcpgo/internal/experiments"
 	"mptcpgo/internal/netem"
-	"mptcpgo/internal/pool"
-	"mptcpgo/internal/sim"
 )
 
 // LinkConfig describes one direction of a link between two hosts.
@@ -135,10 +134,10 @@ func (t *Topology) fail(err error) {
 	}
 }
 
-// Build materialises the topology: one emulated host (with an MPTCP stack)
-// per declared name, one path per link. The i-th link uses the
-// 10.x.y.0/24 subnet derived from its index, with the Connect first-argument
-// side at .1.
+// Build materialises the topology as an experiments.World: one emulated host
+// (with an MPTCP stack) per declared name, one path per link. The i-th link
+// uses the 10.x.y.0/24 subnet derived from its index, with the Connect
+// first-argument side at .1.
 func (t *Topology) Build() (*Network, error) {
 	if t.err != nil {
 		return nil, t.err
@@ -153,55 +152,46 @@ func (t *Topology) Build() (*Network, error) {
 			Boxes:  l.boxes,
 		})
 	}
-	s := sim.New(t.seed)
-	n, err := netem.BuildGraph(s, spec)
+	w, err := experiments.NewWorld(t.seed, spec, "", experiments.TraceSpec{}, "", 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	net := &Network{sim: s, net: n, managers: make(map[string]*core.Manager, len(n.Hosts))}
-	// Per-host stack construction: every host gets its own Manager, so a
-	// 100-client workload is one loop over hosts rather than a facade fork.
-	for _, h := range n.Hosts {
-		net.managers[h.Name()] = core.NewManager(h)
-	}
-	return net, nil
+	return &Network{w: w}, nil
 }
 
 // Network is a built topology: emulated hosts, their MPTCP stacks and the
 // paths between them, driven by a deterministic discrete-event clock.
 type Network struct {
-	sim      *sim.Simulator
-	net      *netem.Network
-	managers map[string]*core.Manager
+	w experiments.World
 }
 
 // Now returns the current simulated time.
-func (n *Network) Now() time.Duration { return n.sim.Now() }
+func (n *Network) Now() time.Duration { return n.w.Sim.Now() }
 
 // Run advances the simulation by d.
-func (n *Network) Run(d time.Duration) error { return n.RunUntil(n.sim.Now() + d) }
+func (n *Network) Run(d time.Duration) error { return n.RunUntil(n.w.Sim.Now() + d) }
 
 // RunUntil advances the simulation to the absolute time t.
 func (n *Network) RunUntil(t time.Duration) error {
-	// Nobody is stepping the simulator once this returns, perhaps for good:
-	// the buffers its pool front holds go back to the shared classes.
-	defer sim.Local[pool.Local](n.sim).Flush()
-	return n.sim.RunUntil(t)
+	// Nobody is stepping the simulator once this returns, perhaps for good.
+	// The world has no capture, so stopping it cannot fail.
+	defer n.w.Stop()
+	return n.w.Sim.RunUntil(t)
 }
 
 // Schedule runs fn after delay d of simulated time.
-func (n *Network) Schedule(d time.Duration, fn func()) { n.sim.Schedule(d, fn) }
+func (n *Network) Schedule(d time.Duration, fn func()) { n.w.Sim.Schedule(d, fn) }
 
 // Hosts returns the host names in declaration order.
-func (n *Network) Hosts() []string { return n.net.HostNames() }
+func (n *Network) Hosts() []string { return n.w.Net.HostNames() }
 
 // Manager returns the MPTCP stack of the named host, or nil.
-func (n *Network) Manager(host string) *core.Manager { return n.managers[host] }
+func (n *Network) Manager(host string) *core.Manager { return n.w.Managers[host] }
 
 // Listen installs a listener on the named host's port; accept is invoked for
 // every new connection before any data arrives.
 func (n *Network) Listen(host string, port uint16, cfg Config, accept func(*Conn)) (*Listener, error) {
-	mgr := n.managers[host]
+	mgr := n.w.Managers[host]
 	if mgr == nil {
 		return nil, fmt.Errorf("mptcpgo: unknown host %q", host)
 	}
@@ -211,16 +201,16 @@ func (n *Network) Listen(host string, port uint16, cfg Config, accept func(*Conn
 // SetPathDown fails (or restores) the i-th path; segments on a failed path
 // are silently dropped, modelling mobility or radio loss.
 func (n *Network) SetPathDown(i int, down bool) error {
-	if i < 0 || i >= len(n.net.Paths) {
+	if i < 0 || i >= len(n.w.Net.Paths) {
 		return fmt.Errorf("mptcpgo: path index %d out of range", i)
 	}
-	n.net.Path(i).SetDown(down)
+	n.w.Net.Path(i).SetDown(down)
 	return nil
 }
 
 // SetLinkDown fails (or restores) the named link.
 func (n *Network) SetLinkDown(name string, down bool) error {
-	p := n.net.PathByName(name)
+	p := n.w.Net.PathByName(name)
 	if p == nil {
 		return fmt.Errorf("mptcpgo: unknown link %q", name)
 	}
@@ -230,4 +220,4 @@ func (n *Network) SetLinkDown(name string, down bool) error {
 
 // Internal returns the underlying emulated network for advanced use
 // (middlebox chains, link reconfiguration, per-host CPU models).
-func (n *Network) Internal() *netem.Network { return n.net }
+func (n *Network) Internal() *netem.Network { return n.w.Net }
