@@ -216,11 +216,8 @@ func benchmarkKeyGeneration(b *testing.B, established int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clientKey := core.GenerateKey(rng)
-		_ = clientKey.Token()
-		_ = clientKey.IDSN()
-		serverKey, _ := table.GenerateUniqueKey(rng)
-		_ = serverKey.IDSN()
+		core.GenerateKey(rng).TokenAndIDSN()
+		table.GenerateUniqueKey(rng)
 	}
 }
 

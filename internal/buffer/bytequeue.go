@@ -18,8 +18,9 @@ const inlineBlocks = 8
 type block = [blockSize]byte
 
 // ByteQueue is a FIFO byte stream with an absolute offset for its head. It
-// backs the subflow and connection send buffers (offsets are stream offsets
-// of the queued payload) and the in-order receive queues.
+// backs the send buffers (offsets are stream offsets of the queued payload;
+// an MPTCP connection's is shared by its subflows) and the in-order receive
+// queues.
 //
 // The bytes live in fixed-size blocks drawn from internal/pool. Append fills
 // the tail block and takes another from the pool; TrimTo and Pop hand each
@@ -73,6 +74,9 @@ func (q *ByteQueue) HeadOffset() uint64 { return q.headOffset }
 
 // TailOffset returns the absolute offset one past the last buffered byte.
 func (q *ByteQueue) TailOffset() uint64 { return q.headOffset + uint64(q.size) }
+
+// Blocks returns how many pool blocks the queue holds.
+func (q *ByteQueue) Blocks() int { return q.count }
 
 func (q *ByteQueue) table() []*block {
 	if q.tab == nil {

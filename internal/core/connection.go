@@ -121,7 +121,7 @@ type Connection struct {
 
 	// ---- data-level send state (relative sequence numbers, 0-based) ----
 	autotunedSndBuf int
-	sndBuf          buffer.ByteQueue
+	sndBuf          buffer.SendQueue
 	dataUna         uint64
 	dataNxt         uint64
 	rwndLimit       uint64
@@ -229,10 +229,9 @@ func (c *Connection) Stats() ConnStats { return c.stats }
 // Config returns the connection configuration.
 func (c *Connection) Config() Config { return c.cfg }
 
-// SenderMemory returns the bytes currently held in the connection-level send
-// queue (written but not yet DATA_ACKed) — the sender-side memory metric of
-// Figure 5.
-func (c *Connection) SenderMemory() int { return c.sndBuf.Len() }
+// SenderMemory returns the bytes written but not yet DATA_ACKed — the
+// sender-side memory metric of Figure 5.
+func (c *Connection) SenderMemory() int { return c.unackedBytes() }
 
 // ReceiverMemory returns the bytes held in the connection-level receive and
 // reassembly queues plus the subflow-level out-of-order queues — the
@@ -273,18 +272,24 @@ func (c *Connection) SendBufferSpace() int {
 // sendBufferSpace returns the free space in the connection-level send buffer,
 // honouring Mechanism 3's autotuned limit.
 func (c *Connection) sendBufferSpace() int {
-	return c.effectiveSendBuffer() - c.sndBuf.Len()
+	return c.effectiveSendBuffer() - c.unackedBytes()
 }
 
 // effectiveSendBuffer implements Mechanism 3 (buffer autotuning): the send
 // buffer grows toward 2·Σxᵢ·RTTmax but never beyond the configured maximum.
 // Like the kernel's autotuning it only ever grows (shrinking it below the
 // data already in flight would starve the connection into a smaller and
-// smaller window).
+// smaller window). Once the autotuned size reaches the maximum the result is
+// the maximum for good, so the per-subflow sum is skipped.
 func (c *Connection) effectiveSendBuffer() int {
-	if !c.cfg.AutoTuneBuffers || c.Fallback() {
+	if !c.cfg.AutoTuneBuffers || c.Fallback() || c.autotunedSndBuf >= c.cfg.SendBufBytes {
 		return c.cfg.SendBufBytes
 	}
+	return c.autotuneSendBuffer()
+}
+
+// autotuneSendBuffer is effectiveSendBuffer's Mechanism 3 computation.
+func (c *Connection) autotuneSendBuffer() int {
 	var rate float64 // bytes per second
 	var rttMax time.Duration
 	usable := 0
@@ -734,7 +739,7 @@ func (c *Connection) onSubflowClosed(s *Subflow, err error) {
 // maybeFinishAfterLastSubflow decides the terminal state once no subflows
 // remain.
 func (c *Connection) maybeFinishAfterLastSubflow(err error) {
-	cleanSend := !c.dataFinQueued || c.dataFinAcked || (c.Fallback() && c.sndBuf.Len() == 0)
+	cleanSend := !c.dataFinQueued || c.dataFinAcked || (c.Fallback() && c.unackedBytes() == 0)
 	cleanRecv := c.eofConsumed || !c.remoteDataFin || c.Fallback()
 	if err == nil && cleanSend && cleanRecv {
 		c.finish(nil)
@@ -936,7 +941,8 @@ func (c *Connection) enterFallback(reason string, keep *Subflow) {
 }
 
 // finish terminates the connection and releases resources, the send queue's
-// blocks among them. The receive queue stays readable after the close (EOF
+// blocks among them (a block a live subflow's chunk still holds goes when the
+// chunk lets go). The receive queue stays readable after the close (EOF
 // depends on it): it gives its blocks back as the application reads them.
 func (c *Connection) finish(err error) {
 	if c.closed {

@@ -436,3 +436,91 @@ func TestSendBufferSpaceIsWhatWriteAccepts(t *testing.T) {
 		}
 	}
 }
+
+// sampleClient runs f on the client connection every interval of sim-time
+// from the moment it exists until it closes.
+func (h *harness) sampleClient(interval time.Duration, f func(c *Connection)) {
+	var tick func()
+	tick = func() {
+		if c := h.clientC; c != nil {
+			if c.Closed() {
+				return
+			}
+			f(c)
+		}
+		h.net.Sim.Schedule(interval, tick)
+	}
+	h.net.Sim.Schedule(0, tick)
+}
+
+// TestSubflowsSendFromConnectionQueue: every subflow queues and retransmits
+// from its connection's send queue, so a subflow endpoint has no queue, and
+// no block, of its own. On the bulk shape — 1 Gbps beside a 100 Mbps path the
+// sender penalises — the slow subflow keeps chunks unacknowledged far below
+// the DATA_ACK for most of the run. They pin only their own blocks: at every
+// sample the queue holds no more blocks than the copy-per-subflow layout
+// would (the unacked bytes' blocks plus each subflow's queued bytes').
+func TestSubflowsSendFromConnectionQueue(t *testing.T) {
+	h := newHarness(t, 1, []netem.PathSpec{
+		netem.Symmetric("1g", netem.Mbps(1000), 500*time.Microsecond, 256<<10, 0),
+		netem.Symmetric("100m", netem.Mbps(100), 10*time.Millisecond, 128<<10, 0)})
+	cfg := DefaultConfig()
+	cfg.SendBufBytes = 2 << 20
+	cfg.RecvBufBytes = 2 << 20
+	busy := map[int]bool{} // subflows seen holding payload
+	peak, excess := 0, -1<<30
+	blocks := func(n int) int { return (n + 16<<10 - 1) / (16 << 10) }
+	h.sampleClient(time.Millisecond, func(c *Connection) {
+		copied := blocks(c.unackedBytes()) + 1
+		for _, s := range c.subflows {
+			if s.ep.SendQueue() != &c.sndBuf {
+				t.Fatalf("subflow %d sends from a queue of its own", s.id)
+			}
+			if s.ep.QueuedBytes() > 0 {
+				busy[s.id] = true
+			}
+			copied += blocks(s.ep.QueuedBytes()) + 1
+		}
+		peak = max(peak, c.sndBuf.Blocks())
+		excess = max(excess, c.sndBuf.Blocks()-copied)
+	})
+	res := h.runBulkTransfer(cfg, cfg, 1<<40, 2*time.Second)
+	if res.received < 16<<20 || len(busy) < 2 {
+		t.Fatalf("%d bytes received, %d subflows carried payload: not a two-subflow bulk transfer", res.received, len(busy))
+	}
+	if excess > 0 {
+		t.Fatalf("the shared send queue held up to %d blocks more than a copy per subflow would (peak %d)", excess, peak)
+	}
+	t.Logf("%d bytes received, the send queue peaked at %d blocks, excess %d", res.received, peak, excess)
+}
+
+// TestEffectiveSendBufferCapIsExact: once Mechanism 3's autotuned size has
+// reached the configured maximum, effectiveSendBuffer returns the maximum
+// without summing over the subflows; the full computation must agree at
+// every point of a transfer, before and after the cap is reached.
+func TestEffectiveSendBufferCapIsExact(t *testing.T) {
+	h := newHarness(t, 8, netem.WiFi3GSpec())
+	cfg := DefaultConfig()
+	cfg.SendBufBytes = 192 << 10
+	capped, growing := 0, 0
+	h.sampleClient(5*time.Millisecond, func(c *Connection) {
+		if c.Fallback() {
+			return // not autotuned (yet): both return the maximum
+		}
+		if c.autotunedSndBuf >= c.cfg.SendBufBytes {
+			capped++
+		} else {
+			growing++
+		}
+		if fast, full := c.effectiveSendBuffer(), c.autotuneSendBuffer(); fast != full {
+			t.Fatalf("at %v effectiveSendBuffer()=%d, the full computation %d", h.net.Sim.Now(), fast, full)
+		}
+	})
+	const total = 2 << 20
+	if res := h.runBulkTransfer(cfg, cfg, total, 60*time.Second); res.received < total {
+		t.Fatalf("received %d of %d bytes", res.received, total)
+	}
+	if capped == 0 || growing == 0 {
+		t.Fatalf("%d samples at the cap, %d below it: both regimes must be covered", capped, growing)
+	}
+}

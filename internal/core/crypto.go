@@ -34,20 +34,20 @@ func (k Key) bytes() []byte {
 	return b[:]
 }
 
-// Token derives the 32-bit connection identifier from a key: the most
-// significant 32 bits of the SHA-1 hash of the key, as in RFC 6824. MP_JOIN
-// SYNs carry the receiver's token so the passive opener can locate the
-// connection the new subflow belongs to.
-func (k Key) Token() uint32 {
+// TokenAndIDSN derives both per-key values from one SHA-1 digest of the key,
+// as in RFC 6824: the token, the 32-bit connection identifier, is its most
+// significant 32 bits and the initial data sequence number its least
+// significant 64. MP_JOIN SYNs carry the receiver's token so the passive
+// opener can locate the connection the new subflow belongs to.
+func (k Key) TokenAndIDSN() (uint32, packet.DataSeq) {
 	sum := sha1.Sum(k.bytes())
-	return binary.BigEndian.Uint32(sum[0:4])
+	return binary.BigEndian.Uint32(sum[0:4]), packet.DataSeq(binary.BigEndian.Uint64(sum[12:20]))
 }
 
-// IDSN derives the initial data sequence number from a key: the least
-// significant 64 bits of the SHA-1 hash of the key.
-func (k Key) IDSN() packet.DataSeq {
-	sum := sha1.Sum(k.bytes())
-	return packet.DataSeq(binary.BigEndian.Uint64(sum[12:20]))
+// Token derives the key's token (TokenAndIDSN) on its own.
+func (k Key) Token() uint32 {
+	token, _ := k.TokenAndIDSN()
+	return token
 }
 
 // joinHMAC computes the MP_JOIN authentication code: HMAC-SHA1 keyed with

@@ -15,8 +15,18 @@ func TestTokenAndIDSNDeterministic(t *testing.T) {
 	if k.Token() != Key(0x0102030405060708).Token() {
 		t.Fatal("token must be a pure function of the key")
 	}
-	if k.IDSN() == 0 && k.Token() == 0 {
+	token, idsn := k.TokenAndIDSN()
+	if idsn == 0 && token == 0 {
 		t.Fatal("derivations should not be trivially zero")
+	}
+	if token != k.Token() {
+		t.Fatal("Token must be TokenAndIDSN's token")
+	}
+	// RFC 6824: the token is the top 32 bits of SHA-1(key), the IDSN the
+	// bottom 64.
+	sum := sha1.Sum(k.bytes())
+	if token != binary.BigEndian.Uint32(sum[:4]) || uint64(idsn) != binary.BigEndian.Uint64(sum[12:]) {
+		t.Fatal("token or IDSN is not the RFC 6824 slice of the key's digest")
 	}
 	if Key(1).Token() == Key(2).Token() {
 		t.Fatal("distinct keys should produce distinct tokens (SHA-1)")
@@ -83,7 +93,9 @@ func TestTokenTable(t *testing.T) {
 	rng := sim.NewRNG(3)
 	conn := &Connection{}
 	key, token := table.GenerateUniqueKey(rng)
-	_ = key
+	if wantToken, wantIDSN := key.Key.TokenAndIDSN(); token != wantToken || key.IDSN != wantIDSN {
+		t.Fatal("GenerateUniqueKey must return the key's own token and IDSN")
+	}
 	if !table.Insert(token, conn) {
 		t.Fatal("first insert must succeed")
 	}

@@ -62,7 +62,7 @@ func TestDebugStall(t *testing.T) {
 			t.Fatal(err)
 		}
 		fmt.Printf("t=%v sent=%d received=%d dataUna=%d dataNxt=%d rwndLimit=%d sndBuf=%d inflight=%d effSndBuf=%d\n",
-			h.net.Sim.Now(), sent, received, conn.dataUna, conn.dataNxt, conn.rwndLimit, conn.sndBuf.Len(), len(conn.inflight), conn.effectiveSendBuffer())
+			h.net.Sim.Now(), sent, received, conn.dataUna, conn.dataNxt, conn.rwndLimit, conn.unackedBytes(), len(conn.inflight), conn.effectiveSendBuffer())
 		for _, s := range conn.subflows {
 			fmt.Printf("  client subflow %d state=%v cwnd=%d inflight=%d srtt=%v sendSpace=%d queued=%d peerWnd=%d established=%v failed=%v\n",
 				s.id, s.ep.State(), s.ep.Cwnd(), s.ep.BytesInFlight(), s.ep.SRTT(), s.ep.SendSpace(), s.ep.QueuedBytes(), s.ep.PeerWindow(), s.established, s.failed)

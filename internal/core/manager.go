@@ -75,9 +75,8 @@ func (m *Manager) Dial(iface *netem.Interface, remote packet.Endpoint, cfg Confi
 	c.dialCfg.port = remote.Port
 	if c.cfg.EnableMPTCP {
 		key, token := m.tokens.GenerateUniqueKey(m.host.Sim().RNG())
-		c.localKey = key
+		c.localKey, c.localIDSN = key.Key, key.IDSN
 		c.localToken = token
-		c.localIDSN = key.IDSN()
 		m.tokens.Insert(token, c)
 	}
 	s := c.newSubflow(RoleInitial, true)
@@ -176,15 +175,13 @@ func (l *Listener) hooksForSYN(syn *packet.Segment) (tcp.Hooks, bool) {
 		// and verify its token is unique among established connections
 		// (§5.2 — this is the cost Figure 10 measures).
 		c.remoteKey = Key(cap.SenderKey)
-		c.remoteToken = c.remoteKey.Token()
-		c.remoteIDSN = c.remoteKey.IDSN()
+		c.remoteToken, c.remoteIDSN = c.remoteKey.TokenAndIDSN()
 		if cap.ChecksumRequired {
 			c.cfg.UseDSSChecksum = true
 		}
 		key, token := l.mgr.tokens.GenerateUniqueKey(l.mgr.host.Sim().RNG())
-		c.localKey = key
+		c.localKey, c.localIDSN = key.Key, key.IDSN
 		c.localToken = token
-		c.localIDSN = key.IDSN()
 		l.mgr.tokens.Insert(token, c)
 		c.mptcpActive = true
 	} else {

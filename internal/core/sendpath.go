@@ -71,17 +71,10 @@ func (c *Connection) pump() {
 		if sp := sf.ep.SendSpace(); size > sp {
 			size = sp
 		}
-		if size <= 0 {
+		if size <= 0 || !c.sendMapping(sf, c.dataNxt, size, nil) {
 			break
 		}
-		data := c.sndBuf.Peek(c.dataNxt, size)
-		if len(data) == 0 {
-			break
-		}
-		if !c.sendMapping(sf, c.dataNxt, data, nil) {
-			break
-		}
-		c.dataNxt += uint64(len(data))
+		c.dataNxt += uint64(size)
 	}
 
 	c.maybeSendDataFin()
@@ -106,13 +99,12 @@ func (c *Connection) pickSubflow(size int) *Subflow {
 	return nil
 }
 
-// sendMapping transmits one chunk of connection-level data on a subflow with
-// its data sequence mapping. When reinject is non-nil this is a
-// retransmission of an existing mapping on a different subflow. data is
-// usually a borrowed Peek view of c.sndBuf: it is copied into the subflow's
-// own queue by SendChunkWithOpt, and nothing here may call into c.sndBuf
-// before that.
-func (c *Connection) sendMapping(sf *Subflow, dataSeq uint64, data []byte, reinject *txMapping) bool {
+// sendMapping transmits the n bytes at dataSeq of the send queue on a subflow
+// with their data sequence mapping. The subflow's chunk references them in
+// place (the queue is the subflow endpoint's, see Subflow.SendQueue). When
+// reinject is non-nil this is a retransmission of an existing mapping on a
+// different subflow.
+func (c *Connection) sendMapping(sf *Subflow, dataSeq uint64, n int, reinject *txMapping) bool {
 	offset := uint32(sf.ep.QueuedPayloadBytes())
 	// The DSS option comes from (and returns to) the shard's free list by way
 	// of the subflow endpoint: ownership transfers with SendChunkWithOpt and
@@ -124,36 +116,36 @@ func (c *Connection) sendMapping(sf *Subflow, dataSeq uint64, data []byte, reinj
 	dss.HasMapping = true
 	dss.DataSeq = c.wireDataSeq(dataSeq)
 	dss.SubflowOffset = offset
-	dss.Length = uint16(len(data))
+	dss.Length = uint16(n)
 	if c.cfg.UseDSSChecksum {
 		dss.HasChecksum = true
-		dss.Checksum = packet.DSSChecksum(dss.DataSeq, offset, dss.Length, data)
+		dss.Checksum = packet.DSSChecksum(dss.DataSeq, offset, dss.Length, c.sndBuf.Peek(dataSeq, n))
 	}
-	if !sf.ep.SendChunkWithOpt(data, dss) {
+	if !sf.ep.SendChunkWithOpt(dataSeq, n, dss) {
 		return false
 	}
 	sf.chunksSent++
-	sf.bytesSent += uint64(len(data))
+	sf.bytesSent += uint64(n)
 	c.stats.MappingsSent++
 	now := c.sim.Now()
 	if reinject == nil {
 		m := c.mappingFree.Get()
 		*m = txMapping{
 			dataSeq:     dataSeq,
-			length:      len(data),
+			length:      n,
 			subflow:     sf,
 			sentAt:      now,
-			sfOffsetEnd: uint64(offset) + uint64(len(data)),
+			sfOffsetEnd: uint64(offset) + uint64(n),
 		}
 		c.inflight = append(c.inflight, m)
 	} else {
 		reinject.lastReinject = now
 		reinject.reinjections++
 		sf.reinjectsSent++
-		sf.reinjBytes += uint64(len(data))
+		sf.reinjBytes += uint64(n)
 		c.stats.Reinjections++
 		if c.probe != nil {
-			c.probe.Emit(c.member, probe.KindReinjection, c.connID, int32(sf.id), int64(len(data)), int64(reinject.reinjections))
+			c.probe.Emit(c.member, probe.KindReinjection, c.connID, int32(sf.id), int64(n), int64(reinject.reinjections))
 			c.probe.Count(c.member, probe.CtrReinjections, 1)
 		}
 	}
@@ -187,14 +179,10 @@ func (c *Connection) pumpFallback() {
 		if sp := sf.ep.SendSpace(); size > sp {
 			size = sp
 		}
-		if size <= 0 {
+		if size <= 0 || !sf.ep.SendChunk(c.dataNxt, size, nil) {
 			break
 		}
-		data := c.sndBuf.Peek(c.dataNxt, size)
-		if len(data) == 0 || !sf.ep.SendChunk(data, nil) {
-			break
-		}
-		c.dataNxt += uint64(len(data))
+		c.dataNxt += uint64(size)
 	}
 	// In fallback mode the connection close is the plain subflow FIN.
 	if c.dataFinQueued && !c.dataFinSent && c.dataNxt == c.sndBuf.TailOffset() {
@@ -235,11 +223,8 @@ func (c *Connection) onReceiveWindowLimited() {
 			// Rate-limit reinjection of the same mapping to roughly once per
 			// RTT of the fast path.
 			if m.lastReinject == 0 || now-m.lastReinject >= fast.ep.SRTT() {
-				data := c.sndBuf.Peek(m.dataSeq, m.length)
-				if len(data) == m.length {
-					if c.sendMapping(fast, m.dataSeq, data, m) {
-						c.stats.OpportunisticRtx++
-					}
+				if c.reinjectable(m) && c.sendMapping(fast, m.dataSeq, m.length, m) {
+					c.stats.OpportunisticRtx++
 				}
 			}
 		}
@@ -331,7 +316,6 @@ func (c *Connection) onDataAck(from *Subflow, relAck uint64, windowBytes int) {
 	}
 	if relAck > c.dataUna {
 		c.dataUna = relAck
-		c.sndBuf.TrimTo(minUint64(c.dataUna, c.sndBuf.TailOffset()))
 		freed := 0
 		for freed < len(c.inflight) && c.inflight[freed].end() <= c.dataUna {
 			// Zeroed so a free mapping does not pin its subflow.
@@ -402,8 +386,7 @@ func (c *Connection) onConnRetransmitTimeout() {
 	if len(c.inflight) > 0 {
 		m := c.inflight[0]
 		if sf := c.pickSubflow(m.length); sf != nil {
-			data := c.sndBuf.Peek(m.dataSeq, m.length)
-			if len(data) == m.length && c.sendMapping(sf, m.dataSeq, data, m) {
+			if c.reinjectable(m) && c.sendMapping(sf, m.dataSeq, m.length, m) {
 				c.stats.ConnLevelRtx++
 			}
 		}
@@ -450,9 +433,8 @@ func (c *Connection) recoverDroppedMappings() {
 	if to == nil {
 		return
 	}
-	data := c.sndBuf.Peek(m.dataSeq, m.length)
-	if len(data) == m.length {
-		c.sendMapping(to, m.dataSeq, data, m)
+	if c.reinjectable(m) {
+		c.sendMapping(to, m.dataSeq, m.length, m)
 	}
 }
 
@@ -476,16 +458,26 @@ func (c *Connection) reinjectSubflowData(failed *Subflow) {
 		if sf == failed {
 			continue
 		}
-		data := c.sndBuf.Peek(m.dataSeq, m.length)
-		if len(data) == m.length {
-			c.sendMapping(sf, m.dataSeq, data, m)
+		if c.reinjectable(m) {
+			c.sendMapping(sf, m.dataSeq, m.length, m)
 		}
 	}
 }
 
-func minUint64(a, b uint64) uint64 {
-	if a < b {
-		return a
+// reinjectable reports whether none of a mapping's bytes is DATA_ACKed yet,
+// so that sending it again can still help: a partly acknowledged mapping is
+// left to the subflow that carries it.
+func (c *Connection) reinjectable(m *txMapping) bool {
+	return !c.closed && m.dataSeq >= c.dataUna
+}
+
+// unackedBytes is how many written bytes are not yet DATA_ACKed, what the
+// send buffer holds against its limit; a finished connection holds none.
+// Blocks below dataUna that a subflow's chunks still hold stay in the queue
+// but do not count.
+func (c *Connection) unackedBytes() int {
+	if tail := c.sndBuf.TailOffset(); !c.closed && c.dataUna < tail {
+		return int(tail - c.dataUna)
 	}
-	return b
+	return 0
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"mptcpgo/internal/buffer"
 	"mptcpgo/internal/cc"
 	"mptcpgo/internal/packet"
 	"mptcpgo/internal/probe"
@@ -517,8 +518,7 @@ func (s *Subflow) handleHandshakeOptions(seg *packet.Segment) {
 				return
 			}
 			c.remoteKey = Key(opt.SenderKey)
-			c.remoteToken = c.remoteKey.Token()
-			c.remoteIDSN = c.remoteKey.IDSN()
+			c.remoteToken, c.remoteIDSN = c.remoteKey.TokenAndIDSN()
 			c.mptcpActive = true
 			if opt.ChecksumRequired {
 				c.cfg.UseDSSChecksum = true
@@ -586,10 +586,20 @@ func (s *Subflow) OnStateChange(e *tcp.Endpoint, old, new tcp.State) {
 	}
 }
 
-// OnSendSpaceAvailable implements tcp.Hooks.
+// OnSendSpaceAvailable implements tcp.Hooks. It runs after the endpoint
+// has processed a segment's acknowledgement, so the send queue is trimmed to
+// the DATA_ACK here rather than when the DSS is read (before it): by now the
+// chunks the same segment acknowledges have let go of their blocks, which go
+// straight back to the pool instead of onto the pinned list.
 func (s *Subflow) OnSendSpaceAvailable(e *tcp.Endpoint) {
-	s.conn.pump()
+	c := s.conn
+	c.sndBuf.TrimTo(c.dataUna)
+	c.pump()
 }
+
+// SendQueue implements tcp.Hooks: a subflow sends from its connection's send
+// queue, where every unacknowledged byte is stored once.
+func (s *Subflow) SendQueue() *buffer.SendQueue { return &s.conn.sndBuf }
 
 // AdvertiseWindow implements tcp.Hooks: subflows advertise the shared
 // connection-level receive window (§3.3.1). With the PerSubflowReceiveWindow

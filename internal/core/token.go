@@ -1,6 +1,9 @@
 package core
 
-import "mptcpgo/internal/sim"
+import (
+	"mptcpgo/internal/packet"
+	"mptcpgo/internal/sim"
+)
 
 // TokenTable stores the tokens of established MPTCP connections on a host so
 // that (a) newly generated keys can be verified to hash to a unique token, as
@@ -93,15 +96,23 @@ func (t *TokenTable) Remove(token uint32) {
 	}
 }
 
+// DrawnKey is a key GenerateUniqueKey drew, with the IDSN that came out of
+// the same digest as its token.
+type DrawnKey struct {
+	Key  Key
+	IDSN packet.DataSeq
+}
+
 // GenerateUniqueKey draws keys until one hashes to a token not already in the
-// table, exactly the procedure whose latency Figure 10 measures. It returns
-// the key and its token without inserting it.
-func (t *TokenTable) GenerateUniqueKey(rng *sim.RNG) (Key, uint32) {
+// table, exactly the procedure whose latency Figure 10 measures: one SHA-1
+// digest per key drawn. It returns the key with its IDSN, and its token,
+// without inserting it.
+func (t *TokenTable) GenerateUniqueKey(rng *sim.RNG) (DrawnKey, uint32) {
 	for {
 		key := GenerateKey(rng)
-		token := key.Token()
+		token, idsn := key.TokenAndIDSN()
 		if !t.Contains(token) {
-			return key, token
+			return DrawnKey{Key: key, IDSN: idsn}, token
 		}
 	}
 }

@@ -61,8 +61,8 @@ const fig3PerPacketCost = 2 * time.Microsecond
 // Options.PaperEraCPU is set: the per-byte ones-complement checksum cost of
 // the paper's 2012-era testbed CPUs (a few hundred MB/s of checksum
 // throughput), so the checksum-on curve keeps its distance from the offload
-// curve even though this build's word-at-a-time checksum is ~4× faster than
-// the one the cost model was originally calibrated against.
+// curve even though this build's carry-chain checksum is ~7× faster than the
+// one the cost model was originally calibrated against.
 const PaperEraChecksumCost = 3 * time.Nanosecond
 
 func runFig3(opt Options) (*Result, error) {

@@ -236,3 +236,117 @@ func TestInterfaceRemovalReinjectsOntoSurvivor(t *testing.T) {
 		t.Fatalf("usable subflows=%d after removal, want 1", usable)
 	}
 }
+
+// arrival is one data segment a wireTap saw: its mapping, its payload and how
+// much of the stream the sender had had DATA_ACKed when it arrived.
+type arrival struct {
+	dataSeq packet.DataSeq
+	payload []byte
+	acked   uint64
+}
+
+// wireTap records every mapped data segment arriving over a path.
+type wireTap struct {
+	sender *core.Connection
+	seen   []arrival
+}
+
+func (w *wireTap) Name() string { return "test-tap" }
+
+func (w *wireTap) Process(_ netem.BoxContext, _ netem.Direction, seg *packet.Segment) []*packet.Segment {
+	if dss, ok := seg.MPTCPOption(packet.SubDSS).(*packet.DSSOption); ok && dss.HasMapping && len(seg.Payload) > 0 {
+		acked := w.sender.Stats().BytesWritten - uint64(w.sender.SenderMemory())
+		w.seen = append(w.seen, arrival{dss.DataSeq, append([]byte(nil), seg.Payload...), acked})
+	}
+	return []*packet.Segment{seg}
+}
+
+// TestDataAckedElsewhereRetransmitsOriginalBytes pins why a subflow's chunks
+// hold their blocks of the connection's send queue: the initial subflow's
+// path goes dark, its data is reinjected on the second subflow and DATA_ACKed
+// there, and when the path comes back the initial subflow still retransmits
+// that data (its own sequence space needs it). Those bytes come from blocks
+// the DATA_ACK has passed, so every copy seen on the wire must be the
+// original pattern — under -tags poolcheck a prematurely recycled block would
+// be poison — and the stream must arrive exactly once.
+func TestDataAckedElsewhereRetransmitsOriginalBytes(t *testing.T) {
+	s := sim.New(5)
+	n := netem.Build(s,
+		netem.Symmetric("a", netem.Mbps(10), 10*time.Millisecond, 1<<20, 0),
+		netem.Symmetric("b", netem.Mbps(10), 10*time.Millisecond, 1<<20, 0))
+	cliMgr, srvMgr := core.NewManager(n.Client), core.NewManager(n.Server)
+	const total = 2 << 20
+	checker := NewChecker(77, total)
+	tap := &wireTap{}
+	n.Path(0).AddBox(tap)
+
+	cfg := core.DefaultConfig()
+	cfg.RecvBufBytes = 128 << 10
+	var server *core.Connection
+	if _, err := srvMgr.Listen(80, cfg, func(c *core.Connection) {
+		server = c
+		buf := make([]byte, 16<<10)
+		c.OnReadable = func() {
+			for r := c.ReadInto(buf); r > 0; r = c.ReadInto(buf) {
+				checker.Feed(buf[:r])
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := cliMgr.Dial(n.Client.Interfaces()[0], packet.Endpoint{Addr: n.ServerAddr(0), Port: 80}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap.sender = conn
+	buf := make([]byte, 32<<10)
+	sent := 0
+	write := func() {
+		for sent < total {
+			k := min(len(buf), total-sent)
+			checker.Fill(buf[:k], uint64(sent))
+			w := conn.Write(buf[:k])
+			if w == 0 {
+				return
+			}
+			sent += w
+		}
+		conn.Close()
+	}
+	conn.OnEstablished, conn.OnWritable = write, write
+
+	Apply(s, MustParse("down:path=0,at=300ms,dur=1s"), n.Paths, cliMgr, 1, 0)
+	if err := s.RunUntil(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !checker.Complete() {
+		t.Fatalf("transfer not intact: %v", checker.Err())
+	}
+	if conn.Stats().Reinjections == 0 {
+		t.Fatal("nothing was reinjected: the scenario did not happen")
+	}
+	if server.Stats().ChecksumFailures != 0 {
+		t.Fatalf("%d DSS checksum failures", server.Stats().ChecksumFailures)
+	}
+	// The first mapping (data offset 0) goes out on the initial subflow, so
+	// the lowest data sequence number seen is the stream's first.
+	base := tap.seen[0].dataSeq
+	for _, a := range tap.seen {
+		base = min(base, a.dataSeq)
+	}
+	late := 0
+	for _, a := range tap.seen {
+		off := uint64(a.dataSeq - base)
+		for i, b := range a.payload {
+			if want := PatternByte(checker.Seed, off+uint64(i)); b != want {
+				t.Fatalf("byte %d of the stream crossed path a as %#x, want %#x", off+uint64(i), b, want)
+			}
+		}
+		if a.acked >= off+uint64(len(a.payload)) {
+			late++
+		}
+	}
+	if late == 0 {
+		t.Fatal("no segment crossed path a after its bytes had been DATA_ACKed")
+	}
+}

@@ -1,6 +1,9 @@
 package packet
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Checksum computes the 16-bit ones-complement sum of data (the Internet
 // checksum used in the TCP header and, per §3.3.6 of the paper, reused for
@@ -15,56 +18,63 @@ func Checksum(data []byte) uint16 {
 // calculates the payload checksum once and feeds it into both the TCP and the
 // DSS checksum.
 //
-// The inner loop consumes 32 bytes per iteration as four 64-bit big-endian
-// loads with end-around carry, which is congruent (mod 2^16-1) to the
-// classic 16-bit-word sum and roughly an order of magnitude faster — the
-// per-byte software checksum cost is exactly what Figure 3 of the paper
-// measures, so the emulator's own cost model (CalibrateChecksumCost) tracks
-// this implementation.
+// The inner loop consumes 32 bytes per iteration as four 64-bit loads added
+// in one carry chain (bits.Add64 compiles to ADD/ADC), with the carries
+// counted and wrapped around at the end. That is the
+// ones-complement sum in 64-bit words, congruent (mod 2^16-1) to the classic
+// 16-bit-word sum. The per-byte software checksum cost is exactly what
+// Figure 3 of the paper measures, so the emulator's own cost model
+// (CalibrateChecksumCost) tracks this implementation.
 func PartialChecksum(sum uint32, data []byte) uint32 {
 	// The 8-byte-aligned prefix is summed as native-endian 64-bit words: the
 	// one's-complement sum is byte-order independent (RFC 1071 §2B), so the
 	// prefix can be accumulated without per-load byte swapping and the folded
-	// 16-bit result swapped once at the end. Each word is split into its
-	// 32-bit halves, summed branch-free into independent accumulators
-	// (partial terms stay below 2^33, so the accumulators cannot overflow
-	// for any realistic segment, and the parallel chains hide load latency).
-	var acc0, acc1, acc2, acc3 uint64
+	// 16-bit result swapped once at the end.
+	// Each iteration's chain starts with a carry of 0 and its carry out goes
+	// to a separate counter, so the only dependency from one iteration to the
+	// next is acc itself: the carry never has to leave the flags register.
+	var acc, carries, c uint64
 	for len(data) >= 32 {
-		w0 := binary.LittleEndian.Uint64(data)
-		w1 := binary.LittleEndian.Uint64(data[8:])
-		w2 := binary.LittleEndian.Uint64(data[16:])
-		w3 := binary.LittleEndian.Uint64(data[24:])
-		acc0 += (w0 >> 32) + (w0 & 0xffffffff)
-		acc1 += (w1 >> 32) + (w1 & 0xffffffff)
-		acc2 += (w2 >> 32) + (w2 & 0xffffffff)
-		acc3 += (w3 >> 32) + (w3 & 0xffffffff)
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(data), 0)
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(data[8:]), c)
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(data[16:]), c)
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(data[24:]), c)
+		carries += c
 		data = data[32:]
 	}
 	for len(data) >= 8 {
-		w := binary.LittleEndian.Uint64(data)
-		acc0 += (w >> 32) + (w & 0xffffffff)
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(data), 0)
+		carries += c
 		data = data[8:]
 	}
+	// End-around carry: the carries are worth 2^64, which is 1 mod 2^64-1.
+	// acc+carries overflows at most once, and the wrapped carry adds back
+	// without overflowing again.
+	acc, c = bits.Add64(acc, carries, 0)
+	acc += c
 	// Fold the native-order sum to 16 bits and swap it into network order
 	// (values congruent mod 2^16-1 fold to the same final checksum, so any
-	// width reduction preserving the congruence works).
-	le := acc0 + acc1 + acc2 + acc3
-	le = (le >> 32) + (le & 0xffffffff)
+	// width reduction preserving the congruence works). A non-zero sum folds
+	// to a non-zero value, so the result is the unique representative in
+	// [1, 0xffff] whatever the width of the accumulation.
+	le := (acc >> 32) + (acc & 0xffffffff)
 	le = (le >> 32) + (le & 0xffffffff)
 	le16 := uint32(le>>16) + uint32(le&0xffff)
 	for le16 > 0xffff {
 		le16 = (le16 >> 16) + (le16 & 0xffff)
 	}
-	s32 := sum + (le16&0xff)<<8 + le16>>8
+	// The tail and the caller's sum are added in 64 bits and folded back to
+	// 32 (2^32 is congruent to 1), so no initial sum can wrap the result; for
+	// every sum the 32-bit addition would not have wrapped, this is that sum.
+	s := uint64(sum) + uint64((le16&0xff)<<8+le16>>8)
 	i, n := 0, len(data)
 	for ; i+1 < n; i += 2 {
-		s32 += uint32(data[i])<<8 | uint32(data[i+1])
+		s += uint64(data[i])<<8 | uint64(data[i+1])
 	}
 	if i < n {
-		s32 += uint32(data[i]) << 8
+		s += uint64(data[i]) << 8
 	}
-	return s32
+	return uint32(s>>32) + uint32(s)
 }
 
 // FoldChecksum folds a 32-bit running sum into the final 16-bit ones

@@ -96,3 +96,46 @@ func TestTCPChecksumIncludesPseudoHeader(t *testing.T) {
 		t.Fatal("checksum must depend on the pseudo-header addresses")
 	}
 }
+
+// rfc1071Sum is the definition PartialChecksum is checked against: the
+// ones-complement sum of big-endian 16-bit words (an odd byte padded with
+// zero), accumulated in 64 bits and folded with end-around carry.
+func rfc1071Sum(sum uint32, data []byte) uint16 {
+	s := uint64(sum)
+	for i := 0; i < len(data); i += 2 {
+		w := uint64(data[i]) << 8
+		if i+1 < len(data) {
+			w |= uint64(data[i+1])
+		}
+		s += w
+	}
+	for s>>16 != 0 {
+		s = s&0xffff + s>>16
+	}
+	return ^uint16(s)
+}
+
+// FuzzPartialChecksum checks the word-at-a-time kernel against the 16-bit
+// definition for any initial sum, length and starting alignment, and checks
+// that summing an even-length prefix and then the rest equals summing the
+// whole (what lets the payload sum feed both the TCP and the DSS checksum).
+func FuzzPartialChecksum(f *testing.F) {
+	ones := make([]byte, 9000)
+	for i := range ones {
+		ones[i] = 0xff
+	}
+	f.Add(uint32(0), uint8(0), uint16(0), []byte{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7})
+	f.Add(uint32(0xffffffff), uint8(3), uint16(1460), ones)
+	f.Add(uint32(0x1234), uint8(7), uint16(33), ones[:1461])
+	f.Fuzz(func(t *testing.T, sum uint32, off uint8, split uint16, data []byte) {
+		data = data[min(int(off)%8, len(data)):]
+		if got, want := FoldChecksum(PartialChecksum(sum, data)), rfc1071Sum(sum, data); got != want {
+			t.Fatalf("PartialChecksum(%#x, %d bytes at offset %d) folds to %#x, RFC 1071 sum %#x", sum, len(data), off%8, got, want)
+		}
+		k := min(int(split), len(data)) &^ 1
+		whole := FoldChecksum(PartialChecksum(sum, data))
+		if parts := FoldChecksum(PartialChecksum(PartialChecksum(sum, data[:k]), data[k:])); parts != whole {
+			t.Fatalf("summing %d+%d bytes folds to %#x, the whole %d to %#x", k, len(data)-k, parts, len(data), whole)
+		}
+	})
+}

@@ -43,6 +43,7 @@ type Endpoint struct {
 	sndUna       packet.SeqNum
 	sndNxt       packet.SeqNum
 	peerWndShift uint8 // shares sndNxt's word, which keeps the struct inside a size class
+	ownsSndBuf   bool  // sndBuf is the endpoint's own, not a hook-supplied one
 	sndWnd       int   // peer advertised window in bytes (already scaled)
 	peerMSS      int
 
@@ -66,10 +67,11 @@ type Endpoint struct {
 	bufs *pool.Local
 
 	// sndBuf holds the queued payload bytes exactly once; chunks reference
-	// ranges of it (see chunk in tcp.go). Its head is trimmed as the
-	// cumulative acknowledgement advances, and teardown releases what is
-	// left.
-	sndBuf buffer.ByteQueue
+	// ranges of it (see chunk in tcp.go). It is the endpoint's own — trimmed
+	// as the cumulative acknowledgement advances and released at teardown —
+	// or, for an MPTCP subflow, its connection's (Hooks.SendQueue), which the
+	// connection trims and releases.
+	sndBuf *buffer.SendQueue
 
 	dupAcks       int
 	inRecovery    bool
@@ -144,8 +146,11 @@ func newEndpoint(iface *netem.Interface, local, remote packet.Endpoint, cfg Conf
 		sndWnd:  cfg.MSS, // until the peer advertises
 	}
 	e.sendQueue, e.retransQ = e.sendQueueBuf[:0], e.retransQBuf[:0]
-	e.sndBuf.UsePool(e.bufs)
 	e.recvQueue.UsePool(e.bufs)
+	if e.sndBuf = hooks.SendQueue(); e.sndBuf == nil {
+		e.sndBuf, e.ownsSndBuf = new(buffer.SendQueue), true
+		e.sndBuf.UsePool(e.bufs)
+	}
 	if e.ctrl = hooks.NewController(cc.Config{MSS: cfg.MSS}); e.ctrl == nil {
 		e.reno = *cc.NewNewReno(cc.Config{MSS: cfg.MSS})
 		e.ctrl = &e.reno
@@ -342,6 +347,10 @@ func (e *Endpoint) SendBufferSpace() int {
 // unsent) — the sender-side memory footprint used by the Fig. 5 experiment.
 func (e *Endpoint) QueuedBytes() int { return e.queuedBytes }
 
+// SendQueue returns the queue the endpoint's chunks reference: its own, or
+// the one its hooks supplied.
+func (e *Endpoint) SendQueue() *buffer.SendQueue { return e.sndBuf }
+
 // ReceiveQueuedBytes returns payload bytes held in the receive path (in-order
 // unread plus out-of-order).
 func (e *Endpoint) ReceiveQueuedBytes() int {
@@ -377,7 +386,7 @@ func (e *Endpoint) Write(data []byte) int {
 	for n := accepted; n > 0; {
 		l := minInt(mss, n)
 		c := e.newChunk()
-		c.payOff, c.payLen = off, l
+		e.setRange(c, off, l)
 		e.enqueueChunk(c)
 		off += uint64(l)
 		n -= l
@@ -386,32 +395,31 @@ func (e *Endpoint) Write(data []byte) int {
 	return accepted
 }
 
-// admitChunk runs the shared admission test for a pre-segmented chunk and,
-// when the payload is accepted, appends it to the send buffer and returns a
-// fresh chunk referencing it. The buffer-space test deliberately lets a
-// chunk through when both queues are empty so a sender can always make
-// progress (the MPTCP layer sizes chunks to the connection-level window).
-func (e *Endpoint) admitChunk(payload []byte) (*chunk, bool) {
+// admitChunk runs the shared admission test for a pre-segmented chunk of the
+// n bytes at send-queue offset off and, when it is accepted, returns a fresh
+// chunk referencing them. The buffer-space test deliberately lets a chunk
+// through when both queues are empty so a sender can always make progress
+// (the MPTCP layer sizes chunks to the connection-level window).
+func (e *Endpoint) admitChunk(off uint64, n int) (*chunk, bool) {
 	if e.state == StateClosed || e.finQueued || e.err != nil {
 		return nil, false
 	}
-	if len(payload) > e.SendBufferSpace() && len(e.sendQueue)+len(e.retransQ) > 0 {
+	if n > e.SendBufferSpace() && len(e.sendQueue)+len(e.retransQ) > 0 {
 		return nil, false
 	}
-	off := e.sndBuf.TailOffset()
-	e.sndBuf.Append(payload)
 	c := e.newChunk()
-	c.payOff, c.payLen = off, len(payload)
+	e.setRange(c, off, n)
 	return c, true
 }
 
-// SendChunk queues exactly one pre-segmented chunk of payload with its
+// SendChunk queues exactly one pre-segmented chunk — the n bytes at offset
+// off of the hook-supplied send queue, which stay where they are — with its
 // accompanying options (the MPTCP data path). It returns false if the chunk
 // does not fit the send buffer. Ownership of the option objects transfers to
 // the endpoint: they are recycled once the chunk is fully acknowledged, so
 // callers must not retain them.
-func (e *Endpoint) SendChunk(payload []byte, opts []packet.Option) bool {
-	c, ok := e.admitChunk(payload)
+func (e *Endpoint) SendChunk(off uint64, n int, opts []packet.Option) bool {
+	c, ok := e.admitChunk(off, n)
 	if !ok {
 		return false
 	}
@@ -428,8 +436,8 @@ func (e *Endpoint) SendChunk(payload []byte, opts []packet.Option) bool {
 // all cases: on success it is recycled when the chunk's retransmission
 // lifetime ends, on failure immediately — callers must not touch the
 // option after the call either way.
-func (e *Endpoint) SendChunkWithOpt(payload []byte, opt packet.Option) bool {
-	c, ok := e.admitChunk(payload)
+func (e *Endpoint) SendChunkWithOpt(off uint64, n int, opt packet.Option) bool {
+	c, ok := e.admitChunk(off, n)
 	if !ok {
 		if d, isDSS := opt.(*packet.DSSOption); isDSS {
 			e.recycleDSS(d)
@@ -549,10 +557,20 @@ type freeLists struct {
 // newChunk returns a zeroed chunk, recycled when possible.
 func (e *Endpoint) newChunk() *chunk { return e.free.chunks.Get() }
 
-// freeChunk ends a chunk's retransmission lifetime: option objects the chunk
-// owns go back to their free list, and the chunk itself is zeroed and
-// retained for reuse. Callers must not touch the chunk afterwards.
+// setRange points a chunk at the n bytes at send-queue offset off, moving its
+// hold on the queue's blocks from its old range to the new one.
+func (e *Endpoint) setRange(c *chunk, off uint64, n int) {
+	e.sndBuf.Hold(off, n)
+	e.sndBuf.Unhold(c.payOff, c.payLen)
+	c.payOff, c.payLen = off, n
+}
+
+// freeChunk ends a chunk's retransmission lifetime: its hold on the send
+// queue is dropped, option objects the chunk owns go back to their free
+// list, and the chunk itself is zeroed and retained for reuse. Callers must
+// not touch the chunk afterwards.
 func (e *Endpoint) freeChunk(c *chunk) {
+	e.sndBuf.Unhold(c.payOff, c.payLen)
 	if c.ownsOpts {
 		for _, o := range c.opts {
 			if d, ok := o.(*packet.DSSOption); ok {
@@ -576,9 +594,10 @@ func (e *Endpoint) recycleDSS(d *packet.DSSOption) {
 	e.free.dss.Put(d)
 }
 
-// teardown releases host resources and the send queue's blocks and reports
-// the terminal error. The receive queue stays readable: it gives its blocks
-// back as the application reads them.
+// teardown releases host resources, drops the queued chunks' holds on the
+// send queue and, when the queue is the endpoint's own, releases it; then it
+// reports the terminal error. The receive queue stays readable: it gives its
+// blocks back as the application reads them.
 func (e *Endpoint) teardown(err error) {
 	if e.state == StateClosed && e.err != nil {
 		return
@@ -590,7 +609,15 @@ func (e *Endpoint) teardown(err error) {
 	e.persistTimer.Stop()
 	e.timeWaitTimer.Stop()
 	e.host.Unregister(e.local, e.remote)
-	e.sndBuf.Release()
+	// The chunks stay queued, but nothing sends them again.
+	for _, q := range [2][]*chunk{e.retransQ, e.sendQueue} {
+		for _, c := range q {
+			e.setRange(c, c.payOff, 0)
+		}
+	}
+	if e.ownsSndBuf {
+		e.sndBuf.Release()
+	}
 	e.setState(StateClosed)
 	if e.OnClosed != nil {
 		cb := e.OnClosed

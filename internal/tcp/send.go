@@ -303,7 +303,9 @@ func (e *Endpoint) onAckAdvance(ack packet.SeqNum, tsSample time.Duration) {
 				}
 			}
 			e.queuedBytes -= c.payLen
-			e.sndBuf.TrimTo(c.payOff + uint64(c.payLen))
+			if e.ownsSndBuf {
+				e.sndBuf.TrimTo(c.payOff + uint64(c.payLen))
+			}
 			// The chunk's retransmission lifetime is over: nothing else
 			// references it (segments carry arena copies of its options), so
 			// it and its DSS options go back to the free lists. Its queue
@@ -318,11 +320,12 @@ func (e *Endpoint) onAckAdvance(ack packet.SeqNum, tsSample time.Duration) {
 			if trim > c.payLen {
 				trim = c.payLen
 			}
-			c.payOff += uint64(trim)
-			c.payLen -= trim
+			e.setRange(c, c.payOff+uint64(trim), c.payLen-trim)
 			c.seq = ack
 			e.queuedBytes -= trim
-			e.sndBuf.TrimTo(c.payOff)
+			if e.ownsSndBuf {
+				e.sndBuf.TrimTo(c.payOff)
+			}
 		}
 		break
 	}
@@ -524,10 +527,9 @@ func (e *Endpoint) onPersist() {
 		// borrows the owner's option objects (ownsOpts stays false): the
 		// owning chunk outlives it in the queues, so the owner frees them.
 		probe := e.newChunk()
-		probe.payOff, probe.payLen = c.payOff, 1
+		e.setRange(probe, c.payOff, 1)
 		probe.opts = append(probe.optsBuf[:0], c.opts...)
-		c.payOff++
-		c.payLen--
+		e.setRange(c, c.payOff+1, c.payLen-1)
 		probe.seq = e.sndNxt
 		e.sndNxt = e.sndNxt.Add(1)
 		e.retransQ = append(e.retransQ, probe)

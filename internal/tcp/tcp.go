@@ -8,7 +8,8 @@
 // The endpoint exposes a small set of hooks (Hooks) through which the MPTCP
 // layer in internal/core attaches per-segment option processing, redirects
 // in-order payload to the connection-level reassembly queue and substitutes
-// the shared connection-level receive window for the per-subflow one. With
+// the shared connection-level receive window for the per-subflow one, and
+// hands the endpoint the connection-level send queue to send from. With
 // the default no-op hooks the endpoint behaves as ordinary single-path TCP
 // and serves as the baseline in every experiment.
 package tcp
@@ -16,6 +17,7 @@ package tcp
 import (
 	"time"
 
+	"mptcpgo/internal/buffer"
 	"mptcpgo/internal/cc"
 	"mptcpgo/internal/packet"
 )
@@ -224,6 +226,11 @@ type Hooks interface {
 	// NewController supplies the congestion controller when the endpoint is
 	// created (MPTCP subflows couple theirs); nil keeps the endpoint's NewReno.
 	NewController(cfg cc.Config) cc.Controller
+	// SendQueue supplies the queue the endpoint's chunks reference when the
+	// endpoint is created; nil gives the endpoint a queue of its own. An
+	// MPTCP subflow sends from its connection's: the connection appends to
+	// and trims it, and feeds the endpoint through SendChunk.
+	SendQueue() *buffer.SendQueue
 }
 
 // NopHooks is the default no-op hook set used by plain TCP endpoints.
@@ -250,6 +257,9 @@ func (NopHooks) AdvertiseWindow(*Endpoint) (int, bool) { return 0, false }
 // NewController implements Hooks.
 func (NopHooks) NewController(cc.Config) cc.Controller { return nil }
 
+// SendQueue implements Hooks.
+func (NopHooks) SendQueue() *buffer.SendQueue { return nil }
+
 // Inline capacities of an endpoint's chunk queues (Endpoint.sendQueueBuf),
 // sized to what the bench/perf fleets were measured to hold and never a limit:
 // MPTCP hands a chunk down only when it can be sent at once (one queued, plus
@@ -265,13 +275,15 @@ const (
 // machinery handles them uniformly.
 //
 // A chunk does not hold payload bytes itself: it references the half-open
-// range [payOff, payOff+payLen) of the endpoint's send ByteQueue (sndBuf).
-// The bytes live exactly once on the sender — retransmissions copy them out
-// of the queue into a fresh pool-owned segment payload, instead of the old
-// scheme of one deep copy per chunk plus one per (re)transmission.
+// range [payOff, payOff+payLen) of the endpoint's send queue (Endpoint.sndBuf)
+// and holds the queue blocks under it (setRange, freeChunk). The bytes live
+// exactly once on the sender — retransmissions copy them out of the queue
+// into a fresh pool-owned segment payload. An MPTCP subflow's queue is its
+// connection's, so there payOff is a data-sequence offset and the bytes are
+// shared by every subflow that carries them.
 type chunk struct {
 	seq    packet.SeqNum
-	payOff uint64 // absolute sndBuf offset of the chunk's first payload byte
+	payOff uint64 // absolute send-queue offset of the chunk's first payload byte
 	payLen int    // payload length in bytes
 	opts   []packet.Option
 	syn    bool
