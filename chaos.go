@@ -75,9 +75,6 @@ func (c *Chaos) Adversary(name string) *Chaos {
 	return c
 }
 
-// WatchdogInterval sets the stall-detection sampling period.
-func (c *Chaos) WatchdogInterval(d time.Duration) *Chaos { c.spec.WatchdogInterval = d; return c }
-
 // Deadline caps each shard's simulated time.
 func (c *Chaos) Deadline(d time.Duration) *Chaos { c.spec.Deadline = d; return c }
 

@@ -108,7 +108,11 @@ func runTraceOverheadScenario(o scenarioOptions) (*experiments.Result, error) {
 	identical := bytes.Equal(offJSON, onJSON)
 	telemIdentical := bytes.Equal(offJSON, telemJSON)
 
-	events, err := probe.ParseJSONL(mustRead(filepath.Join(dir, "fleet-openloop-events.jsonl")))
+	raw, err := os.ReadFile(filepath.Join(dir, "fleet-openloop-events.jsonl"))
+	if err != nil {
+		return nil, fmt.Errorf("trace-overhead: %w", err)
+	}
+	events, err := probe.ParseJSONL(raw)
 	if err != nil {
 		return nil, fmt.Errorf("trace-overhead: %w", err)
 	}
@@ -149,12 +153,4 @@ func runTraceOverheadScenario(o scenarioOptions) (*experiments.Result, error) {
 			overhead*100, telemetryOverheadBudget*100, minBase.Round(time.Millisecond))
 	}
 	return res, nil
-}
-
-func mustRead(path string) []byte {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	return b
 }

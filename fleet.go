@@ -88,9 +88,6 @@ func (f *Fleet) Deadline(d time.Duration) *Fleet { f.spec.Deadline = d; return f
 // Label overrides the result title.
 func (f *Fleet) Label(s string) *Fleet { f.spec.Label = s; return f }
 
-// ServerConfig overrides the listener configuration of every server replica.
-func (f *Fleet) ServerConfig(cfg Config) *Fleet { f.spec.Server = &cfg; return f }
-
 // Trace attaches the flight recorder: typed protocol events (and, when
 // probeInterval > 0, per-subflow time series at that sim-time cadence) are
 // written as fleet-http-trace.json and fleet-http-events.jsonl into dir.

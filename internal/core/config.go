@@ -40,21 +40,9 @@ type Config struct {
 	// of Figure 3.
 	UseDSSChecksum bool
 
-	// CoupledCC uses the linked-increases controller across subflows;
-	// disabling it runs independent NewReno per subflow (ablation).
-	CoupledCC bool
-
-	// Scheduler selects the packet scheduler ("lowest-rtt", "round-robin",
-	// "highest-space").
-	Scheduler string
-
 	// OfoAlgorithm selects the connection-level out-of-order reassembly
 	// algorithm (§4.3, Figure 8).
 	OfoAlgorithm buffer.Algorithm
-
-	// MaxSubflows bounds how many subflows the connection opens (including
-	// the initial one). Zero means "one per address pair".
-	MaxSubflows int
 
 	// SubflowsPerInterface opens several subflows per local interface
 	// (distinct source ports). The receive-algorithm experiment (Figure 8)
@@ -72,15 +60,16 @@ type Config struct {
 	// with ADD_ADDR so a client behind a NAT can open subflows toward them
 	// (§3.2).
 	AdvertiseAddresses bool
-
-	// AddSubflowDelay is how long after the connection is established the
-	// client waits before opening additional subflows (the implementation
-	// waits for the handshake to settle first).
-	AddSubflowDelay time.Duration
 }
 
+// addSubflowDelay is how long after the connection is established the client
+// waits before opening additional subflows (the implementation waits for the
+// handshake to settle first).
+const addSubflowDelay = 50 * time.Millisecond
+
 // DefaultConfig returns the configuration used by the paper's "MPTCP+M1,2"
-// setup with autotuning, checksums and the coupled controller enabled.
+// setup with autotuning and checksums enabled. Every MPTCP connection runs
+// the coupled controller and the lowest-RTT scheduler.
 func DefaultConfig() Config {
 	return Config{
 		EnableMPTCP:             true,
@@ -91,8 +80,6 @@ func DefaultConfig() Config {
 		AutoTuneBuffers:         true,
 		CwndCapping:             false,
 		UseDSSChecksum:          true,
-		CoupledCC:               true,
-		Scheduler:               "lowest-rtt",
 		OfoAlgorithm:            buffer.AlgAllShortcuts,
 		AdvertiseAddresses:      true,
 	}
@@ -125,12 +112,6 @@ func (c Config) withDefaults() Config {
 	if c.RecvBufBytes <= 0 {
 		c.RecvBufBytes = 512 << 10
 	}
-	if c.Scheduler == "" {
-		c.Scheduler = "lowest-rtt"
-	}
-	if c.AddSubflowDelay <= 0 {
-		c.AddSubflowDelay = 50 * time.Millisecond
-	}
 	return c
 }
 
@@ -138,7 +119,8 @@ func (c Config) withDefaults() Config {
 // connection layer always manages payload and flow control through the
 // hooks, whether or not MPTCP ends up being negotiated (fallback connections
 // simply use an implicit one-to-one mapping), so the endpoint is always
-// configured for hook-managed operation.
+// configured for hook-managed operation: its hooks supply the send queue, so
+// in-order payload goes to the connection only.
 func (c Config) subflowConfig() tcp.Config {
 	sc := c.SubflowTemplate
 	// Subflow buffers are bounded by the connection-level buffers: the
@@ -149,7 +131,6 @@ func (c Config) subflowConfig() tcp.Config {
 	// With the per-subflow-window ablation the subflow endpoint itself
 	// enforces the peer's advertised window, exactly like plain TCP would.
 	sc.ConnectionLevelWindow = !c.PerSubflowReceiveWindow
-	sc.PayloadToHooksOnly = true
 	// The congestion controller of an MPTCP subflow is supplied through the
 	// hooks (Subflow.NewController): it needs the connection's shared group.
 	return sc

@@ -82,8 +82,7 @@ type Connection struct {
 	isClient    bool
 	err         error
 
-	ccGroup   cc.CoupledGroup
-	scheduler sched.Scheduler
+	ccGroup cc.CoupledGroup
 
 	// Flight-recorder identity, copied from the manager at creation. probe
 	// is nil when tracing is off; every emission site goes through the
@@ -170,7 +169,6 @@ func newConnection(mgr *Manager, cfg Config, isClient bool) *Connection {
 		cfg:         cfg,
 		sim:         mgr.host.Sim(),
 		isClient:    isClient,
-		scheduler:   sched.New(cfg.Scheduler),
 		mappingFree: sim.Local[pool.FreeList[txMapping]](mgr.host.Sim()),
 		bufs:        sim.Local[pool.Local](mgr.host.Sim()),
 		rwndLimit:   64 << 10,
@@ -518,7 +516,7 @@ func (c *Connection) onSubflowEstablished(s *Subflow) {
 		}
 		// Open additional subflows shortly after the first one settles.
 		if c.isClient && c.MPTCPActive() {
-			c.openAdditionalSubflowsAfter(c.cfg.AddSubflowDelay)
+			c.openAdditionalSubflowsAfter(addSubflowDelay)
 		}
 	}
 	if s.role == RoleJoin && c.OnSubflowEstablished != nil {
@@ -548,7 +546,6 @@ func (c *Connection) openAdditionalSubflows() {
 	if c.closed || !c.MPTCPActive() || !c.isClient {
 		return
 	}
-	max := c.cfg.MaxSubflows
 	perIface := c.cfg.SubflowsPerInterface
 	if perIface < 1 {
 		perIface = 1
@@ -578,12 +575,8 @@ func (c *Connection) openAdditionalSubflows() {
 		if slices.Contains(c.usedRemote, remote) && have == 0 && len(remotes) > idx+1 {
 			remote = remotes[idx+1]
 		}
-		for have < perIface {
-			if max > 0 && len(c.subflows) >= max {
-				return
-			}
+		for ; have < perIface; have++ {
 			c.dialJoinSubflow(ifc, remote)
-			have++
 		}
 		idx++
 	}

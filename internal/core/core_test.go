@@ -219,14 +219,13 @@ func TestFallbackWhenSYNOptionStripped(t *testing.T) {
 }
 
 func TestFallbackWhenDataOptionsStripped(t *testing.T) {
-	h := newHarness(t, 5, netem.WiFi3GSpec())
+	// One path only, so no second subflow can carry the transfer instead.
+	h := newHarness(t, 5, netem.WiFi3GSpec()[:1])
 	// Strip MPTCP options from every non-SYN segment: MPTCP negotiates on
 	// the handshake but must drop to regular TCP when the first data packet
 	// arrives without options (§3.1).
 	h.net.Path(0).AddBox(&stripBox{synOnly: false, skipSYN: true})
-	// Prevent the second subflow from carrying the transfer instead.
 	cli, srv := wifi3GConfig(0)
-	cli.MaxSubflows = 1
 	total := 128 << 10
 	res := h.runBulkTransfer(cli, srv, total, 120*time.Second)
 	if res.received < total {

@@ -42,12 +42,12 @@ func allocatedBytesPer[T any]() uint64 {
 // backing stores of its small slices are fields of these three structs, so
 // this is where a new field or a wider inline array shows. It measures what
 // the allocator charges, not unsafe.Sizeof: an object over 512 B that holds
-// pointers carries an 8-byte malloc header, so Connection (1392 B) costs its
-// 1408 B size class and tcp.Endpoint (1024 B) its 1152 B one; Subflow (368 B)
-// costs 384. The cliffs: Connection up to 1400 B and Endpoint up to 1144 B
-// keep today's cost; Connection at 1272 B or less and Endpoint at 1016 B or
-// less would each drop a class (ROADMAP). The pins are upper bounds, and the
-// figures are those of a 64-bit platform.
+// pointers carries an 8-byte malloc header, so Connection (1320 B) costs its
+// 1408 B size class and tcp.Endpoint (992 B) its 1024 B one; Subflow (368 B)
+// costs 384. The cliffs: Connection up to 1400 B and Endpoint up to 1016 B
+// keep today's cost; Connection at 1272 B or less would drop a class
+// (ROADMAP), and Endpoint past 1016 B would climb back to 1152. The pins are
+// upper bounds, and the figures are those of a 64-bit platform.
 func TestConnectionFootprint(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the pinned sizes are those of a 64-bit platform")
@@ -59,7 +59,7 @@ func TestConnectionFootprint(t *testing.T) {
 	}{
 		{"Connection", unsafe.Sizeof(Connection{}), allocatedBytesPer[Connection](), 1408},
 		{"Subflow", unsafe.Sizeof(Subflow{}), allocatedBytesPer[Subflow](), 384},
-		{"tcp.Endpoint", unsafe.Sizeof(tcp.Endpoint{}), allocatedBytesPer[tcp.Endpoint](), 1152},
+		{"tcp.Endpoint", unsafe.Sizeof(tcp.Endpoint{}), allocatedBytesPer[tcp.Endpoint](), 1024},
 	} {
 		t.Logf("%s: %d B, %d B allocated", c.name, c.size, c.got)
 		if c.got > c.pinned {

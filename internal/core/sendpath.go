@@ -6,6 +6,7 @@ import (
 	"mptcpgo/internal/buffer"
 	"mptcpgo/internal/packet"
 	"mptcpgo/internal/probe"
+	"mptcpgo/internal/sched"
 )
 
 // pump is the sender engine: it maps application data onto subflows according
@@ -93,7 +94,7 @@ func (c *Connection) pickSubflow(size int) *Subflow {
 		}
 	}
 	c.candScratch = cands
-	if idx := c.scheduler.Pick(cands, size); idx >= 0 {
+	if idx := (sched.LowestRTT{}).Pick(cands, size); idx >= 0 {
 		return cands[idx].(*Subflow)
 	}
 	return nil

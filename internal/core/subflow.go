@@ -623,13 +623,13 @@ func (s *Subflow) AdvertiseWindow(e *tcp.Endpoint) (int, bool) {
 	return c.receiveWindow(), true
 }
 
-// NewController implements tcp.Hooks: under coupled congestion control the
-// subflow holds its controller itself, linked into the connection's group. The
-// active opener decides from its configuration (the handshake has not run
-// yet), the passive opener from what the SYN negotiated.
+// NewController implements tcp.Hooks: an MPTCP subflow holds its controller
+// itself, linked into the connection's coupled group. The active opener
+// decides from its configuration (the handshake has not run yet), the
+// passive opener from what the SYN negotiated.
 func (s *Subflow) NewController(cfg cc.Config) cc.Controller {
 	c := s.conn
-	if !c.cfg.CoupledCC || !c.cfg.EnableMPTCP || (!s.client && !c.MPTCPActive()) {
+	if !c.cfg.EnableMPTCP || (!s.client && !c.MPTCPActive()) {
 		return nil
 	}
 	c.ccGroup.Add(&s.coupled, cfg)

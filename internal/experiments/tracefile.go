@@ -18,8 +18,6 @@ type TraceSpec struct {
 	Dir string
 	// ProbeInterval is the time-series cadence (0 = events only).
 	ProbeInterval time.Duration
-	// EventCap overrides the per-member event ring capacity (0 = default).
-	EventCap int
 	// RunInfo, when set, is written alongside the trace files as
 	// `<name>-runinfo.json` (the configuration/environment portion only —
 	// wall-clock results are machine-dependent and stay out of trace
@@ -32,7 +30,7 @@ func (t TraceSpec) Enabled() bool { return t.Dir != "" }
 
 // ProbeConfig converts the spec into a recorder configuration.
 func (t TraceSpec) ProbeConfig() probe.Config {
-	return probe.Config{EventCap: t.EventCap, SampleInterval: t.ProbeInterval}
+	return probe.Config{SampleInterval: t.ProbeInterval}
 }
 
 // WriteTraceFiles writes the flight-recorder files of a run whose recorders are

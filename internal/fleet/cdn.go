@@ -29,15 +29,12 @@ type CDNSpec struct {
 	Clients int
 	// ObjectSize is the bytes each client fetches (default 1 MB).
 	ObjectSize int
-	// Access configures each client's access link; zero selects a symmetric
-	// 50 Mbps link with 10 ms one-way delay and 128 KB of buffering — fast
-	// enough that the egress, not the access, is the bottleneck.
-	Access netem.PathConfig
-	// Conn is the client connection configuration (nil = MPTCP without
-	// address advertisement, 128 KB buffers); Server configures the
-	// replicas' listeners.
-	Conn, Server *core.Config
 }
+
+// cdnAccess is each client's access link: a symmetric 50 Mbps link with 10 ms
+// one-way delay and 128 KB of buffering, fast enough that the egress, not the
+// access, is the bottleneck. Clients connect with StarConfig over MPTCP.
+var cdnAccess = netem.SymmetricPath(netem.Mbps(50), 10*time.Millisecond, 128<<10, 0)
 
 func (s CDNSpec) withDefaults() CDNSpec {
 	if s.ObjectSize <= 0 {
@@ -55,10 +52,6 @@ func (s CDNSpec) withDefaults() CDNSpec {
 	}
 	s.Shared = &egress
 	s.Common = s.Common.withDefaults(60 * time.Second)
-	if s.Access == (netem.PathConfig{}) {
-		s.Access = netem.SymmetricPath(netem.Mbps(50), 10*time.Millisecond, 128<<10, 0)
-	}
-	s.Conn, s.Server = starClient(s.Conn), starServer(s.Server)
 	return s
 }
 
@@ -68,8 +61,9 @@ type cdnScenario struct{ spec *CDNSpec }
 
 func (s cdnScenario) Setup(sh *Shard) (*httpState, error) {
 	spec := s.spec
-	return buildStar(&spec.Common, sh, spec.Server,
-		func(gi int) (string, netem.PathConfig) { return accessLinkName(gi), spec.Access },
+	conn := StarConfig(core.DefaultConfig())
+	return buildStar(&spec.Common, sh,
+		func(gi int) (string, netem.PathConfig) { return accessLinkName(gi), cdnAccess },
 		func(gi int, mgr *core.Manager, iface *netem.Interface, serverAddr packet.Addr, onDone func()) (*httpsim.ClientPool, error) {
 			pool, err := httpsim.NewClientPool(mgr, httpsim.ClientPoolConfig{
 				Clients:       1,
@@ -77,7 +71,7 @@ func (s cdnScenario) Setup(sh *Shard) (*httpState, error) {
 				TransferSize:  spec.ObjectSize,
 				ServerAddr:    serverAddr,
 				ServerPort:    80,
-				Conn:          *spec.Conn,
+				Conn:          conn,
 				Iface:         iface,
 				OnDone:        onDone,
 			})

@@ -50,13 +50,6 @@ type ChaosSpec struct {
 	// Adversary names a middlebox.AdversaryPreset installed on every
 	// member's paths ("" = none).
 	Adversary string
-	// WatchdogInterval is the stall-detection sampling period (default 2s).
-	WatchdogInterval time.Duration
-	// Conn configures member connections (nil = MPTCP, no address
-	// advertisement, 4 RTO retries per subflow so dead paths fail fast).
-	Conn *core.Config
-	// Server configures the server replicas (nil = same hardening).
-	Server *core.Config
 	// CaptureName overrides the observer file prefix (default "fleet-chaos":
 	// <PcapDir>/<CaptureName>-shard<NNN>.pcap, fallback handshakes included,
 	// and <Trace.Dir>/<CaptureName>-trace.json); the adversarial grid uses it
@@ -70,23 +63,16 @@ func (s ChaosSpec) withDefaults() ChaosSpec {
 	if s.TransferBytes <= 0 {
 		s.TransferBytes = 384 << 10
 	}
-	if s.WatchdogInterval <= 0 {
-		s.WatchdogInterval = 2 * time.Second
-	}
-	if s.Conn == nil {
-		conn := chaosConnConfig()
-		s.Conn = &conn
-	}
-	if s.Server == nil {
-		srv := chaosConnConfig()
-		s.Server = &srv
-	}
 	return s
 }
 
-// chaosConnConfig is the hardened default: regular MPTCP with subflows that
-// declare a path dead after 4 consecutive RTOs (instead of TCP's patient 10)
-// so reinjection onto survivors happens within seconds of an outage.
+// chaosWatchdogInterval is the stall-detection sampling period.
+const chaosWatchdogInterval = 2 * time.Second
+
+// chaosConnConfig configures both ends of every member connection: MPTCP
+// without address advertisement, with subflows that declare a path dead
+// after 4 consecutive RTOs (instead of TCP's patient 10) so reinjection onto
+// survivors happens within seconds of an outage.
 func chaosConnConfig() core.Config {
 	cfg := StarConfig(core.DefaultConfig())
 	cfg.SubflowTemplate.MaxRTORetries = 4
@@ -326,7 +312,7 @@ func runChaos(spec ChaosSpec) (*experiments.Result, chaosMerge, error) {
 		func(res *experiments.Result, outs []chaosMerge) {
 			table := experiments.NewTable(
 				fmt.Sprintf("%d members across %d shards, %d KiB each, watchdog %v",
-					spec.Members, len(outs), spec.TransferBytes>>10, spec.WatchdogInterval),
+					spec.Members, len(outs), spec.TransferBytes>>10, chaosWatchdogInterval),
 				"shard", "members", "ok", "fallback", "stalled", "stallEp", "failed", "intact",
 				"reinject", "connRtx", "flaps", "ifdown", "ifup", "reasons", "events")
 			total = addShardRows(table, outs)
@@ -386,6 +372,7 @@ func (s chaosScenario) Setup(sh *Shard) (*chaosState, error) {
 	}
 	rec := sh.Probe
 	st := &chaosState{pathIdx: pathIdx, remaining: sh.Members()}
+	cfg := chaosConnConfig()
 	srvMgr := sh.Manager("server")
 	for gi := sh.Lo; gi < sh.Hi; gi++ {
 		gi := gi
@@ -404,7 +391,7 @@ func (s chaosScenario) Setup(sh *Shard) (*chaosState, error) {
 		st.members = append(st.members, m)
 
 		port := uint16(8000 + gi - sh.Lo)
-		if _, err := srvMgr.Listen(port, *spec.Server, func(conn *core.Connection) {
+		if _, err := srvMgr.Listen(port, cfg, func(conn *core.Connection) {
 			m.server = conn
 			conn.OnReadable = m.drain
 			conn.OnFallback = func(reason string) {
@@ -423,7 +410,7 @@ func (s chaosScenario) Setup(sh *Shard) (*chaosState, error) {
 
 		iface := mgr.Host().Interfaces()[0]
 		serverAddr := iface.Path().Peer(iface).Addr()
-		conn, err := mgr.Dial(iface, packet.Endpoint{Addr: serverAddr, Port: port}, *spec.Conn)
+		conn, err := mgr.Dial(iface, packet.Endpoint{Addr: serverAddr, Port: port}, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: shard %d member %d dial: %w", sh.Index, gi, err)
 		}
@@ -448,7 +435,7 @@ func (s chaosScenario) Setup(sh *Shard) (*chaosState, error) {
 		m.injector = faults.Apply(sh.Sim, spec.Faults, paths, mgr, spec.Seed, uint64(gi))
 		m.injector.SetProbe(rec, gi)
 
-		m.watchdog = faults.NewWatchdog(sh.Sim, spec.WatchdogInterval,
+		m.watchdog = faults.NewWatchdog(sh.Sim, chaosWatchdogInterval,
 			func() uint64 { return m.checker.Received() + m.sent },
 			func() bool { return m.done })
 		m.watchdog.OnStall = m.onStall

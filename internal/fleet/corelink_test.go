@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mptcpgo/internal/capacity"
 	"mptcpgo/internal/experiments"
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/workload"
@@ -38,16 +39,17 @@ func coreBusyThrough(res *experiments.Result) float64 {
 	return 0
 }
 
-// testCorelinkSpec is a small fleet-corelink workload: 12 hosts across 4
-// shards all downloading through one shared core link. The 50ms epoch keeps
-// the capacity exchange adapting well within the short test window.
+// testCorelinkSpec is a small fleet-corelink workload (RunOpenLoop with
+// Shared set): 12 hosts across 4 shards all downloading through one shared
+// core link. The 50ms epoch keeps the capacity exchange adapting well within
+// the short test window.
 func testCorelinkSpec(workers int, rate float64, coreMbps float64) OpenLoopSpec {
-	spec := DefaultCorelinkSpec(42, 12, rate, 3*time.Second, netem.Mbps(coreMbps))
+	spec := DefaultOpenLoopSpec(42, 12, rate, 3*time.Second)
+	spec.Shared = &capacity.SharedLink{Name: "core", RateBps: netem.Mbps(coreMbps), Epoch: 50 * time.Millisecond}
 	spec.Shards = 4
 	spec.Workers = workers
 	spec.Sizes = workload.FixedSize(16 << 10)
 	spec.FlowDeadline = 3 * time.Second
-	spec.Shared.Epoch = 50 * time.Millisecond
 	return spec
 }
 
@@ -58,9 +60,9 @@ func testCorelinkSpec(workers int, rate float64, coreMbps float64) OpenLoopSpec 
 // or in parallel under GOMAXPROCS=4.
 func TestCorelinkWorkerInvariance(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
-	res1, err1 := RunCorelink(testCorelinkSpec(1, 60, 8))
+	res1, err1 := RunOpenLoop(testCorelinkSpec(1, 60, 8))
 	runtime.GOMAXPROCS(4)
-	res4, err4 := RunCorelink(testCorelinkSpec(4, 60, 8))
+	res4, err4 := RunOpenLoop(testCorelinkSpec(4, 60, 8))
 	runtime.GOMAXPROCS(prev)
 	if err1 != nil {
 		t.Fatal(err1)
@@ -87,11 +89,11 @@ func TestCorelinkShardCountDeterminism(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		spec := testCorelinkSpec(2, 122, coreMbps)
 		spec.Shards = shards
-		first, err := RunCorelink(spec)
+		first, err := RunOpenLoop(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		second, err := RunCorelink(spec)
+		second, err := RunOpenLoop(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +127,7 @@ func TestCorelinkShardCountDeterminism(t *testing.T) {
 func TestCorelinkGlobalOverloadKnee(t *testing.T) {
 	const coreMbps = 8.0
 	run := func(rate float64) (offered, goodput, p99, through float64) {
-		res, err := RunCorelink(testCorelinkSpec(0, rate, coreMbps))
+		res, err := RunOpenLoop(testCorelinkSpec(0, rate, coreMbps))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,9 +41,6 @@ type HTTPSpec struct {
 	// Clients lists the resolved per-client specs; the global client index is
 	// the position in this slice.
 	Clients []HTTPClient
-	// Server is the listener configuration of every server replica (nil =
-	// MPTCP-enabled default without address advertisement).
-	Server *core.Config
 }
 
 // DefaultAccessLink derives the deterministic heterogeneous access link used
@@ -69,23 +66,11 @@ func StarConfig(cfg core.Config) core.Config {
 	return cfg
 }
 
-// starClient and starServer resolve the optional connection configurations
-// of a star scenario: clients default to StarConfig over full MPTCP, server
-// replicas to the MPTCP default without address advertisement.
-func starClient(cfg *core.Config) *core.Config {
-	if cfg == nil {
-		c := StarConfig(core.DefaultConfig())
-		cfg = &c
-	}
-	return cfg
-}
-
-func starServer(cfg *core.Config) *core.Config {
-	if cfg == nil {
-		c := core.DefaultConfig()
-		c.AdvertiseAddresses = false
-		cfg = &c
-	}
+// starServerConfig is the listener configuration of every star scenario's
+// server replicas: the MPTCP default without address advertisement.
+func starServerConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.AdvertiseAddresses = false
 	return cfg
 }
 
@@ -108,7 +93,6 @@ func DefaultHTTPSpec(seed uint64, clients, requests, size int) HTTPSpec {
 
 func (s HTTPSpec) withDefaults() HTTPSpec {
 	s.Common = s.Common.withDefaults(DefaultDeadline)
-	s.Server = starServer(s.Server)
 	for i := range s.Clients {
 		c := &s.Clients[i]
 		if c.Requests <= 0 {
@@ -164,12 +148,12 @@ type starState[P starPool] struct {
 func (st *starState[P]) done() bool { return st.remaining == 0 }
 
 // buildStar materializes a star shard without running it: a "server" host
-// with a listening replica on port 80, plus one client host per member on
-// its own access link, whose download direction — responses flow server (B)
-// to client (A) — carries the run's shared tag. link names and configures
-// member gi's access link; newPool builds member gi's pool on its host and
-// schedules its start.
-func buildStar[P starPool](c *Common, sh *Shard, server *core.Config,
+// with a listening replica (starServerConfig) on port 80, plus one client
+// host per member on its own access link, whose download direction —
+// responses flow server (B) to client (A) — carries the run's shared tag.
+// link names and configures member gi's access link; newPool builds member
+// gi's pool on its host and schedules its start.
+func buildStar[P starPool](c *Common, sh *Shard,
 	link func(gi int) (name string, cfg netem.PathConfig),
 	newPool func(gi int, mgr *core.Manager, iface *netem.Interface, serverAddr packet.Addr, onDone func()) (P, error)) (*starState[P], error) {
 
@@ -182,7 +166,7 @@ func buildStar[P starPool](c *Common, sh *Shard, server *core.Config,
 	if err := sh.Materialize(g); err != nil {
 		return nil, err
 	}
-	if _, err := httpsim.StartServer(sh.Manager("server"), httpsim.ServerConfig{Port: 80, Conn: *server}); err != nil {
+	if _, err := httpsim.StartServer(sh.Manager("server"), httpsim.ServerConfig{Port: 80, Conn: starServerConfig()}); err != nil {
 		return nil, err
 	}
 	st := &starState[P]{remaining: sh.Members()}
@@ -218,7 +202,7 @@ type httpState = starState[*httpsim.ClientPool]
 
 func (s httpScenario) Setup(sh *Shard) (*httpState, error) {
 	spec := s.spec
-	return buildStar(&spec.Common, sh, spec.Server,
+	return buildStar(&spec.Common, sh,
 		func(gi int) (string, netem.PathConfig) {
 			c := &spec.Clients[gi]
 			if c.LinkName != "" {

@@ -23,27 +23,25 @@ type IncastSpec struct {
 	Senders int
 	// BlockSize is the bytes each sender transfers (default 256 KB).
 	BlockSize int
-	// Link configures each sender's access link to the aggregator; zero
-	// selects a gigabit link with a shallow 64 KB queue.
-	Link netem.PathConfig
-	// Conn is the sender connection configuration; nil selects single-path
-	// TCP (one link per sender, so multipath adds nothing).
-	Conn *core.Config
+}
+
+// incastLink is each sender's access link to the aggregator: gigabit with a
+// shallow 64 KB queue.
+var incastLink = netem.SymmetricPath(netem.Gbps(1), 100*time.Microsecond, 64<<10, 0)
+
+// incastConnConfig is the sender connection configuration: single-path TCP
+// (one link per sender, so multipath adds nothing) with 256 KB buffers.
+func incastConnConfig() core.Config {
+	cfg := core.TCPOnlyConfig()
+	cfg.SendBufBytes = 256 << 10
+	cfg.RecvBufBytes = 256 << 10
+	return cfg
 }
 
 func (s IncastSpec) withDefaults() IncastSpec {
 	s.Common = s.Common.withDefaults(DefaultDeadline)
 	if s.BlockSize <= 0 {
 		s.BlockSize = 256 << 10
-	}
-	if s.Link == (netem.PathConfig{}) {
-		s.Link = netem.SymmetricPath(netem.Gbps(1), 100*time.Microsecond, 64<<10, 0)
-	}
-	if s.Conn == nil {
-		conn := core.TCPOnlyConfig()
-		conn.SendBufBytes = 256 << 10
-		conn.RecvBufBytes = 256 << 10
-		s.Conn = &conn
 	}
 	return s
 }
@@ -134,7 +132,7 @@ func (s incastScenario) Setup(sh *Shard) (*incastState, error) {
 	for gi := sh.Lo; gi < sh.Hi; gi++ {
 		g.AddLink(netem.LinkSpec{
 			Name: fmt.Sprintf("fanin%d", gi),
-			A:    senderHostName(gi), B: "agg", Config: spec.Link,
+			A:    senderHostName(gi), B: "agg", Config: incastLink,
 		})
 	}
 	if err := sh.Materialize(g); err != nil {
@@ -146,7 +144,8 @@ func (s incastScenario) Setup(sh *Shard) (*incastState, error) {
 	// The aggregator drains every connection; a sender's block counts as
 	// complete the moment its last byte is delivered in order (the metric
 	// incast cares about — not the later close handshake).
-	aggCfg := *spec.Conn
+	cfg := incastConnConfig()
+	aggCfg := cfg
 	aggCfg.EnableMPTCP = true // accept MPTCP and plain-TCP senders alike
 	if _, err := sh.Manager("agg").Listen(80, aggCfg, func(c *core.Connection) {
 		received := 0
@@ -179,7 +178,7 @@ func (s incastScenario) Setup(sh *Shard) (*incastState, error) {
 	for gi := sh.Lo; gi < sh.Hi; gi++ {
 		mgr := sh.Manager(senderHostName(gi))
 		iface := mgr.Host().Interfaces()[0]
-		conn, err := mgr.Dial(iface, packet.Endpoint{Addr: iface.Path().Peer(iface).Addr(), Port: 80}, *spec.Conn)
+		conn, err := mgr.Dial(iface, packet.Endpoint{Addr: iface.Path().Peer(iface).Addr(), Port: 80}, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: shard %d sender %d: %w", sh.Index, gi, err)
 		}

@@ -24,23 +24,20 @@ type MixedSpec struct {
 	Common
 	// Pairs is the total number of client/server pairs.
 	Pairs int
-	// Background is the number of plain-TCP background flows per pair
-	// (default 2), all competing on the WiFi link.
-	Background int
-	// Duration is the simulated run length (default 5s); Warmup is excluded
-	// from goodput measurement (default Duration/5).
-	Duration, Warmup time.Duration
+	// Duration is the simulated run length (default 5s); its first fifth is
+	// warmup, excluded from goodput measurement.
+	Duration time.Duration
 }
 
+// mixedBackground is the number of plain-TCP background flows per pair, all
+// competing on the WiFi link.
+const mixedBackground = 2
+
+func (s MixedSpec) warmup() time.Duration { return s.Duration / 5 }
+
 func (s MixedSpec) withDefaults() MixedSpec {
-	if s.Background <= 0 {
-		s.Background = 2
-	}
 	if s.Duration <= 0 {
 		s.Duration = 5 * time.Second
-	}
-	if s.Warmup <= 0 || s.Warmup >= s.Duration {
-		s.Warmup = s.Duration / 5
 	}
 	s.Deadline = s.Duration + time.Nanosecond // only has to lie past the window's end
 	s.Common = s.Common.withDefaults(s.Deadline)
@@ -83,7 +80,7 @@ func RunMixed(spec MixedSpec) (*experiments.Result, error) {
 		func(res *experiments.Result, outs []mixedOut) {
 			table := experiments.NewTable(
 				fmt.Sprintf("%d WiFi+3G pairs, %d background TCP flows each, across %d shards",
-					spec.Pairs, spec.Background, len(outs)),
+					spec.Pairs, mixedBackground, len(outs)),
 				"shard", "pairs", "fg Mbps (mean)", "bg Mbps (mean)", "fg share %", "events")
 			addShardRows(table, outs)
 			table.AddNote("fg = one MPTCP bulk flow over WiFi+3G; bg = aggregate of the plain-TCP flows sharing the WiFi link; the coupled controller should leave the background flows their fair share of WiFi while the foreground adds 3G capacity")
@@ -175,7 +172,7 @@ func (s mixedScenario) Setup(sh *Shard) (*mixedState, error) {
 		if err := dialBulk(fgCfg, 80); err != nil {
 			return nil, fmt.Errorf("fleet: shard %d pair %d: %w", sh.Index, gi, err)
 		}
-		for b := 0; b < spec.Background; b++ {
+		for b := 0; b < mixedBackground; b++ {
 			if err := dialBulk(bgCfg, 81); err != nil {
 				return nil, fmt.Errorf("fleet: shard %d pair %d bg %d: %w", sh.Index, gi, b, err)
 			}
@@ -183,7 +180,7 @@ func (s mixedScenario) Setup(sh *Shard) (*mixedState, error) {
 	}
 
 	// Snapshot at warmup, measure until Duration.
-	sh.Sim.Schedule(spec.Warmup, func() {
+	sh.Sim.Schedule(spec.warmup(), func() {
 		copy(st.fgBase, st.fgBytes)
 		copy(st.bgBase, st.bgBytes)
 	})
@@ -197,7 +194,7 @@ func (s mixedScenario) Collect(sh *Shard, st *mixedState) (mixedOut, error) {
 	n := sh.Members()
 	// The window-closing event is the harness's own, not the workload's.
 	out := mixedOut{pairs: n, fgMbps: make([]float64, n), bgMbps: make([]float64, n), events: sh.probeEvents() - 1}
-	window := (s.spec.Duration - s.spec.Warmup).Seconds()
+	window := (s.spec.Duration - s.spec.warmup()).Seconds()
 	for i := 0; i < n; i++ {
 		out.fgMbps[i] = float64(st.fgBytes[i]-st.fgBase[i]) * 8 / window / 1e6
 		out.bgMbps[i] = float64(st.bgBytes[i]-st.bgBase[i]) * 8 / window / 1e6

@@ -58,13 +58,9 @@ type OpenLoopSpec struct {
 	// MaxInFlightPerHost sheds arrivals beyond this many concurrent flows on
 	// one host (0 = unlimited).
 	MaxInFlightPerHost int
-	// Link derives host i's access link (nil = DefaultAccessLink).
+	// Link derives host i's access link (nil = DefaultAccessLink). Flows
+	// connect with the fleet-http default: StarConfig over MPTCP.
 	Link func(i int) netem.PathConfig
-	// Conn is the per-flow connection configuration (nil = the fleet-http
-	// default: MPTCP without address advertisement, 128 KB buffers).
-	Conn *core.Config
-	// Server is the listener configuration of every server replica.
-	Server *core.Config
 }
 
 // DefaultOpenLoopSpec builds the stock fleet-openloop workload: hosts client
@@ -78,14 +74,6 @@ func DefaultOpenLoopSpec(seed uint64, hosts int, rate float64, window time.Durat
 		Sizes:   workload.WebMix(),
 		Window:  window,
 	}
-}
-
-// DefaultCorelinkSpec builds the stock fleet-corelink workload: the
-// fleet-openloop defaults plus a shared core link of the given rate.
-func DefaultCorelinkSpec(seed uint64, hosts int, rate float64, window time.Duration, coreBps int64) OpenLoopSpec {
-	spec := DefaultOpenLoopSpec(seed, hosts, rate, window)
-	spec.Shared = &capacity.SharedLink{Name: "core", RateBps: coreBps}
-	return spec
 }
 
 func (s OpenLoopSpec) withDefaults() OpenLoopSpec {
@@ -112,7 +100,6 @@ func (s OpenLoopSpec) withDefaults() OpenLoopSpec {
 	if s.Link == nil {
 		s.Link = DefaultAccessLink
 	}
-	s.Conn, s.Server = starClient(s.Conn), starServer(s.Server)
 	return s
 }
 
@@ -227,21 +214,6 @@ func RunOpenLoop(spec OpenLoopSpec) (*experiments.Result, error) {
 		})
 }
 
-// RunCorelink executes the fleet-corelink scenario: RunOpenLoop through a
-// shared core link, "core" at 100 Mbps with 100 ms epochs unless spec.Shared
-// says otherwise.
-func RunCorelink(spec OpenLoopSpec) (*experiments.Result, error) {
-	core := capacity.SharedLink{RateBps: netem.Mbps(100)}
-	if spec.Shared != nil {
-		core = *spec.Shared
-		if core.RateBps == 0 {
-			core.RateBps = netem.Mbps(100)
-		}
-	}
-	spec.Shared = &core
-	return RunOpenLoop(spec)
-}
-
 // openLoopScenario is the open-loop workload: one pool per host drawing from
 // its thinned arrival stream.
 type openLoopScenario struct{ spec *OpenLoopSpec }
@@ -251,7 +223,8 @@ type openLoopState = starState[*httpsim.OpenLoopPool]
 func (s openLoopScenario) Setup(sh *Shard) (*openLoopState, error) {
 	spec := s.spec
 	fraction := 1 / float64(spec.Hosts)
-	return buildStar(&spec.Common, sh, spec.Server,
+	conn := StarConfig(core.DefaultConfig())
+	return buildStar(&spec.Common, sh,
 		func(gi int) (string, netem.PathConfig) { return accessLinkName(gi), spec.Link(gi) },
 		func(gi int, mgr *core.Manager, iface *netem.Interface, serverAddr packet.Addr, onDone func()) (*httpsim.OpenLoopPool, error) {
 			pool, err := httpsim.NewOpenLoopPool(mgr, httpsim.OpenLoopConfig{
@@ -263,7 +236,7 @@ func (s openLoopScenario) Setup(sh *Shard) (*openLoopState, error) {
 				MaxInFlight:  spec.MaxInFlightPerHost,
 				ServerAddr:   serverAddr,
 				ServerPort:   80,
-				Conn:         *spec.Conn,
+				Conn:         conn,
 				Iface:        iface,
 				OnDone:       onDone,
 			})

@@ -38,7 +38,7 @@ func TestTelemetryChangesNothing(t *testing.T) {
 		{"corelink", func(p *telemetry.Plane) (*experiments.Result, error) {
 			spec := testCorelinkSpec(2, 60, 30)
 			spec.Telemetry = p
-			return RunCorelink(spec)
+			return RunOpenLoop(spec)
 		}},
 		{"http", func(p *telemetry.Plane) (*experiments.Result, error) {
 			spec := testHTTPSpec(2)

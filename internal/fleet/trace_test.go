@@ -68,7 +68,7 @@ func TestTraceChangesNothing(t *testing.T) {
 		{"corelink", func(tr experiments.TraceSpec) (*experiments.Result, error) {
 			spec := testCorelinkSpec(2, 60, 30)
 			spec.Trace = tr
-			return RunCorelink(spec)
+			return RunOpenLoop(spec)
 		}},
 		{"http", func(tr experiments.TraceSpec) (*experiments.Result, error) {
 			spec := testHTTPSpec(2)
@@ -128,7 +128,7 @@ func TestTraceWorkerInvariance(t *testing.T) {
 		{"corelink", "fleet-corelink", func(workers int, dir string) error {
 			spec := testCorelinkSpec(workers, 60, 30)
 			spec.Trace = testTraceSpec(dir)
-			_, err := RunCorelink(spec)
+			_, err := RunOpenLoop(spec)
 			return err
 		}},
 	}

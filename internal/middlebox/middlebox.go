@@ -8,77 +8,13 @@
 //   - Segment splitting (TSO-like, options copied onto every fragment)
 //   - Segment coalescing (traffic normalizer, only one option set survives)
 //   - Pro-active ACKing (transparent proxy)
-//   - Payload modification (application-level gateway, with sequence fix-up)
+//   - Payload modification (in-path content corruption)
 //   - Hole blocking (proxies that refuse to forward data after a gap)
 //
 // Elements implement netem.Box and are composed onto a netem.Path.
 package middlebox
 
-import (
-	"mptcpgo/internal/netem"
-	"mptcpgo/internal/packet"
-)
+import "mptcpgo/internal/packet"
 
 // forward is a helper returning a single-segment result.
 func forward(seg *packet.Segment) []*packet.Segment { return []*packet.Segment{seg} }
-
-// Tap is a transparent element that records every segment it sees; tests and
-// the middlebox probe tool use it to observe on-path traffic.
-type Tap struct {
-	// Seen holds clones of every forwarded segment, per direction.
-	Seen map[netem.Direction][]*packet.Segment
-	// Filter, if set, restricts recording to segments it returns true for.
-	Filter func(*packet.Segment) bool
-}
-
-// NewTap creates an empty tap.
-func NewTap() *Tap {
-	return &Tap{Seen: map[netem.Direction][]*packet.Segment{}}
-}
-
-// Name implements netem.Box.
-func (t *Tap) Name() string { return "tap" }
-
-// Process implements netem.Box.
-func (t *Tap) Process(_ netem.BoxContext, dir netem.Direction, seg *packet.Segment) []*packet.Segment {
-	if t.Filter == nil || t.Filter(seg) {
-		t.Seen[dir] = append(t.Seen[dir], seg.Clone())
-	}
-	return forward(seg)
-}
-
-// Count returns the number of recorded segments in a direction.
-func (t *Tap) Count(dir netem.Direction) int { return len(t.Seen[dir]) }
-
-// Dropper drops segments matching a predicate (used to model path failures
-// and targeted losses in tests).
-type Dropper struct {
-	// Match selects the segments to drop.
-	Match func(dir netem.Direction, seg *packet.Segment) bool
-	// Remaining, when positive, limits how many segments are dropped; -1
-	// means unlimited.
-	Remaining int
-	// Dropped counts segments removed so far.
-	Dropped int
-}
-
-// NewDropper drops up to n segments matching match (n < 0 for unlimited).
-func NewDropper(n int, match func(dir netem.Direction, seg *packet.Segment) bool) *Dropper {
-	return &Dropper{Match: match, Remaining: n}
-}
-
-// Name implements netem.Box.
-func (d *Dropper) Name() string { return "dropper" }
-
-// Process implements netem.Box.
-func (d *Dropper) Process(_ netem.BoxContext, dir netem.Direction, seg *packet.Segment) []*packet.Segment {
-	if d.Match != nil && d.Match(dir, seg) && (d.Remaining < 0 || d.Remaining > 0) {
-		if d.Remaining > 0 {
-			d.Remaining--
-		}
-		d.Dropped++
-		seg.Release()
-		return nil
-	}
-	return forward(seg)
-}

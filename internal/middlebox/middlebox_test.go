@@ -202,22 +202,6 @@ func TestProactiveACKerKeepsAckedDataOnPath(t *testing.T) {
 	}
 }
 
-func TestPayloadRewriterAdjustsLaterSequences(t *testing.T) {
-	r := NewPayloadRewriter("cat", "tiger")
-	ctx := nopCtx{s: sim.New(1)}
-	first := dataSeg(0, "the cat sat")
-	out := r.Process(ctx, netem.AtoB, first)
-	if string(out[0].Payload) != "the tiger sat" {
-		t.Fatalf("payload not rewritten: %q", out[0].Payload)
-	}
-	// Later segments are shifted by the length difference (+2).
-	second := dataSeg(11, "again")
-	out = r.Process(ctx, netem.AtoB, second)
-	if out[0].Seq != 13 {
-		t.Fatalf("later segment seq = %d, want 13", out[0].Seq)
-	}
-}
-
 func TestPayloadCorrupterAndHoleBlocker(t *testing.T) {
 	ctx := nopCtx{s: sim.New(1)}
 	pc := NewPayloadCorrupter(1)
@@ -240,23 +224,6 @@ func TestPayloadCorrupterAndHoleBlocker(t *testing.T) {
 	}
 	if hb.Blocked != 1 {
 		t.Fatalf("blocked count = %d", hb.Blocked)
-	}
-}
-
-func TestTapAndDropper(t *testing.T) {
-	ctx := nopCtx{s: sim.New(1)}
-	tap := NewTap()
-	tap.Process(ctx, netem.AtoB, dataSeg(0, "x"))
-	tap.Process(ctx, netem.BtoA, dataSeg(1, "y"))
-	if tap.Count(netem.AtoB) != 1 || tap.Count(netem.BtoA) != 1 {
-		t.Fatal("tap miscounted")
-	}
-	d := NewDropper(1, func(dir netem.Direction, seg *packet.Segment) bool { return len(seg.Payload) > 0 })
-	if out := d.Process(ctx, netem.AtoB, dataSeg(0, "x")); len(out) != 0 {
-		t.Fatal("first matching segment should be dropped")
-	}
-	if out := d.Process(ctx, netem.AtoB, dataSeg(1, "y")); len(out) != 1 {
-		t.Fatal("drop budget exhausted; segment should pass")
 	}
 }
 

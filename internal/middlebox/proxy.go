@@ -1,8 +1,6 @@
 package middlebox
 
 import (
-	"bytes"
-
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
 )
@@ -101,62 +99,6 @@ func (p *ProactiveACKer) Process(ctx netem.BoxContext, dir netem.Direction, seg 
 				}
 			}
 		}
-	}
-	return forward(seg)
-}
-
-// PayloadRewriter models an application-level gateway (e.g. a NAT's FTP
-// helper) that rewrites payload content and adjusts subsequent sequence and
-// acknowledgement numbers so the end systems see a consistent stream
-// (§3.3.6). When the replacement has a different length than the original,
-// every later segment's sequence number shifts — which silently corrupts any
-// subflow-byte-to-data-sequence mapping and is detectable only via the DSS
-// checksum.
-type PayloadRewriter struct {
-	// Old is the byte pattern to replace in AtoB payloads.
-	Old []byte
-	// New is the replacement.
-	New []byte
-	// Rewritten counts segments whose payload was modified.
-	Rewritten int
-
-	// shift tracks the cumulative sequence shift applied per flow.
-	shift map[packet.FourTuple]int32
-}
-
-// NewPayloadRewriter replaces old with new in client-to-server payloads.
-func NewPayloadRewriter(old, new string) *PayloadRewriter {
-	return &PayloadRewriter{
-		Old:   []byte(old),
-		New:   []byte(new),
-		shift: make(map[packet.FourTuple]int32),
-	}
-}
-
-// Name implements netem.Box.
-func (p *PayloadRewriter) Name() string { return "payload-rewrite" }
-
-// Process implements netem.Box.
-func (p *PayloadRewriter) Process(_ netem.BoxContext, dir netem.Direction, seg *packet.Segment) []*packet.Segment {
-	if dir == netem.AtoB {
-		key := seg.Tuple()
-		shift := p.shift[key]
-		// Apply the accumulated shift from earlier rewrites so the stream
-		// stays consistent end to end.
-		seg.Seq = seg.Seq.Add(uint32(shift))
-		if len(seg.Payload) > 0 && len(p.Old) > 0 && bytes.Contains(seg.Payload, p.Old) {
-			before := len(seg.Payload)
-			seg.Payload = bytes.ReplaceAll(seg.Payload, p.Old, p.New)
-			p.Rewritten++
-			p.shift[key] = shift + int32(len(seg.Payload)-before)
-		}
-		return forward(seg)
-	}
-	// Fix up acknowledgements on the return path so the sender's view of its
-	// own (unmodified) stream remains consistent.
-	key := seg.Tuple().Reverse()
-	if shift := p.shift[key]; shift != 0 && seg.Flags.Has(packet.FlagACK) {
-		seg.Ack = seg.Ack.Add(uint32(-shift))
 	}
 	return forward(seg)
 }

@@ -37,13 +37,6 @@ func (m CPUModel) Cost(seg *packet.Segment) time.Duration {
 	return m.PerPacket + time.Duration(len(seg.Payload))*m.PerPayloadByte
 }
 
-// HostStats aggregates host-level counters.
-type HostStats struct {
-	Delivered   uint64
-	NoMatchRST  uint64
-	CPUBusyTime time.Duration
-}
-
 // Host is an end system with one or more interfaces and a TCP demultiplexer.
 type Host struct {
 	sim  *sim.Simulator
@@ -69,8 +62,6 @@ type Host struct {
 	CPU        CPUModel
 	cpuBusyTil time.Duration
 
-	stats HostStats
-
 	// OnUnmatched, if set, overrides the default RST-on-unmatched-segment
 	// behaviour (used by probes and tests).
 	OnUnmatched func(ingress *Interface, seg *packet.Segment)
@@ -92,13 +83,6 @@ func (h *Host) Name() string { return h.name }
 
 // Sim returns the simulator the host runs on.
 func (h *Host) Sim() *sim.Simulator { return h.sim }
-
-// Stats returns a copy of the host counters.
-func (h *Host) Stats() HostStats {
-	s := h.stats
-	s.CPUBusyTime = h.stats.CPUBusyTime
-	return s
-}
 
 // AddInterface attaches a new interface with the given address.
 func (h *Host) AddInterface(addr packet.Addr) *Interface {
@@ -171,7 +155,6 @@ func (h *Host) deliver(ingress *Interface, seg *packet.Segment) {
 		}
 		done := start + cost
 		h.cpuBusyTil = done
-		h.stats.CPUBusyTime += cost
 		h.sim.ScheduleAt(done, func() { h.dispatch(ingress, seg) })
 		return
 	}
@@ -179,7 +162,6 @@ func (h *Host) deliver(ingress *Interface, seg *packet.Segment) {
 }
 
 func (h *Host) dispatch(ingress *Interface, seg *packet.Segment) {
-	h.stats.Delivered++
 	key := packet.FourTuple{Src: seg.Dst, Dst: seg.Src}
 	if h.lastHandler != nil && key == h.lastKey {
 		h.lastHandler.HandleSegment(ingress, seg)
@@ -210,7 +192,6 @@ func (h *Host) dispatch(ingress *Interface, seg *packet.Segment) {
 	// Default behaviour: answer non-RST segments with a RST, as a real host
 	// with no matching socket would.
 	if !seg.Flags.Has(packet.FlagRST) {
-		h.stats.NoMatchRST++
 		rst := &packet.Segment{
 			Src:   seg.Dst,
 			Dst:   seg.Src,
@@ -237,7 +218,6 @@ func (h *Host) chargeTX(seg *packet.Segment, send func()) {
 	}
 	done := start + cost
 	h.cpuBusyTil = done
-	h.stats.CPUBusyTime += cost
 	h.sim.ScheduleAt(done, send)
 }
 

@@ -281,15 +281,6 @@ func deliverBurst(a, _ any) {
 	l.dst.Receive(seg)
 }
 
-// BandwidthDelayProduct returns the link's BDP in bytes, a convenience for
-// buffer sizing in experiments.
-func (c LinkConfig) BandwidthDelayProduct() int {
-	if c.RateBps == 0 {
-		return 0
-	}
-	return int(float64(c.RateBps) / 8 * c.Delay.Seconds())
-}
-
 // Mbps converts a megabit-per-second figure to bits per second.
 func Mbps(m float64) int64 { return int64(m * 1e6) }
 

@@ -212,19 +212,6 @@ func (n *Network) PathByName(name string) *Path {
 	return nil
 }
 
-// PathsBetween returns the paths whose endpoints are the two given hosts, in
-// construction order.
-func (n *Network) PathsBetween(a, b *Host) []*Path {
-	var out []*Path
-	for _, p := range n.Paths {
-		ha, hb := p.A().Host(), p.B().Host()
-		if (ha == a && hb == b) || (ha == b && hb == a) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // ClientAddr returns the client's address on path i.
 func (n *Network) ClientAddr(i int) packet.Addr { return n.Paths[i].A().Addr() }
 

@@ -1,7 +1,7 @@
-// Package sched provides the packet schedulers that decide which subflow the
-// next chunk of connection-level data is sent on. The default policy is the
-// one the paper's implementation uses: "MPTCP will send a new packet on the
-// lowest delay link that has space in its congestion window" (§4.2).
+// Package sched provides the packet scheduler that decides which subflow the
+// next chunk of connection-level data is sent on. The policy is the one the
+// paper's implementation uses: "MPTCP will send a new packet on the lowest
+// delay link that has space in its congestion window" (§4.2).
 package sched
 
 import "time"
@@ -21,55 +21,22 @@ type Candidate interface {
 	Backup() bool
 }
 
-// Scheduler selects the subflow for the next transmission.
-type Scheduler interface {
-	// Name identifies the policy in experiment output.
-	Name() string
-	// Pick returns the index into candidates of the subflow to use for a
-	// chunk of the given size, or -1 if no subflow can send now.
-	Pick(candidates []Candidate, size int) int
-}
+// LowestRTT is the scheduler: among subflows with congestion-window space,
+// pick the one with the smallest smoothed RTT.
+type LowestRTT struct{}
 
-// usable filters candidates by usability and minimum space into scratch
-// (reused between calls by stateful schedulers), preferring non-backup
-// subflows.
-func usable(scratch []int, candidates []Candidate, size int) []int {
-	regular := scratch[:0]
-	backups := 0
-	for i, c := range candidates {
-		if !c.Usable() || c.SendSpace() < size {
-			continue
-		}
-		if c.Backup() {
-			backups++
-		} else {
-			regular = append(regular, i)
-		}
-	}
-	if len(regular) > 0 || backups == 0 {
-		return regular
-	}
-	backup := scratch[:0]
-	for i, c := range candidates {
-		if c.Usable() && c.SendSpace() >= size && c.Backup() {
-			backup = append(backup, i)
-		}
-	}
-	return backup
-}
-
-// pickByScore returns the index of the usable candidate with enough space
-// and the lowest score, preferring non-backup subflows; ties go to the
-// earliest index. It is allocation-free (callers pass non-capturing score
-// functions) — the scheduler runs once per transmitted chunk.
-func pickByScore(candidates []Candidate, size int, score func(Candidate) int64) int {
+// Pick returns the index into candidates of the subflow to use for a chunk of
+// the given size, or -1 if no subflow can send now. Non-backup subflows are
+// preferred and ties go to the earliest index. It allocates nothing: the
+// scheduler runs once per transmitted chunk.
+func (LowestRTT) Pick(candidates []Candidate, size int) int {
 	best, bestBackup := -1, -1
-	var bestS, bestBackupS int64
+	var bestS, bestBackupS time.Duration
 	for i, c := range candidates {
 		if !c.Usable() || c.SendSpace() < size {
 			continue
 		}
-		s := score(c)
+		s := c.SRTT()
 		if c.Backup() {
 			if bestBackup == -1 || s < bestBackupS {
 				bestBackup, bestBackupS = i, s
@@ -84,61 +51,6 @@ func pickByScore(candidates []Candidate, size int, score func(Candidate) int64) 
 	return bestBackup
 }
 
-// LowestRTT is the default scheduler: among subflows with congestion-window
-// space, pick the one with the smallest smoothed RTT.
-type LowestRTT struct{}
-
-// Name implements Scheduler.
-func (LowestRTT) Name() string { return "lowest-rtt" }
-
-// Pick implements Scheduler.
-func (LowestRTT) Pick(candidates []Candidate, size int) int {
-	return pickByScore(candidates, size, func(c Candidate) int64 { return int64(c.SRTT()) })
-}
-
-// RoundRobin rotates through usable subflows regardless of RTT; it is the
-// ablation baseline resembling per-packet link bonding.
-type RoundRobin struct {
-	next    int
-	scratch []int
-}
-
-// Name implements Scheduler.
-func (*RoundRobin) Name() string { return "round-robin" }
-
-// Pick implements Scheduler.
-func (r *RoundRobin) Pick(candidates []Candidate, size int) int {
-	ok := usable(r.scratch, candidates, size)
-	r.scratch = ok[:0]
-	if len(ok) == 0 {
-		return -1
-	}
-	idx := ok[r.next%len(ok)]
-	r.next++
-	return idx
-}
-
-// HighestSpace picks the subflow with the most congestion-window headroom;
-// useful as an ablation that ignores latency entirely.
-type HighestSpace struct{}
-
-// Name implements Scheduler.
-func (HighestSpace) Name() string { return "highest-space" }
-
-// Pick implements Scheduler.
-func (HighestSpace) Pick(candidates []Candidate, size int) int {
-	return pickByScore(candidates, size, func(c Candidate) int64 { return -int64(c.SendSpace()) })
-}
-
-// New constructs a scheduler by name ("lowest-rtt", "round-robin",
-// "highest-space"); unknown names return the default LowestRTT.
-func New(name string) Scheduler {
-	switch name {
-	case "round-robin":
-		return &RoundRobin{}
-	case "highest-space":
-		return HighestSpace{}
-	default:
-		return LowestRTT{}
-	}
-}
+// New returns the scheduler. Lowest-RTT is the only policy, so the name is
+// ignored.
+func New(name string) LowestRTT { return LowestRTT{} }

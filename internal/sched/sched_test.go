@@ -55,39 +55,10 @@ func TestBackupOnlyUsedWhenNoRegular(t *testing.T) {
 	}
 }
 
-func TestRoundRobinRotates(t *testing.T) {
-	s := &RoundRobin{}
-	cands := []Candidate{
-		fakeCandidate{space: 5000, usable: true},
-		fakeCandidate{space: 5000, usable: true},
-	}
-	first := s.Pick(cands, 100)
-	second := s.Pick(cands, 100)
-	if first == second {
-		t.Fatalf("round robin did not rotate: %d then %d", first, second)
-	}
-}
-
-func TestHighestSpace(t *testing.T) {
-	s := HighestSpace{}
-	cands := []Candidate{
-		fakeCandidate{space: 1000, usable: true},
-		fakeCandidate{space: 9000, usable: true},
-		fakeCandidate{space: 4000, usable: true},
-	}
-	if got := s.Pick(cands, 100); got != 1 {
-		t.Fatalf("Pick = %d, want 1", got)
-	}
-}
-
 func TestNewByName(t *testing.T) {
-	if New("round-robin").Name() != "round-robin" {
-		t.Fatal("factory ignored round-robin")
-	}
-	if New("highest-space").Name() != "highest-space" {
-		t.Fatal("factory ignored highest-space")
-	}
-	if New("unknown").Name() != "lowest-rtt" {
-		t.Fatal("unknown names must fall back to lowest-rtt")
+	for _, name := range []string{"lowest-rtt", "round-robin", "unknown"} {
+		if New(name) != (LowestRTT{}) {
+			t.Fatalf("New(%q) is not lowest-rtt", name)
+		}
 	}
 }

@@ -142,7 +142,7 @@ func newEndpoint(iface *netem.Interface, local, remote packet.Endpoint, cfg Conf
 		hooks:   hooks,
 		state:   StateClosed,
 		peerMSS: cfg.MSS,
-		rto:     cfg.InitialRTO,
+		rto:     initialRTO,
 		sndWnd:  cfg.MSS, // until the peer advertises
 	}
 	e.sendQueue, e.retransQ = e.sendQueueBuf[:0], e.retransQBuf[:0]
@@ -248,7 +248,7 @@ func (e *Endpoint) Controller() cc.Controller { return e.ctrl }
 // SRTT returns the smoothed round-trip time estimate.
 func (e *Endpoint) SRTT() time.Duration {
 	if e.srtt == 0 {
-		return e.cfg.InitialRTO / 2
+		return initialRTO / 2
 	}
 	return e.srtt
 }

@@ -215,13 +215,14 @@ func (e *Endpoint) processPayload(seg *packet.Segment) {
 	e.SendAck()
 }
 
-// deliver hands in-order payload to the application buffer or, for MPTCP
-// subflows, to the connection-level hook.
+// deliver hands in-order payload to the hooks and, unless the hooks supply
+// the send queue (an MPTCP subflow, whose data is buffered once, at the
+// connection level), to the application buffer.
 func (e *Endpoint) deliver(seq packet.SeqNum, data []byte) {
 	e.stats.BytesDelivered += uint64(len(data))
 	rel := uint32(seq.DiffFrom(e.irs.Add(1)))
 	e.hooks.OnDataDelivered(e, rel, data)
-	if !e.cfg.PayloadToHooksOnly {
+	if e.ownsSndBuf {
 		e.recvQueue.Append(data)
 	}
 }

@@ -46,7 +46,7 @@ func rtoHarness(t *testing.T, cfg Config) (*netem.Network, *Endpoint) {
 // declares the path dead and tears down with ErrTimeout, instead of backing
 // off forever on a black-holed link.
 func TestMaxRTORetriesTearsDown(t *testing.T) {
-	cfg := Config{MaxRTORetries: 3, MaxRTO: 4 * time.Second}
+	cfg := Config{MaxRTORetries: 3}
 	n, client := rtoHarness(t, cfg)
 
 	n.Sim.ScheduleAt(time.Second, func() { n.Path(0).SetDown(true) })
@@ -64,15 +64,16 @@ func TestMaxRTORetriesTearsDown(t *testing.T) {
 }
 
 // TestRTOBackoffCapsAndResets checks the two safety properties of the
-// exponential backoff: the effective RTO never exceeds MaxRTO however many
+// exponential backoff: the effective RTO stops at the 60 s cap however many
 // timeouts accumulate, and the first genuine ACK after recovery resets the
-// backoff to zero.
+// backoff to zero. The outage is long enough for the doubling to pass the cap
+// (about ten timeouts from a 200 ms RTO), which costs only simulated time.
 func TestRTOBackoffCapsAndResets(t *testing.T) {
-	cfg := Config{MaxRTO: 3 * time.Second, MaxRTORetries: -1} // unlimited retries
+	cfg := Config{MaxRTORetries: -1} // unlimited retries
 	n, client := rtoHarness(t, cfg)
 
 	n.Sim.ScheduleAt(time.Second, func() { n.Path(0).SetDown(true) })
-	n.Sim.ScheduleAt(16*time.Second, func() { n.Path(0).SetDown(false) })
+	n.Sim.ScheduleAt(150*time.Second, func() { n.Path(0).SetDown(false) })
 
 	maxSeen := time.Duration(0)
 	probe := func() {}
@@ -80,23 +81,20 @@ func TestRTOBackoffCapsAndResets(t *testing.T) {
 		if rto := client.RTO(); rto > maxSeen {
 			maxSeen = rto
 		}
-		if n.Sim.Now() < 15*time.Second {
+		if n.Sim.Now() < 149*time.Second {
 			n.Sim.Schedule(500*time.Millisecond, probe)
 		}
 	}
 	n.Sim.ScheduleAt(2*time.Second, probe)
 
-	if err := n.Sim.RunUntil(30 * time.Second); err != nil {
+	if err := n.Sim.RunUntil(240 * time.Second); err != nil {
 		t.Fatalf("sim: %v", err)
 	}
 	if client.Stats().Timeouts == 0 {
 		t.Fatal("outage produced no RTOs")
 	}
-	if maxSeen > cfg.MaxRTO {
-		t.Fatalf("backed-off RTO reached %v, cap is %v", maxSeen, cfg.MaxRTO)
-	}
-	if maxSeen < 2*time.Second {
-		t.Fatalf("backoff never grew (max RTO seen %v)", maxSeen)
+	if maxSeen != maxRTO {
+		t.Fatalf("backed-off RTO peaked at %v, want the %v cap", maxSeen, maxRTO)
 	}
 	// The link is back and traffic flows again: the first ACK advance must
 	// have cleared the backoff.

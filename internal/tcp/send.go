@@ -23,9 +23,9 @@ func (e *Endpoint) makeSegment(flags packet.Flags, seq packet.SeqNum, payload []
 		// What SYN and SYN/ACK advertise, built in the segment's arena.
 		seg.AppendMSS(uint16(e.cfg.MSS))
 		seg.AppendSACKPermitted()
-		if e.cfg.WindowScale > 0 {
-			seg.AppendWindowScale(uint8(e.cfg.WindowScale))
-			e.rcvWndShift = uint8(e.cfg.WindowScale)
+		if shift := windowShift(e.cfg.RecvBufBytes); shift > 0 {
+			seg.AppendWindowScale(shift)
+			e.rcvWndShift = shift
 		}
 	}
 	for _, o := range opts {
@@ -456,8 +456,8 @@ func (e *Endpoint) sampleRTT(sample time.Duration) {
 	if rto < e.cfg.MinRTO {
 		rto = e.cfg.MinRTO
 	}
-	if rto > e.cfg.MaxRTO {
-		rto = e.cfg.MaxRTO
+	if rto > maxRTO {
+		rto = maxRTO
 	}
 	e.rto = rto
 }
@@ -466,8 +466,8 @@ func (e *Endpoint) backedOffRTO() time.Duration {
 	rto := e.rto
 	for i := 0; i < e.rtoBackoff; i++ {
 		rto *= 2
-		if rto >= e.cfg.MaxRTO {
-			return e.cfg.MaxRTO
+		if rto >= maxRTO {
+			return maxRTO
 		}
 	}
 	return rto
@@ -554,5 +554,5 @@ func (e *Endpoint) maybeNotifyWritable() {
 // enterTimeWait schedules the final teardown after 2*MSL.
 func (e *Endpoint) enterTimeWait() {
 	e.setState(StateTimeWait)
-	e.timeWaitTimer.Reset(e.cfg.TimeWaitDuration)
+	e.timeWaitTimer.Reset(timeWait)
 }

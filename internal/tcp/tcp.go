@@ -81,16 +81,8 @@ type Config struct {
 	// window.
 	RecvBufBytes int
 
-	// WindowScale is the receive-window scale shift to advertise. A negative
-	// value disables window scaling; zero selects an automatic shift large
-	// enough to cover RecvBufBytes.
-	WindowScale int
-
-	// InitialRTO is the retransmission timeout before the first RTT sample.
-	InitialRTO time.Duration
-	// MinRTO and MaxRTO clamp the computed retransmission timeout.
+	// MinRTO is the floor of the computed retransmission timeout.
 	MinRTO time.Duration
-	MaxRTO time.Duration
 
 	// MaxRTORetries tears the connection down after this many consecutive
 	// retransmission timeouts without an intervening ACK (default 10, the
@@ -103,15 +95,6 @@ type Config struct {
 	// receive window when deciding how much to transmit: MPTCP subflows are
 	// governed by the shared connection-level window instead (§3.3.1).
 	ConnectionLevelWindow bool
-
-	// PayloadToHooksOnly suppresses the endpoint's own application receive
-	// queue: in-order payload is delivered exclusively through
-	// Hooks.OnDataDelivered. MPTCP subflows set this because data is
-	// buffered once, at the connection level.
-	PayloadToHooksOnly bool
-
-	// TimeWaitDuration is how long the endpoint lingers in TIME_WAIT.
-	TimeWaitDuration time.Duration
 
 	// Probe, when non-nil, receives loss-recovery and congestion-state
 	// telemetry (see ProbeSink). It is set by the observability layer; nil
@@ -170,32 +153,33 @@ func (c Config) WithDefaults() Config {
 	if c.RecvBufBytes <= 0 {
 		c.RecvBufBytes = 256 << 10
 	}
-	if c.WindowScale == 0 {
-		shift := 0
-		for (65535<<shift) < c.RecvBufBytes && shift < 14 {
-			shift++
-		}
-		c.WindowScale = shift
-	}
-	if c.WindowScale < 0 {
-		c.WindowScale = 0
-	}
-	if c.InitialRTO <= 0 {
-		c.InitialRTO = 1 * time.Second
-	}
 	if c.MinRTO <= 0 {
 		c.MinRTO = 200 * time.Millisecond
-	}
-	if c.MaxRTO <= 0 {
-		c.MaxRTO = 60 * time.Second
 	}
 	if c.MaxRTORetries == 0 {
 		c.MaxRTORetries = 10
 	}
-	if c.TimeWaitDuration <= 0 {
-		c.TimeWaitDuration = 2 * time.Second
-	}
 	return c
+}
+
+// Timer constants: the retransmission timeout before the first RTT sample,
+// the cap of the backed-off timeout, and how long an endpoint lingers in
+// TIME_WAIT.
+const (
+	initialRTO = time.Second
+	maxRTO     = 60 * time.Second
+	timeWait   = 2 * time.Second
+)
+
+// windowShift returns the receive-window scale shift to advertise for a
+// receive buffer of buf bytes: the smallest that lets the 16-bit window field
+// cover the buffer, at most 14 (RFC 7323).
+func windowShift(buf int) uint8 {
+	shift := uint8(0)
+	for (65535<<shift) < buf && shift < 14 {
+		shift++
+	}
+	return shift
 }
 
 // Hooks is the extension interface the MPTCP layer implements for each

@@ -115,7 +115,12 @@ func TestSmallReceiveWindowLimitsThroughput(t *testing.T) {
 	link := netem.LinkConfig{RateBps: netem.Mbps(2), Delay: 75 * time.Millisecond, QueueBytes: 512 << 10}
 	n := testNet(t, link)
 	total := 256 << 10
-	cfg := Config{RecvBufBytes: 16 << 10, SendBufBytes: 256 << 10, WindowScale: -1}
+	cfg := Config{RecvBufBytes: 16 << 10, SendBufBytes: 256 << 10}
+	// The automatic window-scale shift covers the buffer with none at all, so
+	// the advertised window is the unscaled 16 KB.
+	if shift := windowShift(cfg.RecvBufBytes); shift != 0 {
+		t.Fatalf("window shift for a 16 KB buffer = %d, want 0", shift)
+	}
 	done, received := runTransfer(t, n, cfg, total, 60*time.Second)
 	if received < total {
 		t.Fatalf("received %d of %d bytes", received, total)

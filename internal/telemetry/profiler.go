@@ -30,8 +30,8 @@ type PhaseStat struct {
 	MaxNs   int64  `json:"max_ns"`
 }
 
-// Span is one in-flight timed region. End folds it into the profiler;
-// Child starts a nested span whose path extends the parent's.
+// Span is one in-flight timed region. End folds it into the profiler. A
+// nested region is a span whose path extends its parent's ("run/allocate").
 type Span struct {
 	p     *Profiler
 	path  string
@@ -44,20 +44,12 @@ func NewProfiler() *Profiler {
 }
 
 // Start begins a span at the given path. A nil profiler returns a nil span
-// whose Child and End are no-ops.
+// whose End is a no-op.
 func (p *Profiler) Start(path string) *Span {
 	if p == nil {
 		return nil
 	}
 	return &Span{p: p, path: path, start: time.Now()}
-}
-
-// Child starts a nested span under s.
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	return &Span{p: s.p, path: s.path + "/" + name, start: time.Now()}
 }
 
 // End records the elapsed wall time into the profiler. Safe to call once per

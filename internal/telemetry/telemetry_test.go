@@ -31,10 +31,10 @@ func httpGet(t *testing.T, url string) string {
 func TestProfilerSpanNesting(t *testing.T) {
 	p := NewProfiler()
 	run := p.Start("run")
-	step := run.Child("shard-step")
+	step := p.Start("run/shard-step")
 	time.Sleep(time.Millisecond)
 	step.End()
-	alloc := run.Child("allocate")
+	alloc := p.Start("run/allocate")
 	alloc.End()
 	run.End()
 
@@ -85,7 +85,6 @@ func TestProfilerConcurrent(t *testing.T) {
 func TestProfilerNilSafe(t *testing.T) {
 	var p *Profiler
 	s := p.Start("x")
-	s.Child("y").End()
 	s.End()
 	if p.Snapshot() != nil {
 		t.Fatal("nil profiler snapshot should be nil")
@@ -214,7 +213,7 @@ func TestRunInfoRoundTrip(t *testing.T) {
 
 func TestNilPlaneSafe(t *testing.T) {
 	var p *Plane
-	p.StartSpan("x").Child("y").End()
+	p.StartSpan("x").End()
 	p.SetLatency([]float64{1})
 	if p.Latency() != nil || p.LatencyQuantile(50) != 0 {
 		t.Fatal("nil plane latency")

@@ -51,10 +51,9 @@ var (
 // Wire buffers produced while encoding are drawn from and returned to the
 // byte-buffer pool, so steady-state capture does not allocate per packet.
 type PcapWriter struct {
-	buf     *bufio.Writer
-	closer  io.Closer
-	closed  bool
-	packets int
+	buf    *bufio.Writer
+	closer io.Closer
+	closed bool
 	// EncodeErrors counts segments the codec rejected and therefore skipped.
 	// The emulated stacks emit only wire-expressible segments (every option
 	// set fits the 40-byte TCP option space), so any nonzero count indicates
@@ -137,12 +136,8 @@ func (p *PcapWriter) WriteSegment(now time.Duration, seg *packet.Segment) error 
 	if _, err := p.buf.Write(wire); err != nil {
 		return err
 	}
-	p.packets++
 	return nil
 }
-
-// Packets returns how many records have been written.
-func (p *PcapWriter) Packets() int { return p.packets }
 
 // Close flushes buffered records and closes the underlying file, if any.
 // Close is idempotent: second and later calls return nil, so callers can
