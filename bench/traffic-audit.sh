@@ -35,7 +35,7 @@ mb() { "$bin/mptcpbench" -quick "$@" > /dev/null; }
 # The workload list. Every figure, and the design-rationale demonstration
 # with capture and tracing on.
 mb -list
-mb -run all -paper-era-cpu
+mb -run all
 mb -run rationale -pcap-dir "$run/rationale" -trace-dir "$run/rationale" -probe-interval 100ms
 
 # Every scenario with each flag group it accepts.

@@ -16,9 +16,9 @@
 //	mptcpbench -scenario fleet-chaos -faults flap500 -adversary rst
 //
 // Each experiment produces the same rows/series the corresponding figure in
-// the paper reports, as aligned text (default), JSON or CSV; EXPERIMENTS.md
-// records a captured run next to the paper's numbers, and CI archives the
-// quick-run JSON as BENCH_*.json trajectory points.
+// the paper reports, as aligned text (default), JSON or CSV;
+// bench/BENCH_figures.json pins every experiment's quick run, and
+// bench/README.md lists the commands behind each committed golden.
 //
 // The -scenario families run on the internal/fleet sharded engine: the
 // workload is partitioned into shards (each shard its own simulator plus
@@ -55,7 +55,6 @@ type cli struct {
 	quick                           bool
 	seed                            uint64
 	format, out                     string
-	paperEra                        bool
 	clients, shards, workers        int
 	pcapDir, traceDir               string
 	probeInterval                   time.Duration
@@ -80,7 +79,6 @@ func (c *cli) flagSet(onError flag.ErrorHandling) *flag.FlagSet {
 	fs.Uint64Var(&c.seed, "seed", 42, "base RNG seed (runs are deterministic per seed; 0 is a legal seed)")
 	fs.StringVar(&c.format, "format", "text", "output format: text | json | csv")
 	fs.StringVar(&c.out, "out", "", "write output to this file instead of stdout")
-	fs.BoolVar(&c.paperEra, "paper-era-cpu", false, "use the 2012-class host CPU cost model instead of calibrating on this machine")
 	fs.IntVar(&c.clients, "clients", 0, "fleet scenario size: clients, senders or pairs (0 = scenario default)")
 	fs.IntVar(&c.shards, "shards", 0, "fleet shard count (0 = one shard per 64 members)")
 	fs.IntVar(&c.workers, "workers", 0, "parallel shard workers (0 = GOMAXPROCS; never changes the output)")
@@ -204,20 +202,12 @@ func (c *cli) writeSidecar(info *telemetry.RunInfo) {
 
 // runExperiments executes the -run figure harnesses.
 func runExperiments(c *cli) {
-	opts := []experiments.Option{experiments.WithSeed(c.seed)}
-	if c.quick {
-		opts = append(opts, experiments.WithQuick())
+	opt := experiments.Options{
+		Quick:   c.quick,
+		Seed:    c.seed,
+		PcapDir: c.pcapDir,
+		Trace:   experiments.TraceSpec{Dir: c.traceDir, ProbeInterval: c.probeInterval},
 	}
-	if c.paperEra {
-		opts = append(opts, experiments.WithPaperEraCPU())
-	}
-	if c.pcapDir != "" {
-		opts = append(opts, experiments.WithPcapDir(c.pcapDir))
-	}
-	if c.traceDir != "" {
-		opts = append(opts, experiments.WithTrace(c.traceDir, c.probeInterval))
-	}
-
 	ids := []string{c.run}
 	if strings.EqualFold(c.run, "all") {
 		ids = experiments.IDs()
@@ -227,7 +217,7 @@ func runExperiments(c *cli) {
 	results := make([]*experiments.Result, 0, len(ids))
 	for _, id := range ids {
 		t0 := time.Now()
-		res, err := experiments.Run(id, opts...)
+		res, err := experiments.Run(id, opt)
 		if err != nil {
 			fail(err)
 		}
@@ -318,11 +308,10 @@ const (
 	gShape                        // open-loop arrival process and flow sizes
 	gChaos                        // fault schedule and adversary
 	gFleet                        // sharding and live telemetry: every scenario
-	gFigure                       // the figures' host CPU model: -run only
 )
 
-// runAccepts is what -run consumes (per-point captures and traces, fig3's CPU model).
-const runAccepts = gPcap | gTrace | gFigure
+// runAccepts is what -run consumes: per-point captures and traces.
+const runAccepts = gPcap | gTrace
 
 var flagGroups = map[string]flagGroup{
 	"pcap-dir":  gPcap,
@@ -333,7 +322,6 @@ var flagGroups = map[string]flagGroup{
 	"faults": gChaos, "adversary": gChaos,
 	"clients": gFleet, "shards": gFleet, "workers": gFleet,
 	"progress": gFleet, "progress-interval": gFleet, "metrics-addr": gFleet, "metrics-linger": gFleet,
-	"paper-era-cpu": gFigure,
 }
 
 // sizing is a scenario's scale: what -quick shrinks and what -clients, -rate

@@ -3,8 +3,6 @@ package capacity
 import (
 	"fmt"
 	"time"
-
-	"mptcpgo/internal/telemetry"
 )
 
 // EpochRecord is one shared link's ledger entry for one completed epoch: the
@@ -56,14 +54,6 @@ type Coupler struct {
 	offered [][]uint64 // [link][shard] bytes offered this window
 	sent    [][]uint64 // [link][shard] bytes serialized this window
 
-	// Telemetry instruments (nil when detached): the allocate phase span plus
-	// epoch/congestion counters. Touched only from Allocate's single
-	// goroutine; counters are atomic anyway.
-	prof           *telemetry.Profiler
-	epochCtr       *telemetry.Counter
-	congestedCtr   *telemetry.Counter
-	admittedMinBps *telemetry.Gauge
-	admittedMaxBps *telemetry.Gauge
 	// demand[link][shard] is the peak-hold demand estimate (bits per second)
 	// carried across windows, so one all-members-stalled window does not zero
 	// a shard's claim (see SmoothDemand).
@@ -115,18 +105,6 @@ func NewCoupler(links []SharedLink, shardWeights []float64) (*Coupler, error) {
 	return c, nil
 }
 
-// Attach instruments the coupler with a telemetry registry and profiler:
-// Allocate runs under an "allocate" span and maintains epoch/congestion
-// counters plus the admitted-rate spread gauges. Attaching never changes the
-// allocation sequence.
-func (c *Coupler) Attach(reg *telemetry.Registry, prof *telemetry.Profiler) {
-	c.prof = prof
-	c.epochCtr = reg.Counter("capacity_epochs_total", "completed capacity-exchange windows")
-	c.congestedCtr = reg.Counter("capacity_congested_epochs_total", "windows where at least one shard's demand exceeded its allocation")
-	c.admittedMinBps = reg.Gauge("capacity_admitted_min_bps", "smallest per-shard admitted rate of the last window")
-	c.admittedMaxBps = reg.Gauge("capacity_admitted_max_bps", "largest per-shard admitted rate of the last window")
-}
-
 // Links returns the coupler's shared links in declaration order.
 func (c *Coupler) Links() []SharedLink { return c.links }
 
@@ -175,8 +153,6 @@ func (c *Coupler) Initial() [][]int64 {
 // to the trace and resets the ledger. The result is [shard][link] admitted
 // bits per second for the next window.
 func (c *Coupler) Allocate() [][]int64 {
-	span := c.prof.Start("allocate")
-	defer span.End()
 	out := c.emptyAllocs()
 	epochSec := c.epoch.Seconds()
 	wsum := 0.0
@@ -223,11 +199,6 @@ func (c *Coupler) Allocate() [][]int64 {
 		if c.OnEpoch != nil {
 			c.OnEpoch(rec)
 		}
-		if rec.Bottlenecked > 0 {
-			c.congestedCtr.Add(1)
-		}
-		c.admittedMinBps.Set(float64(rec.MinAllocBps))
-		c.admittedMaxBps.Set(float64(rec.MaxAllocBps))
 		for s := range final {
 			out[s][j] = final[s]
 		}
@@ -236,7 +207,6 @@ func (c *Coupler) Allocate() [][]int64 {
 		}
 	}
 	c.epochs++
-	c.epochCtr.Add(1)
 	return out
 }
 

@@ -42,8 +42,8 @@ func allocatedBytesPer[T any]() uint64 {
 // backing stores of its small slices are fields of these three structs, so
 // this is where a new field or a wider inline array shows. It measures what
 // the allocator charges, not unsafe.Sizeof: an object over 512 B that holds
-// pointers carries an 8-byte malloc header, so Connection (1320 B) costs its
-// 1408 B size class and tcp.Endpoint (992 B) its 1024 B one; Subflow (368 B)
+// pointers carries an 8-byte malloc header, so Connection (1312 B) costs its
+// 1408 B size class and tcp.Endpoint (984 B) its 1024 B one; Subflow (368 B)
 // costs 384. The cliffs: Connection up to 1400 B and Endpoint up to 1016 B
 // keep today's cost; Connection at 1272 B or less would drop a class
 // (ROADMAP), and Endpoint past 1016 B would climb back to 1152. The pins are

@@ -253,8 +253,8 @@ func forwardWireBytes(n *netem.Network) uint64 {
 	return total
 }
 
-// mptcpVariants returns the three MPTCP configurations compared in Figure 4,
-// plus the single-path TCP baselines, keyed by display name.
+// The configurations the figures compare, each with send and receive
+// buffers of buf bytes.
 func tcpBaseline(buf int) core.Config {
 	cfg := core.TCPOnlyConfig()
 	cfg.SendBufBytes = buf

@@ -12,25 +12,18 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"time"
 )
 
-// Options controls how an experiment is run. Construct it with NewOptions
-// and the With* functional options; the zero value (plus withDefaults) keeps
-// the historical behaviour of a full sweep at seed 42.
+// Options controls how an experiment is run; the zero value is a full sweep
+// at seed 0.
 type Options struct {
 	// Quick shrinks transfer durations and sweep densities so the experiment
 	// finishes in a few seconds (used by `go test -bench` and CI); the full
 	// sweep is the default for the CLI.
 	Quick bool
-	// Seed is the base RNG seed; every run derives its own deterministic
-	// seed from it.
+	// Seed is the base RNG seed, used as given; every run derives its own
+	// deterministic seed from it.
 	Seed uint64
-	// PaperEraCPU replaces this machine's measured per-byte checksum cost
-	// with a fixed 2012-class figure in the experiments that model host CPU
-	// (Figure 3), so the emulated curves keep the paper's shape on modern
-	// hardware.
-	PaperEraCPU bool
 
 	// PcapDir, when non-empty, makes every simulated sweep point write a
 	// classic pcap file, <id>-<NN>.pcap, into this directory (see World).
@@ -42,53 +35,6 @@ type Options struct {
 	// write `<id>-<NN>-trace.json` and `<id>-<NN>-events.jsonl` into
 	// Trace.Dir. Capture never changes the experiment's own results.
 	Trace TraceSpec
-
-	// seedSet records that Seed was supplied explicitly (WithSeed), making
-	// seed 0 a legal seed instead of an alias for the default.
-	seedSet bool
-}
-
-// Option mutates Options; see WithQuick, WithSeed and WithPaperEraCPU.
-type Option func(*Options)
-
-// WithQuick selects the reduced sweep.
-func WithQuick() Option { return func(o *Options) { o.Quick = true } }
-
-// WithSeed sets the base RNG seed. Any value — including 0 — is used as
-// given; the default seed (42) applies only when WithSeed is absent.
-func WithSeed(seed uint64) Option {
-	return func(o *Options) {
-		o.Seed = seed
-		o.seedSet = true
-	}
-}
-
-// WithPaperEraCPU selects the 2012-class host CPU cost model.
-func WithPaperEraCPU() Option { return func(o *Options) { o.PaperEraCPU = true } }
-
-// WithPcapDir enables per-point pcap capture into dir.
-func WithPcapDir(dir string) Option { return func(o *Options) { o.PcapDir = dir } }
-
-// WithTrace enables flight-recorder capture into dir; interval sets the
-// per-subflow time-series cadence (0 records events only).
-func WithTrace(dir string, interval time.Duration) Option {
-	return func(o *Options) { o.Trace = TraceSpec{Dir: dir, ProbeInterval: interval} }
-}
-
-// NewOptions applies the functional options to a zero Options value.
-func NewOptions(opts ...Option) Options {
-	var o Options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return o
-}
-
-func (o Options) withDefaults() Options {
-	if o.Seed == 0 && !o.seedSet {
-		o.Seed = 42
-	}
-	return o
 }
 
 // Table is one table or figure series produced by an experiment.
@@ -197,17 +143,11 @@ func IDs() []string {
 }
 
 // Run executes one experiment by id and returns its structured result.
-func Run(id string, opts ...Option) (*Result, error) {
-	return RunWithOptions(id, NewOptions(opts...))
-}
-
-// RunWithOptions is Run for callers that already hold an Options value.
-func RunWithOptions(id string, opt Options) (*Result, error) {
+func Run(id string, opt Options) (*Result, error) {
 	e, ok := Get(id)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %s)", id, strings.Join(IDs(), ", "))
 	}
-	opt = opt.withDefaults()
 	res, err := e.Run(opt)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", id, err)
@@ -218,6 +158,5 @@ func RunWithOptions(id string, opt Options) (*Result, error) {
 	res.Title = e.Title
 	res.Seed = opt.Seed
 	res.Quick = opt.Quick
-	res.PaperEraCPU = opt.PaperEraCPU
 	return res, nil
 }

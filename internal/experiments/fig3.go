@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"mptcpgo/internal/core"
 	"mptcpgo/internal/netem"
-	"mptcpgo/internal/packet"
 )
 
 // Figure 3: goodput over a 10 Gbps LAN as a function of the TCP maximum
@@ -16,9 +14,9 @@ import (
 //
 // The paper's Xeon/10G testbed is replaced by the host CPU cost model in
 // internal/netem: every packet is charged a fixed per-packet processing cost
-// and, when DSS checksums are enabled, a per-byte cost measured from this
-// build's actual ones-complement checksum implementation (see
-// CalibrateChecksumCost).
+// and, when DSS checksums are enabled, a fixed per-byte cost of the paper's
+// era (PaperEraChecksumCost), so the figure does not depend on the host it
+// runs on.
 
 func init() {
 	Register(Experiment{
@@ -28,28 +26,6 @@ func init() {
 	})
 }
 
-// CalibrateChecksumCost measures the per-byte cost of the DSS/TCP
-// ones-complement checksum on this machine.
-func CalibrateChecksumCost() time.Duration {
-	buf := make([]byte, 64<<10)
-	for i := range buf {
-		buf[i] = byte(i)
-	}
-	const rounds = 64
-	start := time.Now()
-	var sink uint16
-	for i := 0; i < rounds; i++ {
-		sink ^= packet.Checksum(buf)
-	}
-	elapsed := time.Since(start)
-	_ = sink
-	perByte := elapsed / time.Duration(rounds*len(buf))
-	if perByte <= 0 {
-		perByte = time.Nanosecond
-	}
-	return perByte
-}
-
 // fig3PerPacketCost is the fixed per-packet processing cost of the host model
 // (interrupt handling, protocol processing). It is chosen so that with the
 // standard Ethernet MSS the 10G link cannot be filled — the regime the paper
@@ -57,12 +33,10 @@ func CalibrateChecksumCost() time.Duration {
 // processing").
 const fig3PerPacketCost = 2 * time.Microsecond
 
-// PaperEraChecksumCost stands in for CalibrateChecksumCost when
-// Options.PaperEraCPU is set: the per-byte ones-complement checksum cost of
-// the paper's 2012-era testbed CPUs (a few hundred MB/s of checksum
-// throughput), so the checksum-on curve keeps its distance from the offload
-// curve even though this build's carry-chain checksum is ~7× faster than the
-// one the cost model was originally calibrated against.
+// PaperEraChecksumCost is the per-byte ones-complement checksum cost of the
+// paper's 2012-era testbed CPUs (a few hundred MB/s of checksum throughput),
+// so the checksum-on curve keeps its distance from the offload curve however
+// fast the host running the simulation checksums.
 const PaperEraChecksumCost = 3 * time.Nanosecond
 
 func runFig3(opt Options) (*Result, error) {
@@ -77,16 +51,10 @@ func runFig3(opt Options) (*Result, error) {
 		warmup = 250 * time.Millisecond
 	}
 
-	perByte := CalibrateChecksumCost()
-	costKind := "measured"
-	if opt.PaperEraCPU {
-		perByte = PaperEraChecksumCost
-		costKind = "paper-era"
-	}
 	table := NewTable("Average goodput (Gbps) vs MSS on 2×10Gbps paths",
 		"MSS (bytes)", "MPTCP - No Checksum", "MPTCP - Checksum")
-	table.AddNote("host CPU model: %v per packet; %s checksum cost %v/byte (applied per payload byte at sender and receiver when DSS checksums are on)",
-		fig3PerPacketCost, costKind, perByte)
+	table.AddNote("host CPU model: %v per packet; paper-era checksum cost %v/byte (applied per payload byte at sender and receiver when DSS checksums are on)",
+		fig3PerPacketCost, PaperEraChecksumCost)
 
 	variants := []bool{false, true} // columns: (no checksum, checksum)
 	results, err := sweepGrid("fig3", len(msses), len(variants), func(r, c int, name string) (float64, error) {
@@ -94,7 +62,22 @@ func runFig3(opt Options) (*Result, error) {
 		cfg := mptcpM12(16 << 20)
 		cfg.UseDSSChecksum = withChecksum
 		cfg.SubflowTemplate.MSS = mss
-		return runFig3Point(opt.Seed+uint64(mss), cfg, withChecksum, perByte, duration, warmup, opt, name)
+		// Without DSS checksums, offload does the TCP checksum and there is
+		// no per-byte software cost.
+		cpu := netem.CPUModel{PerPacket: fig3PerPacketCost}
+		if withChecksum {
+			cpu.PerPayloadByte = PaperEraChecksumCost
+		}
+		res, err := runBulk(BulkOptions{
+			Seed:     opt.Seed + uint64(mss),
+			Specs:    netem.TenGigSpec(),
+			Client:   cfg,
+			Server:   cfg,
+			Duration: duration,
+			Warmup:   warmup,
+			HostCPU:  &cpu,
+		}, opt, name)
+		return res.GoodputMbps, err
 	})
 	if err != nil {
 		return nil, err
@@ -116,33 +99,4 @@ func runFig3(opt Options) (*Result, error) {
 	res.AddSeries(Series{Name: "MPTCP - No Checksum", Unit: "Gbps", XLabel: "MSS bytes", X: mssX, Y: noCsum})
 	res.AddSeries(Series{Name: "MPTCP - Checksum", Unit: "Gbps", XLabel: "MSS bytes", X: mssX, Y: withCsum})
 	return res, nil
-}
-
-// runFig3Point runs one bulk transfer over the 10G topology with the CPU
-// model installed and returns goodput in Mbps.
-func runFig3Point(seed uint64, cfg core.Config, checksummed bool, perByte time.Duration, duration, warmup time.Duration, obs Options, name string) (float64, error) {
-	res, err := runBulk(BulkOptions{
-		Seed:     seed,
-		Specs:    netem.TenGigSpec(),
-		Client:   cfg,
-		Server:   cfg,
-		Duration: duration,
-		Warmup:   warmup,
-		HostCPU: &netem.CPUModel{
-			PerPacket:      fig3PerPacketCost,
-			PerPayloadByte: cpuPerByte(checksummed, perByte),
-		},
-	}, obs, name)
-	if err != nil {
-		return 0, err
-	}
-	return res.GoodputMbps, nil
-}
-
-func cpuPerByte(checksummed bool, perByte time.Duration) time.Duration {
-	if !checksummed {
-		// Checksum offload: no per-byte software cost.
-		return 0
-	}
-	return perByte
 }

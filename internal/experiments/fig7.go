@@ -21,13 +21,17 @@ func init() {
 
 func runFig7(opt Options) (*Result, error) {
 	const buf = 200 << 10
-	duration, warmup := fig4Duration(opt.Quick)
+	win := wifi3GWindow
+	if opt.Quick {
+		win = wifi3GQuickWindow
+	}
+	duration, warmup := win.duration, win.warmup
 
-	variants := []fig4Variant{
-		{name: "MPTCP+M1,2", cfg: mptcpM12, iface: 0},
-		{name: "Regular MPTCP", cfg: regularMPTCP, iface: 0},
-		{name: "TCP over WiFi", cfg: tcpBaseline, iface: 0},
-		{name: "TCP over 3G", cfg: tcpBaseline, iface: 1},
+	variants := []variant{
+		{"MPTCP+M1,2", mptcpM12, 0},
+		{"Regular MPTCP", regularMPTCP, 0},
+		{"TCP over WiFi", tcpBaseline, 0},
+		{"TCP over 3G", tcpBaseline, 1},
 	}
 
 	summary := NewTable("Application delay of 8KB blocks (ms)",

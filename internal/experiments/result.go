@@ -36,8 +36,6 @@ type Result struct {
 	Seed uint64 `json:"seed"`
 	// Quick reports whether the reduced sweep was run.
 	Quick bool `json:"quick"`
-	// PaperEraCPU reports whether the 2012-era CPU cost model was used.
-	PaperEraCPU bool `json:"paper_era_cpu,omitempty"`
 	// Elapsed is always 0 in results this repository produces: wall-clock is
 	// machine-dependent and goes to stderr and the runinfo sidecar, so an
 	// encoded result stays byte-comparable.

@@ -13,27 +13,6 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with the current output")
 
-func TestOptionsSeedDefaulting(t *testing.T) {
-	if got := NewOptions().withDefaults().Seed; got != 42 {
-		t.Errorf("no WithSeed: default seed = %d, want 42", got)
-	}
-	if got := NewOptions(WithSeed(0)).withDefaults().Seed; got != 0 {
-		t.Errorf("WithSeed(0) remapped to %d; seed 0 must be a legal seed", got)
-	}
-	if got := NewOptions(WithSeed(7)).withDefaults().Seed; got != 7 {
-		t.Errorf("WithSeed(7) = %d", got)
-	}
-	// Struct-literal construction keeps the historical alias for existing
-	// callers: zero means "default".
-	if got := (Options{}).withDefaults().Seed; got != 42 {
-		t.Errorf("Options{}.withDefaults().Seed = %d, want 42", got)
-	}
-	opt := NewOptions(WithQuick(), WithPaperEraCPU())
-	if !opt.Quick || !opt.PaperEraCPU {
-		t.Errorf("functional options not applied: %+v", opt)
-	}
-}
-
 // TestResultTextFormat pins the text encoding to its historical byte layout:
 // header, then each table with aligned columns and notes.
 func TestResultTextFormat(t *testing.T) {
@@ -60,7 +39,7 @@ func TestResultTextFormat(t *testing.T) {
 // deterministic (fixed seed, simulated clock, no wall-clock field).
 // Regenerate with: go test ./internal/experiments -run TestGoldenJSON -update
 func TestGoldenJSON(t *testing.T) {
-	res, err := Run("rationale", WithQuick(), WithSeed(7))
+	res, err := Run("rationale", Options{Quick: true, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +97,7 @@ func TestCSVEncoding(t *testing.T) {
 }
 
 func TestJSONRoundTrip(t *testing.T) {
-	res, err := Run("rationale", WithQuick(), WithSeed(11))
+	res, err := Run("rationale", Options{Quick: true, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,11 +42,13 @@ func TestFigureObserversChangeNothing(t *testing.T) {
 			// other three cases run the same world code on the same worker pool.
 			continue
 		}
-		plain, err := Run(tc.id, WithQuick())
+		opt := Options{Quick: true, Seed: 42}
+		plain, err := Run(tc.id, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		observed, err := Run(tc.id, WithQuick(), WithPcapDir(pcapDir), WithTrace(traceDir, 100*time.Millisecond))
+		opt.PcapDir, opt.Trace = pcapDir, TraceSpec{Dir: traceDir, ProbeInterval: 100 * time.Millisecond}
+		observed, err := Run(tc.id, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

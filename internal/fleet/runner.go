@@ -245,9 +245,6 @@ func epochs[S any, T any](c *Common, shards []Shard, scn Scenario[S, T]) ([]T, *
 	if err != nil {
 		return nil, nil, err
 	}
-	if p := c.Telemetry; p != nil {
-		coupler.Attach(p.Reg, p.Prof)
-	}
 	if c.Trace.Enabled() {
 		// Epoch allocations are fleet-global; record them once, on the first
 		// shard's recorder against its first member. They carry
@@ -333,7 +330,9 @@ func epochs[S any, T any](c *Common, shards []Shard, scn Scenario[S, T]) ([]T, *
 		// Barrier passed: every shard's Report for this window happened
 		// before this Allocate (worker-pool join), so the allocation is a
 		// pure function of the ledger.
+		allocate := c.Telemetry.StartSpan("allocate")
 		allocs = coupler.Allocate()
+		allocate.End()
 		if boundary >= c.Deadline {
 			break
 		}

@@ -22,9 +22,9 @@ func Checksum(data []byte) uint16 {
 // in one carry chain (bits.Add64 compiles to ADD/ADC), with the carries
 // counted and wrapped around at the end. That is the
 // ones-complement sum in 64-bit words, congruent (mod 2^16-1) to the classic
-// 16-bit-word sum. The per-byte software checksum cost is exactly what
-// Figure 3 of the paper measures, so the emulator's own cost model
-// (CalibrateChecksumCost) tracks this implementation.
+// 16-bit-word sum. The per-byte software checksum cost is what Figure 3 of
+// the paper measures; the emulator charges the paper era's cost for it, not
+// this implementation's.
 func PartialChecksum(sum uint32, data []byte) uint32 {
 	// The 8-byte-aligned prefix is summed as native-endian 64-bit words: the
 	// one's-complement sum is byte-order independent (RFC 1071 §2B), so the

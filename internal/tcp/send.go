@@ -453,8 +453,8 @@ func (e *Endpoint) sampleRTT(sample time.Duration) {
 		e.srtt = (7*e.srtt + sample) / 8
 	}
 	rto := e.srtt + 4*e.rttvar
-	if rto < e.cfg.MinRTO {
-		rto = e.cfg.MinRTO
+	if rto < minRTO {
+		rto = minRTO
 	}
 	if rto > maxRTO {
 		rto = maxRTO

@@ -81,9 +81,6 @@ type Config struct {
 	// window.
 	RecvBufBytes int
 
-	// MinRTO is the floor of the computed retransmission timeout.
-	MinRTO time.Duration
-
 	// MaxRTORetries tears the connection down after this many consecutive
 	// retransmission timeouts without an intervening ACK (default 10, the
 	// historical tcp_retries2 value). MPTCP subflows lower it so a dead path
@@ -153,19 +150,17 @@ func (c Config) WithDefaults() Config {
 	if c.RecvBufBytes <= 0 {
 		c.RecvBufBytes = 256 << 10
 	}
-	if c.MinRTO <= 0 {
-		c.MinRTO = 200 * time.Millisecond
-	}
 	if c.MaxRTORetries == 0 {
 		c.MaxRTORetries = 10
 	}
 	return c
 }
 
-// Timer constants: the retransmission timeout before the first RTT sample,
-// the cap of the backed-off timeout, and how long an endpoint lingers in
-// TIME_WAIT.
+// Timer constants: the floor of the computed retransmission timeout, the
+// timeout before the first RTT sample, the cap of the backed-off timeout, and
+// how long an endpoint lingers in TIME_WAIT.
 const (
+	minRTO     = 200 * time.Millisecond
 	initialRTO = time.Second
 	maxRTO     = 60 * time.Second
 	timeWait   = 2 * time.Second

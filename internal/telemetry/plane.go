@@ -1,6 +1,6 @@
 // Package telemetry is the run-observability plane of the fleet engine: a
-// metrics registry (counters, gauges), a wall-clock phase profiler, a live run
-// tracker with Prometheus exposition, and run-provenance capture.
+// wall-clock phase profiler, a live run tracker with Prometheus exposition,
+// and run-provenance capture.
 //
 // The package obeys the same attach-changes-nothing discipline as the flight
 // recorder: nothing here ever feeds back into the deterministic simulation.
@@ -20,14 +20,13 @@ import (
 	"mptcpgo/internal/trace"
 )
 
-// Plane bundles the telemetry surfaces one run attaches: a metrics registry,
-// a phase profiler, the per-shard tracker, and (after merge) the fleet's
-// latency samples. A nil *Plane is a valid "telemetry off" value — every
-// method and every derived handle is a no-op — so specs carry a single
-// optional pointer and instrumented code never branches.
+// Plane bundles the telemetry surfaces one run attaches: a phase profiler,
+// the per-shard tracker, and (after merge) the fleet's latency samples. A nil
+// *Plane is a valid "telemetry off" value — every method and every derived
+// handle is a no-op — so specs carry a single optional pointer and
+// instrumented code never branches.
 type Plane struct {
 	Label string
-	Reg   *Registry
 	Prof  *Profiler
 	Track *Tracker
 
@@ -39,7 +38,6 @@ type Plane struct {
 func New(label string) *Plane {
 	return &Plane{
 		Label: label,
-		Reg:   NewRegistry(),
 		Prof:  NewProfiler(),
 		Track: NewTracker(),
 	}
@@ -82,14 +80,12 @@ func (p *Plane) LatencyQuantile(pct float64) float64 {
 	return trace.Percentile(p.Latency(), pct)
 }
 
-// WritePrometheus renders the whole plane in Prometheus text format:
-// registry metrics, tracker gauges, profiler phases, latency quantiles, and
-// a small runtime block.
+// WritePrometheus renders the whole plane in Prometheus text format: tracker
+// gauges, profiler phases, latency quantiles, and a small runtime block.
 func (p *Plane) WritePrometheus(w io.Writer) {
 	if p == nil {
 		return
 	}
-	p.Reg.WritePrometheus(w)
 	p.Track.WritePrometheus(w)
 	p.Prof.WritePrometheus(w)
 	if ms := p.Latency(); len(ms) > 0 {

@@ -122,8 +122,6 @@ func parsePrometheus(t *testing.T, text string) map[string]bool {
 
 func TestPlanePrometheusRender(t *testing.T) {
 	p := New("test")
-	p.Reg.Counter("capacity_epochs_total", "epochs allocated").Add(3)
-	p.Reg.Gauge("demo_gauge", "a gauge").Set(1.5)
 	cell := p.Track.Cell(0, 2)
 	cell.SimNowNs.Store(int64(2 * time.Second))
 	cell.Events.Store(100)
@@ -136,7 +134,6 @@ func TestPlanePrometheusRender(t *testing.T) {
 	p.WritePrometheus(&sb)
 	seen := parsePrometheus(t, sb.String())
 	for _, want := range []string{
-		"capacity_epochs_total", "demo_gauge",
 		"fleet_shard_sim_time_seconds", "fleet_shard_step_lag_seconds",
 		"fleet_sim_time_seconds", "fleet_events_total",
 		"phase_wall_seconds_total", "fleet_latency_ms", "go_goroutines",

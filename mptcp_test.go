@@ -111,3 +111,24 @@ func TestExperimentRegistryExposed(t *testing.T) {
 		t.Fatalf("expected at least 13 experiments, got %d: %v", len(ids), ids)
 	}
 }
+
+// TestRunSeedDefaulting: without WithSeed an experiment runs at seed 42, and
+// any seed given, 0 included, is used as given.
+func TestRunSeedDefaulting(t *testing.T) {
+	for _, tc := range []struct {
+		opts []ExperimentOption
+		want uint64
+	}{
+		{[]ExperimentOption{WithQuick()}, 42},
+		{[]ExperimentOption{WithQuick(), WithSeed(0)}, 0},
+		{[]ExperimentOption{WithSeed(7), WithQuick()}, 7},
+	} {
+		res, err := Run("fig10", tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Seed != tc.want || !res.Quick {
+			t.Errorf("seed %d quick %v, want seed %d quick", res.Seed, res.Quick, tc.want)
+		}
+	}
+}

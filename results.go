@@ -9,21 +9,15 @@ type Result = experiments.Result
 // Series is one numeric metric series inside a Result.
 type Series = experiments.Series
 
-// ExperimentOption configures an experiment run; see WithQuick, WithSeed and
-// WithPaperEraCPU.
-type ExperimentOption = experiments.Option
+// ExperimentOption configures an experiment run; see WithQuick and WithSeed.
+type ExperimentOption func(*experiments.Options)
 
 // WithQuick selects the reduced sweep that finishes in seconds.
-func WithQuick() ExperimentOption { return experiments.WithQuick() }
+func WithQuick() ExperimentOption { return func(o *experiments.Options) { o.Quick = true } }
 
 // WithSeed sets the base RNG seed; any value, including 0, is used as given.
 // Without WithSeed the default seed 42 applies.
-func WithSeed(seed uint64) ExperimentOption { return experiments.WithSeed(seed) }
-
-// WithPaperEraCPU swaps this machine's measured per-byte checksum cost for a
-// fixed 2012-class figure in the CPU-bound experiments (Figure 3), keeping
-// the paper's curve shapes on modern hardware.
-func WithPaperEraCPU() ExperimentOption { return experiments.WithPaperEraCPU() }
+func WithSeed(seed uint64) ExperimentOption { return func(o *experiments.Options) { o.Seed = seed } }
 
 // ExperimentIDs lists the available paper experiments (fig3..fig11, mbox,
 // rationale).
@@ -32,5 +26,9 @@ func ExperimentIDs() []string { return experiments.IDs() }
 // Run executes one of the paper's experiments and returns its structured
 // result.
 func Run(id string, opts ...ExperimentOption) (*Result, error) {
-	return experiments.Run(id, opts...)
+	o := experiments.Options{Seed: 42}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return experiments.Run(id, o)
 }
