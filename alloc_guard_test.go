@@ -160,7 +160,7 @@ func sendPathCycleAllocs(t *testing.T, traced, telem bool) float64 {
 	cliMgr := core.NewManager(net.Client)
 	srvMgr := core.NewManager(net.Server)
 	if traced {
-		cliMgr.SetProbe(probe.NewRecorder(s, 0, 1, probe.Config{}), 0)
+		cliMgr.SetProbe(probe.NewRecorder(s, 0, 1, 0), 0)
 	}
 
 	cfg := core.DefaultConfig()

@@ -107,7 +107,9 @@ func (f *Fleet) Telemetry(t *Telemetry) *Fleet { f.spec.Telemetry = planeOf(t); 
 // epoch windows and a deterministic max-min allocator divides the rate among
 // them each window, so the fleet's aggregate goodput saturates at rateMbps no
 // matter how the clients are sharded. weight gives client i's allocation
-// weight (nil = equal); a shard's weight is the sum of its clients'.
+// weight (nil = equal); a shard's weight is the sum of its clients'. Every
+// weight must be positive and finite: Run fails on one that is not, naming
+// the client.
 func (f *Fleet) SharedBottleneck(name string, rateMbps float64, weight func(i int) float64) *Fleet {
 	l, err := sharedBottleneck(name, rateMbps)
 	if err != nil {
@@ -273,7 +275,9 @@ func (o *OpenLoop) Telemetry(t *Telemetry) *OpenLoop {
 // scenario): the shards run in lock-stepped epoch windows and a deterministic
 // max-min allocator divides the rate among them each window, so offered load
 // past rateMbps produces a global goodput knee instead of per-shard ones.
-// weight gives host i's allocation weight (nil = equal).
+// weight gives host i's allocation weight (nil = equal); a shard's weight is
+// the sum of its hosts'. Every weight must be positive and finite: Run fails
+// on one that is not, naming the host.
 func (o *OpenLoop) SharedBottleneck(name string, rateMbps float64, weight func(i int) float64) *OpenLoop {
 	l, err := sharedBottleneck(name, rateMbps)
 	if err != nil {

@@ -1,6 +1,9 @@
 package capacity
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // MaxMin computes the weighted max-min fair allocation of capacity (bits per
 // second) among the given demands: every claimant receives
@@ -9,8 +12,9 @@ import "sort"
 // claimant is capped below its demand only when everyone still unsatisfied is
 // held to the same weighted share.
 //
-// Weights ≤ 0 are treated as 1 (the unweighted default). The computation is
-// exact one-pass water-filling over claimants sorted by demand/weight with
+// weights holds one positive, finite weight per demand, and the result never
+// sums past capacity, whatever their sum rounds to. The computation is
+// one-pass water-filling over claimants sorted by demand/weight with
 // index-order tie-breaking, so the result is a pure deterministic function of
 // (capacity, demands, weights) — no map iteration, no randomness.
 func MaxMin(capacity int64, demands []int64, weights []float64) []int64 {
@@ -19,15 +23,7 @@ func MaxMin(capacity int64, demands []int64, weights []float64) []int64 {
 	if n == 0 || capacity <= 0 {
 		return alloc
 	}
-	w := make([]float64, n)
-	wsum := 0.0
-	for i := range w {
-		w[i] = 1
-		if i < len(weights) && weights[i] > 0 {
-			w[i] = weights[i]
-		}
-		wsum += w[i]
-	}
+	wsum := sum(weights)
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
@@ -36,30 +32,28 @@ func MaxMin(capacity int64, demands []int64, weights []float64) []int64 {
 	// of its demand, every later claimant's does too.
 	sort.SliceStable(order, func(a, b int) bool {
 		ia, ib := order[a], order[b]
-		ra := float64(demands[ia]) / w[ia]
-		rb := float64(demands[ib]) / w[ib]
+		ra := float64(demands[ia]) / weights[ia]
+		rb := float64(demands[ib]) / weights[ib]
 		if ra != rb {
 			return ra < rb
 		}
 		return ia < ib
 	})
 	remaining := capacity
-	for _, i := range order {
+	for k, i := range order {
 		if remaining <= 0 {
 			break
 		}
-		share := int64(float64(remaining) * w[i] / wsum)
-		d := demands[i]
-		if d < 0 {
-			d = 0
+		// The last claimant's share is the rest, and no share exceeds it: a
+		// weight sum that rounds would otherwise let the water level drift past
+		// the capacity.
+		share := remaining
+		if k < n-1 {
+			share = min(int64(float64(remaining)*weights[i]/wsum), remaining)
 		}
-		if d <= share {
-			alloc[i] = d
-		} else {
-			alloc[i] = share
-		}
+		alloc[i] = min(max(demands[i], 0), share)
 		remaining -= alloc[i]
-		wsum -= w[i]
+		wsum -= weights[i]
 	}
 	return alloc
 }
@@ -106,31 +100,16 @@ func Admit(capacity int64, demands []int64, weights []float64) []int64 {
 		return SpreadHeadroom(capacity, make([]int64, n), weights)
 	}
 	alloc := MaxMin(capacity, targets, weights)
-	var used int64
-	for _, a := range alloc {
-		used += a
-	}
-	if leftover := capacity - used; leftover > 0 {
+	if leftover := capacity - sum(alloc); leftover > 0 {
 		// Fair-share floors, carved from the leftover only: every claimant
 		// whose probe grant fell short of a weighted fair share of the whole
 		// resource — idle members and barely-active ones alike — is topped up
 		// toward it, max-min over the shortfalls so the leftover is never
 		// oversubscribed. Claimants already at or above fair share have a zero
 		// shortfall and stay out.
-		wsum := 0.0
-		for i := range demands {
-			w := 1.0
-			if i < len(weights) && weights[i] > 0 {
-				w = weights[i]
-			}
-			wsum += w
-		}
+		wsum := sum(weights)
 		floors := make([]int64, n)
-		for i := range demands {
-			w := 1.0
-			if i < len(weights) && weights[i] > 0 {
-				w = weights[i]
-			}
+		for i, w := range weights {
 			if fair := int64(float64(capacity) * w / wsum); alloc[i] < fair {
 				floors[i] = fair - alloc[i]
 			}
@@ -164,19 +143,56 @@ func SmoothDemand(prev, measured int64) int64 {
 // equivalent is that no claimant's cap may fall below a trickle. Below it, a
 // claimant that stalls for one window gets a near-zero cap, its next window's
 // enqueue commits its link to seconds of serialization at that rate, and the
-// stall becomes self-sustaining. Callers raise an Admit result to the floor
-// after allocation; the overbooking is at most a few segments per stalled
-// claimant per epoch, and a claimant actually using its floor reveals demand
-// and rejoins the capacity-constrained allocation next window.
+// stall becomes self-sustaining. The allocation step raises every Admit
+// result to this floor; the overbooking is at most a few segments per
+// stalled claimant per epoch, and a claimant actually using its floor reveals
+// demand and rejoins the capacity-constrained allocation next window.
 func TrickleFloor(capacity int64, epochSec float64, weight, wsum float64) int64 {
-	f := int64(2 * 1500 * 8 / epochSec)
-	if weight <= 0 {
-		weight = 1
+	return min(int64(2*1500*8/epochSec), int64(float64(capacity)*weight/wsum))
+}
+
+// ValidWeight reports whether w can weigh a claimant: positive and finite.
+func ValidWeight(w float64) bool { return w > 0 && !math.IsInf(w, 1) }
+
+// ledger is one resource's claimants as the allocation step sees them: the
+// shards on one coupler link, or one shard's member link directions on it.
+// It holds each claimant's weight, fixed when the claimant joins, and its
+// smoothed demand in bits per second, carried across windows.
+type ledger struct {
+	weights []float64
+	wsum    float64
+	demands []int64
+}
+
+func (l *ledger) add(weight float64) {
+	l.weights = append(l.weights, weight)
+	l.wsum += weight
+	l.demands = append(l.demands, 0)
+}
+
+// observe folds the bytes claimant i offered over one window of epochSec
+// seconds into its demand.
+func (l *ledger) observe(i int, offered uint64, epochSec float64) {
+	l.demands[i] = SmoothDemand(l.demands[i], int64(float64(offered)*8/epochSec))
+}
+
+// step is the capacity exchange's one allocation step, the same at both
+// levels: Admit over demands, then every claimant raised to its trickle
+// floor.
+func (l *ledger) step(capacity int64, epochSec float64, demands []int64) []int64 {
+	out := Admit(capacity, demands, l.weights)
+	for i, w := range l.weights {
+		out[i] = max(out[i], TrickleFloor(capacity, epochSec, w, l.wsum))
 	}
-	if fair := int64(float64(capacity) * weight / wsum); fair < f {
-		f = fair
+	return out
+}
+
+func sum[T int64 | float64](xs []T) T {
+	var s T
+	for _, x := range xs {
+		s += x
 	}
-	return f
+	return s
 }
 
 // SpreadHeadroom distributes the capacity left unclaimed by a max-min
@@ -194,24 +210,11 @@ func SpreadHeadroom(capacity int64, alloc []int64, weights []float64) []int64 {
 	if n == 0 {
 		return out
 	}
-	var used int64
-	wsum := 0.0
-	w := make([]float64, n)
-	for i := range alloc {
-		used += alloc[i]
-		w[i] = 1
-		if i < len(weights) && weights[i] > 0 {
-			w[i] = weights[i]
-		}
-		wsum += w[i]
-	}
-	leftover := capacity - used
-	if leftover < 0 {
-		leftover = 0
-	}
+	leftover := max(capacity-sum(alloc), 0)
+	wsum := sum(weights)
 	var given int64
-	for i := range alloc {
-		extra := int64(float64(leftover) * w[i] / wsum)
+	for i, w := range weights {
+		extra := int64(float64(leftover) * w / wsum)
 		out[i] = alloc[i] + extra
 		given += extra
 	}
@@ -228,18 +231,12 @@ func SpreadHeadroom(capacity int64, alloc []int64, weights []float64) []int64 {
 // idle window — it falls back to the weighted spread. The integer residue
 // goes to the first claimant with a grant, keeping the result deterministic.
 func SpreadHeadroomByAlloc(capacity int64, alloc []int64, weights []float64) []int64 {
-	var used int64
-	for _, a := range alloc {
-		used += a
-	}
+	used := sum(alloc)
 	if used <= 0 {
 		return SpreadHeadroom(capacity, alloc, weights)
 	}
 	out := make([]int64, len(alloc))
-	leftover := capacity - used
-	if leftover < 0 {
-		leftover = 0
-	}
+	leftover := max(capacity-used, 0)
 	var given int64
 	first := -1
 	for i, a := range alloc {

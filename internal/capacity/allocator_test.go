@@ -1,6 +1,7 @@
 package capacity
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -20,7 +21,7 @@ func TestMaxMinHandComputed(t *testing.T) {
 			// Three shards, equal weights: the light shard keeps its demand,
 			// the two heavy ones split the rest at the same water level.
 			name: "threeShardsEqualWeights", capacity: 12,
-			demands: []int64{2, 5, 9}, weights: nil,
+			demands: []int64{2, 5, 9}, weights: []float64{1, 1, 1},
 			want: []int64{2, 5, 5},
 		},
 		{
@@ -33,17 +34,17 @@ func TestMaxMinHandComputed(t *testing.T) {
 		},
 		{
 			name: "underloadedEveryoneSatisfied", capacity: 100,
-			demands: []int64{10, 20, 30}, weights: nil,
+			demands: []int64{10, 20, 30}, weights: []float64{1, 1, 1},
 			want: []int64{10, 20, 30},
 		},
 		{
 			name: "zeroCapacity", capacity: 0,
-			demands: []int64{5, 5}, weights: nil,
+			demands: []int64{5, 5}, weights: []float64{1, 1},
 			want: []int64{0, 0},
 		},
 		{
 			name: "negativeDemandClamped", capacity: 10,
-			demands: []int64{-3, 4}, weights: nil,
+			demands: []int64{-3, 4}, weights: []float64{1, 1},
 			want: []int64{0, 4},
 		},
 	}
@@ -70,7 +71,7 @@ func TestMaxMinDeterministicTieBreak(t *testing.T) {
 	// integer water-filling hands the rounding slack to the last claimant in
 	// the (stable) order, so [3 3 4] exactly — never a permutation of it.
 	for trial := 0; trial < 10; trial++ {
-		got := MaxMin(10, []int64{7, 7, 7}, nil)
+		got := MaxMin(10, []int64{7, 7, 7}, []float64{1, 1, 1})
 		if want := []int64{3, 3, 4}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: MaxMin = %v, want %v", trial, got, want)
 		}
@@ -78,7 +79,7 @@ func TestMaxMinDeterministicTieBreak(t *testing.T) {
 }
 
 func TestSpreadHeadroom(t *testing.T) {
-	got := SpreadHeadroom(100, []int64{10, 20, 30}, nil)
+	got := SpreadHeadroom(100, []int64{10, 20, 30}, []float64{1, 1, 1})
 	// Leftover 40 splits 13/13/13 with the integer residue on claimant 0.
 	if want := []int64{24, 33, 43}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("SpreadHeadroom = %v, want %v", got, want)
@@ -94,7 +95,7 @@ func TestSpreadHeadroom(t *testing.T) {
 
 func TestSpreadHeadroomByAllocFollowsDemand(t *testing.T) {
 	// The only active claimant absorbs all headroom; idles stay at zero.
-	got := SpreadHeadroomByAlloc(100, []int64{0, 50, 0}, nil)
+	got := SpreadHeadroomByAlloc(100, []int64{0, 50, 0}, []float64{1, 1, 1})
 	if want := []int64{0, 100, 0}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("SpreadHeadroomByAlloc = %v, want %v", got, want)
 	}
@@ -110,7 +111,7 @@ func TestAdmitIdleFloorsFromLeftover(t *testing.T) {
 	// 20; the idles each get their fair-share floor (80/3 = 26) out of the
 	// leftover; the remaining headroom follows the grants. The result must
 	// use the whole capacity and give every idle claimant at least its floor.
-	got := Admit(80, []int64{0, 10, 0}, nil)
+	got := Admit(80, []int64{0, 10, 0}, []float64{1, 1, 1})
 	var sum int64
 	for _, a := range got {
 		sum += a
@@ -181,10 +182,100 @@ func TestAdmitConverges(t *testing.T) {
 	const capacity = 10_000_000
 	measured := []int64{1_000, 0, 0} // one hungry claimant, two idle
 	for round := 0; round < 16; round++ {
-		alloc := Admit(capacity, measured, nil)
+		alloc := Admit(capacity, measured, []float64{1, 1, 1})
 		measured = []int64{alloc[0], 0, 0} // hungry claimant fills its cap
 	}
 	if min := int64(capacity * 9 / 10); measured[0] < min {
 		t.Fatalf("hungry claimant converged to %d bps, want >= %d", measured[0], min)
 	}
+}
+
+// FuzzAdmit is the "allocator conserves capacity" oracle. Each claim is seven
+// bytes: a weight (k+1)/1000 from two, whose sums round, and a signed 40-bit
+// demand in bits per second from five.
+//   - MaxMin never grants more than a demand and sums to min(capacity,
+//     Σdemand) within one bit per second per claimant.
+//   - Admit sums to exactly the capacity whenever the capacity is positive.
+//   - The allocation step gives every claimant at least its trickle floor and
+//     sums to at most the capacity plus the floors.
+func FuzzAdmit(f *testing.F) {
+	claims := func(demands []int64, weights []float64) []byte {
+		var b []byte
+		for i, d := range demands {
+			k := int(math.Round(weights[i]*1000)) - 1
+			b = append(b, byte(k>>8), byte(k), byte(d>>32), byte(d>>24), byte(d>>16), byte(d>>8), byte(d))
+		}
+		return b
+	}
+	ones := []float64{1, 1, 1}
+	f.Add(int64(12), uint16(100), claims([]int64{2, 5, 9}, ones))
+	f.Add(int64(12_000_000), uint16(100), claims([]int64{9_000_000, 9_000_000, 2_000_000}, []float64{2, 1, 1}))
+	f.Add(int64(100), uint16(100), claims([]int64{10, 20, 30}, ones))
+	f.Add(int64(0), uint16(100), claims([]int64{5, 5}, ones))
+	f.Add(int64(10), uint16(100), claims([]int64{-3, 4}, ones))
+	f.Add(int64(10), uint16(100), claims([]int64{7, 7, 7}, ones))
+	f.Add(int64(80), uint16(100), claims([]int64{0, 10, 0}, ones))
+	f.Add(int64(12_000_000), uint16(100), claims([]int64{9_000_000, 9_000_000, 9_000_000}, []float64{2, 1, 1}))
+	f.Add(int64(80), uint16(100), claims([]int64{0, 0}, []float64{1, 3}))
+	f.Add(int64(10_000_000), uint16(100), claims([]int64{1_000, 0, 0}, ones))
+	// The water level once drifted past this capacity by 9 bps: the weights'
+	// running sum rounds below the last claimant's weight.
+	f.Add(int64(2_653_323_373_306), uint16(100), claims(
+		[]int64{531490265371, 51982593584, 13277547046, 113352885681, 540897590821, 542327044086, 458114662966, 402464482928},
+		[]float64{3.736, 13.882, 31.597, 32.922, 11.089, 56.189, 0.001, 29.052}))
+	f.Fuzz(func(t *testing.T, capacity int64, epochMs uint16, b []byte) {
+		if capacity %= 1e13; capacity < 0 {
+			capacity = -capacity
+		}
+		epochSec := float64(max(epochMs, 1)) / 1000
+		var l ledger
+		var demands []int64
+		for ; len(b) >= 7; b = b[7:] {
+			d := int64(int8(b[2]))
+			for _, x := range b[3:7] {
+				d = d<<8 | int64(x)
+			}
+			demands = append(demands, d)
+			l.add(float64(int(b[0])<<8|int(b[1])+1) / 1000)
+		}
+		n := int64(len(demands))
+		if n == 0 {
+			return
+		}
+
+		var want, got int64
+		for i, a := range MaxMin(capacity, demands, l.weights) {
+			d := max(demands[i], 0)
+			if a < 0 || a > d {
+				t.Fatalf("MaxMin gave claimant %d %d bps against a demand of %d", i, a, demands[i])
+			}
+			want += d
+			got += a
+		}
+		if want = min(want, capacity); got > want || got < want-n {
+			t.Fatalf("MaxMin sums to %d, want %d within %d", got, want, n)
+		}
+
+		got = 0
+		for _, a := range Admit(capacity, demands, l.weights) {
+			got += a
+		}
+		if capacity > 0 && got != capacity {
+			t.Fatalf("Admit sums to %d, want the capacity %d", got, capacity)
+		}
+
+		var floors int64
+		got = 0
+		for i, a := range l.step(capacity, epochSec, demands) {
+			f := TrickleFloor(capacity, epochSec, l.weights[i], l.wsum)
+			if a < f {
+				t.Fatalf("claimant %d admitted %d bps, below its trickle floor %d", i, a, f)
+			}
+			floors += f
+			got += a
+		}
+		if got > capacity+floors {
+			t.Fatalf("the step admits %d bps, over the capacity %d plus the floors %d", got, capacity, floors)
+		}
+	})
 }

@@ -51,7 +51,8 @@ type SharedLink struct {
 	Epoch time.Duration
 }
 
-func (l SharedLink) withDefaults() SharedLink {
+// WithDefaults fills in the name and epoch a spec left unset.
+func (l SharedLink) WithDefaults() SharedLink {
 	if l.Name == "" {
 		l.Name = DefaultName
 	}
@@ -122,7 +123,7 @@ func ParseSharedLink(spec string) (SharedLink, error) {
 		}
 		l.Epoch = d
 	}
-	l = l.withDefaults()
+	l = l.WithDefaults()
 	if err := l.Validate(); err != nil {
 		return SharedLink{}, err
 	}

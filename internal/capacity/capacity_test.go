@@ -1,6 +1,8 @@
 package capacity
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -125,6 +127,12 @@ func TestNewCouplerRejects(t *testing.T) {
 	}
 	if _, err := NewCoupler(mixed, []float64{1}); err == nil {
 		t.Error("mixed epochs: want error")
+	}
+	link := []SharedLink{{Name: "a", RateBps: 1}}
+	for _, w := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := NewCoupler(link, []float64{1, w}); err == nil || !strings.Contains(err.Error(), "shard 1 ") {
+			t.Errorf("shard weight %v: err = %v, want one naming shard 1", w, err)
+		}
 	}
 }
 

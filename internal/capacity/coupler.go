@@ -20,11 +20,8 @@ type EpochRecord struct {
 	OfferedBytes uint64
 	SentBytes    uint64
 	// Bottlenecked counts the shards whose demand exceeded their next-window
-	// allocation (before headroom).
+	// allocation.
 	Bottlenecked int
-	// MinAllocBps and MaxAllocBps bound the next-window per-shard admitted
-	// rates (after headroom).
-	MinAllocBps, MaxAllocBps int64
 }
 
 // Coupler is the fleet-global side of the capacity exchange: a per-link,
@@ -46,25 +43,23 @@ type Coupler struct {
 
 	links []SharedLink
 	epoch time.Duration
-	// weights[shard] is the shard's allocation weight on every link — the sum
-	// of its tagged members' weights, computed once at construction from the
-	// shard partition alone.
-	weights []float64
+	// claims[link] holds each shard's weight — the sum of its tagged members'
+	// weights, fixed at construction from the shard partition alone — and its
+	// peak-hold demand, so one all-members-stalled window does not zero a
+	// shard's claim (see SmoothDemand).
+	claims []ledger
 
 	offered [][]uint64 // [link][shard] bytes offered this window
 	sent    [][]uint64 // [link][shard] bytes serialized this window
 
-	// demand[link][shard] is the peak-hold demand estimate (bits per second)
-	// carried across windows, so one all-members-stalled window does not zero
-	// a shard's claim (see SmoothDemand).
-	demand [][]int64
 	epochs int
 	trace  []EpochRecord
 }
 
 // NewCoupler builds a coupler for the given shared links and per-shard
-// weights. All links must agree on the epoch length (a single barrier cadence
-// drives the whole fleet); zero-epoch specs inherit DefaultEpoch first.
+// weights, each positive and finite. All links must agree on the epoch length
+// (a single barrier cadence drives the whole fleet); zero-epoch specs inherit
+// DefaultEpoch first.
 func NewCoupler(links []SharedLink, shardWeights []float64) (*Coupler, error) {
 	if len(links) == 0 {
 		return nil, fmt.Errorf("capacity: coupler needs at least one shared link")
@@ -72,10 +67,15 @@ func NewCoupler(links []SharedLink, shardWeights []float64) (*Coupler, error) {
 	if len(shardWeights) == 0 {
 		return nil, fmt.Errorf("capacity: coupler needs at least one shard")
 	}
+	for s, w := range shardWeights {
+		if !ValidWeight(w) {
+			return nil, fmt.Errorf("capacity: shard %d weight %v is not positive and finite", s, w)
+		}
+	}
 	ls := make([]SharedLink, len(links))
 	seen := make(map[string]bool, len(links))
 	for i, l := range links {
-		l = l.withDefaults()
+		l = l.WithDefaults()
 		if err := l.Validate(); err != nil {
 			return nil, err
 		}
@@ -92,15 +92,16 @@ func NewCoupler(links []SharedLink, shardWeights []float64) (*Coupler, error) {
 	c := &Coupler{
 		links:   ls,
 		epoch:   ls[0].Epoch,
-		weights: append([]float64(nil), shardWeights...),
+		claims:  make([]ledger, len(ls)),
 		offered: make([][]uint64, len(ls)),
 		sent:    make([][]uint64, len(ls)),
-		demand:  make([][]int64, len(ls)),
 	}
 	for j := range ls {
+		for _, w := range shardWeights {
+			c.claims[j].add(w)
+		}
 		c.offered[j] = make([]uint64, len(shardWeights))
 		c.sent[j] = make([]uint64, len(shardWeights))
-		c.demand[j] = make([]int64, len(shardWeights))
 	}
 	return c, nil
 }
@@ -132,78 +133,46 @@ func (c *Coupler) Report(shard int, offered, sent []uint64) {
 }
 
 // Initial returns the epoch-0 allocation, before any demand has been
-// observed: every shard gets its weight-proportional share of each link. The
-// shape is [shard][link] admitted bits per second, matching Allocate.
+// observed: the allocation step over zero demands, which gives every shard
+// its weight-proportional share of each link. The shape is [shard][link]
+// admitted bits per second, matching Allocate.
 func (c *Coupler) Initial() [][]int64 {
 	out := c.emptyAllocs()
-	for j := range c.links {
-		byShard := SpreadHeadroom(c.links[j].RateBps, make([]int64, len(c.weights)), c.weights)
-		for s := range c.weights {
-			out[s][j] = byShard[s]
+	for j, l := range c.links {
+		cl := &c.claims[j]
+		for s, a := range cl.step(l.RateBps, c.epoch.Seconds(), make([]int64, len(cl.demands))) {
+			out[s][j] = a
 		}
 	}
 	return out
 }
 
 // Allocate closes the current window: it folds each shard's reported bytes
-// into its peak-hold demand estimate, runs the Admit rule per link
-// (probe-doubled weighted max-min for active shards, leftover-funded fair
-// floors for the rest, grant-proportional headroom — shards in index order),
-// raises each shard to the trickle floor, appends the window's EpochRecords
-// to the trace and resets the ledger. The result is [shard][link] admitted
-// bits per second for the next window.
+// into its peak-hold demand estimate, runs the allocation step per link
+// (Admit across shards in index order, then the trickle floor), appends the
+// window's EpochRecords to the trace and resets the ledger. The result is
+// [shard][link] admitted bits per second for the next window.
 func (c *Coupler) Allocate() [][]int64 {
 	out := c.emptyAllocs()
 	epochSec := c.epoch.Seconds()
-	wsum := 0.0
-	for _, w := range c.weights {
-		if w <= 0 {
-			w = 1
-		}
-		wsum += w
-	}
 	for j, l := range c.links {
-		var offeredSum, sentSum uint64
-		demands := c.demand[j]
+		cl := &c.claims[j]
+		rec := EpochRecord{Epoch: c.epochs, Link: j}
 		for s, b := range c.offered[j] {
-			demands[s] = SmoothDemand(demands[s], int64(float64(b)*8/epochSec))
-			offeredSum += b
-			sentSum += c.sent[j][s]
+			cl.observe(s, b, epochSec)
+			rec.OfferedBytes += b
+			rec.SentBytes += c.sent[j][s]
+			c.offered[j][s], c.sent[j][s] = 0, 0
 		}
-		final := Admit(l.RateBps, demands, c.weights)
-		for s := range final {
-			w := 1.0
-			if s < len(c.weights) && c.weights[s] > 0 {
-				w = c.weights[s]
-			}
-			if f := TrickleFloor(l.RateBps, epochSec, w, wsum); final[s] < f {
-				final[s] = f
-			}
-		}
-		rec := EpochRecord{Epoch: c.epochs, Link: j, OfferedBytes: offeredSum, SentBytes: sentSum}
-		for s := range final {
-			if demands[s] > final[s] {
+		for s, a := range cl.step(l.RateBps, epochSec, cl.demands) {
+			if cl.demands[s] > a {
 				rec.Bottlenecked++
 			}
-		}
-		rec.MinAllocBps, rec.MaxAllocBps = final[0], final[0]
-		for _, a := range final[1:] {
-			if a < rec.MinAllocBps {
-				rec.MinAllocBps = a
-			}
-			if a > rec.MaxAllocBps {
-				rec.MaxAllocBps = a
-			}
+			out[s][j] = a
 		}
 		c.trace = append(c.trace, rec)
 		if c.OnEpoch != nil {
 			c.OnEpoch(rec)
-		}
-		for s := range final {
-			out[s][j] = final[s]
-		}
-		for s := range c.offered[j] {
-			c.offered[j][s], c.sent[j][s] = 0, 0
 		}
 	}
 	c.epochs++
@@ -217,7 +186,7 @@ func (c *Coupler) Epochs() int { return c.epochs }
 func (c *Coupler) Trace() []EpochRecord { return c.trace }
 
 func (c *Coupler) emptyAllocs() [][]int64 {
-	out := make([][]int64, len(c.weights))
+	out := make([][]int64, len(c.offered[0]))
 	for s := range out {
 		out[s] = make([]int64, len(c.links))
 	}

@@ -9,16 +9,12 @@ import (
 
 // memberLink is one tagged link direction owned by a shard: the directional
 // link, its pre-coupling configuration (the restore point for every swap),
-// the member's weight, and the byte counters at the last collection.
+// and the byte counters at the last collection.
 type memberLink struct {
 	link        *netem.Link
 	orig        netem.LinkConfig
-	weight      float64
 	lastOffered uint64
 	lastSent    uint64
-	// demandBps is the member's offered rate over the last collected window,
-	// the demand signal for the shard-internal allocation.
-	demandBps int64
 }
 
 // Meter is the shard-local side of the capacity exchange. It is built after
@@ -29,28 +25,31 @@ type memberLink struct {
 // calls Collect (read back the members' offered/sent byte deltas).
 //
 // Apply subdivides the shard's admitted rate across its members with the same
-// weighted max-min + headroom rule the coupler uses across shards, so the
-// two-level allocation degenerates to the flat one when every shard holds one
-// member. Caps land as link-config swaps through faults.CapRate — the rate
-// squeeze transform — against the member's original configuration, so a
-// member whose own rate is below its share keeps its own rate.
+// allocation step the coupler uses across shards, so the two-level allocation
+// degenerates to the flat one when every shard holds one member. Caps land as
+// link-config swaps through faults.CapRate — the rate squeeze transform —
+// against the member's original configuration, so a member whose own rate is
+// below its share keeps its own rate.
 type Meter struct {
 	c       *Coupler
 	members [][]*memberLink // [coupler link index] -> tagged members, spec order
+	claims  []ledger        // [coupler link index] -> members' weights and demands
 	offered []uint64        // scratch reused by Collect
 	sent    []uint64
 }
 
 // NewMeter scans the graph spec's shared tags against the built network
 // (spec.Links[i] corresponds to n.Paths[i]) and returns the shard's meter.
-// weightOf supplies the member weight for spec link index i (nil = 1); both
-// directions of a doubly-tagged link count as distinct members. Tags naming
-// no coupler link are an error — a silently ignored tag would let a scenario
-// believe a bottleneck is enforced when it is not.
+// weightOf supplies the member weight for spec link index i (nil = 1), which
+// the caller has checked is positive and finite; both directions of a
+// doubly-tagged link count as distinct members. Tags naming no coupler link
+// are an error — a silently ignored tag would let a scenario believe a
+// bottleneck is enforced when it is not.
 func NewMeter(c *Coupler, n *netem.Network, spec netem.GraphSpec, weightOf func(i int) float64) (*Meter, error) {
 	m := &Meter{
 		c:       c,
 		members: make([][]*memberLink, len(c.links)),
+		claims:  make([]ledger, len(c.links)),
 		offered: make([]uint64, len(c.links)),
 		sent:    make([]uint64, len(c.links)),
 	}
@@ -66,7 +65,8 @@ func NewMeter(c *Coupler, n *netem.Network, spec netem.GraphSpec, weightOf func(
 		if weightOf != nil {
 			w = weightOf(i)
 		}
-		m.members[j] = append(m.members[j], &memberLink{link: l, orig: l.Config(), weight: w})
+		m.members[j] = append(m.members[j], &memberLink{link: l, orig: l.Config()})
+		m.claims[j].add(w)
 		return nil
 	}
 	for i, ls := range spec.Links {
@@ -85,43 +85,19 @@ func NewMeter(c *Coupler, n *netem.Network, spec netem.GraphSpec, weightOf func(
 // link j.
 func (m *Meter) Members(j int) int { return len(m.members[j]) }
 
-// Weight sums the shard's member weights on coupler link j — the shard's
-// allocation weight. Scenario builders use it to derive the coupler's
-// per-shard weights from the same tags the meter will meter.
-func (m *Meter) Weight(j int) float64 {
-	var w float64
-	for _, ml := range m.members[j] {
-		w += ml.weight
-	}
-	return w
-}
-
 // Apply caps the shard's tagged members so their rates sum to the shard's
 // admitted allocation: allocs[j] bits per second for coupler link j (the
 // shard's row of Coupler.Allocate). Members split each allocation with the
-// same Admit rule the coupler uses across shards; each member then runs at
-// min(own configured rate, member share) until the next swap.
+// same allocation step the coupler uses across shards; each member then runs
+// at min(own configured rate, member share) until the next swap.
 func (m *Meter) Apply(allocs []int64) {
 	for j, members := range m.members {
 		if len(members) == 0 {
 			continue
 		}
-		demands := make([]int64, len(members))
-		weights := make([]float64, len(members))
-		for i, ml := range members {
-			demands[i] = ml.demandBps
-			weights[i] = ml.weight
-		}
-		shares := Admit(allocs[j], demands, weights)
-		var wsum float64
-		for _, ml := range members {
-			wsum += ml.weight
-		}
-		for i, ml := range members {
-			if f := TrickleFloor(allocs[j], m.c.epoch.Seconds(), ml.weight, wsum); shares[i] < f {
-				shares[i] = f
-			}
-			ml.link.SetConfig(capLink(ml.orig, shares[i]))
+		cl := &m.claims[j]
+		for i, share := range cl.step(allocs[j], m.c.epoch.Seconds(), cl.demands) {
+			members[i].link.SetConfig(capLink(members[i].orig, share))
 		}
 	}
 }
@@ -155,12 +131,12 @@ func (m *Meter) Collect() (offered, sent []uint64) {
 	epochSec := m.c.epoch.Seconds()
 	for j, members := range m.members {
 		var off, snt uint64
-		for _, ml := range members {
+		for i, ml := range members {
 			st := ml.link.Stats()
 			dOff := st.OfferedBytes - ml.lastOffered
 			dSnt := st.SentBytes - ml.lastSent
 			ml.lastOffered, ml.lastSent = st.OfferedBytes, st.SentBytes
-			ml.demandBps = SmoothDemand(ml.demandBps, int64(float64(dOff)*8/epochSec))
+			m.claims[j].observe(i, dOff, epochSec)
 			off += dOff
 			snt += dSnt
 		}

@@ -28,11 +28,6 @@ type TraceSpec struct {
 // Enabled reports whether capture is on.
 func (t TraceSpec) Enabled() bool { return t.Dir != "" }
 
-// ProbeConfig converts the spec into a recorder configuration.
-func (t TraceSpec) ProbeConfig() probe.Config {
-	return probe.Config{SampleInterval: t.ProbeInterval}
-}
-
 // WriteTraceFiles writes the flight-recorder files of a run whose recorders are
 // recs (fleet callers pass them in shard-index order) into spec.Dir:
 // `<name>-trace.json`, the counter registry, event tally and per-subflow

@@ -69,7 +69,7 @@ func NewWorld(seed uint64, spec netem.GraphSpec, pcapDir string, tr TraceSpec, n
 		trace.CapturePaths(c, s.Now, n.Paths...)
 	}
 	if tr.Enabled() {
-		w.Probe = probe.NewRecorder(s, lo, members, tr.ProbeConfig())
+		w.Probe = probe.NewRecorder(s, lo, members, tr.ProbeInterval)
 	}
 	return w, nil
 }

@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"bytes"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -158,5 +160,42 @@ func TestCorelinkGlobalOverloadKnee(t *testing.T) {
 	}
 	if heavyP99 <= lightP99 {
 		t.Errorf("p99 latency did not rise under overload (%.2f -> %.2f ms)", lightP99, heavyP99)
+	}
+}
+
+// TestCorelinkUnitWeightsAreTheDefault: a shard's weight is its member count
+// whether Weight is nil or gives every host 1, so the two runs are
+// byte-identical.
+func TestCorelinkUnitWeightsAreTheDefault(t *testing.T) {
+	plain := testCorelinkSpec(2, 60, 8)
+	unit := plain
+	unit.Weight = func(int) float64 { return 1 }
+	a, err := RunOpenLoop(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunOpenLoop(unit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeJSON(t, a), encodeJSON(t, b)) {
+		t.Fatal("unit weights and nil Weight gave different results")
+	}
+}
+
+// TestCorelinkRejectsBadWeight: a host weight that is not positive and finite
+// fails the run, naming the host.
+func TestCorelinkRejectsBadWeight(t *testing.T) {
+	for _, w := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		spec := testCorelinkSpec(2, 60, 8)
+		spec.Weight = func(i int) float64 {
+			if i == 7 {
+				return w
+			}
+			return 1
+		}
+		if _, err := RunOpenLoop(spec); err == nil || !strings.Contains(err.Error(), "member 7:") {
+			t.Errorf("weight %v: err = %v, want one naming member 7", w, err)
+		}
 	}
 }

@@ -56,7 +56,8 @@ type Common struct {
 	Shared *capacity.SharedLink
 	// Weight gives member i's allocation weight on the shared bottleneck (nil
 	// = equal weights; a shard's weight is the sum of its members'); ignored
-	// when Shared is nil.
+	// when Shared is nil. Run fails on a weight that is not positive and
+	// finite, naming the member.
 	Weight func(i int) float64
 	Observers
 }
@@ -69,13 +70,7 @@ func (c Common) withDefaults(deadline time.Duration) Common {
 		c.Deadline = deadline
 	}
 	if c.Shared != nil {
-		shared := *c.Shared
-		if shared.Name == "" {
-			shared.Name = capacity.DefaultName
-		}
-		if shared.Epoch == 0 {
-			shared.Epoch = capacity.DefaultEpoch
-		}
+		shared := c.Shared.WithDefaults()
 		c.Shared = &shared
 	}
 	return c
@@ -207,11 +202,11 @@ func collect[S any, T any](sh *Shard, scn Scenario[S, T], st S) (T, error) {
 	return out, sh.finish()
 }
 
-// memberWeights sums the per-member weights of each shard in the partition —
-// the coupler's per-shard allocation weights. Weights depend only on the
-// global member indices, so they are invariant across worker counts and,
-// summed, consistent across shard counts.
-func memberWeights(shards []Shard, weight func(i int) float64) []float64 {
+// memberWeights checks every member's weight and sums them per shard in the
+// partition — the coupler's per-shard allocation weights. Weights depend only
+// on the global member indices, so they are invariant across worker counts
+// and, summed, consistent across shard counts.
+func memberWeights(shards []Shard, weight func(i int) float64) ([]float64, error) {
 	ws := make([]float64, len(shards))
 	for i, d := range shards {
 		if weight == nil {
@@ -219,10 +214,14 @@ func memberWeights(shards []Shard, weight func(i int) float64) []float64 {
 			continue
 		}
 		for gi := d.Lo; gi < d.Hi; gi++ {
-			ws[i] += weight(gi)
+			w := weight(gi)
+			if !capacity.ValidWeight(w) {
+				return nil, fmt.Errorf("fleet: member %d: shared-link weight %v is not positive and finite", gi, w)
+			}
+			ws[i] += w
 		}
 	}
-	return ws
+	return ws, nil
 }
 
 // epochs is Run's coupled half: every shard is built once and then all are
@@ -241,7 +240,11 @@ func memberWeights(shards []Shard, weight func(i int) float64) []float64 {
 // interleave across workers.
 func epochs[S any, T any](c *Common, shards []Shard, scn Scenario[S, T]) ([]T, *capacity.Coupler, error) {
 	n := len(shards)
-	coupler, err := capacity.NewCoupler([]capacity.SharedLink{*c.Shared}, memberWeights(shards, c.Weight))
+	weights, err := memberWeights(shards, c.Weight)
+	if err != nil {
+		return nil, nil, err
+	}
+	coupler, err := capacity.NewCoupler([]capacity.SharedLink{*c.Shared}, weights)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -195,28 +195,14 @@ type Sample struct {
 // with a final observation.
 type SampleFn func(*Sample) bool
 
-// Config sizes a Recorder.
-type Config struct {
-	// EventCap is the per-member ring capacity (default 2048). When a ring
-	// is full the oldest event is overwritten and the member's dropped
-	// counter incremented — flight-recorder semantics.
-	EventCap int
-	// SampleInterval is the time-series cadence; zero disables sampling.
-	SampleInterval time.Duration
-	// SampleCap bounds the per-member sample count (default 4096); further
-	// samples are counted as dropped.
-	SampleCap int
-}
+// eventCap is the per-member ring capacity. When a ring is full the oldest
+// event is overwritten and the member's dropped counter incremented —
+// flight-recorder semantics.
+const eventCap = 2048
 
-func (c Config) withDefaults() Config {
-	if c.EventCap <= 0 {
-		c.EventCap = 2048
-	}
-	if c.SampleCap <= 0 {
-		c.SampleCap = 4096
-	}
-	return c
-}
+// sampleCap bounds the per-member sample count; further samples are counted
+// as dropped.
+const sampleCap = 4096
 
 // ring is one member's event buffer.
 type ring struct {
@@ -247,9 +233,9 @@ type target struct {
 // Recorder is one shard's flight recorder. See the package comment for the
 // ownership and determinism rules.
 type Recorder struct {
-	sim *sim.Simulator
-	cfg Config
-	lo  int
+	sim      *sim.Simulator
+	interval time.Duration // time-series cadence; zero disables sampling
+	lo       int
 
 	rings          []ring
 	counters       [][NumCounters]uint64
@@ -265,12 +251,12 @@ type Recorder struct {
 }
 
 // NewRecorder builds a recorder for members [lo, lo+members) on the given
-// simulator. All per-member storage is preallocated here.
-func NewRecorder(s *sim.Simulator, lo, members int, cfg Config) *Recorder {
-	cfg = cfg.withDefaults()
+// simulator, sampling every interval (zero records events only). All
+// per-member storage is preallocated here.
+func NewRecorder(s *sim.Simulator, lo, members int, interval time.Duration) *Recorder {
 	r := &Recorder{
 		sim:            s,
-		cfg:            cfg,
+		interval:       interval,
 		lo:             lo,
 		rings:          make([]ring, members),
 		counters:       make([][NumCounters]uint64, members),
@@ -279,7 +265,7 @@ func NewRecorder(s *sim.Simulator, lo, members int, cfg Config) *Recorder {
 		frozen:         make([]bool, members),
 	}
 	for i := range r.rings {
-		r.rings[i].buf = make([]Event, cfg.EventCap)
+		r.rings[i].buf = make([]Event, eventCap)
 	}
 	r.timer = s.NewTimer(r.tick)
 	return r
@@ -367,7 +353,7 @@ func (r *Recorder) CountFinal(member int, c Counter, delta uint64) {
 // goroutine, so the order is deterministic. If the sampler is running but its
 // timer has gone idle (all previous targets deregistered), Watch re-arms it.
 func (r *Recorder) Watch(member int, conn, subflow int32, fn SampleFn) {
-	if r == nil || r.cfg.SampleInterval <= 0 {
+	if r == nil || r.interval <= 0 {
 		return
 	}
 	r.targets = append(r.targets, target{member: int32(member), conn: conn, subflow: subflow, fn: fn})
@@ -380,7 +366,7 @@ func (r *Recorder) Watch(member int, conn, subflow int32, fn SampleFn) {
 // on every tick: once it reports true the sampler stops rescheduling, so the
 // event queue can drain exactly as it would without tracing.
 func (r *Recorder) StartSampler(done func() bool) {
-	if r == nil || r.cfg.SampleInterval <= 0 || r.started {
+	if r == nil || r.interval <= 0 || r.started {
 		return
 	}
 	r.done = done
@@ -394,7 +380,7 @@ func (r *Recorder) StartSampler(done func() bool) {
 // sample interval, so timestamps are aligned regardless of when targets
 // appear.
 func (r *Recorder) armNextTick() {
-	iv := r.cfg.SampleInterval
+	iv := r.interval
 	next := (r.sim.Now()/iv + 1) * iv
 	r.timer.Reset(next - r.sim.Now())
 }
@@ -413,7 +399,7 @@ func (r *Recorder) tick() {
 		}
 		s := Sample{At: now, Member: t.member, Conn: t.conn, Subflow: t.subflow}
 		keep := t.fn(&s)
-		if len(r.samples[i]) < r.cfg.SampleCap {
+		if len(r.samples[i]) < sampleCap {
 			r.samples[i] = append(r.samples[i], s)
 		} else {
 			r.samplesDropped[i]++

@@ -23,24 +23,25 @@ func TestNilRecorderIsSafe(t *testing.T) {
 
 func TestRingOverwritesOldest(t *testing.T) {
 	s := sim.New(1)
-	r := NewRecorder(s, 4, 2, Config{EventCap: 4})
-	for i := 0; i < 10; i++ {
+	r := NewRecorder(s, 4, 2, 0)
+	const extra = 6
+	for i := 0; i < eventCap+extra; i++ {
 		r.Emit(5, KindRTO, 0, 0, int64(i), 0)
 	}
 	evs := r.AppendEvents(nil, 5)
-	if len(evs) != 4 {
-		t.Fatalf("ring kept %d events, want 4", len(evs))
+	if len(evs) != eventCap {
+		t.Fatalf("ring kept %d events, want %d", len(evs), eventCap)
 	}
 	for i, e := range evs {
-		if want := int64(6 + i); e.A != want {
+		if want := int64(extra + i); e.A != want {
 			t.Fatalf("event %d: A=%d, want %d (oldest overwritten)", i, e.A, want)
 		}
 		if e.Member != 5 {
 			t.Fatalf("event %d: member=%d, want 5", i, e.Member)
 		}
 	}
-	if r.Dropped(5) != 6 {
-		t.Fatalf("dropped=%d, want 6", r.Dropped(5))
+	if r.Dropped(5) != extra {
+		t.Fatalf("dropped=%d, want %d", r.Dropped(5), extra)
 	}
 	if r.EventCount(4) != 0 {
 		t.Fatal("untouched member has events")
@@ -49,7 +50,7 @@ func TestRingOverwritesOldest(t *testing.T) {
 
 func TestEmitDoesNotAllocate(t *testing.T) {
 	s := sim.New(1)
-	r := NewRecorder(s, 0, 1, Config{EventCap: 64})
+	r := NewRecorder(s, 0, 1, 0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.Emit(0, KindFastRetransmit, 1, 2, 3, 4)
 		r.Count(0, CtrFastRtx, 1)
@@ -61,7 +62,7 @@ func TestEmitDoesNotAllocate(t *testing.T) {
 
 func TestSamplerAlignedAndBounded(t *testing.T) {
 	s := sim.New(1)
-	r := NewRecorder(s, 0, 1, Config{SampleInterval: 100 * time.Millisecond})
+	r := NewRecorder(s, 0, 1, 100*time.Millisecond)
 	alive := true
 	// Register at a non-aligned time: first sample must land on the next
 	// absolute multiple of the interval.
@@ -97,7 +98,7 @@ func TestSamplerAlignedAndBounded(t *testing.T) {
 
 func TestSamplerStopsWhenDone(t *testing.T) {
 	s := sim.New(1)
-	r := NewRecorder(s, 0, 1, Config{SampleInterval: 50 * time.Millisecond})
+	r := NewRecorder(s, 0, 1, 50*time.Millisecond)
 	done := false
 	r.Watch(0, 0, 0, func(out *Sample) bool { return true })
 	r.StartSampler(func() bool { return done })

@@ -32,3 +32,21 @@ func TestOpenLoopRateKeepsFamily(t *testing.T) {
 		t.Fatal("Run accepted a bad size-dist spec")
 	}
 }
+
+// TestSharedBottleneckRejectsBadWeight: the facade passes host weights
+// through to the runner, which refuses one that is not positive and finite
+// and names the host.
+func TestSharedBottleneckRejectsBadWeight(t *testing.T) {
+	for _, w := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		weight := func(i int) float64 {
+			if i == 3 {
+				return w
+			}
+			return 1
+		}
+		_, err := NewOpenLoop(1).Hosts(8).Shards(2).SharedBottleneck("core", 10, weight).Run()
+		if err == nil || !strings.Contains(err.Error(), "member 3:") {
+			t.Errorf("weight %v: err = %v, want one naming member 3", w, err)
+		}
+	}
+}
