@@ -15,8 +15,10 @@ import (
 // a deterministic fault schedule batters the paths and an optional
 // adversarial middlebox preset sits on them. A member passes by completing
 // with an intact stream — over multipath or after a clean fallback to regular
-// TCP — and fails by stalling, corrupting the stream or dying; a per-member
-// watchdog converts silent hangs into diagnosed failures.
+// TCP — and fails by stalling, corrupting the stream or dying. A member
+// stalls when its connections count a stall episode (DATA_ACK standing still
+// for core.StallInterval while bytes are held) or it is unfinished at the
+// deadline; the result carries a diagnostic dump of both ends.
 //
 //	res, err := mptcpgo.NewChaos(42).
 //		Members(64).

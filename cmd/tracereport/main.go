@@ -1,7 +1,7 @@
 // Command tracereport summarises flight-recorder output: given one or more
 // `*-events.jsonl` files (or directories containing them, as written by the
 // -trace-dir flag of mptcpbench -scenario and -run), it renders the
-// event tally by kind, per-subflow cwnd timelines, watchdog stall episodes
+// event tally by kind, per-subflow cwnd timelines, connection stall episodes
 // with cause attribution, and the RTO drain-tail breakdown.
 //
 // Usage:
@@ -250,13 +250,15 @@ func writeText(w io.Writer, r fileReport, events []probe.Event, width, top int, 
 
 // stallCause attributes the stall-entry event at index i to the most recent
 // preceding fault, RTO, subflow death or REMOVE_ADDR on the same member
-// within the lookback window.
+// within the lookback window before the stall began (its detection time less
+// B, the time since the last progress).
 func stallCause(events []probe.Event, i int) string {
 	const lookback = 10 * time.Second
 	e := events[i]
+	start := e.At - time.Duration(e.B)
 	for j := i - 1; j >= 0; j-- {
 		p := events[j]
-		if p.Member != e.Member || e.At-p.At > lookback {
+		if p.Member != e.Member || start-p.At > lookback {
 			// Events are time-ordered per member, so once the window is
 			// exceeded for this member nothing earlier can qualify.
 			if p.Member == e.Member {

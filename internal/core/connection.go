@@ -36,6 +36,9 @@ type ConnStats struct {
 	Fallbacks        uint64
 	SubflowsOpened   int
 	ConnLevelRtx     uint64
+	// StallEpisodes counts the times the connection held written bytes while
+	// DATA_ACK stood still for StallInterval (see checkStall).
+	StallEpisodes uint64
 }
 
 // txMapping is one in-flight data sequence mapping (sent, not yet DATA_ACKed).
@@ -136,8 +139,13 @@ type Connection struct {
 	dataFinSent   bool
 	dataFinAcked  bool
 	pumping       bool
-	dataFinSeq    uint64
-	connRtx       sim.Timer
+	// stalled is set while a counted stall episode lasts; lastProgress is
+	// when DATA_ACK last advanced, or when written bytes arrived with none
+	// outstanding (checkStall).
+	stalled      bool
+	dataFinSeq   uint64
+	lastProgress time.Duration
+	connRtx      sim.Timer
 
 	// ---- data-level receive state ----
 	rcvBuf buffer.ByteQueue
@@ -249,6 +257,9 @@ func (c *Connection) Write(data []byte) int {
 	}
 	if len(data) > space {
 		data = data[:space]
+	}
+	if c.unackedBytes() == 0 {
+		c.lastProgress = c.sim.Now()
 	}
 	c.sndBuf.Append(data)
 	c.stats.BytesWritten += uint64(len(data))

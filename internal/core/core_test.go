@@ -8,6 +8,7 @@ import (
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
 	"mptcpgo/internal/pool"
+	"mptcpgo/internal/probe"
 	"mptcpgo/internal/sim"
 )
 
@@ -521,5 +522,86 @@ func TestEffectiveSendBufferCapIsExact(t *testing.T) {
 	}
 	if capped == 0 || growing == 0 {
 		t.Fatalf("%d samples at the cap, %d below it: both regimes must be covered", capped, growing)
+	}
+}
+
+// TestStallEpisodes: a WiFi+3G upload whose two paths both go silently down
+// for longer than StallInterval, twice with recovery in between, counts two
+// stall episodes, and one that loses both paths for a second counts none.
+// Each episode is one stall event carrying the bytes DATA_ACKed when the
+// stall began and how long the connection had gone without progress; a
+// recorder attached to the connection changes none of its counters.
+func TestStallEpisodes(t *testing.T) {
+	const total = 16 << 20
+	type outage struct{ from, to time.Duration }
+	run := func(outages []outage, traced bool) (ConnStats, []probe.Event, []uint64) {
+		h := newHarness(t, 9, netem.WiFi3GSpec())
+		var rec *probe.Recorder
+		if traced {
+			rec = probe.NewRecorder(h.net.Sim, 0, 1, 0)
+			h.cliMgr.SetProbe(rec, 0)
+		}
+		setDown := func(down bool) func() {
+			return func() {
+				for _, p := range h.net.Paths {
+					p.SetDown(down)
+				}
+			}
+		}
+		for _, o := range outages {
+			h.net.Sim.Schedule(o.from, setDown(true))
+			h.net.Sim.Schedule(o.to, setDown(false))
+		}
+		var dataUna []uint64 // one sample per 10 ms
+		h.sampleClient(10*time.Millisecond, func(c *Connection) { dataUna = append(dataUna, c.dataUna) })
+		cli, srv := wifi3GConfig(0)
+		res := h.runBulkTransfer(cli, srv, total, 120*time.Second)
+		if res.received < total {
+			t.Fatalf("outages %v: received %d of %d bytes", outages, res.received, total)
+		}
+		if last := outages[len(outages)-1].to; res.finishedAt < last {
+			t.Fatalf("the transfer finished at %v, before the last outage ended at %v", res.finishedAt, last)
+		}
+		if rec.Dropped(0) != 0 {
+			t.Fatalf("the recorder dropped %d events", rec.Dropped(0))
+		}
+		return res.clientConn.Stats(), rec.AppendEvents(nil, 0), dataUna
+	}
+
+	twice := []outage{{time.Second, 4 * time.Second}, {12 * time.Second, 15 * time.Second}}
+	st, events, dataUna := run(twice, true)
+	if st.StallEpisodes != 2 {
+		t.Fatalf("two outages of %v: %d stall episodes, want 2", twice[0].to-twice[0].from, st.StallEpisodes)
+	}
+	var stalls []probe.Event
+	for _, e := range events {
+		if e.Kind == probe.KindStall {
+			stalls = append(stalls, e)
+		}
+	}
+	if len(stalls) != 2 {
+		t.Fatalf("%d stall events for 2 episodes", len(stalls))
+	}
+	for i, e := range stalls {
+		began := e.At - time.Duration(e.B)
+		t.Logf("stall %d: detected at %v, %v without progress, %d bytes DATA_ACKed", i, e.At, time.Duration(e.B), e.A)
+		if e.Conn != 0 || e.Subflow != -1 {
+			t.Errorf("stall %d is scoped to conn %d subflow %d, want the connection (0, -1)", i, e.Conn, e.Subflow)
+		}
+		if time.Duration(e.B) < StallInterval || began > twice[i].from || began < twice[i].from-time.Second {
+			t.Errorf("stall %d detected at %v after %v without progress: it began at %v, not just before the outage at %v",
+				i, e.At, time.Duration(e.B), began, twice[i].from)
+		}
+		if mid := (began + e.At) / 2 / (10 * time.Millisecond); e.A <= 0 || uint64(e.A) != dataUna[mid] {
+			t.Errorf("stall %d carries %d bytes DATA_ACKed; the connection had %d", i, e.A, dataUna[mid])
+		}
+	}
+	if untraced, _, _ := run(twice, false); untraced != st {
+		t.Errorf("the recorder changed the counters:\ntraced   %+v\nuntraced %+v", st, untraced)
+	}
+
+	short := []outage{{time.Second, 2 * time.Second}}
+	if st, _, _ := run(short, false); st.StallEpisodes != 0 {
+		t.Fatalf("a 1s outage counted %d stall episodes, want 0", st.StallEpisodes)
 	}
 }

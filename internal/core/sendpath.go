@@ -315,8 +315,10 @@ func (c *Connection) onDataAck(from *Subflow, relAck uint64, windowBytes int) {
 	if limit := relAck + uint64(windowBytes); limit > c.rwndLimit {
 		c.rwndLimit = limit
 	}
+	c.checkStall()
 	if relAck > c.dataUna {
 		c.dataUna = relAck
+		c.lastProgress, c.stalled = c.sim.Now(), false
 		freed := 0
 		for freed < len(c.inflight) && c.inflight[freed].end() <= c.dataUna {
 			// Zeroed so a free mapping does not pin its subflow.
@@ -381,6 +383,7 @@ func (c *Connection) onConnRetransmitTimeout() {
 	if c.closed || c.Fallback() {
 		return
 	}
+	c.checkStall()
 	if len(c.inflight) == 0 && (!c.dataFinSent || c.dataFinAcked) {
 		return
 	}
@@ -398,6 +401,33 @@ func (c *Connection) onConnRetransmitTimeout() {
 		}
 	}
 	c.connRtx.Reset(c.connRtxInterval())
+}
+
+// StallInterval is how long DATA_ACK may stand still while the connection
+// holds written bytes before it counts as stalled: the silent stall of
+// §3.3.1, where a subflow that fails holding the window's trailing edge
+// deadlocks the connection.
+const StallInterval = 2 * time.Second
+
+// checkStall counts a stall episode the first time it finds written bytes
+// held while DATA_ACK has not advanced for StallInterval; the next DATA_ACK
+// advance ends the episode. It runs on every DATA_ACK and on every
+// connection-level retransmission timeout, which is armed while mappings are
+// in flight, so a stall needs no timer of its own to be seen.
+func (c *Connection) checkStall() {
+	if c.stalled || c.unackedBytes() == 0 {
+		return
+	}
+	since := c.sim.Now() - c.lastProgress
+	if since < StallInterval {
+		return
+	}
+	c.stalled = true
+	c.stats.StallEpisodes++
+	if c.probe != nil {
+		c.probe.Emit(c.member, probe.KindStall, c.connID, -1, int64(c.dataUna), int64(since))
+		c.probe.Count(c.member, probe.CtrStallEpisodes, 1)
+	}
 }
 
 // recoverDroppedMappings reinjects mappings whose bytes have been

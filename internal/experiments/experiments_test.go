@@ -122,19 +122,24 @@ func TestFig10KeyGenerationOrdering(t *testing.T) {
 
 func TestRationaleShowsDeadlockDifference(t *testing.T) {
 	// The shared-window design must deliver everything; the per-subflow
-	// ablation must get stuck after the silent path failure.
-	recvShared, okShared, err := runWindowScenario(11, false, 1<<20, 30*time.Second, Options{}, "")
+	// ablation must get stuck after the silent path failure, and its client
+	// connection must say so with exactly one stall episode.
+	const total = 1 << 20
+	recvShared, shared, err := runWindowScenario(11, false, total, 30*time.Second, Options{}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	recvPer, okPer, err := runWindowScenario(11, true, 1<<20, 30*time.Second, Options{}, "")
+	recvPer, per, err := runWindowScenario(11, true, total, 30*time.Second, Options{}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !okShared {
+	if recvShared < total {
 		t.Fatalf("shared-window transfer did not complete (%d bytes)", recvShared)
 	}
-	if okPer {
+	if recvPer >= total {
 		t.Fatalf("per-subflow-window transfer unexpectedly completed (%d bytes) — the §3.3.1 deadlock should occur", recvPer)
+	}
+	if shared.StallEpisodes != 0 || per.StallEpisodes != 1 {
+		t.Fatalf("stall episodes: shared window %d, per-subflow windows %d; want 0 and 1", shared.StallEpisodes, per.StallEpisodes)
 	}
 }

@@ -24,12 +24,13 @@ func init() {
 }
 
 // runWindowScenario transfers data over WiFi+3G, fails the 3G path silently
-// mid-transfer, and reports how much the application ultimately received.
-// obs's observers are attached, their files named name.
-func runWindowScenario(seed uint64, perSubflowWindow bool, total int, deadline time.Duration, obs Options, name string) (received int, completed bool, err error) {
+// mid-transfer, and reports how much the application ultimately received and
+// the client connection's counters. obs's observers are attached, their files
+// named name.
+func runWindowScenario(seed uint64, perSubflowWindow bool, total int, deadline time.Duration, obs Options, name string) (received int, client core.ConnStats, err error) {
 	w, err := NewWorld(seed, netem.TwoHostSpec(netem.WiFi3GSpec()...), obs.PcapDir, obs.Trace, name, 0, 1)
 	if err != nil {
-		return 0, false, err
+		return 0, client, err
 	}
 	defer w.Stop()
 	w.Managers["client"].SetProbe(w.Probe, 0)
@@ -56,11 +57,11 @@ func runWindowScenario(seed uint64, perSubflowWindow bool, total int, deadline t
 		}
 	})
 	if err != nil {
-		return 0, false, err
+		return 0, client, err
 	}
 	conn, err := w.Managers["client"].Dial(net.Client.Interfaces()[0], packet.Endpoint{Addr: net.ServerAddr(0), Port: 80}, cfg)
 	if err != nil {
-		return 0, false, err
+		return 0, client, err
 	}
 	payload := make([]byte, 16<<10)
 	sent := 0
@@ -81,9 +82,9 @@ func runWindowScenario(seed uint64, perSubflowWindow bool, total int, deadline t
 	w.Probe.StartSampler(func() bool { return received >= total })
 
 	if err := s.RunUntil(deadline); err != nil {
-		return received, false, err
+		return received, conn.Stats(), err
 	}
-	return received, received >= total, finishPoint(&w, seed, obs, name)
+	return received, conn.Stats(), finishPoint(&w, seed, obs, name)
 }
 
 func runRationale(opt Options) (*Result, error) {
@@ -97,13 +98,9 @@ func runRationale(opt Options) (*Result, error) {
 	table := NewTable("Silent 3G failure at t=2s, 64KB buffers, no rescue mechanisms",
 		"receive-window semantics", "bytes delivered", "transfer completed")
 	semantics := []bool{true, false}
-	type windowResult struct {
-		received  int
-		completed bool
-	}
-	results, err := SweepWorkers(len(semantics), 0, func(i int) (windowResult, error) {
-		received, completed, err := runWindowScenario(opt.Seed+9, semantics[i], total, deadline, opt, pointName("rationale", i))
-		return windowResult{received, completed}, err
+	results, err := SweepWorkers(len(semantics), 0, func(i int) (int, error) {
+		received, _, err := runWindowScenario(opt.Seed+9, semantics[i], total, deadline, opt, pointName("rationale", i))
+		return received, err
 	})
 	if err != nil {
 		return nil, err
@@ -114,9 +111,9 @@ func runRationale(opt Options) (*Result, error) {
 		if perSubflow {
 			name = "per-subflow windows (naive TCP inheritance)"
 		}
-		table.AddRow(name, fmt.Sprintf("%d / %d", results[i].received, total), fmt.Sprintf("%v", results[i].completed))
+		table.AddRow(name, fmt.Sprintf("%d / %d", results[i], total), fmt.Sprintf("%v", results[i] >= total))
 		delivered.X = append(delivered.X, float64(i))
-		delivered.Y = append(delivered.Y, float64(results[i].received))
+		delivered.Y = append(delivered.Y, float64(results[i]))
 	}
 	table.AddNote("paper §3.3.1: with per-subflow windows the data lost on the failed subflow cannot be resent on the surviving one once its window slice has filled — the connection deadlocks; the shared window avoids this by construction")
 	return &Result{Tables: []*Table{table}, Series: []Series{delivered}}, nil

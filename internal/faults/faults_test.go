@@ -93,30 +93,6 @@ func TestCheckerCatchesCorruptionAndShortDelivery(t *testing.T) {
 	}
 }
 
-func TestWatchdogReportsStallEpisodes(t *testing.T) {
-	s := sim.New(1)
-	progress := uint64(0)
-	episodes := 0
-	w := NewWatchdog(s, time.Second, func() uint64 { return progress }, func() bool { return false })
-	w.OnStall = func(time.Duration, uint64) { episodes++ }
-	w.Start()
-	// Advance progress for 3 ticks, stall for 3, recover, stall again.
-	s.ScheduleAt(500*time.Millisecond, func() { progress = 1 })
-	s.ScheduleAt(1500*time.Millisecond, func() { progress = 2 })
-	s.ScheduleAt(2500*time.Millisecond, func() { progress = 3 })
-	s.ScheduleAt(6500*time.Millisecond, func() { progress = 4 })
-	if err := s.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	w.Stop()
-	if episodes != 2 {
-		t.Fatalf("stall episodes=%d, want 2 (one mid-run, one at the tail)", episodes)
-	}
-	if w.Stalls < 4 {
-		t.Fatalf("stalled intervals=%d, want at least 4", w.Stalls)
-	}
-}
-
 func TestClassifyFallback(t *testing.T) {
 	cases := map[string]string{
 		"no MP_CAPABLE in SYN/ACK":                  "handshake-strip",

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
-	"time"
 
 	"mptcpgo/internal/core"
 	"mptcpgo/internal/sim"
@@ -16,10 +15,10 @@ import (
 // verifies this byte-for-byte against a deterministic pattern, so duplicated,
 // reordered or corrupted delivery is caught at the first bad byte; equality
 // with the pattern at every offset plus the exact-length check is stream
-// equality, so there is no separate end-of-run hash. The Watchdog enforces
-// the liveness half of the invariant: a connection that silently stops making
-// progress is a bug, and it is reported with a diagnostic dump instead of
-// idling until a scenario deadline expires.
+// equality, so there is no separate end-of-run hash. The liveness half of the
+// invariant is the connection's own: core.Connection counts a stall episode
+// when its DATA_ACK stands still (see core.StallInterval), and DumpConnection
+// renders the state to report it with.
 
 // patternWord returns the 64-bit word covering stream offsets [8w, 8w+8) for
 // a given stream seed: the splitmix64 sequence seeded with seed, so every
@@ -107,71 +106,6 @@ func (k *Checker) Err() error {
 	return nil
 }
 
-// Watchdog turns silent stalls into explicit failures: every interval it
-// samples a progress counter, and if the counter has not advanced while the
-// transfer is unfinished it records a stall and (once per stall episode)
-// invokes OnStall with a diagnostic.
-type Watchdog struct {
-	// OnStall is invoked on the transition into a stall episode. Optional.
-	OnStall func(at time.Duration, progress uint64)
-	// Stalls counts stalled intervals (not episodes).
-	Stalls int
-	// Episodes counts distinct stall episodes: runs of stalled intervals
-	// separated by progress. One episode may span many stalled intervals.
-	Episodes int
-
-	sim      *sim.Simulator
-	interval time.Duration
-	progress func() uint64
-	done     func() bool
-	timer    *sim.Timer
-	last     uint64
-	inStall  bool
-	started  bool
-}
-
-// NewWatchdog builds a watchdog sampling `progress` every `interval`; `done`
-// reporting true disarms it. Call Start to arm.
-func NewWatchdog(s *sim.Simulator, interval time.Duration, progress func() uint64, done func() bool) *Watchdog {
-	w := &Watchdog{sim: s, interval: interval, progress: progress, done: done}
-	w.timer = s.NewTimer(w.tick)
-	return w
-}
-
-// Start arms the watchdog.
-func (w *Watchdog) Start() {
-	if w.started {
-		return
-	}
-	w.started = true
-	w.last = w.progress()
-	w.timer.Reset(w.interval)
-}
-
-// Stop disarms the watchdog.
-func (w *Watchdog) Stop() { w.timer.Stop() }
-
-func (w *Watchdog) tick() {
-	if w.done() {
-		return
-	}
-	cur := w.progress()
-	if cur == w.last {
-		w.Stalls++
-		if !w.inStall {
-			w.inStall = true
-			w.Episodes++
-			if w.OnStall != nil {
-				w.OnStall(w.sim.Now(), cur)
-			}
-		}
-	} else {
-		w.last = cur
-		w.inStall = false
-	}
-	w.timer.Reset(w.interval)
-}
-
 // ClassifyFallback maps a Connection.OnFallback reason string onto the small
 // taxonomy the chaos scenarios report on. The categories follow §3's failure
 // modes: options stripped at the handshake vs. mid-stream, checksum-detected
@@ -194,8 +128,8 @@ func ClassifyFallback(reason string) string {
 }
 
 // DumpConnection renders a one-connection diagnostic: connection flags,
-// counters and per-subflow endpoint state. The watchdog attaches it to stall
-// reports so a hang is debuggable from the test log alone.
+// counters and per-subflow endpoint state. Chaos attaches it to the report of
+// a stalled member so a hang is debuggable from the test log alone.
 func DumpConnection(c *core.Connection) string {
 	if c == nil {
 		return "<nil connection>"

@@ -28,8 +28,9 @@ const chaosStream = 0x0C4A_0000
 // uploading a patterned byte stream that the server verifies byte-for-byte
 // (exact-once, in-order — see faults.Checker) while a deterministic fault
 // schedule batters the paths and an optional adversarial middlebox preset
-// sits on them. Every member runs under a progress watchdog: a silent stall
-// is recorded, dumped and aborted instead of idling to the deadline.
+// sits on them. A member whose connections count a stall episode (see
+// core.StallInterval), or that is unfinished at the deadline, is reported
+// stalled with a diagnostic dump.
 //
 // The invariant the scenario checks is the paper's robustness claim: under
 // every fault×adversary combination each member must either complete with an
@@ -66,9 +67,6 @@ func (s ChaosSpec) withDefaults() ChaosSpec {
 	return s
 }
 
-// chaosWatchdogInterval is the stall-detection sampling period.
-const chaosWatchdogInterval = 2 * time.Second
-
 // chaosConnConfig configures both ends of every member connection: MPTCP
 // without address advertisement, with subflows that declare a path dead
 // after 4 consecutive RTOs (instead of TCP's patient 10) so reinjection onto
@@ -83,7 +81,7 @@ func chaosConnConfig() core.Config {
 const (
 	outcomeOK       = "ok"       // completed intact, multipath to the end
 	outcomeFallback = "fallback" // completed intact after TCP fallback
-	outcomeStalled  = "stalled"  // watchdog abort: silent loss of progress
+	outcomeStalled  = "stalled"  // a stall episode, or unfinished at the deadline
 	outcomeFailed   = "failed"   // connection error or integrity violation
 )
 
@@ -109,11 +107,8 @@ type chaosMember struct {
 	serverClosed   bool
 	clientErr      error
 	fallbackReason string
-	stalled        bool
-	stallDump      string
 	done           bool
 	outcome        string
-	watchdog       *faults.Watchdog
 	injector       *faults.Injector
 	onDone         func()
 }
@@ -160,42 +155,17 @@ func (m *chaosMember) drain() {
 	m.maybeFinish()
 }
 
-// onStall is the watchdog callback: record a diagnostic dump and abort both
-// ends so the member fails fast instead of idling to the shard deadline.
-func (m *chaosMember) onStall(at time.Duration, progress uint64) {
-	if m.done || m.stalled {
-		return
-	}
-	m.stalled = true
-	m.stallDump = fmt.Sprintf("member %d stalled at t=%v after %d bytes\nclient: %sserver: %s",
-		m.gi, at, progress, faults.DumpConnection(m.client), faults.DumpConnection(m.server))
-	if m.client != nil && !m.client.Closed() {
-		m.client.Abort()
-	}
-	if m.server != nil && !m.server.Closed() {
-		m.server.Abort()
-	}
-	m.maybeFinish()
-}
-
 func (m *chaosMember) maybeFinish() {
 	if m.done {
 		return
 	}
 	success := m.serverEOF && m.checker.Complete()
 	dead := m.clientClosed && (m.server == nil || m.serverClosed || m.serverEOF)
-	if !success && !dead && !m.stalled {
-		return
-	}
-	if m.stalled && !(m.clientClosed || m.client == nil) {
-		// Wait for the aborts to propagate so counters settle.
+	if !success && !dead {
 		return
 	}
 	m.done = true
-	m.watchdog.Stop()
 	switch {
-	case m.stalled:
-		m.outcome = outcomeStalled
 	case success && m.fallbackReason == "":
 		m.outcome = outcomeOK
 	case success:
@@ -311,13 +281,13 @@ func runChaos(spec ChaosSpec) (*experiments.Result, chaosMerge, error) {
 	res, err := Run[*chaosState, chaosMerge](spec.Common, "fleet-chaos", title, spec.Members, chaosScenario{&spec},
 		func(res *experiments.Result, outs []chaosMerge) {
 			table := experiments.NewTable(
-				fmt.Sprintf("%d members across %d shards, %d KiB each, watchdog %v",
-					spec.Members, len(outs), spec.TransferBytes>>10, chaosWatchdogInterval),
+				fmt.Sprintf("%d members across %d shards, %d KiB each, stall interval %v",
+					spec.Members, len(outs), spec.TransferBytes>>10, core.StallInterval),
 				"shard", "members", "ok", "fallback", "stalled", "stallEp", "failed", "intact",
 				"reinject", "connRtx", "flaps", "ifdown", "ifup", "reasons", "events")
 			total = addShardRows(table, outs)
-			table.AddNote("invariant: every member must finish ok (intact hash, multipath), or fallback (intact hash, taxonomized reason); stalled = watchdog abort, failed = connection error or integrity violation")
-			table.AddNote("stallEp counts distinct watchdog stall episodes (runs of no-progress intervals) across the shard's members")
+			table.AddNote("invariant: every member must finish ok (intact hash, multipath), or fallback (intact hash, taxonomized reason); stalled = a stall episode or unfinished at the deadline, failed = connection error or integrity violation")
+			table.AddNote("stallEp sums the members' connection stall episodes (written bytes held while DATA_ACK stands still for the stall interval)")
 			if !spec.Faults.Empty() {
 				table.AddNote("fault schedule: %s (per-member jitter streams via DeriveSeed)", spec.Faults.String())
 			}
@@ -434,19 +404,6 @@ func (s chaosScenario) Setup(sh *Shard) (*chaosState, error) {
 		paths := []*netem.Path{sh.Net.Paths[idx[0]], sh.Net.Paths[idx[1]]}
 		m.injector = faults.Apply(sh.Sim, spec.Faults, paths, mgr, spec.Seed, uint64(gi))
 		m.injector.SetProbe(rec, gi)
-
-		m.watchdog = faults.NewWatchdog(sh.Sim, chaosWatchdogInterval,
-			func() uint64 { return m.checker.Received() + m.sent },
-			func() bool { return m.done })
-		m.watchdog.OnStall = m.onStall
-		if rec != nil {
-			m.watchdog.OnStall = func(at time.Duration, progress uint64) {
-				rec.Emit(gi, probe.KindStall, 0, -1, int64(progress), 0)
-				rec.Count(gi, probe.CtrStallEpisodes, 1)
-				m.onStall(at, progress)
-			}
-		}
-		m.watchdog.Start()
 	}
 
 	members64 := int64(sh.Members())
@@ -460,15 +417,16 @@ func (chaosScenario) Collect(sh *Shard, st *chaosState) (chaosMerge, error) {
 	rec := sh.Probe
 	out := chaosMerge{members: sh.Members(), events: sh.probeEvents()}
 	for _, m := range st.members {
-		if !m.done {
-			// Deadline expiry without watchdog abort (possible only when the
-			// deadline undercuts the watchdog interval): count as stalled.
-			m.stalled = true
+		cs, ss := m.client.Stats(), core.ConnStats{}
+		if m.server != nil { // never accepted
+			ss = m.server.Stats()
+		}
+		eps := int(cs.StallEpisodes + ss.StallEpisodes)
+		if eps > 0 || !m.done {
 			m.outcome = outcomeStalled
-			if m.stallDump == "" {
-				m.stallDump = fmt.Sprintf("member %d unfinished at shard deadline\nclient: %sserver: %s",
-					m.gi, faults.DumpConnection(m.client), faults.DumpConnection(m.server))
-			}
+			out.stallDumps = append(out.stallDumps, fmt.Sprintf(
+				"member %d: %d stall episodes, finished %v\nclient: %sserver: %s",
+				m.gi, eps, m.done, faults.DumpConnection(m.client), faults.DumpConnection(m.server)))
 		}
 		switch m.outcome {
 		case outcomeOK:
@@ -478,7 +436,6 @@ func (chaosScenario) Collect(sh *Shard, st *chaosState) (chaosMerge, error) {
 			out.addReason(faults.ClassifyFallback(m.fallbackReason))
 		case outcomeStalled:
 			out.stalled++
-			out.stallDumps = append(out.stallDumps, m.stallDump)
 		default:
 			out.failed++
 			if m.fallbackReason != "" {
@@ -489,15 +446,12 @@ func (chaosScenario) Collect(sh *Shard, st *chaosState) (chaosMerge, error) {
 			out.intact++
 		}
 		out.bytes += m.checker.Received()
-		if m.client != nil {
-			st := m.client.Stats()
-			out.reinjections += st.Reinjections
-			out.connRtx += st.ConnLevelRtx
-		}
+		out.reinjections += cs.Reinjections
+		out.connRtx += cs.ConnLevelRtx
 		out.flaps += m.injector.Flaps
 		out.removals += m.injector.Removals
 		out.restores += m.injector.Restores
-		out.stallEps += m.watchdog.Episodes
+		out.stallEps += eps
 		if rec != nil {
 			// Fold the member's wire drops (both paths, both directions) into
 			// its counter registry at collect time.

@@ -205,7 +205,6 @@ func TestChaosMemberGeneratesEachByteOnce(t *testing.T) {
 		buf:     sim.Local[chaosScratch](s)[:],
 		onDone:  func() {},
 	}
-	m.watchdog = faults.NewWatchdog(s, time.Second, m.checker.Received, func() bool { return m.done })
 	if _, err := core.NewManager(n.Server).Listen(80, cfg, func(c *core.Connection) {
 		m.server = c
 		c.OnReadable = m.drain

@@ -162,7 +162,8 @@ func (c Counter) String() string {
 //	KindFallback:                A=reason code
 //	KindFaultAction:             A=fault code (Fault*), B=path index
 //	KindEpochAlloc:              A=epoch index, B=bottlenecked shard count
-//	KindStall:                   A=bytes received at stall entry
+//	KindStall:                   A=bytes DATA_ACKed at stall entry, B=how long
+//	                             bytes were held without a DATA_ACK advance (ns)
 //	KindFlowDone:                A=outcome (0 failed, 1 completed, 2 deadline-dropped), B=bytes received
 type Event struct {
 	At      time.Duration
