@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # traffic-audit.sh: the audit of DESIGN.md "What counts as traffic". It builds
-# every main with statement coverage, runs the shipped workload list below,
-# and reports what none of it enters, outside bench/perf and examples/:
+# every main and the Example functions' test binaries with statement
+# coverage, runs the shipped workload list below, and reports what none of
+# it enters, outside bench/perf:
 #
 #   - a summary line: statements entered of statements, and functions at 0%;
 #   - every function at 0.0% (go tool covdata func), one per line.
@@ -25,9 +26,9 @@ build() { go build -cover -coverpkg=./... -o "$bin/$1" "$2"; }
 build mptcpbench ./cmd/mptcpbench
 build tracereport ./cmd/tracereport
 build perf ./bench/perf
-for d in examples/*/; do
-	build "example-$(basename "$d")" "./$d"
-done
+examples() { go test -c -cover -coverpkg=./... -o "$bin/examples-$1.test" "$2"; }
+examples facade .
+examples experiments ./internal/experiments
 
 export GOCOVERDIR=$work/cov
 mb() { "$bin/mptcpbench" -quick "$@" > /dev/null; }
@@ -66,15 +67,15 @@ for f in $faults; do
 	done
 done
 
-# Every example, and the benchmark harness at smoke-test sizes.
-for d in examples/*/; do
-	"$bin/example-$(basename "$d")" > /dev/null
+# Every Example function, and the benchmark harness at smoke-test sizes.
+for t in "$bin"/examples-*.test; do
+	"$t" -test.run '^Example' -test.gocoverdir="$GOCOVERDIR" > /dev/null
 done
 "$bin/perf" run -quick -out "$run/perf.json" > /dev/null
 
 # The report. textfmt lists each block once per run that covered it, so the
 # statement counts key blocks by position and keep the largest count.
-keep='^mptcpgo/(bench/perf|examples)/'
+keep='^mptcpgo/bench/perf/'
 go tool covdata textfmt -i="$GOCOVERDIR" -o "$work/profile.txt"
 go tool covdata func -i="$GOCOVERDIR" | grep -Ev "$keep" | grep -v '^total' > "$work/func.txt"
 {

@@ -60,7 +60,8 @@ func (t *Table) AddNote(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
-// Fprint renders the table as aligned text.
+// Fprint renders the table as aligned text. The last cell of a row is not
+// padded, so no line ends in spaces.
 func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "== %s ==\n", t.Title)
 	widths := make([]int, len(t.Columns))
@@ -77,7 +78,7 @@ func (t *Table) Fprint(w io.Writer) {
 	printRow := func(cells []string) {
 		parts := make([]string, len(cells))
 		for i, cell := range cells {
-			if i < len(widths) {
+			if i < len(widths) && i < len(cells)-1 {
 				parts[i] = fmt.Sprintf("%-*s", widths[i], cell)
 			} else {
 				parts[i] = cell

@@ -18,6 +18,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with the cur
 func TestResultTextFormat(t *testing.T) {
 	tbl := NewTable("demo", "col", "x")
 	tbl.AddRow("value", "1")
+	tbl.AddRow("v", "10")
 	tbl.AddNote("a note")
 	res := &Result{ID: "figX", Title: "a title", Tables: []*Table{tbl}}
 	var buf bytes.Buffer
@@ -28,6 +29,7 @@ func TestResultTextFormat(t *testing.T) {
 		"== demo ==\n" +
 		"  col    x\n" +
 		"  value  1\n" +
+		"  v      10\n" +
 		"  note: a note\n" +
 		"\n"
 	if buf.String() != want {

@@ -23,8 +23,8 @@
 //     plane they feed.
 //   - mptcp.go (this file) — connection configurations.
 //
-// See the examples/ directory for runnable programs and DESIGN.md for the
-// system inventory and the facade layering.
+// The package examples are runnable programs whose output `go test` checks.
+// DESIGN.md has the system inventory and the facade layering.
 package mptcpgo
 
 import "mptcpgo/internal/core"
