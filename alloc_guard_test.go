@@ -396,8 +396,7 @@ func TestBulkTransferAllocBudget(t *testing.T) {
 		if _, err := experiments.RunBulk(experiments.BulkOptions{
 			Seed:     1,
 			Specs:    netem.WiFi3GSpec(),
-			Client:   cfg,
-			Server:   cfg,
+			Config:   cfg,
 			Duration: 3 * time.Second,
 			Warmup:   1 * time.Second,
 		}); err != nil {

@@ -82,8 +82,7 @@ func BenchmarkMPTCPTransferWiFi3G(b *testing.B) {
 		res, err := experiments.RunBulk(experiments.BulkOptions{
 			Seed:     uint64(i + 1),
 			Specs:    netem.WiFi3GSpec(),
-			Client:   cfg,
-			Server:   cfg,
+			Config:   cfg,
 			Duration: 10 * time.Second,
 			Warmup:   3 * time.Second,
 		})
@@ -262,8 +261,7 @@ func BenchmarkBulkTransferAllocs(b *testing.B) {
 		if _, err := experiments.RunBulk(experiments.BulkOptions{
 			Seed:     uint64(i + 1),
 			Specs:    netem.WiFi3GSpec(),
-			Client:   cfg,
-			Server:   cfg,
+			Config:   cfg,
 			Duration: 3 * time.Second,
 			Warmup:   1 * time.Second,
 		}); err != nil {

@@ -382,9 +382,6 @@ var scenarios = []scenarioDef{
 	{"fleet-chaos", "integrity-checked uploads under fault schedules (-faults) and adversarial middleboxes (-adversary)",
 		sizing{members: 32}, sizing{members: 8},
 		gPcap | gTrace | gChaos, runChaosScenario},
-	{"trace-overhead", "flight-recorder cost probe: one open-loop run traced and one untraced, results proven identical",
-		sizing{members: 64, rate: 150, window: 2 * time.Second}, sizing{members: 16, rate: 80, window: time.Second},
-		gTrace | gLoad, runTraceOverheadScenario},
 	{"sched-equivalence", "scheduler pin: wheel vs heap firing-order checksums over deterministic churn workloads",
 		sizing{members: 200_000}, sizing{members: 20_000},
 		0, runSchedScenario},

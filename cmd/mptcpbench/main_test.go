@@ -21,7 +21,6 @@ func TestScenarioFlagChecking(t *testing.T) {
 		{"incast", []string{"-pcap-dir", "p"}, []string{"-faults", "flap500"}},
 		{"mixed", []string{"-pcap-dir", "p"}, []string{"-probe-interval", "1s"}},
 		{"fleet-chaos", []string{"-faults", "flap500"}, []string{"-duration", "1s"}},
-		{"trace-overhead", []string{"-rate", "5"}, []string{"-arrival", "fixed"}},
 		{"sched-equivalence", []string{"-clients", "100"}, []string{"-pcap-dir", "p"}},
 	}
 	if len(cases) != len(scenarios) {

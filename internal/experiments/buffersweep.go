@@ -204,13 +204,11 @@ func (sw *bufferSweep) run(opt Options) (*Result, error) {
 		bo := BulkOptions{
 			Seed:           opt.Seed + uint64(buf)*sw.seedStep,
 			Specs:          sw.specs(),
-			Client:         v.cfg(buf),
-			Server:         v.cfg(buf),
+			Config:         v.cfg(buf),
 			ClientIface:    v.iface,
 			Duration:       win.duration,
 			Warmup:         win.warmup,
 			MemorySampling: sw.memory,
-			SampleInterval: 50 * time.Millisecond,
 		}
 		if sw.boxes != nil {
 			bo.Boxes = sw.boxes()

@@ -19,8 +19,8 @@ type BulkOptions struct {
 	// Boxes installs middlebox chains per path index.
 	Boxes map[int][]netem.Box
 
-	Client core.Config
-	Server core.Config
+	// Config configures both ends: the client's dial and the server's listen.
+	Config core.Config
 	// ClientIface selects which client interface the initial subflow (or the
 	// single-path TCP connection) is dialed from.
 	ClientIface int
@@ -30,9 +30,9 @@ type BulkOptions struct {
 	// Duration is the total simulated run length.
 	Duration time.Duration
 
-	// MemorySampling records sender/receiver memory every SampleInterval.
+	// MemorySampling records sender/receiver memory every
+	// memorySampleInterval.
 	MemorySampling bool
-	SampleInterval time.Duration
 
 	// BlockSize, when non-zero, makes the sender write timestamped blocks of
 	// this size and records application-level per-block latency (Figure 7).
@@ -64,6 +64,9 @@ type BulkResult struct {
 	Subflows          int
 }
 
+// memorySampleInterval is the cadence of BulkOptions.MemorySampling.
+const memorySampleInterval = 50 * time.Millisecond
+
 // RunBulk executes one bulk-transfer run and returns its measurements.
 func RunBulk(opt BulkOptions) (BulkResult, error) { return runBulk(opt, Options{}, "") }
 
@@ -74,9 +77,6 @@ func runBulk(opt BulkOptions, obs Options, name string) (BulkResult, error) {
 	}
 	if opt.Warmup <= 0 || opt.Warmup >= opt.Duration {
 		opt.Warmup = opt.Duration / 5
-	}
-	if opt.SampleInterval <= 0 {
-		opt.SampleInterval = 100 * time.Millisecond
 	}
 
 	spec := netem.TwoHostSpec(opt.Specs...)
@@ -109,7 +109,7 @@ func runBulk(opt BulkOptions, obs Options, name string) (BulkResult, error) {
 		blockDelays = trace.NewHistogram(10) // 10 ms bins, as in Figure 7
 	}
 
-	_, err = w.Managers["server"].Listen(80, opt.Server, func(c *core.Connection) {
+	_, err = w.Managers["server"].Listen(80, opt.Config, func(c *core.Connection) {
 		serverConn = c
 		c.OnReadable = func() {
 			for {
@@ -140,7 +140,7 @@ func runBulk(opt BulkOptions, obs Options, name string) (BulkResult, error) {
 		opt.ClientIface = 0
 	}
 	serverAddr := net.ServerAddr(opt.ClientIface)
-	conn, err := w.Managers["client"].Dial(ifaces[opt.ClientIface], packet.Endpoint{Addr: serverAddr, Port: 80}, opt.Client)
+	conn, err := w.Managers["client"].Dial(ifaces[opt.ClientIface], packet.Endpoint{Addr: serverAddr, Port: 80}, opt.Config)
 	if err != nil {
 		return BulkResult{}, err
 	}
@@ -198,10 +198,10 @@ func runBulk(opt BulkOptions, obs Options, name string) (BulkResult, error) {
 				}
 			}
 			if s.Now() < opt.Duration {
-				s.Schedule(opt.SampleInterval, sample)
+				s.Schedule(memorySampleInterval, sample)
 			}
 		}
-		s.Schedule(opt.SampleInterval, sample)
+		s.Schedule(memorySampleInterval, sample)
 	}
 
 	// Warmup, then measure.

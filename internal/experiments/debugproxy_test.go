@@ -23,8 +23,7 @@ func TestDebugProactiveProxy(t *testing.T) {
 		Seed:     7,
 		Specs:    netem.WiFi3GSpec(),
 		Boxes:    map[int][]netem.Box{0: {middlebox.NewProactiveACKer()}},
-		Client:   cfg,
-		Server:   cfg,
+		Config:   cfg,
 		Duration: 6 * time.Second,
 		Warmup:   1 * time.Second,
 	})
@@ -38,8 +37,7 @@ func TestDebugProactiveProxy(t *testing.T) {
 		Seed:     7,
 		Specs:    netem.WiFi3GSpec(),
 		Boxes:    map[int][]netem.Box{0: {middlebox.NewCoalescer(2, 8192)}},
-		Client:   cfg,
-		Server:   cfg,
+		Config:   cfg,
 		Duration: 6 * time.Second,
 		Warmup:   1 * time.Second,
 	})

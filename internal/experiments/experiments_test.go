@@ -54,8 +54,7 @@ func TestRunBulkTCPvsMPTCPOrdering(t *testing.T) {
 		res, err := RunBulk(BulkOptions{
 			Seed:        3,
 			Specs:       netem.WiFi3GSpec(),
-			Client:      cfg,
-			Server:      cfg,
+			Config:      cfg,
 			ClientIface: iface,
 			Duration:    duration,
 			Warmup:      warmup,

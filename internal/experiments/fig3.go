@@ -71,8 +71,7 @@ func runFig3(opt Options) (*Result, error) {
 		res, err := runBulk(BulkOptions{
 			Seed:     opt.Seed + uint64(mss),
 			Specs:    netem.TenGigSpec(),
-			Client:   cfg,
-			Server:   cfg,
+			Config:   cfg,
 			Duration: duration,
 			Warmup:   warmup,
 			HostCPU:  &cpu,

@@ -44,8 +44,7 @@ func runFig7(opt Options) (*Result, error) {
 		return runBulk(BulkOptions{
 			Seed:        opt.Seed + 77,
 			Specs:       netem.WiFi3GSpec(),
-			Client:      v.cfg(buf),
-			Server:      v.cfg(buf),
+			Config:      v.cfg(buf),
 			ClientIface: v.iface,
 			Duration:    duration,
 			Warmup:      warmup,

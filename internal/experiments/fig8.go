@@ -44,8 +44,7 @@ func runFig8(opt Options) (*Result, error) {
 		return runBulk(BulkOptions{
 			Seed:     opt.Seed + uint64(algs[r])*31 + uint64(perIfaces[c]),
 			Specs:    netem.DualGigabitSpec(),
-			Client:   cfg,
-			Server:   cfg,
+			Config:   cfg,
 			Duration: duration,
 			Warmup:   warmup,
 		}, opt, name)

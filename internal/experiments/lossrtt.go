@@ -59,8 +59,7 @@ func runLossRTT(opt Options) (*Result, error) {
 		mp, err := runBulk(BulkOptions{
 			Seed:     seed,
 			Specs:    pathsFor(losses[r], rtts[c], 2),
-			Client:   mptcpM12(1 << 20),
-			Server:   mptcpM12(1 << 20),
+			Config:   mptcpM12(1 << 20),
 			Duration: duration,
 			Warmup:   warmup,
 		}, opt, name+"-mptcp")
@@ -70,8 +69,7 @@ func runLossRTT(opt Options) (*Result, error) {
 		tcp, err := runBulk(BulkOptions{
 			Seed:     seed + 1,
 			Specs:    pathsFor(losses[r], rtts[c], 1),
-			Client:   tcpBaseline(1 << 20),
-			Server:   tcpBaseline(1 << 20),
+			Config:   tcpBaseline(1 << 20),
 			Duration: duration,
 			Warmup:   warmup,
 		}, opt, name+"-tcp")

@@ -80,8 +80,7 @@ func runMbox(opt Options) (*Result, error) {
 			Seed:     opt.Seed + uint64(i)*101,
 			Specs:    netem.WiFi3GSpec(),
 			Boxes:    boxes,
-			Client:   cfg,
-			Server:   cfg,
+			Config:   cfg,
 			Duration: duration,
 			Warmup:   duration / 4,
 		}, opt, pointName("mbox", i))

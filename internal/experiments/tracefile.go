@@ -30,10 +30,9 @@ func (t TraceSpec) Enabled() bool { return t.Dir != "" }
 
 // WriteTraceFiles writes the flight-recorder files of a run whose recorders are
 // recs (fleet callers pass them in shard-index order) into spec.Dir:
-// `<name>-trace.json`, the counter registry, event tally and per-subflow
-// samples as a Result titled "<title> (flight recorder)", and
-// `<name>-events.jsonl`, the merged typed event stream. A disabled spec
-// writes nothing.
+// `<name>-trace.json`, the counter registry and per-subflow samples as a
+// Result titled "<title> (flight recorder)", and `<name>-events.jsonl`, the
+// merged typed event stream. A disabled spec writes nothing.
 func WriteTraceFiles(spec TraceSpec, name, title string, seed uint64, quick bool, recs []*probe.Recorder) error {
 	if !spec.Enabled() {
 		return nil
@@ -47,7 +46,7 @@ func WriteTraceFiles(spec TraceSpec, name, title string, seed uint64, quick bool
 			events = r.AppendEvents(events, m)
 		}
 	}
-	res := traceResult(name+"-trace", title+" (flight recorder)", seed, quick, recs, events)
+	res := traceResult(name+"-trace", title+" (flight recorder)", seed, quick, recs)
 	if err := os.MkdirAll(spec.Dir, 0o755); err != nil {
 		return fmt.Errorf("trace dir: %w", err)
 	}
@@ -76,11 +75,12 @@ func WriteTraceFiles(spec TraceSpec, name, title string, seed uint64, quick bool
 	return nil
 }
 
-// traceResult renders the recorders' content — counter registry, event kind
-// tally, per-subflow time series — as a Result, so the trace reuses the
-// standard text/JSON/CSV encoders. A trace file is a function of (seed,
-// scenario), byte-comparable across machines and worker counts.
-func traceResult(id, title string, seed uint64, quick bool, recs []*probe.Recorder, events []probe.Event) *Result {
+// traceResult renders what only the recorders hold — counter registry and
+// per-subflow time series — as a Result, so the trace reuses the standard
+// text/JSON/CSV encoders; the event stream, and every tally of it, lives in
+// `<name>-events.jsonl`. A trace file is a function of (seed, scenario),
+// byte-comparable across machines and worker counts.
+func traceResult(id, title string, seed uint64, quick bool, recs []*probe.Recorder) *Result {
 	res := &Result{ID: id, Title: title, Seed: seed, Quick: quick}
 
 	// Counter registry: one row per member, in global member order.
@@ -116,19 +116,6 @@ func traceResult(id, title string, seed uint64, quick bool, recs []*probe.Record
 	reg.AddRow(allRow...)
 	reg.AddNote(fmt.Sprintf("%d members; %d events retained, %d overwritten (flight-recorder rings)", members, totalEvents, totalDropped))
 	res.AddTable(reg)
-
-	// Event tally by kind.
-	kinds := probe.CountKinds(events)
-	tally := NewTable("events by kind", "kind", "count")
-	for k, n := range kinds {
-		if n > 0 {
-			tally.AddRow(probe.Kind(k).String(), fmt.Sprintf("%d", n))
-		}
-	}
-	if tail := probe.DrainTail(events); tail > 0 {
-		tally.AddNote(fmt.Sprintf("rto drain tail (longest trailing backoff run): %.0f ms", float64(tail)/float64(time.Millisecond)))
-	}
-	res.AddTable(tally)
 
 	// Per-subflow time series, when sampling was on.
 	samples := NewTable("per-subflow samples",

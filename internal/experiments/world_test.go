@@ -128,8 +128,7 @@ func TestRunBulkCaptureErrorStopsTheWorld(t *testing.T) {
 	_, err := runBulk(BulkOptions{
 		Seed:     1,
 		Specs:    netem.WiFi3GSpec(),
-		Client:   core.DefaultConfig(),
-		Server:   core.DefaultConfig(),
+		Config:   core.DefaultConfig(),
 		Duration: time.Second,
 	}, Options{PcapDir: filepath.Join(file, "pcap")}, "bulk-00")
 	if err == nil || !strings.Contains(err.Error(), "capture") {

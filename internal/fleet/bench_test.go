@@ -28,12 +28,15 @@ func BenchmarkFleetSegmentRateTelemetry(b *testing.B) {
 }
 
 func benchmarkFleetSegmentRate(b *testing.B, plane *telemetry.Plane) {
-	spec := DefaultOpenLoopSpec(42, 12, 200, 2*time.Second)
-	spec.Shards = 4
-	spec.Sizes = workload.FixedSize(16 << 10)
-	spec.FlowDeadline = 3 * time.Second
+	spec := OpenLoopSpec{
+		Common:       Common{Seed: 42, Shards: 4},
+		Hosts:        12,
+		Arrival:      workload.Poisson(200),
+		Sizes:        workload.FixedSize(16 << 10),
+		Window:       2 * time.Second,
+		FlowDeadline: 3 * time.Second,
+	}
 	spec.Telemetry = plane
-
 	spec = spec.withDefaults()
 	var segments uint64
 	b.ResetTimer()

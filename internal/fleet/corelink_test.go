@@ -46,13 +46,15 @@ func coreBusyThrough(res *experiments.Result) float64 {
 // core link. The 50ms epoch keeps the capacity exchange adapting well within
 // the short test window.
 func testCorelinkSpec(workers int, rate float64, coreMbps float64) OpenLoopSpec {
-	spec := DefaultOpenLoopSpec(42, 12, rate, 3*time.Second)
-	spec.Shared = &capacity.SharedLink{Name: "core", RateBps: netem.Mbps(coreMbps), Epoch: 50 * time.Millisecond}
-	spec.Shards = 4
-	spec.Workers = workers
-	spec.Sizes = workload.FixedSize(16 << 10)
-	spec.FlowDeadline = 3 * time.Second
-	return spec
+	return OpenLoopSpec{
+		Common: Common{Seed: 42, Shards: 4, Workers: workers,
+			Shared: &capacity.SharedLink{Name: "core", RateBps: netem.Mbps(coreMbps), Epoch: 50 * time.Millisecond}},
+		Hosts:        12,
+		Arrival:      workload.Poisson(rate),
+		Sizes:        workload.FixedSize(16 << 10),
+		Window:       3 * time.Second,
+		FlowDeadline: 3 * time.Second,
+	}
 }
 
 // TestCorelinkWorkerInvariance pins the coupled engine to the fleet merge

@@ -55,25 +55,9 @@ type OpenLoopSpec struct {
 	// FlowDeadline drops flows that have not completed this long after
 	// arrival (default 10s; <0 disables dropping).
 	FlowDeadline time.Duration
-	// MaxInFlightPerHost sheds arrivals beyond this many concurrent flows on
-	// one host (0 = unlimited).
-	MaxInFlightPerHost int
 	// Link derives host i's access link (nil = DefaultAccessLink). Flows
 	// connect with the fleet-http default: StarConfig over MPTCP.
 	Link func(i int) netem.PathConfig
-}
-
-// DefaultOpenLoopSpec builds the stock fleet-openloop workload: hosts client
-// hosts on the heterogeneous access mix, Poisson arrivals at rate flows/s
-// fleet-wide, web-mix flow sizes.
-func DefaultOpenLoopSpec(seed uint64, hosts int, rate float64, window time.Duration) OpenLoopSpec {
-	return OpenLoopSpec{
-		Common:  Common{Seed: seed},
-		Hosts:   hosts,
-		Arrival: workload.Poisson(rate),
-		Sizes:   workload.WebMix(),
-		Window:  window,
-	}
 }
 
 func (s OpenLoopSpec) withDefaults() OpenLoopSpec {
@@ -233,7 +217,6 @@ func (s openLoopScenario) Setup(sh *Shard) (*openLoopState, error) {
 				Rng:          sim.NewRNG(sim.DeriveSeed(spec.Seed, openLoopStream+uint64(gi))),
 				Window:       spec.Window,
 				FlowDeadline: spec.FlowDeadline,
-				MaxInFlight:  spec.MaxInFlightPerHost,
 				ServerAddr:   serverAddr,
 				ServerPort:   80,
 				Conn:         conn,

@@ -13,12 +13,14 @@ import (
 // testOpenLoopSpec is a small fleet-openloop workload: 12 hosts, 4 shards,
 // Poisson arrivals well within the access links' capacity.
 func testOpenLoopSpec(workers int, rate float64) OpenLoopSpec {
-	spec := DefaultOpenLoopSpec(42, 12, rate, 2*time.Second)
-	spec.Shards = 4
-	spec.Workers = workers
-	spec.Sizes = workload.FixedSize(16 << 10)
-	spec.FlowDeadline = 3 * time.Second
-	return spec
+	return OpenLoopSpec{
+		Common:       Common{Seed: 42, Shards: 4, Workers: workers},
+		Hosts:        12,
+		Arrival:      workload.Poisson(rate),
+		Sizes:        workload.FixedSize(16 << 10),
+		Window:       2 * time.Second,
+		FlowDeadline: 3 * time.Second,
+	}
 }
 
 // TestOpenLoopWorkerInvariance pins the open-loop engine to the same

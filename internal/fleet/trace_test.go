@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
@@ -52,25 +53,26 @@ func readTraceFile(t *testing.T, dir, name string) []byte {
 // recorder was on.
 func TestTraceChangesNothing(t *testing.T) {
 	cases := []struct {
-		name string
-		run  func(tr experiments.TraceSpec) (*experiments.Result, error)
+		name     string
+		openLoop bool // the result tallies flows that emit flow_done
+		run      func(tr experiments.TraceSpec) (*experiments.Result, error)
 	}{
-		{"chaos", func(tr experiments.TraceSpec) (*experiments.Result, error) {
+		{"chaos", false, func(tr experiments.TraceSpec) (*experiments.Result, error) {
 			spec := testChaosTraceSpec(2, 3)
 			spec.Trace = tr
 			return RunChaos(spec)
 		}},
-		{"openloop", func(tr experiments.TraceSpec) (*experiments.Result, error) {
+		{"openloop", true, func(tr experiments.TraceSpec) (*experiments.Result, error) {
 			spec := testOpenLoopSpec(2, 60)
 			spec.Trace = tr
 			return RunOpenLoop(spec)
 		}},
-		{"corelink", func(tr experiments.TraceSpec) (*experiments.Result, error) {
+		{"corelink", true, func(tr experiments.TraceSpec) (*experiments.Result, error) {
 			spec := testCorelinkSpec(2, 60, 30)
 			spec.Trace = tr
 			return RunOpenLoop(spec)
 		}},
-		{"http", func(tr experiments.TraceSpec) (*experiments.Result, error) {
+		{"http", false, func(tr experiments.TraceSpec) (*experiments.Result, error) {
 			spec := testHTTPSpec(2)
 			spec.Trace = tr
 			return RunHTTP(spec)
@@ -104,8 +106,58 @@ func TestTraceChangesNothing(t *testing.T) {
 			if len(events) == 0 {
 				t.Fatal("traced run recorded no events")
 			}
+			if tc.openLoop {
+				checkFlowDone(t, on, events)
+			}
 		})
 	}
+}
+
+// checkFlowDone splits a traced open-loop run's flow_done events by outcome
+// (A = 1 completed, 2 deadline-dropped, 0 failed): every settled flow emits
+// exactly one, so the three counts are the result's all-row done, dropped
+// and failed, and with the flows still open they account for every offered
+// flow.
+func checkFlowDone(t *testing.T, res *experiments.Result, events []probe.Event) {
+	t.Helper()
+	var failed, done, dropped int
+	for _, e := range events {
+		if e.Kind != probe.KindFlowDone {
+			continue
+		}
+		switch e.A {
+		case 0:
+			failed++
+		case 1:
+			done++
+		case 2:
+			dropped++
+		default:
+			t.Fatalf("flow_done with outcome %d", e.A)
+		}
+	}
+	table := res.Tables[0]
+	all := table.Rows[len(table.Rows)-1]
+	cell := func(col string) int {
+		for i, c := range table.Columns {
+			if c == col {
+				n, err := strconv.Atoi(all[i])
+				if err != nil {
+					t.Fatalf("all row %s = %q: %v", col, all[i], err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("no %q column in %v", col, table.Columns)
+		return 0
+	}
+	if done != cell("done") || dropped != cell("dropped") || failed != cell("failed") {
+		t.Errorf("flow_done outcomes %d done / %d dropped / %d failed; all row %v", done, dropped, failed, all)
+	}
+	if sum := done + dropped + failed + cell("open"); sum != cell("offered") {
+		t.Errorf("flow_done outcomes plus open flows = %d, offered %d", sum, cell("offered"))
+	}
+	t.Logf("flow_done: %d done, %d dropped, %d failed of %d offered", done, dropped, failed, cell("offered"))
 }
 
 // TestTraceWorkerInvariance extends the worker-count contract to the trace
