@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
 	"mptcpgo/internal/probe"
@@ -94,15 +96,19 @@ func (m *Manager) Dial(iface *netem.Interface, remote packet.Endpoint, cfg Confi
 	return c, nil
 }
 
+// removeConnection forgets a finished connection. The list keeps dial order
+// (RemoveLocalInterface walks it, and event order follows), and the slot the
+// shift vacates is cleared, so the backing array does not keep the
+// connection reachable.
 func (m *Manager) removeConnection(c *Connection) {
 	if c.localToken != 0 {
 		m.tokens.Remove(c.localToken)
 	}
-	for i, other := range m.conns {
-		if other == c {
-			m.conns = append(m.conns[:i], m.conns[i+1:]...)
-			return
-		}
+	if i := slices.Index(m.conns, c); i >= 0 {
+		last := len(m.conns) - 1
+		copy(m.conns[i:], m.conns[i+1:])
+		m.conns[last] = nil
+		m.conns = m.conns[:last]
 	}
 }
 

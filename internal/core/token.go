@@ -83,13 +83,17 @@ func (t *TokenTable) Lookup(token uint32) *Connection {
 	return nil
 }
 
-// Remove deletes a token.
+// Remove deletes a token. The chain keeps its order, and the slot the shift
+// vacates is cleared, so it does not keep the connection reachable.
 func (t *TokenTable) Remove(token uint32) {
 	b := t.bucket(token)
 	chain := t.buckets[b]
 	for i, e := range chain {
 		if e.token == token {
-			t.buckets[b] = append(chain[:i], chain[i+1:]...)
+			last := len(chain) - 1
+			copy(chain[i:], chain[i+1:])
+			chain[last] = tokenEntry{}
+			t.buckets[b] = chain[:last]
 			t.count--
 			return
 		}

@@ -168,3 +168,55 @@ func TestOpenLoopInFlightCap(t *testing.T) {
 		t.Fatalf("accounting leak: %d settled vs %d offered", got, res.Offered)
 	}
 }
+
+// TestLiveConnectionsStayBounded: a finished flow leaves its manager at the
+// FIN exchange, so the connections the two managers track are the flows in
+// progress and nothing else. About 3000 16 KiB MPTCP flows arrive at
+// 1000/s; every 100 ms of sim-time the test sums len(Connections()) over
+// both hosts. The peak reads 139. While each end's connection lingered for
+// its endpoint's 2 s TIME_WAIT, the same run peaked at 4190: two seconds of
+// arrivals at each end. The bound is the measured peak plus 25%.
+func TestLiveConnectionsStayBounded(t *testing.T) {
+	s := sim.New(7)
+	n := netem.Build(s, netem.Symmetric("p", netem.Mbps(1000), 5*time.Millisecond, 1<<20, 0))
+	conn := core.DefaultConfig()
+	srvMgr, cliMgr := core.NewManager(n.Server), core.NewManager(n.Client)
+	if _, err := StartServer(srvMgr, ServerConfig{Port: 80, Conn: conn}); err != nil {
+		t.Fatal(err)
+	}
+	pool, err := NewOpenLoopPool(cliMgr, OpenLoopConfig{
+		Arrival:      workload.Poisson(1000),
+		Sizes:        workload.FixedSize(16 << 10),
+		Rng:          sim.NewRNG(sim.DeriveSeed(7, 1)),
+		Window:       3 * time.Second,
+		FlowDeadline: 3 * time.Second,
+		ServerAddr:   n.ServerAddr(0),
+		ServerPort:   80,
+		Conn:         conn,
+		Iface:        n.Client.Interfaces()[0],
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Start()
+	peak := 0
+	var sample func()
+	sample = func() {
+		peak = max(peak, len(cliMgr.Connections())+len(srvMgr.Connections()))
+		if !pool.Done() {
+			s.Schedule(100*time.Millisecond, sample)
+		}
+	}
+	s.Schedule(100*time.Millisecond, sample)
+	for !pool.Done() && s.Now() < 20*time.Second && s.Step() {
+	}
+	res := pool.Result()
+	if !pool.Done() || res.Completed < 2500 {
+		t.Fatalf("the pool did not finish its flows: %+v", res)
+	}
+	const bound = 139 * 5 / 4
+	t.Logf("%d flows; at most %d connections tracked at once", res.Completed, peak)
+	if peak > bound {
+		t.Fatalf("%d connections were tracked at once; bound %d (a finished flow's connection must leave at the FIN exchange)", peak, bound)
+	}
+}

@@ -133,6 +133,22 @@ func (h *Host) Unregister(local, remote packet.Endpoint) {
 	delete(h.conns, key)
 }
 
+// Replace hands a registered connection's four-tuple to another handler (an
+// endpoint entering TIME_WAIT hands it to the record that answers for it).
+// The last-hit cache forgets the old handler.
+func (h *Host) Replace(local, remote packet.Endpoint, handler SegmentHandler) {
+	key := packet.FourTuple{Src: local, Dst: remote}
+	if key == h.lastKey {
+		h.lastHandler = nil
+	}
+	h.conns[key] = handler
+}
+
+// Handler returns the handler registered for the connection, or nil.
+func (h *Host) Handler(local, remote packet.Endpoint) SegmentHandler {
+	return h.conns[packet.FourTuple{Src: local, Dst: remote}]
+}
+
 // Listen installs a SYN handler on the given port.
 func (h *Host) Listen(port uint16, handler ListenHandler) error {
 	if _, exists := h.listeners[port]; exists {

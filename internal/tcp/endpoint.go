@@ -99,13 +99,18 @@ type Endpoint struct {
 	irs               packet.SeqNum
 	rcvNxt            packet.SeqNum
 	rcvWndShift       uint8
+	lastAckWindow     uint16 // the last ACK's window field and DSS DATA_ACK (noteLastAck)
+	lastAckHasDataAck bool
+	lastAckDataAck    packet.DataSeq
 	sackRanges        []packet.SACKBlock
 	recvQueue         buffer.ByteQueue // in-order data awaiting application Read
 	recvOfo           buffer.OfoQueue  // out-of-order subflow segments; nil until the first one
 	finReceived       bool
 	lastAdvertisedWnd int
 
-	timeWaitTimer sim.Timer
+	// timeWait is the record TIME_WAIT began with; it takes the endpoint's
+	// place once the segment that began it has been answered (handOff).
+	timeWait *timeWaitRecord
 
 	stats Stats
 	err   error
@@ -157,7 +162,6 @@ func newEndpoint(iface *netem.Interface, local, remote packet.Endpoint, cfg Conf
 	}
 	e.rtoTimer.Init(e.sim, func(a any) { a.(*Endpoint).onRTO() }, e)
 	e.persistTimer.Init(e.sim, func(a any) { a.(*Endpoint).onPersist() }, e)
-	e.timeWaitTimer.Init(e.sim, func(a any) { a.(*Endpoint).teardown(nil) }, e)
 	return e
 }
 
@@ -550,8 +554,9 @@ func popChunk(q []*chunk) ([]*chunk, *chunk) {
 // sim.Local): a short flow reuses the chunks and options of the flows that
 // ran before it on the same shard instead of allocating its own.
 type freeLists struct {
-	chunks pool.FreeList[chunk]
-	dss    pool.FreeList[packet.DSSOption]
+	chunks   pool.FreeList[chunk]
+	dss      pool.FreeList[packet.DSSOption]
+	timeWait pool.FreeList[timeWaitRecord]
 }
 
 // newChunk returns a zeroed chunk, recycled when possible.
@@ -594,21 +599,42 @@ func (e *Endpoint) recycleDSS(d *packet.DSSOption) {
 	e.free.dss.Put(d)
 }
 
-// teardown releases host resources, drops the queued chunks' holds on the
-// send queue and, when the queue is the endpoint's own, releases it; then it
-// reports the terminal error. The receive queue stays readable: it gives its
-// blocks back as the application reads them.
+// teardown unregisters the endpoint from its host and closes it.
 func (e *Endpoint) teardown(err error) {
 	if e.state == StateClosed && e.err != nil {
 		return
 	}
+	if r := e.timeWait; r != nil {
+		// Closed by the segment that began TIME_WAIT, before the handoff.
+		e.timeWait = nil
+		r.release(e.free)
+	}
+	e.host.Unregister(e.local, e.remote)
+	e.close(err)
+}
+
+// handOff ends an endpoint in TIME_WAIT once the segment that began it has
+// been answered: the record takes the endpoint's four-tuple in the host's
+// demultiplexer and answers for it until 2*MSL have passed, and the endpoint
+// closes gracefully now, so nothing keeps it, or what sits above it, alive.
+func (e *Endpoint) handOff() {
+	r := e.timeWait
+	e.timeWait = nil
+	r.take(e)
+	e.host.Replace(e.local, e.remote, r)
+	e.close(nil)
+}
+
+// close stops the endpoint's timers, drops the queued chunks' holds on the
+// send queue and, when the queue is the endpoint's own, releases it; then it
+// reports the terminal error. The receive queue stays readable: it gives its
+// blocks back as the application reads them.
+func (e *Endpoint) close(err error) {
 	if err != nil && e.err == nil {
 		e.err = err
 	}
 	e.rtoTimer.Stop()
 	e.persistTimer.Stop()
-	e.timeWaitTimer.Stop()
-	e.host.Unregister(e.local, e.remote)
 	// The chunks stay queued, but nothing sends them again.
 	for _, q := range [2][]*chunk{e.retransQ, e.sendQueue} {
 		for _, c := range q {

@@ -26,7 +26,7 @@ func (e *Endpoint) HandleSegment(_ *netem.Interface, seg *packet.Segment) {
 
 	// RST processing: accept if the sequence number is within the window.
 	if seg.Flags.Has(packet.FlagRST) {
-		if e.sequenceAcceptable(seg) || seg.Seq == e.rcvNxt {
+		if seg.Seq == e.rcvNxt || inReceiveWindow(seg, e.rcvNxt, uint32(e.cfg.RecvBufBytes)) {
 			e.teardown(ErrReset)
 		}
 		return
@@ -43,6 +43,9 @@ func (e *Endpoint) HandleSegment(_ *netem.Interface, seg *packet.Segment) {
 		return
 	}
 	e.processPayload(seg)
+	if e.timeWait != nil {
+		e.handOff()
+	}
 }
 
 // handleSynSent processes the SYN/ACK of an active open.
@@ -123,14 +126,14 @@ func (e *Endpoint) handleSynReceived(seg *packet.Segment) {
 	e.maybeNotifyWritable()
 }
 
-// sequenceAcceptable implements the RFC 793 acceptability test, loosely.
-func (e *Endpoint) sequenceAcceptable(seg *packet.Segment) bool {
-	win := uint32(e.cfg.RecvBufBytes)
+// inReceiveWindow implements the RFC 793 acceptability test, loosely, for a
+// receive window of win bytes from rcvNxt.
+func inReceiveWindow(seg *packet.Segment, rcvNxt packet.SeqNum, win uint32) bool {
 	if win == 0 {
-		return seg.Seq == e.rcvNxt
+		return seg.Seq == rcvNxt
 	}
-	return seg.Seq.InRange(e.rcvNxt, e.rcvNxt.Add(win)) ||
-		seg.EndSeq().InRange(e.rcvNxt.Add(1), e.rcvNxt.Add(win))
+	return seg.Seq.InRange(rcvNxt, rcvNxt.Add(win)) ||
+		seg.EndSeq().InRange(rcvNxt.Add(1), rcvNxt.Add(win))
 }
 
 // processPayload reassembles in-order data, manages the out-of-order queue

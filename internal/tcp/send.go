@@ -155,9 +155,23 @@ func (e *Endpoint) sendSegment(seg *packet.Segment, retransmission bool) {
 		}
 		seg.RemoveOptions(func(o packet.Option) bool { return o.Kind() == packet.OptSACK })
 	}
+	if e.finReceived {
+		e.noteLastAck(seg)
+	}
 	e.stats.SegmentsSent++
 	e.stats.BytesSent += uint64(len(seg.Payload))
 	e.iface.Send(seg)
+}
+
+// noteLastAck keeps what TIME_WAIT answers with from a segment sent after
+// the peer's FIN: its window field and the DSS DATA_ACK the hooks added.
+func (e *Endpoint) noteLastAck(seg *packet.Segment) {
+	e.lastAckWindow = seg.Window
+	dss, _ := seg.MPTCPOption(packet.SubDSS).(*packet.DSSOption)
+	e.lastAckHasDataAck = dss != nil && dss.HasDataACK
+	if e.lastAckHasDataAck {
+		e.lastAckDataAck = dss.DataACK
+	}
 }
 
 // output transmits as much queued data as the congestion window (and, for
@@ -551,8 +565,9 @@ func (e *Endpoint) maybeNotifyWritable() {
 	}
 }
 
-// enterTimeWait schedules the final teardown after 2*MSL.
+// enterTimeWait arms the end of TIME_WAIT, 2*MSL from now, on the record that
+// will answer for the four-tuple (see handOff).
 func (e *Endpoint) enterTimeWait() {
 	e.setState(StateTimeWait)
-	e.timeWaitTimer.Reset(timeWait)
+	e.timeWait = newTimeWaitRecord(e.sim, e.free)
 }
