@@ -150,9 +150,8 @@ func TestChecksumMatchesReference(t *testing.T) {
 // write→deliver→read cycle over a symmetric 100 Mbps path. When traced is
 // true a flight recorder is attached to the client stack first (events only —
 // no sampler — so the cycle exercises the Emit/Count hot path, not the
-// time-series machinery). When telem is true each cycle also performs one
-// telemetry publish — the shard-cell atomic stores — mirroring what an
-// attached plane costs the fleet step loop.
+// time-series machinery). When telem is true each cycle also adds to a
+// telemetry plane's totals, as a finished fleet shard does once.
 func sendPathCycleAllocs(t *testing.T, traced, telem bool) float64 {
 	t.Helper()
 	s := sim.New(7)
@@ -185,9 +184,9 @@ func sendPathCycleAllocs(t *testing.T, traced, telem bool) float64 {
 		t.Fatal("connection did not establish")
 	}
 
-	var cell *telemetry.ShardCell
+	var plane *telemetry.Plane
 	if telem {
-		cell = telemetry.New("alloc-guard").Track.Cell(0, 1)
+		plane = telemetry.New()
 	}
 
 	payload := make([]byte, 1460)
@@ -207,11 +206,7 @@ func sendPathCycleAllocs(t *testing.T, traced, telem bool) float64 {
 				break
 			}
 		}
-		if cell != nil {
-			cell.SimNowNs.Store(int64(s.Now()))
-			cell.Events.Store(s.Processed)
-			cell.Segments.Add(1)
-		}
+		plane.AddShard(s.Processed, 1)
 	}
 	for i := 0; i < 64; i++ {
 		cycle() // reach steady state: free lists, pools and queues warm
@@ -250,13 +245,13 @@ func TestSendPathTracedSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSendPathTelemetrySteadyStateAllocs pins the telemetry plane's hot-path
-// budget: a shard-cell publish is a handful of atomic stores, so the
-// instrumented cycle must meet the same < 4 allocs/op budget as the bare one.
+// TestSendPathTelemetrySteadyStateAllocs pins the telemetry plane's publish
+// budget: a shard's totals add is two atomic adds, so a cycle that publishes
+// every time must meet the same < 4 allocs/op budget as the bare one.
 func TestSendPathTelemetrySteadyStateAllocs(t *testing.T) {
 	avg := sendPathCycleAllocs(t, false, true)
 	if avg >= 4 {
-		t.Fatalf("telemetry steady-state send cycle allocates %.2f allocs/op; want < 4 (cells are preallocated)", avg)
+		t.Fatalf("telemetry steady-state send cycle allocates %.2f allocs/op; want < 4 (a totals add allocates nothing)", avg)
 	}
 }
 

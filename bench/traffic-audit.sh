@@ -50,8 +50,7 @@ mb -scenario fleet-cdn -shared-link egress:40mbps -pcap-dir "$run/cdn"
 mb -scenario incast -pcap-dir "$run/incast"
 mb -scenario mixed -pcap-dir "$run/mixed" -format json -out "$run/mixed.json"
 mb -scenario sched-equivalence
-mb -scenario fleet-http -progress -progress-interval 100ms -cpuprofile "$run/cpu.prof" -memprofile "$run/mem.prof"
-mb -scenario fleet-openloop -metrics-addr 127.0.0.1:0
+mb -scenario fleet-http -cpuprofile "$run/cpu.prof" -memprofile "$run/mem.prof"
 
 # fleet-chaos under every fault preset and every adversary preset, traced;
 # tracereport reads each trace directory in text and in JSON.

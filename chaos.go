@@ -98,9 +98,9 @@ func (c *Chaos) Trace(dir string, probeInterval time.Duration) *Chaos {
 	return c
 }
 
-// Telemetry attaches a metrics plane to the run: live per-shard progress and
-// phase profiling flow into it while the fleet executes. Attachment never
-// changes the merged result.
+// Telemetry attaches a telemetry plane to the run: phase profiling and the
+// shards' event and segment totals flow into it while the fleet executes.
+// Attachment never changes the merged result.
 func (c *Chaos) Telemetry(t *Telemetry) *Chaos {
 	c.spec.Telemetry = planeOf(t)
 	return c

@@ -50,23 +50,20 @@ import (
 
 // cli holds the parsed command line. set names the flags given explicitly.
 type cli struct {
-	list                            bool
-	run, scenario                   string
-	quick                           bool
-	seed                            uint64
-	format, out                     string
-	clients, shards, workers        int
-	pcapDir, traceDir               string
-	probeInterval                   time.Duration
-	rate                            float64
-	duration                        time.Duration
-	sizeDist, arrival               string
-	faults, adversary, sharedLink   string
-	progress                        bool
-	progressInterval, metricsLinger time.Duration
-	metricsAddr                     string
-	cpuProfile, memProfile          string
-	set                             map[string]string
+	list                          bool
+	run, scenario                 string
+	quick                         bool
+	seed                          uint64
+	format, out                   string
+	clients, shards, workers      int
+	pcapDir, traceDir             string
+	probeInterval                 time.Duration
+	rate                          float64
+	duration                      time.Duration
+	sizeDist, arrival             string
+	faults, adversary, sharedLink string
+	cpuProfile, memProfile        string
+	set                           map[string]string
 }
 
 // flagSet declares the command line over c's fields.
@@ -92,10 +89,6 @@ func (c *cli) flagSet(onError flag.ErrorHandling) *flag.FlagSet {
 	fs.StringVar(&c.faults, "faults", "", "fleet-chaos: fault schedule — a preset name ("+strings.Join(faults.PresetNames(), ", ")+") or grammar like 'flap:path=1,period=1s,down=250ms' (see internal/faults)")
 	fs.StringVar(&c.adversary, "adversary", "", "fleet-chaos: adversarial middlebox preset: "+strings.Join(middlebox.AdversaryPresetNames(), " | "))
 	fs.StringVar(&c.sharedLink, "shared-link", "", "coupled scenarios: the shared bottleneck as [name:]rate[:epoch], e.g. 100mbps, core:1gbps:50ms (fleet-corelink, fleet-cdn, fleet-http)")
-	fs.BoolVar(&c.progress, "progress", false, "fleet scenarios: print a live status line to stderr every second (telemetry never changes results)")
-	fs.DurationVar(&c.progressInterval, "progress-interval", time.Second, "cadence of -progress status lines")
-	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "fleet scenarios: serve Prometheus text on /metrics at this address during the run, e.g. 127.0.0.1:9090")
-	fs.DurationVar(&c.metricsLinger, "metrics-linger", 0, "keep the -metrics-addr endpoint up this long after the run finishes, for scrapers that poll")
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile taken at exit to this file (go tool pprof)")
 	return fs
@@ -234,13 +227,13 @@ func runExperiments(c *cli) {
 // runFleet executes one -scenario run with its observers attached.
 func runFleet(c *cli) {
 	def, _ := findScenario(c.scenario) // parseCLI already resolved it
-	// The telemetry plane rides beside the deterministic core: it feeds
-	// -progress, -metrics-addr and the runinfo sidecar, and attaching it
-	// never changes the merged result (TestTelemetryChangesNothing). It is
-	// built whenever anything can observe it.
+	// The telemetry plane rides beside the deterministic core: its phases
+	// and latency summary go into the -out runinfo sidecar, the one artefact
+	// that writes them, and attaching it never changes the merged result
+	// (TestTelemetryChangesNothing).
 	var plane *telemetry.Plane
-	if c.progress || c.metricsAddr != "" || c.out != "" || c.traceDir != "" {
-		plane = telemetry.New(c.scenario)
+	if c.out != "" {
+		plane = telemetry.New()
 	}
 	info := c.runInfo(c.scenario)
 	o := def.size(c)
@@ -259,23 +252,9 @@ func runFleet(c *cli) {
 		}
 		o.Shared = &l
 	}
-	var srv *telemetry.Server
-	if c.metricsAddr != "" {
-		s, err := telemetry.Serve(c.metricsAddr, plane)
-		if err != nil {
-			fail(err)
-		}
-		srv = s
-		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (Prometheus text)\n", srv.Addr())
-	}
-	prog := (*telemetry.Progress)(nil)
-	if c.progress {
-		prog = telemetry.StartProgress(os.Stderr, plane, c.progressInterval)
-	}
 	start := time.Now()
 	res, err := def.run(o)
 	elapsed := time.Since(start)
-	prog.Stop()
 	if err != nil {
 		fail(err)
 	}
@@ -287,13 +266,6 @@ func runFleet(c *cli) {
 	encodeSpan.End()
 	info.Finish(plane, elapsed)
 	c.writeSidecar(info)
-	if srv != nil {
-		if c.metricsLinger > 0 {
-			fmt.Fprintf(os.Stderr, "metrics: lingering %v for scrapers\n", c.metricsLinger)
-			time.Sleep(c.metricsLinger)
-		}
-		srv.Close()
-	}
 }
 
 // flagGroup is a set of CLI flags that only some runs consume. Flags in no
@@ -307,7 +279,7 @@ const (
 	gLoad                         // open-loop offered load
 	gShape                        // open-loop arrival process and flow sizes
 	gChaos                        // fault schedule and adversary
-	gFleet                        // sharding and live telemetry: every scenario
+	gFleet                        // sharding: every scenario
 )
 
 // runAccepts is what -run consumes: per-point captures and traces.
@@ -321,7 +293,6 @@ var flagGroups = map[string]flagGroup{
 	"sizedist": gShape, "arrival": gShape,
 	"faults": gChaos, "adversary": gChaos,
 	"clients": gFleet, "shards": gFleet, "workers": gFleet,
-	"progress": gFleet, "progress-interval": gFleet, "metrics-addr": gFleet, "metrics-linger": gFleet,
 }
 
 // sizing is a scenario's scale: what -quick shrinks and what -clients, -rate

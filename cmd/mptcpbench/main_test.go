@@ -56,7 +56,7 @@ func TestScenarioFlagChecking(t *testing.T) {
 	if runAccepts != gPcap|gTrace {
 		t.Errorf("-run accepts groups %b, want only pcap and trace", runAccepts)
 	}
-	fleetFlags := strings.Fields("-clients 5 -shards 2 -workers 2 -rate 3 -duration 1s -sizedist webmix -arrival fixed -faults flap -adversary rst -shared-link 10mbps -progress -metrics-addr 127.0.0.1:0")
+	fleetFlags := strings.Fields("-clients 5 -shards 2 -workers 2 -rate 3 -duration 1s -sizedist webmix -arrival fixed -faults flap -adversary rst -shared-link 10mbps")
 	_, err = parseCLI(append([]string{"-run", "rationale", "-quick"}, fleetFlags...), flag.ContinueOnError)
 	if err == nil {
 		t.Fatal("-run accepted fleet flags it cannot honour")
@@ -66,14 +66,22 @@ func TestScenarioFlagChecking(t *testing.T) {
 			t.Errorf("rejection %q does not name %s", err, name)
 		}
 	}
-	// The figures' host-calibrated CPU model is gone, and its flag with it:
-	// fig3 always charges the paper era's checksum cost. The flag is spelled
-	// in pieces so that searching the tree for it finds no live use.
-	removed := "-" + strings.Join([]string{"paper", "era", "cpu"}, "-")
-	for _, mode := range [][]string{{"-run", "fig3"}, {"-scenario", "incast"}} {
-		_, err := parseCLI(append(mode, "-quick", removed), flag.ContinueOnError)
-		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+removed) {
-			t.Errorf("%s %s: err = %v, want an unknown flag", mode[0], removed, err)
+	// Removed flags are unknown to every run: the figures' host-calibrated
+	// CPU model (fig3 always charges the paper era's checksum cost), and the
+	// live status line and Prometheus endpoint (telemetry is what a run
+	// writes). The flags are spelled in pieces so that searching the tree
+	// for them finds no live use.
+	for _, pieces := range [][]string{
+		{"paper", "era", "cpu"},
+		{"progress"}, {"progress", "interval"},
+		{"metrics", "addr"}, {"metrics", "linger"},
+	} {
+		removed := "-" + strings.Join(pieces, "-")
+		for _, mode := range [][]string{{"-run", "fig3"}, {"-scenario", "incast"}} {
+			_, err := parseCLI(append(mode, "-quick", removed), flag.ContinueOnError)
+			if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+removed) {
+				t.Errorf("%s %s: err = %v, want an unknown flag", mode[0], removed, err)
+			}
 		}
 	}
 }

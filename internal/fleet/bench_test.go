@@ -21,10 +21,11 @@ func BenchmarkFleetSegmentRate(b *testing.B) {
 
 // BenchmarkFleetSegmentRateTelemetry is the same workload with a telemetry
 // plane attached: the delta against BenchmarkFleetSegmentRate is the whole
-// cost of the instrumentation (strided atomic publishes plus the per-flow
-// histogram observation), which must stay within run-to-run noise.
+// cost of the instrumentation (the phase spans, one totals add per shard and
+// the merged latency slice handed over once), which must stay within
+// run-to-run noise.
 func BenchmarkFleetSegmentRateTelemetry(b *testing.B) {
-	benchmarkFleetSegmentRate(b, telemetry.New("bench"))
+	benchmarkFleetSegmentRate(b, telemetry.New())
 }
 
 func benchmarkFleetSegmentRate(b *testing.B, plane *telemetry.Plane) {

@@ -406,8 +406,6 @@ func (s chaosScenario) Setup(sh *Shard) (*chaosState, error) {
 		m.injector.SetProbe(rec, gi)
 	}
 
-	members64 := int64(sh.Members())
-	sh.flows = func() (int64, int64) { return members64 - int64(st.remaining), members64 }
 	return st, nil
 }
 

@@ -23,7 +23,6 @@ import (
 	"mptcpgo/internal/experiments"
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/sim"
-	"mptcpgo/internal/telemetry"
 )
 
 // DefaultMembersPerShard sizes the default partition: one shard per 64
@@ -42,24 +41,14 @@ const DefaultDeadline = 10 * time.Minute
 // observers. Scenarios check Capture.EncodeErrors in Collect; the recorder's
 // member range is the shard's [Lo, Hi).
 type Shard struct {
-	// Index and Count identify the shard within the fleet.
-	Index, Count int
+	// Index identifies the shard within the fleet.
+	Index int
 	// Seed is the shard's RNG seed, derived from the root seed and Index.
 	Seed uint64
 	// Lo and Hi delimit the global member indices [Lo, Hi) this shard owns.
 	Lo, Hi int
 
 	experiments.World
-
-	// Telem is the shard's telemetry publication cell when a telemetry plane
-	// is attached (nil otherwise). The step loop stores atomic snapshots into
-	// it; progress/exposition goroutines only load — telemetry never feeds
-	// back into the simulation.
-	Telem *telemetry.ShardCell
-	// flows reports live workload progress (done, offered) for the shard;
-	// scenarios that can tell set it in Setup (called on the shard goroutine
-	// only).
-	flows func() (done, offered int64)
 
 	// obs is what the run observes, set by Run before Setup; graph is the
 	// spec Materialize built, whose shared tags the capacity meter reads.
@@ -72,12 +61,12 @@ func (sh *Shard) Members() int { return sh.Hi - sh.Lo }
 
 // Materialize builds the shard's World from a graph spec, seeded with the
 // shard seed: the world attaches the run's capture (<prefix>-shard<NNN>.pcap)
-// and a flight recorder over the shard's member range from t=0, and
-// Materialize adds the shard's telemetry cell — the one place an observer
-// meets a shard. The merged trace stream (shard-index order, members
-// ascending within a shard) is byte-identical at any worker count, and the
-// recorder's own timer events are self-counted so probeEvents can subtract
-// them. Run stops the world and finishes the observers on every path.
+// and a flight recorder over the shard's member range from t=0 — the one
+// place those observers meet a shard. The merged trace stream (shard-index
+// order, members ascending within a shard) is byte-identical at any worker
+// count, and the recorder's own timer events are self-counted so probeEvents
+// can subtract them. Run stops the world and finishes the observers on every
+// path.
 func (sh *Shard) Materialize(spec netem.GraphSpec) error {
 	o := &sh.obs
 	var name string
@@ -89,23 +78,17 @@ func (sh *Shard) Materialize(spec netem.GraphSpec) error {
 		return fmt.Errorf("fleet: shard %d: %w", sh.Index, err)
 	}
 	sh.World, sh.graph = w, spec
-	if p := o.Telemetry; p != nil {
-		sh.Telem = p.Track.Cell(sh.Index, sh.Count)
-	}
 	return nil
 }
 
 // finish ends a collected shard: its world stops (a capture flush error fails
-// the shard) and the final counters are published with the shard marked
-// done.
+// the shard) and the shard adds its event and segment totals to the run's
+// telemetry plane, if one is attached.
 func (sh *Shard) finish() error {
 	if err := sh.Stop(); err != nil {
 		return err
 	}
-	if sh.Telem != nil {
-		sh.publishTelemetry()
-		sh.Telem.Done.Store(true)
-	}
+	sh.obs.Telemetry.AddShard(sh.Sim.Processed, sh.segmentsSent())
 	return nil
 }
 
@@ -133,53 +116,19 @@ func (sh *Shard) segmentsSent() uint64 {
 	return n
 }
 
-// publishTelemetry stores the shard's current counters into its atomic cell.
-// Runs on the shard goroutine; the reads (Sim.Now, link stats, flow
-// counters) are all plain field reads on shard-private state.
-func (sh *Shard) publishTelemetry() {
-	c := sh.Telem
-	if c == nil {
-		return
-	}
-	c.SimNowNs.Store(int64(sh.Sim.Now()))
-	c.Events.Store(sh.Sim.Processed)
-	c.Segments.Store(sh.segmentsSent())
-	if sh.flows != nil {
-		done, offered := sh.flows()
-		c.FlowsDone.Store(done)
-		c.FlowsOffered.Store(offered)
-	}
-}
-
-// telemetryStride is how many simulator events the step loop processes
-// between telemetry publications: rare enough to keep the hot loop free of
-// atomic-store overhead, frequent enough for second-granularity progress.
-const telemetryStride = 2048
-
 // stepUntil steps the shard's simulator until done reports true, the event
 // queue drains, or the simulated deadline passes — whichever comes first —
 // so a shard stops the moment its last member finishes instead of idling to
 // the deadline.
 func (sh *Shard) stepUntil(deadline time.Duration, done func() bool) {
 	s := sh.Sim
-	if sh.Telem == nil {
-		for !done() && s.Now() < deadline && s.Step() {
-		}
-	} else {
-		span := sh.obs.Telemetry.StartSpan("shard-step")
-		n := 0
-		for !done() && s.Now() < deadline && s.Step() {
-			n++
-			if n&(telemetryStride-1) == 0 {
-				sh.publishTelemetry()
-			}
-		}
-		span.End()
+	span := sh.obs.Telemetry.StartSpan("shard-step")
+	for !done() && s.Now() < deadline && s.Step() {
 	}
+	span.End()
 	// Bring lazily-settled counters (virtual link dequeues) up to the exact
 	// stop point before Collect reads Sim.Processed or link stats.
 	s.Settle()
-	sh.publishTelemetry()
 }
 
 // plan normalizes a (members, shards) request: shards defaults to one per
@@ -216,7 +165,6 @@ func MakeShards(root uint64, members, count int) ([]Shard, error) {
 		}
 		shards[i] = Shard{
 			Index: i,
-			Count: count,
 			Seed:  sim.DeriveSeed(root, uint64(i)),
 			Lo:    lo,
 			Hi:    lo + n,

@@ -40,12 +40,15 @@ func TestMakeShards(t *testing.T) {
 	}
 	wantLo := []int{0, 4, 7}
 	wantHi := []int{4, 7, 10}
+	if len(shards) != len(wantLo) {
+		t.Fatalf("%d shards, want %d", len(shards), len(wantLo))
+	}
 	for i, sh := range shards {
 		if sh.Lo != wantLo[i] || sh.Hi != wantHi[i] {
 			t.Fatalf("shard %d owns [%d,%d), want [%d,%d)", i, sh.Lo, sh.Hi, wantLo[i], wantHi[i])
 		}
-		if sh.Index != i || sh.Count != 3 {
-			t.Fatalf("shard %d has Index=%d Count=%d", i, sh.Index, sh.Count)
+		if sh.Index != i {
+			t.Fatalf("shard %d has Index=%d", i, sh.Index)
 		}
 	}
 	if shards[0].Seed == shards[1].Seed || shards[1].Seed == shards[2].Seed {

@@ -132,15 +132,10 @@ func RunHTTP(spec HTTPSpec) (*experiments.Result, error) {
 		})
 }
 
-// starPool is what the star scenarios need of either httpsim pool kind.
-type starPool interface {
-	Progress() (done, offered int)
-}
-
 // starState is one shard's live star workload between Setup and Collect: one
-// pool per client host, in member order, and the count of pools still
-// running.
-type starState[P starPool] struct {
+// pool per client host (either httpsim pool kind), in member order, and the
+// count of pools still running.
+type starState[P any] struct {
 	pools     []P
 	remaining int
 }
@@ -153,7 +148,7 @@ func (st *starState[P]) done() bool { return st.remaining == 0 }
 // responses flow server (B) to client (A) — carries the run's shared tag.
 // link names and configures member gi's access link; newPool builds member
 // gi's pool on its host and schedules its start.
-func buildStar[P starPool](c *Common, sh *Shard,
+func buildStar[P any](c *Common, sh *Shard,
 	link func(gi int) (name string, cfg netem.PathConfig),
 	newPool func(gi int, mgr *core.Manager, iface *netem.Interface, serverAddr packet.Addr, onDone func()) (P, error)) (*starState[P], error) {
 
@@ -179,15 +174,6 @@ func buildStar[P starPool](c *Common, sh *Shard,
 			return nil, fmt.Errorf("fleet: shard %d client %d: %w", sh.Index, gi, err)
 		}
 		st.pools = append(st.pools, pool)
-	}
-	sh.flows = func() (int64, int64) {
-		var done, offered int64
-		for _, p := range st.pools {
-			d, o := p.Progress()
-			done += int64(d)
-			offered += int64(o)
-		}
-		return done, offered
 	}
 	return st, nil
 }

@@ -10,10 +10,11 @@ import (
 	"mptcpgo/internal/telemetry"
 )
 
-// Observers bundles the three passive observers a run can attach. Each shards
-// with the workload and is attached by Shard.Materialize (capture and
-// recorder through the shard's experiments.World); none of them can
-// change a merged result (TestTraceChangesNothing, TestTelemetryChangesNothing,
+// Observers bundles the three passive observers a run can attach. Capture
+// and recorder shard with the workload and are attached by Shard.Materialize
+// through the shard's experiments.World; the telemetry plane is fleet-wide
+// and each shard adds to it when it finishes. None of them can change a
+// merged result (TestTraceChangesNothing, TestTelemetryChangesNothing,
 // TestFleetPcapCapture).
 type Observers struct {
 	// PcapDir, when non-empty, captures every shard's wire traffic into
@@ -23,9 +24,9 @@ type Observers struct {
 	// and per-subflow samples written to <Trace.Dir>/<scenario>-trace.json
 	// and -events.jsonl.
 	Trace experiments.TraceSpec
-	// Telemetry, when non-nil, attaches the run to a telemetry plane: live
-	// shard progress cells, phase-profiler spans and, for the HTTP workloads,
-	// the merged latency samples.
+	// Telemetry, when non-nil, attaches the run to a telemetry plane:
+	// phase-profiler spans, each finished shard's event and segment totals
+	// and, for the HTTP workloads, the merged latency samples.
 	Telemetry *telemetry.Plane
 
 	// prefix names the observer files; Run defaults it to the scenario id.
@@ -180,7 +181,7 @@ func Run[S any, T any](c Common, id, title string, members int, scn Scenario[S, 
 
 // setup runs a scenario's Setup under the build-graph span and arms what the
 // runner owns once the workload exists: the recorder's sampler, which stops
-// with the workload, and the shard's first telemetry publication.
+// with the workload.
 func setup[S any, T any](sh *Shard, scn Scenario[S, T]) (S, error) {
 	span := sh.obs.Telemetry.StartSpan("build-graph")
 	st, err := scn.Setup(sh)
@@ -189,7 +190,6 @@ func setup[S any, T any](sh *Shard, scn Scenario[S, T]) (S, error) {
 		return st, err
 	}
 	sh.Probe.StartSampler(func() bool { return scn.Done(st) })
-	sh.publishTelemetry()
 	return st, nil
 }
 
@@ -308,23 +308,12 @@ func epochs[S any, T any](c *Common, shards []Shard, scn Scenario[S, T]) ([]T, *
 		end := boundary
 		barrier := c.Telemetry.StartSpan("epoch-barrier")
 		if _, err := experiments.SweepWorkers(n, c.Workers, func(i int) (struct{}, error) {
-			sh := &shards[i]
-			var wall time.Time
-			if sh.Telem != nil {
-				wall = time.Now()
-			}
 			meters[i].Apply(allocs[i])
-			if err := sh.Sim.RunUntil(end); err != nil {
+			if err := shards[i].Sim.RunUntil(end); err != nil {
 				return struct{}{}, fmt.Errorf("fleet: shard %d: %w", i, err)
 			}
 			offered, sent := meters[i].Collect()
 			coupler.Report(i, offered, sent)
-			if sh.Telem != nil {
-				// Per-shard wall cost of this epoch window: the straggler gauge
-				// behind the barrier.
-				sh.Telem.EpochWallNs.Store(int64(time.Since(wall)))
-				sh.publishTelemetry()
-			}
 			return struct{}{}, nil
 		}); err != nil {
 			return nil, nil, err

@@ -3,9 +3,7 @@ package fleet
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math"
-	"net/http"
 	"runtime"
 	"strconv"
 	"strings"
@@ -16,10 +14,10 @@ import (
 )
 
 // TestTelemetryChangesNothing is the telemetry plane's core contract (the
-// same one the flight recorder honours): attaching a full plane — registry,
-// profiler, per-shard tracker cells, latency samples — must leave every
-// scenario's merged result byte-identical to a detached run. All telemetry
-// writes go to atomic side-channel cells and all reads are passive.
+// same one the flight recorder honours): attaching a full plane — profiler,
+// fleet totals, latency samples — must leave every scenario's merged result
+// byte-identical to a detached run. A shard adds its totals to the plane
+// once, when it finishes, and nothing the plane holds is read back.
 func TestTelemetryChangesNothing(t *testing.T) {
 	cases := []struct {
 		name string
@@ -54,7 +52,7 @@ func TestTelemetryChangesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatalf("detached: %v", err)
 			}
-			plane := telemetry.New(tc.name)
+			plane := telemetry.New()
 			on, err := tc.run(plane)
 			if err != nil {
 				t.Fatalf("instrumented: %v", err)
@@ -64,13 +62,16 @@ func TestTelemetryChangesNothing(t *testing.T) {
 				t.Fatalf("telemetry perturbed the merged result:\n--- off ---\n%s\n--- on ---\n%s", jOff, jOn)
 			}
 			// The plane must actually have observed the run, not just stayed
-			// out of the way.
-			snap := plane.Track.Snapshot()
-			if snap.Shards == 0 || snap.ShardsDone != snap.Shards {
-				t.Fatalf("tracker saw %d/%d shards done, want all attached and done", snap.ShardsDone, snap.Shards)
+			// out of the way: with no recorder attached a shard's events cell
+			// is its Sim.Processed, so the plane's total is the all row's —
+			// a shard's totals dropped or added twice breaks the equality.
+			var page strings.Builder
+			plane.WritePrometheus(&page)
+			if got, want := promValue(t, page.String(), "fleet_events_total"), eventsCell(t, on); got != want {
+				t.Fatalf("plane counted %s events, the all row %s", got, want)
 			}
-			if snap.Events == 0 || snap.Segments == 0 {
-				t.Fatalf("tracker recorded no activity: %+v", snap)
+			if promValue(t, page.String(), "fleet_segments_total") == "0" {
+				t.Fatalf("plane counted no segments:\n%s", page.String())
 			}
 			phases := map[string]bool{}
 			for _, ph := range plane.Prof.Snapshot() {
@@ -99,7 +100,7 @@ func latencyQuantileBits(t *testing.T, workers, shards int) [3]uint64 {
 	t.Helper()
 	spec := testOpenLoopSpec(workers, 60)
 	spec.Shards = shards
-	plane := telemetry.New("quantiles")
+	plane := telemetry.New()
 	spec.Telemetry = plane
 	if _, err := RunOpenLoop(spec); err != nil {
 		t.Fatal(err)
@@ -164,12 +165,12 @@ func allRow(t *testing.T, res *experiments.Result) map[string]string {
 }
 
 // TestTelemetryReportsTheTablesLatency is the one-number rule: the plane, and
-// through it /metrics, publish the very percentiles the result table prints
-// and count the very flows it counts as done. A second statistic beside the
+// through it its Prometheus snapshot, publish the very percentiles the result
+// table prints and count the very flows it counts as done. A second statistic beside the
 // table's (a bucketed estimate, a per-shard average) fails it.
 func TestTelemetryReportsTheTablesLatency(t *testing.T) {
 	spec := testOpenLoopSpec(2, 60)
-	plane := telemetry.New("one-number")
+	plane := telemetry.New()
 	spec.Telemetry = plane
 	res, err := RunOpenLoop(spec)
 	if err != nil {
@@ -186,104 +187,47 @@ func TestTelemetryReportsTheTablesLatency(t *testing.T) {
 	}
 	var page strings.Builder
 	plane.WritePrometheus(&page)
-	const p99Line = `fleet_latency_ms{quantile="0.99"} `
-	_, rest, ok := strings.Cut(page.String(), p99Line)
-	if !ok {
-		t.Fatalf("exposition has no %q line:\n%s", p99Line, page.String())
-	}
-	val, _, _ := strings.Cut(rest, "\n")
+	val := promValue(t, page.String(), `fleet_latency_ms{quantile="0.99"}`)
 	p99, err := strconv.ParseFloat(val, 64)
 	if err != nil {
 		t.Fatalf("unparseable p99 %q: %v", val, err)
 	}
 	if got := fmt.Sprintf("%.2f", p99); got != all["p99 ms"] {
-		t.Errorf("/metrics p99 = %s ms, table p99 = %s", got, all["p99 ms"])
+		t.Errorf("exposition p99 = %s ms, table p99 = %s", got, all["p99 ms"])
 	}
-	if want := "fleet_latency_samples_total " + all["done"] + "\n"; !strings.Contains(page.String(), want) {
-		t.Errorf("exposition missing %q", want)
+	if got := promValue(t, page.String(), "fleet_latency_samples_total"); got != all["done"] {
+		t.Errorf("exposition counts %s latency samples, table says done = %s", got, all["done"])
 	}
 }
 
-// parsePromText asserts every non-comment line of a Prometheus text page is
-// `name[{labels}] value` with a parseable float, and returns the metric names.
-func parsePromText(t *testing.T, page string) map[string]bool {
+// promValue returns the value of the series (name and labels, as printed) on
+// a Prometheus text page.
+func promValue(t *testing.T, page, name string) string {
 	t.Helper()
-	names := map[string]bool{}
 	for _, line := range strings.Split(page, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			return v
 		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp <= 0 {
-			t.Fatalf("unparseable exposition line %q", line)
-		}
-		if _, err := strconv.ParseFloat(line[sp+1:], 64); err != nil {
-			t.Fatalf("unparseable value in %q: %v", line, err)
-		}
-		name := line[:sp]
-		if i := strings.IndexByte(name, '{'); i >= 0 {
-			name = name[:i]
-		}
-		names[name] = true
 	}
-	return names
+	t.Fatalf("exposition has no %s line:\n%s", name, page)
+	return ""
 }
 
-// TestMetricsEndpointDuringRun serves /metrics from a background goroutine
-// while a fleet run executes and scrapes it concurrently: every scrape must
-// be well-formed Prometheus text (the exposition reads only atomic
-// snapshots), and the post-run scrape must carry the fleet totals.
-func TestMetricsEndpointDuringRun(t *testing.T) {
-	plane := telemetry.New("live")
-	srv, err := telemetry.Serve("127.0.0.1:0", plane)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	url := fmt.Sprintf("http://%s/metrics", srv.Addr())
-
-	scrape := func() string {
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatalf("scrape: %v", err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("scrape body: %v", err)
-		}
-		return string(body)
-	}
-
-	done := make(chan error, 1)
-	go func() {
-		spec := testOpenLoopSpec(2, 60)
-		spec.Telemetry = plane
-		_, err := RunOpenLoop(spec)
-		done <- err
-	}()
-	scrapes := 0
-	for {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
+// eventsCell returns the "events" cell of the result's aggregate "all" row.
+func eventsCell(t *testing.T, res *experiments.Result) string {
+	t.Helper()
+	for _, table := range res.Tables {
+		for i, col := range table.Columns {
+			if col != "events" {
+				continue
 			}
-			final := scrape()
-			names := parsePromText(t, final)
-			for _, want := range []string{"fleet_shards", "fleet_events_total", "fleet_segments_total",
-				"fleet_shard_step_lag_seconds", "fleet_latency_ms", "phase_wall_seconds_total"} {
-				if !names[want] {
-					t.Fatalf("final scrape missing %s:\n%s", want, final)
+			for _, row := range table.Rows {
+				if row[0] == "all" {
+					return row[i]
 				}
 			}
-			if scrapes == 0 {
-				t.Log("run finished before any concurrent scrape landed (fine on slow machines)")
-			}
-			return
-		default:
-			parsePromText(t, scrape())
-			scrapes++
 		}
 	}
+	t.Fatal("no all row with an events column")
+	return ""
 }

@@ -417,13 +417,6 @@ func (p *ClientPool) noteProgress() {
 	}
 }
 
-// Progress returns live workload counters (completed+failed, offered). Safe
-// only on the pool's own shard goroutine; telemetry publication copies the
-// values into atomic cells for cross-goroutine readers.
-func (p *ClientPool) Progress() (done, offered int) {
-	return p.completed + p.failed, p.cfg.TotalRequests
-}
-
 // Result returns the benchmark summary as of the current simulation time. For
 // pools with a TotalRequests budget that has been reached, the measurement
 // window ends when the final request completed, not at the (possibly much

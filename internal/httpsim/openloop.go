@@ -208,12 +208,6 @@ func (p *OpenLoopPool) checkDone() {
 	}
 }
 
-// Progress returns live workload counters (settled flows, offered arrivals).
-// Safe only on the pool's own shard goroutine.
-func (p *OpenLoopPool) Progress() (done, offered int) {
-	return p.completed + p.dropped + p.shed + p.failed, p.offered
-}
-
 // Result returns the pool summary as of the current simulation time.
 func (p *OpenLoopPool) Result() OpenLoopResult {
 	res := OpenLoopResult{

@@ -3,30 +3,11 @@ package telemetry
 import (
 	"bufio"
 	"fmt"
-	"io"
-	"net/http"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
-
-func httpGet(t *testing.T, url string) string {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: %s", url, resp.Status)
-	}
-	return string(body)
-}
 
 func TestProfilerSpanNesting(t *testing.T) {
 	p := NewProfiler()
@@ -121,64 +102,29 @@ func parsePrometheus(t *testing.T, text string) map[string]bool {
 }
 
 func TestPlanePrometheusRender(t *testing.T) {
-	p := New("test")
-	cell := p.Track.Cell(0, 2)
-	cell.SimNowNs.Store(int64(2 * time.Second))
-	cell.Events.Store(100)
-	p.Track.Cell(1, 2).SimNowNs.Store(int64(time.Second))
+	p := New()
+	p.AddShard(100, 7)
+	p.AddShard(20, 3)
 	span := p.StartSpan("run")
 	span.End()
 	p.SetLatency([]float64{50, 5})
 
 	var sb strings.Builder
 	p.WritePrometheus(&sb)
-	seen := parsePrometheus(t, sb.String())
+	page := sb.String()
+	seen := parsePrometheus(t, page)
 	for _, want := range []string{
-		"fleet_shard_sim_time_seconds", "fleet_shard_step_lag_seconds",
-		"fleet_sim_time_seconds", "fleet_events_total",
-		"phase_wall_seconds_total", "fleet_latency_ms", "go_goroutines",
+		"fleet_events_total", "fleet_segments_total", "phase_wall_seconds_total",
+		"phase_spans_total", "fleet_latency_ms", "fleet_latency_samples_total",
 	} {
 		if !seen[want] {
-			t.Errorf("missing metric %s in exposition:\n%s", want, sb.String())
+			t.Errorf("missing metric %s in exposition:\n%s", want, page)
 		}
 	}
-}
-
-func TestTrackerSnapshotLag(t *testing.T) {
-	tr := NewTracker()
-	a := tr.Cell(0, 3)
-	b := tr.Cell(1, 3)
-	c := tr.Cell(2, 3)
-	a.SimNowNs.Store(int64(5 * time.Second))
-	b.SimNowNs.Store(int64(2 * time.Second))
-	c.SimNowNs.Store(int64(4 * time.Second))
-	c.Done.Store(true)
-
-	snap := tr.Snapshot()
-	if snap.Shards != 3 || snap.ShardsDone != 1 {
-		t.Fatalf("shards %d done %d", snap.Shards, snap.ShardsDone)
-	}
-	if snap.SimMax != 5*time.Second {
-		t.Errorf("SimMax %v", snap.SimMax)
-	}
-	if snap.LagShard != 1 || snap.MaxLag != 3*time.Second {
-		t.Errorf("lag shard %d lag %v, want shard 1 +3s", snap.LagShard, snap.MaxLag)
-	}
-}
-
-func TestServeMetricsEndpoint(t *testing.T) {
-	p := New("serve-test")
-	p.Track.Cell(0, 1).Events.Store(42)
-	srv, err := Serve("127.0.0.1:0", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	body := httpGet(t, "http://"+srv.Addr()+"/metrics")
-	seen := parsePrometheus(t, body)
-	if !seen["fleet_events_total"] {
-		t.Fatalf("scrape missing fleet_events_total:\n%s", body)
+	for _, want := range []string{"fleet_events_total 120\n", "fleet_segments_total 10\n"} {
+		if !strings.Contains(page, want) {
+			t.Errorf("exposition lacks %q: the shard totals are not summed once each:\n%s", want, page)
+		}
 	}
 }
 
@@ -188,7 +134,7 @@ func TestRunInfoRoundTrip(t *testing.T) {
 	if ri.GoVersion == "" || ri.GOMAXPROCS < 1 {
 		t.Fatalf("incomplete env: %+v", ri)
 	}
-	p := New("x")
+	p := New()
 	p.StartSpan("run").End()
 	p.SetLatency([]float64{30, 10, 20})
 	ri.Finish(p, 123*time.Millisecond)
@@ -211,15 +157,14 @@ func TestRunInfoRoundTrip(t *testing.T) {
 func TestNilPlaneSafe(t *testing.T) {
 	var p *Plane
 	p.StartSpan("x").End()
+	p.AddShard(1, 1)
 	p.SetLatency([]float64{1})
 	if p.Latency() != nil || p.LatencyQuantile(50) != 0 {
 		t.Fatal("nil plane latency")
 	}
 	var sb strings.Builder
 	p.WritePrometheus(&sb)
-	if StartProgress(&sb, nil, 0) != nil {
-		t.Fatal("nil plane progress should be nil")
+	if sb.Len() != 0 {
+		t.Fatalf("nil plane wrote %q", sb.String())
 	}
-	var pr *Progress
-	pr.Stop()
 }

@@ -2,26 +2,17 @@ package mptcpgo
 
 import (
 	"bytes"
-	"fmt"
-	"io"
-	"net/http"
 	"strings"
 	"testing"
 	"time"
 )
 
-// TestTelemetryFacade drives the public observability surface end to end:
-// progress lines into a buffer, a live /metrics endpoint and the latency
-// quantile accessor — all attached to one open-loop run through the builder.
+// TestTelemetryFacade drives the public observability surface end to end: a
+// plane attached to one open-loop run through the builder, then read back
+// through its Prometheus snapshot and the latency quantile accessor.
 func TestTelemetryFacade(t *testing.T) {
 	tele := NewTelemetry("facade")
 	defer tele.Close()
-	var buf bytes.Buffer
-	tele.Progress(&buf, 5*time.Millisecond)
-	addr, err := tele.ServeMetrics("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	res, err := NewOpenLoop(7).
 		Hosts(8).
@@ -41,32 +32,24 @@ func TestTelemetryFacade(t *testing.T) {
 		t.Fatalf("latency p99 = %g, want > 0 after a completed run", q)
 	}
 
-	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", addr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	page, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"fleet_shards 2", "fleet_latency_ms", "phase_wall_seconds_total"} {
-		if !strings.Contains(string(page), want) {
-			t.Fatalf("/metrics missing %q:\n%s", want, page)
+	// Each shard adds its events once, so the snapshot's total is the all
+	// row's events cell.
+	table := res.Tables[0]
+	all := table.Rows[len(table.Rows)-1]
+	events := ""
+	for i, col := range table.Columns {
+		if col == "events" {
+			events = all[i]
 		}
 	}
-
+	if all[0] != "all" || events == "" {
+		t.Fatalf("no all row with an events cell: %v %v", table.Columns, all)
+	}
 	var prom bytes.Buffer
 	tele.WritePrometheus(&prom)
-	if !strings.Contains(prom.String(), "fleet_events_total") {
-		t.Fatalf("WritePrometheus snapshot missing fleet totals:\n%s", prom.String())
-	}
-
-	tele.Close() // stops the progress loop and flushes its final line
-	if !strings.Contains(buf.String(), "progress[facade]:") {
-		t.Fatalf("no progress line reached the writer: %q", buf.String())
-	}
-	if !strings.Contains(buf.String(), "shards 2/2 done") {
-		t.Fatalf("final progress line does not show completion: %q", buf.String())
+	for _, want := range []string{"fleet_events_total " + events + "\n", "fleet_latency_ms", "phase_wall_seconds_total"} {
+		if !strings.Contains(prom.String(), want) {
+			t.Fatalf("WritePrometheus snapshot missing %q:\n%s", want, prom.String())
+		}
 	}
 }
