@@ -83,7 +83,7 @@ func TestOfoQueueSteadyStateNoAllocs(t *testing.T) {
 				pool.Recycle(it.Data)
 			}
 			if q.Len() != 0 {
-				t.Fatalf("%s: queue not drained (%d items left)", q.Name(), q.Len())
+				t.Fatalf("%s: queue not drained (%d items left)", alg, q.Len())
 			}
 		}
 		for i := 0; i < 16; i++ {
@@ -91,7 +91,7 @@ func TestOfoQueueSteadyStateNoAllocs(t *testing.T) {
 		}
 		avg := testing.AllocsPerRun(300, cycle)
 		if avg >= 1 {
-			t.Fatalf("%s OFO steady-state cycle allocates %.2f allocs/op; want 0", q.Name(), avg)
+			t.Fatalf("%s OFO steady-state cycle allocates %.2f allocs/op; want 0", alg, avg)
 		}
 	}
 }

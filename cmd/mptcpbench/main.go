@@ -96,8 +96,8 @@ func (c *cli) flagSet(onError flag.ErrorHandling) *flag.FlagSet {
 
 // parseCLI parses args (without the program name) and checks the
 // combinations that cannot be honoured: a -run or -scenario run given flags
-// it does not consume would silently produce output for different options
-// than requested.
+// it does not consume, or a listing given a run or flags, would silently
+// produce output for different options than requested.
 func parseCLI(args []string, onError flag.ErrorHandling) (*cli, error) {
 	c := &cli{set: map[string]string{}}
 	fs := c.flagSet(onError)
@@ -111,19 +111,30 @@ func parseCLI(args []string, onError flag.ErrorHandling) (*cli, error) {
 	default:
 		return nil, fmt.Errorf("unknown output format %q (want text, json or csv)", c.format)
 	}
-	if c.scenario == "list" {
-		return c, nil
-	}
 	if c.scenario != "" && c.run != "" {
 		return nil, fmt.Errorf("-scenario and -run are mutually exclusive")
 	}
-	accepts, user := runAccepts, "-run"
-	if c.scenario != "" {
+	if c.list && c.run != "" {
+		return nil, fmt.Errorf("-list and -run are mutually exclusive")
+	}
+	if c.list && c.scenario != "" {
+		return nil, fmt.Errorf("-list and -scenario are mutually exclusive")
+	}
+	// A listing (-list, -scenario list, or neither -run nor -scenario)
+	// consumes no group.
+	var accepts flagGroup
+	user := "-list"
+	switch {
+	case c.scenario == "list":
+		user = "-scenario list"
+	case c.scenario != "":
 		def, err := findScenario(c.scenario)
 		if err != nil {
 			return nil, err
 		}
-		accepts, user = def.accepts|gFleet, "scenario "+def.name
+		accepts, user = def.accepts|gSize, "scenario "+def.name
+	case c.run != "":
+		accepts, user = runAccepts, "-run"
 	}
 	var unused []string
 	for name := range c.set {
@@ -279,7 +290,8 @@ const (
 	gLoad                         // open-loop offered load
 	gShape                        // open-loop arrival process and flow sizes
 	gChaos                        // fault schedule and adversary
-	gFleet                        // sharding: every scenario
+	gSize                         // -clients: every scenario
+	gFleet                        // sharding: every scenario that runs shards
 )
 
 // runAccepts is what -run consumes: per-point captures and traces.
@@ -292,7 +304,7 @@ var flagGroups = map[string]flagGroup{
 	"rate":        gLoad, "duration": gLoad,
 	"sizedist": gShape, "arrival": gShape,
 	"faults": gChaos, "adversary": gChaos,
-	"clients": gFleet, "shards": gFleet, "workers": gFleet,
+	"clients": gSize, "shards": gFleet, "workers": gFleet,
 }
 
 // sizing is a scenario's scale: what -quick shrinks and what -clients, -rate
@@ -329,30 +341,30 @@ type scenarioDef struct {
 // scenarios is the ordered registry behind -scenario; flag checking, sizing
 // and '-scenario list' all walk it, so a scenario cannot be runnable but
 // unlisted, or listed with flags it then ignores. Every scenario also takes
-// gFleet.
+// gSize; sched-equivalence runs no shards.
 var scenarios = []scenarioDef{
 	{"fleet-http", "1000+ closed-loop clients against sharded server replicas (-shared-link couples them)",
 		sizing{members: 1000, requests: 2, bytes: 32 << 10}, sizing{members: 64, requests: 1, bytes: 16 << 10},
-		gPcap | gTrace | gShared, runHTTPScenario},
+		gPcap | gTrace | gShared | gFleet, runHTTPScenario},
 	{"fleet-openloop", "open-loop arrivals (-rate/-arrival) with drawn flow sizes (-sizedist)",
 		sizing{members: 256, rate: 400, window: 5 * time.Second}, sizing{members: 32, rate: 60, window: 2 * time.Second},
-		gPcap | gTrace | gLoad | gShape, runOpenLoopScenario},
+		gPcap | gTrace | gLoad | gShape | gFleet, runOpenLoopScenario},
 	{"fleet-corelink", "open-loop fleet whose downloads jointly transit one shared core link (-shared-link)",
 		sizing{members: 256, rate: 400, window: 5 * time.Second, shared: netem.Mbps(100)},
 		sizing{members: 32, rate: 60, window: 2 * time.Second, shared: netem.Mbps(10)},
-		gPcap | gTrace | gShared | gLoad | gShape, runOpenLoopScenario},
+		gPcap | gTrace | gShared | gLoad | gShape | gFleet, runOpenLoopScenario},
 	{"fleet-cdn", "CDN flash crowd: every client fetches one object through a shared origin egress",
 		sizing{members: 256, bytes: 1 << 20}, sizing{members: 32, bytes: 256 << 10, shared: netem.Mbps(50)},
-		gPcap | gShared, runCDNScenario},
+		gPcap | gShared | gFleet, runCDNScenario},
 	{"incast", "synchronized many-to-one fan-in over the N-host graph",
 		sizing{members: 256, bytes: 256 << 10}, sizing{members: 32, bytes: 128 << 10},
-		gPcap, runIncastScenario},
+		gPcap | gFleet, runIncastScenario},
 	{"mixed", "MPTCP foreground vs plain-TCP background traffic",
 		sizing{members: 32, window: 5 * time.Second}, sizing{members: 8, window: 2 * time.Second},
-		gPcap, runMixedScenario},
+		gPcap | gFleet, runMixedScenario},
 	{"fleet-chaos", "integrity-checked uploads under fault schedules (-faults) and adversarial middleboxes (-adversary)",
 		sizing{members: 32}, sizing{members: 8},
-		gPcap | gTrace | gChaos, runChaosScenario},
+		gPcap | gTrace | gChaos | gFleet, runChaosScenario},
 	{"sched-equivalence", "scheduler pin: wheel vs heap firing-order checksums over deterministic churn workloads",
 		sizing{members: 200_000}, sizing{members: 20_000},
 		0, runSchedScenario},

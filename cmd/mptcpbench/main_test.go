@@ -48,6 +48,22 @@ func TestScenarioFlagChecking(t *testing.T) {
 		}
 	}
 
+	// Runs that once dropped part of their command line without a word: each
+	// is rejected by a message naming every flag it cannot honour.
+	for _, tc := range []struct{ args, names string }{
+		{"-run fig4 -list", "-list -run"},
+		{"-list -scenario fleet-http", "-list -scenario"},
+		{"-scenario list -rate 5 -faults flap", "-rate -faults"},
+		{"-scenario sched-equivalence -shards 4 -workers 8", "-shards -workers"},
+	} {
+		_, err := parseCLI(strings.Fields(tc.args), flag.ContinueOnError)
+		for _, name := range strings.Fields(tc.names) {
+			if err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s: err = %v, want a rejection naming %s", tc.args, err, name)
+			}
+		}
+	}
+
 	// -run: the experiments consume the observers (the pcap and trace groups)
 	// and nothing of the fleet's.
 	if _, err := parseCLI(strings.Fields("-run rationale -quick -pcap-dir p -trace-dir t -probe-interval 1s"), flag.ContinueOnError); err != nil {

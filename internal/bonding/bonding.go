@@ -17,7 +17,6 @@ import (
 
 // Bond is one direction of a bonded set of links.
 type Bond struct {
-	name  string
 	links []*netem.Link
 	next  int
 }
@@ -36,9 +35,6 @@ func (b *Bond) Send(seg *packet.Segment) {
 // Links returns the member links (for stats).
 func (b *Bond) Links() []*netem.Link { return b.links }
 
-// Name returns the bond's name.
-func (b *Bond) Name() string { return b.name }
-
 // Pair is a bidirectional bonded connection between two interfaces.
 type Pair struct {
 	AtoB *Bond
@@ -52,8 +48,7 @@ func Attach(s *sim.Simulator, name string, a, b *netem.Interface, member netem.L
 	if count < 1 {
 		count = 1
 	}
-	ab := &Bond{name: name + "/ab"}
-	ba := &Bond{name: name + "/ba"}
+	ab, ba := &Bond{}, &Bond{}
 	for i := 0; i < count; i++ {
 		ab.links = append(ab.links, netem.NewLink(s, fmt.Sprintf("%s/ab%d", name, i), member, b))
 		ba.links = append(ba.links, netem.NewLink(s, fmt.Sprintf("%s/ba%d", name, i), member, a))

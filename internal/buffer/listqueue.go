@@ -67,18 +67,6 @@ func newListQueue(shortcuts, batches bool) *listQueue {
 	return &listQueue{useShortcuts: shortcuts, useBatches: batches}
 }
 
-// Name implements OfoQueue.
-func (q *listQueue) Name() string {
-	switch {
-	case q.useBatches:
-		return "AllShortcuts"
-	case q.useShortcuts:
-		return "Shortcuts"
-	default:
-		return "Regular"
-	}
-}
-
 // Len implements OfoQueue.
 func (q *listQueue) Len() int { return q.count }
 

@@ -44,8 +44,6 @@ type OfoQueue interface {
 	Bytes() int
 	// Steps returns the cumulative number of search steps since creation.
 	Steps() uint64
-	// Name returns the algorithm name used in reports.
-	Name() string
 	// UsePool makes the queue copy into buffers from l, where the caller then
 	// recycles what PopContiguous returns; without it, the shared pool.
 	UsePool(l *pool.Local)

@@ -30,9 +30,6 @@ func newTreeQueue() *treeQueue {
 	return &treeQueue{prioState: 0x1234_5678_9abc_def1}
 }
 
-// Name implements OfoQueue.
-func (q *treeQueue) Name() string { return "Tree" }
-
 // Len implements OfoQueue.
 func (q *treeQueue) Len() int { return q.count }
 

@@ -12,9 +12,6 @@ import "time"
 // Controller is the per-flow (or per-subflow) congestion control interface
 // consumed by the TCP endpoint.
 type Controller interface {
-	// Name identifies the algorithm for traces and experiment output.
-	Name() string
-
 	// Cwnd returns the current congestion window in bytes.
 	Cwnd() int
 	// Ssthresh returns the slow-start threshold in bytes.

@@ -110,9 +110,6 @@ type Coupled struct {
 	caBytesAcked float64
 }
 
-// Name implements Controller.
-func (c *Coupled) Name() string { return "coupled-lia" }
-
 // Cwnd implements Controller.
 func (c *Coupled) Cwnd() int { return c.cwnd }
 
@@ -168,14 +165,14 @@ func (c *Coupled) OnAck(acked int, rtt time.Duration) {
 
 // OnFastRetransmit implements Controller.
 func (c *Coupled) OnFastRetransmit() {
-	c.ssthresh = maxInt(c.cwnd/2, 2*c.cfg.MSS)
+	c.ssthresh = max(c.cwnd/2, 2*c.cfg.MSS)
 	c.cwnd = clampCwnd(c.ssthresh, c.cfg.MSS, c.cfg.MinCwndSegments, c.cap)
 	c.caBytesAcked = 0
 }
 
 // OnTimeout implements Controller.
 func (c *Coupled) OnTimeout() {
-	c.ssthresh = maxInt(c.cwnd/2, 2*c.cfg.MSS)
+	c.ssthresh = max(c.cwnd/2, 2*c.cfg.MSS)
 	c.cwnd = clampCwnd(c.cfg.MSS, c.cfg.MSS, 1, c.cap)
 	c.caBytesAcked = 0
 }

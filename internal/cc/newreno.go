@@ -26,9 +26,6 @@ func NewNewReno(cfg Config) *NewReno {
 	}
 }
 
-// Name implements Controller.
-func (c *NewReno) Name() string { return "newreno" }
-
 // Cwnd implements Controller.
 func (c *NewReno) Cwnd() int { return c.cwnd }
 
@@ -57,14 +54,14 @@ func (c *NewReno) OnAck(acked int, _ time.Duration) {
 
 // OnFastRetransmit implements Controller.
 func (c *NewReno) OnFastRetransmit() {
-	c.ssthresh = maxInt(c.cwnd/2, 2*c.cfg.MSS)
+	c.ssthresh = max(c.cwnd/2, 2*c.cfg.MSS)
 	c.cwnd = clampCwnd(c.ssthresh, c.cfg.MSS, c.cfg.MinCwndSegments, c.cap)
 	c.caBytesAcked = 0
 }
 
 // OnTimeout implements Controller.
 func (c *NewReno) OnTimeout() {
-	c.ssthresh = maxInt(c.cwnd/2, 2*c.cfg.MSS)
+	c.ssthresh = max(c.cwnd/2, 2*c.cfg.MSS)
 	c.cwnd = clampCwnd(c.cfg.MSS, c.cfg.MSS, 1, c.cap)
 	c.caBytesAcked = 0
 }
@@ -85,11 +82,4 @@ func (c *NewReno) ForceReduce() {
 func (c *NewReno) SetCwndCap(capBytes int) {
 	c.cap = capBytes
 	c.cwnd = clampCwnd(c.cwnd, c.cfg.MSS, c.cfg.MinCwndSegments, c.cap)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

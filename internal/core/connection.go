@@ -275,7 +275,7 @@ func (c *Connection) SendBufferSpace() int {
 	if c.closed || c.err != nil || c.dataFinQueued {
 		return 0
 	}
-	return maxInt(c.sendBufferSpace(), 0)
+	return max(c.sendBufferSpace(), 0)
 }
 
 // sendBufferSpace returns the free space in the connection-level send buffer,
@@ -325,7 +325,7 @@ func (c *Connection) autotuneSendBuffer() int {
 	if want > c.autotunedSndBuf {
 		c.autotunedSndBuf = want
 	}
-	return minInt(c.autotunedSndBuf, c.cfg.SendBufBytes)
+	return min(c.autotunedSndBuf, c.cfg.SendBufBytes)
 }
 
 // receiveWindow returns the connection-level receive window advertised on
@@ -357,7 +357,7 @@ func (c *Connection) receiveBufferUsed() int {
 
 // Read removes and returns up to max bytes of in-order connection-level data.
 func (c *Connection) Read(max int) []byte {
-	n := minInt(max, c.rcvBuf.Len())
+	n := min(max, c.rcvBuf.Len())
 	if n <= 0 {
 		return nil
 	}
@@ -985,18 +985,4 @@ func (c *Connection) checkDone() {
 			}
 		}
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -100,7 +100,7 @@ func (h *harness) runBulkTransferMarked(clientCfg, serverCfg Config, total int, 
 	sent := 0
 	pump := func() {
 		for sent < total {
-			n := minInt(len(payload), total-sent)
+			n := min(len(payload), total-sent)
 			w := conn.Write(payload[:n])
 			if w == 0 {
 				return
@@ -244,8 +244,6 @@ type stripBox struct {
 	skipSYN bool
 	removed int
 }
-
-func (b *stripBox) Name() string { return "test-strip" }
 
 func (b *stripBox) Process(_ netem.BoxContext, _ netem.Direction, seg *packet.Segment) []*packet.Segment {
 	isSYN := seg.Flags.Has(packet.FlagSYN)

@@ -47,7 +47,7 @@ func TestDebugStall(t *testing.T) {
 	sent := 0
 	pump := func() {
 		for sent < total {
-			w := conn.Write(payload[:minInt(len(payload), total-sent)])
+			w := conn.Write(payload[:min(len(payload), total-sent)])
 			if w == 0 {
 				return
 			}

@@ -126,7 +126,7 @@ func runPatternTransfer(t *testing.T, specs []netem.PathSpec, cfg Config, total 
 	chunk := make([]byte, 16<<10)
 	pump := func() {
 		for sent < int64(total) {
-			n := minInt(len(chunk), total-int(sent))
+			n := min(len(chunk), total-int(sent))
 			for i := range chunk[:n] {
 				chunk[i] = pattern(sent + int64(i))
 			}

@@ -128,7 +128,7 @@ func (c *Connection) insertData(s *Subflow, dataSeq uint64, data []byte) {
 				c.rcvBuf.Append(it.Data)
 				c.dataRcvNxt = it.End()
 				if n := c.ofoBySubflow[it.Subflow]; n > 0 {
-					c.ofoBySubflow[it.Subflow] = maxInt(0, n-len(it.Data))
+					c.ofoBySubflow[it.Subflow] = max(0, n-len(it.Data))
 				}
 				c.bufs.Recycle(it.Data)
 			}

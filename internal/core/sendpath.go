@@ -260,7 +260,7 @@ func (c *Connection) applyCwndCapping() {
 		if srtt > 2*base {
 			// Estimated BDP: (cwnd / srtt) * baseRTT; allow twice that.
 			bdp := int(float64(s.ep.Cwnd()) * base.Seconds() / srtt.Seconds())
-			cap := maxInt(2*s.ep.EffectiveMSS(), 2*bdp)
+			cap := max(2*s.ep.EffectiveMSS(), 2*bdp)
 			s.ep.Controller().SetCwndCap(cap)
 		} else {
 			s.ep.Controller().SetCwndCap(0)

@@ -609,7 +609,7 @@ func (s *Subflow) SendQueue() *buffer.SendQueue { return &s.conn.sndBuf }
 func (s *Subflow) AdvertiseWindow(e *tcp.Endpoint) (int, bool) {
 	c := s.conn
 	if c.cfg.PerSubflowReceiveWindow && c.MPTCPActive() {
-		share := c.cfg.RecvBufBytes / maxInt(1, len(c.subflows))
+		share := c.cfg.RecvBufBytes / max(1, len(c.subflows))
 		used := e.ReceiveQueuedBytes() + c.ofoBySubflow[s.id]
 		win := share - used
 		if win < 0 {

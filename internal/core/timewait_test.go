@@ -24,8 +24,6 @@ type tappedSegment struct {
 	wire  []byte
 }
 
-func (b *wireTap) Name() string { return "test-tap" }
-
 func (b *wireTap) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) []*packet.Segment {
 	w, err := packet.Encode(seg)
 	if err != nil {

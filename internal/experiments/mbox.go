@@ -41,11 +41,7 @@ func mboxCases() []mboxCase {
 		{"sequence rewriting", func() []netem.Box { return []netem.Box{middlebox.NewSeqRewriter(0)} }, false, "MPTCP unaffected (relative DSS offsets)"},
 		{"strip options from SYNs (one path)", func() []netem.Box { return []netem.Box{middlebox.NewOptionStripper(true)} }, false, "falls back to regular TCP"},
 		{"strip options from SYNs (both paths)", func() []netem.Box { return []netem.Box{middlebox.NewOptionStripper(true)} }, true, "falls back to regular TCP"},
-		{"strip options from all segments", func() []netem.Box {
-			s := middlebox.NewOptionStripper(false)
-			s.SYNOnly = false
-			return []netem.Box{s}
-		}, false, "negotiates, then falls back on first data"},
+		{"strip options from all segments", func() []netem.Box { return []netem.Box{middlebox.NewOptionStripper(false)} }, false, "negotiates, then falls back on first data"},
 		{"segment splitting (TSO, 536B)", func() []netem.Box { return []netem.Box{middlebox.NewSplitter(536)} }, false, "MPTCP unaffected (duplicate mappings are harmless)"},
 		{"segment coalescing", func() []netem.Box { return []netem.Box{middlebox.NewCoalescer(2, 8192)} }, false, "MPTCP works; lost mappings retransmitted"},
 		{"pro-active ACKing proxy", func() []netem.Box { return []netem.Box{middlebox.NewProactiveACKer()} }, false, "MPTCP works (DATA_ACK is authoritative)"},

@@ -118,10 +118,3 @@ func runRationale(opt Options) (*Result, error) {
 	table.AddNote("paper §3.3.1: with per-subflow windows the data lost on the failed subflow cannot be resent on the surviving one once its window slice has filled — the connection deadlocks; the shared window avoids this by construction")
 	return &Result{Tables: []*Table{table}, Series: []Series{delivered}}, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -227,8 +227,6 @@ type wireTap struct {
 	seen   []arrival
 }
 
-func (w *wireTap) Name() string { return "test-tap" }
-
 func (w *wireTap) Process(_ netem.BoxContext, _ netem.Direction, seg *packet.Segment) []*packet.Segment {
 	if dss, ok := seg.MPTCPOption(packet.SubDSS).(*packet.DSSOption); ok && dss.HasMapping && len(seg.Payload) > 0 {
 		acked := w.sender.Stats().BytesWritten - uint64(w.sender.SenderMemory())

@@ -8,14 +8,15 @@ import (
 )
 
 // This file models actively hostile middleboxes — the far end of the §3
-// spectrum. The boxes in rewrite.go and nat.go misunderstand MPTCP; the ones
-// here are out to get it: DPI engines that strip its options wholesale,
-// censorship-style RST injectors that terminate classified flows, and traffic
-// policers that silently discard everything above a contracted rate. The
-// protocol requirement they exercise is the paper's central robustness claim:
-// under every one of them an MPTCP connection must either keep running
-// (possibly on a subset of its paths) or degrade to a working regular TCP
-// connection — never hang, never corrupt the byte stream.
+// spectrum. The boxes in rewrite.go and nat.go misunderstand MPTCP; the
+// presets here are out to get it: DPI engines that strip its options from
+// every segment (rewrite.go's OptionStripper, from the first SYN or switched
+// on mid-stream), censorship-style RST injectors that terminate classified
+// flows, and traffic policers that silently discard everything above a
+// contracted rate. The protocol requirement they exercise is the paper's
+// central robustness claim: under every one of them an MPTCP connection must
+// either keep running (possibly on a subset of its paths) or degrade to a
+// working regular TCP connection — never hang, never corrupt the byte stream.
 
 // AdversaryPreset builds fresh adversarial middlebox chains for a two-path
 // host, keyed by a short name usable from the CLI and experiment grids. It
@@ -25,10 +26,10 @@ import (
 //	none      — clean paths
 //	strip-syn — MPTCP options stripped from SYNs on both paths: the
 //	            connection must fall back cleanly at the handshake
-//	dpi       — DPI strips every MPTCP option on both paths from t=0
-//	            (handshake fallback with continued censorship)
-//	dpi-mid   — DPI activates mid-stream on the secondary path only: the
-//	            connection must survive on the primary
+//	dpi       — every MPTCP option stripped from every segment on both
+//	            paths from t=0 (handshake fallback with continued censorship)
+//	dpi-mid   — the same stripping switched on at 1.5 s on the secondary
+//	            path only: the connection must survive on the primary
 //	rst       — RST injector kills MP_JOIN subflows on the secondary path
 //	police    — token-bucket policer throttles the secondary path
 func AdversaryPreset(name string) (primary, secondary []netem.Box, ok bool) {
@@ -38,9 +39,9 @@ func AdversaryPreset(name string) (primary, secondary []netem.Box, ok bool) {
 	case "strip-syn":
 		return []netem.Box{NewOptionStripper(true)}, []netem.Box{NewOptionStripper(true)}, true
 	case "dpi":
-		return []netem.Box{NewDPI(0)}, []netem.Box{NewDPI(0)}, true
+		return []netem.Box{NewOptionStripper(false)}, []netem.Box{NewOptionStripper(false)}, true
 	case "dpi-mid":
-		return nil, []netem.Box{NewDPI(1500 * time.Millisecond)}, true
+		return nil, []netem.Box{&OptionStripper{ActivateAt: 1500 * time.Millisecond}}, true
 	case "rst":
 		return nil, []netem.Box{NewRSTInjector(2)}, true
 	case "police":
@@ -54,34 +55,6 @@ func AdversaryPresetNames() []string {
 	return []string{"none", "strip-syn", "dpi", "dpi-mid", "rst", "police"}
 }
 
-// DPI is a stateful deep-packet-inspection box that classifies flows carrying
-// MPTCP options and strips those options from every segment, in both
-// directions. With ActivateAt zero it censors from the first SYN, so the
-// connection never negotiates MPTCP and falls back cleanly at the handshake
-// ("no MP_CAPABLE in SYN/ACK"). A later ActivateAt lets the handshake
-// succeed and then starts stripping mid-stream — the harder case, which the
-// passive opener detects via the first-option-less-segment rule and which
-// otherwise degenerates into unmapped data handled by connection-level
-// retransmission.
-type DPI struct {
-	// ActivateAt is the simulation time at which stripping begins; before it
-	// the box only observes (classification continues throughout).
-	ActivateAt time.Duration
-	// Stripped counts removed options; Flows counts classified flows.
-	Stripped int
-	Flows    int
-
-	seen map[packet.FourTuple]bool
-}
-
-// NewDPI builds a DPI stripper that starts censoring at activateAt.
-func NewDPI(activateAt time.Duration) *DPI {
-	return &DPI{ActivateAt: activateAt, seen: make(map[packet.FourTuple]bool)}
-}
-
-// Name implements netem.Box.
-func (d *DPI) Name() string { return "dpi-strip" }
-
 // canonicalTuple normalizes a segment's four-tuple so both directions of a
 // flow share one classification entry.
 func canonicalTuple(dir netem.Direction, seg *packet.Segment) packet.FourTuple {
@@ -92,57 +65,27 @@ func canonicalTuple(dir netem.Direction, seg *packet.Segment) packet.FourTuple {
 	return t
 }
 
-// Process implements netem.Box.
-func (d *DPI) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) []*packet.Segment {
-	if seg.HasMPTCP() {
-		t := canonicalTuple(dir, seg)
-		if !d.seen[t] {
-			d.seen[t] = true
-			d.Flows++
-		}
-	}
-	if ctx.Now() < d.ActivateAt {
-		return forward(seg)
-	}
-	d.Stripped += seg.RemoveOptions(func(o packet.Option) bool { return o.Kind() == packet.OptMPTCP })
-	return forward(seg)
-}
-
-// RSTInjector terminates flows matching a classifier by forging RST segments
-// toward both endpoints, then blackholes the flow — the observed behaviour of
-// censorship middleware and of some "flow-aware" security appliances. The
-// default classifier matches MP_JOIN handshakes, so joined subflows are
-// killed while the initial subflow survives: the connection must continue on
-// the remaining path with the dead subflow's data reinjected.
+// RSTInjector terminates MP_JOIN subflows by forging RST segments toward both
+// endpoints, then blackholes the flow — the observed behaviour of censorship
+// middleware and of some "flow-aware" security appliances. A flow is
+// condemned once one of its segments carries an MP_JOIN option, so joined
+// subflows are killed while the initial subflow survives: the connection must
+// continue on the remaining path with the dead subflow's data reinjected.
 type RSTInjector struct {
-	// Match classifies segments; a flow is condemned when one of its segments
-	// matches. Nil matches any segment carrying an MP_JOIN option.
-	Match func(seg *packet.Segment) bool
-	// After lets this many matching segments through per flow before the
+	// After lets this many segments of a condemned flow through before the
 	// kill, so e.g. the handshake can complete before the axe falls.
 	After int
 	// Injected counts forged RSTs; Killed counts condemned flows.
 	Injected int
 	Killed   int
 
-	flows map[packet.FourTuple]int // matching segments seen; -1 = killed
+	flows map[packet.FourTuple]int // segments seen since the MP_JOIN; -1 = killed
 }
 
 // NewRSTInjector builds an injector that kills MP_JOIN subflows after
 // letting `after` matching segments through.
 func NewRSTInjector(after int) *RSTInjector {
 	return &RSTInjector{After: after, flows: make(map[packet.FourTuple]int)}
-}
-
-// Name implements netem.Box.
-func (r *RSTInjector) Name() string { return "rst-inject" }
-
-func (r *RSTInjector) matches(seg *packet.Segment) bool {
-	if r.Match != nil {
-		return r.Match(seg)
-	}
-	join, ok := seg.MPTCPOption(packet.SubMPJoin).(*packet.MPJoinOption)
-	return ok && join != nil
 }
 
 // Process implements netem.Box.
@@ -158,7 +101,7 @@ func (r *RSTInjector) Process(ctx netem.BoxContext, dir netem.Direction, seg *pa
 		seg.Release()
 		return nil
 	}
-	if !tracked && !r.matches(seg) {
+	if !tracked && seg.MPTCPOption(packet.SubMPJoin) == nil {
 		return forward(seg)
 	}
 	if n < r.After {
@@ -218,9 +161,6 @@ func NewPolicer(rateBps int64, burstBytes int) *Policer {
 	}
 	return &Policer{RateBps: rateBps, BurstBytes: burstBytes}
 }
-
-// Name implements netem.Box.
-func (p *Policer) Name() string { return "policer" }
 
 // Process implements netem.Box.
 func (p *Policer) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) []*packet.Segment {

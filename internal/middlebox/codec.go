@@ -32,9 +32,6 @@ type Reserializer struct {
 // NewReserializer creates the element.
 func NewReserializer() *Reserializer { return &Reserializer{} }
 
-// Name implements netem.Box.
-func (r *Reserializer) Name() string { return "reserialize" }
-
 // Process implements netem.Box.
 func (r *Reserializer) Process(_ netem.BoxContext, _ netem.Direction, seg *packet.Segment) []*packet.Segment {
 	wire, err := packet.Encode(seg)

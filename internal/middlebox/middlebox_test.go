@@ -1,6 +1,7 @@
 package middlebox
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -71,21 +72,64 @@ func TestSeqRewriterConsistency(t *testing.T) {
 	}
 }
 
+// clockCtx is a box context stopped at a given simulation time.
+type clockCtx struct {
+	nopCtx
+	now time.Duration
+}
+
+func (c clockCtx) Now() time.Duration { return c.now }
+
+// TestOptionStripperSYNOnly runs the stripper over SYNOnly × ActivateAt:
+// before activation MPTCP options pass; from then on they are stripped from
+// every segment, or from SYNs only; other options always survive, and Removed
+// counts what was stripped.
 func TestOptionStripperSYNOnly(t *testing.T) {
-	s := NewOptionStripper(true)
-	ctx := nopCtx{s: sim.New(1)}
-	syn := &packet.Segment{Flags: packet.FlagSYN, Options: []packet.Option{&packet.MPCapableOption{SenderKey: 5}, &packet.MSSOption{MSS: 1460}}}
-	s.Process(ctx, netem.AtoB, syn)
-	if syn.HasMPTCP() {
-		t.Fatal("MPTCP option should be stripped from the SYN")
-	}
-	if syn.FindOption(packet.OptMSS) == nil {
-		t.Fatal("non-MPTCP options must be preserved")
-	}
-	data := dataSeg(1, "x")
-	s.Process(ctx, netem.AtoB, data)
-	if !data.HasMPTCP() {
-		t.Fatal("SYN-only stripper must not touch data segments")
+	const later = 1500 * time.Millisecond
+	for _, tc := range []struct {
+		synOnly         bool
+		activateAt, now time.Duration
+		stripSYN        bool
+		stripData       bool
+	}{
+		{false, 0, 0, true, true},
+		{true, 0, 0, true, false},
+		{false, later, later - 1, false, false},
+		{false, later, later, true, true},
+		{true, later, later - 1, false, false},
+		{true, later, 2 * later, true, false},
+	} {
+		name := fmt.Sprintf("synOnly=%v/activateAt=%v/now=%v", tc.synOnly, tc.activateAt, tc.now)
+		s := &OptionStripper{SYNOnly: tc.synOnly, ActivateAt: tc.activateAt}
+		if tc.activateAt == 0 && *s != *NewOptionStripper(tc.synOnly) {
+			t.Fatalf("%s: NewOptionStripper(%v) = %+v", name, tc.synOnly, *NewOptionStripper(tc.synOnly))
+		}
+		ctx := clockCtx{nopCtx{sim.New(1)}, tc.now}
+		syn := &packet.Segment{Flags: packet.FlagSYN, Options: []packet.Option{&packet.MPCapableOption{SenderKey: 5}, &packet.MSSOption{MSS: 1460}}}
+		data := dataSeg(1, "x")
+		data.Options = append(data.Options, &packet.TimestampsOption{Val: 7})
+		wantRemoved := 0
+		for _, c := range []struct {
+			seg   *packet.Segment
+			strip bool
+			kept  packet.OptionKind
+		}{{syn, tc.stripSYN, packet.OptMSS}, {data, tc.stripData, packet.OptTimestamps}} {
+			if out := s.Process(ctx, netem.AtoB, c.seg); len(out) != 1 || out[0] != c.seg {
+				t.Fatalf("%s: Process returned %v, want the segment itself", name, out)
+			}
+			if c.seg.HasMPTCP() == c.strip {
+				t.Errorf("%s: %v segment carries MPTCP = %v, want %v", name, c.seg.Flags, c.seg.HasMPTCP(), !c.strip)
+			}
+			if c.seg.FindOption(c.kept) == nil {
+				t.Errorf("%s: %v segment lost its non-MPTCP option", name, c.seg.Flags)
+			}
+			if c.strip {
+				wantRemoved++
+			}
+		}
+		if s.Removed != wantRemoved {
+			t.Errorf("%s: Removed = %d, want %d", name, s.Removed, wantRemoved)
+		}
 	}
 }
 

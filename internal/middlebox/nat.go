@@ -37,9 +37,6 @@ func NewNAT(publicAddr packet.Addr, rewritePorts bool) *NAT {
 	}
 }
 
-// Name implements netem.Box.
-func (n *NAT) Name() string { return "nat" }
-
 // Process implements netem.Box.
 func (n *NAT) Process(_ netem.BoxContext, dir netem.Direction, seg *packet.Segment) []*packet.Segment {
 	if dir == netem.AtoB {

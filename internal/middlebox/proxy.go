@@ -40,9 +40,6 @@ func NewProactiveACKer() *ProactiveACKer {
 	}
 }
 
-// Name implements netem.Box.
-func (p *ProactiveACKer) Name() string { return "proactive-ack" }
-
 // Process implements netem.Box.
 func (p *ProactiveACKer) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) []*packet.Segment {
 	if len(seg.Payload) > 0 && !seg.Flags.Has(packet.FlagSYN) && !seg.Flags.Has(packet.FlagRST) {
@@ -121,9 +118,6 @@ func NewPayloadCorrupter(n int) *PayloadCorrupter {
 	}
 	return &PayloadCorrupter{EveryN: n}
 }
-
-// Name implements netem.Box.
-func (p *PayloadCorrupter) Name() string { return "payload-corrupt" }
 
 // Process implements netem.Box.
 func (p *PayloadCorrupter) Process(_ netem.BoxContext, _ netem.Direction, seg *packet.Segment) []*packet.Segment {

@@ -1,6 +1,8 @@
 package middlebox
 
 import (
+	"time"
+
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
 )
@@ -26,9 +28,6 @@ type SeqRewriter struct {
 func NewSeqRewriter(offset uint32) *SeqRewriter {
 	return &SeqRewriter{Offset: offset, perFlow: make(map[packet.FourTuple]uint32), seed: 0x5eed1234}
 }
-
-// Name implements netem.Box.
-func (r *SeqRewriter) Name() string { return "seq-rewrite" }
 
 func (r *SeqRewriter) offsetFor(t packet.FourTuple) uint32 {
 	if off, ok := r.perFlow[t]; ok {
@@ -59,60 +58,41 @@ func (r *SeqRewriter) Process(_ netem.BoxContext, dir netem.Direction, seg *pack
 	return forward(seg)
 }
 
-// OptionStripper removes TCP options, modelling the 6–14% of paths in the
+// OptionStripper removes MPTCP options, modelling the 6–14% of paths in the
 // measurement study that strip unknown options from SYNs (and the smaller set
-// that strip them from all segments).
+// that strip them from all segments), and the DPI engines that start doing so
+// mid-stream. With ActivateAt zero and SYNOnly false it censors from the first
+// SYN, so the connection never negotiates MPTCP and falls back cleanly at the
+// handshake ("no MP_CAPABLE in SYN/ACK"). A later ActivateAt lets the
+// handshake succeed and then strips mid-stream — the harder case, which the
+// passive opener detects via the first-option-less-segment rule and which
+// otherwise degenerates into unmapped data handled by connection-level
+// retransmission.
 type OptionStripper struct {
 	// SYNOnly limits stripping to SYN segments (the common case observed in
 	// the study; data-segment stripping without SYN stripping was never
 	// observed).
 	SYNOnly bool
-	// Kinds restricts stripping to the listed option kinds; empty means all
-	// unknown/new options (MPTCP).
-	Kinds []packet.OptionKind
-	// Subtypes restricts stripping to specific MPTCP subtypes; empty means
-	// every MPTCP option.
-	Subtypes []packet.MPTCPSubtype
+	// ActivateAt is the simulation time at which stripping begins; before it
+	// segments pass untouched.
+	ActivateAt time.Duration
 	// Removed counts stripped options.
 	Removed int
 }
 
-// NewOptionStripper removes all MPTCP options, from SYNs only when synOnly is
-// true.
+// NewOptionStripper removes all MPTCP options from the start, from SYNs only
+// when synOnly is true.
 func NewOptionStripper(synOnly bool) *OptionStripper {
-	return &OptionStripper{SYNOnly: synOnly, Kinds: []packet.OptionKind{packet.OptMPTCP}}
+	return &OptionStripper{SYNOnly: synOnly}
 }
 
-// Name implements netem.Box.
-func (o *OptionStripper) Name() string { return "option-strip" }
-
-func (o *OptionStripper) matches(opt packet.Option) bool {
-	kindMatch := len(o.Kinds) == 0
-	for _, k := range o.Kinds {
-		if opt.Kind() == k {
-			kindMatch = true
-			break
-		}
-	}
-	if !kindMatch {
-		return false
-	}
-	if len(o.Subtypes) == 0 {
-		return true
-	}
-	for _, s := range o.Subtypes {
-		if opt.Subtype() == s {
-			return true
-		}
-	}
-	return false
-}
+func isMPTCP(o packet.Option) bool { return o.Kind() == packet.OptMPTCP }
 
 // Process implements netem.Box.
-func (o *OptionStripper) Process(_ netem.BoxContext, _ netem.Direction, seg *packet.Segment) []*packet.Segment {
-	if o.SYNOnly && !seg.Flags.Has(packet.FlagSYN) {
+func (o *OptionStripper) Process(ctx netem.BoxContext, _ netem.Direction, seg *packet.Segment) []*packet.Segment {
+	if ctx.Now() < o.ActivateAt || o.SYNOnly && !seg.Flags.Has(packet.FlagSYN) {
 		return forward(seg)
 	}
-	o.Removed += seg.RemoveOptions(o.matches)
+	o.Removed += seg.RemoveOptions(isMPTCP)
 	return forward(seg)
 }

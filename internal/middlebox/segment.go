@@ -23,9 +23,6 @@ type Splitter struct {
 // NewSplitter creates a splitter with the given MSS.
 func NewSplitter(mss int) *Splitter { return &Splitter{MSS: mss} }
 
-// Name implements netem.Box.
-func (s *Splitter) Name() string { return "split" }
-
 // Process implements netem.Box.
 func (s *Splitter) Process(_ netem.BoxContext, _ netem.Direction, seg *packet.Segment) []*packet.Segment {
 	if s.MSS <= 0 || len(seg.Payload) <= s.MSS {
@@ -86,9 +83,6 @@ func NewCoalescer(hold, maxBytes int) *Coalescer {
 		held:     make(map[packet.FourTuple]int),
 	}
 }
-
-// Name implements netem.Box.
-func (c *Coalescer) Name() string { return "coalesce" }
 
 // Process implements netem.Box.
 func (c *Coalescer) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) []*packet.Segment {
@@ -157,9 +151,6 @@ type HoleBlocker struct {
 func NewHoleBlocker() *HoleBlocker {
 	return &HoleBlocker{next: make(map[packet.FourTuple]packet.SeqNum)}
 }
-
-// Name implements netem.Box.
-func (h *HoleBlocker) Name() string { return "hole-block" }
 
 // Process implements netem.Box.
 func (h *HoleBlocker) Process(_ netem.BoxContext, _ netem.Direction, seg *packet.Segment) []*packet.Segment {

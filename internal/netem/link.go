@@ -111,8 +111,6 @@ type Link struct {
 	// OnTransmit, if set, is invoked for every segment the link accepts
 	// (after queue admission, before delivery). Traces use it.
 	OnTransmit func(seg *packet.Segment)
-	// OnDrop, if set, is invoked for every dropped segment with a reason.
-	OnDrop func(seg *packet.Segment, reason string)
 }
 
 // NewLink creates a link delivering to dst.
@@ -181,17 +179,11 @@ func (l *Link) Send(seg *packet.Segment) {
 
 	if l.cfg.LossRate > 0 && l.sim.RNG().Float64() < l.cfg.LossRate {
 		l.stats.DroppedRandom++
-		if l.OnDrop != nil {
-			l.OnDrop(seg, "loss")
-		}
 		seg.Release()
 		return
 	}
 	if l.cfg.QueueBytes > 0 && l.queuedBytes+size > l.cfg.QueueBytes {
 		l.stats.DroppedQueue++
-		if l.OnDrop != nil {
-			l.OnDrop(seg, "queue-overflow")
-		}
 		seg.Release()
 		return
 	}

@@ -267,8 +267,6 @@ type recordingBox struct {
 	seen   *[]string
 }
 
-func (b *recordingBox) Name() string { return b.name }
-
 func (b *recordingBox) Process(ctx BoxContext, _ Direction, seg *packet.Segment) []*packet.Segment {
 	if seg.Src.Port == 9 {
 		*b.seen = append(*b.seen, b.name)

@@ -39,8 +39,6 @@ func (d Direction) String() string {
 // package (NAT, sequence rewriting, option stripping, segment splitting,
 // coalescing, proactive ACKing, payload modification).
 type Box interface {
-	// Name identifies the element for traces.
-	Name() string
 	// Process handles one segment travelling in dir and returns the
 	// segments to forward onward (possibly none, possibly several). The
 	// context lets elements inject segments of their own (e.g. a proxy
@@ -133,16 +131,10 @@ func (p *Path) LinkBA() *Link { return p.linkBA }
 // AddBox appends a middlebox element to the chain.
 func (p *Path) AddBox(b Box) { p.boxes = append(p.boxes, b) }
 
-// Boxes returns the middlebox chain.
-func (p *Path) Boxes() []Box { return p.boxes }
-
 // SetDown marks the path as failed; segments in either direction are
 // silently discarded (models the "subflow fails silently" scenarios of
 // §3.3.1 and mobility events).
 func (p *Path) SetDown(down bool) { p.down = down }
-
-// Down reports whether the path is failed.
-func (p *Path) Down() bool { return p.down }
 
 // arrive runs the middlebox chain at the far end of a link and delivers the
 // result to the destination interface.

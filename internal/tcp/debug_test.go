@@ -40,7 +40,7 @@ func TestDebugTCPStall(t *testing.T) {
 	sent := 0
 	pump := func() {
 		for sent < total {
-			w := client.Write(bytes.Repeat([]byte{1}, minInt(32<<10, total-sent)))
+			w := client.Write(bytes.Repeat([]byte{1}, min(32<<10, total-sent)))
 			if w == 0 {
 				break
 			}

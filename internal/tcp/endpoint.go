@@ -240,7 +240,7 @@ func (e *Endpoint) Stats() Stats { return e.stats }
 func (e *Endpoint) Err() error { return e.err }
 
 // EffectiveMSS returns the MSS in use (minimum of ours and the peer's).
-func (e *Endpoint) EffectiveMSS() int { return minInt(e.cfg.MSS, e.peerMSS) }
+func (e *Endpoint) EffectiveMSS() int { return min(e.cfg.MSS, e.peerMSS) }
 
 // Cwnd returns the congestion window in bytes.
 func (e *Endpoint) Cwnd() int { return e.ctrl.Cwnd() }
@@ -388,7 +388,7 @@ func (e *Endpoint) Write(data []byte) int {
 	off := e.sndBuf.TailOffset()
 	e.sndBuf.Append(data)
 	for n := accepted; n > 0; {
-		l := minInt(mss, n)
+		l := min(mss, n)
 		c := e.newChunk()
 		e.setRange(c, off, l)
 		e.enqueueChunk(c)
@@ -654,18 +654,4 @@ func (e *Endpoint) close(err error) {
 
 func (e *Endpoint) String() string {
 	return fmt.Sprintf("tcp(%v->%v %v)", e.local, e.remote, e.state)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

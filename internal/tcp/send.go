@@ -525,7 +525,7 @@ func (e *Endpoint) armPersist() {
 	if e.persistTimer.Pending() {
 		return
 	}
-	e.persistTimer.Reset(maxDur(e.backedOffRTO(), 500*time.Millisecond))
+	e.persistTimer.Reset(max(e.backedOffRTO(), 500*time.Millisecond))
 }
 
 // onPersist sends a zero-window probe: one byte of the next pending chunk.

@@ -50,7 +50,7 @@ func runTransfer(t *testing.T, n *netem.Network, cfg Config, total int, deadline
 	sent := 0
 	pump := func() {
 		for sent < total {
-			chunk := minInt(32<<10, total-sent)
+			chunk := min(32<<10, total-sent)
 			w := client.Write(bytes.Repeat([]byte{byte(sent)}, chunk))
 			if w == 0 {
 				break
@@ -306,7 +306,7 @@ func TestSpillPastInlineQueuesChangesNothing(t *testing.T) {
 		buf := make([]byte, 32<<10)
 		pump := func() {
 			for sent < total {
-				k := minInt(len(buf), total-sent)
+				k := min(len(buf), total-sent)
 				for i := range buf[:k] {
 					buf[i] = byte((sent + i) * 7)
 				}
