@@ -28,8 +28,6 @@ import (
 
 func main() {
 	format := flag.String("format", "text", "output format: text | json")
-	width := flag.Int("width", 64, "cwnd timeline width in columns")
-	top := flag.Int("top", 8, "maximum subflow timelines to render (busiest first)")
 	noTimeline := flag.Bool("no-timeline", false, "skip the per-subflow cwnd timelines")
 	requireEvents := flag.Bool("require-events", false, "exit with status 1 if any input file holds zero events")
 	flag.Parse()
@@ -66,7 +64,7 @@ func main() {
 			if i > 0 {
 				fmt.Println()
 			}
-			writeText(os.Stdout, r, events, *width, *top, !*noTimeline)
+			writeText(os.Stdout, r, events, !*noTimeline)
 		}
 	}
 	if *format == "json" {
@@ -202,8 +200,15 @@ func collectFiles(args []string) ([]string, error) {
 	return files, nil
 }
 
+// timelineWidth is a cwnd timeline's width in columns, and timelineTop the
+// most subflow timelines a file renders (busiest first).
+const (
+	timelineWidth = 64
+	timelineTop   = 8
+)
+
 // writeText renders one file's report for a terminal.
-func writeText(w io.Writer, r fileReport, events []probe.Event, width, top int, timeline bool) {
+func writeText(w io.Writer, r fileReport, events []probe.Event, timeline bool) {
 	fmt.Fprintf(w, "== %s ==\n", r.File)
 	if r.Events == 0 {
 		fmt.Fprintln(w, "no events")
@@ -244,7 +249,7 @@ func writeText(w io.Writer, r fileReport, events []probe.Event, width, top int, 
 	fmt.Fprintln(w)
 
 	if timeline {
-		writeTimelines(w, events, width, top)
+		writeTimelines(w, events)
 	}
 }
 
@@ -291,7 +296,7 @@ type sfKey struct {
 
 // writeTimelines renders per-subflow cwnd timelines from the congestion-
 // control transition events (cc_* events carry A=cwnd at the transition).
-func writeTimelines(w io.Writer, events []probe.Event, width, top int) {
+func writeTimelines(w io.Writer, events []probe.Event) {
 	type point struct {
 		at   time.Duration
 		cwnd int64
@@ -336,9 +341,9 @@ func writeTimelines(w io.Writer, events []probe.Event, width, top int) {
 		}
 		return a.subflow < b.subflow
 	})
-	if top > 0 && len(keys) > top {
-		fmt.Fprintf(w, "cwnd timelines (%d busiest of %d subflows, from cc transition events):\n", top, len(keys))
-		keys = keys[:top]
+	if len(keys) > timelineTop {
+		fmt.Fprintf(w, "cwnd timelines (%d busiest of %d subflows, from cc transition events):\n", timelineTop, len(keys))
+		keys = keys[:timelineTop]
 	} else {
 		fmt.Fprintf(w, "cwnd timelines (%d subflows, from cc transition events):\n", len(keys))
 	}
@@ -351,10 +356,10 @@ func writeTimelines(w io.Writer, events []probe.Event, width, top int) {
 	for _, k := range keys {
 		pts := series[k]
 		// Bucket by time; each column shows the max cwnd seen in its slice.
-		cols := make([]int64, width)
+		cols := make([]int64, timelineWidth)
 		var peak int64
 		for _, p := range pts {
-			c := int(int64(p.at-first) * int64(width-1) / int64(span))
+			c := int(int64(p.at-first) * int64(timelineWidth-1) / int64(span))
 			if p.cwnd > cols[c] {
 				cols[c] = p.cwnd
 			}
@@ -368,7 +373,7 @@ func writeTimelines(w io.Writer, events []probe.Event, width, top int) {
 		// Carry the last seen value forward through empty columns so the
 		// line reads as a timeline, not a scatter.
 		var prev int64
-		line := make([]byte, width)
+		line := make([]byte, timelineWidth)
 		for i, v := range cols {
 			if v == 0 {
 				v = prev

@@ -26,7 +26,7 @@ func TestTextAndJSONAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		var text bytes.Buffer
-		writeText(&text, r, events, 64, 8, true)
+		writeText(&text, r, events, true)
 		want, err := os.ReadFile(tc.golden)
 		if err != nil {
 			t.Fatal(err)

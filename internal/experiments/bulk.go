@@ -50,11 +50,11 @@ type BulkResult struct {
 	TotalReceived  int
 
 	SenderMemMeanKB   float64
-	SenderMemMaxKB    float64
 	ReceiverMemMeanKB float64
-	ReceiverMemMaxKB  float64
 
-	AppDelay *trace.Histogram
+	// AppDelayMs holds each post-warmup block's application-level delay in
+	// milliseconds, in delivery order (BlockSize runs only).
+	AppDelayMs []float64
 
 	MPTCPActive       bool
 	ClientStats       core.ConnStats
@@ -86,6 +86,9 @@ func runBulk(opt BulkOptions, obs Options, name string) (BulkResult, error) {
 		}
 		spec.Links[idx].Boxes = boxes
 	}
+	if opt.ClientIface < 0 || opt.ClientIface >= len(spec.Links) {
+		return BulkResult{}, fmt.Errorf("bulk: client interface %d out of range", opt.ClientIface)
+	}
 	w, err := NewWorld(opt.Seed, spec, obs.PcapDir, obs.Trace, name, 0, 1)
 	if err != nil {
 		return BulkResult{}, err
@@ -103,11 +106,8 @@ func runBulk(opt BulkOptions, obs Options, name string) (BulkResult, error) {
 
 	received := 0
 	var serverConn *core.Connection
-	var blockDelays *trace.Histogram
+	var blockDelays []float64
 	var blockStarts []time.Duration
-	if opt.BlockSize > 0 {
-		blockDelays = trace.NewHistogram(10) // 10 ms bins, as in Figure 7
-	}
 
 	_, err = w.Managers["server"].Listen(80, opt.Config, func(c *core.Connection) {
 		serverConn = c
@@ -123,8 +123,7 @@ func runBulk(opt BulkOptions, obs Options, name string) (BulkResult, error) {
 					for blk := prev/opt.BlockSize + 1; blk <= received/opt.BlockSize; blk++ {
 						idx := blk - 1
 						if idx < len(blockStarts) && s.Now() >= opt.Warmup {
-							delayMs := float64(s.Now()-blockStarts[idx]) / float64(time.Millisecond)
-							blockDelays.Add(delayMs)
+							blockDelays = append(blockDelays, float64(s.Now()-blockStarts[idx])/float64(time.Millisecond))
 						}
 					}
 				}
@@ -136,9 +135,6 @@ func runBulk(opt BulkOptions, obs Options, name string) (BulkResult, error) {
 	}
 
 	ifaces := net.Client.Interfaces()
-	if opt.ClientIface < 0 || opt.ClientIface >= len(ifaces) {
-		opt.ClientIface = 0
-	}
 	serverAddr := net.ServerAddr(opt.ClientIface)
 	conn, err := w.Managers["client"].Dial(ifaces[opt.ClientIface], packet.Endpoint{Addr: serverAddr, Port: 80}, opt.Config)
 	if err != nil {
@@ -221,7 +217,7 @@ func runBulk(opt BulkOptions, obs Options, name string) (BulkResult, error) {
 		ThroughputMbps: float64(forwardWireBytes(net)-baselineWire) * 8 / window / 1e6,
 		MPTCPActive:    conn.MPTCPActive(),
 		ClientStats:    conn.Stats(),
-		AppDelay:       blockDelays,
+		AppDelayMs:     blockDelays,
 		Subflows:       len(conn.Subflows()),
 	}
 	if serverConn != nil {
@@ -233,9 +229,7 @@ func runBulk(opt BulkOptions, obs Options, name string) (BulkResult, error) {
 	}
 	if opt.MemorySampling {
 		res.SenderMemMeanKB = trace.Mean(sndMem)
-		res.SenderMemMaxKB = trace.Max(sndMem)
 		res.ReceiverMemMeanKB = trace.Mean(rcvMem)
-		res.ReceiverMemMaxKB = trace.Max(rcvMem)
 	}
 	if err := finishPoint(&w, opt.Seed, obs, name); err != nil {
 		return BulkResult{}, err

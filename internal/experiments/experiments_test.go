@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -80,6 +81,68 @@ func TestRunBulkTCPvsMPTCPOrdering(t *testing.T) {
 	}
 	if mptcp > 10.5 {
 		t.Fatalf("MPTCP goodput %.2f Mbps exceeds the physical aggregate", mptcp)
+	}
+}
+
+// TestRunBulkRejectsOutOfRangeIndices: a variant that names an interface or
+// a path the topology lacks is an error naming the index, not a run measured
+// on another path.
+func TestRunBulkRejectsOutOfRangeIndices(t *testing.T) {
+	cases := []struct {
+		name string
+		opt  BulkOptions
+		want string
+	}{
+		{"client interface", BulkOptions{ClientIface: 2}, "client interface 2 out of range"},
+		{"box index", BulkOptions{Boxes: map[int][]netem.Box{5: nil}}, "box index 5 out of range"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.opt.Specs = netem.WiFi3GSpec()
+			tc.opt.Config = tcpBaseline(64 << 10)
+			tc.opt.Duration = time.Second
+			_, err := RunBulk(tc.opt)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RunBulk error = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestFig7SummaryIsOrderStatistics: fig7's summary row is exact statistics
+// over the block delays, so p50 <= p95 <= max and mean <= max hold in every
+// row, and each PDF table's fractions add up to 100% within their rounding.
+func TestFig7SummaryIsOrderStatistics(t *testing.T) {
+	res, err := runFig7(Options{Quick: true, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := func(row []string, i int) float64 {
+		v, err := strconv.ParseFloat(row[i], 64)
+		if err != nil {
+			t.Fatalf("row %q: %v", row[0], err)
+		}
+		return v
+	}
+	summary := res.Tables[0]
+	if len(summary.Rows) != 4 || len(res.Tables) != 5 {
+		t.Fatalf("fig7 should print 4 summary rows and 4 PDFs, got %d rows and %d tables", len(summary.Rows), len(res.Tables))
+	}
+	for _, row := range summary.Rows {
+		mean, p50, p95, max := cell(row, 1), cell(row, 2), cell(row, 3), cell(row, 4)
+		if p50 > p95 || p95 > max || mean > max {
+			t.Errorf("%s: mean %v, p50 %v, p95 %v, max %v are not statistics of one sample", row[0], mean, p50, p95, max)
+		}
+	}
+	for _, pdf := range res.Tables[1:] {
+		var sum float64
+		for _, row := range pdf.Rows {
+			sum += cell(row, 1)
+		}
+		// Each fraction is printed to 0.1%, so each is off by at most 0.05.
+		if slack := 0.05 * float64(len(pdf.Rows)); math.Abs(sum-100) > slack {
+			t.Errorf("%s: fractions sum to %.1f%%, want 100 ± %.2f", pdf.Title, sum, slack)
+		}
 	}
 }
 

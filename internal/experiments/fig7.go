@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"sort"
 
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/trace"
@@ -55,24 +57,22 @@ func runFig7(opt Options) (*Result, error) {
 		return nil, err
 	}
 	for i, v := range variants {
-		h := results[i].AppDelay
-		if h == nil || h.Total() == 0 {
+		d := results[i].AppDelayMs
+		if len(d) == 0 {
 			summary.AddRow(v.name, "-", "-", "-", "-", "0")
 			continue
 		}
 		summary.AddRow(v.name,
-			fmt.Sprintf("%.1f", h.Mean()),
-			fmt.Sprintf("%.1f", percentileFromHistogram(h, 0.50)),
-			fmt.Sprintf("%.1f", percentileFromHistogram(h, 0.95)),
-			fmt.Sprintf("%.1f", h.Max()),
-			fmt.Sprintf("%d", h.Total()))
+			fmt.Sprintf("%.1f", trace.Mean(d)),
+			fmt.Sprintf("%.1f", trace.Percentile(d, 50)),
+			fmt.Sprintf("%.1f", trace.Percentile(d, 95)),
+			fmt.Sprintf("%.1f", trace.Max(d)),
+			fmt.Sprintf("%d", len(d)))
 
 		pdf := NewTable(fmt.Sprintf("PDF of app-delay — %s (10ms bins)", v.name), "delay bin (ms)", "fraction %")
-		var binX, binY []float64
-		for _, b := range h.PDF() {
-			pdf.AddRow(fmt.Sprintf("%.0f-%.0f", b.Low, b.Low+h.BinWidth), fmt.Sprintf("%.1f", b.Fraction*100))
-			binX = append(binX, b.Low)
-			binY = append(binY, b.Fraction)
+		binX, binY := delayPDF(d)
+		for j, low := range binX {
+			pdf.AddRow(fmt.Sprintf("%.0f-%.0f", low, low+pdfBinMs), fmt.Sprintf("%.1f", binY[j]*100))
 		}
 		pdfs = append(pdfs, pdf)
 		series = append(series, Series{Name: "app-delay PDF " + v.name, Unit: "fraction", XLabel: "delay ms (bin low)", X: binX, Y: binY})
@@ -82,14 +82,23 @@ func runFig7(opt Options) (*Result, error) {
 	return &Result{Tables: append([]*Table{summary}, pdfs...), Series: series}, nil
 }
 
-// percentileFromHistogram approximates a percentile from histogram bins.
-func percentileFromHistogram(h *trace.Histogram, q float64) float64 {
-	cum := 0.0
-	for _, b := range h.PDF() {
-		cum += b.Fraction
-		if cum >= q {
-			return b.Low + h.BinWidth/2
+// pdfBinMs is the width of Figure 7's delay bins.
+const pdfBinMs = 10
+
+// delayPDF bins delay samples (ms) by ⌊v/pdfBinMs⌋ and returns the non-empty
+// bins in ascending order: each bin's lower edge and its share of the samples.
+func delayPDF(ms []float64) (lows, fractions []float64) {
+	sorted := append([]float64(nil), ms...)
+	sort.Float64s(sorted)
+	for i := 0; i < len(sorted); {
+		bin := math.Floor(sorted[i] / pdfBinMs)
+		j := i + 1
+		for j < len(sorted) && math.Floor(sorted[j]/pdfBinMs) == bin {
+			j++
 		}
+		lows = append(lows, bin*pdfBinMs)
+		fractions = append(fractions, float64(j-i)/float64(len(sorted)))
+		i = j
 	}
-	return h.Max()
+	return lows, fractions
 }

@@ -124,11 +124,10 @@ func RunHTTP(spec HTTPSpec) (*experiments.Result, error) {
 			table := experiments.NewTable(
 				fmt.Sprintf("%d closed-loop clients across %d shards", len(spec.Clients), len(outs)),
 				"shard", "clients", "completed", "failed", "req/s", "mean ms", "p95 ms", "MB", "events")
-			total := addShardRows(table, outs)
+			addShardRows(table, outs)
 			res.AddTable(table)
 			res.AddSeries(shardSeries("req/s", "req/s", outs, (*poolMerge).requestsPerSec))
 			res.AddSeries(shardSeries("latency p95", "ms", outs, func(m *poolMerge) float64 { return trace.Percentile(m.latencies, 95) }))
-			spec.Telemetry.SetLatency(total.latencies)
 		})
 }
 

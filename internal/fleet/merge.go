@@ -61,7 +61,7 @@ func (m *poolMerge) requestsPerSec() float64 {
 // row renders the aggregate as one fleet-http table row. Latency statistics
 // are recomputed from the merged samples (not averaged from per-shard
 // statistics, which would weight shards instead of requests) and truncated
-// to whole nanoseconds the way httpsim.PoolResult reports them.
+// to whole nanoseconds, which the committed goldens' bytes depend on.
 func (m *poolMerge) row(label string) []string {
 	mean := time.Duration(trace.Mean(m.latencies) * float64(time.Millisecond))
 	p95 := time.Duration(trace.Percentile(m.latencies, 95) * float64(time.Millisecond))

@@ -184,7 +184,7 @@ func RunOpenLoop(spec OpenLoopSpec) (*experiments.Result, error) {
 				fmt.Sprintf("%d arrival hosts across %d shards, %v window%s", spec.Hosts, len(outs), spec.Window, shared),
 				"shard", "hosts", "offered", "done", "dropped", "shed", "failed", "open",
 				"offered Mbps", "goodput Mbps", "p50 ms", "p99 ms", "events")
-			total := addShardRows(table, outs)
+			addShardRows(table, outs)
 			if spec.Shared == nil {
 				table.AddNote("open-loop: arrivals are injected by the process regardless of completions; dropped = hit the %v flow deadline, shed = refused at the in-flight cap, open = still in flight at the simulation deadline", spec.FlowDeadline)
 			} else {
@@ -194,7 +194,6 @@ func RunOpenLoop(spec OpenLoopSpec) (*experiments.Result, error) {
 			res.AddTable(table)
 			res.AddSeries(shardSeries("goodput", "Mbps", outs, (*openLoopOut).goodputMbps))
 			res.AddSeries(shardSeries("latency p99", "ms", outs, func(m *openLoopOut) float64 { return trace.Percentile(m.latencies, 99) }))
-			spec.Telemetry.SetLatency(total.latencies)
 		})
 }
 

@@ -25,8 +25,8 @@ type Observers struct {
 	// and -events.jsonl.
 	Trace experiments.TraceSpec
 	// Telemetry, when non-nil, attaches the run to a telemetry plane:
-	// phase-profiler spans, each finished shard's event and segment totals
-	// and, for the HTTP workloads, the merged latency samples.
+	// phase-profiler spans and each finished shard's event and segment
+	// totals.
 	Telemetry *telemetry.Plane
 
 	// prefix names the observer files; Run defaults it to the scenario id.

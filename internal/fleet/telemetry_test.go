@@ -2,10 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"fmt"
-	"math"
-	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -14,8 +10,8 @@ import (
 )
 
 // TestTelemetryChangesNothing is the telemetry plane's core contract (the
-// same one the flight recorder honours): attaching a full plane — profiler,
-// fleet totals, latency samples — must leave every scenario's merged result
+// same one the flight recorder honours): attaching a full plane — profiler
+// and fleet totals — must leave every scenario's merged result
 // byte-identical to a detached run. A shard adds its totals to the plane
 // once, when it finishes, and nothing the plane holds is read back.
 func TestTelemetryChangesNothing(t *testing.T) {
@@ -91,112 +87,6 @@ func TestTelemetryChangesNothing(t *testing.T) {
 				t.Fatalf("coupled run recorded no allocate span; recorded %v", phases)
 			}
 		})
-	}
-}
-
-// latencyQuantileBits runs the open-loop workload with an attached plane and
-// returns the exact bit patterns of the published latency percentiles.
-func latencyQuantileBits(t *testing.T, workers, shards int) [3]uint64 {
-	t.Helper()
-	spec := testOpenLoopSpec(workers, 60)
-	spec.Shards = shards
-	plane := telemetry.New()
-	spec.Telemetry = plane
-	if _, err := RunOpenLoop(spec); err != nil {
-		t.Fatal(err)
-	}
-	if len(plane.Latency()) == 0 {
-		t.Fatal("run published no latency samples")
-	}
-	return [3]uint64{
-		math.Float64bits(plane.LatencyQuantile(50)),
-		math.Float64bits(plane.LatencyQuantile(95)),
-		math.Float64bits(plane.LatencyQuantile(99)),
-	}
-}
-
-// TestTelemetryQuantilesWorkerInvariant pins the telemetry end of the fleet
-// latency pipeline: the published samples are the merged slice, appended in
-// member order within a shard and shard-index order across the fleet, so the
-// reported percentiles are bit-identical at any worker count and any
-// GOMAXPROCS.
-func TestTelemetryQuantilesWorkerInvariant(t *testing.T) {
-	base := latencyQuantileBits(t, 1, 3)
-	if got := latencyQuantileBits(t, 4, 3); got != base {
-		t.Fatalf("worker count changed latency quantiles: w1=%v w4=%v", base, got)
-	}
-	prev := runtime.GOMAXPROCS(4)
-	got := latencyQuantileBits(t, 4, 3)
-	runtime.GOMAXPROCS(prev)
-	if got != base {
-		t.Fatalf("GOMAXPROCS changed latency quantiles: base=%v gomaxprocs4=%v", base, got)
-	}
-}
-
-// allRow finds the aggregate "all" row of the table whose columns include the
-// latency percentiles, and returns cell lookup by column name.
-func allRow(t *testing.T, res *experiments.Result) map[string]string {
-	t.Helper()
-	for _, table := range res.Tables {
-		cols := table.Columns
-		hasP99 := false
-		for _, c := range cols {
-			if c == "p99 ms" {
-				hasP99 = true
-			}
-		}
-		if !hasP99 {
-			continue
-		}
-		for _, row := range table.Rows {
-			if len(row) > 0 && row[0] == "all" {
-				m := map[string]string{}
-				for i, c := range cols {
-					if i < len(row) {
-						m[c] = row[i]
-					}
-				}
-				return m
-			}
-		}
-	}
-	t.Fatal("no aggregate row with latency percentiles found")
-	return nil
-}
-
-// TestTelemetryReportsTheTablesLatency is the one-number rule: the plane, and
-// through it its Prometheus snapshot, publish the very percentiles the result
-// table prints and count the very flows it counts as done. A second statistic beside the
-// table's (a bucketed estimate, a per-shard average) fails it.
-func TestTelemetryReportsTheTablesLatency(t *testing.T) {
-	spec := testOpenLoopSpec(2, 60)
-	plane := telemetry.New()
-	spec.Telemetry = plane
-	res, err := RunOpenLoop(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := allRow(t, res)
-	if got := strconv.Itoa(len(plane.Latency())); got != all["done"] {
-		t.Fatalf("plane holds %s latency samples, table says done = %s", got, all["done"])
-	}
-	for col, pct := range map[string]float64{"p50 ms": 50, "p99 ms": 99} {
-		if got := fmt.Sprintf("%.2f", plane.LatencyQuantile(pct)); got != all[col] {
-			t.Errorf("plane p%g = %s ms, table %q = %s", pct, got, col, all[col])
-		}
-	}
-	var page strings.Builder
-	plane.WritePrometheus(&page)
-	val := promValue(t, page.String(), `fleet_latency_ms{quantile="0.99"}`)
-	p99, err := strconv.ParseFloat(val, 64)
-	if err != nil {
-		t.Fatalf("unparseable p99 %q: %v", val, err)
-	}
-	if got := fmt.Sprintf("%.2f", p99); got != all["p99 ms"] {
-		t.Errorf("exposition p99 = %s ms, table p99 = %s", got, all["p99 ms"])
-	}
-	if got := promValue(t, page.String(), "fleet_latency_samples_total"); got != all["done"] {
-		t.Errorf("exposition counts %s latency samples, table says done = %s", got, all["done"])
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"mptcpgo/internal/packet"
 	"mptcpgo/internal/probe"
 	"mptcpgo/internal/sim"
-	"mptcpgo/internal/trace"
 	"mptcpgo/internal/workload"
 )
 
@@ -80,9 +79,6 @@ type OpenLoopResult struct {
 	// GoodputMbps is what completed flows actually received over Elapsed.
 	OfferedMbps float64
 	GoodputMbps float64
-	MeanLatency time.Duration
-	P50Latency  time.Duration
-	P99Latency  time.Duration
 }
 
 // OpenLoopPool drives open-loop flows against an HTTP-like server.
@@ -229,8 +225,5 @@ func (p *OpenLoopPool) Result() OpenLoopResult {
 	if res.Elapsed > 0 {
 		res.GoodputMbps = float64(p.bytes) * 8 / res.Elapsed.Seconds() / 1e6
 	}
-	res.MeanLatency = time.Duration(trace.Mean(p.latency) * float64(time.Millisecond))
-	res.P50Latency = time.Duration(trace.Percentile(p.latency, 50) * float64(time.Millisecond))
-	res.P99Latency = time.Duration(trace.Percentile(p.latency, 99) * float64(time.Millisecond))
 	return res
 }

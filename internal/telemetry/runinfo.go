@@ -7,8 +7,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"time"
-
-	"mptcpgo/internal/trace"
 )
 
 // RunInfo is the provenance block for one benchmark run: enough to
@@ -38,9 +36,6 @@ type RunInfo struct {
 	// Filled in by Finish.
 	WallClockMs float64     `json:"wall_clock_ms,omitempty"`
 	Phases      []PhaseStat `json:"phases,omitempty"`
-	LatencyP50  float64     `json:"latency_p50_ms,omitempty"`
-	LatencyP99  float64     `json:"latency_p99_ms,omitempty"`
-	LatencyObs  uint64      `json:"latency_samples,omitempty"`
 }
 
 // CollectRunInfo captures the configuration and build environment for a run.
@@ -83,8 +78,8 @@ func (ri *RunInfo) SetFlag(name, value string) {
 	ri.Flags[name] = value
 }
 
-// Finish folds the run's wall clock, phase profile, and latency summary into
-// the provenance block.
+// Finish folds the run's wall clock and phase profile into the provenance
+// block.
 func (ri *RunInfo) Finish(p *Plane, wall time.Duration) {
 	if ri == nil {
 		return
@@ -94,10 +89,6 @@ func (ri *RunInfo) Finish(p *Plane, wall time.Duration) {
 		return
 	}
 	ri.Phases = p.Prof.Snapshot()
-	ms := p.Latency()
-	ri.LatencyP50 = trace.Percentile(ms, 50)
-	ri.LatencyP99 = trace.Percentile(ms, 99)
-	ri.LatencyObs = uint64(len(ms))
 }
 
 // Config returns a copy with the machine-dependent result fields cleared —
@@ -109,7 +100,6 @@ func (ri *RunInfo) Config() *RunInfo {
 	c := *ri
 	c.WallClockMs = 0
 	c.Phases = nil
-	c.LatencyP50, c.LatencyP99, c.LatencyObs = 0, 0, 0
 	return &c
 }
 

@@ -107,19 +107,19 @@ func TestPlanePrometheusRender(t *testing.T) {
 	p.AddShard(20, 3)
 	span := p.StartSpan("run")
 	span.End()
-	p.SetLatency([]float64{50, 5})
 
 	var sb strings.Builder
 	p.WritePrometheus(&sb)
 	page := sb.String()
 	seen := parsePrometheus(t, page)
-	for _, want := range []string{
-		"fleet_events_total", "fleet_segments_total", "phase_wall_seconds_total",
-		"phase_spans_total", "fleet_latency_ms", "fleet_latency_samples_total",
-	} {
-		if !seen[want] {
-			t.Errorf("missing metric %s in exposition:\n%s", want, page)
+	want := []string{"fleet_events_total", "fleet_segments_total", "phase_wall_seconds_total", "phase_spans_total"}
+	for _, name := range want {
+		if !seen[name] {
+			t.Errorf("missing metric %s in exposition:\n%s", name, page)
 		}
+	}
+	if len(seen) != len(want) {
+		t.Errorf("exposition has %d metrics, want only %v:\n%s", len(seen), want, page)
 	}
 	for _, want := range []string{"fleet_events_total 120\n", "fleet_segments_total 10\n"} {
 		if !strings.Contains(page, want) {
@@ -136,13 +136,12 @@ func TestRunInfoRoundTrip(t *testing.T) {
 	}
 	p := New()
 	p.StartSpan("run").End()
-	p.SetLatency([]float64{30, 10, 20})
 	ri.Finish(p, 123*time.Millisecond)
-	if ri.WallClockMs != 123 || len(ri.Phases) != 1 || ri.LatencyObs != 3 || ri.LatencyP50 != 20 || ri.LatencyP99 != 30 {
+	if ri.WallClockMs != 123 || len(ri.Phases) != 1 {
 		t.Fatalf("finish did not fold results: %+v", ri)
 	}
 	cfg := ri.Config()
-	if cfg.WallClockMs != 0 || cfg.Phases != nil || cfg.LatencyObs != 0 {
+	if cfg.WallClockMs != 0 || cfg.Phases != nil {
 		t.Fatalf("Config() should clear machine-dependent fields: %+v", cfg)
 	}
 	if cfg.Name != "fleet-http" || cfg.Flags["shards"] != "4" {
@@ -158,10 +157,6 @@ func TestNilPlaneSafe(t *testing.T) {
 	var p *Plane
 	p.StartSpan("x").End()
 	p.AddShard(1, 1)
-	p.SetLatency([]float64{1})
-	if p.Latency() != nil || p.LatencyQuantile(50) != 0 {
-		t.Fatal("nil plane latency")
-	}
 	var sb strings.Builder
 	p.WritePrometheus(&sb)
 	if sb.Len() != 0 {

@@ -7,9 +7,9 @@ import (
 )
 
 // Telemetry is the run-observability facade: one plane (wall-clock phase
-// profiler, fleet event and segment totals, merged latency samples) that a
-// Fleet, OpenLoop or Chaos run fills while it executes and that is read once
-// it has finished. Attaching telemetry NEVER changes a scenario's merged
+// profiler, fleet event and segment totals) that a Fleet, OpenLoop or Chaos
+// run fills while it executes and that is read once it has finished. Latency
+// statistics are the run's result table, not the plane's. Attaching telemetry NEVER changes a scenario's merged
 // result — every number it records is either a shard total added when the
 // shard finishes or derived from the wall clock, and nothing flows back.
 //
@@ -27,18 +27,10 @@ func NewTelemetry(label string) *Telemetry {
 }
 
 // WritePrometheus renders a one-shot snapshot of what the plane recorded —
-// fleet event and segment totals, phase profile, latency quantiles — in
-// Prometheus text format.
+// fleet event and segment totals and phase profile — in Prometheus text
+// format.
 func (t *Telemetry) WritePrometheus(w io.Writer) {
 	t.plane.WritePrometheus(w)
-}
-
-// LatencyQuantile returns the p-th percentile (0..100) of the last run's
-// merged flow latencies in milliseconds (0 when no run has completed yet). It
-// is the exact order statistic the run's result table prints, so it is
-// identical at any worker count.
-func (t *Telemetry) LatencyQuantile(p float64) float64 {
-	return t.plane.LatencyQuantile(p)
 }
 
 // Close releases nothing: the plane holds no goroutine, listener or file.
