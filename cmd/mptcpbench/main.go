@@ -191,7 +191,7 @@ func (c *cli) runInfo(label string) *telemetry.RunInfo {
 }
 
 // writeSidecar writes the provenance sidecar next to the encoded -out file:
-// config plus the machine-dependent wall-clock/phase/latency summary. Named
+// config plus the machine-dependent wall-clock and phase summary. Named
 // <out-minus-ext>-runinfo.json so BENCH freshness gates (which compare the
 // deterministic output file) never see it.
 func (c *cli) writeSidecar(info *telemetry.RunInfo) {
@@ -238,9 +238,8 @@ func runExperiments(c *cli) {
 // runFleet executes one -scenario run with its observers attached.
 func runFleet(c *cli) {
 	def, _ := findScenario(c.scenario) // parseCLI already resolved it
-	// The telemetry plane rides beside the deterministic core: its phases
-	// and latency summary go into the -out runinfo sidecar, the one artefact
-	// that writes them, and attaching it never changes the merged result
+	// The telemetry plane rides beside the deterministic core: its phases go
+	// into the -out runinfo sidecar, the one artefact that writes them, and attaching it never changes the merged result
 	// (TestTelemetryChangesNothing).
 	var plane *telemetry.Plane
 	if c.out != "" {

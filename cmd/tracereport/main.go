@@ -152,7 +152,6 @@ func buildReport(path string) (fileReport, []probe.Event, error) {
 		}
 	}
 
-	r.StallEpisodes = probe.StallEpisodes(events)
 	for i, e := range events {
 		if e.Kind != probe.KindStall {
 			continue
@@ -162,6 +161,7 @@ func buildReport(path string) (fileReport, []probe.Event, error) {
 			Cause: stallCause(events, i),
 		})
 	}
+	r.StallEpisodes = len(r.Stalls)
 
 	r.DrainTailNs = int64(probe.DrainTail(events))
 	tails := probe.DrainTails(events)

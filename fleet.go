@@ -97,9 +97,9 @@ func (f *Fleet) Trace(dir string, probeInterval time.Duration) *Fleet {
 	return f
 }
 
-// Telemetry attaches a telemetry plane to the run: phase profiling, the
-// shards' event and segment totals and the merged latency samples flow into
-// it while the fleet executes. Attachment never changes the merged result.
+// Telemetry attaches a telemetry plane to the run: phase profiling and the
+// shards' event and segment totals flow into it while the fleet executes.
+// Attachment never changes the merged result.
 func (f *Fleet) Telemetry(t *Telemetry) *Fleet { f.spec.Telemetry = planeOf(t); return f }
 
 // SharedBottleneck couples every client's download direction to one named
@@ -262,9 +262,9 @@ func (o *OpenLoop) Trace(dir string, probeInterval time.Duration) *OpenLoop {
 	return o
 }
 
-// Telemetry attaches a telemetry plane to the run: phase profiling, the
-// shards' event and segment totals and the merged latency samples flow into
-// it while the fleet executes. Attachment never changes the merged result.
+// Telemetry attaches a telemetry plane to the run: phase profiling and the
+// shards' event and segment totals flow into it while the fleet executes.
+// Attachment never changes the merged result.
 func (o *OpenLoop) Telemetry(t *Telemetry) *OpenLoop {
 	o.spec.Telemetry = planeOf(t)
 	return o

@@ -245,16 +245,12 @@ type stripBox struct {
 	removed int
 }
 
-func (b *stripBox) Process(_ netem.BoxContext, _ netem.Direction, seg *packet.Segment) []*packet.Segment {
+func (b *stripBox) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) {
 	isSYN := seg.Flags.Has(packet.FlagSYN)
-	if b.synOnly && !isSYN {
-		return []*packet.Segment{seg}
+	if isSYN && !b.skipSYN || !isSYN && !b.synOnly {
+		b.removed += seg.RemoveOptions(func(o packet.Option) bool { return o.Kind() == packet.OptMPTCP })
 	}
-	if b.skipSYN && isSYN {
-		return []*packet.Segment{seg}
-	}
-	b.removed += seg.RemoveOptions(func(o packet.Option) bool { return o.Kind() == packet.OptMPTCP })
-	return []*packet.Segment{seg}
+	ctx.Send(dir, seg)
 }
 
 // TestFinishReleasesSendQueues aborts an MPTCP sender in the middle of a

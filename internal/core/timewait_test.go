@@ -24,14 +24,14 @@ type tappedSegment struct {
 	wire  []byte
 }
 
-func (b *wireTap) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) []*packet.Segment {
+func (b *wireTap) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) {
 	w, err := packet.Encode(seg)
 	if err != nil {
 		panic(err)
 	}
-	b.segs = append(b.segs, tappedSegment{ctx.Now(), dir, seg.Flags, append([]byte(nil), w...)})
+	b.segs = append(b.segs, tappedSegment{ctx.Sim().Now(), dir, seg.Flags, append([]byte(nil), w...)})
 	packet.ReleaseWire(w)
-	return []*packet.Segment{seg}
+	ctx.Send(dir, seg)
 }
 
 // gcWitness is an object whose finalizer reports that what held it is gone.

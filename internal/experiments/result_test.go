@@ -9,6 +9,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"mptcpgo/internal/probe"
+	"mptcpgo/internal/sim"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with the current output")
@@ -116,5 +120,25 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if len(back.Tables) != len(res.Tables) || len(back.Series) != len(res.Series) {
 		t.Fatal("tables/series lost in round trip")
+	}
+}
+
+// The registry note counts the samples the per-member cap turned away, and
+// says nothing of them while none was.
+func TestTraceNoteCountsDroppedSamples(t *testing.T) {
+	note := func(ticks int) string {
+		s := sim.New(1)
+		r := probe.NewRecorder(s, 0, 1, time.Millisecond)
+		r.Watch(0, 0, 0, func(*probe.Sample) bool { return true })
+		r.StartSampler(nil)
+		_ = s.RunUntil(time.Duration(ticks) * time.Millisecond)
+		return traceResult("t", "t", 1, true, []*probe.Recorder{r}).Tables[0].Notes[0]
+	}
+	const over = 100
+	if got, want := note(4096+over), fmt.Sprintf("; %d samples dropped", over); !strings.Contains(got, want) {
+		t.Fatalf("note %q does not contain %q", got, want)
+	}
+	if got := note(4096); strings.Contains(got, "samples") {
+		t.Fatalf("note %q mentions samples although none was dropped", got)
 	}
 }

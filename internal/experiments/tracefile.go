@@ -86,7 +86,7 @@ func traceResult(id, title string, seed uint64, quick bool, recs []*probe.Record
 	// Counter registry: one row per member, in global member order.
 	reg := NewTable("counter registry (per member)", counterColumns()...)
 	var total [probe.NumCounters]uint64
-	var totalEvents, totalDropped uint64
+	var totalEvents, totalDropped, samplesDropped uint64
 	members := 0
 	for _, r := range recs {
 		if r == nil {
@@ -104,6 +104,7 @@ func traceResult(id, title string, seed uint64, quick bool, recs []*probe.Record
 			reg.AddRow(row...)
 			totalEvents += uint64(r.EventCount(m))
 			totalDropped += r.Dropped(m)
+			samplesDropped += r.SamplesDropped(m)
 			members++
 		}
 	}
@@ -114,7 +115,11 @@ func traceResult(id, title string, seed uint64, quick bool, recs []*probe.Record
 	}
 	allRow = append(allRow, fmt.Sprintf("%d", totalEvents))
 	reg.AddRow(allRow...)
-	reg.AddNote(fmt.Sprintf("%d members; %d events retained, %d overwritten (flight-recorder rings)", members, totalEvents, totalDropped))
+	capped := "" // existing traces keep their bytes while no sample is dropped
+	if samplesDropped > 0 {
+		capped = fmt.Sprintf("; %d samples dropped (per-member sample cap)", samplesDropped)
+	}
+	reg.AddNote("%d members; %d events retained, %d overwritten (flight-recorder rings)%s", members, totalEvents, totalDropped, capped)
 	res.AddTable(reg)
 
 	// Per-subflow time series, when sampling was on.

@@ -227,12 +227,12 @@ type wireTap struct {
 	seen   []arrival
 }
 
-func (w *wireTap) Process(_ netem.BoxContext, _ netem.Direction, seg *packet.Segment) []*packet.Segment {
+func (w *wireTap) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) {
 	if dss, ok := seg.MPTCPOption(packet.SubDSS).(*packet.DSSOption); ok && dss.HasMapping && len(seg.Payload) > 0 {
 		acked := w.sender.Stats().BytesWritten - uint64(w.sender.SenderMemory())
 		w.seen = append(w.seen, arrival{dss.DataSeq, append([]byte(nil), seg.Payload...), acked})
 	}
-	return []*packet.Segment{seg}
+	ctx.Send(dir, seg)
 }
 
 // TestDataAckedElsewhereRetransmitsOriginalBytes pins why a subflow's chunks

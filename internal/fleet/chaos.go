@@ -105,7 +105,6 @@ type chaosMember struct {
 	serverEOF      bool
 	clientClosed   bool
 	serverClosed   bool
-	clientErr      error
 	fallbackReason string
 	done           bool
 	outcome        string
@@ -187,7 +186,6 @@ type chaosMerge struct {
 	stallEps     int
 	failed       int
 	intact       int
-	bytes        uint64
 	reinjections uint64
 	connRtx      uint64
 	flaps        int
@@ -214,7 +212,6 @@ func (m *chaosMerge) merge(o chaosMerge) {
 	m.stallEps += o.stallEps
 	m.failed += o.failed
 	m.intact += o.intact
-	m.bytes += o.bytes
 	m.reinjections += o.reinjections
 	m.connRtx += o.connRtx
 	m.flaps += o.flaps
@@ -392,9 +389,8 @@ func (s chaosScenario) Setup(sh *Shard) (*chaosState, error) {
 				m.fallbackReason = reason
 			}
 		}
-		conn.OnClosed = func(err error) {
+		conn.OnClosed = func(error) {
 			m.clientClosed = true
-			m.clientErr = err
 			m.maybeFinish()
 		}
 
@@ -443,7 +439,6 @@ func (chaosScenario) Collect(sh *Shard, st *chaosState) (chaosMerge, error) {
 		if m.checker.Intact() {
 			out.intact++
 		}
-		out.bytes += m.checker.Received()
 		out.reinjections += cs.Reinjections
 		out.connRtx += cs.ConnLevelRtx
 		out.flaps += m.injector.Flaps

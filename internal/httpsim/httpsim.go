@@ -338,8 +338,7 @@ type ClientPool struct {
 	cfg     ClientPoolConfig
 	started time.Duration
 
-	failed  int
-	stopped bool
+	failed int
 	// finishedAt records when the TotalRequests-th request completed, so
 	// Result measures the actual benchmark window rather than however far the
 	// caller happened to run the simulator afterwards.
@@ -374,12 +373,9 @@ func (p *ClientPool) Start() {
 	}
 }
 
-// Stop prevents new requests from being issued.
-func (p *ClientPool) Stop() { p.stopped = true }
-
 // issueRequest fetches one response.
 func (p *ClientPool) issueRequest() {
-	if p.stopped || (p.cfg.TotalRequests > 0 && p.completed+p.failed >= p.cfg.TotalRequests) {
+	if p.cfg.TotalRequests > 0 && p.completed+p.failed >= p.cfg.TotalRequests {
 		return
 	}
 	if err := p.fetch(p.cfg.TransferSize, 0); err != nil {

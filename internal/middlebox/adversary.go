@@ -89,24 +89,27 @@ func NewRSTInjector(after int) *RSTInjector {
 }
 
 // Process implements netem.Box.
-func (r *RSTInjector) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) []*packet.Segment {
+func (r *RSTInjector) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) {
 	// Never interfere with RSTs.
 	if seg.Flags.Has(packet.FlagRST) {
-		return forward(seg)
+		ctx.Send(dir, seg)
+		return
 	}
 	t := canonicalTuple(dir, seg)
 	n, tracked := r.flows[t]
 	if n == -1 {
 		// Condemned flow: blackhole everything that is not a RST.
 		seg.Release()
-		return nil
+		return
 	}
 	if !tracked && seg.MPTCPOption(packet.SubMPJoin) == nil {
-		return forward(seg)
+		ctx.Send(dir, seg)
+		return
 	}
 	if n < r.After {
 		r.flows[t] = n + 1
-		return forward(seg)
+		ctx.Send(dir, seg)
+		return
 	}
 	r.flows[t] = -1
 	r.Killed++
@@ -117,18 +120,17 @@ func (r *RSTInjector) Process(ctx netem.BoxContext, dir netem.Direction, seg *pa
 	fwd.Src, fwd.Dst = seg.Src, seg.Dst
 	fwd.Seq, fwd.Ack = seg.Seq, seg.Ack
 	fwd.Flags = packet.FlagRST | packet.FlagACK
-	ctx.Inject(dir, fwd)
+	ctx.Send(dir, fwd)
 	// ...and one back toward the sender, built the way an endpoint answers an
 	// unmatched segment.
 	rev := packet.NewSegment()
 	rev.Src, rev.Dst = seg.Dst, seg.Src
 	rev.Seq, rev.Ack = seg.Ack, seg.EndSeq()
 	rev.Flags = packet.FlagRST | packet.FlagACK
-	ctx.Inject(dir.Reverse(), rev)
+	ctx.Send(dir.Reverse(), rev)
 	r.Injected += 2
 
 	seg.Release()
-	return nil
 }
 
 // Policer is a token-bucket traffic policer: segments above the contracted
@@ -163,9 +165,9 @@ func NewPolicer(rateBps int64, burstBytes int) *Policer {
 }
 
 // Process implements netem.Box.
-func (p *Policer) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) []*packet.Segment {
+func (p *Policer) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) {
 	b := &p.buckets[dir]
-	now := ctx.Now()
+	now := ctx.Sim().Now()
 	if !b.primed {
 		b.primed = true
 		b.tokens = float64(p.BurstBytes)
@@ -180,10 +182,10 @@ func (p *Policer) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet
 	cost := float64(len(seg.Payload) + 20 + packet.OptionsWireLen(seg.Options) + netem.WireOverheadBytes)
 	if cost <= b.tokens {
 		b.tokens -= cost
-		return forward(seg)
+		ctx.Send(dir, seg)
+		return
 	}
 	p.Dropped++
 	p.DroppedBytes += int(cost)
 	seg.Release()
-	return nil
 }

@@ -33,17 +33,19 @@ type Reserializer struct {
 func NewReserializer() *Reserializer { return &Reserializer{} }
 
 // Process implements netem.Box.
-func (r *Reserializer) Process(_ netem.BoxContext, _ netem.Direction, seg *packet.Segment) []*packet.Segment {
+func (r *Reserializer) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) {
 	wire, err := packet.Encode(seg)
 	if err != nil {
 		r.Errors++
-		return forward(seg)
+		ctx.Send(dir, seg)
+		return
 	}
 	out, err := packet.Decode(seg.Src.Addr, seg.Dst.Addr, wire)
 	if err != nil {
 		packet.ReleaseWire(wire)
 		r.Errors++
-		return forward(seg)
+		ctx.Send(dir, seg)
+		return
 	}
 	// The decoded segment borrows its payload from the wire buffer; give it
 	// a pool-owned copy so the wire buffer can be recycled immediately.
@@ -54,5 +56,5 @@ func (r *Reserializer) Process(_ netem.BoxContext, _ netem.Direction, seg *packe
 	packet.ReleaseWire(wire)
 	seg.Release()
 	r.Reserialized++
-	return forward(out)
+	ctx.Send(dir, out)
 }

@@ -11,10 +11,10 @@
 //   - Payload modification (in-path content corruption)
 //   - Hole blocking (proxies that refuse to forward data after a gap)
 //
-// Elements implement netem.Box and are composed onto a netem.Path.
+// Elements implement netem.Box and are composed onto a netem.Path. Like a
+// Click element, an element pushes every segment it lets through to the next
+// one with BoxContext.Send, and sends the segments it makes up (a proxy's
+// ACK, a forged RST) the same way, toward either end. A segment belongs to
+// the element until it is sent or released; after Send the element must not
+// touch it, because the rest of the path has already processed it.
 package middlebox
-
-import "mptcpgo/internal/packet"
-
-// forward is a helper returning a single-segment result.
-func forward(seg *packet.Segment) []*packet.Segment { return []*packet.Segment{seg} }

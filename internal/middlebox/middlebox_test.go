@@ -10,22 +10,42 @@ import (
 	"mptcpgo/internal/sim"
 )
 
-type nopCtx struct{ s *sim.Simulator }
-
-func (c nopCtx) Now() time.Duration                              { return c.s.Now() }
-func (c nopCtx) Sim() *sim.Simulator                             { return c.s }
-func (c nopCtx) Inject(dir netem.Direction, seg *packet.Segment) {}
-
-// collectCtx records injected segments.
-type collectCtx struct {
-	s        *sim.Simulator
-	injected []*packet.Segment
+// sent is one segment an element passed on, and the direction it went.
+type sent struct {
+	dir netem.Direction
+	seg *packet.Segment
 }
 
-func (c *collectCtx) Now() time.Duration  { return c.s.Now() }
-func (c *collectCtx) Sim() *sim.Simulator { return c.s }
-func (c *collectCtx) Inject(dir netem.Direction, seg *packet.Segment) {
-	c.injected = append(c.injected, seg)
+// recCtx is a box context that records every Send instead of passing the
+// segment on.
+type recCtx struct {
+	s    *sim.Simulator
+	sent []sent
+}
+
+func newRecCtx() *recCtx { return &recCtx{s: sim.New(1)} }
+
+func (c *recCtx) Sim() *sim.Simulator { return c.s }
+func (c *recCtx) Send(dir netem.Direction, seg *packet.Segment) {
+	c.sent = append(c.sent, sent{dir, seg})
+}
+
+// take returns the segments sent since the last take.
+func (c *recCtx) take() []sent {
+	out := c.sent
+	c.sent = nil
+	return out
+}
+
+// one returns the single segment sent since the last take, failing the test
+// unless exactly one went on, in dir.
+func (c *recCtx) one(t *testing.T, dir netem.Direction) *packet.Segment {
+	t.Helper()
+	out := c.take()
+	if len(out) != 1 || out[0].dir != dir {
+		t.Fatalf("sent %v, want one segment %v", out, dir)
+	}
+	return out[0].seg
 }
 
 func dataSeg(seq packet.SeqNum, payload string) *packet.Segment {
@@ -42,43 +62,35 @@ func dataSeg(seq packet.SeqNum, payload string) *packet.Segment {
 
 func TestNATRewritesAndRestores(t *testing.T) {
 	n := NewNAT(packet.MakeAddr(100, 64, 0, 1), true)
-	ctx := nopCtx{s: sim.New(1)}
+	ctx := newRecCtx()
 	seg := dataSeg(1, "x")
 	orig := seg.Src
-	out := n.Process(ctx, netem.AtoB, seg)
-	if len(out) != 1 || out[0].Src.Addr != packet.MakeAddr(100, 64, 0, 1) {
+	n.Process(ctx, netem.AtoB, seg)
+	if out := ctx.one(t, netem.AtoB); out.Src.Addr != packet.MakeAddr(100, 64, 0, 1) {
 		t.Fatal("NAT did not rewrite the source address")
 	}
-	reply := &packet.Segment{Src: out[0].Dst, Dst: out[0].Src, Flags: packet.FlagACK}
-	back := n.Process(ctx, netem.BtoA, reply)
-	if back[0].Dst != orig {
-		t.Fatalf("reverse translation wrong: got %v want %v", back[0].Dst, orig)
+	reply := &packet.Segment{Src: seg.Dst, Dst: seg.Src, Flags: packet.FlagACK}
+	n.Process(ctx, netem.BtoA, reply)
+	if back := ctx.one(t, netem.BtoA); back.Dst != orig {
+		t.Fatalf("reverse translation wrong: got %v want %v", back.Dst, orig)
 	}
 }
 
 func TestSeqRewriterConsistency(t *testing.T) {
 	r := NewSeqRewriter(1000)
-	ctx := nopCtx{s: sim.New(1)}
+	ctx := newRecCtx()
 	seg := dataSeg(500, "abc")
-	out := r.Process(ctx, netem.AtoB, seg)
-	if out[0].Seq != 1500 {
-		t.Fatalf("forward seq = %d, want 1500", out[0].Seq)
+	r.Process(ctx, netem.AtoB, seg)
+	if out := ctx.one(t, netem.AtoB); out.Seq != 1500 {
+		t.Fatalf("forward seq = %d, want 1500", out.Seq)
 	}
 	// An ACK coming back for the rewritten space must be shifted back.
 	ack := &packet.Segment{Src: seg.Dst, Dst: seg.Src, Flags: packet.FlagACK, Ack: 1503}
-	back := r.Process(ctx, netem.BtoA, ack)
-	if back[0].Ack != 503 {
-		t.Fatalf("reverse ack = %d, want 503", back[0].Ack)
+	r.Process(ctx, netem.BtoA, ack)
+	if back := ctx.one(t, netem.BtoA); back.Ack != 503 {
+		t.Fatalf("reverse ack = %d, want 503", back.Ack)
 	}
 }
-
-// clockCtx is a box context stopped at a given simulation time.
-type clockCtx struct {
-	nopCtx
-	now time.Duration
-}
-
-func (c clockCtx) Now() time.Duration { return c.now }
 
 // TestOptionStripperSYNOnly runs the stripper over SYNOnly × ActivateAt:
 // before activation MPTCP options pass; from then on they are stripped from
@@ -104,7 +116,8 @@ func TestOptionStripperSYNOnly(t *testing.T) {
 		if tc.activateAt == 0 && *s != *NewOptionStripper(tc.synOnly) {
 			t.Fatalf("%s: NewOptionStripper(%v) = %+v", name, tc.synOnly, *NewOptionStripper(tc.synOnly))
 		}
-		ctx := clockCtx{nopCtx{sim.New(1)}, tc.now}
+		ctx := newRecCtx()
+		_ = ctx.s.RunUntil(tc.now)
 		syn := &packet.Segment{Flags: packet.FlagSYN, Options: []packet.Option{&packet.MPCapableOption{SenderKey: 5}, &packet.MSSOption{MSS: 1460}}}
 		data := dataSeg(1, "x")
 		data.Options = append(data.Options, &packet.TimestampsOption{Val: 7})
@@ -114,8 +127,8 @@ func TestOptionStripperSYNOnly(t *testing.T) {
 			strip bool
 			kept  packet.OptionKind
 		}{{syn, tc.stripSYN, packet.OptMSS}, {data, tc.stripData, packet.OptTimestamps}} {
-			if out := s.Process(ctx, netem.AtoB, c.seg); len(out) != 1 || out[0] != c.seg {
-				t.Fatalf("%s: Process returned %v, want the segment itself", name, out)
+			if s.Process(ctx, netem.AtoB, c.seg); ctx.one(t, netem.AtoB) != c.seg {
+				t.Fatalf("%s: the stripper did not pass the segment itself on", name)
 			}
 			if c.seg.HasMPTCP() == c.strip {
 				t.Errorf("%s: %v segment carries MPTCP = %v, want %v", name, c.seg.Flags, c.seg.HasMPTCP(), !c.strip)
@@ -133,83 +146,88 @@ func TestOptionStripperSYNOnly(t *testing.T) {
 	}
 }
 
+// The splitter sends its fragments on in sequence order, each with the
+// original's options, and only the last keeps PSH.
 func TestSplitterCopiesOptions(t *testing.T) {
 	sp := NewSplitter(4)
-	ctx := nopCtx{s: sim.New(1)}
-	seg := dataSeg(100, "abcdefghij")
-	out := sp.Process(ctx, netem.AtoB, seg)
-	if len(out) != 3 {
-		t.Fatalf("expected 3 fragments, got %d", len(out))
+	ctx := newRecCtx()
+	sp.Process(ctx, netem.BtoA, dataSeg(100, "abcdefghij"))
+	out := ctx.take()
+	want := []string{"abcd", "efgh", "ij"}
+	if len(out) != len(want) {
+		t.Fatalf("expected %d fragments, got %d", len(want), len(out))
 	}
-	total := 0
-	for i, frag := range out {
-		total += len(frag.Payload)
+	for i, s := range out {
+		frag := s.seg
+		if s.dir != netem.BtoA || frag.Seq != packet.SeqNum(100+i*4) || string(frag.Payload) != want[i] {
+			t.Fatalf("fragment %d: %v seq %d %q, want b->a seq %d %q", i, s.dir, frag.Seq, frag.Payload, 100+i*4, want[i])
+		}
 		if frag.MPTCPOption(packet.SubDSS) == nil {
 			t.Fatalf("fragment %d lost the DSS option (TSO copies options)", i)
 		}
-		if frag.Seq != packet.SeqNum(100+i*4) {
-			t.Fatalf("fragment %d has seq %d", i, frag.Seq)
+		if last := i == len(out)-1; frag.Flags.Has(packet.FlagPSH) != last {
+			t.Fatalf("fragment %d: PSH = %v, want %v", i, !last, last)
 		}
 	}
-	if total != 10 {
-		t.Fatalf("fragments carry %d bytes, want 10", total)
+	if sp.Split != 1 {
+		t.Fatalf("Split = %d, want 1", sp.Split)
 	}
 }
 
 func TestCoalescerMergesAndKeepsOneOptionSet(t *testing.T) {
-	s := sim.New(1)
 	c := NewCoalescer(2, 1<<20)
-	ctx := &collectCtx{s: s}
+	ctx := newRecCtx()
 	a := dataSeg(0, "aaaa")
 	b := dataSeg(4, "bbbb")
 	wantOpts := len(a.Options) // the coalescer consumes (releases) a and b
-	out := c.Process(ctx, netem.AtoB, a)
-	if len(out) != 0 {
+	if c.Process(ctx, netem.AtoB, a); len(ctx.sent) != 0 {
 		t.Fatal("first segment should be held")
 	}
-	out = c.Process(ctx, netem.AtoB, b)
-	if len(out) != 1 {
-		t.Fatalf("expected one merged segment, got %d", len(out))
+	c.Process(ctx, netem.AtoB, b)
+	merged := ctx.one(t, netem.AtoB)
+	if string(merged.Payload) != "aaaabbbb" {
+		t.Fatalf("merged payload = %q", merged.Payload)
 	}
-	if string(out[0].Payload) != "aaaabbbb" {
-		t.Fatalf("merged payload = %q", out[0].Payload)
-	}
-	if len(out[0].Options) != wantOpts {
+	if len(merged.Options) != wantOpts {
 		t.Fatal("merged segment should keep only the first segment's options")
 	}
 	// A held segment with no follow-up must eventually be flushed by the
 	// timer so data is never stuck at the middlebox.
 	c2 := NewCoalescer(2, 1<<20)
-	ctx2 := &collectCtx{s: s}
-	c2.Process(ctx2, netem.AtoB, dataSeg(0, "zzzz"))
-	_ = s.RunFor(10 * time.Millisecond)
-	if len(ctx2.injected) != 1 {
-		t.Fatalf("held segment was not flushed, injected=%d", len(ctx2.injected))
+	c2.Process(ctx, netem.AtoB, dataSeg(0, "zzzz"))
+	_ = ctx.s.RunFor(10 * time.Millisecond)
+	if flushed := ctx.one(t, netem.AtoB); string(flushed.Payload) != "zzzz" {
+		t.Fatalf("flushed payload = %q", flushed.Payload)
 	}
 }
 
 func TestProactiveACKerContiguityAndRetransmit(t *testing.T) {
-	s := sim.New(1)
 	p := NewProactiveACKer()
-	ctx := &collectCtx{s: s}
-	p.Process(ctx, netem.AtoB, dataSeg(0, "aaaa"))
-	if len(ctx.injected) != 1 || ctx.injected[0].Ack != 4 {
-		t.Fatalf("expected a proxy ACK for 4, got %+v", ctx.injected)
+	ctx := newRecCtx()
+	data := dataSeg(0, "aaaa")
+	p.Process(ctx, netem.AtoB, data)
+	// The proxy's ACK goes back first, then the data goes on.
+	if out := ctx.take(); len(out) != 2 || out[0].dir != netem.BtoA || out[0].seg.Ack != 4 ||
+		out[1].dir != netem.AtoB || out[1].seg != data {
+		t.Fatalf("expected a proxy ACK for 4 and then the data, got %v", out)
 	}
 	// A gap: segment at 8 while 4..8 is missing must NOT be acked.
 	p.Process(ctx, netem.AtoB, dataSeg(8, "cccc"))
-	if len(ctx.injected) != 1 {
-		t.Fatal("proxy must not acknowledge past a hole")
-	}
+	ctx.one(t, netem.AtoB)
 	// Receiver duplicate ACKs for 4 (three of them) trigger a proxy
 	// retransmission of the buffered segment starting at 4 — once it exists.
 	p.Process(ctx, netem.AtoB, dataSeg(4, "bbbb"))
-	recvAck := &packet.Segment{Src: dataSeg(0, "").Dst, Dst: dataSeg(0, "").Src, Flags: packet.FlagACK, Ack: 4}
+	ctx.take()
+	recvAck := &packet.Segment{Src: data.Dst, Dst: data.Src, Flags: packet.FlagACK, Ack: 4}
 	for i := 0; i < 3; i++ {
 		p.Process(ctx, netem.BtoA, recvAck.Clone())
 	}
-	if p.Retransmitted != 1 {
-		t.Fatalf("expected one proxy retransmission, got %d", p.Retransmitted)
+	out := ctx.take()
+	if p.Retransmitted != 1 || len(out) != 4 {
+		t.Fatalf("expected one proxy retransmission among the ACKs, got %d (sent %v)", p.Retransmitted, out)
+	}
+	if rtx := out[2]; rtx.dir != netem.AtoB || rtx.seg.Seq != 4 || string(rtx.seg.Payload) != "bbbb" {
+		t.Fatalf("retransmission: %v seq %d %q, want a->b seq 4 \"bbbb\"", rtx.dir, rtx.seg.Seq, rtx.seg.Payload)
 	}
 }
 
@@ -247,23 +265,24 @@ func TestProactiveACKerKeepsAckedDataOnPath(t *testing.T) {
 }
 
 func TestPayloadCorrupterAndHoleBlocker(t *testing.T) {
-	ctx := nopCtx{s: sim.New(1)}
+	ctx := newRecCtx()
 	pc := NewPayloadCorrupter(1)
 	seg := dataSeg(0, "abcd")
 	pc.Process(ctx, netem.AtoB, seg)
-	if seg.Payload[0] == 'a' {
+	if ctx.one(t, netem.AtoB) != seg || seg.Payload[0] == 'a' {
 		t.Fatal("corrupter did not modify the payload")
 	}
 
 	hb := NewHoleBlocker()
 	syn := &packet.Segment{Flags: packet.FlagSYN, Seq: 99, Src: seg.Src, Dst: seg.Dst}
 	hb.Process(ctx, netem.AtoB, syn)
+	ctx.one(t, netem.AtoB)
 	inOrder := dataSeg(100, "abcd")
-	if out := hb.Process(ctx, netem.AtoB, inOrder); len(out) != 1 {
+	if hb.Process(ctx, netem.AtoB, inOrder); ctx.one(t, netem.AtoB) != inOrder {
 		t.Fatal("in-order data must pass")
 	}
 	afterHole := dataSeg(200, "zzzz")
-	if out := hb.Process(ctx, netem.AtoB, afterHole); len(out) != 0 {
+	if hb.Process(ctx, netem.AtoB, afterHole); len(ctx.take()) != 0 {
 		t.Fatal("data after a hole must be blocked")
 	}
 	if hb.Blocked != 1 {
@@ -273,7 +292,7 @@ func TestPayloadCorrupterAndHoleBlocker(t *testing.T) {
 
 func TestReserializerRoundTripsSegments(t *testing.T) {
 	r := NewReserializer()
-	ctx := nopCtx{s: sim.New(1)}
+	ctx := newRecCtx()
 	seg := &packet.Segment{
 		Src:    packet.Endpoint{Addr: packet.MakeAddr(10, 0, 0, 1), Port: 40001},
 		Dst:    packet.Endpoint{Addr: packet.MakeAddr(10, 0, 1, 2), Port: 80},
@@ -290,11 +309,8 @@ func TestReserializerRoundTripsSegments(t *testing.T) {
 		Ordinal: 42,
 	}
 	want := seg.Clone() // keep an independent copy for comparison
-	out := r.Process(ctx, netem.AtoB, seg)
-	if len(out) != 1 {
-		t.Fatalf("reserializer forwarded %d segments; want 1", len(out))
-	}
-	got := out[0]
+	r.Process(ctx, netem.AtoB, seg)
+	got := ctx.one(t, netem.AtoB)
 	if r.Errors != 0 || r.Reserialized != 1 {
 		t.Fatalf("errors=%d reserialized=%d", r.Errors, r.Reserialized)
 	}
@@ -318,4 +334,44 @@ func TestReserializerRoundTripsSegments(t *testing.T) {
 	}
 	got.Release()
 	want.Release()
+}
+
+// The injector lets After segments of an MP_JOIN flow through, then forges
+// one RST each way — toward the receiver on the killed segment's own
+// coordinates, toward the sender as an endpoint would answer it — and
+// blackholes the flow from then on, RSTs excepted.
+func TestRSTInjectorForgesOneRSTEachWay(t *testing.T) {
+	r := NewRSTInjector(1)
+	ctx := newRecCtx()
+	join := dataSeg(1000, "")
+	join.Flags = packet.FlagSYN
+	join.Options = []packet.Option{&packet.MPJoinOption{ReceiverToken: 7}}
+	r.Process(ctx, netem.AtoB, join)
+	ctx.one(t, netem.AtoB)
+
+	kill := dataSeg(1001, "abcd")
+	src, dst, seq, ack, end := kill.Src, kill.Dst, kill.Seq, kill.Ack, kill.EndSeq()
+	r.Process(ctx, netem.AtoB, kill)
+	out := ctx.take()
+	if len(out) != 2 || r.Injected != 2 || r.Killed != 1 {
+		t.Fatalf("sent %v (injected %d, killed %d), want two RSTs", out, r.Injected, r.Killed)
+	}
+	rst := packet.FlagRST | packet.FlagACK
+	if f := out[0]; f.dir != netem.AtoB || f.seg.Src != src || f.seg.Dst != dst ||
+		f.seg.Seq != seq || f.seg.Ack != ack || f.seg.Flags != rst || len(f.seg.Payload) != 0 {
+		t.Errorf("forward RST = %v %v, want a->b %v->%v seq %d ack %d", f.dir, f.seg, src, dst, seq, ack)
+	}
+	if b := out[1]; b.dir != netem.BtoA || b.seg.Src != dst || b.seg.Dst != src ||
+		b.seg.Seq != ack || b.seg.Ack != end || b.seg.Flags != rst || len(b.seg.Payload) != 0 {
+		t.Errorf("reverse RST = %v %v, want b->a %v->%v seq %d ack %d", b.dir, b.seg, dst, src, ack, end)
+	}
+
+	r.Process(ctx, netem.BtoA, &packet.Segment{Src: dst, Dst: src, Flags: packet.FlagACK, Ack: end})
+	if out := ctx.take(); len(out) != 0 {
+		t.Fatalf("condemned flow passed %v", out)
+	}
+	reset := &packet.Segment{Src: dst, Dst: src, Flags: packet.FlagRST}
+	if r.Process(ctx, netem.BtoA, reset); ctx.one(t, netem.BtoA) != reset {
+		t.Fatal("a RST of a condemned flow must pass")
+	}
 }

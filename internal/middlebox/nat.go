@@ -38,7 +38,7 @@ func NewNAT(publicAddr packet.Addr, rewritePorts bool) *NAT {
 }
 
 // Process implements netem.Box.
-func (n *NAT) Process(_ netem.BoxContext, dir netem.Direction, seg *packet.Segment) []*packet.Segment {
+func (n *NAT) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) {
 	if dir == netem.AtoB {
 		orig := seg.Src
 		port := orig.Port
@@ -55,7 +55,8 @@ func (n *NAT) Process(_ netem.BoxContext, dir netem.Direction, seg *packet.Segme
 			n.addrIn[orig.Port] = orig.Addr
 		}
 		seg.Src = packet.Endpoint{Addr: n.PublicAddr, Port: port}
-		return forward(seg)
+		ctx.Send(dir, seg)
+		return
 	}
 	// Reverse direction: translate the destination back to the client.
 	dst := seg.Dst
@@ -66,5 +67,5 @@ func (n *NAT) Process(_ netem.BoxContext, dir netem.Direction, seg *packet.Segme
 	} else if addr, ok := n.addrIn[dst.Port]; ok {
 		seg.Dst = packet.Endpoint{Addr: addr, Port: dst.Port}
 	}
-	return forward(seg)
+	ctx.Send(dir, seg)
 }

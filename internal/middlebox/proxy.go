@@ -41,7 +41,7 @@ func NewProactiveACKer() *ProactiveACKer {
 }
 
 // Process implements netem.Box.
-func (p *ProactiveACKer) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) []*packet.Segment {
+func (p *ProactiveACKer) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) {
 	if len(seg.Payload) > 0 && !seg.Flags.Has(packet.FlagSYN) && !seg.Flags.Has(packet.FlagRST) {
 		key := seg.Tuple()
 		end := seg.EndSeq()
@@ -68,9 +68,10 @@ func (p *ProactiveACKer) Process(ctx netem.BoxContext, dir netem.Direction, seg 
 			ack.Flags = packet.FlagACK
 			ack.Window = 65535
 			p.Acked++
-			ctx.Inject(dir.Reverse(), ack)
+			ctx.Send(dir.Reverse(), ack)
 		}
-		return forward(seg)
+		ctx.Send(dir, seg)
+		return
 	}
 
 	// Reverse-direction ACKs from the real receiver: use them to garbage
@@ -92,12 +93,12 @@ func (p *ProactiveACKer) Process(ctx netem.BoxContext, dir netem.Direction, seg 
 				if held, ok := buf[seg.Ack]; ok {
 					p.Retransmitted++
 					p.dupCounts[flow][seg.Ack] = 0
-					ctx.Inject(dir.Reverse(), held.Clone())
+					ctx.Send(dir.Reverse(), held.Clone())
 				}
 			}
 		}
 	}
-	return forward(seg)
+	ctx.Send(dir, seg)
 }
 
 // PayloadCorrupter flips bytes in matching payloads without any sequence
@@ -120,14 +121,13 @@ func NewPayloadCorrupter(n int) *PayloadCorrupter {
 }
 
 // Process implements netem.Box.
-func (p *PayloadCorrupter) Process(_ netem.BoxContext, _ netem.Direction, seg *packet.Segment) []*packet.Segment {
-	if len(seg.Payload) == 0 {
-		return forward(seg)
+func (p *PayloadCorrupter) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) {
+	if len(seg.Payload) > 0 {
+		p.count++
+		if p.count%p.EveryN == 0 {
+			seg.Payload[0] ^= 0xff
+			p.Corrupted++
+		}
 	}
-	p.count++
-	if p.count%p.EveryN == 0 {
-		seg.Payload[0] ^= 0xff
-		p.Corrupted++
-	}
-	return forward(seg)
+	ctx.Send(dir, seg)
 }

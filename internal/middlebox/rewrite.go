@@ -43,11 +43,12 @@ func (r *SeqRewriter) offsetFor(t packet.FourTuple) uint32 {
 }
 
 // Process implements netem.Box.
-func (r *SeqRewriter) Process(_ netem.BoxContext, dir netem.Direction, seg *packet.Segment) []*packet.Segment {
+func (r *SeqRewriter) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) {
 	if dir == netem.AtoB {
 		off := r.offsetFor(seg.Tuple())
 		seg.Seq = seg.Seq.Add(off)
-		return forward(seg)
+		ctx.Send(dir, seg)
+		return
 	}
 	// Reverse direction: the ACK field refers to the rewritten client
 	// sequence space; shift it back so the client sees consistent numbers.
@@ -55,7 +56,7 @@ func (r *SeqRewriter) Process(_ netem.BoxContext, dir netem.Direction, seg *pack
 	if off != 0 && seg.Flags.Has(packet.FlagACK) {
 		seg.Ack = seg.Ack.Add(^off + 1) // subtract offset modulo 2^32
 	}
-	return forward(seg)
+	ctx.Send(dir, seg)
 }
 
 // OptionStripper removes MPTCP options, modelling the 6–14% of paths in the
@@ -89,10 +90,9 @@ func NewOptionStripper(synOnly bool) *OptionStripper {
 func isMPTCP(o packet.Option) bool { return o.Kind() == packet.OptMPTCP }
 
 // Process implements netem.Box.
-func (o *OptionStripper) Process(ctx netem.BoxContext, _ netem.Direction, seg *packet.Segment) []*packet.Segment {
-	if ctx.Now() < o.ActivateAt || o.SYNOnly && !seg.Flags.Has(packet.FlagSYN) {
-		return forward(seg)
+func (o *OptionStripper) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) {
+	if ctx.Sim().Now() >= o.ActivateAt && (!o.SYNOnly || seg.Flags.Has(packet.FlagSYN)) {
+		o.Removed += seg.RemoveOptions(isMPTCP)
 	}
-	o.Removed += seg.RemoveOptions(isMPTCP)
-	return forward(seg)
+	ctx.Send(dir, seg)
 }

@@ -24,12 +24,12 @@ type Splitter struct {
 func NewSplitter(mss int) *Splitter { return &Splitter{MSS: mss} }
 
 // Process implements netem.Box.
-func (s *Splitter) Process(_ netem.BoxContext, _ netem.Direction, seg *packet.Segment) []*packet.Segment {
+func (s *Splitter) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) {
 	if s.MSS <= 0 || len(seg.Payload) <= s.MSS {
-		return forward(seg)
+		ctx.Send(dir, seg)
+		return
 	}
 	s.Split++
-	var out []*packet.Segment
 	payload := seg.Payload
 	seq := seg.Seq
 	for off := 0; off < len(payload); off += s.MSS {
@@ -44,10 +44,9 @@ func (s *Splitter) Process(_ netem.BoxContext, _ netem.Direction, seg *packet.Se
 		if end != len(payload) {
 			part.Flags &^= packet.FlagFIN | packet.FlagPSH
 		}
-		out = append(out, part)
+		ctx.Send(dir, part)
 	}
 	seg.Release() // fully replaced by its fragments
-	return out
 }
 
 // Coalescer merges consecutive same-flow data segments into larger ones, as a
@@ -85,11 +84,13 @@ func NewCoalescer(hold, maxBytes int) *Coalescer {
 }
 
 // Process implements netem.Box.
-func (c *Coalescer) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) []*packet.Segment {
+func (c *Coalescer) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) {
 	// Control segments flush any pending data for the flow and pass through.
 	key := seg.Tuple()
 	if len(seg.Payload) == 0 || seg.Flags.Has(packet.FlagSYN) || seg.Flags.Has(packet.FlagFIN) || seg.Flags.Has(packet.FlagRST) {
-		return c.flushAnd(key, seg)
+		c.flush(ctx, dir, key)
+		ctx.Send(dir, seg)
+		return
 	}
 	held, ok := c.pending[key]
 	if !ok {
@@ -98,19 +99,15 @@ func (c *Coalescer) Process(ctx netem.BoxContext, dir netem.Direction, seg *pack
 		c.held[key] = 1
 		// A normalizer does not hold data indefinitely: flush the pending
 		// segment after a short delay if nothing merges with it.
-		ctx.Sim().Schedule(2*time.Millisecond, func() {
-			if still, ok := c.pending[key]; ok && still != nil {
-				delete(c.pending, key)
-				delete(c.held, key)
-				ctx.Inject(dir, still)
-			}
-		})
-		return nil
+		ctx.Sim().Schedule(2*time.Millisecond, func() { c.flush(ctx, dir, key) })
+		return
 	}
 	// Only coalesce strictly consecutive in-sequence data; anything else is
 	// flushed in order.
 	if held.EndSeq() != seg.Seq || len(held.Payload)+len(seg.Payload) > c.MaxBytes {
-		return c.flushAnd(key, seg)
+		c.flush(ctx, dir, key)
+		ctx.Send(dir, seg)
+		return
 	}
 	held.Payload = append(held.Payload, seg.Payload...)
 	// The merged segment keeps only the held segment's options: option
@@ -119,24 +116,17 @@ func (c *Coalescer) Process(ctx netem.BoxContext, dir netem.Direction, seg *pack
 	c.held[key]++
 	c.Coalesced++
 	if c.held[key] >= c.Hold {
-		return c.flushAnd(key, nil)
+		c.flush(ctx, dir, key)
 	}
-	return nil
 }
 
-// flushAnd emits any pending segment for key followed by seg (which may be
-// nil, or may itself become the new pending segment when it carried data).
-func (c *Coalescer) flushAnd(key packet.FourTuple, seg *packet.Segment) []*packet.Segment {
-	var out []*packet.Segment
+// flush sends on the segment pending for key, if there is one.
+func (c *Coalescer) flush(ctx netem.BoxContext, dir netem.Direction, key packet.FourTuple) {
 	if held, ok := c.pending[key]; ok {
 		delete(c.pending, key)
 		delete(c.held, key)
-		out = append(out, held)
+		ctx.Send(dir, held)
 	}
-	if seg != nil {
-		out = append(out, seg)
-	}
-	return out
 }
 
 // HoleBlocker refuses to forward data that does not start exactly at the next
@@ -153,24 +143,18 @@ func NewHoleBlocker() *HoleBlocker {
 }
 
 // Process implements netem.Box.
-func (h *HoleBlocker) Process(_ netem.BoxContext, _ netem.Direction, seg *packet.Segment) []*packet.Segment {
+func (h *HoleBlocker) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) {
 	key := seg.Tuple()
-	if seg.Flags.Has(packet.FlagSYN) {
-		h.next[key] = seg.EndSeq()
-		return forward(seg)
-	}
 	expected, ok := h.next[key]
-	if !ok {
+	switch {
+	case seg.Flags.Has(packet.FlagSYN) || !ok:
 		h.next[key] = seg.EndSeq()
-		return forward(seg)
-	}
-	if len(seg.Payload) > 0 && expected.LessThan(seg.Seq) {
+	case len(seg.Payload) > 0 && expected.LessThan(seg.Seq):
 		h.Blocked++
 		seg.Release()
-		return nil
-	}
-	if expected.LessThan(seg.EndSeq()) {
+		return
+	case expected.LessThan(seg.EndSeq()):
 		h.next[key] = seg.EndSeq()
 	}
-	return forward(seg)
+	ctx.Send(dir, seg)
 }

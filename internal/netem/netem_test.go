@@ -260,24 +260,26 @@ func TestBuildGraphAliasesAreNameBased(t *testing.T) {
 }
 
 // recordingBox notes every injected segment (marked by port 9) it sees and,
-// when it is the injector, answers each ordinary segment by injecting one.
+// when it is the injector, answers each ordinary segment by sending one of
+// its own before passing the ordinary one on.
 type recordingBox struct {
 	name   string
 	inject *Direction // nil: never injects
 	seen   *[]string
 }
 
-func (b *recordingBox) Process(ctx BoxContext, _ Direction, seg *packet.Segment) []*packet.Segment {
+func (b *recordingBox) Process(ctx BoxContext, dir Direction, seg *packet.Segment) {
 	if seg.Src.Port == 9 {
 		*b.seen = append(*b.seen, b.name)
 	} else if b.inject != nil {
-		ctx.Inject(*b.inject, &packet.Segment{Src: packet.Endpoint{Port: 9}, Flags: packet.FlagACK})
+		ctx.Send(*b.inject, &packet.Segment{Src: packet.Endpoint{Port: 9}, Flags: packet.FlagACK})
 	}
-	return []*packet.Segment{seg}
+	ctx.Send(dir, seg)
 }
 
-// An injected segment starts at the injecting element's position: only the
-// elements downstream of it along the injection direction process it.
+// A segment an element sends starts at the element's position, in either
+// direction: only the elements downstream of it along that direction process
+// it.
 func TestInjectBypassesTraversedElements(t *testing.T) {
 	cases := []struct {
 		injector  int
@@ -324,5 +326,47 @@ func TestInjectBypassesTraversedElements(t *testing.T) {
 			t.Errorf("box%d injecting %v while processing %v: delivered %v, want %v",
 				tc.injector, tc.inject, tc.travel, delivered, want)
 		}
+	}
+}
+
+// passBox passes every segment straight on.
+type passBox struct{}
+
+func (passBox) Process(ctx BoxContext, dir Direction, seg *packet.Segment) { ctx.Send(dir, seg) }
+
+// A warm segment crossing a path with two pass-through elements allocates no
+// more than the same crossing with none: handing a segment from element to
+// element costs nothing.
+func TestBoxChainAllocs(t *testing.T) {
+	crossing := func(boxes int) float64 {
+		s := sim.New(1)
+		n := Build(s, Symmetric("p", Mbps(100), time.Millisecond, 0, 0))
+		for i := 0; i < boxes; i++ {
+			n.Path(0).AddBox(passBox{})
+		}
+		delivered := 0
+		n.Server.OnUnmatched = func(_ *Interface, seg *packet.Segment) {
+			delivered++
+			seg.Release()
+		}
+		src := n.Client.Interfaces()[0]
+		const runs = 200
+		allocs := testing.AllocsPerRun(runs, func() {
+			seg := packet.NewSegment()
+			seg.Src = packet.Endpoint{Addr: n.ClientAddr(0), Port: 1}
+			seg.Dst = packet.Endpoint{Addr: n.ServerAddr(0), Port: 2}
+			seg.Flags = packet.FlagACK
+			src.Send(seg)
+			_ = s.Run()
+		})
+		if delivered != runs+1 { // AllocsPerRun warms up with one extra run
+			t.Fatalf("%d elements: %d segments delivered, want %d", boxes, delivered, runs+1)
+		}
+		return allocs
+	}
+	none, two := crossing(0), crossing(2)
+	t.Logf("allocations per crossing: %.1f with no elements, %.1f with two", none, two)
+	if two > none {
+		t.Fatalf("a crossing through two pass-through elements allocates %.1f, without them %.1f", two, none)
 	}
 }

@@ -39,22 +39,20 @@ func (d Direction) String() string {
 // package (NAT, sequence rewriting, option stripping, segment splitting,
 // coalescing, proactive ACKing, payload modification).
 type Box interface {
-	// Process handles one segment travelling in dir and returns the
-	// segments to forward onward (possibly none, possibly several). The
-	// context lets elements inject segments of their own (e.g. a proxy
-	// generating ACKs toward the sender).
-	Process(ctx BoxContext, dir Direction, seg *packet.Segment) []*packet.Segment
+	// Process handles one segment travelling in dir. The element owns seg
+	// until it passes it on with ctx.Send or releases it; it may send any
+	// number of segments, in either direction, now or from a timer.
+	Process(ctx BoxContext, dir Direction, seg *packet.Segment)
 }
 
 // BoxContext is the environment a middlebox element runs in.
 type BoxContext interface {
-	// Now returns the current simulation time.
-	Now() time.Duration
-	// Inject sends a segment in the given direction from the middlebox's
-	// position on the path, bypassing the elements the segment has already
-	// traversed.
-	Inject(dir Direction, seg *packet.Segment)
-	// Sim returns the simulator, for elements that need timers.
+	// Send passes seg on from the element's position on the path: to the
+	// next element along dir, or to dir's destination interface when the
+	// element is the last one. The segment is processed before Send
+	// returns, so the element no longer owns it afterwards.
+	Send(dir Direction, seg *packet.Segment)
+	// Sim returns the simulator, for the clock and for timers.
 	Sim() *sim.Simulator
 }
 
@@ -72,16 +70,16 @@ func SymmetricPath(rateBps int64, delay time.Duration, queueBytes int, loss floa
 }
 
 // Path is a bidirectional point-to-point path between two interfaces with an
-// optional middlebox chain. Elements are applied in order for AtoB traffic
-// and in reverse order for BtoA traffic, as they would be for a physical
-// chain of boxes.
+// optional middlebox chain. The chain is kept in A-to-B order: AtoB traffic
+// meets its elements first to last and BtoA traffic last to first, as it
+// would a physical chain of boxes.
 type Path struct {
 	sim    *sim.Simulator
 	name   string
 	a, b   *Interface
 	linkAB *Link
 	linkBA *Link
-	boxes  []Box
+	boxes  []*element
 	down   bool
 }
 
@@ -89,10 +87,10 @@ type Path struct {
 func NewPath(s *sim.Simulator, name string, a, b *Interface, cfg PathConfig) *Path {
 	p := &Path{sim: s, name: name, a: a, b: b}
 	p.linkAB = NewLink(s, name+"/ab", cfg.AB, ReceiverFunc(func(seg *packet.Segment) {
-		p.arrive(AtoB, seg)
+		p.pass(AtoB, 0, seg)
 	}))
 	p.linkBA = NewLink(s, name+"/ba", cfg.BA, ReceiverFunc(func(seg *packet.Segment) {
-		p.arrive(BtoA, seg)
+		p.pass(BtoA, len(p.boxes)-1, seg)
 	}))
 	a.out = p.linkAB
 	a.path = p
@@ -129,30 +127,28 @@ func (p *Path) LinkAB() *Link { return p.linkAB }
 func (p *Path) LinkBA() *Link { return p.linkBA }
 
 // AddBox appends a middlebox element to the chain.
-func (p *Path) AddBox(b Box) { p.boxes = append(p.boxes, b) }
+func (p *Path) AddBox(b Box) {
+	p.boxes = append(p.boxes, &element{path: p, index: len(p.boxes), box: b})
+}
 
 // SetDown marks the path as failed; segments in either direction are
 // silently discarded (models the "subflow fails silently" scenarios of
 // §3.3.1 and mobility events).
 func (p *Path) SetDown(down bool) { p.down = down }
 
-// arrive runs the middlebox chain at the far end of a link and delivers the
-// result to the destination interface.
-func (p *Path) arrive(dir Direction, seg *packet.Segment) {
+// pass hands seg to the chain element at index i, or to dir's destination
+// interface once i has left the chain at either end.
+func (p *Path) pass(dir Direction, i int, seg *packet.Segment) {
 	if p.down {
 		seg.Release()
 		return
 	}
-	if len(p.boxes) == 0 {
-		// Box-free paths (the common case) deliver directly; the chain walk
-		// below would allocate a slice per segment for nothing.
+	if i < 0 || i >= len(p.boxes) {
 		p.destination(dir).Receive(seg)
 		return
 	}
-	segs := p.runChain(dir, 0, seg)
-	for _, s := range segs {
-		p.destination(dir).Receive(s)
-	}
+	e := p.boxes[i]
+	e.box.Process(e, dir, seg)
 }
 
 func (p *Path) destination(dir Direction) *Interface {
@@ -162,64 +158,22 @@ func (p *Path) destination(dir Direction) *Interface {
 	return p.a
 }
 
-// runChain applies boxes starting at index from (in chain order for AtoB,
-// reverse order for BtoA).
-func (p *Path) runChain(dir Direction, from int, seg *packet.Segment) []*packet.Segment {
-	segs := []*packet.Segment{seg}
-	n := len(p.boxes)
-	for i := from; i < n; i++ {
-		box := p.boxAt(dir, i)
-		var next []*packet.Segment
-		for _, s := range segs {
-			out := box.Process(&boxCtx{path: p, dir: dir, index: i}, dir, s)
-			next = append(next, out...)
-		}
-		segs = next
-		if len(segs) == 0 {
-			break
-		}
-	}
-	return segs
-}
-
-// boxAt returns the i-th element along the given direction.
-func (p *Path) boxAt(dir Direction, i int) Box {
-	if dir == AtoB {
-		return p.boxes[i]
-	}
-	return p.boxes[len(p.boxes)-1-i]
-}
-
-// boxCtx is the context of the element at position index along dir.
-type boxCtx struct {
+// element is a box at its index in the chain; it is the box's BoxContext.
+type element struct {
 	path  *Path
-	dir   Direction
 	index int
+	box   Box
 }
-
-// Now implements BoxContext.
-func (c *boxCtx) Now() time.Duration { return c.path.sim.Now() }
 
 // Sim implements BoxContext.
-func (c *boxCtx) Sim() *sim.Simulator { return c.path.sim }
+func (e *element) Sim() *sim.Simulator { return e.path.sim }
 
-// Inject implements BoxContext. Injected segments traverse the remaining
-// elements toward the destination of dir and are then delivered.
-func (c *boxCtx) Inject(dir Direction, seg *packet.Segment) {
-	p := c.path
-	if p.down {
-		seg.Release()
-		return
+// Send implements BoxContext: the next element is index+1 for AtoB traffic
+// and index-1 for BtoA traffic.
+func (e *element) Send(dir Direction, seg *packet.Segment) {
+	next := e.index + 1
+	if dir == BtoA {
+		next = e.index - 1
 	}
-	// The injecting element sits at position index along its own direction;
-	// the elements downstream of it along dir start right after it, which
-	// seen from the other end of the chain is len(boxes)-index.
-	start := c.index + 1
-	if dir != c.dir {
-		start = len(p.boxes) - c.index
-	}
-	segs := p.runChain(dir, start, seg)
-	for _, s := range segs {
-		p.destination(dir).Receive(s)
-	}
+	e.path.pass(dir, next, seg)
 }

@@ -471,6 +471,19 @@ func (r *Recorder) Dropped(member int) uint64 {
 	return r.rings[i].dropped
 }
 
+// SamplesDropped returns how many of member's samples the per-member cap
+// turned away.
+func (r *Recorder) SamplesDropped(member int) uint64 {
+	if r == nil {
+		return 0
+	}
+	i := member - r.lo
+	if i < 0 || i >= len(r.samplesDropped) {
+		return 0
+	}
+	return r.samplesDropped[i]
+}
+
 // Counters returns member's counter registry values.
 func (r *Recorder) Counters(member int) [NumCounters]uint64 {
 	if r == nil {

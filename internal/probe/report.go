@@ -178,14 +178,3 @@ func FaultName(code int64) string {
 	}
 	return fmt.Sprintf("fault_%d", code)
 }
-
-// StallEpisodes counts stall-entry events, one per connection stall episode.
-func StallEpisodes(events []Event) int {
-	n := 0
-	for _, e := range events {
-		if e.Kind == KindStall {
-			n++
-		}
-	}
-	return n
-}
