@@ -266,7 +266,7 @@ func skipAllocBudget(t *testing.T) {
 // raceBudget picks an end-to-end budget: measured plus 25% in a plain binary,
 // and a looser one under the race detector, whose sync.Pool drops a quarter of
 // what is put back, so the pooled buffers a run would have reused are paid for
-// again (a 16 KiB flow reads 62 objects there against 21).
+// again (a 16 KiB flow reads 56.5 objects there against 15.6).
 func raceBudget(plain, race float64) float64 {
 	if raceEnabled {
 		return race
@@ -308,15 +308,18 @@ func shortFlowCost(t *testing.T) (bytes, objects float64) {
 
 // TestShortFlowAllocBudget pins what one short flow costs in heap bytes on
 // the fleet path. Send and receive queues draw fixed blocks from
-// internal/pool and chunks, DSS options and mappings come from shard-scoped
-// free lists, so a flow costs the Connection, Subflow and Endpoint structs of
-// its two ends and little else: 9.1 to 9.8 KB here (the budget is 9.4 KB plus
-// 25%), the run's own set-up included. When every queue grew from nil by
-// doubling it was ~90 KB. Under the race detector it reads 17.8 KB and keeps
-// the 30 KB budget it had before this one was tightened.
+// internal/pool; chunks, DSS options and mappings come from shard-scoped free
+// lists; and the httpsim pools release their connections, so a finished
+// flow's Connection, Subflow and Endpoint structs go back to the shard's free
+// lists too and the next flow reuses them. A run pays for the structs of its
+// peak of live connections and little else: 4.8 to 5.2 KB a flow here (the
+// budget is 5.2 KB plus 25%), the run's own set-up included. It was 9.1 to
+// 9.8 KB while every flow allocated its ends' structs, and ~90 KB when every
+// queue grew from nil by doubling. Under the race detector it reads 13.6 KB
+// (budget: that plus 25%).
 func TestShortFlowAllocBudget(t *testing.T) {
 	perFlow, _ := shortFlowCost(t)
-	budget := raceBudget(11800, 30<<10)
+	budget := raceBudget(6500, 17000)
 	if perFlow > budget {
 		t.Fatalf("a 16 KiB flow allocates %.0f bytes; budget %.0f", perFlow, budget)
 	}
@@ -326,16 +329,19 @@ func TestShortFlowAllocBudget(t *testing.T) {
 // exactly as long as a connection is a field of it (timers, controller,
 // coupling group, the first backing store of every small slice), what most
 // flows never use is built on first use (out-of-order queues), handshake
-// options are built in the segment's arena, and a flow's application
-// callbacks are methods of one struct per end: 21 objects here (the budget is
-// that plus 25%), of which 6 are the structs of the two ends, 7 the
-// application's two structs and five method values, and the rest the run's
-// set-up (hosts, links, wheel slots) spread over its ~1000 flows. It was 117
-// here, and 109 at bench/perf's full size, when each of those was an object
-// of its own. Under the race detector it reads 62 (budget: that plus 25%).
+// options are built in the segment's arena, a flow's application callbacks
+// are methods of one struct per end, and the structs of its two ends come
+// from the shard's free lists: 15.6 to 15.9 objects here (the budget is 15.6
+// plus 25%). Of those, 7 are the application's two structs and five method
+// values; about one is the structs of the two ends, which a shard allocates
+// only up to its peak of live connections (~170 here); and the rest is the
+// run's set-up (hosts, links, token tables, wheel slots) spread over its
+// ~1000 flows. It was 21 while each flow allocated the 6 structs of its two
+// ends, and 117 when each field above was an object of its own. Under the
+// race detector it reads 56.5 (budget: that plus 25%).
 func TestShortFlowObjectBudget(t *testing.T) {
 	_, perFlow := shortFlowCost(t)
-	budget := raceBudget(26, 78)
+	budget := raceBudget(19.5, 71)
 	if perFlow > budget {
 		t.Fatalf("a 16 KiB flow allocates %.1f heap objects; budget %.0f", perFlow, budget)
 	}

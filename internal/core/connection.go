@@ -83,7 +83,12 @@ type Connection struct {
 	established bool
 	closed      bool
 	isClient    bool
-	err         error
+	// released is set by Release: once finished, the connection goes back to
+	// the free lists (retire).
+	released bool
+	// mark is poisoned while the connection lies on the free list.
+	mark pool.Mark
+	err  error
 
 	ccGroup cc.CoupledGroup
 
@@ -128,10 +133,17 @@ type Connection struct {
 	dataNxt         uint64
 	rwndLimit       uint64
 	inflight        []*txMapping
-	// mappingFree recycles txMapping structs popped by cumulative DATA_ACKs
-	// (one mapping is created per transmitted chunk). The list belongs to
-	// the simulator, so every connection of a shard shares it.
-	mappingFree *pool.FreeList[txMapping]
+	// free holds the simulator's free lists, which every connection of a
+	// shard shares: the connection came from them, and its txMappings (one
+	// per transmitted chunk) go back to them as cumulative DATA_ACKs pop them.
+	free *freeLists
+	// born is the simulator's next event seq when the connection was built:
+	// an event scheduled earlier was scheduled for an earlier user of the
+	// struct (see fireAdditionalSubflows).
+	born uint64
+	// samplers counts the flight-recorder samplers watching its subflows; a
+	// finished connection waits for the last one to let go (retire).
+	samplers int32
 	// bufs is the simulator's front of the buffer pool, where the two
 	// connection-level queues and the out-of-order copies live.
 	bufs          *pool.Local
@@ -169,17 +181,23 @@ type Connection struct {
 	OnFallback           func(reason string)
 }
 
-// newConnection builds the common parts of client and server connections.
+// newConnection builds the common parts of client and server connections,
+// in a struct from the simulator's free list.
 func newConnection(mgr *Manager, cfg Config, isClient bool) *Connection {
 	cfg = cfg.withDefaults()
-	c := &Connection{
-		mgr:         mgr,
-		cfg:         cfg,
-		sim:         mgr.host.Sim(),
-		isClient:    isClient,
-		mappingFree: sim.Local[pool.FreeList[txMapping]](mgr.host.Sim()),
-		bufs:        sim.Local[pool.Local](mgr.host.Sim()),
-		rwndLimit:   64 << 10,
+	s := mgr.host.Sim()
+	free := sim.Local[freeLists](s)
+	free.reap(s)
+	c := free.conns.Get()
+	*c = Connection{
+		mgr:       mgr,
+		cfg:       cfg,
+		sim:       s,
+		isClient:  isClient,
+		free:      free,
+		born:      s.NextSeq(),
+		bufs:      sim.Local[pool.Local](s),
+		rwndLimit: 64 << 10,
 	}
 	c.subflows, c.usableScratch = c.inline.subflows[:0], c.inline.usable[:0]
 	c.candScratch, c.usedRemote = c.inline.cands[:0], c.inline.usedRemote[:0]
@@ -251,6 +269,7 @@ func (c *Connection) ReceiverMemory() int { return c.receiveBufferUsed() }
 // Write queues application data and returns the number of bytes accepted
 // (bounded by the connection-level send buffer). It never blocks.
 func (c *Connection) Write(data []byte) int {
+	c.mark.Check("core.Connection")
 	space := c.SendBufferSpace()
 	if space == 0 {
 		return 0
@@ -370,6 +389,7 @@ func (c *Connection) Read(max int) []byte {
 // p, consuming them, and returns the number of bytes copied. Unlike Read it
 // does not allocate (mptcpgo.Stream reads through it).
 func (c *Connection) ReadInto(p []byte) int {
+	c.mark.Check("core.Connection")
 	if len(p) == 0 || c.rcvBuf.Len() == 0 {
 		return 0
 	}
@@ -485,7 +505,8 @@ func (c *Connection) mssEstimate() int {
 // newSubflow allocates the Subflow wrapper (the tcp.Endpoint is attached by
 // the caller).
 func (c *Connection) newSubflow(role SubflowRole, client bool) *Subflow {
-	s := &Subflow{
+	s := c.free.subflows.Get()
+	*s = Subflow{
 		conn:    c,
 		id:      c.nextSubflowID,
 		addrID:  uint8(c.nextSubflowID),
@@ -544,8 +565,22 @@ func (c *Connection) onSubflowEstablished(s *Subflow) {
 // openAdditionalSubflowsAfter runs openAdditionalSubflows after d. Every client
 // connection schedules one, so it goes through the event's closure-free form.
 func (c *Connection) openAdditionalSubflowsAfter(d time.Duration) {
-	c.sim.ScheduleArgsAtSeq(c.sim.Now()+d, c.sim.ReserveSeq(),
-		func(a, _ any) { a.(*Connection).openAdditionalSubflows() }, c, nil)
+	c.sim.ScheduleArgsAtSeq(c.sim.Now()+d, c.sim.ReserveSeq(), fireAdditionalSubflows, c, nil)
+}
+
+// fireAdditionalSubflows is the openAdditionalSubflowsAfter one-shot. A short
+// flow finishes before it fires, and it is not cancelled then, because that
+// would change the event count; so a released connection's struct may lie on
+// the free list (no simulator) or serve another connection (built after the
+// one-shot was scheduled) by the time it fires. Either way it is stale and
+// does nothing.
+func fireAdditionalSubflows(a, _ any) {
+	c := a.(*Connection)
+	if c.sim == nil || c.sim.RunningSeq() < c.born {
+		return
+	}
+	c.mark.Check("core.Connection")
+	c.openAdditionalSubflows()
 }
 
 // openAdditionalSubflows creates subflows for the local interfaces not yet in
@@ -629,13 +664,16 @@ func (c *Connection) subflowCountOnInterface(ifc *netem.Interface) int {
 // watchSubflow registers the subflow with the flight recorder's time-series
 // sampler. The closure reads live endpoint state on each tick and emits a
 // quantized coupled-alpha transition event when the group's alpha moves; it
-// deregisters itself (with one final sample) once the subflow is gone.
+// deregisters itself (with one final sample) once the subflow is gone. The
+// connection counts the samplers watching it: its struct and its subflows'
+// stay off the free lists until the last final sample is taken (unwatch).
 func (c *Connection) watchSubflow(s *Subflow) {
 	lastAlpha := int64(-1)
-	c.probe.Watch(c.member, c.connID, int32(s.id), func(out *probe.Sample) bool {
+	if !c.probe.Watch(c.member, c.connID, int32(s.id), func(out *probe.Sample) bool {
+		s.mark.Check("core.Subflow")
 		ep := s.ep
 		if ep == nil {
-			return false
+			return c.unwatch()
 		}
 		ctrl := ep.Controller()
 		out.Cwnd = int64(ctrl.Cwnd())
@@ -652,8 +690,24 @@ func (c *Connection) watchSubflow(s *Subflow) {
 				c.probe.Emit(c.member, probe.KindCCAlpha, c.connID, int32(s.id), q, int64(c.ccGroup.TotalCwnd()))
 			}
 		}
-		return !s.failed && ep.State() != tcp.StateClosed
-	})
+		if !s.failed && ep.State() != tcp.StateClosed {
+			return true
+		}
+		return c.unwatch()
+	}) {
+		return
+	}
+	c.samplers++
+}
+
+// unwatch drops a sampler's hold on the connection, retiring a finished,
+// released one with the last, and returns false, what a sampler returns as it
+// deregisters.
+func (c *Connection) unwatch() bool {
+	if c.samplers--; c.samplers == 0 && c.closed && c.released {
+		c.retire()
+	}
+	return false
 }
 
 // dialJoinSubflow opens an MP_JOIN subflow from the given interface.
@@ -962,6 +1016,9 @@ func (c *Connection) finish(err error) {
 		c.OnClosed = nil
 		cb(err)
 	}
+	if c.released {
+		c.retire()
+	}
 }
 
 // checkDone closes the subflows once both directions have completed and
@@ -985,4 +1042,106 @@ func (c *Connection) checkDone() {
 			}
 		}
 	}
+}
+
+// ---------------------------------------------------------------------------
+// Recycling
+// ---------------------------------------------------------------------------
+
+// Release hands the connection back to the stack. The caller promises that it
+// touches the connection, its Subflows and their Endpoints from now on only
+// while the connection is open — from inside its callbacks, or from a timer of
+// its own that it stops when OnClosed runs — and never after OnClosed has
+// returned. Once it has finished, a released connection's structs go back to
+// the simulator's free lists (retire), and the next connection built on that
+// simulator may reuse them. Release must come before OnClosed returns; a
+// connection released later, like one nobody releases, is collected by the
+// garbage collector once unreachable, as any object.
+func (c *Connection) Release() {
+	c.mark.Check("core.Connection")
+	c.released = true
+}
+
+// freeLists are the free lists of the connections one simulator runs
+// (sim.Local): a short flow reuses the Connection, Subflows and txMappings of
+// a flow that finished before it on the same shard, and its tcp.Endpoints
+// (tcp's own lists), instead of allocating its own.
+type freeLists struct {
+	conns    pool.FreeList[Connection]
+	subflows pool.FreeList[Subflow]
+	mappings pool.FreeList[txMapping]
+	// retired are finished, released connections waiting for the event they
+	// finished in to return (reap).
+	retired []retiredConn
+}
+
+// retiredConn is a retired connection and the seq of the event it retired in.
+type retiredConn struct {
+	c   *Connection
+	seq uint64
+}
+
+// retire queues a finished, released connection for the free lists once
+// nothing can reach it any more. What still can, and how each is closed:
+//   - the running event, which finished it deep inside an endpoint's
+//     HandleSegment or a timer: reap takes the connection only in a later
+//     event, when that one has returned;
+//   - a flight-recorder sampler watching a subflow, which takes one final
+//     sample on its next tick: the last one retires the connection (unwatch);
+//   - an openAdditionalSubflows one-shot, which stays scheduled: it finds
+//     itself stale (fireAdditionalSubflows);
+//   - the timers of the connection and its endpoints: all are stopped once
+//     it finishes, and recycle stops them again before the structs are reused.
+//
+// A connection one of whose subflow endpoints has not closed may still hear
+// from it, so it is left to the garbage collector.
+func (c *Connection) retire() {
+	if c.samplers > 0 {
+		return
+	}
+	for _, s := range c.subflows {
+		if s.ep != nil && s.ep.State() != tcp.StateClosed {
+			return
+		}
+	}
+	c.free.retired = append(c.free.retired, retiredConn{c, c.sim.RunningSeq()})
+}
+
+// reap recycles the retired connections whose event has returned: every one
+// that retired in an event other than the running one.
+func (f *freeLists) reap(s *sim.Simulator) {
+	running := s.RunningSeq()
+	kept := f.retired[:0]
+	for _, r := range f.retired {
+		if r.seq == running {
+			kept = append(kept, r)
+		} else {
+			r.c.recycle()
+		}
+	}
+	clear(f.retired[len(kept):])
+	f.retired = kept
+}
+
+// recycle zeroes the connection, its subflows, their endpoints and its
+// in-flight mappings, and puts each on its free list, poisoned (pool.Mark).
+func (c *Connection) recycle() {
+	c.mark.Check("core.Connection")
+	free := c.free
+	c.connRtx.Stop()
+	for _, m := range c.inflight {
+		*m = txMapping{}
+		free.mappings.Put(m)
+	}
+	for _, s := range c.subflows {
+		if s.ep != nil {
+			s.ep.Recycle()
+		}
+		*s = Subflow{}
+		s.mark.Poison()
+		free.subflows.Put(s)
+	}
+	*c = Connection{}
+	c.mark.Poison()
+	free.conns.Put(c)
 }

@@ -130,7 +130,7 @@ func (c *Connection) sendMapping(sf *Subflow, dataSeq uint64, n int, reinject *t
 	c.stats.MappingsSent++
 	now := c.sim.Now()
 	if reinject == nil {
-		m := c.mappingFree.Get()
+		m := c.free.mappings.Get()
 		*m = txMapping{
 			dataSeq:     dataSeq,
 			length:      n,
@@ -323,7 +323,7 @@ func (c *Connection) onDataAck(from *Subflow, relAck uint64, windowBytes int) {
 		for freed < len(c.inflight) && c.inflight[freed].end() <= c.dataUna {
 			// Zeroed so a free mapping does not pin its subflow.
 			*c.inflight[freed] = txMapping{}
-			c.mappingFree.Put(c.inflight[freed])
+			c.free.mappings.Put(c.inflight[freed])
 			freed++
 		}
 		if freed > 0 {
@@ -380,6 +380,7 @@ func (c *Connection) armConnRtx() {
 // DATA_ACK, so data whose DATA_ACK never arrives (failed subflow, dropped
 // mapping) must eventually be retransmitted at the connection level.
 func (c *Connection) onConnRetransmitTimeout() {
+	c.mark.Check("core.Connection")
 	if c.closed || c.Fallback() {
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"mptcpgo/internal/buffer"
 	"mptcpgo/internal/cc"
 	"mptcpgo/internal/packet"
+	"mptcpgo/internal/pool"
 	"mptcpgo/internal/probe"
 	"mptcpgo/internal/tcp"
 )
@@ -55,11 +56,13 @@ type Subflow struct {
 	// couples its subflows (see NewController).
 	coupled cc.Coupled
 
-	id      int
-	addrID  uint8
-	role    SubflowRole
-	client  bool
-	backup  bool
+	id     int
+	addrID uint8
+	role   SubflowRole
+	client bool
+	backup bool
+	// mark is poisoned while the subflow lies on the free list.
+	mark    pool.Mark
 	started time.Duration
 
 	established bool

@@ -16,8 +16,13 @@ import (
 // connections (the effect visible in Figure 10 for 100 and 1000
 // connections).
 type TokenTable struct {
-	buckets [][]tokenEntry
-	count   int
+	buckets [tokenBuckets][]tokenEntry
+	// inline is the first backing store of the chains, tokenChainInline
+	// entries each: a chain grows onto the heap past it as it grew from nil,
+	// so a host pays for its chains once, not bucket by bucket as its
+	// connections first land in them.
+	inline [tokenBuckets * tokenChainInline]tokenEntry
+	count  int
 }
 
 type tokenEntry struct {
@@ -26,12 +31,21 @@ type tokenEntry struct {
 }
 
 // tokenBuckets matches the small static hash the early kernel implementation
-// used.
-const tokenBuckets = 32
+// used. tokenChainInline is the inline capacity of one chain: a client host
+// rarely holds two connections whose tokens share a bucket.
+const (
+	tokenBuckets     = 32
+	tokenChainInline = 1
+)
 
 // NewTokenTable returns an empty table.
 func NewTokenTable() *TokenTable {
-	return &TokenTable{buckets: make([][]tokenEntry, tokenBuckets)}
+	t := new(TokenTable)
+	for b := range t.buckets {
+		lo := b * tokenChainInline
+		t.buckets[b] = t.inline[lo : lo : lo+tokenChainInline]
+	}
+	return t
 }
 
 // Len returns the number of stored tokens.

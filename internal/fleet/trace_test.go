@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"os"
 	"path/filepath"
@@ -13,6 +15,7 @@ import (
 	"mptcpgo/internal/experiments"
 	"mptcpgo/internal/faults"
 	"mptcpgo/internal/probe"
+	"mptcpgo/internal/workload"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden trace files under testdata/")
@@ -330,5 +333,43 @@ func TestTraceDrainTailQuantified(t *testing.T) {
 		tail, len(tails), worst.Member, worst.Count, worst.LastRTO)
 	if tail < 100*time.Millisecond {
 		t.Errorf("drain tail %v implausibly small for a bursty-loss run (expect at least one full min-RTO)", tail)
+	}
+}
+
+// TestTraceOpenLoopRecycledSubflowsSampledOnce pins the traced fleet-openloop
+// -quick run (`mptcpbench -scenario fleet-openloop -quick -shards 4
+// -trace-dir DIR -probe-interval 100ms`) by the SHA-256 of its two trace
+// files, taken before the httpsim pools released their connections. Each
+// watched subflow takes one last sample on the first tick after its endpoint
+// closes; were its structs recycled before that tick, the sample would read
+// another flow's window, or the sampler would keep watching that flow, and
+// the digests would move. The run is byte-identical with and without
+// recycling.
+func TestTraceOpenLoopRecycledSubflowsSampledOnce(t *testing.T) {
+	arrival, err := workload.ParseArrival("poisson", 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes, err := workload.ParseSizeDist("webmix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	spec := OpenLoopSpec{
+		Common: Common{Seed: 42, Shards: 4, Workers: 2, Quick: true,
+			Observers: Observers{Trace: experiments.TraceSpec{Dir: dir, ProbeInterval: 100 * time.Millisecond}}},
+		Hosts: 32, Arrival: arrival, Sizes: sizes, Window: 2 * time.Second,
+	}
+	if _, err := RunOpenLoop(spec); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct{ name, sha256 string }{
+		{"fleet-openloop-events.jsonl", "a75fcf0fd45ceee0d004eb69d4b7f53f3a9399a7e3405f6053039f992aa94a18"},
+		{"fleet-openloop-trace.json", "9aa0e400a13930c0536cba7378e62fec83d4699aae700b81cc25132fdc9a6d55"},
+	} {
+		sum := sha256.Sum256(readTraceFile(t, dir, f.name))
+		if got := hex.EncodeToString(sum[:]); got != f.sha256 {
+			t.Errorf("%s has SHA-256 %s, want %s", f.name, got, f.sha256)
+		}
 	}
 }

@@ -76,10 +76,14 @@ type serverConn struct {
 	remaining  int
 }
 
+// handle installs the server's callbacks on an accepted connection and
+// releases it (core.Connection.Release): the server touches it only from
+// inside those callbacks.
 func (s *Server) handle(c *core.Connection) {
 	sc := &serverConn{s: s, c: c}
 	c.OnReadable = sc.onReadable
 	c.OnWritable = sc.pumpResponse
+	c.Release()
 }
 
 func (sc *serverConn) pumpResponse() {
@@ -212,6 +216,10 @@ type flow struct {
 // when a positive deadline passes first, in which case the connection is
 // then aborted. The one exception is a flow that ends after doneFired: it is
 // neither recorded nor reported.
+//
+// The connection is released (core.Connection.Release): the flow touches it
+// only from its callbacks and from its deadline, which settling the flow
+// stops before the connection's OnClosed returns.
 func (f *fetcher) fetch(size int, deadline time.Duration) error {
 	start := f.sim.Now()
 	conn, err := f.mgr.Dial(f.iface, f.server, f.connCfg)
@@ -226,6 +234,7 @@ func (f *fetcher) fetch(size int, deadline time.Duration) error {
 	conn.OnEstablished = fl.onEstablished
 	conn.OnReadable = fl.onReadable
 	conn.OnClosed = fl.onClosed
+	conn.Release()
 	return nil
 }
 

@@ -29,6 +29,7 @@ var segPool = sync.Pool{New: func() any { return new(Segment) }}
 func NewSegment() *Segment {
 	s := segPool.Get().(*Segment)
 	s.released = false
+	clearPoison(s)
 	return s
 }
 
@@ -66,5 +67,6 @@ func (s *Segment) Release() {
 		arena.reset()
 	}
 	*s = Segment{Options: opts, optArena: arena, released: true}
+	poisonReleased(s)
 	segPool.Put(s)
 }

@@ -1,16 +1,25 @@
 package pool
 
+import "unsafe"
+
 // freeListCap bounds how many objects a FreeList retains; beyond it, Put
 // drops the object to the garbage collector. A shard's deepest windows (a few
 // 2 MiB send buffers of MSS-sized chunks) stay well inside it.
 const freeListCap = 1 << 14
 
-// freeListSlab is how many objects one miss allocates: a shard's high-water
-// mark is paid slab by slab, not object by object, and as the lists live as
-// long as their simulator, a slab pinned by one live object costs nothing.
+// freeListSlab is how many small objects one miss allocates: a shard's
+// high-water mark is paid slab by slab, not object by object, and as the
+// lists live as long as their simulator, a slab pinned by one live object
+// costs nothing.
 const freeListSlab = 64
 
-// FreeList recycles small structs of one type for code that runs on a single
+// freeListSlabMax is the largest object a miss allocates a slab of. A bigger
+// one (a connection's structs) is allocated alone: its allocation is cheap
+// beside its size, and one its owner keeps and never puts back pins no
+// neighbours, so the garbage collector takes it on its own as for new(T).
+const freeListSlabMax = 256
+
+// FreeList recycles structs of one type for code that runs on a single
 // goroutine — in practice everything driven by one sim.Simulator, which is
 // where the lists hang (sim.Local), so all the connections a shard creates
 // over its lifetime share one warm list per type. It takes no locks and is
@@ -27,6 +36,10 @@ type FreeList[T any] struct {
 func (f *FreeList[T]) Get() *T {
 	n := len(f.free)
 	if n == 0 {
+		var zero T
+		if unsafe.Sizeof(zero) > freeListSlabMax {
+			return new(T)
+		}
 		if len(f.slab) == 0 {
 			f.slab = make([]T, freeListSlab)
 		}

@@ -128,3 +128,24 @@ func TestFreeListRefillsBySlab(t *testing.T) {
 		x.n = 1
 	}
 }
+
+// TestFreeListAllocatesLargeObjectsAlone: a miss on a list of objects larger
+// than freeListSlabMax allocates that one object, so an object its owner never
+// puts back is garbage on its own rather than pinning a slab.
+func TestFreeListAllocatesLargeObjectsAlone(t *testing.T) {
+	type big struct{ b [freeListSlabMax + 1]byte }
+	var f FreeList[big]
+	var keep [4]*big
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := range keep {
+			keep[i] = f.Get()
+		}
+	})
+	if allocs != float64(len(keep)) {
+		t.Fatalf("%d misses cost %.0f allocations, want one each", len(keep), allocs)
+	}
+	f.Put(keep[0])
+	if got := f.Get(); got != keep[0] {
+		t.Fatal("Get did not return the object Put back")
+	}
+}

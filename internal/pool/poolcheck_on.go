@@ -45,3 +45,20 @@ func checkAcquire(b []byte) {
 	delete(idle, &b[0])
 	idleMu.Unlock()
 }
+
+// Mark is the poolcheck flag of a struct a FreeList holds (a connection's
+// Connection, Subflow and tcp.Endpoint): the owner poisons it after zeroing
+// the struct on its way to the list, and the struct's entry points check it,
+// so a stale reference that would act for the object's next user panics
+// instead. Building the struct anew clears it.
+type Mark struct{ poisoned bool }
+
+// Poison marks the struct as lying on a free list.
+func (m *Mark) Poison() { m.poisoned = true }
+
+// Check panics if the struct lies on a free list; what names it.
+func (m *Mark) Check(what string) {
+	if m.poisoned {
+		panic("pool: use of a released " + what)
+	}
+}

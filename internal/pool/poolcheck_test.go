@@ -68,3 +68,19 @@ func TestPoolcheckCoversLocal(t *testing.T) {
 	mustPanic(t, "Recycle after the buffer spilled to the shared class", func() { l.Recycle(b) })
 	l.Flush()
 }
+
+// TestPoolcheckMark: a poisoned Mark fails its Check, and building its struct
+// anew clears it.
+func TestPoolcheckMark(t *testing.T) {
+	type obj struct {
+		mark Mark
+		n    int
+	}
+	x := &obj{n: 1}
+	x.mark.Check("obj")
+	*x = obj{}
+	x.mark.Poison()
+	mustPanic(t, "Check of a poisoned Mark", func() { x.mark.Check("obj") })
+	*x = obj{n: 2}
+	x.mark.Check("obj")
+}

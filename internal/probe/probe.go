@@ -353,14 +353,17 @@ func (r *Recorder) CountFinal(member int, c Counter, delta uint64) {
 // order on every sampler tick — registration happens on the simulator
 // goroutine, so the order is deterministic. If the sampler is running but its
 // timer has gone idle (all previous targets deregistered), Watch re-arms it.
-func (r *Recorder) Watch(member int, conn, subflow int32, fn SampleFn) {
+// It reports whether the target was registered: a nil recorder, or one that
+// records events only, samples nothing.
+func (r *Recorder) Watch(member int, conn, subflow int32, fn SampleFn) bool {
 	if r == nil || r.interval <= 0 {
-		return
+		return false
 	}
 	r.targets = append(r.targets, target{member: int32(member), conn: conn, subflow: subflow, fn: fn})
 	if r.started && !r.timer.Pending() {
 		r.armNextTick()
 	}
+	return true
 }
 
 // StartSampler arms the time-series timer. done, when non-nil, is consulted

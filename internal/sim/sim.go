@@ -328,6 +328,11 @@ func (s *Simulator) ReserveSeq() uint64 {
 	return v
 }
 
+// NextSeq returns the sequence number the next Schedule or ReserveSeq will
+// take, without taking it: every event scheduled from now on has a seq at
+// least this, every one scheduled before has a smaller one.
+func (s *Simulator) NextSeq() uint64 { return s.nextSeq }
+
 // RunningSeq returns the sequence number of the event currently (or most
 // recently) executed. Paired with Now it identifies the exact position in
 // (At, seq) order the simulation has reached; lazy batchers compare their

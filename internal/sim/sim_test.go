@@ -150,3 +150,27 @@ func TestLocalIsPerSimulatorAndPerType(t *testing.T) {
 		t.Fatal("Local shared a value between two types")
 	}
 }
+
+// TestNextSeqDividesBeforeFromAfter: an event scheduled before NextSeq was
+// read runs with a smaller RunningSeq than any scheduled after it, whatever
+// their firing order; reading NextSeq takes no number.
+func TestNextSeqDividesBeforeFromAfter(t *testing.T) {
+	s := New(1)
+	var early, late []uint64
+	s.ScheduleAt(30*time.Millisecond, func() { early = append(early, s.RunningSeq()) })
+	mark := s.NextSeq()
+	if s.NextSeq() != mark {
+		t.Fatal("NextSeq took a number")
+	}
+	s.ScheduleAt(10*time.Millisecond, func() { late = append(late, s.RunningSeq()) })
+	s.ScheduleArgsAtSeq(20*time.Millisecond, s.ReserveSeq(), func(_, _ any) { late = append(late, s.RunningSeq()) }, nil, nil)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(early) != 1 || early[0] >= mark {
+		t.Errorf("event scheduled before the mark ran at seq %v; want below %d", early, mark)
+	}
+	if len(late) != 2 || late[0] < mark || late[1] < mark {
+		t.Errorf("events scheduled after the mark ran at seqs %v; want at least %d", late, mark)
+	}
+}

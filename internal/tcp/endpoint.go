@@ -44,8 +44,10 @@ type Endpoint struct {
 	sndNxt       packet.SeqNum
 	peerWndShift uint8 // shares sndNxt's word, which keeps the struct inside a size class
 	ownsSndBuf   bool  // sndBuf is the endpoint's own, not a hook-supplied one
-	sndWnd       int   // peer advertised window in bytes (already scaled)
-	peerMSS      int
+	// mark is poisoned while the endpoint lies on the free list (Recycle).
+	mark    pool.Mark
+	sndWnd  int // peer advertised window in bytes (already scaled)
+	peerMSS int
 
 	sendQueue          []*chunk // not yet transmitted
 	retransQ           []*chunk // transmitted, not fully acknowledged
@@ -135,9 +137,11 @@ func newEndpoint(iface *netem.Interface, local, remote packet.Endpoint, cfg Conf
 		hooks = NopHooks{}
 	}
 	host := iface.Host()
-	e := &Endpoint{
+	free := sim.Local[freeLists](host.Sim())
+	e := free.endpoints.Get()
+	*e = Endpoint{
 		sim:     host.Sim(),
-		free:    sim.Local[freeLists](host.Sim()),
+		free:    free,
 		bufs:    sim.Local[pool.Local](host.Sim()),
 		host:    host,
 		iface:   iface,
@@ -554,9 +558,10 @@ func popChunk(q []*chunk) ([]*chunk, *chunk) {
 // sim.Local): a short flow reuses the chunks and options of the flows that
 // ran before it on the same shard instead of allocating its own.
 type freeLists struct {
-	chunks   pool.FreeList[chunk]
-	dss      pool.FreeList[packet.DSSOption]
-	timeWait pool.FreeList[timeWaitRecord]
+	endpoints pool.FreeList[Endpoint]
+	chunks    pool.FreeList[chunk]
+	dss       pool.FreeList[packet.DSSOption]
+	timeWait  pool.FreeList[timeWaitRecord]
 }
 
 // newChunk returns a zeroed chunk, recycled when possible.
@@ -650,6 +655,31 @@ func (e *Endpoint) close(err error) {
 		e.OnClosed = nil
 		cb(err)
 	}
+}
+
+// Recycle hands a closed endpoint back to its simulator's free list, where
+// the next endpoint built on that simulator takes it: the MPTCP layer
+// recycles a released connection's endpoints with it. The caller guarantees
+// that nothing reaches e any more — the host no longer demultiplexes to it
+// (close unregistered it), and nothing above holds it. The chunks still
+// queued go back to their own list; the timers, stopped at close, are stopped
+// again so that no expiry can outlive the endpoint.
+func (e *Endpoint) Recycle() {
+	e.mark.Check("tcp.Endpoint")
+	if e.state != StateClosed || e.timeWait != nil {
+		panic(fmt.Sprintf("tcp: Recycle of %v, which has not closed", e))
+	}
+	e.rtoTimer.Stop()
+	e.persistTimer.Stop()
+	for _, q := range [2][]*chunk{e.retransQ, e.sendQueue} {
+		for _, c := range q {
+			e.freeChunk(c)
+		}
+	}
+	free := e.free
+	*e = Endpoint{}
+	e.mark.Poison()
+	free.endpoints.Put(e)
 }
 
 func (e *Endpoint) String() string {

@@ -9,6 +9,7 @@ import (
 // HandleSegment implements netem.SegmentHandler; every segment addressed to
 // this endpoint's four-tuple lands here.
 func (e *Endpoint) HandleSegment(_ *netem.Interface, seg *packet.Segment) {
+	e.mark.Check("tcp.Endpoint")
 	if e.state == StateClosed {
 		return
 	}

@@ -493,6 +493,7 @@ func (e *Endpoint) armRTO() {
 
 // onRTO handles a retransmission timeout.
 func (e *Endpoint) onRTO() {
+	e.mark.Check("tcp.Endpoint")
 	if len(e.retransQ) == 0 {
 		return
 	}
@@ -530,6 +531,7 @@ func (e *Endpoint) armPersist() {
 
 // onPersist sends a zero-window probe: one byte of the next pending chunk.
 func (e *Endpoint) onPersist() {
+	e.mark.Check("tcp.Endpoint")
 	if e.state == StateClosed || len(e.sendQueue) == 0 || e.sndWnd > 0 {
 		return
 	}
