@@ -26,7 +26,7 @@ func ExampleRunFig11Point() {
 	}
 	// Output:
 	// HTTP over two 1 Gbps links: 40 clients, 400 requests, 150 KB objects
-	//   tcp        704 req/s   mean latency 28.569392ms   p95 73.911324ms   (400 completed, 0 failed)
-	//   bonding   1277 req/s   mean latency 27.580538ms   p95 217.832594ms   (400 completed, 0 failed)
+	//   tcp        706 req/s   mean latency 27.567263ms   p95 74.094664ms   (400 completed, 0 failed)
+	//   bonding   1128 req/s   mean latency 32.746067ms   p95 43.079535ms   (400 completed, 0 failed)
 	//   mptcp      732 req/s   mean latency 24.069232ms   p95 56.517504ms   (400 completed, 0 failed)
 }

@@ -108,6 +108,8 @@ type Endpoint struct {
 	recvQueue         buffer.ByteQueue // in-order data awaiting application Read
 	recvOfo           buffer.OfoQueue  // out-of-order subflow segments; nil until the first one
 	finReceived       bool
+	finPending        bool          // a FIN has arrived, at finSeq, perhaps ahead of missing data
+	finSeq            packet.SeqNum // shares finReceived's word
 	lastAdvertisedWnd int
 
 	// timeWait is the record TIME_WAIT began with; it takes the endpoint's

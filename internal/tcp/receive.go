@@ -147,6 +147,12 @@ func (e *Endpoint) processPayload(seg *packet.Segment) {
 
 	segSeq := seg.Seq
 	payload := seg.Payload
+	if hasFin {
+		// The FIN occupies the sequence number just after the segment's
+		// payload. One that arrives ahead of missing data waits, like the
+		// data it follows, until rcvNxt reaches it.
+		e.finSeq, e.finPending = seg.Seq.Add(uint32(len(seg.Payload))), true
+	}
 
 	// Trim data we already have.
 	if segSeq.LessThan(e.rcvNxt) {
@@ -184,14 +190,8 @@ func (e *Endpoint) processPayload(seg *packet.Segment) {
 			}
 		}
 		e.pruneSackRanges()
-		if hasFin {
-			// The FIN occupies the sequence number just after the segment's
-			// original payload; it is in sequence once everything before it
-			// has been delivered.
-			finSeq := seg.Seq.Add(uint32(len(seg.Payload)))
-			if finSeq == e.rcvNxt {
-				e.handleFIN()
-			}
+		if e.finPending && e.finSeq == e.rcvNxt {
+			e.handleFIN()
 		}
 		e.SendAck()
 		if len(payload) > 0 || hasFin {
