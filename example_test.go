@@ -86,7 +86,7 @@ func Example() {
 	//   multipath negotiated: true
 	//   subflows opened:      2
 	//   bytes delivered:      1048576
-	//   completed at:         3.206932s (2.62 Mbps)
+	//   completed at:         3.018396s (2.78 Mbps)
 	//   connection closed:    true (err=<nil>)
 }
 
@@ -399,10 +399,10 @@ func ExampleNewOpenLoop() {
 	//
 	// == 48 arrival hosts across 4 shards, 3s window ==
 	//   shard  hosts  offered  done  dropped  shed  failed  open  offered Mbps  goodput Mbps  p50 ms  p99 ms   events
-	//   0      12     433      432   1        0     0       0     25.34         15.30         268.66  2556.43  40450
-	//   1      12     427      425   2        0     0       0     19.72         9.05          193.86  821.71   33118
-	//   2      12     452      452   0        0     0       0     19.91         9.29          277.40  1361.11  35304
+	//   0      12     433      433   0        0     0       0     25.34         16.51         268.74  1489.76  40417
+	//   1      12     427      426   1        0     0       0     19.72         9.35          193.86  924.75   33019
+	//   2      12     452      452   0        0     0       0     19.91         11.99         277.40  1069.17  35059
 	//   3      12     428      428   0        0     0       0     15.50         13.40         271.53  803.04   29055
-	//   all    48     1740     1737  3        0     0       0     80.47         36.65         265.71  1189.44  137927
+	//   all    48     1740     1739  1        0     0       0     80.47         41.21         265.71  1079.00  137550
 	//   note: open-loop: arrivals are injected by the process regardless of completions; dropped = hit the 4s flow deadline, shed = refused at the in-flight cap, open = still in flight at the simulation deadline
 }

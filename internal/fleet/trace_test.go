@@ -364,8 +364,8 @@ func TestTraceOpenLoopRecycledSubflowsSampledOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range []struct{ name, sha256 string }{
-		{"fleet-openloop-events.jsonl", "a75fcf0fd45ceee0d004eb69d4b7f53f3a9399a7e3405f6053039f992aa94a18"},
-		{"fleet-openloop-trace.json", "9aa0e400a13930c0536cba7378e62fec83d4699aae700b81cc25132fdc9a6d55"},
+		{"fleet-openloop-events.jsonl", "e33c115dddbe263039dad016156b95a57e7aca614e0e8cb36500520fcde77b27"},
+		{"fleet-openloop-trace.json", "06a06d47d47791eb5b7898d4299916a8b276943992bbe13f8d3990b42bc04e78"},
 	} {
 		sum := sha256.Sum256(readTraceFile(t, dir, f.name))
 		if got := hex.EncodeToString(sum[:]); got != f.sha256 {

@@ -146,6 +146,9 @@ type fetcher struct {
 	// ends afterwards falls outside the measurement window and is dropped
 	// unreported (see fetch).
 	doneFired bool
+	// live links the flows in flight, newest first, through the flows
+	// themselves, so a pool can say which ones its window cut off.
+	live *flow
 
 	// scratch is the shard's response-drain buffer (drainScratch): flows only
 	// count received bytes, so the read loop consumes into it without
@@ -205,6 +208,8 @@ type flow struct {
 	start    time.Duration
 	settled  bool
 	deadline sim.Timer
+	// prev and next link the flow into fetcher.live while it is in flight.
+	prev, next *flow
 }
 
 // fetch runs one flow: dial the server, request size bytes, drain the
@@ -226,7 +231,11 @@ func (f *fetcher) fetch(size int, deadline time.Duration) error {
 	if err != nil {
 		return err
 	}
-	fl := &flow{f: f, conn: conn, size: size, start: start}
+	fl := &flow{f: f, conn: conn, size: size, start: start, next: f.live}
+	if f.live != nil {
+		f.live.prev = fl
+	}
+	f.live = fl
 	if deadline > 0 {
 		fl.deadline.Init(f.sim, func(a any) { a.(*flow).onDeadline() }, fl)
 		fl.deadline.Reset(deadline)
@@ -245,6 +254,15 @@ func (fl *flow) finish(outcome int) {
 	fl.settled = true
 	fl.deadline.Stop()
 	f := fl.f
+	if fl.prev != nil {
+		fl.prev.next = fl.next
+	} else {
+		f.live = fl.next
+	}
+	if fl.next != nil {
+		fl.next.prev = fl.prev
+	}
+	fl.prev, fl.next = nil, nil
 	if f.doneFired {
 		return
 	}
@@ -287,6 +305,15 @@ func (fl *flow) onReadable() {
 
 func (fl *flow) onClosed(err error) {
 	fl.finish(outcomeOf(err == nil && fl.received >= fl.size))
+}
+
+// inFlight counts the flows in flight now and returns the age of the oldest.
+func (f *fetcher) inFlight() (n int, oldest time.Duration) {
+	for fl := f.live; fl != nil; fl = fl.next {
+		n++
+		oldest = f.sim.Now() - fl.start // the list runs newest first
+	}
+	return n, oldest
 }
 
 func outcomeOf(ok bool) int {
@@ -339,6 +366,11 @@ type PoolResult struct {
 	MeanLatency    time.Duration
 	P95Latency     time.Duration
 	BytesReceived  uint64
+	// Unfinished requests were still in flight when the window closed; the
+	// latencies above leave them out. OldestUnfinished is the age of the
+	// oldest of them then.
+	Unfinished       int
+	OldestUnfinished time.Duration
 }
 
 // ClientPool drives the closed-loop clients.
@@ -350,8 +382,11 @@ type ClientPool struct {
 	failed int
 	// finishedAt records when the TotalRequests-th request completed, so
 	// Result measures the actual benchmark window rather than however far the
-	// caller happened to run the simulator afterwards.
+	// caller happened to run the simulator afterwards; unfinished and oldest
+	// are the requests still in flight then (PoolResult.Unfinished).
 	finishedAt time.Duration
+	unfinished int
+	oldest     time.Duration
 }
 
 // NewClientPool creates a pool bound to the client's manager.
@@ -417,6 +452,7 @@ func (p *ClientPool) noteProgress() {
 	}
 	p.doneFired = true
 	p.finishedAt = p.sim.Now()
+	p.unfinished, p.oldest = p.inFlight()
 	if p.cfg.OnDone != nil {
 		p.cfg.OnDone()
 	}
@@ -427,18 +463,21 @@ func (p *ClientPool) noteProgress() {
 // window ends when the final request completed, not at the (possibly much
 // later) time the simulator stopped.
 func (p *ClientPool) Result() PoolResult {
-	end := p.sim.Now()
-	if p.doneFired {
-		end = p.finishedAt
+	end, unfinished, oldest := p.finishedAt, p.unfinished, p.oldest
+	if !p.doneFired {
+		end = p.sim.Now()
+		unfinished, oldest = p.inFlight()
 	}
 	dur := end - p.started
 	res := PoolResult{
-		Completed:     p.completed,
-		Failed:        p.failed,
-		Duration:      dur,
-		BytesReceived: p.bytes,
-		MeanLatency:   time.Duration(trace.Mean(p.latency) * float64(time.Millisecond)),
-		P95Latency:    time.Duration(trace.Percentile(p.latency, 95) * float64(time.Millisecond)),
+		Completed:        p.completed,
+		Failed:           p.failed,
+		Duration:         dur,
+		BytesReceived:    p.bytes,
+		MeanLatency:      time.Duration(trace.Mean(p.latency) * float64(time.Millisecond)),
+		P95Latency:       time.Duration(trace.Percentile(p.latency, 95) * float64(time.Millisecond)),
+		Unfinished:       unfinished,
+		OldestUnfinished: oldest,
 	}
 	if dur > 0 {
 		res.RequestsPerSec = float64(p.completed) / dur.Seconds()

@@ -77,8 +77,8 @@ type Endpoint struct {
 
 	dupAcks       int
 	inRecovery    bool
+	afterTimeout  bool // the recovery episode began with a timeout (enterRecovery)
 	recoveryEnd   packet.SeqNum
-	recoveryInfl  int // dup-ACK inflation in bytes
 	recoveryEpoch int
 	peerSackOK    bool
 	peerTSOK      bool
@@ -331,7 +331,7 @@ func (e *Endpoint) SendSpace() int {
 	if !e.IsEstablished() && e.state != StateSynSent && e.state != StateSynReceived {
 		return 0
 	}
-	allowance := e.ctrl.Cwnd() + e.recoveryInfl - e.BytesInFlight()
+	allowance := e.ctrl.Cwnd() - e.BytesInFlight()
 	if !e.cfg.ConnectionLevelWindow {
 		wndSpace := e.sndWnd - e.BytesInFlight()
 		if wndSpace < allowance {

@@ -70,18 +70,7 @@ func (e *Endpoint) handleSynSent(seg *packet.Segment) {
 	e.rcvNxt = seg.Seq.Add(1)
 	e.sndUna = seg.Ack
 	e.sndWnd = int(seg.Window)
-	// Remove the SYN chunk from the retransmission queue and take an RTT
-	// sample from the handshake.
-	if len(e.retransQ) > 0 && e.retransQ[0].syn {
-		var c *chunk
-		e.retransQ, c = popChunk(e.retransQ)
-		if c.transmissions == 1 {
-			e.sampleRTT(e.sim.Now() - c.sentAt)
-		}
-		e.freeChunk(c)
-	}
-	e.rtoTimer.Stop()
-	e.setState(StateEstablished)
+	e.synAcked()
 	// Third ACK of the handshake (hooks add MP_CAPABLE with both keys).
 	e.SendAck()
 	e.output()
@@ -107,6 +96,22 @@ func (e *Endpoint) handleSynReceived(seg *packet.Segment) {
 	}
 	e.sndUna = seg.Ack
 	e.sndWnd = int(seg.Window) << uint(e.peerWndShift)
+	e.synAcked()
+	e.hooks.OnSegmentReceived(e, seg)
+	// The third ACK may already carry data.
+	if len(seg.Payload) > 0 || seg.Flags.Has(packet.FlagFIN) {
+		e.processPayload(seg)
+	}
+	e.output()
+	e.hooks.OnSendSpaceAvailable(e)
+	e.maybeNotifyWritable()
+}
+
+// synAcked completes the handshake once the peer has acknowledged our SYN:
+// the SYN chunk leaves the retransmission queue (an RTT sample unless it was
+// retransmitted), the recovery episode a SYN timeout opened closes with it,
+// and the endpoint is established.
+func (e *Endpoint) synAcked() {
 	if len(e.retransQ) > 0 && e.retransQ[0].syn {
 		var c *chunk
 		e.retransQ, c = popChunk(e.retransQ)
@@ -116,15 +121,9 @@ func (e *Endpoint) handleSynReceived(seg *packet.Segment) {
 		e.freeChunk(c)
 	}
 	e.rtoTimer.Stop()
+	e.inRecovery = false
+	e.noteCCState()
 	e.setState(StateEstablished)
-	e.hooks.OnSegmentReceived(e, seg)
-	// The third ACK may already carry data.
-	if len(seg.Payload) > 0 || seg.Flags.Has(packet.FlagFIN) {
-		e.processPayload(seg)
-	}
-	e.output()
-	e.hooks.OnSendSpaceAvailable(e)
-	e.maybeNotifyWritable()
 }
 
 // inReceiveWindow implements the RFC 793 acceptability test, loosely, for a

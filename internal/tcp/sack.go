@@ -102,24 +102,21 @@ func (e *Endpoint) retransmitNextHole() bool {
 	return false
 }
 
-// highestSacked returns the end of the highest selectively acknowledged
-// range, or sndUna when nothing is sacked.
-func (e *Endpoint) highestSacked() packet.SeqNum {
+// pipeBytes estimates how much data is still in the network (RFC 6675 "pipe"):
+// sacked chunks have left the network, chunks below the highest SACKed range
+// (after a timeout, at least the whole episode) that are neither sacked nor
+// retransmitted this episode are presumed lost, everything else is presumed
+// in flight.
+func (e *Endpoint) pipeBytes() int {
 	high := e.sndUna
+	if e.afterTimeout {
+		high = e.recoveryEnd
+	}
 	for _, c := range e.retransQ {
 		if c.sacked && high.LessThan(c.endSeq()) {
 			high = c.endSeq()
 		}
 	}
-	return high
-}
-
-// pipeBytes estimates how much data is still in the network (RFC 6675 "pipe"):
-// sacked chunks have left the network, chunks below the highest SACKed range
-// that are neither sacked nor retransmitted this episode are presumed lost,
-// everything else is presumed in flight.
-func (e *Endpoint) pipeBytes() int {
-	high := e.highestSacked()
 	pipe := 0
 	for _, c := range e.retransQ {
 		size := int(c.seqLen())
@@ -150,13 +147,5 @@ func (e *Endpoint) recoveryTransmit() {
 		if !e.retransmitNextHole() {
 			break
 		}
-	}
-}
-
-// clearSackState resets per-chunk SACK marks (after a retransmission timeout
-// the scoreboard is no longer trustworthy).
-func (e *Endpoint) clearSackState() {
-	for _, c := range e.retransQ {
-		c.sacked = false
 	}
 }

@@ -354,26 +354,28 @@ func (e *Endpoint) onAckAdvance(ack packet.SeqNum, tsSample time.Duration) {
 		e.sampleRTT(rttSample)
 	}
 
-	if e.inRecovery {
-		if e.recoveryEnd.LessThanEq(ack) {
-			e.inRecovery = false
-			e.recoveryInfl = 0
-			e.dupAcks = 0
-			e.ctrl.OnRecoveryExit()
-		} else {
-			// Partial ACK: the first chunk is a hole the peer still misses;
-			// repair it (even if it was already retransmitted this episode —
-			// the partial ACK proves that copy did not arrive), then fill
-			// the pipe with further hole repairs.
-			if len(e.retransQ) > 0 && !e.retransQ[0].sacked {
-				e.retransQ[0].rtxEpoch = e.recoveryEpoch
-				e.transmitChunk(e.retransQ[0], true)
-			}
-			e.recoveryTransmit()
-		}
-	} else {
+	switch {
+	case !e.inRecovery || e.afterTimeout:
+		// Outside fast recovery the window grows with every advance; after
+		// a timeout that is slow start from 1 MSS through the repairs.
 		e.dupAcks = 0
 		e.ctrl.OnAck(ackedBytes, rttSample)
+		e.inRecovery = e.inRecovery && ack.LessThan(e.recoveryEnd)
+		e.recoveryTransmit()
+	case e.recoveryEnd.LessThanEq(ack):
+		e.inRecovery = false
+		e.dupAcks = 0
+		e.ctrl.OnRecoveryExit()
+	default:
+		// Partial ACK in fast recovery: the first chunk is a hole the peer
+		// still misses; repair it (even if it was already retransmitted
+		// this episode — the partial ACK proves that copy did not arrive),
+		// then fill the pipe with further hole repairs.
+		if len(e.retransQ) > 0 && !e.retransQ[0].sacked {
+			e.retransQ[0].rtxEpoch = e.recoveryEpoch
+			e.transmitChunk(e.retransQ[0], true)
+		}
+		e.recoveryTransmit()
 	}
 	e.noteCCState()
 
@@ -414,18 +416,29 @@ func (e *Endpoint) onDupAck() {
 		if e.cfg.Probe != nil {
 			e.cfg.Probe.OnEndpointFastRetransmit(e)
 		}
-		e.inRecovery = true
-		e.recoveryEnd = e.sndNxt
-		e.recoveryInfl = 0
-		e.recoveryEpoch++
 		e.ctrl.OnFastRetransmit()
-		if !e.retransmitNextHole() {
-			e.transmitChunk(e.retransQ[0], true)
-		}
-		e.recoveryTransmit()
-		e.rtoTimer.Reset(e.backedOffRTO())
-		e.noteCCState()
+		e.enterRecovery(false)
 	}
+}
+
+// enterRecovery opens a loss-recovery episode (RFC 6675) over everything
+// sent so far, once the controller has cut the window for the third duplicate
+// ACK or a timeout, and starts repairing it: the first hole at once, further
+// ones as pipeBytes leaves room. After a timeout every chunk of the episode
+// that is not SACKed counts as lost, and the window slow-starts from 1 MSS
+// through the repairs. SACK marks stay: this receiver never discards the
+// out-of-order data it has reported.
+func (e *Endpoint) enterRecovery(timeout bool) {
+	e.inRecovery = true
+	e.afterTimeout = timeout
+	e.recoveryEnd = e.sndNxt
+	e.recoveryEpoch++
+	if !e.retransmitNextHole() {
+		e.transmitChunk(e.retransQ[0], true)
+	}
+	e.recoveryTransmit()
+	e.rtoTimer.Reset(e.backedOffRTO())
+	e.noteCCState()
 }
 
 // noteCCState reports congestion-phase transitions through the probe. It is
@@ -508,17 +521,8 @@ func (e *Endpoint) onRTO() {
 		e.teardown(ErrTimeout)
 		return
 	}
-	e.inRecovery = false
-	e.recoveryInfl = 0
-	e.dupAcks = 0
-	e.recoveryEpoch++
-	// After a timeout the SACK scoreboard may be stale (the peer could have
-	// discarded out-of-order data); start over.
-	e.clearSackState()
 	e.ctrl.OnTimeout()
-	e.noteCCState()
-	e.transmitChunk(e.retransQ[0], true)
-	e.rtoTimer.Reset(e.backedOffRTO())
+	e.enterRecovery(true)
 }
 
 // armPersist schedules a zero-window probe.
