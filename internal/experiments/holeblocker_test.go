@@ -13,10 +13,9 @@ import (
 // forwarding after a sequence hole (HoleBlocker on the WiFi path) blocks
 // segments, yet both single-path TCP and MPTCP over WiFi+3G stay well above
 // mbox's 0.5 Mbps "transfer ok" line, and neither end counts a stall
-// episode. Measured at seed 42: 6.91 Mbps (TCP) and 6.86 Mbps (MPTCP). They
-// were 0.053 and 0.080 Mbps while a timeout resent one segment and nothing
-// more until the next timeout; a timeout now enters the SACK-scoreboard
-// recovery and repairs every hole.
+// episode: a timeout repairs every hole the blocker leaves in the window
+// (internal/tcp enterRecovery), not one segment per timeout. Measured at
+// seed 42: 6.91 Mbps (TCP) and 6.86 Mbps (MPTCP).
 func TestHoleBlockerKeepsGoodputWithoutStalling(t *testing.T) {
 	mptcp := core.DefaultConfig() // mbox's configuration
 	mptcp.SendBufBytes = 200 << 10

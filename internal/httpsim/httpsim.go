@@ -147,8 +147,10 @@ type fetcher struct {
 	// unreported (see fetch).
 	doneFired bool
 	// live links the flows in flight, newest first, through the flows
-	// themselves, so a pool can say which ones its window cut off.
-	live *flow
+	// themselves, so a pool can say which ones its window cut off; inFlight
+	// counts them.
+	live     *flow
+	inFlight int
 
 	// scratch is the shard's response-drain buffer (drainScratch): flows only
 	// count received bytes, so the read loop consumes into it without
@@ -236,6 +238,7 @@ func (f *fetcher) fetch(size int, deadline time.Duration) error {
 		f.live.prev = fl
 	}
 	f.live = fl
+	f.inFlight++
 	if deadline > 0 {
 		fl.deadline.Init(f.sim, func(a any) { a.(*flow).onDeadline() }, fl)
 		fl.deadline.Reset(deadline)
@@ -263,6 +266,7 @@ func (fl *flow) finish(outcome int) {
 		fl.next.prev = fl.prev
 	}
 	fl.prev, fl.next = nil, nil
+	f.inFlight--
 	if f.doneFired {
 		return
 	}
@@ -307,13 +311,13 @@ func (fl *flow) onClosed(err error) {
 	fl.finish(outcomeOf(err == nil && fl.received >= fl.size))
 }
 
-// inFlight counts the flows in flight now and returns the age of the oldest.
-func (f *fetcher) inFlight() (n int, oldest time.Duration) {
+// oldestInFlight returns how long the oldest flow in flight has run, 0 when
+// none is.
+func (f *fetcher) oldestInFlight() (oldest time.Duration) {
 	for fl := f.live; fl != nil; fl = fl.next {
-		n++
 		oldest = f.sim.Now() - fl.start // the list runs newest first
 	}
-	return n, oldest
+	return oldest
 }
 
 func outcomeOf(ok bool) int {
@@ -452,7 +456,7 @@ func (p *ClientPool) noteProgress() {
 	}
 	p.doneFired = true
 	p.finishedAt = p.sim.Now()
-	p.unfinished, p.oldest = p.inFlight()
+	p.unfinished, p.oldest = p.inFlight, p.oldestInFlight()
 	if p.cfg.OnDone != nil {
 		p.cfg.OnDone()
 	}
@@ -466,7 +470,7 @@ func (p *ClientPool) Result() PoolResult {
 	end, unfinished, oldest := p.finishedAt, p.unfinished, p.oldest
 	if !p.doneFired {
 		end = p.sim.Now()
-		unfinished, oldest = p.inFlight()
+		unfinished, oldest = p.inFlight, p.oldestInFlight()
 	}
 	dur := end - p.started
 	res := PoolResult{

@@ -92,7 +92,6 @@ type OpenLoopPool struct {
 	dropped      int
 	shed         int
 	failed       int
-	inFlight     int
 	peakInFlight int
 	arrivalsDone bool
 	settledAt    time.Duration
@@ -168,7 +167,6 @@ func (p *OpenLoopPool) startFlow(size int) {
 		p.departed()
 		return
 	}
-	p.inFlight++
 	if p.inFlight > p.peakInFlight {
 		p.peakInFlight = p.inFlight
 	}
@@ -176,7 +174,6 @@ func (p *OpenLoopPool) startFlow(size int) {
 
 // flowEnded accounts the departure of a flow that was in flight.
 func (p *OpenLoopPool) flowEnded(outcome, received int) {
-	p.inFlight--
 	switch outcome {
 	case flowDropped:
 		p.dropped++

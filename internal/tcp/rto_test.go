@@ -114,8 +114,7 @@ func TestRTOBackoffCapsAndResets(t *testing.T) {
 // through the repairs from 1 MSS. One timeout repairs all three holes, and
 // after it nothing else is sent again: every other chunk is SACKed by then.
 // (Fast recovery, earlier, also resent the last segment, still in flight and
-// not yet SACKed when its turn came.) While a timeout resent one segment and
-// nothing more, each hole cost a timeout of its own.
+// not yet SACKed when its turn came.)
 func TestTimeoutRepairsEveryHole(t *testing.T) {
 	n := testNet(t, netem.LinkConfig{RateBps: netem.Mbps(10), Delay: 10 * time.Millisecond, QueueBytes: 64 << 10})
 	const segs = 10 // the initial window
