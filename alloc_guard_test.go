@@ -266,7 +266,7 @@ func skipAllocBudget(t *testing.T) {
 // raceBudget picks an end-to-end budget: measured plus 25% in a plain binary,
 // and a looser one under the race detector, whose sync.Pool drops a quarter of
 // what is put back, so the pooled buffers a run would have reused are paid for
-// again (a 16 KiB flow reads 56.5 objects there against 15.6).
+// again (a 16 KiB flow reads 49 objects there against 7.7).
 func raceBudget(plain, race float64) float64 {
 	if raceEnabled {
 		return race
@@ -311,15 +311,17 @@ func shortFlowCost(t *testing.T) (bytes, objects float64) {
 // internal/pool; chunks, DSS options and mappings come from shard-scoped free
 // lists; and the httpsim pools release their connections, so a finished
 // flow's Connection, Subflow and Endpoint structs go back to the shard's free
-// lists too and the next flow reuses them. A run pays for the structs of its
-// peak of live connections and little else: 4.8 to 5.2 KB a flow here (the
-// budget is 5.2 KB plus 25%), the run's own set-up included. It was 9.1 to
-// 9.8 KB while every flow allocated its ends' structs, and ~90 KB when every
-// queue grew from nil by doubling. Under the race detector it reads 13.6 KB
-// (budget: that plus 25%).
+// lists too and the next flow reuses them, as it reuses the httpsim flow and
+// serverConn of a flow that closed before it. A run pays for the structs of
+// its peak of live connections and little else: 4.4 to 5.0 KB a flow here,
+// now and then 5.7 after an untimely collection (the budget is 5.0 KB plus
+// 25%), the run's own set-up included. It was 4.8 to 5.2 KB while each flow
+// allocated its httpsim structs, 9.1 to 9.8 KB while it allocated its ends'
+// structs too, and ~90 KB when every queue grew from nil by doubling. Under
+// the race detector it reads 13.1 to 13.5 KB (budget: 13.5 KB plus 25%).
 func TestShortFlowAllocBudget(t *testing.T) {
 	perFlow, _ := shortFlowCost(t)
-	budget := raceBudget(6500, 17000)
+	budget := raceBudget(6250, 16900)
 	if perFlow > budget {
 		t.Fatalf("a 16 KiB flow allocates %.0f bytes; budget %.0f", perFlow, budget)
 	}
@@ -329,19 +331,23 @@ func TestShortFlowAllocBudget(t *testing.T) {
 // exactly as long as a connection is a field of it (timers, controller,
 // coupling group, the first backing store of every small slice), what most
 // flows never use is built on first use (out-of-order queues), handshake
-// options are built in the segment's arena, a flow's application callbacks
-// are methods of one struct per end, and the structs of its two ends come
-// from the shard's free lists: 15.6 to 15.9 objects here (the budget is 15.6
-// plus 25%). Of those, 7 are the application's two structs and five method
-// values; about one is the structs of the two ends, which a shard allocates
-// only up to its peak of live connections (~170 here); and the rest is the
-// run's set-up (hosts, links, token tables, wheel slots) spread over its
-// ~1000 flows. It was 21 while each flow allocated the 6 structs of its two
-// ends, and 117 when each field above was an object of its own. Under the
-// race detector it reads 56.5 (budget: that plus 25%).
+// options are built in the segment's arena, wheel slots are lists threaded
+// through their events, and the structs of both ends — the connection's and
+// the application's, whose methods are the connection's callbacks, bound once
+// per struct — come from the shard's free lists: 7.4 to 8.2 objects here, now
+// and then 9 after an untimely collection (the budget is 8 plus 25%). None
+// of them is the flow's own: nearly three are those structs and their bound
+// methods, which a shard allocates only up to its peak of live flows; about
+// two are segment option arenas the packet pool refills after a collection;
+// and the rest is the run's set-up (hosts, links, token tables) spread over
+// its ~1000 flows. It was 15.6 to 15.9 while each flow allocated its two
+// httpsim structs and five method values, 21 while it allocated the 6
+// structs of its two ends too, and 117 when each field above was an object
+// of its own. Under the race detector it reads 47.5 to 49 (budget: 49 plus
+// 25%).
 func TestShortFlowObjectBudget(t *testing.T) {
 	_, perFlow := shortFlowCost(t)
-	budget := raceBudget(19.5, 71)
+	budget := raceBudget(10, 61)
 	if perFlow > budget {
 		t.Fatalf("a 16 KiB flow allocates %.1f heap objects; budget %.0f", perFlow, budget)
 	}
@@ -386,8 +392,10 @@ func TestOpenLoopHostMarginalAllocBudget(t *testing.T) {
 // from ~268k to ~59.8k to ~3.2k to ~2.8k allocs/op; slab-refilled free lists,
 // an insertion-sorted SACK list and connection state held in the connection
 // (PR 19) to 1.4k to 1.9k, depending on how many collections empty the segment
-// pool during the run. The budget is the upper end plus 25%; under the race
-// detector it reads ~3.7k and keeps the 7000 it had before.
+// pool during the run; wheel slots threaded through their events, which no
+// longer grow a slice per slot in each simulator, to 1.0k to 1.45k. The
+// budget is the upper end plus 25%; under the race detector it reads 3.1k to
+// 3.3k (budget: 3.3k plus 25%).
 func TestBulkTransferAllocBudget(t *testing.T) {
 	skipAllocBudget(t)
 	cfg := core.DefaultConfig()
@@ -405,7 +413,7 @@ func TestBulkTransferAllocBudget(t *testing.T) {
 		}
 	}
 	avg := testing.AllocsPerRun(3, run)
-	budget := raceBudget(2400, 7000)
+	budget := raceBudget(1800, 4100)
 	if avg > budget {
 		t.Fatalf("bulk transfer allocates %.0f allocs/run; budget %.0f (pre-recycling figure was ~59.8k)", avg, budget)
 	}

@@ -287,6 +287,21 @@ func BenchmarkOpenLoopChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkOpenLoopCorelink is bench/perf's `corelink` workload through the
+// facade: 256 hosts offering 400 webmix flows/s for 5 s through a shared
+// 100 Mbps core, so its allocation profile shows what an overloaded fleet
+// pays beside the per-flow structs `churn` measures (out-of-order list nodes,
+// link FIFO growth). CI uploads its alloc_objects table beside churn's.
+func BenchmarkOpenLoopCorelink(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewOpenLoop(3).Hosts(256).Rate(400).SizeDist("webmix").
+			Window(5*time.Second).SharedBottleneck("core", 100, nil).Shards(4).Workers(2).Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Wire codec benchmarks
 // ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import (
 	"mptcpgo/internal/core"
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
+	"mptcpgo/internal/pool"
 	"mptcpgo/internal/sim"
 	"mptcpgo/internal/trace"
 )
@@ -35,6 +36,7 @@ type ServerConfig struct {
 // Server answers requests with the requested number of bytes.
 type Server struct {
 	listener *core.Listener
+	free     *freeLists
 	// scratch is the shared request-read buffer: reads are consumed into it
 	// and appended to the per-connection request buffer, so the read loop
 	// does not allocate per call (the server runs on a single-threaded
@@ -53,7 +55,11 @@ func StartServer(mgr *core.Manager, cfg ServerConfig) (*Server, error) {
 	if cfg.Port == 0 {
 		cfg.Port = 80
 	}
-	s := &Server{scratch: make([]byte, 4096), chunk: make([]byte, 32<<10)}
+	s := &Server{
+		free:    sim.Local[freeLists](mgr.Host().Sim()),
+		scratch: make([]byte, 4096),
+		chunk:   make([]byte, 32<<10),
+	}
 	l, err := mgr.Listen(cfg.Port, cfg.Conn, func(c *core.Connection) {
 		s.handle(c)
 	})
@@ -64,9 +70,25 @@ func StartServer(mgr *core.Manager, cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
+// freeLists are the httpsim structs of one simulator (sim.Local): a short
+// flow reuses the flow and serverConn of one that closed before it on the
+// same shard.
+//
+// A struct goes back to its list at the end of its connection's OnClosed.
+// By then its deadline, if it had one, is stopped (flow.finish), and it has
+// set every callback it installed on the connection to nil, so a late call
+// from the connection cannot reach the struct's next user. On the list it is
+// poisoned (pool.Mark): under -tags poolcheck a stale call panics.
+type freeLists struct {
+	flows pool.FreeList[flow]
+	conns pool.FreeList[serverConn]
+}
+
 // serverConn is the server's side of one connection: the request so far and
-// what is left of the response. Its methods are the connection's callbacks, so
-// a connection costs the server this one struct.
+// what is left of the response. Its methods are the connection's callbacks,
+// bound once when the struct is first allocated, and the struct comes from
+// the shard's free list (freeLists), so a connection costs the server no
+// object of its own.
 type serverConn struct {
 	s          *Server
 	c          *core.Connection
@@ -74,19 +96,42 @@ type serverConn struct {
 	got        int // request bytes buffered in req
 	responding bool
 	remaining  int
+	mark       pool.Mark
+	cb         serverCallbacks
+}
+
+// serverCallbacks are a serverConn's methods as connection callbacks.
+type serverCallbacks struct {
+	readable, writable func()
+	closed             func(error)
 }
 
 // handle installs the server's callbacks on an accepted connection and
 // releases it (core.Connection.Release): the server touches it only from
 // inside those callbacks.
 func (s *Server) handle(c *core.Connection) {
-	sc := &serverConn{s: s, c: c}
-	c.OnReadable = sc.onReadable
-	c.OnWritable = sc.pumpResponse
+	sc := s.free.conns.Get()
+	cb := sc.cb
+	if cb.readable == nil {
+		cb = serverCallbacks{sc.onReadable, sc.pumpResponse, sc.onClosed}
+	}
+	*sc = serverConn{s: s, c: c, cb: cb}
+	c.OnReadable, c.OnWritable, c.OnClosed = cb.readable, cb.writable, cb.closed
 	c.Release()
 }
 
+// onClosed puts the struct back on the free list (freeLists).
+func (sc *serverConn) onClosed(error) {
+	sc.mark.Check("httpsim.serverConn")
+	c, free := sc.c, sc.s.free
+	c.OnReadable, c.OnWritable, c.OnClosed = nil, nil, nil
+	*sc = serverConn{cb: sc.cb}
+	sc.mark.Poison()
+	free.conns.Put(sc)
+}
+
 func (sc *serverConn) pumpResponse() {
+	sc.mark.Check("httpsim.serverConn")
 	s := sc.s
 	for sc.remaining > 0 {
 		n := len(s.chunk)
@@ -107,6 +152,7 @@ func (sc *serverConn) pumpResponse() {
 }
 
 func (sc *serverConn) onReadable() {
+	sc.mark.Check("httpsim.serverConn")
 	for {
 		n := sc.c.ReadInto(sc.s.scratch)
 		if n == 0 {
@@ -128,6 +174,7 @@ func (sc *serverConn) onReadable() {
 type fetcher struct {
 	mgr     *core.Manager
 	sim     *sim.Simulator
+	free    *freeLists
 	iface   *netem.Interface
 	server  packet.Endpoint
 	connCfg core.Config
@@ -184,6 +231,7 @@ func newFetcher(mgr *core.Manager, iface *netem.Interface, addr packet.Addr, por
 	return fetcher{
 		mgr:     mgr,
 		sim:     s,
+		free:    sim.Local[freeLists](s),
 		iface:   iface,
 		server:  packet.Endpoint{Addr: addr, Port: port},
 		connCfg: conn,
@@ -200,8 +248,10 @@ const (
 )
 
 // flow is one fetch in flight: its connection, its progress and its deadline.
-// Its methods are the connection's callbacks and the deadline is a timer it
-// holds, so a flow costs the client this one struct beside the connection.
+// Its methods are the connection's callbacks, bound once when the struct is
+// first allocated, the deadline is a timer it holds, and the struct comes
+// from the shard's free list (freeLists), so a flow costs the client no
+// object of its own.
 type flow struct {
 	f        *fetcher
 	conn     *core.Connection
@@ -209,9 +259,17 @@ type flow struct {
 	received int
 	start    time.Duration
 	settled  bool
+	mark     pool.Mark
 	deadline sim.Timer
 	// prev and next link the flow into fetcher.live while it is in flight.
 	prev, next *flow
+	cb         flowCallbacks
+}
+
+// flowCallbacks are a flow's methods as connection callbacks.
+type flowCallbacks struct {
+	established, readable func()
+	closed                func(error)
 }
 
 // fetch runs one flow: dial the server, request size bytes, drain the
@@ -226,14 +284,20 @@ type flow struct {
 //
 // The connection is released (core.Connection.Release): the flow touches it
 // only from its callbacks and from its deadline, which settling the flow
-// stops before the connection's OnClosed returns.
+// stops before the connection's OnClosed returns; the flow itself goes back
+// to the free list at the end of that OnClosed (freeLists).
 func (f *fetcher) fetch(size int, deadline time.Duration) error {
 	start := f.sim.Now()
 	conn, err := f.mgr.Dial(f.iface, f.server, f.connCfg)
 	if err != nil {
 		return err
 	}
-	fl := &flow{f: f, conn: conn, size: size, start: start, next: f.live}
+	fl := f.free.flows.Get()
+	cb := fl.cb
+	if cb.readable == nil {
+		cb = flowCallbacks{fl.onEstablished, fl.onReadable, fl.onClosed}
+	}
+	*fl = flow{f: f, conn: conn, size: size, start: start, next: f.live, cb: cb}
 	if f.live != nil {
 		f.live.prev = fl
 	}
@@ -243,14 +307,13 @@ func (f *fetcher) fetch(size int, deadline time.Duration) error {
 		fl.deadline.Init(f.sim, func(a any) { a.(*flow).onDeadline() }, fl)
 		fl.deadline.Reset(deadline)
 	}
-	conn.OnEstablished = fl.onEstablished
-	conn.OnReadable = fl.onReadable
-	conn.OnClosed = fl.onClosed
+	conn.OnEstablished, conn.OnReadable, conn.OnClosed = cb.established, cb.readable, cb.closed
 	conn.Release()
 	return nil
 }
 
 func (fl *flow) finish(outcome int) {
+	fl.mark.Check("httpsim.flow")
 	if fl.settled {
 		return
 	}
@@ -289,11 +352,13 @@ func (fl *flow) onDeadline() {
 }
 
 func (fl *flow) onEstablished() {
+	fl.mark.Check("httpsim.flow")
 	binary.BigEndian.PutUint32(fl.f.req[0:4], uint32(fl.size))
 	fl.conn.Write(fl.f.req[:])
 }
 
 func (fl *flow) onReadable() {
+	fl.mark.Check("httpsim.flow")
 	for {
 		n := fl.conn.ReadInto(fl.f.scratch)
 		if n == 0 {
@@ -307,8 +372,15 @@ func (fl *flow) onReadable() {
 	}
 }
 
+// onClosed settles the flow if it has not settled yet and puts the struct
+// back on the free list (freeLists).
 func (fl *flow) onClosed(err error) {
 	fl.finish(outcomeOf(err == nil && fl.received >= fl.size))
+	c, free := fl.conn, fl.f.free
+	c.OnEstablished, c.OnReadable, c.OnClosed = nil, nil, nil
+	*fl = flow{cb: fl.cb}
+	fl.mark.Poison()
+	free.flows.Put(fl)
 }
 
 // oldestInFlight returns how long the oldest flow in flight has run, 0 when

@@ -36,12 +36,15 @@ type Event struct {
 	fn2  func(a, b any)
 	a, b any
 
-	seq      uint64 // tie-breaker for deterministic ordering
-	index    int    // position in the containing heap or slot chain
-	where    uint8  // which scheduler container holds the event
-	level    uint8  // wheel level, valid when where == locSlot
-	slot     uint8  // wheel slot, valid when where == locSlot
-	canceled bool
+	seq   uint64 // tie-breaker for deterministic ordering
+	index int    // position in the containing heap (near, overflow or heapSched)
+	// prev and next link the event into its wheel slot's list, valid when
+	// where == locSlot.
+	prev, next *Event
+	where      uint8 // which scheduler container holds the event
+	level      uint8 // wheel level, valid when where == locSlot
+	slot       uint8 // wheel slot, valid when where == locSlot
+	canceled   bool
 }
 
 // Canceled reports whether the event has been canceled.

@@ -64,7 +64,10 @@ type wheelSched struct {
 	near     eventQueue // due events, ordered by (At, seq)
 	overflow eventQueue // beyond the wheel horizon, ordered by (At, seq)
 
-	slots    [wheelLevels][wheelSlots][]*Event
+	// slots holds the head of each slot's list, which is threaded through
+	// the events themselves (Event.prev/next): filing, unlinking and emptying
+	// a slot allocate nothing, however many events it has ever held.
+	slots    [wheelLevels][wheelSlots]*Event
 	occupied [wheelLevels]uint64 // bit s set iff slots[l][s] is non-empty
 	slotted  int                 // events currently in wheel slots
 }
@@ -99,9 +102,13 @@ func (w *wheelSched) place(ev *Event, t int64) {
 		return
 	}
 	s := int((t >> (l * wheelLevelBits)) & (wheelSlots - 1))
-	sl := w.slots[l][s]
-	ev.where, ev.level, ev.slot, ev.index = locSlot, uint8(l), uint8(s), len(sl)
-	w.slots[l][s] = append(sl, ev)
+	head := w.slots[l][s]
+	ev.where, ev.level, ev.slot = locSlot, uint8(l), uint8(s)
+	ev.prev, ev.next = nil, head
+	if head != nil {
+		head.prev = ev
+	}
+	w.slots[l][s] = ev
 	w.occupied[l] |= 1 << s
 	w.slotted++
 }
@@ -113,17 +120,16 @@ func (w *wheelSched) remove(ev *Event) {
 	case locOverflow:
 		w.overflow.removeAt(ev.index)
 	case locSlot:
-		sl := w.slots[ev.level][ev.slot]
-		last := len(sl) - 1
-		if ev.index != last {
-			moved := sl[last]
-			sl[ev.index] = moved
-			moved.index = ev.index
+		if ev.prev != nil {
+			ev.prev.next = ev.next
+		} else {
+			w.slots[ev.level][ev.slot] = ev.next
+			if ev.next == nil {
+				w.occupied[ev.level] &^= 1 << ev.slot
+			}
 		}
-		sl[last] = nil
-		w.slots[ev.level][ev.slot] = sl[:last]
-		if last == 0 {
-			w.occupied[ev.level] &^= 1 << ev.slot
+		if ev.next != nil {
+			ev.next.prev = ev.prev
 		}
 		w.slotted--
 	}
@@ -207,36 +213,39 @@ func (w *wheelSched) nextCandidate() int64 {
 // Each lands strictly below level l (its top digits now match the cursor), or
 // in near when its tick equals the cursor.
 func (w *wheelSched) cascade(l, s int) {
-	if w.occupied[l]&(1<<s) == 0 {
-		return
-	}
-	sl := w.slots[l][s]
-	w.slots[l][s] = sl[:0]
-	w.occupied[l] &^= 1 << s
-	w.slotted -= len(sl)
-	for i, ev := range sl {
-		sl[i] = nil
+	for ev := w.take(l, s); ev != nil; {
+		next := ev.next
+		w.slotted--
 		if t := wheelTick(ev.At); t <= w.curTick {
 			ev.where = locNear
 			w.near.push(ev)
 		} else {
 			w.place(ev, t)
 		}
+		ev = next
 	}
 }
 
 // dumpToNear moves an entire slot into the near heap (used for level-0 slots,
 // whose events are all due once the cursor reaches their tick).
 func (w *wheelSched) dumpToNear(l, s int) {
-	sl := w.slots[l][s]
-	w.slots[l][s] = sl[:0]
-	w.occupied[l] &^= 1 << s
-	w.slotted -= len(sl)
-	for i, ev := range sl {
-		sl[i] = nil
+	for ev := w.take(l, s); ev != nil; {
+		next := ev.next
+		w.slotted--
 		ev.where = locNear
 		w.near.push(ev)
+		ev = next
 	}
+}
+
+// take empties slots[l][s] and returns the head of the list it held. The
+// order within a slot is immaterial: its events go on to a heap, or to lower
+// slots whose events go on to one, and the heaps order by (At, seq).
+func (w *wheelSched) take(l, s int) *Event {
+	head := w.slots[l][s]
+	w.slots[l][s] = nil
+	w.occupied[l] &^= 1 << s
+	return head
 }
 
 // rebase jumps the cursor onto the overflow minimum when the wheel is empty

@@ -269,6 +269,55 @@ func TestEmbeddedTimerCycleNoAllocs(t *testing.T) {
 	}
 }
 
+// TestWheelSlotCycleNoAllocs: a wheel slot is a list threaded through its
+// events, so filing an event, unlinking it and emptying a slot allocate
+// nothing, however many slots a run has touched. Each cycle files three
+// events at every one of the five levels, cancels the middle one of each
+// three, and fires the rest, which cascades them down through every level
+// below their own; the cursor ends each cycle about 14 minutes on, so the
+// cycles keep landing in slots they have not used before.
+func TestWheelSlotCycleNoAllocs(t *testing.T) {
+	s := New(1)
+	fired := 0
+	fn := func() { fired++ }
+	var mid [wheelLevels]*Event
+	cycle := func() {
+		for l := 0; l < wheelLevels; l++ {
+			// 3·64^l ticks is filed at level l.
+			d := tick(3 << (l * wheelLevelBits))
+			s.Schedule(d, fn)
+			mid[l] = s.Schedule(d+tick(1), fn)
+			s.Schedule(d+tick(2), fn)
+		}
+		for _, ev := range mid {
+			s.Cancel(ev)
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		cycle() // warm the event free list and the near heap
+	}
+	levels := make(map[uint8]bool)
+	for l := 0; l < wheelLevels; l++ {
+		ev := s.Schedule(tick(3<<(l*wheelLevelBits)), fn)
+		if ev.where == locSlot {
+			levels[ev.level] = true
+		}
+		s.Cancel(ev)
+	}
+	if len(levels) != wheelLevels {
+		t.Fatalf("the cycle's delays reach levels %v, want all %d", levels, wheelLevels)
+	}
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("wheel schedule/cancel/fire cycle allocates %.1f times, want 0", avg)
+	}
+	if want := 2 * wheelLevels * (8 + 101); fired != want || s.Pending() != 0 {
+		t.Fatalf("fired=%d pending=%d, want %d fired and nothing pending", fired, s.Pending(), want)
+	}
+}
+
 // TestZeroTimerStopIsNoOp: owners stop their timers at teardown whether or
 // not they were ever bound (a flow without a deadline never calls Init).
 func TestZeroTimerStopIsNoOp(t *testing.T) {
