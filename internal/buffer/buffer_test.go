@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"mptcpgo/internal/pool"
 )
 
 func TestByteQueueBasics(t *testing.T) {
@@ -209,6 +211,92 @@ func TestAlgorithmNames(t *testing.T) {
 	for alg, name := range want {
 		if alg.String() != name {
 			t.Errorf("algorithm %d name mismatch", alg)
+		}
+	}
+}
+
+// queueHead returns the node a queue reaches first: its list head, or its
+// tree root.
+func queueHead(q OfoQueue) any {
+	switch q := q.(type) {
+	case *listQueue:
+		return q.head
+	case *treeQueue:
+		return q.root
+	}
+	return nil
+}
+
+// TestOfoQueuesShareNodes: queues on one Nodes, as on one simulator, take
+// each other's recycled structs. Once queue a has drained, b's item sits in
+// the node a gave back, and the hint a took on that node never matches
+// again: a's next item, which would belong right after b's if the hint were
+// followed, lands in a.
+func TestOfoQueuesShareNodes(t *testing.T) {
+	data := make([]byte, 100)
+	for _, alg := range Algorithms() {
+		var nodes Nodes
+		a, b := NewOfoQueue(alg), NewOfoQueue(alg)
+		a.UsePool(nil, &nodes)
+		b.UsePool(nil, &nodes)
+		a.Insert(Item{Seq: 100, Data: data, Subflow: 1})
+		taken := queueHead(a)
+		for _, it := range a.PopContiguous(100) {
+			pool.Recycle(it.Data)
+		}
+		b.Insert(Item{Seq: 300, Data: data, Subflow: 1})
+		if queueHead(b) != taken {
+			t.Fatalf("%s: b did not reuse the node a gave back", alg)
+		}
+		a.Insert(Item{Seq: 400, Data: data, Subflow: 1})
+		if a.Len() != 1 || b.Len() != 1 {
+			t.Fatalf("%s: a holds %d items and b %d after a's insert; want 1 and 1", alg, a.Len(), b.Len())
+		}
+		for _, c := range []struct {
+			q   OfoQueue
+			seq uint64
+		}{{a, 400}, {b, 300}} {
+			out := c.q.PopContiguous(c.seq)
+			if len(out) != 1 || out[0].Seq != c.seq || len(out[0].Data) != len(data) {
+				t.Fatalf("%s: popping at %d returned %v", alg, c.seq, out)
+			}
+			pool.Recycle(out[0].Data)
+		}
+	}
+}
+
+// TestOfoQueueReleaseReturnsEverything: Release empties a queue that holds
+// items between holes, giving every buffer back to the pool, and leaves it
+// ready for use.
+func TestOfoQueueReleaseReturnsEverything(t *testing.T) {
+	data := make([]byte, 100)
+	for _, alg := range Algorithms() {
+		var bufs pool.Local
+		outstanding := func() int64 {
+			bufs.Flush()
+			return pool.Stats().Outstanding()
+		}
+		start := outstanding()
+		q := NewOfoQueue(alg)
+		q.UsePool(&bufs, new(Nodes))
+		for i := 1; i <= 20; i++ {
+			q.Insert(Item{Seq: uint64(i * 150), Data: data, Subflow: i % 2})
+		}
+		if held := outstanding() - start; held != 20 {
+			t.Fatalf("%s: 20 items hold %d pool buffers", alg, held)
+		}
+		q.Release()
+		if q.Len() != 0 || q.Bytes() != 0 {
+			t.Fatalf("%s: %d items of %d bytes left after Release", alg, q.Len(), q.Bytes())
+		}
+		if got := outstanding(); got != start {
+			t.Fatalf("%s: %d pool buffers outstanding after Release", alg, got-start)
+		}
+		q.Insert(Item{Seq: 0, Data: data})
+		if out := q.PopContiguous(0); len(out) != 1 || len(out[0].Data) != len(data) {
+			t.Fatalf("%s: the released queue returned %v", alg, out)
+		} else {
+			bufs.Recycle(out[0].Data)
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package buffer
 
+import "mptcpgo/internal/pool"
+
 // listQueue implements the Regular, Shortcuts and AllShortcuts out-of-order
 // queues from §4.3. The underlying container is a doubly-linked list sorted
 // by data sequence number, exactly like the Linux out-of-order receive queue;
@@ -13,12 +15,13 @@ package buffer
 //   - AllShortcuts: when the shortcut misses, the scan iterates over batches
 //     of contiguous segments instead of individual segments.
 //
-// Node and batch structs are free-listed per queue: out-of-order segments
-// arrive once per reordering event on the hot receive path, and recycling
-// the structs (like the payload buffers they carry) keeps that path
-// allocation-free at steady state. Recycled nodes bump a generation counter
-// so stale subflow hints can never mistake a reused node for the one they
-// remembered.
+// Node and batch structs come from the queue's Nodes, which are normally its
+// simulator's (UsePool): out-of-order segments arrive once per reordering
+// event on the hot receive path, and recycling the structs (like the payload
+// buffers they carry) keeps that path allocation-free once the shard is warm.
+// Recycled nodes bump a generation counter so stale subflow hints can never
+// mistake a reused node — in this queue or another one of the shard — for
+// the one they remembered.
 type listQueue struct {
 	itemPool
 	head, tail *listNode
@@ -28,24 +31,27 @@ type listQueue struct {
 	useShortcuts bool
 	useBatches   bool
 
-	hints map[int]listHint // built when a Shortcuts queue stores its first item
+	// hints holds one entry per subflow (Shortcuts and AllShortcuts only),
+	// on hintBuf until more subflows arrive than it holds.
+	hints   []listHint
+	hintBuf [hintsInline]listHint
 
 	count int
 	bytes int
 	steps uint64
 
-	// freeNodes/freeBatches recycle structs; popScratch is the reused
-	// PopContiguous result slice. All three are queue-local: queues belong to
-	// one endpoint on one simulator, so no locking is needed.
-	freeNodes   []*listNode
-	freeBatches []*batchNode
-	popScratch  []Item
+	// popScratch is the reused PopContiguous result slice, on popBuf until
+	// a run outgrows it.
+	popScratch []Item
+	popBuf     [popInline]Item
 }
 
 type listNode struct {
 	it         Item
 	prev, next *listNode
-	batch      *batchNode
+	batch      *batchNode // nil unless the queue keeps batches (AllShortcuts)
+	// mark is poisoned while the node lies on a free list.
+	mark pool.Mark
 	// gen counts reuses of this struct; a hint taken on an earlier life of
 	// the node no longer matches and is ignored.
 	gen uint64
@@ -53,18 +59,26 @@ type listNode struct {
 
 type batchNode struct {
 	first, last *listNode
+	mark        pool.Mark
 	prev, next  *batchNode
 }
 
 // listHint remembers where a subflow's previous segment was inserted, pinned
 // to the generation of the node at the time.
 type listHint struct {
-	n   *listNode
-	gen uint64
+	subflow int
+	n       *listNode
+	gen     uint64
 }
 
+// hintsInline is how many subflows' hints a queue holds before its hint list
+// moves to the heap: a connection of the bench/perf fleets has one or two.
+const hintsInline = 2
+
 func newListQueue(shortcuts, batches bool) *listQueue {
-	return &listQueue{useShortcuts: shortcuts, useBatches: batches}
+	q := &listQueue{useShortcuts: shortcuts, useBatches: batches}
+	q.popScratch, q.hints = q.popBuf[:0], q.hintBuf[:0]
+	return q
 }
 
 // Len implements OfoQueue.
@@ -76,35 +90,26 @@ func (q *listQueue) Bytes() int { return q.bytes }
 // Steps implements OfoQueue.
 func (q *listQueue) Steps() uint64 { return q.steps }
 
-// newNode takes a node from the free list (or allocates one) and loads it.
+// newNode takes a node from the free list and loads it.
 func (q *listQueue) newNode(it Item) *listNode {
-	if n := len(q.freeNodes); n > 0 {
-		nd := q.freeNodes[n-1]
-		q.freeNodes = q.freeNodes[:n-1]
-		nd.it = it
-		return nd
-	}
-	return &listNode{it: it}
+	n := q.lists().list.Get()
+	*n = listNode{it: it, gen: n.gen}
+	return n
 }
 
 // recycleNode returns an unlinked node to the free list, invalidating any
 // hints that still reference it.
 func (q *listQueue) recycleNode(n *listNode) {
-	n.gen++
-	n.it = Item{}
-	n.prev, n.next, n.batch = nil, nil, nil
-	q.freeNodes = append(q.freeNodes, n)
+	*n = listNode{gen: n.gen + 1}
+	n.mark.Poison()
+	q.nodes.list.Put(n)
 }
 
-// newBatch takes a batch from the free list (or allocates one).
+// newBatch takes a batch from the free list.
 func (q *listQueue) newBatch(first, last *listNode) *batchNode {
-	if n := len(q.freeBatches); n > 0 {
-		b := q.freeBatches[n-1]
-		q.freeBatches = q.freeBatches[:n-1]
-		b.first, b.last = first, last
-		return b
-	}
-	return &batchNode{first: first, last: last}
+	b := q.lists().batch.Get()
+	*b = batchNode{first: first, last: last}
+	return b
 }
 
 // Insert implements OfoQueue.
@@ -120,8 +125,9 @@ func (q *listQueue) insert(it Item) (steps int) {
 	located := false
 
 	if q.useShortcuts {
-		if h, ok := q.hints[it.Subflow]; ok && h.n != nil && h.n.gen == h.gen {
+		if h := q.hint(it.Subflow); h.n != nil && h.n.gen == h.gen {
 			hint := h.n
+			hint.mark.Check("buffer.listNode")
 			steps++
 			if hint.it.End() == it.Seq && (hint.next == nil || it.End() <= hint.next.it.Seq) {
 				after = hint
@@ -163,13 +169,24 @@ func (q *listQueue) insert(it Item) (steps int) {
 	q.count++
 	q.bytes += len(it.Data)
 	if q.useShortcuts {
-		if q.hints == nil {
-			q.hints = make(map[int]listHint)
-		}
-		q.hints[it.Subflow] = listHint{n: n, gen: n.gen}
+		h := q.hint(it.Subflow)
+		h.n, h.gen = n, n.gen
 	}
-	q.attachBatch(n)
+	if q.useBatches {
+		q.attachBatch(n)
+	}
 	return steps
+}
+
+// hint returns the subflow's hint, adding an empty one on its first item.
+func (q *listQueue) hint(subflow int) *listHint {
+	for i := range q.hints {
+		if q.hints[i].subflow == subflow {
+			return &q.hints[i]
+		}
+	}
+	q.hints = append(q.hints, listHint{subflow: subflow})
+	return &q.hints[len(q.hints)-1]
 }
 
 // locateLinear walks the node list from the head.
@@ -230,6 +247,7 @@ func (q *listQueue) insertAfter(after, n *listNode) {
 		}
 		return
 	}
+	after.mark.Check("buffer.listNode")
 	n.prev = after
 	n.next = after.next
 	if after.next != nil {
@@ -308,6 +326,7 @@ func (q *listQueue) insertBatchAfter(after, b *batchNode) {
 
 // removeBatch unlinks a batch and returns the struct to the free list.
 func (q *listQueue) removeBatch(b *batchNode) {
+	b.mark.Check("buffer.batchNode")
 	if b.prev != nil {
 		b.prev.next = b.next
 	} else {
@@ -318,14 +337,16 @@ func (q *listQueue) removeBatch(b *batchNode) {
 	} else {
 		q.lastBatch = b.prev
 	}
-	b.first, b.last, b.prev, b.next = nil, nil, nil, nil
-	q.freeBatches = append(q.freeBatches, b)
+	*b = batchNode{}
+	b.mark.Poison()
+	q.nodes.batch.Put(b)
 }
 
 // removeNode unlinks a node (updating counters and batch bookkeeping with the
 // item still attached) and recycles the struct. The caller must copy n.it
 // first if it still needs the item.
 func (q *listQueue) removeNode(n *listNode) {
+	n.mark.Check("buffer.listNode")
 	if n.prev != nil {
 		n.prev.next = n.next
 	} else {
@@ -379,4 +400,13 @@ func (q *listQueue) PopContiguous(nextSeq uint64) []Item {
 	}
 	q.popScratch = out
 	return out
+}
+
+// Release implements OfoQueue.
+func (q *listQueue) Release() {
+	for q.head != nil {
+		it := q.head.it
+		q.removeNode(q.head)
+		q.discardItemData(&it)
+	}
 }

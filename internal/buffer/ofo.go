@@ -44,9 +44,28 @@ type OfoQueue interface {
 	Bytes() int
 	// Steps returns the cumulative number of search steps since creation.
 	Steps() uint64
-	// UsePool makes the queue copy into buffers from l, where the caller then
-	// recycles what PopContiguous returns; without it, the shared pool.
-	UsePool(l *pool.Local)
+	// UsePool makes the queue copy into buffers from bufs, where the caller
+	// then recycles what PopContiguous returns, and take its node structs
+	// from nodes; both are normally the simulator's (sim.Local), shared by
+	// every queue the simulator runs. Without it, the queue copies into the
+	// shared pool and keeps node lists of its own. Call it before the first
+	// Insert.
+	UsePool(bufs *pool.Local, nodes *Nodes)
+	// Release discards every queued item, recycling its buffer and node, and
+	// leaves the queue empty: an owner that goes away with items still queued
+	// (a reset or timed-out connection) calls it so that neither returns to
+	// the garbage collector instead of the free lists.
+	Release()
+}
+
+// Nodes are the free lists a queue's structs come from. A simulator keeps one
+// (sim.Local) for every queue it runs, so a shard pays for nodes up to its
+// high-water mark of queued items, however many connections reorder on it.
+// The zero value is ready to use.
+type Nodes struct {
+	list  pool.FreeList[listNode]
+	batch pool.FreeList[batchNode]
+	tree  pool.FreeList[treeNode]
 }
 
 // Algorithm selects an out-of-order reassembly implementation.
@@ -117,12 +136,29 @@ func trimItem(it *Item, nextSeq uint64) bool {
 	return len(it.Data) > 0
 }
 
+// popInline is how many items a queue's PopContiguous result holds before it
+// moves to the heap: the length of most runs a filled hole releases.
+const popInline = 4
+
 // itemPool is the part the implementations share: where the pool-owned
-// copies of item data come from (nil for the shared pool).
-type itemPool struct{ bufs *pool.Local }
+// copies of item data come from (nil for the shared pool), and where the node
+// structs do (nil until the first node, when the queue builds its own).
+type itemPool struct {
+	bufs  *pool.Local
+	nodes *Nodes
+}
 
 // UsePool implements OfoQueue.
-func (p *itemPool) UsePool(l *pool.Local) { p.bufs = l }
+func (p *itemPool) UsePool(bufs *pool.Local, nodes *Nodes) { p.bufs, p.nodes = bufs, nodes }
+
+// lists returns the node free lists, building the queue's own on first use
+// when UsePool supplied none.
+func (p *itemPool) lists() *Nodes {
+	if p.nodes == nil {
+		p.nodes = new(Nodes)
+	}
+	return p.nodes
+}
 
 // adoptItemData replaces the item's (borrowed) data slice with a pool-owned
 // copy; implementations call it right before storing a new item.

@@ -1,11 +1,13 @@
 package buffer
 
+import "mptcpgo/internal/pool"
+
 // treeQueue is the "Tree" out-of-order queue from §4.3: a balanced binary
 // search tree (a treap with deterministic pseudo-random priorities) keyed by
 // data sequence number. Insertion is logarithmic in the queue length, which
 // is cheaper than the Regular linear scan but still slower than the Shortcuts
 // variants for the common in-batch arrival pattern.
-// Tree nodes are free-listed per queue (like the list queue's nodes) so
+// Tree nodes come from the queue's Nodes (like the list queue's nodes), so
 // steady-state insert/pop cycles do not allocate.
 type treeQueue struct {
 	itemPool
@@ -16,18 +18,22 @@ type treeQueue struct {
 	// prioState drives the deterministic priority sequence.
 	prioState uint64
 
-	freeNodes  []*treeNode
-	popScratch []Item
+	popScratch []Item // as in listQueue
+	popBuf     [popInline]Item
 }
 
 type treeNode struct {
-	it          Item
-	prio        uint64
+	it   Item
+	prio uint64
+	// mark is poisoned while the node lies on a free list.
+	mark        pool.Mark
 	left, right *treeNode
 }
 
 func newTreeQueue() *treeQueue {
-	return &treeQueue{prioState: 0x1234_5678_9abc_def1}
+	q := &treeQueue{prioState: 0x1234_5678_9abc_def1}
+	q.popScratch = q.popBuf[:0]
+	return q
 }
 
 // Len implements OfoQueue.
@@ -77,22 +83,18 @@ func (q *treeQueue) Insert(it Item) int {
 	return steps
 }
 
-// newNode takes a node from the free list (or allocates one) and loads it.
+// newNode takes a node from the free list and loads it.
 func (q *treeQueue) newNode(it Item, prio uint64) *treeNode {
-	if n := len(q.freeNodes); n > 0 {
-		nd := q.freeNodes[n-1]
-		q.freeNodes = q.freeNodes[:n-1]
-		nd.it, nd.prio = it, prio
-		return nd
-	}
-	return &treeNode{it: it, prio: prio}
+	n := q.lists().tree.Get()
+	*n = treeNode{it: it, prio: prio}
+	return n
 }
 
 // recycleNode returns a detached node to the free list.
 func (q *treeQueue) recycleNode(n *treeNode) {
-	n.it = Item{}
-	n.left, n.right = nil, nil
-	q.freeNodes = append(q.freeNodes, n)
+	*n = treeNode{}
+	n.mark.Poison()
+	q.nodes.tree.Put(n)
 }
 
 // floor returns the node with the largest Seq <= seq.
@@ -131,6 +133,7 @@ func (q *treeQueue) insertNode(root, n *treeNode, steps *int) *treeNode {
 	if root == nil {
 		return n
 	}
+	root.mark.Check("buffer.treeNode")
 	*steps++
 	if n.it.Seq < root.it.Seq {
 		root.left = q.insertNode(root.left, n, steps)
@@ -171,6 +174,7 @@ func (q *treeQueue) popMin() *treeNode {
 		parent = n
 		n = n.left
 	}
+	n.mark.Check("buffer.treeNode")
 	if parent == nil {
 		q.root = n.right
 	} else {
@@ -226,4 +230,13 @@ func (q *treeQueue) PopContiguous(nextSeq uint64) []Item {
 	}
 	q.popScratch = out
 	return out
+}
+
+// Release implements OfoQueue.
+func (q *treeQueue) Release() {
+	for n := q.popMin(); n != nil; n = q.popMin() {
+		it := n.it
+		q.recycleNode(n)
+		q.discardItemData(&it)
+	}
 }

@@ -1125,10 +1125,16 @@ func (f *freeLists) reap(s *sim.Simulator) {
 
 // recycle zeroes the connection, its subflows, their endpoints and its
 // in-flight mappings, and puts each on its free list, poisoned (pool.Mark).
+// Data still received but unread or out of order goes back to the pool: a
+// reset or timed-out connection finishes with some.
 func (c *Connection) recycle() {
 	c.mark.Check("core.Connection")
 	free := c.free
 	c.connRtx.Stop()
+	if c.ofo != nil {
+		c.ofo.Release()
+	}
+	c.rcvBuf.Release()
 	for _, m := range c.inflight {
 		*m = txMapping{}
 		free.mappings.Put(m)

@@ -3,6 +3,7 @@ package core
 import (
 	"mptcpgo/internal/buffer"
 	"mptcpgo/internal/packet"
+	"mptcpgo/internal/sim"
 )
 
 // onSubflowData maps in-order subflow payload into the connection-level data
@@ -142,7 +143,7 @@ func (c *Connection) insertData(s *Subflow, dataSeq uint64, data []byte) {
 	// Built here, at the first out-of-order arrival: most flows never get one.
 	if c.ofo == nil {
 		c.ofo = buffer.NewOfoQueue(c.cfg.OfoAlgorithm)
-		c.ofo.UsePool(c.bufs)
+		c.ofo.UsePool(c.bufs, sim.Local[buffer.Nodes](c.sim))
 		c.ofoBySubflow = make(map[int]int)
 	}
 	c.ofo.Insert(buffer.Item{Seq: dataSeq, Data: data, Subflow: s.id})

@@ -6,6 +6,8 @@ import (
 
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
+	"mptcpgo/internal/pool"
+	"mptcpgo/internal/sim"
 	"mptcpgo/internal/tcp"
 )
 
@@ -141,5 +143,85 @@ func TestRecycledConnectionIsFresh(t *testing.T) {
 	}
 	if recycled.events != kept.events {
 		t.Errorf("recycling ran %d events, the same run without Release %d", recycled.events, kept.events)
+	}
+}
+
+// TestRecycleReturnsQueuedData: a released connection reset while data sits
+// out of order in its reassembly queues, the connection's and a subflow's,
+// gives those buffers back to the simulator's pool — the subflow's when its
+// endpoint closes, the connection's when it is recycled — not to the garbage
+// collector: once both ends are recycled, as many pool buffers are
+// outstanding as before the transfer.
+func TestRecycleReturnsQueuedData(t *testing.T) {
+	h := newHarness(t, 7, netem.WiFi3GSpec())
+	s := h.net.Sim
+	outstanding := func() int64 {
+		sim.Local[pool.Local](s).Flush()
+		return pool.Stats().Outstanding()
+	}
+	start := outstanding()
+	cfg := DefaultConfig()
+	cfg.SendBufBytes, cfg.RecvBufBytes = 256<<10, 256<<10
+	var srv *Connection
+	buf := make([]byte, 64<<10)
+	if _, err := h.srvMgr.Listen(80, cfg, func(c *Connection) {
+		srv = c
+		c.Release()
+		c.OnReadable = func() {
+			for c.ReadInto(buf) > 0 {
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cli, err := h.cliMgr.Dial(h.net.Client.Interfaces()[0], packet.Endpoint{Addr: h.net.ServerAddr(0), Port: 80}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli.Release()
+	chunk := make([]byte, 16<<10)
+	pump := func() {
+		for cli.Write(chunk) > 0 {
+		}
+	}
+	cli.OnEstablished, cli.OnWritable = pump, pump
+	// Reset the transfer the first time both levels hold data out of order.
+	var connOfo, subflowOfo int
+	var watch func()
+	watch = func() {
+		if srv != nil && srv.ofo != nil {
+			connOfo, subflowOfo = srv.ofo.Bytes(), 0
+			for _, sf := range srv.subflows {
+				subflowOfo += sf.ep.ReceiveQueuedBytes()
+			}
+			if connOfo > 0 && subflowOfo > 0 {
+				srv.Abort()
+				return
+			}
+		}
+		s.Schedule(time.Millisecond, watch)
+	}
+	s.Schedule(time.Millisecond, watch)
+	if err := s.RunUntil(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if connOfo == 0 || subflowOfo == 0 {
+		t.Fatal("the server never held data out of order at both levels: the test exercises nothing")
+	}
+	if !srv.closed || !cli.closed {
+		t.Fatal("the reset did not finish both ends")
+	}
+	// Both ends are retired; the next event to build a connection recycles
+	// them.
+	s.Schedule(0, func() { sim.Local[freeLists](s).reap(s) })
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if f := sim.Local[freeLists](s); len(f.retired) != 0 || srv.sim != nil || cli.sim != nil {
+		t.Fatal("the connections were not recycled")
+	}
+	if got := outstanding(); got != start {
+		t.Fatalf("%d pool buffers outstanding after both ends were recycled (%d B out of order in the connection, %d B in its subflows at the reset)",
+			got-start, connOfo, subflowOfo)
 	}
 }

@@ -53,9 +53,11 @@ type Endpoint struct {
 	retransQ           []*chunk // transmitted, not fully acknowledged
 	queuedBytes        int      // payload bytes across both queues
 	queuedPayloadTotal uint64   // cumulative payload bytes ever queued
-	// First backing stores of the two queues; append spills to the heap past them.
-	sendQueueBuf [sendQueueInline]*chunk
-	retransQBuf  [retransQInline]*chunk
+	// First backing stores of the two queues and of sackRanges; append
+	// spills to the heap past them.
+	sendQueueBuf  [sendQueueInline]*chunk
+	retransQBuf   [retransQInline]*chunk
+	sackRangesBuf [sackRangesInline]packet.SACKBlock
 
 	// free recycles chunk structs and the DSS options attached to them once
 	// their retransmission lifetime ends (fully acknowledged, popped from
@@ -157,6 +159,7 @@ func newEndpoint(iface *netem.Interface, local, remote packet.Endpoint, cfg Conf
 		sndWnd:  cfg.MSS, // until the peer advertises
 	}
 	e.sendQueue, e.retransQ = e.sendQueueBuf[:0], e.retransQBuf[:0]
+	e.sackRanges = e.sackRangesBuf[:0]
 	e.recvQueue.UsePool(e.bufs)
 	if e.sndBuf = hooks.SendQueue(); e.sndBuf == nil {
 		e.sndBuf, e.ownsSndBuf = new(buffer.SendQueue), true
@@ -632,16 +635,20 @@ func (e *Endpoint) handOff() {
 	e.close(nil)
 }
 
-// close stops the endpoint's timers, drops the queued chunks' holds on the
-// send queue and, when the queue is the endpoint's own, releases it; then it
-// reports the terminal error. The receive queue stays readable: it gives its
-// blocks back as the application reads them.
+// close stops the endpoint's timers, gives the data held out of order, which
+// can no longer be delivered, back to the pool, drops the queued chunks' holds
+// on the send queue and, when the queue is the endpoint's own, releases it;
+// then it reports the terminal error. The receive queue stays readable:
+// it gives its blocks back as the application reads them.
 func (e *Endpoint) close(err error) {
 	if err != nil && e.err == nil {
 		e.err = err
 	}
 	e.rtoTimer.Stop()
 	e.persistTimer.Stop()
+	if e.recvOfo != nil {
+		e.recvOfo.Release()
+	}
 	// The chunks stay queued, but nothing sends them again.
 	for _, q := range [2][]*chunk{e.retransQ, e.sendQueue} {
 		for _, c := range q {

@@ -4,6 +4,7 @@ import (
 	"mptcpgo/internal/buffer"
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
+	"mptcpgo/internal/sim"
 )
 
 // HandleSegment implements netem.SegmentHandler; every segment addressed to
@@ -209,7 +210,7 @@ func (e *Endpoint) processPayload(seg *packet.Segment) {
 		// the first out-of-order arrival: an in-order flow never has one.
 		if e.recvOfo == nil {
 			e.recvOfo = buffer.NewOfoQueue(buffer.AlgRegular)
-			e.recvOfo.UsePool(e.bufs)
+			e.recvOfo.UsePool(e.bufs, sim.Local[buffer.Nodes](e.sim))
 		}
 		e.recvOfo.Insert(buffer.Item{Seq: rel, Data: payload})
 		e.recordSackRange(segSeq, segSeq.Add(uint32(len(payload))))

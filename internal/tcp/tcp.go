@@ -239,13 +239,17 @@ func (NopHooks) NewController(cc.Config) cc.Controller { return nil }
 // SendQueue implements Hooks.
 func (NopHooks) SendQueue() *buffer.SendQueue { return nil }
 
-// Inline capacities of an endpoint's chunk queues (Endpoint.sendQueueBuf),
-// sized to what the bench/perf fleets were measured to hold and never a limit:
-// MPTCP hands a chunk down only when it can be sent at once (one queued, plus
-// a FIN), and a flow inside its initial window has at most 11 unacknowledged.
+// Inline capacities of an endpoint's chunk queues and SACK ranges
+// (Endpoint.sendQueueBuf), sized to what the bench/perf fleets were measured
+// to hold and never a limit: MPTCP hands a chunk down only when it can be
+// sent at once (one queued, plus a FIN), a flow inside its initial window has
+// at most 11 unacknowledged, and two SACK-range insertions in three leave at
+// most 4 ranges even behind corelink's overloaded core (8 would push the
+// endpoint into the next size class).
 const (
-	sendQueueInline = 2
-	retransQInline  = 12
+	sendQueueInline  = 2
+	retransQInline   = 12
+	sackRangesInline = 4
 )
 
 // chunk is one send-queue entry: at most one MSS of payload plus the options

@@ -259,21 +259,23 @@ func TestTeardownReleasesSendQueue(t *testing.T) {
 	}
 }
 
-// TestSpillPastInlineQueuesChangesNothing: an endpoint's chunk queues start
-// on arrays inside the endpoint and move to the heap when they outgrow them.
-// A lossy plain-TCP transfer whose queues hold hundreds of chunks must run
-// exactly like the same transfer with both queues on roomy heap arrays from
-// the start: same bytes at the same time, same counters on both ends. The
+// TestSpillPastInlineQueuesChangesNothing: an endpoint's chunk queues and
+// SACK ranges start on arrays inside the endpoint and move to the heap when
+// they outgrow them. A lossy plain-TCP transfer whose queues hold hundreds of
+// chunks, and whose receiver holds more holes than its inline array, must run
+// exactly like the same transfer with all three on roomy heap arrays from the
+// start: same bytes at the same time, same counters on both ends. The
 // out-of-order queue, built at the first hole, must have been built.
 func TestSpillPastInlineQueuesChangesNothing(t *testing.T) {
 	link := netem.LinkConfig{RateBps: netem.Mbps(10), Delay: 10 * time.Millisecond, QueueBytes: 32 << 10, LossRate: 0.01}
 	const total = 400 << 10
-	run := func(onHeap bool) (done time.Duration, received int, cli, srv Stats, sendQ, retransQ int) {
+	run := func(onHeap bool) (done time.Duration, received int, cli, srv Stats, sendQ, retransQ, sackRanges int) {
 		n := testNet(t, link)
 		prep := func(e *Endpoint) {
 			if onHeap {
 				e.sendQueue = append(make([]*chunk, 0, 4096), e.sendQueue...)
 				e.retransQ = append(make([]*chunk, 0, 4096), e.retransQ...)
+				e.sackRanges = make([]packet.SACKBlock, 0, 64)
 			}
 		}
 		var server *Endpoint
@@ -320,6 +322,16 @@ func TestSpillPastInlineQueuesChangesNothing(t *testing.T) {
 		}
 		client.OnEstablished = pump
 		client.OnWritable = pump
+		var watch func()
+		watch = func() {
+			if server != nil {
+				sackRanges = max(sackRanges, len(server.sackRanges))
+			}
+			if n.Sim.Now() < 30*time.Second {
+				n.Sim.Schedule(time.Millisecond, watch)
+			}
+		}
+		n.Sim.Schedule(time.Millisecond, watch)
 		if err := n.Sim.RunUntil(30 * time.Second); err != nil {
 			t.Fatal(err)
 		}
@@ -329,10 +341,10 @@ func TestSpillPastInlineQueuesChangesNothing(t *testing.T) {
 		if client.recvOfo != nil {
 			t.Fatal("the sender, which received no data, built an out-of-order queue")
 		}
-		return done, received, client.Stats(), server.Stats(), sendQ, retransQ
+		return done, received, client.Stats(), server.Stats(), sendQ, retransQ, sackRanges
 	}
-	refDone, refReceived, refCli, refSrv, _, _ := run(true)
-	done, received, cli, srv, sendQ, retransQ := run(false)
+	refDone, refReceived, refCli, refSrv, _, _, _ := run(true)
+	done, received, cli, srv, sendQ, retransQ, sackRanges := run(false)
 	if received != total || done == 0 {
 		t.Fatalf("received %d of %d bytes (done at %v)", received, total, done)
 	}
@@ -340,7 +352,8 @@ func TestSpillPastInlineQueuesChangesNothing(t *testing.T) {
 		t.Fatalf("inline-then-heap run differs from the all-heap reference:\ndone %v vs %v, received %d vs %d\nclient %+v\n   ref %+v\nserver %+v\n   ref %+v",
 			done, refDone, received, refReceived, cli, refCli, srv, refSrv)
 	}
-	if sendQ <= sendQueueInline || retransQ <= retransQInline {
-		t.Fatalf("queues peaked at %d and %d chunks; the inline arrays hold %d and %d, so nothing spilled", sendQ, retransQ, sendQueueInline, retransQInline)
+	if sendQ <= sendQueueInline || retransQ <= retransQInline || sackRanges <= sackRangesInline {
+		t.Fatalf("queues peaked at %d and %d chunks and %d SACK ranges; the inline arrays hold %d, %d and %d, so nothing spilled",
+			sendQ, retransQ, sackRanges, sendQueueInline, retransQInline, sackRangesInline)
 	}
 }
