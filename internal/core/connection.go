@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"time"
 
@@ -88,7 +87,9 @@ type Connection struct {
 	released bool
 	// mark is poisoned while the connection lies on the free list.
 	mark pool.Mark
-	err  error
+	// err is the terminal error, recorded by finish, or by reset before the
+	// subflows close so that the last close finishes with it.
+	err error
 
 	ccGroup cc.CoupledGroup
 
@@ -234,7 +235,10 @@ func (c *Connection) Closed() bool { return c.closed }
 // Err returns the terminal error, if any.
 func (c *Connection) Err() error { return c.err }
 
-// Subflows returns the connection's current subflows.
+// Subflows returns the connection's current subflows. The slice is the
+// connection's own list, and a reset shrinks it in place (each closing
+// subflow but the last leaves it), so a caller that resets subflows walks a
+// copy.
 func (c *Connection) Subflows() []*Subflow { return c.subflows }
 
 // ReassemblySteps returns the cumulative number of search steps performed by
@@ -436,25 +440,20 @@ func (c *Connection) Close() {
 	c.pump()
 }
 
-// Abort terminates the connection immediately: every subflow is reset.
-func (c *Connection) Abort() {
-	if c.closed {
-		return
-	}
-	for _, s := range c.subflows {
-		s.ep.SendReset()
-	}
-	c.finish(ErrAborted)
-}
+// Abort terminates the connection immediately: every subflow is reset, and
+// the connection finishes with ErrAborted.
+func (c *Connection) Abort() { c.reset(ErrAborted) }
 
-func (c *Connection) abortFromPeer() {
+// reset resets every subflow (Abort, or the peer's MP_FASTCLOSE). err is
+// recorded first, so nothing is sent meanwhile (pump and Write stop at it)
+// and the last subflow's close finishes the connection with it.
+func (c *Connection) reset(err error) {
 	if c.closed {
 		return
 	}
-	for _, s := range c.subflows {
-		s.ep.SendReset()
-	}
-	c.finish(ErrReset)
+	c.err = err
+	c.kill(func(*Subflow) bool { return true })
+	c.finish(err) // in case no subflow was left to close
 }
 
 // ErrReset mirrors the subflow-level reset error at the connection level.
@@ -733,70 +732,72 @@ func (c *Connection) markRemoteUsed(remote packet.Endpoint) {
 	}
 }
 
-// onSubflowFailed handles a subflow that was reset by MPTCP itself (HMAC or
-// checksum failure, lost options).
-func (c *Connection) onSubflowFailed(s *Subflow, reason string) {
-	if c.probe != nil {
-		var inflight int64
-		if s.ep != nil {
-			inflight = int64(s.ep.BytesInFlight())
-		}
-		c.probe.Emit(c.member, probe.KindSubflowFailed, c.connID, int32(s.id), 0, inflight)
-		c.probe.Count(c.member, probe.CtrSubflowDeaths, 1)
-	}
-	c.reinjectSubflowData(s)
-	c.removeSubflow(s)
-	if len(c.usableSubflows()) == 0 && !c.closed {
-		if !c.fallback {
-			c.finish(fmt.Errorf("%w: last failure: %s", ErrAllSubflowsFailed, reason))
+// kill resets the subflows victim picks; it is the one place the stack
+// resets a subflow. The victims are marked failed before the first reset, so
+// none of them is handed data while the others die, and each one's close
+// does the rest (onSubflowClosed). It walks a copy of c.subflows, which every
+// close but the last shrinks.
+func (c *Connection) kill(victim func(*Subflow) bool) {
+	var buf [8]*Subflow
+	victims := buf[:0]
+	for _, s := range c.subflows {
+		if !s.failed && s.ep != nil && victim(s) {
+			s.failed = true
+			victims = append(victims, s)
 		}
 	}
-	c.pump()
+	for _, s := range victims {
+		s.ep.SendReset()
+	}
 }
 
-// onSubflowClosed handles the underlying endpoint reaching CLOSED.
-func (c *Connection) onSubflowClosed(s *Subflow, err error) {
+// onSubflowClosed handles the underlying endpoint reaching CLOSED, and so
+// every subflow death, whatever caused it: it records the one event, hands
+// the un-DATA-ACKed data of a subflow that failed to the survivors, and
+// removes the subflow, or, if it was the last, finishes the connection. A
+// subflow already marked failed was reset by the stack itself (kill).
+func (c *Connection) onSubflowClosed(s *Subflow, e *tcp.Endpoint) {
+	err := e.Err()
+	killed := s.failed
 	s.failed = true
 	if c.closed {
 		return
 	}
+	died := killed || err != nil
 	if c.probe != nil {
-		if err != nil {
-			// Unexpected death (retransmission-limit teardown, reset): part
-			// of the failure taxonomy, A=1 distinguishes it from an MPTCP
-			// option-level failure.
-			var inflight int64
-			if s.ep != nil {
-				inflight = int64(s.ep.BytesInFlight())
+		if died {
+			// Part of the failure taxonomy: A=1 for a transport-level death
+			// (retransmission limit, the peer's reset), 0 for a reset of our
+			// own.
+			var transport int64
+			if !killed {
+				transport = 1
 			}
-			c.probe.Emit(c.member, probe.KindSubflowFailed, c.connID, int32(s.id), 1, inflight)
+			c.probe.Emit(c.member, probe.KindSubflowFailed, c.connID, int32(s.id), transport, int64(e.BytesInFlight()))
 			c.probe.Count(c.member, probe.CtrSubflowDeaths, 1)
 		} else {
 			c.probe.Emit(c.member, probe.KindSubflowClosed, c.connID, int32(s.id), 0, 0)
 		}
 	}
-	if err != nil {
-		// Unexpected subflow death: make sure its unacknowledged data gets
-		// retransmitted elsewhere.
+	if died {
 		c.reinjectSubflowData(s)
 	}
-	remaining := 0
 	for _, other := range c.subflows {
-		if other != s && !other.failed {
-			remaining++
+		if other != s {
+			c.removeSubflow(s)
+			c.pump()
+			return
 		}
 	}
-	if remaining == 0 {
-		c.maybeFinishAfterLastSubflow(err)
-		return
-	}
-	c.removeSubflow(s)
-	c.pump()
+	c.maybeFinishAfterLastSubflow(err)
 }
 
 // maybeFinishAfterLastSubflow decides the terminal state once no subflows
-// remain.
+// remain: a reset's recorded error is the connection's.
 func (c *Connection) maybeFinishAfterLastSubflow(err error) {
+	if err == nil {
+		err = c.err
+	}
 	cleanSend := !c.dataFinQueued || c.dataFinAcked || (c.Fallback() && c.unackedBytes() == 0)
 	cleanRecv := c.eofConsumed || !c.remoteDataFin || c.Fallback()
 	if err == nil && cleanSend && cleanRecv {
@@ -875,49 +876,36 @@ func (c *Connection) onRemoteAddressAdvertised(opt packet.AddAddrOption) {
 	}
 }
 
-// onRemoteAddressRemoved closes subflows using a withdrawn address.
+// onRemoteAddressRemoved resets the subflows using a withdrawn address.
 func (c *Connection) onRemoteAddressRemoved(opt packet.RemoveAddrOption) {
-	for _, id := range opt.AddrIDs {
-		for _, s := range c.subflows {
-			if s.addrID == id && !s.failed {
-				s.failed = true
-				s.ep.SendReset()
-				c.reinjectSubflowData(s)
-			}
-		}
-	}
-	c.pump()
+	c.kill(func(s *Subflow) bool { return slices.Contains(opt.AddrIDs, s.addrID) })
 }
 
 // RemoveLocalInterface withdraws a local interface from the connection
-// (mid-session interface loss, §3.4): every subflow bound to it is failed and
-// its un-DATA-ACKed data reinjected onto surviving subflows, and a
-// REMOVE_ADDR withdrawing the dead subflows' address IDs is queued on the
-// survivors — the peer must learn of the loss through a working path because
-// the dead one may swallow our RSTs.
+// (mid-session interface loss, §3.4): every subflow bound to it is reset, its
+// un-DATA-ACKed data reinjected onto surviving subflows, and a REMOVE_ADDR
+// withdrawing the dead subflows' address IDs is queued on the survivors —
+// the peer must learn of the loss through a working path because the dead
+// one may swallow our RSTs.
 func (c *Connection) RemoveLocalInterface(ifc *netem.Interface) {
 	if c.closed {
 		return
 	}
-	var victims []*Subflow
+	onIfc := func(s *Subflow) bool { return s.ep.Interface() == ifc }
+	var buf [8]uint8
+	removed := buf[:0]
 	for _, s := range c.subflows {
-		if s.ep != nil && s.ep.Interface() == ifc && !s.failed {
-			victims = append(victims, s)
+		if !s.failed && s.ep != nil && onIfc(s) {
+			removed = append(removed, s.addrID)
+			if c.probe != nil {
+				c.probe.Emit(c.member, probe.KindAddrRemoved, c.connID, int32(s.id), int64(s.addrID), 0)
+			}
 		}
 	}
-	if len(victims) == 0 {
+	if len(removed) == 0 {
 		return
 	}
-	removed := make([]uint8, 0, len(victims))
-	for _, s := range victims {
-		removed = append(removed, s.addrID)
-		s.failed = true
-		s.ep.SendReset()
-		c.reinjectSubflowData(s)
-		if c.probe != nil {
-			c.probe.Emit(c.member, probe.KindAddrRemoved, c.connID, int32(s.id), int64(s.addrID), 0)
-		}
-	}
+	c.kill(onIfc)
 	if c.MPTCPActive() {
 		for _, s := range c.usableSubflows() {
 			s.pendingRemoveAddr = append(s.pendingRemoveAddr[:0], removed...)
@@ -925,7 +913,6 @@ func (c *Connection) RemoveLocalInterface(ifc *netem.Interface) {
 			s.ep.ForceWindowUpdate()
 		}
 	}
-	c.pump()
 }
 
 // RestoreLocalInterface reacts to an interface coming back (§3.4): the client
@@ -965,33 +952,19 @@ func (c *Connection) enterFallback(reason string, keep *Subflow) {
 	c.fallback = true
 	c.stats.Fallbacks++
 	if c.probe != nil {
-		var keepID int32 = -1
-		if keep != nil {
-			keepID = int32(keep.id)
-		}
-		c.probe.Emit(c.member, probe.KindFallback, c.connID, keepID, 0, 0)
+		c.probe.Emit(c.member, probe.KindFallback, c.connID, int32(keep.id), 0, 0)
 		c.probe.Count(c.member, probe.CtrFallbacks, 1)
 	}
-	// Terminate every other subflow; the surviving one carries the rest of
-	// the connection as plain TCP.
-	for _, s := range c.subflows {
-		if s != keep && !s.failed {
-			s.failed = true
-			s.ep.SendReset()
-		}
-	}
-	if keep != nil {
-		c.subflows = append(c.subflows[:0], keep)
-	}
+	// Reset every other subflow; the kept one carries the rest of the
+	// connection as plain TCP.
+	c.kill(func(s *Subflow) bool { return s != keep })
 	// From the fallback point onward incoming bytes map implicitly onto the
 	// data stream; anchor the implicit mapping at the current delivery
 	// point.
-	if keep != nil && keep.ep != nil {
-		keep.fallbackRxBase = uint64(keep.ep.RelativeRcvNxt())
-		keep.fallbackRxAnchor = c.dataRcvNxt
-		keep.fallbackTxBase = keep.ep.QueuedPayloadBytes()
-		keep.fallbackTxAnchor = c.dataNxt
-	}
+	keep.fallbackRxBase = uint64(keep.ep.RelativeRcvNxt())
+	keep.fallbackRxAnchor = c.dataRcvNxt
+	keep.fallbackTxBase = keep.ep.QueuedPayloadBytes()
+	keep.fallbackTxAnchor = c.dataNxt
 	if c.OnFallback != nil {
 		c.OnFallback(reason)
 	}

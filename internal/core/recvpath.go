@@ -99,7 +99,7 @@ func (c *Connection) handleUnmappedData(s *Subflow, relSeq uint32, data []byte) 
 // connection (signalling MP_FAIL to the peer).
 func (c *Connection) onChecksumFailure(s *Subflow) {
 	if len(c.usableSubflows()) > 1 {
-		s.failSubflow("dss checksum failure")
+		s.failSubflow()
 		return
 	}
 	s.sendMPFail = true

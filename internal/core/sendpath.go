@@ -471,9 +471,10 @@ func (c *Connection) recoverDroppedMappings() {
 }
 
 // reinjectSubflowData requeues the un-DATA-ACKed mappings that were sent on a
-// failed subflow so they are retransmitted elsewhere promptly.
+// failed subflow so they are retransmitted elsewhere promptly. A fallen-back
+// connection has nowhere else, nor has one being reset (c.err).
 func (c *Connection) reinjectSubflowData(failed *Subflow) {
-	if c.Fallback() {
+	if c.Fallback() || c.err != nil {
 		return
 	}
 	for _, m := range c.inflight {

@@ -391,7 +391,7 @@ func (s *Subflow) OnSegmentReceived(e *tcp.Endpoint, seg *packet.Segment) {
 			if opt.Phase == packet.JoinACK && !s.client {
 				expected := joinHMAC(c.remoteKey, c.localKey, s.remoteNonce, s.localNonce)
 				if !hmacEqual(opt.SenderHMAC, expected[:]) {
-					s.failSubflow("mp_join hmac validation failed")
+					s.failSubflow()
 					return
 				}
 				s.mpConfirmed = true
@@ -409,7 +409,7 @@ func (s *Subflow) OnSegmentReceived(e *tcp.Endpoint, seg *packet.Segment) {
 		case *packet.MPFailOption:
 			c.enterFallback("peer signalled MP_FAIL (checksum failure)", s)
 		case *packet.FastcloseOption:
-			c.abortFromPeer()
+			c.reset(ErrReset)
 		}
 	}
 }
@@ -531,13 +531,13 @@ func (s *Subflow) handleHandshakeOptions(seg *packet.Segment) {
 		if s.client && isSYNACK {
 			opt, _ := seg.MPTCPOption(packet.SubMPJoin).(*packet.MPJoinOption)
 			if opt == nil {
-				s.failSubflow("no MP_JOIN in SYN/ACK")
+				s.failSubflow()
 				return
 			}
 			s.remoteNonce = opt.SenderNonce
 			expected := joinHMAC(c.remoteKey, c.localKey, s.remoteNonce, s.localNonce)
 			if !hmacEqual(opt.SenderHMAC, truncatedHMAC(expected[:], 8)) {
-				s.failSubflow("mp_join hmac validation failed (SYN/ACK)")
+				s.failSubflow()
 				return
 			}
 			s.established = true
@@ -547,13 +547,8 @@ func (s *Subflow) handleHandshakeOptions(seg *packet.Segment) {
 
 // failSubflow resets a subflow that failed MPTCP validation or lost its
 // MPTCP options mid-stream; the connection continues on other subflows.
-func (s *Subflow) failSubflow(reason string) {
-	if s.failed {
-		return
-	}
-	s.failed = true
-	s.ep.SendReset()
-	s.conn.onSubflowFailed(s, reason)
+func (s *Subflow) failSubflow() {
+	s.conn.kill(func(v *Subflow) bool { return v == s })
 }
 
 // ---------------------------------------------------------------------------
@@ -585,7 +580,7 @@ func (s *Subflow) OnStateChange(e *tcp.Endpoint, old, new tcp.State) {
 			c.onRemoteDataFIN(c.fallbackDataSeq(s, rel))
 		}
 	case tcp.StateClosed:
-		c.onSubflowClosed(s, e.Err())
+		c.onSubflowClosed(s, e)
 	}
 }
 

@@ -154,8 +154,13 @@ func (c Counter) String() string {
 //
 //	KindSubflowSYN/Established:  A=address ID, B=1 if join subflow
 //	KindSubflowFailed:           A=1 for a transport-level death (RTO limit,
-//	                             reset), 0 for an MPTCP option-level failure;
+//	                             the peer's reset), 0 for a reset by the stack
+//	                             itself (failed MPTCP validation, interface or
+//	                             address loss, fallback, Abort);
 //	                             B=bytes in flight at death
+//	KindSubflowClosed:           a graceful close. A single subflow death
+//	                             records exactly one event, subflow_failed or
+//	                             subflow_closed
 //	KindRTO:                     A=consecutive backoff count, B=backed-off RTO (ns)
 //	KindCCAlpha:                 A=alpha*1000 (quantized), B=total cwnd bytes
 //	KindReinjection:             A=bytes, B=times the mapping was reinjected

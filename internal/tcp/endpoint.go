@@ -15,7 +15,6 @@ import (
 
 // Endpoint errors.
 var (
-	ErrClosed         = errors.New("tcp: endpoint closed")
 	ErrReset          = errors.New("tcp: connection reset by peer")
 	ErrTimeout        = errors.New("tcp: retransmission limit exceeded")
 	ErrNotEstablished = errors.New("tcp: connection not established")
@@ -498,16 +497,6 @@ func (e *Endpoint) Close() {
 	e.output()
 }
 
-// Abort sends a RST and tears the connection down immediately.
-func (e *Endpoint) Abort() {
-	if e.state == StateClosed {
-		return
-	}
-	rst := e.makeSegment(packet.FlagRST|packet.FlagACK, e.sndNxt, nil, nil)
-	e.sendSegment(rst, false)
-	e.teardown(ErrClosed)
-}
-
 // SendAck emits an immediate pure acknowledgement (the MPTCP layer uses it to
 // push DATA_ACK updates and DATA_FIN without waiting for data).
 func (e *Endpoint) SendAck() {
@@ -518,8 +507,9 @@ func (e *Endpoint) SendAck() {
 	e.sendSegment(seg, false)
 }
 
-// SendReset aborts only this endpoint with a RST without reporting an
-// application error (used when MPTCP resets a single subflow, §3.4).
+// SendReset sends a RST and closes the endpoint at once, with no error of its
+// own: it is the one way to reset an endpoint, and how the MPTCP layer resets
+// a subflow (§3.4).
 func (e *Endpoint) SendReset() {
 	if e.state == StateClosed {
 		return

@@ -201,7 +201,7 @@ func TestRTTEstimate(t *testing.T) {
 	// endpoint_more_test.go.)
 }
 
-// TestTeardownReleasesSendQueue aborts a sender in the middle of a transfer:
+// TestTeardownReleasesSendQueue resets a sender in the middle of a transfer:
 // the unacknowledged bytes' blocks must go back to the pool with the
 // teardown, and the receiver's queue gives its own back as it is read, so
 // once the network has drained no pool buffer is outstanding — none leaked,
@@ -243,7 +243,7 @@ func TestTeardownReleasesSendQueue(t *testing.T) {
 		if held := outstanding() - start; held < int64(queuedAtAbort/(16<<10)) {
 			t.Errorf("%d bytes queued but only %d pool buffers outstanding", queuedAtAbort, held)
 		}
-		client.Abort()
+		client.SendReset()
 	})
 	if err := n.Sim.RunUntil(5 * time.Second); err != nil {
 		t.Fatalf("sim: %v", err)
