@@ -250,7 +250,9 @@ func BenchmarkSegmentPool(b *testing.B) {
 // allocs/op: the end-to-end allocation footprint of the full stack (segment
 // and payload pools, send-queue slicing, chunk/DSS free lists, per-segment
 // option arenas, OFO recycling, event free list). ~59.8k allocs/op before
-// chunk/DSS recycling, ~3.2k after; TestBulkTransferAllocBudget pins it.
+// chunk/DSS recycling, ~3.2k after, ~0.9k since a segment that misses the
+// pool is one object and link FIFOs start inline; TestBulkTransferAllocBudget
+// pins it.
 func BenchmarkBulkTransferAllocs(b *testing.B) {
 	cfg := core.DefaultConfig()
 	cfg.SendBufBytes = 256 << 10

@@ -1,8 +1,9 @@
 package capacity
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // MaxMin computes the weighted max-min fair allocation of capacity (bits per
@@ -18,26 +19,57 @@ import (
 // index-order tie-breaking, so the result is a pure deterministic function of
 // (capacity, demands, weights) — no map iteration, no randomness.
 func MaxMin(capacity int64, demands []int64, weights []float64) []int64 {
+	return new(scratch).maxMin(nil, capacity, demands, weights)
+}
+
+// scratch is the allocation step's working memory. A ledger owns one, so a
+// step allocates nothing once its slices have grown to the claimant count;
+// what a method returns lives in the scratch and is overwritten by the
+// scratch's next call. MaxMin and Admit run on a fresh one.
+type scratch struct {
+	out     []int64 // admit's result
+	targets []int64 // doubled demands
+	floors  []int64 // shortfalls below the fair share
+	grants  []int64 // the leftover's max-min split over floors
+	order   []int   // claimants by demand per weight
+}
+
+// resize returns s with length n, reusing its backing array when it is large
+// enough. The contents are left to the caller.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// maxMin is MaxMin written into dst, resized to len(demands); it returns
+// dst.
+func (sc *scratch) maxMin(dst []int64, capacity int64, demands []int64, weights []float64) []int64 {
 	n := len(demands)
-	alloc := make([]int64, n)
+	alloc := resize(dst, n)
+	clear(alloc)
 	if n == 0 || capacity <= 0 {
 		return alloc
 	}
 	wsum := sum(weights)
-	order := make([]int, n)
+	order := resize(sc.order, n)
+	sc.order = order
 	for i := range order {
 		order[i] = i
 	}
 	// Ascending demand-per-weight: once one claimant's fair share falls short
 	// of its demand, every later claimant's does too.
-	sort.SliceStable(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
+	slices.SortStableFunc(order, func(ia, ib int) int {
 		ra := float64(demands[ia]) / weights[ia]
 		rb := float64(demands[ib]) / weights[ib]
 		if ra != rb {
-			return ra < rb
+			if ra < rb {
+				return -1
+			}
+			return 1
 		}
-		return ia < ib
+		return cmp.Compare(ia, ib)
 	})
 	remaining := capacity
 	for k, i := range order {
@@ -84,22 +116,29 @@ func MaxMin(capacity int64, demands []int64, weights []float64) []int64 {
 // arguments. A window with no measured demand at all falls back to the
 // weight-proportional spread, which is also the correct epoch-0 allocation.
 func Admit(capacity int64, demands []int64, weights []float64) []int64 {
+	return new(scratch).admit(capacity, demands, weights)
+}
+
+// admit is Admit into sc.out.
+func (sc *scratch) admit(capacity int64, demands []int64, weights []float64) []int64 {
 	n := len(demands)
-	if n == 0 {
-		return []int64{}
-	}
-	targets := make([]int64, n)
+	targets := resize(sc.targets, n)
+	sc.targets = targets
 	anyActive := false
 	for i, d := range demands {
+		targets[i] = 0
 		if d > 0 {
 			targets[i] = 2 * d
 			anyActive = true
 		}
 	}
 	if !anyActive {
-		return SpreadHeadroom(capacity, make([]int64, n), weights)
+		sc.out = resize(sc.out, n)
+		clear(sc.out)
+		return spreadHeadroom(sc.out, capacity, sc.out, weights)
 	}
-	alloc := MaxMin(capacity, targets, weights)
+	alloc := sc.maxMin(sc.out, capacity, targets, weights)
+	sc.out = alloc
 	if leftover := capacity - sum(alloc); leftover > 0 {
 		// Fair-share floors, carved from the leftover only: every claimant
 		// whose probe grant fell short of a weighted fair share of the whole
@@ -108,17 +147,20 @@ func Admit(capacity int64, demands []int64, weights []float64) []int64 {
 		// oversubscribed. Claimants already at or above fair share have a zero
 		// shortfall and stay out.
 		wsum := sum(weights)
-		floors := make([]int64, n)
+		floors := resize(sc.floors, n)
+		sc.floors = floors
 		for i, w := range weights {
+			floors[i] = 0
 			if fair := int64(float64(capacity) * w / wsum); alloc[i] < fair {
 				floors[i] = fair - alloc[i]
 			}
 		}
-		for i, g := range MaxMin(leftover, floors, weights) {
+		sc.grants = sc.maxMin(sc.grants, leftover, floors, weights)
+		for i, g := range sc.grants {
 			alloc[i] += g
 		}
 	}
-	return SpreadHeadroomByAlloc(capacity, alloc, weights)
+	return spreadHeadroomByAlloc(alloc, capacity, alloc, weights)
 }
 
 // SmoothDemand folds one window's measured demand into a peak-hold-with-decay
@@ -156,12 +198,14 @@ func ValidWeight(w float64) bool { return w > 0 && !math.IsInf(w, 1) }
 
 // ledger is one resource's claimants as the allocation step sees them: the
 // shards on one coupler link, or one shard's member link directions on it.
-// It holds each claimant's weight, fixed when the claimant joins, and its
-// smoothed demand in bits per second, carried across windows.
+// It holds each claimant's weight, fixed when the claimant joins, its
+// smoothed demand in bits per second, carried across windows, and the
+// scratch its steps work in.
 type ledger struct {
 	weights []float64
 	wsum    float64
 	demands []int64
+	scratch
 }
 
 func (l *ledger) add(weight float64) {
@@ -178,9 +222,9 @@ func (l *ledger) observe(i int, offered uint64, epochSec float64) {
 
 // step is the capacity exchange's one allocation step, the same at both
 // levels: Admit over demands, then every claimant raised to its trickle
-// floor.
+// floor. The result is the ledger's own slice, valid until its next step.
 func (l *ledger) step(capacity int64, epochSec float64, demands []int64) []int64 {
-	out := Admit(capacity, demands, l.weights)
+	out := l.admit(capacity, demands, l.weights)
 	for i, w := range l.weights {
 		out[i] = max(out[i], TrickleFloor(capacity, epochSec, w, l.wsum))
 	}
@@ -195,19 +239,18 @@ func sum[T int64 | float64](xs []T) T {
 	return s
 }
 
-// SpreadHeadroom distributes the capacity left unclaimed by a max-min
-// allocation back to the claimants in proportion to weight, returning a new
-// slice that sums to (almost exactly) capacity. The headroom is what lets a
-// rate-capped TCP flow reveal growing demand: with alloc == last-measured
-// offered bytes, the cap would pin the measurement to itself forever; with
-// each claimant holding its allocation plus a weighted slice of the slack, a
-// sender that wants more can offer more, and the next epoch's max-min sees
-// it. Integer floors leave at most a few bits per second unassigned; they go
-// to the lowest-indexed claimant so the result stays deterministic.
-func SpreadHeadroom(capacity int64, alloc []int64, weights []float64) []int64 {
-	n := len(alloc)
-	out := make([]int64, n)
-	if n == 0 {
+// spreadHeadroom distributes the capacity left unclaimed by a max-min
+// allocation back to the claimants in proportion to weight, writing into out
+// (alloc's length, and may be alloc itself) a result that sums to (almost
+// exactly) capacity. The headroom is what lets a rate-capped TCP flow reveal
+// growing demand: with alloc == last-measured offered bytes, the cap would
+// pin the measurement to itself forever; with each claimant holding its
+// allocation plus a weighted slice of the slack, a sender that wants more can
+// offer more, and the next epoch's max-min sees it. Integer floors leave at
+// most a few bits per second unassigned; they go to the lowest-indexed
+// claimant so the result stays deterministic.
+func spreadHeadroom(out []int64, capacity int64, alloc []int64, weights []float64) []int64 {
+	if len(alloc) == 0 {
 		return out
 	}
 	leftover := max(capacity-sum(alloc), 0)
@@ -222,20 +265,20 @@ func SpreadHeadroom(capacity int64, alloc []int64, weights []float64) []int64 {
 	return out
 }
 
-// SpreadHeadroomByAlloc distributes the unclaimed capacity in proportion to
-// each claimant's granted allocation instead of its weight: headroom follows
-// demonstrated demand, so the active claimants absorb the slack (and ramp
-// multiplicatively on top of their probe targets) while idle claimants keep
-// only their probe floor instead of stranding a weight-share of an
-// almost-idle resource. When nothing was granted — epoch zero, or a fully
-// idle window — it falls back to the weighted spread. The integer residue
-// goes to the first claimant with a grant, keeping the result deterministic.
-func SpreadHeadroomByAlloc(capacity int64, alloc []int64, weights []float64) []int64 {
+// spreadHeadroomByAlloc distributes the unclaimed capacity in proportion to
+// each claimant's granted allocation instead of its weight, writing into out
+// as spreadHeadroom does: headroom follows demonstrated demand, so the active
+// claimants absorb the slack (and ramp multiplicatively on top of their probe
+// targets) while idle claimants keep only their probe floor instead of
+// stranding a weight-share of an almost-idle resource. When nothing was
+// granted — epoch zero, or a fully idle window — it falls back to the
+// weighted spread. The integer residue goes to the first claimant with a
+// grant, keeping the result deterministic.
+func spreadHeadroomByAlloc(out []int64, capacity int64, alloc []int64, weights []float64) []int64 {
 	used := sum(alloc)
 	if used <= 0 {
-		return SpreadHeadroom(capacity, alloc, weights)
+		return spreadHeadroom(out, capacity, alloc, weights)
 	}
-	out := make([]int64, len(alloc))
 	leftover := max(capacity-used, 0)
 	var given int64
 	first := -1

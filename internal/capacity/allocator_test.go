@@ -3,6 +3,7 @@ package capacity
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -79,10 +80,10 @@ func TestMaxMinDeterministicTieBreak(t *testing.T) {
 }
 
 func TestSpreadHeadroom(t *testing.T) {
-	got := SpreadHeadroom(100, []int64{10, 20, 30}, []float64{1, 1, 1})
+	got := spreadHeadroom(make([]int64, 3), 100, []int64{10, 20, 30}, []float64{1, 1, 1})
 	// Leftover 40 splits 13/13/13 with the integer residue on claimant 0.
 	if want := []int64{24, 33, 43}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("SpreadHeadroom = %v, want %v", got, want)
+		t.Fatalf("spreadHeadroom = %v, want %v", got, want)
 	}
 	var sum int64
 	for _, a := range got {
@@ -95,12 +96,12 @@ func TestSpreadHeadroom(t *testing.T) {
 
 func TestSpreadHeadroomByAllocFollowsDemand(t *testing.T) {
 	// The only active claimant absorbs all headroom; idles stay at zero.
-	got := SpreadHeadroomByAlloc(100, []int64{0, 50, 0}, []float64{1, 1, 1})
+	got := spreadHeadroomByAlloc(make([]int64, 3), 100, []int64{0, 50, 0}, []float64{1, 1, 1})
 	if want := []int64{0, 100, 0}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("SpreadHeadroomByAlloc = %v, want %v", got, want)
+		t.Fatalf("spreadHeadroomByAlloc = %v, want %v", got, want)
 	}
 	// Fully idle windows fall back to the weighted spread.
-	got = SpreadHeadroomByAlloc(80, []int64{0, 0}, []float64{1, 3})
+	got = spreadHeadroomByAlloc(make([]int64, 2), 80, []int64{0, 0}, []float64{1, 3})
 	if want := []int64{20, 60}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("idle fallback = %v, want %v", got, want)
 	}
@@ -198,6 +199,10 @@ func TestAdmitConverges(t *testing.T) {
 //   - Admit sums to exactly the capacity whenever the capacity is positive.
 //   - The allocation step gives every claimant at least its trickle floor and
 //     sums to at most the capacity plus the floors.
+//   - One ledger stepped again on demands that change between steps (rotated,
+//     all idle, halved, restored) gives, each time, what Admit and the
+//     trickle floors give on fresh slices: a step that read its scratch's
+//     leftovers from the step before would not.
 func FuzzAdmit(f *testing.F) {
 	claims := func(demands []int64, weights []float64) []byte {
 		var b []byte
@@ -276,6 +281,29 @@ func FuzzAdmit(f *testing.F) {
 		}
 		if got > capacity+floors {
 			t.Fatalf("the step admits %d bps, over the capacity %d plus the floors %d", got, capacity, floors)
+		}
+
+		next := make([]int64, n)
+		for round := 0; round < 4; round++ {
+			for i := range next {
+				switch round {
+				case 0:
+					next[i] = demands[(i+1)%len(demands)]
+				case 1:
+					next[i] = 0
+				case 2:
+					next[i] = demands[i] / 2
+				case 3:
+					next[i] = demands[i]
+				}
+			}
+			want := Admit(capacity, next, l.weights)
+			for i, w := range l.weights {
+				want[i] = max(want[i], TrickleFloor(capacity, epochSec, w, l.wsum))
+			}
+			if got := l.step(capacity, epochSec, next); !slices.Equal(got, want) {
+				t.Fatalf("round %d: a reused ledger steps %v to %v, a fresh Admit to %v", round, next, got, want)
+			}
 		}
 	})
 }

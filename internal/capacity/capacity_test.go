@@ -5,6 +5,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mptcpgo/internal/netem"
+	"mptcpgo/internal/packet"
+	"mptcpgo/internal/sim"
 )
 
 func TestParseSharedLink(t *testing.T) {
@@ -162,4 +166,72 @@ func FuzzParseSharedLink(f *testing.F) {
 			t.Fatalf("round trip of %q: %+v -> %+v", spec, l, back)
 		}
 	})
+}
+
+// TestWarmEpochAllocatesNothing: once warm, an epoch of the capacity
+// exchange — Meter.Collect, Coupler.Report, Allocate, Meter.Apply — allocates
+// nothing. Every allocation step works in its ledger's scratch, and the
+// coupler hands back the same [shard][link] slices each time. The members
+// offer a load that changes every epoch, so the steps run through max-min,
+// the floors and both headroom spreads, not one cached shape. The trace is a
+// log that grows by append; the test sizes it up front.
+func TestWarmEpochAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops segments at random under the race detector")
+	}
+	s := sim.New(1)
+	path := netem.SymmetricPath(netem.Mbps(100), time.Millisecond, 0, 0)
+	spec := netem.GraphSpec{Hosts: []string{"c0", "c1", "srv"}, Links: []netem.LinkSpec{
+		{A: "c0", B: "srv", Config: path, SharedAB: "core"},
+		{A: "c1", B: "srv", Config: path, SharedAB: "core"},
+	}}
+	n, err := netem.BuildGraph(s, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Host("srv").OnUnmatched = func(_ *netem.Interface, seg *packet.Segment) { seg.Release() }
+	c, err := NewCoupler([]SharedLink{{Name: "core", RateBps: netem.Mbps(4)}}, []float64{2, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMeter(c, n, spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.trace = make([]EpochRecord, 0, 256)
+	payload := make([]byte, 1000)
+	other := []uint64{0}
+	epoch := 0
+	allocs := c.Initial()
+	step := func() {
+		m.Apply(allocs[0])
+		for i, p := range n.Paths {
+			for k := 0; k < (epoch+i)%4*10; k++ {
+				seg := packet.NewSegment()
+				seg.Src = packet.Endpoint{Addr: p.A().Addr(), Port: 1}
+				seg.Dst = packet.Endpoint{Addr: p.B().Addr(), Port: 2}
+				seg.Flags = packet.FlagACK
+				seg.Payload = payload
+				p.A().Send(seg)
+			}
+		}
+		epoch++
+		if err := s.RunUntil(time.Duration(epoch) * c.Epoch()); err != nil {
+			t.Fatal(err)
+		}
+		offered, sent := m.Collect()
+		c.Report(0, offered, sent)
+		other[0] = uint64(epoch%3) * 30_000
+		c.Report(1, other, other)
+		allocs = c.Allocate()
+	}
+	for i := 0; i < 8; i++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(100, step); avg != 0 {
+		t.Fatalf("a warm epoch allocates %.1f objects, want 0", avg)
+	}
+	if len(c.Trace()) != 109 {
+		t.Fatalf("%d epochs traced, want 109", len(c.Trace()))
+	}
 }

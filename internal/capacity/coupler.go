@@ -51,6 +51,7 @@ type Coupler struct {
 
 	offered [][]uint64 // [link][shard] bytes offered this window
 	sent    [][]uint64 // [link][shard] bytes serialized this window
+	allocs  [][]int64  // [shard][link] what Initial and Allocate return
 
 	epochs int
 	trace  []EpochRecord
@@ -95,6 +96,7 @@ func NewCoupler(links []SharedLink, shardWeights []float64) (*Coupler, error) {
 		claims:  make([]ledger, len(ls)),
 		offered: make([][]uint64, len(ls)),
 		sent:    make([][]uint64, len(ls)),
+		allocs:  make([][]int64, len(shardWeights)),
 	}
 	for j := range ls {
 		for _, w := range shardWeights {
@@ -102,6 +104,9 @@ func NewCoupler(links []SharedLink, shardWeights []float64) (*Coupler, error) {
 		}
 		c.offered[j] = make([]uint64, len(shardWeights))
 		c.sent[j] = make([]uint64, len(shardWeights))
+	}
+	for s := range c.allocs {
+		c.allocs[s] = make([]int64, len(ls))
 	}
 	return c, nil
 }
@@ -135,9 +140,10 @@ func (c *Coupler) Report(shard int, offered, sent []uint64) {
 // Initial returns the epoch-0 allocation, before any demand has been
 // observed: the allocation step over zero demands, which gives every shard
 // its weight-proportional share of each link. The shape is [shard][link]
-// admitted bits per second, matching Allocate.
+// admitted bits per second, matching Allocate, and the slices are the
+// coupler's own: valid until its next Initial or Allocate.
 func (c *Coupler) Initial() [][]int64 {
-	out := c.emptyAllocs()
+	out := c.allocs
 	for j, l := range c.links {
 		cl := &c.claims[j]
 		for s, a := range cl.step(l.RateBps, c.epoch.Seconds(), make([]int64, len(cl.demands))) {
@@ -151,9 +157,10 @@ func (c *Coupler) Initial() [][]int64 {
 // into its peak-hold demand estimate, runs the allocation step per link
 // (Admit across shards in index order, then the trickle floor), appends the
 // window's EpochRecords to the trace and resets the ledger. The result is
-// [shard][link] admitted bits per second for the next window.
+// [shard][link] admitted bits per second for the next window, in slices the
+// coupler reuses: valid until its next Initial or Allocate.
 func (c *Coupler) Allocate() [][]int64 {
-	out := c.emptyAllocs()
+	out := c.allocs
 	epochSec := c.epoch.Seconds()
 	for j, l := range c.links {
 		cl := &c.claims[j]
@@ -184,11 +191,3 @@ func (c *Coupler) Epochs() int { return c.epochs }
 
 // Trace returns the per-epoch capacity records in (epoch, link) order.
 func (c *Coupler) Trace() []EpochRecord { return c.trace }
-
-func (c *Coupler) emptyAllocs() [][]int64 {
-	out := make([][]int64, len(c.offered[0]))
-	for s := range out {
-		out[s] = make([]int64, len(c.links))
-	}
-	return out
-}

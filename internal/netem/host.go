@@ -208,13 +208,10 @@ func (h *Host) dispatch(ingress *Interface, seg *packet.Segment) {
 	// Default behaviour: answer non-RST segments with a RST, as a real host
 	// with no matching socket would.
 	if !seg.Flags.Has(packet.FlagRST) {
-		rst := &packet.Segment{
-			Src:   seg.Dst,
-			Dst:   seg.Src,
-			Seq:   seg.Ack,
-			Ack:   seg.EndSeq(),
-			Flags: packet.FlagRST | packet.FlagACK,
-		}
+		rst := packet.NewSegment()
+		rst.Src, rst.Dst = seg.Dst, seg.Src
+		rst.Seq, rst.Ack = seg.Ack, seg.EndSeq()
+		rst.Flags = packet.FlagRST | packet.FlagACK
 		ingress.Send(rst)
 	}
 	seg.Release()

@@ -102,9 +102,13 @@ type Link struct {
 	// head < len(fifo)); undrained indexes the next entry whose virtual
 	// dequeue has not yet been credited (undrained >= head at event
 	// boundaries: an entry's dequeue is always ordered before its delivery).
-	fifo      []txEntry
-	head      int
-	undrained int
+	// It starts on fifoInline, so a link with at most fifoInlineLen
+	// segments in flight never allocates one; a burst past that spills to
+	// the heap by append and stays there.
+	fifo       []txEntry
+	head       int
+	undrained  int
+	fifoInline [fifoInlineLen]txEntry
 
 	stats LinkStats
 
@@ -116,6 +120,7 @@ type Link struct {
 // NewLink creates a link delivering to dst.
 func NewLink(s *sim.Simulator, name string, cfg LinkConfig, dst Receiver) *Link {
 	l := &Link{sim: s, cfg: cfg, dst: dst, name: name}
+	l.fifo = l.fifoInline[:0]
 	s.RegisterSettler(l)
 	return l
 }
@@ -227,6 +232,10 @@ func (l *Link) Send(seg *packet.Segment) {
 		l.sim.ScheduleArgsAtSeq(done+l.cfg.Delay, dlSeq, deliverBurst, l, nil)
 	}
 }
+
+// fifoInlineLen is the number of in-flight transmissions a link holds
+// without a heap FIFO.
+const fifoInlineLen = 16
 
 // fifoCompactMin is the delivered-prefix length from which deliverBurst
 // compacts the FIFO. The copy moves at most head entries and the next one is

@@ -370,3 +370,86 @@ func TestBoxChainAllocs(t *testing.T) {
 		t.Fatalf("a crossing through two pass-through elements allocates %.1f, without them %.1f", two, none)
 	}
 }
+
+// TestLinkFIFOSpillsOffInline queues 40 segments back to back on a link
+// whose FIFO starts on its 16-entry inline array: the burst spills to the
+// heap, the delivered prefix is compacted mid-burst, and every segment still
+// arrives in order at its own serialization slot plus the delay.
+func TestLinkFIFOSpillsOffInline(t *testing.T) {
+	const total = 40
+	const delay = time.Millisecond
+	s := sim.New(1)
+	var link *Link
+	var arrivals []time.Duration
+	var ordinals []uint64
+	compacted := false
+	link = NewLink(s, "l", LinkConfig{RateBps: Mbps(8), Delay: delay}, ReceiverFunc(func(seg *packet.Segment) {
+		arrivals = append(arrivals, s.Now())
+		ordinals = append(ordinals, seg.Ordinal)
+		if link.head == 0 && len(link.fifo) > 0 {
+			compacted = true
+		}
+	}))
+	if cap(link.fifo) != fifoInlineLen || &link.fifo[:1][0] != &link.fifoInline[0] {
+		t.Fatal("a new link's FIFO does not start on its inline array")
+	}
+	seg := testSegment(1000)
+	tx := time.Duration(float64(wireSize(seg)*8) / float64(Mbps(8)) * float64(time.Second))
+	link.Send(seg)
+	for i := 1; i < total; i++ {
+		link.Send(testSegment(1000))
+	}
+	if &link.fifo[0] == &link.fifoInline[0] {
+		t.Fatalf("%d queued segments still on the inline FIFO", total)
+	}
+	_ = s.Run()
+	if len(arrivals) != total {
+		t.Fatalf("%d of %d segments delivered", len(arrivals), total)
+	}
+	if !compacted {
+		t.Fatal("the burst never compacted its delivered prefix")
+	}
+	for k, at := range arrivals {
+		if want := time.Duration(k+1)*tx + delay; at != want || ordinals[k] != uint64(k+1) {
+			t.Fatalf("delivery %d: segment %d at %v, want segment %d at %v", k, ordinals[k], at, k+1, want)
+		}
+	}
+}
+
+// TestUnmatchedDataAnsweredWithoutAllocating: a warm host answers a data
+// segment for a four-tuple with no socket with a RST from the segment pool,
+// so neither the answer nor its trip back allocates.
+func TestUnmatchedDataAnsweredWithoutAllocating(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops segments at random under the race detector")
+	}
+	s := sim.New(1)
+	n := Build(s, Symmetric("p", Mbps(100), time.Millisecond, 0, 0))
+	rsts := 0
+	n.Client.OnUnmatched = func(_ *Interface, seg *packet.Segment) {
+		if seg.Flags == packet.FlagRST|packet.FlagACK && seg.Seq == 7000 && seg.Ack == 9100 {
+			rsts++
+		}
+		seg.Release()
+	}
+	src := n.Client.Interfaces()[0]
+	payload := make([]byte, 100)
+	const runs = 200
+	allocs := testing.AllocsPerRun(runs, func() {
+		seg := packet.NewSegment()
+		seg.Src = packet.Endpoint{Addr: n.ClientAddr(0), Port: 40001}
+		seg.Dst = packet.Endpoint{Addr: n.ServerAddr(0), Port: 80}
+		seg.Seq, seg.Ack = 9000, 7000
+		seg.Flags = packet.FlagPSH | packet.FlagACK
+		seg.AppendTimestamps(1, 2)
+		seg.Payload = payload
+		src.Send(seg)
+		_ = s.Run()
+	})
+	if rsts != runs+1 { // AllocsPerRun warms up with one extra run
+		t.Fatalf("%d RSTs came back for %d data segments", rsts, runs+1)
+	}
+	if allocs != 0 {
+		t.Fatalf("answering an unmatched data segment allocates %.1f objects, want 0", allocs)
+	}
+}

@@ -1,0 +1,5 @@
+//go:build !race
+
+package netem
+
+const raceEnabled = false

@@ -46,8 +46,9 @@ func (a *optionArena) reset() {
 	a.nPrio, a.nFail, a.nFC = 0, 0, 0
 }
 
-// arena returns the segment's option arena, creating it on first use.
-// Segments that cycle through the pool keep their arena across reuses.
+// arena returns the segment's option arena. A pooled segment is born with
+// one (see pooledSegment) and keeps it across reuses; a segment literal, as
+// tests build them, gets one on first use.
 func (s *Segment) arena() *optionArena {
 	if s.optArena == nil {
 		s.optArena = new(optionArena)

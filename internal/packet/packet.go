@@ -149,10 +149,10 @@ type Segment struct {
 	// released guards against double-release of pooled segments.
 	released bool
 
-	// optArena is the segment's inline option storage (see arena.go). It is
-	// created on first use and retained across pool reuses; Release resets
-	// it, which invalidates every option pointer handed out for this
-	// segment's lifetime.
+	// optArena is the segment's inline option storage (see arena.go). A
+	// pooled segment is allocated together with it and keeps it across pool
+	// reuses; Release resets it, which invalidates every option pointer
+	// handed out for this segment's lifetime.
 	optArena *optionArena
 }
 

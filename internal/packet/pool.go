@@ -22,10 +22,36 @@ import (
 // a Segment — or any slice of its Payload — past its ownership window; use
 // Clone (or copy the bytes out) to keep data.
 
-var segPool = sync.Pool{New: func() any { return new(Segment) }}
+var segPool = sync.Pool{New: newPooledSegment}
+
+// pooledSegment is what a pool miss allocates: the segment, its option arena
+// and the first backing store of its option list as one heap object, so a
+// fresh segment costs one allocation however many options it carries (up to
+// inlineOptions of them). The segment points into its own struct; the arena
+// and the list live, and are collected, with it.
+type pooledSegment struct {
+	seg   Segment
+	arena optionArena
+	opts  [inlineOptions]Option
+}
+
+// inlineOptions covers a SYN's five options (MSS, SACK-permitted,
+// timestamps, window scale, MP_CAPABLE) and a data segment's DSS, SACK and
+// timestamps with room to spare.
+const inlineOptions = 6
+
+func newPooledSegment() any {
+	p := new(pooledSegment)
+	p.seg.optArena = &p.arena
+	p.seg.Options = p.opts[:0]
+	return &p.seg
+}
 
 // NewSegment returns a zeroed Segment from the pool. The segment's Options
-// slice retains recycled capacity; all other fields are zero.
+// slice retains recycled capacity; all other fields are zero. It is the one
+// way to build a segment outside this package: a literal has no arena and
+// no option store, and once released into the pool it makes its next user
+// pay for both.
 func NewSegment() *Segment {
 	s := segPool.Get().(*Segment)
 	s.released = false

@@ -47,13 +47,10 @@ func (l *Listener) HandleSYN(ingress *netem.Interface, syn *packet.Segment) {
 	if l.HooksFactory != nil {
 		h, ok := l.HooksFactory(syn)
 		if !ok {
-			rst := &packet.Segment{
-				Src:   syn.Dst,
-				Dst:   syn.Src,
-				Seq:   0,
-				Ack:   syn.EndSeq(),
-				Flags: packet.FlagRST | packet.FlagACK,
-			}
+			rst := packet.NewSegment()
+			rst.Src, rst.Dst = syn.Dst, syn.Src
+			rst.Ack = syn.EndSeq()
+			rst.Flags = packet.FlagRST | packet.FlagACK
 			ingress.Send(rst)
 			return
 		}

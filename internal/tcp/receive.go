@@ -61,7 +61,9 @@ func (e *Endpoint) handleSynSent(seg *packet.Segment) {
 	}
 	if seg.Ack != e.iss.Add(1) {
 		// Acknowledgement doesn't cover our SYN; reset per RFC 793.
-		rst := &packet.Segment{Src: e.local, Dst: e.remote, Seq: seg.Ack, Flags: packet.FlagRST}
+		rst := packet.NewSegment()
+		rst.Src, rst.Dst = e.local, e.remote
+		rst.Seq, rst.Flags = seg.Ack, packet.FlagRST
 		e.iface.Send(rst)
 		return
 	}
