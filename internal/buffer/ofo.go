@@ -68,6 +68,13 @@ type Nodes struct {
 	tree  pool.FreeList[treeNode]
 }
 
+// Retire readies the lists for the next simulator (sim.Retirer).
+func (n *Nodes) Retire() {
+	n.list.Retire()
+	n.batch.Retire()
+	n.tree.Retire()
+}
+
 // Algorithm selects an out-of-order reassembly implementation.
 type Algorithm int
 

@@ -1080,6 +1080,31 @@ func (c *Connection) retire() {
 	c.free.retired = append(c.free.retired, retiredConn{c, c.sim.RunningSeq()})
 }
 
+// Reap recycles every connection retired on s. A world calls it as it
+// closes, outside any event, so each retired connection's event has returned
+// and nothing reaches it any more: without it, the connections that finish
+// after the last dial of a run, which no newConnection reaps, would go to the
+// garbage collector instead of the free lists the next world takes over.
+func Reap(s *sim.Simulator) {
+	f := sim.Local[freeLists](s)
+	for _, r := range f.retired {
+		r.c.recycle()
+	}
+	clear(f.retired)
+	f.retired = f.retired[:0]
+}
+
+// Retire readies the lists for the next simulator once s is closed
+// (sim.Retirer). A connection still retired, which Reap did not take, points
+// into the closed world and is dropped.
+func (f *freeLists) Retire() {
+	clear(f.retired)
+	f.retired = f.retired[:0]
+	f.conns.Retire()
+	f.subflows.Retire()
+	f.mappings.Retire()
+}
+
 // reap recycles the retired connections whose event has returned: every one
 // that retired in an event other than the running one.
 func (f *freeLists) reap(s *sim.Simulator) {

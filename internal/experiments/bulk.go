@@ -93,7 +93,7 @@ func runBulk(opt BulkOptions, obs Options, name string) (BulkResult, error) {
 	if err != nil {
 		return BulkResult{}, err
 	}
-	defer w.Stop()
+	defer w.Close()
 	w.Managers["client"].SetProbe(w.Probe, 0)
 	s, net := w.Sim, w.Net
 	if opt.HostCPU != nil {

@@ -60,7 +60,7 @@ func RunFig11Point(seed uint64, mode string, size, clients, requests int, obs Op
 	if err != nil {
 		return httpsim.PoolResult{}, err
 	}
-	defer w.Stop()
+	defer w.Close()
 	w.Managers["client"].SetProbe(w.Probe, 0)
 	client, server := w.Net.Client, w.Net.Server
 	if mode == "bonding" {
@@ -90,10 +90,11 @@ func RunFig11Point(seed uint64, mode string, size, clients, requests int, obs Op
 	if err := w.Sim.RunUntil(10 * time.Minute); err != nil {
 		return httpsim.PoolResult{}, err
 	}
+	res := pool.Result()
 	if err := finishPoint(&w, seed, obs, name); err != nil {
 		return httpsim.PoolResult{}, err
 	}
-	return pool.Result(), nil
+	return res, nil
 }
 
 func runFig11(opt Options) (*Result, error) {

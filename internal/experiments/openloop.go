@@ -99,7 +99,7 @@ func runOpenLoopPoint(seed uint64, dist workload.SizeDist, factor float64, windo
 	if err != nil {
 		return openLoopPoint{}, err
 	}
-	defer w.Stop()
+	defer w.Close()
 	w.Managers["client"].SetProbe(w.Probe, 0)
 	s, net := w.Sim, w.Net
 
@@ -132,13 +132,9 @@ func runOpenLoopPoint(seed uint64, dist workload.SizeDist, factor float64, windo
 	deadline := window + flowDeadline + 5*time.Second
 	for !pool.Done() && s.Now() < deadline && s.Step() {
 	}
-	if err := finishPoint(&w, seed, obs, name); err != nil {
-		return openLoopPoint{}, err
-	}
-
 	r := pool.Result()
 	samples := pool.LatencySamples()
-	return openLoopPoint{
+	point := openLoopPoint{
 		offeredMbps: r.OfferedMbps,
 		goodput:     r.GoodputMbps,
 		completed:   r.Completed,
@@ -146,5 +142,9 @@ func runOpenLoopPoint(seed uint64, dist workload.SizeDist, factor float64, windo
 		unfinished:  r.Unfinished,
 		p50:         trace.Percentile(samples, 50),
 		p99:         trace.Percentile(samples, 99),
-	}, nil
+	}
+	if err := finishPoint(&w, seed, obs, name); err != nil {
+		return openLoopPoint{}, err
+	}
+	return point, nil
 }

@@ -32,7 +32,7 @@ func runWindowScenario(seed uint64, perSubflowWindow bool, total int, deadline t
 	if err != nil {
 		return 0, client, err
 	}
-	defer w.Stop()
+	defer w.Close()
 	w.Managers["client"].SetProbe(w.Probe, 0)
 	s, net := w.Sim, w.Net
 

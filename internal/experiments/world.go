@@ -71,16 +71,23 @@ func NewWorld(seed uint64, spec netem.GraphSpec, pcapDir string, tr TraceSpec, n
 	if tr.Enabled() {
 		w.Probe = probe.NewRecorder(s, lo, members, tr.ProbeInterval)
 	}
+	if worldBuilt != nil {
+		worldBuilt(&w)
+	}
 	return w, nil
 }
+
+// worldBuilt, when set, sees every world NewWorld builds, before it runs:
+// tests watch the simulators of figure points that build theirs inside.
+var worldBuilt func(*World)
 
 // Stop is what whoever stops stepping the simulator calls: the buffers its
 // pool front holds go back to the shared classes, and the capture is flushed
 // and closed, its error the run's; a world with a capture is not stepped
-// again. Stop is idempotent and a no-op on the zero World, so callers defer
-// it on every path and call it once more for the error.
+// again. Stop is idempotent and a no-op on the zero World or a closed one, so
+// callers defer it on every path and call it once more for the error.
 func (w *World) Stop() error {
-	if w.Sim == nil {
+	if w.Sim == nil || w.Sim.Closed() {
 		return nil
 	}
 	sim.Local[pool.Local](w.Sim).Flush()
@@ -90,16 +97,34 @@ func (w *World) Stop() error {
 	return w.Capture.Close()
 }
 
+// Close is Stop for a world that is done for good, and its error. It first
+// recycles the connections that retired after the last dial (core.Reap),
+// then closes the simulator, whose free lists go to the process's stash for
+// the next world (sim.Close). Nothing may touch the world afterwards: a
+// connection it recycled may already serve another world, and the simulator
+// panics if it is stepped. Close is idempotent and a no-op on the zero World,
+// so callers defer it on every path; the facade's Network, which may run
+// again after every stop, never calls it.
+func (w *World) Close() error {
+	if w.Sim == nil || w.Sim.Closed() {
+		return nil
+	}
+	core.Reap(w.Sim)
+	err := w.Stop()
+	w.Sim.Close()
+	return err
+}
+
 // pointName names the observer files of sweep point i of experiment id:
 // <PcapDir>/<id>-<NN>.pcap, <Trace.Dir>/<id>-<NN>-trace.json and
 // <Trace.Dir>/<id>-<NN>-events.jsonl.
 func pointName(id string, i int) string { return fmt.Sprintf("%s-%02d", id, i) }
 
-// finishPoint ends a figure point's world and writes its flight-recorder
-// files. A capture that skipped a segment fails the point like one that
-// failed to flush.
+// finishPoint closes a figure point's world and writes its flight-recorder
+// files; the point reads its results before. A capture that skipped a
+// segment fails the point like one that failed to flush.
 func finishPoint(w *World, seed uint64, obs Options, name string) error {
-	if err := w.Stop(); err != nil {
+	if err := w.Close(); err != nil {
 		return err
 	}
 	if w.Capture != nil && w.Capture.EncodeErrors > 0 {

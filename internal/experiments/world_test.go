@@ -5,7 +5,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,6 +16,7 @@ import (
 	"mptcpgo/internal/packet"
 	"mptcpgo/internal/pool"
 	"mptcpgo/internal/trace"
+	"mptcpgo/internal/workload"
 )
 
 // TestFigureObserversChangeNothing pins the observer contract for figures:
@@ -137,4 +140,46 @@ func TestRunBulkCaptureErrorStopsTheWorld(t *testing.T) {
 	if got := pool.Stats().Outstanding(); got != before {
 		t.Fatalf("%d buffers outstanding after the failed run", got-before)
 	}
+}
+
+// TestClosedFigureWorldIsCollected: once a churn-shaped figure point has
+// closed its world (finishPoint), its simulator is garbage, although the
+// world's free lists now serve the next one. The witness stands for the
+// simulator: only an event pending on it holds the witness. A finalizer on
+// the *sim.Simulator itself would never run, since the simulator reaches
+// itself through its events and connections, and the runtime does not
+// finalize such an object.
+func TestClosedFigureWorldIsCollected(t *testing.T) {
+	type gcWitness struct{ _ [32]byte }
+	freed := make(chan struct{}, 1)
+	var fired atomic.Bool
+	worldBuilt = func(w *World) {
+		wit := &gcWitness{}
+		runtime.SetFinalizer(wit, func(*gcWitness) { freed <- struct{}{} })
+		w.Sim.Schedule(1000*time.Hour, func() {
+			fired.Store(true)
+			runtime.KeepAlive(wit)
+		})
+	}
+	defer func() { worldBuilt = nil }()
+	// An overloaded open-loop point of fixed 16 KiB flows: some are still in
+	// flight when it ends, so the closed world holds live structs.
+	pt, err := runOpenLoopPoint(42, workload.FixedSize(16<<10), 1.5, time.Second, time.Second, Options{}, "openloop-gc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pt.completed == 0 || fired.Load() {
+		t.Fatalf("the point completed %d flows (witness fired: %v)", pt.completed, fired.Load())
+	}
+	t.Logf("%d flows done, %d dropped, %d open", pt.completed, pt.dropped, pt.unfinished)
+	for try := 0; try < 50; try++ {
+		runtime.GC()
+		runtime.Gosched() // the finalizers run on their own goroutine
+		select {
+		case <-freed:
+			return
+		default:
+		}
+	}
+	t.Fatal("the closed figure point's simulator was not garbage-collected")
 }

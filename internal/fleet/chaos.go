@@ -90,6 +90,11 @@ const (
 // receive-window-update heuristic, so it must not change.
 type chaosScratch [32 << 10]byte
 
+// Retire keeps the buffer for the next simulator (sim.Retirer): Fill and
+// ReadInto write the bytes each use reads, so what a closed world left in it
+// is never read.
+func (*chaosScratch) Retire() {}
+
 // chaosMember is the per-member harness state.
 type chaosMember struct {
 	spec    *ChaosSpec

@@ -65,7 +65,7 @@ func (sh *Shard) Members() int { return sh.Hi - sh.Lo }
 // place those observers meet a shard. The merged trace stream (shard-index
 // order, members ascending within a shard) is byte-identical at any worker
 // count, and the recorder's own timer events are self-counted so probeEvents
-// can subtract them. Run stops the world and finishes the observers on every
+// can subtract them. Run closes the world and finishes the observers on every
 // path.
 func (sh *Shard) Materialize(spec netem.GraphSpec) error {
 	o := &sh.obs
@@ -81,11 +81,11 @@ func (sh *Shard) Materialize(spec netem.GraphSpec) error {
 	return nil
 }
 
-// finish ends a collected shard: its world stops (a capture flush error fails
-// the shard) and the shard adds its event and segment totals to the run's
-// telemetry plane, if one is attached.
+// finish ends a collected shard: its world closes (a capture flush error
+// fails the shard) and the shard adds its event and segment totals, which
+// stay readable, to the run's telemetry plane, if one is attached.
 func (sh *Shard) finish() error {
-	if err := sh.Stop(); err != nil {
+	if err := sh.Close(); err != nil {
 		return err
 	}
 	sh.obs.Telemetry.AddShard(sh.Sim.Processed, sh.segmentsSent())

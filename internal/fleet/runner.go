@@ -119,9 +119,10 @@ type Scenario[S any, T any] interface {
 //     lock-stepped epoch windows (see epochs), because the capacity exchange
 //     needs every shard's demand at each boundary.
 //
-// Run owns the worlds' lifetime: every shard's world is stopped — its pool
-// front flushed, its capture closed — on every path, including a failing
-// Setup, step or Collect on any shard.
+// Run owns the worlds' lifetime: every shard's world is closed — its retired
+// connections recycled, its pool front flushed, its capture closed, its free
+// lists handed to the next world (experiments.World.Close) — on every path,
+// including a failing Setup, step or Collect on any shard.
 func Run[S any, T any](c Common, id, title string, members int, scn Scenario[S, T],
 	render func(res *experiments.Result, outs []T)) (*experiments.Result, error) {
 
@@ -144,7 +145,7 @@ func Run[S any, T any](c Common, id, title string, members int, scn Scenario[S, 
 	if c.Shared == nil {
 		outs, err = experiments.SweepWorkers(len(shards), c.Workers, func(i int) (T, error) {
 			sh := &shards[i]
-			defer sh.Stop()
+			defer sh.Close()
 			st, err := setup(sh, scn)
 			if err != nil {
 				var zero T
@@ -263,12 +264,12 @@ func epochs[S any, T any](c *Common, shards []Shard, scn Scenario[S, T]) ([]T, *
 			}
 		}
 	}
-	// Shards outlive their worker tasks here, so one deferred sweep stops
-	// whatever worlds any failing path leaves running. It runs after the last
-	// worker-pool join, so no shard is being stepped.
+	// Shards outlive their worker tasks here, so one deferred sweep closes
+	// every world, collected or left by a failing path. It runs after the
+	// last worker-pool join, so no shard is being stepped.
 	defer func() {
 		for i := range shards {
-			shards[i].Stop()
+			shards[i].Close()
 		}
 	}()
 

@@ -84,6 +84,12 @@ type freeLists struct {
 	conns pool.FreeList[serverConn]
 }
 
+// Retire readies the lists for the next simulator (sim.Retirer).
+func (f *freeLists) Retire() {
+	f.flows.Retire()
+	f.conns.Retire()
+}
+
 // serverConn is the server's side of one connection: the request so far and
 // what is left of the response. Its methods are the connection's callbacks,
 // bound once when the struct is first allocated, and the struct comes from
@@ -215,6 +221,11 @@ type fetcher struct {
 // of what an idle host cost. Its size is the read granularity, which feeds
 // the receive-window-update heuristic, so it must not change.
 type drainScratch [64 << 10]byte
+
+// Retire keeps the buffer for the next simulator (sim.Retirer): every read
+// writes the bytes it returns, so what a closed world left in it is never
+// read.
+func (*drainScratch) Retire() {}
 
 func newFetcher(mgr *core.Manager, iface *netem.Interface, addr packet.Addr, port uint16, conn core.Config) (fetcher, error) {
 	if port == 0 {

@@ -8,15 +8,18 @@ import "unsafe"
 const freeListCap = 1 << 14
 
 // freeListSlab is how many small objects one miss allocates: a shard's
-// high-water mark is paid slab by slab, not object by object, and as the
-// lists live as long as their simulator, a slab pinned by one live object
-// costs nothing.
+// high-water mark is paid slab by slab, not object by object. A slab pinned
+// by one live object costs nothing while the world that holds it lives; when
+// its simulator closes, Retire drops the small objects, since a free one
+// would keep its slab-mates, which the closed world may still hold, alive in
+// the next world.
 const freeListSlab = 64
 
 // freeListSlabMax is the largest object a miss allocates a slab of. A bigger
 // one (a connection's structs) is allocated alone: its allocation is cheap
 // beside its size, and one its owner keeps and never puts back pins no
-// neighbours, so the garbage collector takes it on its own as for new(T).
+// neighbours, so the garbage collector takes it on its own as for new(T), and
+// a free one may serve the next world (Retire).
 const freeListSlabMax = 256
 
 // FreeList recycles structs of one type for code that runs on a single
@@ -51,6 +54,19 @@ func (f *FreeList[T]) Get() *T {
 	f.free[n-1] = nil
 	f.free = f.free[:n-1]
 	return x
+}
+
+// Retire readies the list for the next simulator once its own is closed
+// (sim.Retirer): it keeps the objects allocated alone, which pin nothing, and
+// drops the slab-allocated ones and the unused rest of the last slab.
+func (f *FreeList[T]) Retire() {
+	var zero T
+	if unsafe.Sizeof(zero) > freeListSlabMax {
+		return
+	}
+	clear(f.free)
+	f.free = f.free[:0]
+	f.slab = nil
 }
 
 // Put hands x back for reuse. The caller must not touch x afterwards.

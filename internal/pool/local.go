@@ -121,6 +121,11 @@ func (l *Local) Recycle(b []byte) {
 	l.puts++
 }
 
+// Retire flushes l as its simulator closes (sim.Retirer): an empty front
+// holds nothing of the closed world and serves the next one as a new one
+// would.
+func (l *Local) Retire() { l.Flush() }
+
 // Flush empties every stack into the shared classes and folds the local
 // counters into the shared ones: Stats then covers l. The Local stays usable.
 func (l *Local) Flush() {

@@ -11,6 +11,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 )
 
@@ -239,6 +240,8 @@ type Simulator struct {
 	// locals holds one value per type for the packages layered on the
 	// simulator (see Local).
 	locals map[any]any
+	// closed is set by Close: the simulator is done for good.
+	closed bool
 
 	// Processed counts events executed so far, useful for run-away detection
 	// in tests. Virtual events elided by batching layers (netem.Link's
@@ -261,7 +264,7 @@ func New(seed uint64) *Simulator {
 // implementation. Both kinds fire events in identical (At, seq) order; the
 // heap exists as a reference for differential tests and benchmarks.
 func NewWithScheduler(seed uint64, kind SchedulerKind) *Simulator {
-	s := &Simulator{rng: NewRNG(seed)}
+	s := &Simulator{rng: NewRNG(seed), locals: stash.take()}
 	if kind == SchedulerHeap {
 		s.sched = &heapSched{}
 	} else {
@@ -273,9 +276,11 @@ func NewWithScheduler(seed uint64, kind SchedulerKind) *Simulator {
 // Local returns the simulator's value of type T, a zero T created on first
 // use. Packages layered on the simulator keep in it the state that everything
 // running on one event loop shares — free lists above all: a simulator is
-// single-threaded, so such state needs no lock, and it is scoped to one
-// shard rather than to the process.
+// single-threaded, so such state needs no lock. A value lives as long as its
+// simulator unless it is a Retirer: then, once the simulator is closed, it
+// may serve a later simulator of the process (Close).
 func Local[T any](s *Simulator) *T {
+	s.mustBeOpen("Local")
 	key := any((*T)(nil))
 	if v, ok := s.locals[key]; ok {
 		return v.(*T)
@@ -286,6 +291,98 @@ func Local[T any](s *Simulator) *T {
 	v := new(T)
 	s.locals[key] = v
 	return v
+}
+
+// Retirer is a Local value that can outlive its simulator. When the
+// simulator is closed, Retire drops whatever could keep the closed world's
+// memory alive (an object that shares its allocation with objects the world
+// may still hold, a pointer into the world) and keeps the rest, and the value
+// goes to the process's stash, from which New hands it to a later simulator
+// as that simulator's value of its type. Retire runs on a closed simulator,
+// so it touches nothing but its own value. What it keeps must be equivalent
+// to a fresh zero value for every user: a stash never changes a result.
+type Retirer interface {
+	Retire()
+}
+
+// stashCap bounds the retired Local sets waiting for a new simulator. A
+// fleet run closes one world per shard and a figure sweep one per point, and
+// the next run builds about as many, at most a worker count at a time: 8
+// covers the 4 shards of the scenarios and benchmarks and a sweep's workers
+// on a small host. A set beyond it would only keep a closed world's peak of
+// live-flow structs for nobody, so it is left to the garbage collector.
+const stashCap = 8
+
+// stash holds the Retirer values of closed simulators for the next ones.
+var stash localStash
+
+type localStash struct {
+	mu   sync.Mutex
+	sets []map[any]any
+}
+
+// put keeps set for a later simulator, unless the stash is full.
+func (st *localStash) put(set map[any]any) {
+	st.mu.Lock()
+	if len(st.sets) < stashCap {
+		st.sets = append(st.sets, set)
+	}
+	st.mu.Unlock()
+}
+
+// take returns the most recently kept set, or nil.
+func (st *localStash) take() map[any]any {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	n := len(st.sets)
+	if n == 0 {
+		return nil
+	}
+	set := st.sets[n-1]
+	st.sets[n-1] = nil
+	st.sets = st.sets[:n-1]
+	return set
+}
+
+// Close ends the simulator for good. Its Retirer values are retired and
+// handed to the process's stash for a later simulator; the others go with
+// it. From then on Schedule, Step, Run and Local panic: the values that left
+// may already serve another simulator, on another goroutine, and nothing of
+// the closed world may run and reach them. Whoever closes a simulator first
+// returns to the free lists what it can (a world recycles its retired
+// connections) and stops stepping it for good; the pending events are
+// dropped with it. Closing a closed simulator does nothing.
+func (s *Simulator) Close() {
+	if s.closed {
+		return
+	}
+	s.closed = true
+	var kept map[any]any
+	for k, v := range s.locals {
+		r, ok := v.(Retirer)
+		if !ok {
+			continue
+		}
+		r.Retire()
+		if kept == nil {
+			kept = make(map[any]any, len(s.locals))
+		}
+		kept[k] = v
+	}
+	s.locals = nil
+	if kept != nil {
+		stash.put(kept)
+	}
+}
+
+// Closed reports whether Close has been called.
+func (s *Simulator) Closed() bool { return s.closed }
+
+// mustBeOpen panics when the simulator has been closed.
+func (s *Simulator) mustBeOpen(op string) {
+	if s.closed {
+		panic("sim: " + op + " on a closed simulator")
+	}
 }
 
 // Now returns the current simulation time.
@@ -310,6 +407,7 @@ func (s *Simulator) ScheduleAt(at time.Duration, fn func()) *Event {
 	if fn == nil {
 		panic("sim: ScheduleAt with nil fn")
 	}
+	s.mustBeOpen("ScheduleAt")
 	if at < s.now {
 		at = s.now
 	}
@@ -353,6 +451,7 @@ func (s *Simulator) ScheduleArgsAtSeq(at time.Duration, seq uint64, fn func(a, b
 	if fn == nil {
 		panic("sim: ScheduleArgsAtSeq with nil fn")
 	}
+	s.mustBeOpen("ScheduleArgsAtSeq")
 	if seq >= s.nextSeq {
 		panic("sim: ScheduleArgsAtSeq with unreserved seq")
 	}
@@ -366,7 +465,8 @@ func (s *Simulator) ScheduleArgsAtSeq(at time.Duration, seq uint64, fn func(a, b
 }
 
 // eventSlab is how many events one free-list miss allocates (the list lives
-// as long as the simulator, so a slab pinned by one event costs nothing).
+// and dies with the simulator — Close hands on no event — so a slab pinned by
+// one event costs nothing).
 const eventSlab = 64
 
 func (s *Simulator) newEvent() *Event {
@@ -447,11 +547,15 @@ func (s *Simulator) step() bool {
 // firing time. It returns false when no events remain. Blocking adapters
 // (mptcpgo.Stream) use it to drive the simulation just far enough to make
 // progress.
-func (s *Simulator) Step() bool { return s.step() }
+func (s *Simulator) Step() bool {
+	s.mustBeOpen("Step")
+	return s.step()
+}
 
 // Run executes events until the queue drains. It returns an error if
 // MaxEvents is exceeded.
 func (s *Simulator) Run() error {
+	s.mustBeOpen("Run")
 	for s.step() {
 		if s.MaxEvents > 0 && s.Processed > s.MaxEvents {
 			s.settleAll(s.now, s.runningSeq)
@@ -465,6 +569,7 @@ func (s *Simulator) Run() error {
 // RunUntil executes events with firing times <= deadline. Events scheduled
 // beyond the deadline remain queued; the clock is advanced to the deadline.
 func (s *Simulator) RunUntil(deadline time.Duration) error {
+	s.mustBeOpen("RunUntil")
 	for {
 		ev := s.sched.peek()
 		if ev == nil || ev.At > deadline {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -148,6 +149,92 @@ func TestLocalIsPerSimulatorAndPerType(t *testing.T) {
 	}
 	if Local[b](s1).n != 0 {
 		t.Fatal("Local shared a value between two types")
+	}
+}
+
+// TestClosedSimulatorPanics: once closed, a simulator refuses to schedule,
+// to step, to run and to hand out Local values, each with a message that
+// names the call; closing it again does nothing.
+func TestClosedSimulatorPanics(t *testing.T) {
+	s := New(1)
+	timer := s.NewTimer(func() {})
+	s.Schedule(time.Second, func() { t.Error("an event of a closed simulator ran") })
+	s.Close()
+	s.Close()
+	if !s.Closed() {
+		t.Fatal("Closed() is false after Close")
+	}
+	for _, tc := range []struct {
+		call string
+		fn   func()
+	}{
+		{"Schedule", func() { s.Schedule(0, func() {}) }},
+		{"ScheduleAt", func() { s.ScheduleAt(0, func() {}) }},
+		{"ScheduleArgsAtSeq", func() { s.ScheduleArgsAtSeq(0, s.ReserveSeq(), func(_, _ any) {}, nil, nil) }},
+		{"Timer.Reset", func() { timer.Reset(time.Millisecond) }},
+		{"Step", func() { s.Step() }},
+		{"Run", func() { _ = s.Run() }},
+		{"RunUntil", func() { _ = s.RunUntil(time.Hour) }},
+		{"RunFor", func() { _ = s.RunFor(time.Hour) }},
+		{"Local", func() { Local[int](s) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "on a closed simulator") {
+					t.Errorf("%s on a closed simulator: recovered %q, want a panic naming the closed simulator", tc.call, msg)
+				}
+			}()
+			tc.fn()
+		}()
+	}
+}
+
+// stashed is a Local value that may serve the next simulator.
+type stashed struct {
+	n       int
+	retired int
+}
+
+func (v *stashed) Retire() { v.retired++ }
+
+// TestCloseHandsRetirersToTheNextSimulator: Close retires a Retirer value
+// and the next New takes it as its own; other values die with their
+// simulator; the stash keeps at most stashCap sets.
+func TestCloseHandsRetirersToTheNextSimulator(t *testing.T) {
+	s := New(1)
+	v := Local[stashed](s)
+	v.n = 7
+	*Local[int](s) = 7
+	s.Close()
+	if v.retired != 1 {
+		t.Fatalf("Close retired the value %d times; want once", v.retired)
+	}
+	next := New(2)
+	if got := Local[stashed](next); got != v || got.n != 7 {
+		t.Fatalf("the next simulator got %p (n=%d); want the closed one's %p", got, got.n, v)
+	}
+	if n := *Local[int](next); n != 0 {
+		t.Fatalf("a value that is no Retirer crossed to the next simulator (%d)", n)
+	}
+
+	// Overfill the stash, then take everything back: stashCap sets return.
+	sims := make([]*Simulator, stashCap+3)
+	for i := range sims {
+		sims[i] = New(uint64(i))
+		Local[stashed](sims[i]).n = 100 + i
+	}
+	for _, s := range sims {
+		s.Close()
+	}
+	warm := 0
+	for i := 0; i < stashCap+3; i++ {
+		if Local[stashed](New(uint64(i))).n != 0 {
+			warm++
+		}
+	}
+	if warm != stashCap {
+		t.Fatalf("%d simulators got a stashed value; want stashCap = %d", warm, stashCap)
 	}
 }
 

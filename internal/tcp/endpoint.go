@@ -559,6 +559,14 @@ type freeLists struct {
 	timeWait  pool.FreeList[timeWaitRecord]
 }
 
+// Retire readies the lists for the next simulator (sim.Retirer).
+func (f *freeLists) Retire() {
+	f.endpoints.Retire()
+	f.chunks.Retire()
+	f.dss.Retire()
+	f.timeWait.Retire()
+}
+
 // newChunk returns a zeroed chunk, recycled when possible.
 func (e *Endpoint) newChunk() *chunk { return e.free.chunks.Get() }
 

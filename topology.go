@@ -174,7 +174,9 @@ func (n *Network) Run(d time.Duration) error { return n.RunUntil(n.w.Sim.Now() +
 // RunUntil advances the simulation to the absolute time t.
 func (n *Network) RunUntil(t time.Duration) error {
 	// Nobody is stepping the simulator once this returns, perhaps for good.
-	// The world has no capture, so stopping it cannot fail.
+	// The world has no capture, so stopping it cannot fail. It is stopped,
+	// never closed: the caller may run it again, and its connections stay
+	// in the caller's hands, so its free lists cannot go to another world.
 	defer n.w.Stop()
 	return n.w.Sim.RunUntil(t)
 }
