@@ -337,18 +337,20 @@ func shortFlowCost(t *testing.T) (bytes, objects float64) {
 // their world: a closed shard hands its lists to the next one built in the
 // process (sim.Close), so the measured run, which follows a warm-up run,
 // pays for almost none of them, only for the slab-allocated small structs
-// that die with each world. It reads 2.8 to 3.2 KB a flow here, now and then
-// 3.4 after an untimely collection (the budget is 3.2 KB plus 25%), the
-// run's own set-up included. It was 4.4 to 5.0 KB while each world paid for
-// the structs of its peak of live connections, 4.8 to 5.2 KB while each flow
+// that die with each world, and link FIFOs are threaded through the segments
+// they hold, so no world grows a queue per link. It reads 2.1 to 2.6 KB a
+// flow here (the budget is 2.64 KB plus 25%), the run's own set-up included.
+// It was 2.8 to 3.2 KB, now and then 3.4, while every world grew each busy
+// link's FIFO slice again, 4.4 to 5.0 KB while each world paid for the
+// structs of its peak of live connections, 4.8 to 5.2 KB while each flow
 // allocated its httpsim structs, 9.1 to 9.8 KB while it allocated its ends'
 // structs too, and ~90 KB when every queue grew from nil by doubling. Under
-// the race detector, whose sync.Pool drops segments at random, it reads 12.3
-// to 12.9 KB (14.2 to 14.4 before the lists outlived their world); the
-// budget is 12.9 KB plus 25%.
+// the race detector, whose sync.Pool drops segments at random, it reads 11.8
+// to 11.9 KB (12.3 to 12.9 while link FIFOs were slices, 14.2 to 14.4 before
+// the lists outlived their world); the budget is 11.9 KB plus 25%.
 func TestShortFlowAllocBudget(t *testing.T) {
 	perFlow, _ := shortFlowCost(t)
-	budget := raceBudget(4000, 16100)
+	budget := raceBudget(3300, 14900)
 	t.Logf("%.0f bytes a flow; budget %.0f", perFlow, budget)
 	if perFlow > budget {
 		t.Fatalf("a 16 KiB flow allocates %.0f bytes; budget %.0f", perFlow, budget)
@@ -393,10 +395,14 @@ func TestShortFlowObjectBudget(t *testing.T) {
 // TestOpenLoopHostMarginalAllocBudget pins what one more arrival host costs a
 // fleet that does the same work: the same open-loop run (seed, fleet-wide
 // rate, sizes, window) at 256 hosts and at 64. The difference is the hosts
-// themselves: host, interface, links, manager and pool structs, a few KiB.
-// Scratch buffers are per shard (sim.Local), so they are not in it; when
-// every host's pool owned a 64 KiB drain buffer and every link FIFO grew to
-// thousands of entries, a host cost 66 KiB.
+// themselves: host, interface, links, manager and pool structs. A link holds
+// its queue in the segments it carries (packet.Segment.Hop), so a busy host
+// costs no more than an idle one, and scratch buffers are per shard
+// (sim.Local), so they are not in it either. It reads 3.3 to 6.5 KiB here
+// (the budget is 6.5 KiB plus 25%); it read up to 7.7 KiB while each link's
+// FIFO was a slice that every world grew again, and 66 KiB when every host's
+// pool owned a 64 KiB drain buffer and every link FIFO grew to thousands of
+// entries.
 func TestOpenLoopHostMarginalAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("per-host budget is not measured in -short mode")
@@ -414,7 +420,8 @@ func TestOpenLoopHostMarginalAllocBudget(t *testing.T) {
 	run(64) // warm the pools
 	small, large := run(64), run(256)
 	perHost := (float64(large) - float64(small)) / (256 - 64)
-	const budget = 16 << 10
+	const budget = 8 << 10
+	t.Logf("%.0f bytes an extra host; budget %d", perHost, budget)
 	if perHost > budget {
 		t.Fatalf("an extra open-loop host allocates %.0f bytes (%d at 64 hosts, %d at 256); budget %d",
 			perHost, small, large, budget)
@@ -434,10 +441,12 @@ func TestOpenLoopHostMarginalAllocBudget(t *testing.T) {
 // reassembly nodes taken from the simulator's free lists, to 1.2k; a segment
 // that misses the pool allocated as one object with its option arena and
 // option list, and link FIFOs that start inline, to 908 to 928 when the test
-// runs alone (about 710 after other tests have warmed the pools). The
-// budget is 928 plus 25%. Under the race detector it reads 1.33k (3.0k while
-// every segment its sync.Pool dropped cost an arena and option-list growth
-// again; budget: 1.33k plus 25%).
+// runs alone; free lists that outlive their world, to 865; link FIFOs
+// threaded through the segments they hold, to 855 to 856 (about 640 after
+// other tests have warmed the pools). The budget is 856 plus 25%. Under the
+// race detector it reads 1.29k (3.0k while every segment its sync.Pool
+// dropped cost an arena and option-list growth again; budget: 1.29k plus
+// 25%).
 func TestBulkTransferAllocBudget(t *testing.T) {
 	skipAllocBudget(t)
 	cfg := core.DefaultConfig()
@@ -455,7 +464,7 @@ func TestBulkTransferAllocBudget(t *testing.T) {
 		}
 	}
 	avg := testing.AllocsPerRun(3, run)
-	budget := raceBudget(1160, 1670)
+	budget := raceBudget(1070, 1615)
 	t.Logf("%.0f allocs/run; budget %.0f", avg, budget)
 	if avg > budget {
 		t.Fatalf("bulk transfer allocates %.0f allocs/run; budget %.0f (pre-recycling figure was ~59.8k)", avg, budget)

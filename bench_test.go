@@ -251,8 +251,8 @@ func BenchmarkSegmentPool(b *testing.B) {
 // and payload pools, send-queue slicing, chunk/DSS free lists, per-segment
 // option arenas, OFO recycling, event free list). ~59.8k allocs/op before
 // chunk/DSS recycling, ~3.2k after, ~0.9k since a segment that misses the
-// pool is one object and link FIFOs start inline; TestBulkTransferAllocBudget
-// pins it.
+// pool is one object, ~0.86k since link FIFOs are threaded through the
+// segments they hold; TestBulkTransferAllocBudget pins it.
 func BenchmarkBulkTransferAllocs(b *testing.B) {
 	cfg := core.DefaultConfig()
 	cfg.SendBufBytes = 256 << 10
@@ -293,7 +293,9 @@ func BenchmarkOpenLoopChurn(b *testing.B) {
 // facade: 256 hosts offering 400 webmix flows/s for 5 s through a shared
 // 100 Mbps core, so its allocation profile shows what an overloaded fleet
 // pays beside the per-flow structs `churn` measures (out-of-order list nodes,
-// link FIFO growth). CI uploads its alloc_objects table beside churn's.
+// deep bursts on the core link, which cost the link nothing: its FIFO is
+// threaded through the segments it holds). CI uploads its alloc_objects
+// table beside churn's.
 func BenchmarkOpenLoopCorelink(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

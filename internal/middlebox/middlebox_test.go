@@ -307,6 +307,8 @@ func TestReserializerRoundTripsSegments(t *testing.T) {
 		Payload: []byte("hello"),
 		SentAt:  123 * time.Millisecond,
 		Ordinal: 42,
+		// A stale hop (Size 0, so the segment is no link's) must not cross.
+		Hop: packet.Hop{Next: dataSeg(1, "x"), Done: time.Second, At: 2 * time.Second, Seq: 9},
 	}
 	want := seg.Clone() // keep an independent copy for comparison
 	r.Process(ctx, netem.AtoB, seg)
@@ -320,6 +322,9 @@ func TestReserializerRoundTripsSegments(t *testing.T) {
 	}
 	if got.SentAt != want.SentAt || got.Ordinal != want.Ordinal {
 		t.Fatal("simulator metadata not carried across the codec round trip")
+	}
+	if got.Hop != (packet.Hop{}) {
+		t.Fatalf("link state carried across the codec round trip: %+v", got.Hop)
 	}
 	if string(got.Payload) != string(want.Payload) {
 		t.Fatalf("payload changed: %q", got.Payload)

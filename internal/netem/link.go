@@ -60,33 +60,20 @@ type ReceiverFunc func(seg *packet.Segment)
 // Receive implements Receiver.
 func (f ReceiverFunc) Receive(seg *packet.Segment) { f(seg) }
 
-// txEntry is one in-flight transmission in the link's burst FIFO. The wire
-// size computed at Send time rides along to delivery, and the two sequence
-// numbers pin the entry's virtual dequeue and real delivery to the exact
-// (At, seq) positions the unbatched two-events-per-segment schedule would
-// have used.
-type txEntry struct {
-	seg   *packet.Segment
-	size  int
-	done  time.Duration // serialization completes; bytes leave the queue
-	at    time.Duration // delivery at the far end (done + Delay at Send time)
-	dqSeq uint64        // reserved seq of the elided dequeue event
-	dlSeq uint64        // seq of the delivery event
-}
-
 // Link is a unidirectional FIFO link with a finite drop-tail queue, a
 // serialization rate and a propagation delay.
 //
 // The hot path is burst-mode: instead of scheduling two simulator events per
 // segment (dequeue at serialization completion, delivery after propagation),
-// the link keeps a FIFO of back-to-back transmissions and schedules a single
-// delivery event for the head entry only. Dequeue completions are virtual —
-// their seq is reserved but no event is queued; queue occupancy and the
-// processed-event count are settled lazily, strictly ordered by (time, seq)
-// against the running simulation, so every observable (admission decisions,
-// QueueBytes, Sim.Processed) matches the unbatched schedule bit for bit. The
-// wire times are untouched: busyUntil serialization math is exactly the
-// per-segment computation, only the scheduler round-trips are batched away.
+// the link keeps a FIFO of back-to-back transmissions, threaded through the
+// segments themselves, and schedules a single delivery event for the head
+// segment only. Dequeue completions are virtual — their seq is reserved but no
+// event is queued; queue occupancy and the processed-event count are settled
+// lazily, strictly ordered by (time, seq) against the running simulation, so
+// every observable (admission decisions, QueueBytes, Sim.Processed) matches
+// the unbatched schedule bit for bit. The wire times are untouched: busyUntil
+// serialization math is exactly the per-segment computation, only the
+// scheduler round-trips are batched away.
 type Link struct {
 	sim  *sim.Simulator
 	cfg  LinkConfig
@@ -97,18 +84,14 @@ type Link struct {
 	queuedBytes int
 	ordinal     uint64
 
-	// fifo holds accepted transmissions in serialization order. head indexes
-	// the next entry to deliver (a delivery event is pending iff
-	// head < len(fifo)); undrained indexes the next entry whose virtual
-	// dequeue has not yet been credited (undrained >= head at event
-	// boundaries: an entry's dequeue is always ordered before its delivery).
-	// It starts on fifoInline, so a link with at most fifoInlineLen
-	// segments in flight never allocates one; a burst past that spills to
-	// the heap by append and stays there.
-	fifo       []txEntry
-	head       int
-	undrained  int
-	fifoInline [fifoInlineLen]txEntry
+	// The FIFO of accepted transmissions in serialization order is threaded
+	// through the segments' Hop.Next. head is the next segment to deliver (a
+	// delivery event is pending iff head != nil), tail the last one
+	// accepted, and undrained the first whose virtual dequeue has not yet
+	// been credited, nil once every one has (at event boundaries undrained
+	// is never head: a segment's dequeue is always ordered before its
+	// delivery).
+	head, tail, undrained *packet.Segment
 
 	stats LinkStats
 
@@ -120,7 +103,6 @@ type Link struct {
 // NewLink creates a link delivering to dst.
 func NewLink(s *sim.Simulator, name string, cfg LinkConfig, dst Receiver) *Link {
 	l := &Link{sim: s, cfg: cfg, dst: dst, name: name}
-	l.fifo = l.fifoInline[:0]
 	s.RegisterSettler(l)
 	return l
 }
@@ -154,13 +136,12 @@ func (l *Link) drainDue() { l.SettleAt(l.sim.Now(), l.sim.RunningSeq()) }
 // before it fires now — releasing its bytes from the queue and crediting the
 // event it replaced to the simulator's processed count.
 func (l *Link) SettleAt(now time.Duration, seq uint64) {
-	for l.undrained < len(l.fifo) {
-		e := &l.fifo[l.undrained]
-		if e.done > now || (e.done == now && e.dqSeq >= seq) {
+	for e := l.undrained; e != nil; e = l.undrained {
+		if e.Hop.Done > now || (e.Hop.Done == now && e.Hop.Seq >= seq) {
 			break
 		}
-		l.queuedBytes -= e.size
-		l.undrained++
+		l.queuedBytes -= e.Hop.Size
+		l.undrained = e.Hop.Next
 		l.sim.Processed++
 	}
 }
@@ -172,8 +153,12 @@ func wireSize(seg *packet.Segment) int {
 
 // Send enqueues a segment for transmission. The segment is owned by the link
 // afterwards; callers must Clone if they keep a reference. Dropped segments
-// are released back to the segment pool.
+// are released back to the segment pool. A segment another link still holds
+// (its Hop is not zero) panics: it would cross-wire the two FIFOs.
 func (l *Link) Send(seg *packet.Segment) {
+	if seg.Hop != (packet.Hop{}) {
+		panic("netem: segment sent on " + l.name + " while a link still holds it")
+	}
 	if l.dst == nil {
 		seg.Release()
 		return
@@ -218,67 +203,43 @@ func (l *Link) Send(seg *packet.Segment) {
 	l.busyUntil = done
 
 	// Reserve the seqs the unbatched schedule would have consumed (dequeue
-	// first, then delivery), append to the burst FIFO, and arm the delivery
-	// pump only when it is idle — one scheduler insertion replaces two, and
-	// the closure-free ScheduleArgsAtSeq form is kept.
+	// first, then delivery, so delivery's is dqSeq+1), thread the segment
+	// onto the FIFO, and arm the delivery pump only when it is idle — one
+	// scheduler insertion replaces two, and the closure-free
+	// ScheduleArgsAtSeq form is kept.
 	dqSeq := l.sim.ReserveSeq()
-	dlSeq := l.sim.ReserveSeq()
-	l.fifo = append(l.fifo, txEntry{
-		seg: seg, size: size,
-		done: done, at: done + l.cfg.Delay,
-		dqSeq: dqSeq, dlSeq: dlSeq,
-	})
-	if l.head == len(l.fifo)-1 {
-		l.sim.ScheduleArgsAtSeq(done+l.cfg.Delay, dlSeq, deliverBurst, l, nil)
+	l.sim.ReserveSeq()
+	seg.Hop = packet.Hop{Size: size, Done: done, At: done + l.cfg.Delay, Seq: dqSeq}
+	if l.undrained == nil {
+		l.undrained = seg
 	}
+	if l.tail == nil {
+		l.head = seg
+		l.sim.ScheduleArgsAtSeq(seg.Hop.At, dqSeq+1, deliverBurst, l, nil)
+	} else {
+		l.tail.Hop.Next = seg
+	}
+	l.tail = seg
 }
 
-// fifoInlineLen is the number of in-flight transmissions a link holds
-// without a heap FIFO.
-const fifoInlineLen = 16
-
-// fifoCompactMin is the delivered-prefix length from which deliverBurst
-// compacts the FIFO. The copy moves at most head entries and the next one is
-// at least this many deliveries away, so it stays amortised O(1) per segment;
-// the FIFO's capacity stays within this plus twice the peak in-flight count
-// (doubled once by append) instead of growing to thousands of entries on a
-// link that carries a handful of segments at a time.
-const fifoCompactMin = 32
-
-// deliverBurst fires at the head entry's delivery time with its reserved seq:
-// it completes that transmission and re-arms for the next FIFO entry at its
+// deliverBurst fires at the head segment's delivery time with its reserved
+// seq: it completes that transmission and re-arms for the next segment at its
 // own pre-reserved (at, seq), so the interleaving with every other simulator
 // event is identical to the unbatched per-segment schedule.
 func deliverBurst(a, _ any) {
 	l := a.(*Link)
-	e := &l.fifo[l.head]
-	l.drainDue() // the entry's own virtual dequeue is always ordered first
-	l.stats.DeliveredBytes += uint64(e.size)
-	seg := e.seg
-	e.seg = nil
-	l.head++
-	if l.head < len(l.fifo) {
-		if l.head >= fifoCompactMin && l.head*2 >= len(l.fifo) {
-			// A continuously-busy link never fully drains; compact the
-			// delivered prefix so the FIFO stays bounded by the in-flight
-			// segment count.
-			n := copy(l.fifo, l.fifo[l.head:])
-			clearTail := l.fifo[n:]
-			for i := range clearTail {
-				clearTail[i] = txEntry{}
-			}
-			l.fifo = l.fifo[:n]
-			l.undrained -= l.head
-			l.head = 0
-		}
-		next := &l.fifo[l.head]
-		l.sim.ScheduleArgsAtSeq(next.at, next.dlSeq, deliverBurst, l, nil)
+	seg := l.head
+	l.drainDue() // the segment's own virtual dequeue is always ordered first
+	l.stats.DeliveredBytes += uint64(seg.Hop.Size)
+	l.head = seg.Hop.Next
+	if next := l.head; next != nil {
+		l.sim.ScheduleArgsAtSeq(next.Hop.At, next.Hop.Seq+1, deliverBurst, l, nil)
 	} else {
 		// Fully delivered implies fully drained: each delivery settles its
-		// own dequeue first, so both cursors sit at len(fifo).
-		l.fifo = l.fifo[:0]
-		l.head, l.undrained = 0, 0
+		// own dequeue first, so undrained is nil too.
+		l.tail = nil
 	}
+	seg.Hop = packet.Hop{}
 	l.dst.Receive(seg)
 }
 

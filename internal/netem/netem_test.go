@@ -54,38 +54,57 @@ func TestLinkQueueOverflowDrops(t *testing.T) {
 	}
 }
 
-// TestLinkFIFOBoundedByInFlight keeps a link busy for 10 000 segments, never
-// more than 8 of them in flight and never fully drained: the burst FIFO must
-// stay sized to what is in flight, not to what has passed through, while
-// delivery order and the event accounting stay those of the unbatched
-// schedule (one dequeue and one delivery per segment).
-func TestLinkFIFOBoundedByInFlight(t *testing.T) {
+// TestLinkFIFOHoldsOnlyInFlight keeps a link busy for 10 000 segments, never
+// more than 8 of them in flight and never fully drained: the FIFO threaded
+// through the segments holds exactly those in flight, every segment arrives
+// in order at its own serialization slot plus the delay, and the event
+// accounting stays that of the unbatched schedule (one dequeue and one
+// delivery per segment).
+func TestLinkFIFOHoldsOnlyInFlight(t *testing.T) {
 	const total, window = 10000, 8
+	const delay = time.Millisecond
+	cfg := LinkConfig{RateBps: Mbps(100), Delay: delay}
 	s := sim.New(1)
 	var link *Link
 	sent, delivered := 0, 0
-	var lastOrdinal uint64
-	link = NewLink(s, "l", LinkConfig{RateBps: Mbps(100), Delay: time.Millisecond}, ReceiverFunc(func(seg *packet.Segment) {
+	var busy time.Duration
+	var due []time.Duration // expected arrival of each segment, by ordinal
+	send := func() {
+		seg := testSegment(1000)
+		busy = max(busy, s.Now()) + time.Duration(float64(wireSize(seg)*8)/float64(cfg.RateBps)*float64(time.Second))
+		due = append(due, busy+delay)
+		link.Send(seg)
+		sent++
+	}
+	link = NewLink(s, "l", cfg, ReceiverFunc(func(seg *packet.Segment) {
 		delivered++
-		if seg.Ordinal != lastOrdinal+1 {
-			t.Fatalf("segment %d delivered after %d", seg.Ordinal, lastOrdinal)
+		if seg.Ordinal != uint64(delivered) || s.Now() != due[delivered-1] {
+			t.Fatalf("delivery %d: segment %d at %v, want its slot %v", delivered, seg.Ordinal, s.Now(), due[delivered-1])
 		}
-		lastOrdinal = seg.Ordinal
+		if seg.Hop != (packet.Hop{}) {
+			t.Fatalf("segment %d delivered with hop state %+v", seg.Ordinal, seg.Hop)
+		}
+		held := 0
+		for e := link.head; e != nil; e = e.Hop.Next {
+			held++
+		}
+		if held != sent-delivered {
+			t.Fatalf("after delivery %d the FIFO holds %d segments, %d are in flight", delivered, held, sent-delivered)
+		}
 		if sent < total {
-			sent++
-			link.Send(testSegment(1000))
+			send()
 		}
 	}))
-	for ; sent < window; sent++ {
-		link.Send(testSegment(1000))
+	for sent < window {
+		send()
 	}
 	_ = s.Run()
 	if delivered != total || link.QueueBytes() != 0 || s.Processed != 2*total {
 		t.Fatalf("delivered %d of %d, %d bytes still queued, %d events processed (want %d)",
 			delivered, total, link.QueueBytes(), s.Processed, 2*total)
 	}
-	if c := cap(link.fifo); c > 128 {
-		t.Fatalf("FIFO capacity %d entries after %d segments with at most %d in flight; want <= 128", c, total, window)
+	if link.head != nil || link.tail != nil || link.undrained != nil {
+		t.Fatal("a drained link still points at a segment")
 	}
 }
 
@@ -371,48 +390,138 @@ func TestBoxChainAllocs(t *testing.T) {
 	}
 }
 
-// TestLinkFIFOSpillsOffInline queues 40 segments back to back on a link
-// whose FIFO starts on its 16-entry inline array: the burst spills to the
-// heap, the delivered prefix is compacted mid-burst, and every segment still
-// arrives in order at its own serialization slot plus the delay.
-func TestLinkFIFOSpillsOffInline(t *testing.T) {
+// TestLinkBurstDeliveredAtItsSlots queues 40 segments back to back: every
+// one arrives in order at its own serialization slot plus the delay, with
+// one dequeue and one delivery counted per segment.
+func TestLinkBurstDeliveredAtItsSlots(t *testing.T) {
 	const total = 40
 	const delay = time.Millisecond
 	s := sim.New(1)
-	var link *Link
 	var arrivals []time.Duration
 	var ordinals []uint64
-	compacted := false
-	link = NewLink(s, "l", LinkConfig{RateBps: Mbps(8), Delay: delay}, ReceiverFunc(func(seg *packet.Segment) {
+	link := NewLink(s, "l", LinkConfig{RateBps: Mbps(8), Delay: delay}, ReceiverFunc(func(seg *packet.Segment) {
 		arrivals = append(arrivals, s.Now())
 		ordinals = append(ordinals, seg.Ordinal)
-		if link.head == 0 && len(link.fifo) > 0 {
-			compacted = true
-		}
 	}))
-	if cap(link.fifo) != fifoInlineLen || &link.fifo[:1][0] != &link.fifoInline[0] {
-		t.Fatal("a new link's FIFO does not start on its inline array")
-	}
 	seg := testSegment(1000)
 	tx := time.Duration(float64(wireSize(seg)*8) / float64(Mbps(8)) * float64(time.Second))
 	link.Send(seg)
 	for i := 1; i < total; i++ {
 		link.Send(testSegment(1000))
 	}
-	if &link.fifo[0] == &link.fifoInline[0] {
-		t.Fatalf("%d queued segments still on the inline FIFO", total)
-	}
 	_ = s.Run()
-	if len(arrivals) != total {
-		t.Fatalf("%d of %d segments delivered", len(arrivals), total)
-	}
-	if !compacted {
-		t.Fatal("the burst never compacted its delivered prefix")
+	if len(arrivals) != total || s.Processed != 2*total {
+		t.Fatalf("%d of %d segments delivered, %d events processed (want %d)", len(arrivals), total, s.Processed, 2*total)
 	}
 	for k, at := range arrivals {
 		if want := time.Duration(k+1)*tx + delay; at != want || ordinals[k] != uint64(k+1) {
 			t.Fatalf("delivery %d: segment %d at %v, want segment %d at %v", k, ordinals[k], at, k+1, want)
 		}
+	}
+}
+
+// TestWarmLinkBurstAllocatesNothing: a link holds a burst of 64 pooled
+// segments in the segments themselves, so sending and delivering them on a
+// warm link allocates nothing, and a new link costs the same whether its
+// first burst is one segment deep or 64.
+func TestWarmLinkBurstAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops segments at random under the race detector")
+	}
+	const runs = 50
+	measure := func(fresh bool, burst int) float64 {
+		s := sim.New(1)
+		delivered := 0
+		recv := Receiver(ReceiverFunc(func(seg *packet.Segment) {
+			delivered++
+			seg.Release()
+		}))
+		cfg := LinkConfig{RateBps: Gbps(10), Delay: 100 * time.Microsecond}
+		link := NewLink(s, "l", cfg, recv)
+		allocs := testing.AllocsPerRun(runs, func() {
+			if fresh {
+				link = NewLink(s, "l", cfg, recv)
+			}
+			for i := 0; i < burst; i++ {
+				seg := packet.NewSegment()
+				seg.Flags = packet.FlagACK
+				seg.Seq = packet.SeqNum(i)
+				link.Send(seg)
+			}
+			_ = s.Run()
+		})
+		if delivered != (runs+1)*burst { // AllocsPerRun warms up with one extra run
+			t.Fatalf("%d segments delivered, want %d", delivered, (runs+1)*burst)
+		}
+		return allocs
+	}
+	warm, one, deep := measure(false, 64), measure(true, 1), measure(true, 64)
+	t.Logf("allocations per burst: %.1f on a warm link; on a new link %.1f for 1 segment, %.1f for 64", warm, one, deep)
+	if warm != 0 {
+		t.Fatalf("a warm link's burst of 64 segments allocates %.1f objects, want 0", warm)
+	}
+	if deep > one {
+		t.Fatalf("a new link allocates %.1f objects for a 64-segment burst, %.1f for one segment", deep, one)
+	}
+}
+
+// TestSendOfHeldSegmentPanics: a segment a link still holds is threaded
+// into that link's FIFO, so sending it again, on the same link or another,
+// panics instead of cross-wiring two queues.
+func TestSendOfHeldSegmentPanics(t *testing.T) {
+	s := sim.New(1)
+	sink := ReceiverFunc(func(*packet.Segment) {})
+	a := NewLink(s, "a", LinkConfig{RateBps: Mbps(8), Delay: time.Millisecond}, sink)
+	b := NewLink(s, "b", LinkConfig{RateBps: Mbps(8), Delay: time.Millisecond}, sink)
+	for _, second := range []*Link{a, b} {
+		seg := testSegment(100)
+		a.Send(seg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("a held segment sent again on %s did not panic", second.Name())
+				}
+			}()
+			second.Send(seg)
+		}()
+		_ = s.Run()
+	}
+}
+
+// TestSegmentCrossesTwoLinks: a segment delivered by link A and sent on by
+// link B arrives at B's serialization slot, the shape of a path with more
+// than one hop. Neither link leaves its state on the segment.
+func TestSegmentCrossesTwoLinks(t *testing.T) {
+	const delayA, delayB = time.Millisecond, 3 * time.Millisecond
+	s := sim.New(1)
+	var atA, atB time.Duration
+	var hopAtB packet.Hop
+	b := NewLink(s, "b", LinkConfig{RateBps: Mbps(2), Delay: delayB}, ReceiverFunc(func(seg *packet.Segment) {
+		atB, hopAtB = s.Now(), seg.Hop
+	}))
+	a := NewLink(s, "a", LinkConfig{RateBps: Mbps(8), Delay: delayA}, ReceiverFunc(func(seg *packet.Segment) {
+		atA = s.Now()
+		b.Send(seg)
+	}))
+	seg := testSegment(1000)
+	size := wireSize(seg)
+	tx := func(rate int64) time.Duration {
+		return time.Duration(float64(size*8) / float64(rate) * float64(time.Second))
+	}
+	a.Send(seg)
+	_ = s.Run()
+	if want := tx(Mbps(8)) + delayA; atA != want {
+		t.Fatalf("link A delivered at %v, want %v", atA, want)
+	}
+	if want := atA + tx(Mbps(2)) + delayB; atB != want {
+		t.Fatalf("link B delivered at %v, want %v", atB, want)
+	}
+	if hopAtB != (packet.Hop{}) || seg.Hop != (packet.Hop{}) {
+		t.Fatalf("hop state left on the segment: %+v at B's delivery, %+v after", hopAtB, seg.Hop)
+	}
+	if s.Processed != 4 || a.Stats().DeliveredBytes != uint64(size) || b.Stats().DeliveredBytes != uint64(size) {
+		t.Fatalf("%d events processed (want 4), A delivered %d B, B %d B (want %d each)",
+			s.Processed, a.Stats().DeliveredBytes, b.Stats().DeliveredBytes, size)
 	}
 }
 

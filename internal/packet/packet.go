@@ -140,6 +140,12 @@ type Segment struct {
 	// enqueue time, useful for traces and deterministic tie-breaking.
 	Ordinal uint64
 
+	// Hop is the transmission state of the link that holds the segment, and
+	// only that link touches it. It is zero whenever no link holds the
+	// segment: the link clears it before delivery, Release zeroes it, and
+	// neither CloneHeader nor the wire codec copies it.
+	Hop Hop
+
 	// payloadFrom is where Release recycles an owned payload: the pool.Local
 	// it was taken from (AttachPayloadFrom), nil for the shared pool.
 	payloadFrom *pool.Local
@@ -154,6 +160,17 @@ type Segment struct {
 	// reuses; Release resets it, which invalidates every option pointer
 	// handed out for this segment's lifetime.
 	optArena *optionArena
+}
+
+// Hop is one link's record of a segment it is transmitting: the link threads
+// its FIFO through Next, so a queue costs nothing beyond the segments it
+// holds. Size is the wire size, never 0 while a link holds the segment.
+type Hop struct {
+	Next *Segment      // the segment behind this one on the same link
+	Size int           // wire bytes the segment occupies in the queue
+	Done time.Duration // serialization completes; the bytes leave the queue
+	At   time.Duration // delivery at the far end
+	Seq  uint64        // reserved seq of the elided dequeue; delivery's is Seq+1
 }
 
 // Tuple returns the segment's four-tuple.

@@ -84,6 +84,9 @@ func (s *Segment) Release() {
 	if s.released {
 		panic("packet: Segment released twice")
 	}
+	if s.Hop.Size != 0 {
+		panic("packet: Segment released while a link holds it")
+	}
 	if s.ownsPayload {
 		s.payloadFrom.Recycle(s.Payload)
 	}

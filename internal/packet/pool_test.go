@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"mptcpgo/internal/pool"
 )
@@ -54,6 +55,36 @@ func TestPayloadRecyclesWhereItCameFrom(t *testing.T) {
 	s.Release()
 	if got := pool.Stats(); got.Puts != shared.Puts+1 {
 		t.Fatal("a payload attached with AttachPayload was not recycled to the shared pool")
+	}
+}
+
+// TestHopIsTheHoldingLinksAlone: a segment's Hop belongs to the link that
+// holds it. Copies start without it, releasing a held segment panics, and a
+// released segment has none.
+func TestHopIsTheHoldingLinksAlone(t *testing.T) {
+	next := NewSegment()
+	defer next.Release()
+	s := NewSegment()
+	s.Payload = []byte("data")
+	s.Hop = Hop{Next: next, Size: 100, Done: time.Second, At: 2 * time.Second, Seq: 7}
+	for name, c := range map[string]*Segment{"CloneHeader": s.CloneHeader(), "Clone": s.Clone()} {
+		if c.Hop != (Hop{}) {
+			t.Errorf("%s copied the link's state: %+v", name, c.Hop)
+		}
+		c.Release()
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("releasing a segment a link holds did not panic")
+			}
+		}()
+		s.Release()
+	}()
+	s.Hop.Size = 0 // delivered: what is left is stale
+	s.Release()
+	if s.Hop != (Hop{}) {
+		t.Fatalf("a released segment keeps a hop: %+v", s.Hop)
 	}
 }
 
