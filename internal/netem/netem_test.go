@@ -54,13 +54,13 @@ func TestLinkQueueOverflowDrops(t *testing.T) {
 	}
 }
 
-// TestLinkFIFOHoldsOnlyInFlight keeps a link busy for 10 000 segments, never
+// TestLinkFIFOBoundedByInFlight keeps a link busy for 10 000 segments, never
 // more than 8 of them in flight and never fully drained: the FIFO threaded
 // through the segments holds exactly those in flight, every segment arrives
 // in order at its own serialization slot plus the delay, and the event
 // accounting stays that of the unbatched schedule (one dequeue and one
 // delivery per segment).
-func TestLinkFIFOHoldsOnlyInFlight(t *testing.T) {
+func TestLinkFIFOBoundedByInFlight(t *testing.T) {
 	const total, window = 10000, 8
 	const delay = time.Millisecond
 	cfg := LinkConfig{RateBps: Mbps(100), Delay: delay}
