@@ -49,7 +49,6 @@ mb -scenario fleet-corelink -shared-link 20mbps -sizedist fixed:16384 -trace-dir
 mb -scenario fleet-cdn -shared-link egress:40mbps -pcap-dir "$run/cdn"
 mb -scenario incast -pcap-dir "$run/incast"
 mb -scenario mixed -pcap-dir "$run/mixed" -format json -out "$run/mixed.json"
-mb -scenario sched-equivalence
 mb -scenario fleet-http -cpuprofile "$run/cpu.prof" -memprofile "$run/mem.prof"
 
 # fleet-chaos under every fault preset and every adversary preset, traced;

@@ -289,8 +289,7 @@ const (
 	gLoad                         // open-loop offered load
 	gShape                        // open-loop arrival process and flow sizes
 	gChaos                        // fault schedule and adversary
-	gSize                         // -clients: every scenario
-	gFleet                        // sharding: every scenario that runs shards
+	gSize                         // -clients and sharding: every scenario
 )
 
 // runAccepts is what -run consumes: per-point captures and traces.
@@ -303,13 +302,13 @@ var flagGroups = map[string]flagGroup{
 	"rate":        gLoad, "duration": gLoad,
 	"sizedist": gShape, "arrival": gShape,
 	"faults": gChaos, "adversary": gChaos,
-	"clients": gSize, "shards": gFleet, "workers": gFleet,
+	"clients": gSize, "shards": gSize, "workers": gSize,
 }
 
 // sizing is a scenario's scale: what -quick shrinks and what -clients, -rate
 // and -duration override. Each scenario reads the fields it has a use for.
 type sizing struct {
-	members  int           // clients, hosts, senders, pairs, members or scheduler ops
+	members  int           // clients, hosts, senders, pairs or members
 	requests int           // fleet-http: closed-loop requests per client
 	bytes    int           // response, object or block size
 	rate     float64       // open-loop arrivals, flows/s fleet-wide
@@ -340,33 +339,30 @@ type scenarioDef struct {
 // scenarios is the ordered registry behind -scenario; flag checking, sizing
 // and '-scenario list' all walk it, so a scenario cannot be runnable but
 // unlisted, or listed with flags it then ignores. Every scenario also takes
-// gSize; sched-equivalence runs no shards.
+// gSize (-clients, -shards, -workers).
 var scenarios = []scenarioDef{
 	{"fleet-http", "1000+ closed-loop clients against sharded server replicas (-shared-link couples them)",
 		sizing{members: 1000, requests: 2, bytes: 32 << 10}, sizing{members: 64, requests: 1, bytes: 16 << 10},
-		gPcap | gTrace | gShared | gFleet, runHTTPScenario},
+		gPcap | gTrace | gShared, runHTTPScenario},
 	{"fleet-openloop", "open-loop arrivals (-rate/-arrival) with drawn flow sizes (-sizedist)",
 		sizing{members: 256, rate: 400, window: 5 * time.Second}, sizing{members: 32, rate: 60, window: 2 * time.Second},
-		gPcap | gTrace | gLoad | gShape | gFleet, runOpenLoopScenario},
+		gPcap | gTrace | gLoad | gShape, runOpenLoopScenario},
 	{"fleet-corelink", "open-loop fleet whose downloads jointly transit one shared core link (-shared-link)",
 		sizing{members: 256, rate: 400, window: 5 * time.Second, shared: netem.Mbps(100)},
 		sizing{members: 32, rate: 60, window: 2 * time.Second, shared: netem.Mbps(10)},
-		gPcap | gTrace | gShared | gLoad | gShape | gFleet, runOpenLoopScenario},
+		gPcap | gTrace | gShared | gLoad | gShape, runOpenLoopScenario},
 	{"fleet-cdn", "CDN flash crowd: every client fetches one object through a shared origin egress",
 		sizing{members: 256, bytes: 1 << 20}, sizing{members: 32, bytes: 256 << 10, shared: netem.Mbps(50)},
-		gPcap | gShared | gFleet, runCDNScenario},
+		gPcap | gShared, runCDNScenario},
 	{"incast", "synchronized many-to-one fan-in over the N-host graph",
 		sizing{members: 256, bytes: 256 << 10}, sizing{members: 32, bytes: 128 << 10},
-		gPcap | gFleet, runIncastScenario},
+		gPcap, runIncastScenario},
 	{"mixed", "MPTCP foreground vs plain-TCP background traffic",
 		sizing{members: 32, window: 5 * time.Second}, sizing{members: 8, window: 2 * time.Second},
-		gPcap | gFleet, runMixedScenario},
+		gPcap, runMixedScenario},
 	{"fleet-chaos", "integrity-checked uploads under fault schedules (-faults) and adversarial middleboxes (-adversary)",
 		sizing{members: 32}, sizing{members: 8},
-		gPcap | gTrace | gChaos | gFleet, runChaosScenario},
-	{"sched-equivalence", "scheduler pin: wheel vs heap firing-order checksums over deterministic churn workloads",
-		sizing{members: 200_000}, sizing{members: 20_000},
-		0, runSchedScenario},
+		gPcap | gTrace | gChaos, runChaosScenario},
 }
 
 // listScenarios prints the scenario registry, one line per scenario.

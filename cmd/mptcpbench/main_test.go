@@ -8,7 +8,7 @@ import (
 
 // TestScenarioFlagChecking pins the rule that a -scenario run never silently
 // ignores a flag: per scenario, one flag it consumes parses and one it does
-// not is rejected by name.
+// not is rejected by name, and the sizing flags every scenario takes parse.
 func TestScenarioFlagChecking(t *testing.T) {
 	cases := []struct {
 		scenario         string
@@ -21,7 +21,6 @@ func TestScenarioFlagChecking(t *testing.T) {
 		{"incast", []string{"-pcap-dir", "p"}, []string{"-faults", "flap500"}},
 		{"mixed", []string{"-pcap-dir", "p"}, []string{"-probe-interval", "1s"}},
 		{"fleet-chaos", []string{"-faults", "flap500"}, []string{"-duration", "1s"}},
-		{"sched-equivalence", []string{"-clients", "100"}, []string{"-pcap-dir", "p"}},
 	}
 	if len(cases) != len(scenarios) {
 		t.Fatalf("%d cases for %d registered scenarios", len(cases), len(scenarios))
@@ -30,6 +29,10 @@ func TestScenarioFlagChecking(t *testing.T) {
 		base := []string{"-scenario", tc.scenario, "-quick"}
 		if _, err := parseCLI(append(base, tc.accepted...), flag.ContinueOnError); err != nil {
 			t.Errorf("%s %v: %v", tc.scenario, tc.accepted, err)
+		}
+		sizingFlags := strings.Fields("-clients 100 -shards 2 -workers 2")
+		if _, err := parseCLI(append(base, sizingFlags...), flag.ContinueOnError); err != nil {
+			t.Errorf("%s %v: %v", tc.scenario, sizingFlags, err)
 		}
 		_, err := parseCLI(append(base, tc.denied...), flag.ContinueOnError)
 		if err == nil || !strings.Contains(err.Error(), tc.denied[0]) {
@@ -54,7 +57,8 @@ func TestScenarioFlagChecking(t *testing.T) {
 		{"-run fig4 -list", "-list -run"},
 		{"-list -scenario fleet-http", "-list -scenario"},
 		{"-scenario list -rate 5 -faults flap", "-rate -faults"},
-		{"-scenario sched-equivalence -shards 4 -workers 8", "-shards -workers"},
+		{"-scenario list -shards 4 -workers 8", "-shards -workers"},
+		{"-list -clients 100 -pcap-dir p", "-clients -pcap-dir"},
 	} {
 		_, err := parseCLI(strings.Fields(tc.args), flag.ContinueOnError)
 		for _, name := range strings.Fields(tc.names) {

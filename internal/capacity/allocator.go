@@ -6,26 +6,10 @@ import (
 	"slices"
 )
 
-// MaxMin computes the weighted max-min fair allocation of capacity (bits per
-// second) among the given demands: every claimant receives
-// min(demand, water × weight) with the water level chosen so the allocations
-// sum to min(capacity, Σdemands). Nobody gets more than they asked for, and a
-// claimant is capped below its demand only when everyone still unsatisfied is
-// held to the same weighted share.
-//
-// weights holds one positive, finite weight per demand, and the result never
-// sums past capacity, whatever their sum rounds to. The computation is
-// one-pass water-filling over claimants sorted by demand/weight with
-// index-order tie-breaking, so the result is a pure deterministic function of
-// (capacity, demands, weights) — no map iteration, no randomness.
-func MaxMin(capacity int64, demands []int64, weights []float64) []int64 {
-	return new(scratch).maxMin(nil, capacity, demands, weights)
-}
-
 // scratch is the allocation step's working memory. A ledger owns one, so a
 // step allocates nothing once its slices have grown to the claimant count;
 // what a method returns lives in the scratch and is overwritten by the
-// scratch's next call. MaxMin and Admit run on a fresh one.
+// scratch's next call.
 type scratch struct {
 	out     []int64 // admit's result
 	targets []int64 // doubled demands
@@ -43,8 +27,19 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// maxMin is MaxMin written into dst, resized to len(demands); it returns
-// dst.
+// maxMin computes into dst, resized to len(demands), the weighted max-min
+// fair allocation of capacity (bits per second) among the given demands, and
+// returns dst. Every claimant receives min(demand, water × weight) with the
+// water level chosen so the allocations sum to min(capacity, Σdemands).
+// Nobody gets more than they asked for, and a claimant is capped below its
+// demand only when everyone still unsatisfied is held to the same weighted
+// share.
+//
+// weights holds one positive, finite weight per demand, and the result never
+// sums past capacity, whatever their sum rounds to. The computation is
+// one-pass water-filling over claimants sorted by demand/weight with
+// index-order tie-breaking, so the result is a pure deterministic function of
+// (capacity, demands, weights) — no map iteration, no randomness.
 func (sc *scratch) maxMin(dst []int64, capacity int64, demands []int64, weights []float64) []int64 {
 	n := len(demands)
 	alloc := resize(dst, n)
@@ -90,9 +85,9 @@ func (sc *scratch) maxMin(dst []int64, capacity int64, demands []int64, weights 
 	return alloc
 }
 
-// Admit turns one window's measured demands into the next window's admitted
-// rates — the allocation rule both coupler (across shards) and meter (across
-// a shard's members) apply:
+// admit turns one window's measured demands into the next window's admitted
+// rates, written into sc.out — the allocation rule both coupler (across
+// shards) and meter (across a shard's members) apply:
 //
 //  1. Active claimants (nonzero measured demand) compete by weighted max-min
 //     over *doubled* demands. Raw measurements would pin the allocation — a
@@ -115,11 +110,6 @@ func (sc *scratch) maxMin(dst []int64, capacity int64, demands []int64, weights 
 // demand was measured), and is a pure deterministic function of its
 // arguments. A window with no measured demand at all falls back to the
 // weight-proportional spread, which is also the correct epoch-0 allocation.
-func Admit(capacity int64, demands []int64, weights []float64) []int64 {
-	return new(scratch).admit(capacity, demands, weights)
-}
-
-// admit is Admit into sc.out.
 func (sc *scratch) admit(capacity int64, demands []int64, weights []float64) []int64 {
 	n := len(demands)
 	targets := resize(sc.targets, n)
@@ -185,7 +175,7 @@ func SmoothDemand(prev, measured int64) int64 {
 // equivalent is that no claimant's cap may fall below a trickle. Below it, a
 // claimant that stalls for one window gets a near-zero cap, its next window's
 // enqueue commits its link to seconds of serialization at that rate, and the
-// stall becomes self-sustaining. The allocation step raises every Admit
+// stall becomes self-sustaining. The allocation step raises every admit
 // result to this floor; the overbooking is at most a few segments per
 // stalled claimant per epoch, and a claimant actually using its floor reveals
 // demand and rejoins the capacity-constrained allocation next window.
@@ -221,7 +211,7 @@ func (l *ledger) observe(i int, offered uint64, epochSec float64) {
 }
 
 // step is the capacity exchange's one allocation step, the same at both
-// levels: Admit over demands, then every claimant raised to its trickle
+// levels: admit over demands, then every claimant raised to its trickle
 // floor. The result is the ledger's own slice, valid until its next step.
 func (l *ledger) step(capacity int64, epochSec float64, demands []int64) []int64 {
 	out := l.admit(capacity, demands, l.weights)

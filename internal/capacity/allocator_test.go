@@ -7,6 +7,18 @@ import (
 	"testing"
 )
 
+// MaxMin is the weighted max-min allocation (scratch.maxMin) as a pure
+// function: it runs on a fresh scratch and returns a fresh slice.
+func MaxMin(capacity int64, demands []int64, weights []float64) []int64 {
+	return new(scratch).maxMin(nil, capacity, demands, weights)
+}
+
+// Admit is the allocation rule (scratch.admit) as a pure function: it runs on
+// a fresh scratch, so no earlier step can leave anything in its result.
+func Admit(capacity int64, demands []int64, weights []float64) []int64 {
+	return new(scratch).admit(capacity, demands, weights)
+}
+
 // TestMaxMinHandComputed pins the allocator to hand-computed water-filling
 // results: a bug in the sort order, the share arithmetic or the remaining
 // bookkeeping moves whole epochs of fleet capacity, so the cases are exact.

@@ -155,7 +155,7 @@ func (c *Coupler) Initial() [][]int64 {
 
 // Allocate closes the current window: it folds each shard's reported bytes
 // into its peak-hold demand estimate, runs the allocation step per link
-// (Admit across shards in index order, then the trickle floor), appends the
+// (admit across shards in index order, then the trickle floor), appends the
 // window's EpochRecords to the trace and resets the ledger. The result is
 // [shard][link] admitted bits per second for the next window, in slices the
 // coupler reuses: valid until its next Initial or Allocate.

@@ -103,16 +103,6 @@ func DSSChecksum(dataSeq DataSeq, subflowOffset uint32, length uint16, payload [
 	return FoldChecksum(sum)
 }
 
-// VerifyDSSChecksum reports whether the DSS checksum in the option matches
-// the payload it maps. Content-modifying middleboxes (§3.3.6) are detected by
-// a mismatch here.
-func VerifyDSSChecksum(opt *DSSOption, payload []byte) bool {
-	if !opt.HasChecksum {
-		return true
-	}
-	return DSSChecksum(opt.DataSeq, opt.SubflowOffset, opt.Length, payload) == opt.Checksum
-}
-
 // pseudoHeaderSum computes the TCP pseudo-header contribution for the
 // emulated IPv4 addressing scheme.
 func pseudoHeaderSum(src, dst Endpoint, tcpLen int) uint32 {

@@ -42,6 +42,16 @@ func TestPartialChecksumComposition(t *testing.T) {
 	}
 }
 
+// VerifyDSSChecksum reports whether the DSS checksum in the option matches
+// the payload it maps. Content-modifying middleboxes (§3.3.6) are detected by
+// a mismatch here.
+func VerifyDSSChecksum(opt *DSSOption, payload []byte) bool {
+	if !opt.HasChecksum {
+		return true
+	}
+	return DSSChecksum(opt.DataSeq, opt.SubflowOffset, opt.Length, payload) == opt.Checksum
+}
+
 func TestDSSChecksumDetectsModification(t *testing.T) {
 	payload := []byte("the quick brown fox jumps over the lazy dog")
 	sum := DSSChecksum(1000, 20, uint16(len(payload)), payload)

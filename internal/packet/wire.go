@@ -86,7 +86,8 @@ func ReleaseWire(b []byte) { pool.Recycle(b) }
 
 // VerifyTCPChecksum reports whether an encoded segment's checksum is valid
 // for the given endpoints. The verification sums around the checksum field
-// in place, so it never copies or allocates.
+// in place, so it never copies or allocates. Only tests call it; it is
+// exported for the capture tests of trace, fleet and experiments.
 func VerifyTCPChecksum(src, dst Endpoint, wire []byte) bool {
 	if len(wire) < headerLen {
 		return false

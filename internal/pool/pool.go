@@ -67,7 +67,8 @@ type Counters struct {
 
 // Outstanding returns how many buffers are handed out and not yet given back
 // or dropped. A component whose work leaves it where it started has leaked
-// nothing and recycled nothing twice.
+// nothing and recycled nothing twice. Only tests call it; it is exported for
+// the leak checks of the packages built on the pool.
 func (c Counters) Outstanding() int64 {
 	return int64(c.Gets+c.Misses) - int64(c.Puts+c.Drops)
 }

@@ -15,11 +15,10 @@ import (
 	"time"
 )
 
-// Event locations. An event lives in exactly one scheduler container at a
-// time; locNone means "not queued" (fired, canceled, or on the free list).
+// Event locations. An event lives in exactly one part of the timing wheel at
+// a time; locNone means "not queued" (fired, canceled, or on the free list).
 const (
 	locNone uint8 = iota
-	locHeap
 	locNear
 	locSlot
 	locOverflow
@@ -38,11 +37,11 @@ type Event struct {
 	a, b any
 
 	seq   uint64 // tie-breaker for deterministic ordering
-	index int    // position in the containing heap (near, overflow or heapSched)
+	index int    // position in the wheel's near or overflow heap
 	// prev and next link the event into its wheel slot's list, valid when
 	// where == locSlot.
 	prev, next *Event
-	where      uint8 // which scheduler container holds the event
+	where      uint8 // which part of the wheel holds the event
 	level      uint8 // wheel level, valid when where == locSlot
 	slot       uint8 // wheel slot, valid when where == locSlot
 	canceled   bool
@@ -51,11 +50,12 @@ type Event struct {
 // Canceled reports whether the event has been canceled.
 func (e *Event) Canceled() bool { return e == nil || e.canceled }
 
-// eventQueue is a min-heap ordered by (At, seq). The sift operations are
-// hand-rolled rather than going through container/heap so the per-event hot
-// path pays no interface dispatch or any-boxing; the algorithm is the
-// standard binary heap, and since (At, seq) is a strict total order the pop
-// sequence is identical to container/heap's regardless of internal layout.
+// eventQueue is a min-heap ordered by (At, seq), the timing wheel's near and
+// overflow heaps (wheel.go). The sift operations are hand-rolled rather than
+// going through container/heap so the per-event hot path pays no interface
+// dispatch or any-boxing; the algorithm is the standard binary heap, and
+// since (At, seq) is a strict total order the pop sequence is identical to
+// container/heap's regardless of internal layout.
 type eventQueue []*Event
 
 func (q eventQueue) less(i, j int) bool {
@@ -142,64 +142,6 @@ func (q *eventQueue) removeAt(i int) {
 	ev.index = -1
 }
 
-// scheduler is the pending-event container behind the simulator. Both
-// implementations (binary heap, hierarchical timing wheel) release events in
-// exactly the same (At, seq) order, so swapping one for the other cannot
-// change a trace; FuzzSchedulerEquivalence holds them to that contract.
-type scheduler interface {
-	insert(ev *Event) // enqueue; sets ev.where
-	remove(ev *Event) // dequeue a pending event; clears ev.where
-	pop() *Event      // extract the (At, seq)-minimum, nil when empty
-	peek() *Event     // minimum without extracting, nil when empty
-	size() int        // queued events
-}
-
-// heapSched is the classic binary-heap scheduler: O(log n) everywhere.
-// It remains available (SchedulerHeap) as the differential-testing reference
-// for the timing wheel.
-type heapSched struct {
-	q eventQueue
-}
-
-func (h *heapSched) insert(ev *Event) {
-	ev.where = locHeap
-	h.q.push(ev)
-}
-
-func (h *heapSched) remove(ev *Event) {
-	h.q.removeAt(ev.index)
-	ev.where = locNone
-}
-
-func (h *heapSched) pop() *Event {
-	if len(h.q) == 0 {
-		return nil
-	}
-	ev := h.q.popMin()
-	ev.where = locNone
-	return ev
-}
-
-func (h *heapSched) peek() *Event {
-	if len(h.q) == 0 {
-		return nil
-	}
-	return h.q[0]
-}
-
-func (h *heapSched) size() int { return len(h.q) }
-
-// SchedulerKind selects the pending-event container for a Simulator.
-type SchedulerKind uint8
-
-const (
-	// SchedulerWheel is the default: a hierarchical timing wheel with O(1)
-	// schedule/cancel in the timer-dominated steady state (see wheel.go).
-	SchedulerWheel SchedulerKind = iota
-	// SchedulerHeap is the binary-heap reference implementation.
-	SchedulerHeap
-)
-
 // Settler is a component that defers bookkeeping for elided (virtual) events
 // and must be given a chance to catch up whenever simulation results are
 // about to be observed. The (now, seq) pair is the exclusive upper bound of
@@ -214,7 +156,7 @@ type Settler interface {
 // loop.
 type Simulator struct {
 	now     time.Duration
-	sched   scheduler
+	sched   *wheelSched
 	nextSeq uint64
 	rng     *RNG
 
@@ -255,22 +197,9 @@ type Simulator struct {
 }
 
 // New returns a simulator with its clock at zero and a deterministic RNG
-// seeded with seed, using the timing-wheel scheduler.
+// seeded with seed.
 func New(seed uint64) *Simulator {
-	return NewWithScheduler(seed, SchedulerWheel)
-}
-
-// NewWithScheduler returns a simulator backed by the requested scheduler
-// implementation. Both kinds fire events in identical (At, seq) order; the
-// heap exists as a reference for differential tests and benchmarks.
-func NewWithScheduler(seed uint64, kind SchedulerKind) *Simulator {
-	s := &Simulator{rng: NewRNG(seed), locals: stash.take()}
-	if kind == SchedulerHeap {
-		s.sched = &heapSched{}
-	} else {
-		s.sched = newWheelSched()
-	}
-	return s
+	return &Simulator{sched: &wheelSched{}, rng: NewRNG(seed), locals: stash.take()}
 }
 
 // Local returns the simulator's value of type T, a zero T created on first
@@ -627,7 +556,7 @@ func (s *Simulator) NewTimer(fn func()) *Timer {
 // Reset (re)arms the timer to fire after d. Any previously pending expiry is
 // canceled. A pending timer re-arms in place: the event is unlinked, stamped
 // with a fresh (At, seq) and reinserted, skipping the cancel/free/alloc round
-// trip — with the wheel scheduler this is the O(1) per-ACK RTO path. Either
+// trip — on the timing wheel this is the O(1) per-ACK RTO path. Either
 // way arming consumes exactly one sequence number, as Schedule does.
 func (t *Timer) Reset(d time.Duration) {
 	if d < 0 {

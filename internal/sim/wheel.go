@@ -5,16 +5,17 @@ import (
 	"time"
 )
 
-// Hierarchical timing wheel: the default scheduler behind Simulator.
+// Hierarchical timing wheel: the scheduler behind Simulator.
 //
 // The motivation is the fleet hot path's event mix: RTO timers re-armed once
 // per ACK, link serialization completions and probe ticks are all scheduled a
 // short, bounded distance into the future and very frequently canceled or
 // replaced before firing. A binary heap pays O(log n) sift work for every one
 // of those operations and dominated the BenchmarkFleetSegmentRate profile;
-// the wheel makes schedule and cancel O(1) amortized while firing events in
-// exactly the same (At, seq) order as the heap (FuzzSchedulerEquivalence pins
-// the two implementations against each other).
+// the wheel makes schedule and cancel O(1) amortized while releasing events in
+// exactly the (At, seq) order a binary heap would. The tests keep such a heap
+// as the reference: FuzzSchedulerEquivalence and the hand-built scripts drive
+// both containers with the same operations and compare every pop and peek.
 //
 // Layout. Time is quantized into ticks of 2^wheelTickShift nanoseconds
 // (16.384µs). The wheel has wheelLevels levels of wheelSlots slots each;
@@ -72,8 +73,6 @@ type wheelSched struct {
 	slotted  int                 // events currently in wheel slots
 }
 
-func newWheelSched() *wheelSched { return &wheelSched{} }
-
 func wheelTick(at time.Duration) int64 { return int64(at) >> wheelTickShift }
 
 // digitLevel returns the index of the highest 6-bit digit in which t and base
@@ -82,6 +81,7 @@ func digitLevel(t, base int64) int {
 	return (63 - bits.LeadingZeros64(uint64(t^base))) / wheelLevelBits
 }
 
+// insert enqueues ev and sets ev.where.
 func (w *wheelSched) insert(ev *Event) {
 	t := wheelTick(ev.At)
 	if t <= w.curTick {
@@ -113,6 +113,7 @@ func (w *wheelSched) place(ev *Event, t int64) {
 	w.slotted++
 }
 
+// remove dequeues a pending event and clears ev.where.
 func (w *wheelSched) remove(ev *Event) {
 	switch ev.where {
 	case locNear:
@@ -136,6 +137,7 @@ func (w *wheelSched) remove(ev *Event) {
 	ev.where = locNone
 }
 
+// pop extracts the (At, seq)-minimum, nil when empty.
 func (w *wheelSched) pop() *Event {
 	if !w.advance() {
 		return nil
@@ -145,6 +147,8 @@ func (w *wheelSched) pop() *Event {
 	return ev
 }
 
+// peek returns the minimum without extracting it, nil when empty. It may
+// move the cursor forward.
 func (w *wheelSched) peek() *Event {
 	if !w.advance() {
 		return nil
@@ -152,6 +156,7 @@ func (w *wheelSched) peek() *Event {
 	return w.near[0]
 }
 
+// size returns the number of queued events.
 func (w *wheelSched) size() int { return len(w.near) + len(w.overflow) + w.slotted }
 
 // advance moves the cursor forward until the near heap is non-empty. It

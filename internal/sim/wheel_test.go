@@ -9,17 +9,19 @@ import (
 // timing wheel files events into slots.
 func tick(n int64) time.Duration { return time.Duration(n << wheelTickShift) }
 
-func bothSchedulers(t *testing.T, name string, fn func(t *testing.T, kind SchedulerKind)) {
-	t.Run(name+"/wheel", func(t *testing.T) { fn(t, SchedulerWheel) })
-	t.Run(name+"/heap", func(t *testing.T) { fn(t, SchedulerHeap) })
+// onWheel runs fn as the subtest name/wheel. These tests drive a whole
+// simulator and assert explicit expected values; the container-level
+// comparison with the heap reference is in oracle_test.go.
+func onWheel(t *testing.T, name string, fn func(t *testing.T)) {
+	t.Run(name+"/wheel", fn)
 }
 
 // TestWheelSameTickTies pins sub-tick ordering: many events inside one wheel
 // tick (and several at the exact same instant) must fire in (At, seq) order
 // even though the wheel's slot granularity cannot distinguish them.
 func TestWheelSameTickTies(t *testing.T) {
-	bothSchedulers(t, "ties", func(t *testing.T, kind SchedulerKind) {
-		s := NewWithScheduler(1, kind)
+	onWheel(t, "ties", func(t *testing.T) {
+		s := New(1)
 		base := tick(1000) + 3 // mid-tick origin
 		var got []int
 		// Three distinct instants inside one tick, each with two tied events.
@@ -44,8 +46,8 @@ func TestWheelSameTickTies(t *testing.T) {
 // that is the next slot the cursor would visit — and checks the remaining
 // events still fire in order.
 func TestWheelCancelAtHead(t *testing.T) {
-	bothSchedulers(t, "cancel", func(t *testing.T, kind SchedulerKind) {
-		s := NewWithScheduler(1, kind)
+	onWheel(t, "cancel", func(t *testing.T) {
+		s := New(1)
 		var got []int
 		head := s.Schedule(tick(1), func() { got = append(got, 0) })
 		s.Schedule(tick(2), func() { got = append(got, 1) })
@@ -62,10 +64,10 @@ func TestWheelCancelAtHead(t *testing.T) {
 }
 
 // TestWheelPastTimeClamping schedules behind the clock mid-run; the event must
-// clamp to now and fire before anything later, like the heap always did.
+// clamp to now and fire before anything later, as a binary heap would.
 func TestWheelPastTimeClamping(t *testing.T) {
-	bothSchedulers(t, "clamp", func(t *testing.T, kind SchedulerKind) {
-		s := NewWithScheduler(1, kind)
+	onWheel(t, "clamp", func(t *testing.T) {
+		s := New(1)
 		var got []string
 		s.Schedule(tick(100), func() {
 			got = append(got, "trigger")
@@ -88,8 +90,8 @@ func TestWheelPastTimeClamping(t *testing.T) {
 // every level's cascade boundary (64^l ticks) plus the overflow horizon, and
 // checks they fire in time order with the clock matching each At exactly.
 func TestWheelCascadeBoundaries(t *testing.T) {
-	bothSchedulers(t, "cascade", func(t *testing.T, kind SchedulerKind) {
-		s := NewWithScheduler(1, kind)
+	onWheel(t, "cascade", func(t *testing.T) {
+		s := New(1)
 		var offsets []int64
 		for l := 1; l <= wheelLevels; l++ {
 			b := int64(1) << uint(l*wheelLevelBits)
@@ -124,8 +126,8 @@ func TestWheelCascadeBoundaries(t *testing.T) {
 // cursor rebases onto them — including multiple rebase rounds and ties at the
 // overflow minimum.
 func TestWheelOverflowRebase(t *testing.T) {
-	bothSchedulers(t, "overflow", func(t *testing.T, kind SchedulerKind) {
-		s := NewWithScheduler(1, kind)
+	onWheel(t, "overflow", func(t *testing.T) {
+		s := New(1)
 		horizon := tick(1 << wheelSpanBits)
 		ats := []time.Duration{
 			tick(5), // near-term wheel event
@@ -162,8 +164,8 @@ func TestWheelOverflowRebase(t *testing.T) {
 // the deadline stay queued (wheel cursor does not run ahead) and fire on the
 // next call.
 func TestWheelRunUntilLeavesFutureEvents(t *testing.T) {
-	bothSchedulers(t, "rununtil", func(t *testing.T, kind SchedulerKind) {
-		s := NewWithScheduler(1, kind)
+	onWheel(t, "rununtil", func(t *testing.T) {
+		s := New(1)
 		var got []int
 		s.ScheduleAt(tick(10), func() { got = append(got, 0) })
 		s.ScheduleAt(tick(1<<wheelLevelBits), func() { got = append(got, 1) }) // next level
@@ -185,8 +187,8 @@ func TestWheelRunUntilLeavesFutureEvents(t *testing.T) {
 // TestWheelTimerResetChurn re-arms one timer through cascade boundaries and
 // across fires, mimicking the RTO-per-ACK pattern the wheel is built for.
 func TestWheelTimerResetChurn(t *testing.T) {
-	bothSchedulers(t, "churn", func(t *testing.T, kind SchedulerKind) {
-		s := NewWithScheduler(1, kind)
+	onWheel(t, "churn", func(t *testing.T) {
+		s := New(1)
 		fires := 0
 		tm := s.NewTimer(func() { fires++ })
 		delays := []time.Duration{tick(1), tick(100), tick(1 << wheelLevelBits), tick(1 << (2 * wheelLevelBits)), 5 * time.Millisecond}
@@ -213,10 +215,9 @@ func TestWheelTimerResetChurn(t *testing.T) {
 	})
 }
 
-// TestTimerResetSteadyStateAllocs guards the acceptance criterion that wheel
-// schedule/cancel is allocation-free in steady state: a Reset storm plus
-// fire/re-arm cycles must not allocate once slot slices and the event free
-// list are warm.
+// TestTimerResetSteadyStateAllocs: wheel schedule/cancel is allocation-free
+// in steady state. A Reset storm plus fire/re-arm cycles must not allocate
+// once the event free list and the near heap are warm.
 func TestTimerResetSteadyStateAllocs(t *testing.T) {
 	s := New(1)
 	fires := 0
@@ -229,7 +230,7 @@ func TestTimerResetSteadyStateAllocs(t *testing.T) {
 		s.Step()
 	}
 	for i := 0; i < 64; i++ {
-		rearm() // warm slot slices, free list and the near heap
+		rearm() // warm the event free list and the near heap
 	}
 	if avg := testing.AllocsPerRun(200, rearm); avg != 0 {
 		t.Fatalf("timer Reset churn allocates %.1f times per cycle, want 0", avg)
@@ -411,206 +412,7 @@ func (r *scheduleTimer) Stop() {
 	r.ev = nil
 }
 
-// schedOp is one action in a differential scheduler script; see runSchedScript.
-type schedOp struct {
-	kind  uint8 // 0 schedule, 1 cancel, 2 step, 3 runUntil, 4 timerReset, 5 timerStop, 6 reserveSchedule
-	delay uint8 // index into schedDelays
-	pick  uint8 // which pending event / timer the op targets
-}
-
-// schedDelays spans every interesting placement: sub-tick, same-tick, the
-// cascade boundary of each level, and past the overflow horizon.
-var schedDelays = []time.Duration{
-	0, 1, tick(1) - 1, tick(1), tick(1) + 1,
-	tick(1<<wheelLevelBits) - 1, tick(1 << wheelLevelBits), tick(1<<wheelLevelBits) + 1,
-	tick(1 << (2 * wheelLevelBits)), tick(1 << (3 * wheelLevelBits)), tick(1 << (4 * wheelLevelBits)),
-	tick(1 << wheelSpanBits), tick(1<<wheelSpanBits) + tick(3),
-}
-
 type firing struct {
 	id int
 	at time.Duration
-}
-
-// runSchedScript executes one op script on a fresh simulator with the given
-// scheduler and returns the complete firing log. Both schedulers must produce
-// identical logs for every script — that is the equivalence contract.
-func runSchedScript(kind SchedulerKind, ops []schedOp) []firing {
-	s := NewWithScheduler(7, kind)
-	var log []firing
-	var pending []*Event
-	nextID := 0
-	schedule := func(d time.Duration, viaReserve bool) {
-		id := nextID
-		nextID++
-		at := s.Now() + d
-		if viaReserve {
-			seq := s.ReserveSeq()
-			pending = append(pending, s.ScheduleArgsAtSeq(at, seq, func(a, _ any) {
-				log = append(log, firing{a.(int), s.Now()})
-			}, id, nil))
-		} else {
-			pending = append(pending, s.ScheduleAt(at, func() {
-				log = append(log, firing{id, s.Now()})
-			}))
-		}
-	}
-	// Two timers, one of each form (pick selects): a NewTimer and one held by
-	// value and bound with Init, as the protocol structs hold theirs.
-	var held Timer
-	held.Init(s, func(any) { log = append(log, firing{-3, s.Now()}) }, nil)
-	tms := [2]*Timer{s.NewTimer(func() { log = append(log, firing{-1, s.Now()}) }), &held}
-	for _, op := range ops {
-		d := schedDelays[int(op.delay)%len(schedDelays)]
-		switch op.kind % 7 {
-		case 0:
-			schedule(d, false)
-		case 1:
-			if len(pending) > 0 {
-				s.Cancel(pending[int(op.pick)%len(pending)])
-			}
-		case 2:
-			s.Step()
-		case 3:
-			if err := s.RunUntil(s.Now() + d); err != nil {
-				panic(err)
-			}
-		case 4:
-			tms[op.pick%2].Reset(d)
-		case 5:
-			tms[op.pick%2].Stop()
-		case 6:
-			schedule(d, true)
-		}
-	}
-	if err := s.Run(); err != nil {
-		panic(err)
-	}
-	log = append(log, firing{-2, s.Now()}) // final clock is part of the contract
-	return log
-}
-
-func diffSchedLogs(t *testing.T, ops []schedOp) {
-	t.Helper()
-	h := runSchedScript(SchedulerHeap, ops)
-	w := runSchedScript(SchedulerWheel, ops)
-	if len(h) != len(w) {
-		t.Fatalf("heap fired %d entries, wheel %d", len(h), len(w))
-	}
-	for i := range h {
-		if h[i] != w[i] {
-			t.Fatalf("divergence at entry %d: heap %+v, wheel %+v", i, h[i], w[i])
-		}
-	}
-}
-
-// TestSchedulerEquivalenceHandBuilt runs curated scripts over both schedulers:
-// the edge cases the fuzzer would have to rediscover every run.
-func TestSchedulerEquivalenceHandBuilt(t *testing.T) {
-	scripts := map[string][]schedOp{
-		"same-tick-ties": {
-			{0, 3, 0}, {0, 3, 0}, {0, 4, 0}, {0, 2, 0}, {2, 0, 0},
-		},
-		"cancel-at-head": {
-			{0, 1, 0}, {0, 3, 0}, {0, 5, 0}, {1, 0, 0}, {2, 0, 0}, {1, 0, 1},
-		},
-		"past-clamp-after-advance": {
-			{0, 8, 0}, {3, 6, 0}, {0, 0, 0}, {0, 1, 0},
-		},
-		"cascade-walk": {
-			{0, 5, 0}, {0, 6, 0}, {0, 7, 0}, {0, 8, 0}, {0, 9, 0}, {0, 10, 0},
-			{3, 8, 0}, {0, 2, 0}, {1, 0, 2},
-		},
-		"overflow-rebase": {
-			{0, 11, 0}, {0, 12, 0}, {0, 1, 0}, {2, 0, 0}, {0, 11, 0}, {1, 0, 1},
-		},
-		"timer-churn": {
-			{4, 2, 0}, {4, 6, 0}, {2, 0, 0}, {4, 1, 0}, {5, 0, 0}, {4, 3, 0}, {3, 7, 0},
-		},
-		"timer-forms-interleave": {
-			{4, 3, 0}, {4, 3, 1}, {0, 3, 0}, {4, 3, 0}, {2, 0, 0}, {4, 6, 1}, {5, 0, 0}, {4, 2, 0}, {3, 7, 0},
-		},
-		"reserved-seq-interleave": {
-			{6, 2, 0}, {0, 2, 0}, {6, 2, 0}, {0, 3, 0}, {2, 0, 0}, {6, 1, 0},
-		},
-	}
-	for name, ops := range scripts {
-		t.Run(name, func(t *testing.T) { diffSchedLogs(t, ops) })
-	}
-}
-
-// FuzzSchedulerEquivalence drives the heap and wheel schedulers with the same
-// randomized schedule/cancel/step/Reset script and requires bit-identical
-// firing logs. Any wheel bug that reorders, drops or double-fires an event
-// shows up as a divergence from the heap reference.
-func FuzzSchedulerEquivalence(f *testing.F) {
-	f.Add([]byte{0, 3, 0, 0, 3, 1, 2, 0, 0})
-	f.Add([]byte{0, 11, 0, 0, 12, 0, 2, 0, 0, 1, 0, 1})
-	f.Add([]byte{4, 2, 0, 4, 6, 0, 2, 0, 0, 6, 1, 0, 3, 7, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 3*512 {
-			data = data[:3*512] // bound script length, not coverage
-		}
-		ops := make([]schedOp, 0, len(data)/3)
-		for i := 0; i+2 < len(data); i += 3 {
-			ops = append(ops, schedOp{data[i], data[i+1], data[i+2]})
-		}
-		diffSchedLogs(t, ops)
-	})
-}
-
-func benchScheduleCancel(b *testing.B, kind SchedulerKind) {
-	s := NewWithScheduler(1, kind)
-	fn := func() {}
-	// A resident population gives the heap its realistic O(log n) depth and
-	// the wheel a spread of occupied slots.
-	const resident = 4096
-	evs := make([]*Event, resident)
-	for i := range evs {
-		evs[i] = s.Schedule(time.Duration(i%librarySpread)*tick(1)+tick(2), fn)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i % resident
-		s.Cancel(evs[j])
-		evs[j] = s.Schedule(time.Duration(j%librarySpread)*tick(1)+tick(2), fn)
-	}
-}
-
-// librarySpread spreads benchmark events over ~3 wheel levels.
-const librarySpread = 3000
-
-// BenchmarkScheduleCancel measures the schedule+cancel round trip that
-// dominates timer-heavy steady state, wheel vs heap.
-func BenchmarkScheduleCancel(b *testing.B) {
-	b.Run("wheel", func(b *testing.B) { benchScheduleCancel(b, SchedulerWheel) })
-	b.Run("heap", func(b *testing.B) { benchScheduleCancel(b, SchedulerHeap) })
-}
-
-func benchTimerChurn(b *testing.B, kind SchedulerKind) {
-	s := NewWithScheduler(1, kind)
-	// RTO-style storm: many armed timers, each ACK re-arms one ~200ms out
-	// while the clock crawls forward through occasional fires.
-	const timers = 1024
-	tms := make([]*Timer, timers)
-	for i := range tms {
-		tms[i] = s.NewTimer(func() {})
-		tms[i].Reset(200*time.Millisecond + time.Duration(i)*time.Microsecond)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tms[i%timers].Reset(200 * time.Millisecond)
-		if i%64 == 0 {
-			s.Step()
-		}
-	}
-}
-
-// BenchmarkTimerChurn measures the Reset-per-ACK pattern: re-arm an armed
-// timer in place, wheel vs heap.
-func BenchmarkTimerChurn(b *testing.B) {
-	b.Run("wheel", func(b *testing.B) { benchTimerChurn(b, SchedulerWheel) })
-	b.Run("heap", func(b *testing.B) { benchTimerChurn(b, SchedulerHeap) })
 }

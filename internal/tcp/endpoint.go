@@ -312,9 +312,6 @@ func (e *Endpoint) PeerWindowScale() uint8 { return e.peerWndShift }
 // ISS returns our initial sequence number.
 func (e *Endpoint) ISS() packet.SeqNum { return e.iss }
 
-// PeerWindow returns the peer's advertised receive window in bytes.
-func (e *Endpoint) PeerWindow() int { return e.sndWnd }
-
 // IsEstablished reports whether the connection is in a state that can carry
 // data.
 func (e *Endpoint) IsEstablished() bool {
@@ -356,7 +353,8 @@ func (e *Endpoint) SendBufferSpace() int {
 }
 
 // QueuedBytes returns payload bytes held in the send path (sent-unacked plus
-// unsent) — the sender-side memory footprint used by the Fig. 5 experiment.
+// unsent). Only tests call it; it is exported for core's, which check a
+// subflow's send path through it.
 func (e *Endpoint) QueuedBytes() int { return e.queuedBytes }
 
 // SendQueue returns the queue the endpoint's chunks reference: its own, or
