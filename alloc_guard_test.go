@@ -287,7 +287,7 @@ func skipAllocBudget(t *testing.T) {
 // raceBudget picks an end-to-end budget: measured plus 25% in a plain binary,
 // and a looser one under the race detector, whose sync.Pool drops a quarter of
 // what is put back, so the pooled buffers a run would have reused are paid for
-// again (a 16 KiB flow reads 14.3 objects there against 4.9).
+// again (a 16 KiB flow reads 12.4 objects there against 2.9).
 func raceBudget(plain, race float64) float64 {
 	if raceEnabled {
 		return race
@@ -362,30 +362,32 @@ func TestShortFlowAllocBudget(t *testing.T) {
 // coupling group, the first backing store of every small slice), what most
 // flows never use is built on first use (out-of-order queues), handshake
 // options are built in the segment's arena, wheel slots are lists threaded
-// through their events, and the structs of both ends — the connection's and
-// the application's, whose methods are the connection's callbacks, bound once
-// per struct — come from the shard's free lists: 4.7 to 5.1 objects here (the
-// budget is 5.2 plus 25%). None of them is the flow's own. The connection's
-// three structs, allocated alone, come from the lists of worlds closed
-// before (sim.Close), so the measured run allocates few of them; what a
-// world still pays up to its peak of live flows are the slab-allocated ones
-// (httpsim's two structs and their bound methods, mappings, chunks), which
-// die with it. Some are segments the packet pool refills after a
-// collection, one object each with their option arena and option list; and
-// the rest is the run's set-up (hosts, links, token tables) spread over its
-// ~1000 flows. It was 6.6 to 6.8 while each world paid for the structs of
-// its peak of live connections, 7.4 to 8.2 while a refilled segment
-// allocated its arena and grew its option list apart from itself, and RSTs
-// and link FIFOs were built outside the pools, 15.6 to 15.9 while each flow
-// allocated its two httpsim structs and five method values, 21 while it
-// allocated the 6 structs of its two ends too, and 117 when each field above
-// was an object of its own. Under the race detector, whose sync.Pool drops
-// segments at random, it reads 14.2 to 14.4 (16.0 before; budget: 14.4 plus
-// 25%); it read 47.5 to 49 while each dropped segment cost its arena and
-// option list again.
+// through their events, and the structs of both ends come from the shard's
+// free lists: 2.9 to 3.0 objects here (the budget is 2.9 plus 25%). None of
+// them is the flow's own. The connection's three structs, allocated alone,
+// come from the lists of worlds closed before (sim.Close), and with them
+// the four hooks each connection binds once for its handler
+// (core.Connection.SetHandler), which httpsim's flow and serverConn are; the
+// token table links its chains by index through one node array. What a world still pays up to its peak of
+// live flows are the slab-allocated structs (httpsim's two, mappings,
+// chunks), which die with it. Some are segments the packet pool refills
+// after a collection, one object each with their option arena and option
+// list; and the rest is the run's set-up (hosts, links, token tables) spread
+// over its ~1000 flows. It was 4.7 to 5.1 while every world bound httpsim's
+// method values for its structs again and grew its token chains from nil,
+// 6.6 to 6.8 while each world paid for the structs of its peak of live
+// connections, 7.4 to 8.2 while a refilled segment allocated its arena and
+// grew its option list apart from itself, and RSTs and link FIFOs were built
+// outside the pools, 15.6 to 15.9 while each flow allocated its two httpsim
+// structs and five method values, 21 while it allocated the 6 structs of its
+// two ends too, and 117 when each field above was an object of its own.
+// Under the race detector, whose sync.Pool drops segments at random, it
+// reads 12.2 to 12.5 (14.2 to 14.4 before; budget: 12.5 plus 25%); it read
+// 47.5 to 49 while each dropped segment cost its arena and option list
+// again.
 func TestShortFlowObjectBudget(t *testing.T) {
 	_, perFlow := shortFlowCost(t)
-	budget := raceBudget(6.5, 18)
+	budget := raceBudget(3.6, 15.6)
 	t.Logf("%.1f objects a flow; budget %.1f", perFlow, budget)
 	if perFlow > budget {
 		t.Fatalf("a 16 KiB flow allocates %.1f heap objects; budget %.1f", perFlow, budget)

@@ -173,6 +173,17 @@ type Connection struct {
 
 	stats ConnStats
 
+	// handler receives the four events SetHandler routes to it through
+	// hooks, which forward to whatever handler is installed when they run.
+	// The hooks capture only the connection and are bound once per struct:
+	// both resets keep them (newConnection, recycle), so a connection from
+	// the free lists, of this world or of one closed before, binds nothing.
+	handler Handler
+	hooks   struct {
+		established, readable, writable func()
+		closed                          func(error)
+	}
+
 	// Application callbacks (all optional).
 	OnReadable           func()
 	OnWritable           func()
@@ -180,6 +191,39 @@ type Connection struct {
 	OnClosed             func(error)
 	OnSubflowEstablished func(*Subflow)
 	OnFallback           func(reason string)
+}
+
+// Handler receives a connection's events once SetHandler has installed it:
+// Established when it can carry data, Readable when data or EOF has arrived,
+// Writable when send buffer space has opened, and Closed once, when it has
+// finished. An application struct that implements it is handed its
+// connection's events as the kernel hands sk_data_ready its socket, so a
+// connection costs the application no closure of its own.
+type Handler interface {
+	Established()
+	Readable()
+	Writable()
+	Closed(error)
+}
+
+// SetHandler routes the connection's OnEstablished, OnReadable, OnWritable
+// and OnClosed to h, replacing what they held; SetHandler(nil) clears the
+// handler and the four fields. The hooks it installs are bound once per
+// struct, so on a recycled connection it allocates nothing.
+func (c *Connection) SetHandler(h Handler) {
+	c.handler = h
+	if h == nil {
+		c.OnEstablished, c.OnReadable, c.OnWritable, c.OnClosed = nil, nil, nil, nil
+		return
+	}
+	hk := &c.hooks
+	if hk.closed == nil {
+		hk.established = func() { c.handler.Established() }
+		hk.readable = func() { c.handler.Readable() }
+		hk.writable = func() { c.handler.Writable() }
+		hk.closed = func(err error) { c.handler.Closed(err) }
+	}
+	c.OnEstablished, c.OnReadable, c.OnWritable, c.OnClosed = hk.established, hk.readable, hk.writable, hk.closed
 }
 
 // newConnection builds the common parts of client and server connections,
@@ -191,6 +235,7 @@ func newConnection(mgr *Manager, cfg Config, isClient bool) *Connection {
 	free.reap(s)
 	c := free.conns.Get()
 	*c = Connection{
+		hooks:     c.hooks,
 		mgr:       mgr,
 		cfg:       cfg,
 		sim:       s,
@@ -1121,10 +1166,10 @@ func (f *freeLists) reap(s *sim.Simulator) {
 	f.retired = kept
 }
 
-// recycle zeroes the connection, its subflows, their endpoints and its
-// in-flight mappings, and puts each on its free list, poisoned (pool.Mark).
-// Data still received but unread or out of order goes back to the pool: a
-// reset or timed-out connection finishes with some.
+// recycle zeroes the connection but its hooks (SetHandler), its subflows,
+// their endpoints and its in-flight mappings, and puts each on its free
+// list, poisoned (pool.Mark). Data still received but unread or out of order
+// goes back to the pool: a reset or timed-out connection finishes with some.
 func (c *Connection) recycle() {
 	c.mark.Check("core.Connection")
 	free := c.free
@@ -1145,7 +1190,7 @@ func (c *Connection) recycle() {
 		s.mark.Poison()
 		free.subflows.Put(s)
 	}
-	*c = Connection{}
+	*c = Connection{hooks: c.hooks}
 	c.mark.Poison()
 	free.conns.Put(c)
 }

@@ -88,6 +88,13 @@ func (m *Manager) Dial(iface *netem.Interface, remote packet.Endpoint, cfg Confi
 	}
 	ep, err := tcp.Dial(iface, remote, scfg, s)
 	if err != nil {
+		// The host refused the four-tuple (its ephemeral ports wrapped onto
+		// a live connection): nothing tracks c, so its token goes and its
+		// structs go back to the free lists.
+		if c.cfg.EnableMPTCP {
+			m.tokens.Remove(c.localToken)
+		}
+		c.recycle()
 		return nil, err
 	}
 	s.ep = ep

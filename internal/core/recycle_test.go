@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -223,5 +224,157 @@ func TestRecycleReturnsQueuedData(t *testing.T) {
 	if got := outstanding(); got != start {
 		t.Fatalf("%d pool buffers outstanding after both ends were recycled (%d B out of order in the connection, %d B in its subflows at the reset)",
 			got-start, connOfo, subflowOfo)
+	}
+}
+
+// eventCounter is a client Handler: it writes a 1000-byte request once
+// established, drains what arrives, closes at EOF and counts the events the
+// test checks.
+type eventCounter struct {
+	c                             *Connection
+	established, readable, closed int
+}
+
+func (h *eventCounter) Established() {
+	h.established++
+	h.c.Write(make([]byte, 1000))
+}
+
+func (h *eventCounter) Readable() {
+	h.readable++
+	var buf [4096]byte
+	for h.c.ReadInto(buf[:]) > 0 {
+	}
+	if h.c.EOF() {
+		h.c.Close()
+	}
+}
+
+func (*eventCounter) Writable() {}
+
+func (h *eventCounter) Closed(error) { h.closed++ }
+
+// mallocsOf returns how many heap objects f allocates.
+func mallocsOf(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestSetHandlerOnRecycledConnection: a connection's events reach the
+// Handler SetHandler installed. Once the released connection is recycled it
+// carries no handler and none of the four hooks, although its handler never
+// cleared itself; and the next dial, which gets the same struct, installs
+// its handler without allocating, because the hooks are bound once per
+// struct, not once per user — a struct that has never had a handler binds
+// them on its first SetHandler.
+func TestSetHandlerOnRecycledConnection(t *testing.T) {
+	h := newHarness(t, 3, []netem.PathSpec{
+		netem.Symmetric("p0", netem.Mbps(100), 2*time.Millisecond, 1<<20, 0),
+	})
+	s := h.net.Sim
+	cfg := DefaultConfig()
+	buf := make([]byte, 4096)
+	if _, err := h.srvMgr.Listen(80, cfg, func(c *Connection) {
+		c.OnReadable = func() {
+			for c.ReadInto(buf) > 0 {
+			}
+			if !c.WriteClosed() && c.Stats().BytesDelivered >= 1000 {
+				c.Write(make([]byte, 1000))
+				c.Close()
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	dial := func() *Connection {
+		c, err := h.cliMgr.Dial(h.net.Client.Interfaces()[0], packet.Endpoint{Addr: h.net.ServerAddr(0), Port: 80}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	run := func(c *Connection) *eventCounter {
+		ev := &eventCounter{c: c}
+		if n := mallocsOf(func() { c.SetHandler(ev) }); n != 0 {
+			t.Errorf("SetHandler on a struct whose hooks are bound allocated %d objects; want 0", n)
+		}
+		c.Release()
+		if err := s.RunUntil(s.Now() + time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if ev.established != 1 || ev.readable == 0 || ev.closed != 1 {
+			t.Fatalf("handler saw %d Established, %d Readable, %d Closed; want 1, some, 1", ev.established, ev.readable, ev.closed)
+		}
+		Reap(s)
+		if c.handler != nil || c.OnEstablished != nil || c.OnReadable != nil || c.OnWritable != nil || c.OnClosed != nil {
+			t.Fatal("the recycled connection still carries its handler or its hooks")
+		}
+		if c.hooks.closed == nil {
+			t.Fatal("recycling dropped the bound hooks")
+		}
+		return ev
+	}
+
+	first := dial()
+	if n := mallocsOf(func() { first.SetHandler(&eventCounter{}) }); n == 0 {
+		t.Fatal("the first SetHandler on a new struct bound nothing: the measurement sees no allocation")
+	}
+	first.SetHandler(nil)
+	if first.handler != nil || first.OnEstablished != nil || first.OnReadable != nil || first.OnWritable != nil || first.OnClosed != nil {
+		t.Fatal("SetHandler(nil) left the handler or a hook installed")
+	}
+	ev1 := run(first)
+	second := dial()
+	if second != first {
+		t.Fatal("the second dial did not reuse the recycled Connection")
+	}
+	run(second)
+	if ev1.established != 1 || ev1.closed != 1 {
+		t.Fatalf("the second connection's events reached the first handler: %+v", *ev1)
+	}
+}
+
+// refusedTuple handles nothing: it only takes a four-tuple on a host.
+type refusedTuple struct{}
+
+func (refusedTuple) HandleSegment(*netem.Interface, *packet.Segment) {}
+
+// TestDialRefusedTupleLeavesNothing: when the host refuses the four-tuple a
+// dial draws (its ephemeral ports wrapped onto a live connection), Dial
+// fails and leaves nothing behind: no token in the host's table, no tracked
+// connection, and the half-built Connection and Subflow back on the free
+// lists, where the next dial takes them without allocating.
+func TestDialRefusedTupleLeavesNothing(t *testing.T) {
+	h := newHarness(t, 3, []netem.PathSpec{
+		netem.Symmetric("p0", netem.Mbps(100), 2*time.Millisecond, 1<<20, 0),
+	})
+	iface := h.net.Client.Interfaces()[0]
+	remote := packet.Endpoint{Addr: h.net.ServerAddr(0), Port: 80}
+	taken := packet.Endpoint{Addr: iface.Addr(), Port: h.net.Client.AllocatePort() + 1}
+	if err := h.net.Client.Register(taken, remote, refusedTuple{}); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := h.cliMgr.Dial(iface, remote, DefaultConfig()); err == nil {
+		t.Fatalf("Dial onto a taken four-tuple returned %v and no error", c)
+	}
+	if n, live := h.cliMgr.tokens.Len(), len(h.cliMgr.conns); n != 0 || live != 0 {
+		t.Fatalf("after the refused dial the host holds %d tokens and tracks %d connections; want 0 and 0", n, live)
+	}
+	free := sim.Local[freeLists](h.net.Sim)
+	if n := mallocsOf(func() { free.conns.Put(free.conns.Get()) }); n != 0 {
+		t.Error("the refused dial's Connection is not on the free list")
+	}
+	if n := mallocsOf(func() { free.subflows.Put(free.subflows.Get()) }); n != 0 {
+		t.Error("the refused dial's Subflow is not on the free list")
+	}
+	if _, err := h.cliMgr.Dial(iface, remote, DefaultConfig()); err != nil {
+		t.Fatalf("the next dial, on the next port: %v", err)
+	}
+	if n := h.cliMgr.tokens.Len(); n != 1 {
+		t.Fatalf("after one dial the host holds %d tokens; want 1", n)
 	}
 }

@@ -74,10 +74,10 @@ func StartServer(mgr *core.Manager, cfg ServerConfig) (*Server, error) {
 // flow reuses the flow and serverConn of one that closed before it on the
 // same shard.
 //
-// A struct goes back to its list at the end of its connection's OnClosed.
-// By then its deadline, if it had one, is stopped (flow.finish), and it has
-// set every callback it installed on the connection to nil, so a late call
-// from the connection cannot reach the struct's next user. On the list it is
+// A struct goes back to its list at the end of its connection's Closed
+// event. By then its deadline, if it had one, is stopped (flow.finish), and
+// it has cleared itself as the connection's handler, so a late event from
+// the connection cannot reach the struct's next user. On the list it is
 // poisoned (pool.Mark): under -tags poolcheck a stale call panics.
 type freeLists struct {
 	flows pool.FreeList[flow]
@@ -91,10 +91,9 @@ func (f *freeLists) Retire() {
 }
 
 // serverConn is the server's side of one connection: the request so far and
-// what is left of the response. Its methods are the connection's callbacks,
-// bound once when the struct is first allocated, and the struct comes from
-// the shard's free list (freeLists), so a connection costs the server no
-// object of its own.
+// what is left of the response. It is the connection's handler
+// (core.Handler), and the struct comes from the shard's free list
+// (freeLists), so a connection costs the server no object of its own.
 type serverConn struct {
 	s          *Server
 	c          *core.Connection
@@ -103,40 +102,33 @@ type serverConn struct {
 	responding bool
 	remaining  int
 	mark       pool.Mark
-	cb         serverCallbacks
 }
 
-// serverCallbacks are a serverConn's methods as connection callbacks.
-type serverCallbacks struct {
-	readable, writable func()
-	closed             func(error)
-}
-
-// handle installs the server's callbacks on an accepted connection and
+// handle makes a serverConn the handler of an accepted connection and
 // releases it (core.Connection.Release): the server touches it only from
-// inside those callbacks.
+// inside its events.
 func (s *Server) handle(c *core.Connection) {
 	sc := s.free.conns.Get()
-	cb := sc.cb
-	if cb.readable == nil {
-		cb = serverCallbacks{sc.onReadable, sc.pumpResponse, sc.onClosed}
-	}
-	*sc = serverConn{s: s, c: c, cb: cb}
-	c.OnReadable, c.OnWritable, c.OnClosed = cb.readable, cb.writable, cb.closed
+	*sc = serverConn{s: s, c: c}
+	c.SetHandler(sc)
 	c.Release()
 }
 
-// onClosed puts the struct back on the free list (freeLists).
-func (sc *serverConn) onClosed(error) {
+// Established is a no-op: the server waits for the request.
+func (*serverConn) Established() {}
+
+// Closed puts the struct back on the free list (freeLists).
+func (sc *serverConn) Closed(error) {
 	sc.mark.Check("httpsim.serverConn")
 	c, free := sc.c, sc.s.free
-	c.OnReadable, c.OnWritable, c.OnClosed = nil, nil, nil
-	*sc = serverConn{cb: sc.cb}
+	c.SetHandler(nil)
+	*sc = serverConn{}
 	sc.mark.Poison()
 	free.conns.Put(sc)
 }
 
-func (sc *serverConn) pumpResponse() {
+// Writable sends what the send buffer takes of the rest of the response.
+func (sc *serverConn) Writable() {
 	sc.mark.Check("httpsim.serverConn")
 	s := sc.s
 	for sc.remaining > 0 {
@@ -157,7 +149,8 @@ func (sc *serverConn) pumpResponse() {
 	}
 }
 
-func (sc *serverConn) onReadable() {
+// Readable buffers the request and starts the response once it is whole.
+func (sc *serverConn) Readable() {
 	sc.mark.Check("httpsim.serverConn")
 	for {
 		n := sc.c.ReadInto(sc.s.scratch)
@@ -171,7 +164,7 @@ func (sc *serverConn) onReadable() {
 		sc.got = 0
 		sc.responding = true
 		sc.remaining = int(binary.BigEndian.Uint32(sc.req[0:4]))
-		sc.pumpResponse()
+		sc.Writable()
 	}
 }
 
@@ -259,10 +252,9 @@ const (
 )
 
 // flow is one fetch in flight: its connection, its progress and its deadline.
-// Its methods are the connection's callbacks, bound once when the struct is
-// first allocated, the deadline is a timer it holds, and the struct comes
-// from the shard's free list (freeLists), so a flow costs the client no
-// object of its own.
+// It is the connection's handler (core.Handler), the deadline is a timer it
+// holds, and the struct comes from the shard's free list (freeLists), so a
+// flow costs the client no object of its own.
 type flow struct {
 	f        *fetcher
 	conn     *core.Connection
@@ -274,13 +266,6 @@ type flow struct {
 	deadline sim.Timer
 	// prev and next link the flow into fetcher.live while it is in flight.
 	prev, next *flow
-	cb         flowCallbacks
-}
-
-// flowCallbacks are a flow's methods as connection callbacks.
-type flowCallbacks struct {
-	established, readable func()
-	closed                func(error)
 }
 
 // fetch runs one flow: dial the server, request size bytes, drain the
@@ -294,9 +279,9 @@ type flowCallbacks struct {
 // neither recorded nor reported.
 //
 // The connection is released (core.Connection.Release): the flow touches it
-// only from its callbacks and from its deadline, which settling the flow
-// stops before the connection's OnClosed returns; the flow itself goes back
-// to the free list at the end of that OnClosed (freeLists).
+// only from its events and from its deadline, which settling the flow stops
+// before the connection's Closed event returns; the flow itself goes back to
+// the free list at the end of that event (freeLists).
 func (f *fetcher) fetch(size int, deadline time.Duration) error {
 	start := f.sim.Now()
 	conn, err := f.mgr.Dial(f.iface, f.server, f.connCfg)
@@ -304,11 +289,7 @@ func (f *fetcher) fetch(size int, deadline time.Duration) error {
 		return err
 	}
 	fl := f.free.flows.Get()
-	cb := fl.cb
-	if cb.readable == nil {
-		cb = flowCallbacks{fl.onEstablished, fl.onReadable, fl.onClosed}
-	}
-	*fl = flow{f: f, conn: conn, size: size, start: start, next: f.live, cb: cb}
+	*fl = flow{f: f, conn: conn, size: size, start: start, next: f.live}
 	if f.live != nil {
 		f.live.prev = fl
 	}
@@ -318,7 +299,7 @@ func (f *fetcher) fetch(size int, deadline time.Duration) error {
 		fl.deadline.Init(f.sim, func(a any) { a.(*flow).onDeadline() }, fl)
 		fl.deadline.Reset(deadline)
 	}
-	conn.OnEstablished, conn.OnReadable, conn.OnClosed = cb.established, cb.readable, cb.closed
+	conn.SetHandler(fl)
 	conn.Release()
 	return nil
 }
@@ -362,13 +343,15 @@ func (fl *flow) onDeadline() {
 	fl.conn.Abort()
 }
 
-func (fl *flow) onEstablished() {
+// Established sends the request.
+func (fl *flow) Established() {
 	fl.mark.Check("httpsim.flow")
 	binary.BigEndian.PutUint32(fl.f.req[0:4], uint32(fl.size))
 	fl.conn.Write(fl.f.req[:])
 }
 
-func (fl *flow) onReadable() {
+// Readable drains the response and closes at EOF.
+func (fl *flow) Readable() {
 	fl.mark.Check("httpsim.flow")
 	for {
 		n := fl.conn.ReadInto(fl.f.scratch)
@@ -383,13 +366,16 @@ func (fl *flow) onReadable() {
 	}
 }
 
-// onClosed settles the flow if it has not settled yet and puts the struct
-// back on the free list (freeLists).
-func (fl *flow) onClosed(err error) {
+// Writable is a no-op: the request fits the send buffer at once.
+func (*flow) Writable() {}
+
+// Closed settles the flow if it has not settled yet and puts the struct back
+// on the free list (freeLists).
+func (fl *flow) Closed(err error) {
 	fl.finish(outcomeOf(err == nil && fl.received >= fl.size))
 	c, free := fl.conn, fl.f.free
-	c.OnEstablished, c.OnReadable, c.OnClosed = nil, nil, nil
-	*fl = flow{cb: fl.cb}
+	c.SetHandler(nil)
+	*fl = flow{}
 	fl.mark.Poison()
 	free.flows.Put(fl)
 }

@@ -8,8 +8,9 @@ import (
 )
 
 // TestPoolcheckPoisonsRecycledStructs: under poolcheck a flow or serverConn
-// lies poisoned on its free list, so a stale call to one of its methods
-// panics instead of acting for the struct's next user.
+// lies poisoned on its free list, so a stale call to one of its handler
+// methods panics instead of acting for the struct's next user. (A flow's
+// Writable and a serverConn's Established do nothing.)
 func TestPoolcheckPoisonsRecycledStructs(t *testing.T) {
 	sh := newShard(t)
 	fl := sh.startFlow(t, sh.pool(t, 80))
@@ -19,12 +20,12 @@ func TestPoolcheckPoisonsRecycledStructs(t *testing.T) {
 		t.Fatal("the finished flow is not on the free list")
 	}
 	for name, call := range map[string]func(){
-		"flow.onReadable":         fl.cb.readable,
-		"flow.onEstablished":      fl.cb.established,
-		"flow.onClosed":           func() { fl.cb.closed(nil) },
-		"serverConn.onReadable":   sc.cb.readable,
-		"serverConn.pumpResponse": sc.cb.writable,
-		"serverConn.onClosed":     func() { sc.cb.closed(nil) },
+		"flow.Readable":       fl.Readable,
+		"flow.Established":    fl.Established,
+		"flow.Closed":         func() { fl.Closed(nil) },
+		"serverConn.Readable": sc.Readable,
+		"serverConn.Writable": sc.Writable,
+		"serverConn.Closed":   func() { sc.Closed(nil) },
 	} {
 		func() {
 			defer func() {

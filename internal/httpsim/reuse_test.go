@@ -125,13 +125,14 @@ func TestSequentialFlowsReuseStructs(t *testing.T) {
 }
 
 // TestRecycledFlowClearsCallbacks: when a flow or serverConn goes back to its
-// free list at the end of its connection's OnClosed, none of the callbacks it
-// installed is left on the connection, so nothing the connection does later
-// reaches whichever flow reuses the struct.
+// free list at the end of its connection's Closed event, it is no longer the
+// connection's handler and none of the four hooks SetHandler installed is
+// left on the connection, so nothing the connection does later reaches
+// whichever flow reuses the struct.
 func TestRecycledFlowClearsCallbacks(t *testing.T) {
 	sh := newShard(t)
 	// The server's side: accept on a second port through the same Server,
-	// and look at the connection once the struct's own OnClosed has run.
+	// and look at the connection once the struct's own Closed has run.
 	var srvChecked bool
 	if _, err := sh.srvMgr.Listen(81, core.DefaultConfig(), func(c *core.Connection) {
 		sh.srv.handle(c)
@@ -139,8 +140,8 @@ func TestRecycledFlowClearsCallbacks(t *testing.T) {
 		c.OnClosed = func(err error) {
 			closed(err)
 			srvChecked = true
-			if c.OnReadable != nil || c.OnWritable != nil || c.OnClosed != nil {
-				t.Error("the server's callbacks are still installed after its serverConn was recycled")
+			if c.OnEstablished != nil || c.OnReadable != nil || c.OnWritable != nil || c.OnClosed != nil {
+				t.Error("the server's hooks are still installed after its serverConn was recycled")
 			}
 		}
 	}); err != nil {
@@ -154,8 +155,8 @@ func TestRecycledFlowClearsCallbacks(t *testing.T) {
 	c.OnClosed = func(err error) {
 		closed(err)
 		cliChecked = true
-		if c.OnEstablished != nil || c.OnReadable != nil || c.OnClosed != nil {
-			t.Error("the flow's callbacks are still installed after it was recycled")
+		if c.OnEstablished != nil || c.OnReadable != nil || c.OnWritable != nil || c.OnClosed != nil {
+			t.Error("the flow's hooks are still installed after it was recycled")
 		}
 		if fl.conn != nil || fl.f != nil {
 			t.Error("the recycled flow still points at its connection and fetcher")

@@ -186,6 +186,7 @@ func Dial(iface *netem.Interface, remote packet.Endpoint, cfg Config, hooks Hook
 func DialFrom(iface *netem.Interface, local, remote packet.Endpoint, cfg Config, hooks Hooks) (*Endpoint, error) {
 	e := newEndpoint(iface, local, remote, cfg, hooks)
 	if err := e.host.Register(local, remote, e); err != nil {
+		e.Recycle()
 		return nil, err
 	}
 	e.iss = packet.SeqNum(e.sim.RNG().Uint32())
@@ -664,7 +665,8 @@ func (e *Endpoint) close(err error) {
 
 // Recycle hands a closed endpoint back to its simulator's free list, where
 // the next endpoint built on that simulator takes it: the MPTCP layer
-// recycles a released connection's endpoints with it. The caller guarantees
+// recycles a released connection's endpoints with it, and DialFrom one whose
+// four-tuple the host refused. The caller guarantees
 // that nothing reaches e any more — the host no longer demultiplexes to it
 // (close unregistered it), and nothing above holds it. The chunks still
 // queued go back to their own list; the timers, stopped at close, are stopped

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -186,6 +187,32 @@ func TestConnectionRefusedRST(t *testing.T) {
 	}
 	if client.Err() == nil {
 		t.Fatal("expected a terminal error after connection refused")
+	}
+}
+
+// TestRefusedDialRecyclesEndpoint: a dial onto a four-tuple the host has
+// registered already fails, and the endpoint it built goes back to the
+// simulator's free list, where the next endpoint built takes it without
+// allocating.
+func TestRefusedDialRecyclesEndpoint(t *testing.T) {
+	n := testNet(t, netem.LinkConfig{RateBps: netem.Mbps(10), Delay: 5 * time.Millisecond})
+	iface := n.Client.Interfaces()[0]
+	local := packet.Endpoint{Addr: iface.Addr(), Port: 40000}
+	remote := packet.Endpoint{Addr: n.ServerAddr(0), Port: 80}
+	if _, err := DialFrom(iface, local, remote, Config{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DialFrom(iface, local, remote, Config{}, nil); err == nil {
+		t.Fatal("a second dial onto the same four-tuple succeeded")
+	}
+	free := sim.Local[freeLists](n.Sim)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	free.endpoints.Put(free.endpoints.Get())
+	runtime.ReadMemStats(&after)
+	if after.Mallocs != before.Mallocs {
+		t.Fatal("the refused dial's endpoint is not on the free list")
 	}
 }
 
