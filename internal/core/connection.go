@@ -1091,6 +1091,21 @@ type freeLists struct {
 	// retired are finished, released connections waiting for the event they
 	// finished in to return (reap).
 	retired []retiredConn
+	// lists are empty connection lists that closed managers handed back
+	// (Manager.Close), for the managers built next.
+	lists [][]*Connection
+}
+
+// takeList returns an empty connection list, nil when none is kept.
+func (f *freeLists) takeList() []*Connection {
+	n := len(f.lists)
+	if n == 0 {
+		return nil
+	}
+	l := f.lists[n-1]
+	f.lists[n-1] = nil
+	f.lists = f.lists[:n-1]
+	return l
 }
 
 // retiredConn is a retired connection and the seq of the event it retired in.
@@ -1141,7 +1156,8 @@ func Reap(s *sim.Simulator) {
 
 // Retire readies the lists for the next simulator once s is closed
 // (sim.Retirer). A connection still retired, which Reap did not take, points
-// into the closed world and is dropped.
+// into the closed world and is dropped; the connection lists are kept, as
+// they came back empty.
 func (f *freeLists) Retire() {
 	clear(f.retired)
 	f.retired = f.retired[:0]

@@ -6,6 +6,7 @@ import (
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
 	"mptcpgo/internal/probe"
+	"mptcpgo/internal/sim"
 	"mptcpgo/internal/tcp"
 )
 
@@ -14,8 +15,10 @@ import (
 // client connections and listeners.
 type Manager struct {
 	host   *netem.Host
-	tokens *TokenTable
-	conns  []*Connection
+	tokens TokenTable
+	// conns is taken from the simulator's free lists, and Close hands it
+	// back, emptied, for the next manager.
+	conns []*Connection
 
 	// probeRec, when non-nil, records flight-recorder events for this
 	// host's connections under global member index probeMember. Connection
@@ -28,7 +31,40 @@ type Manager struct {
 
 // NewManager creates the MPTCP stack for a host.
 func NewManager(host *netem.Host) *Manager {
-	return &Manager{host: host, tokens: NewTokenTable()}
+	m := new(Manager)
+	m.init(host)
+	return m
+}
+
+// NewManagers creates the MPTCP stacks of hosts in one slab, the i-th for
+// hosts[i].
+func NewManagers(hosts []*netem.Host) []Manager {
+	ms := make([]Manager, len(hosts))
+	for i, h := range hosts {
+		ms[i].init(h)
+	}
+	return ms
+}
+
+// init readies m in place. Its token table is part of it, so a manager must
+// not be copied once initialised.
+func (m *Manager) init(host *netem.Host) {
+	*m = Manager{host: host, conns: sim.Local[freeLists](host.Sim()).takeList()}
+	m.tokens.init()
+}
+
+// Close hands the manager's connection list back to its simulator's free
+// lists, emptied, for a manager built after it on the simulator or, once
+// the simulator is closed, on a later one (sim.Retirer). It is for a world
+// that is done: nothing may use the manager afterwards, and its connections
+// are not closed, only forgotten.
+func (m *Manager) Close() {
+	clear(m.conns)
+	if cap(m.conns) > 0 {
+		f := sim.Local[freeLists](m.host.Sim())
+		f.lists = append(f.lists, m.conns[:0])
+	}
+	m.conns = nil
 }
 
 // Host returns the underlying host.
@@ -88,8 +124,8 @@ func (m *Manager) Dial(iface *netem.Interface, remote packet.Endpoint, cfg Confi
 	}
 	ep, err := tcp.Dial(iface, remote, scfg, s)
 	if err != nil {
-		// The host refused the four-tuple (its ephemeral ports wrapped onto
-		// a live connection): nothing tracks c, so its token goes and its
+		// The host has no free four-tuple toward remote (every ephemeral
+		// port is taken): nothing tracks c, so its token goes and its
 		// structs go back to the free lists.
 		if c.cfg.EnableMPTCP {
 			m.tokens.Remove(c.localToken)

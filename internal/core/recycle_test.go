@@ -343,23 +343,25 @@ type refusedTuple struct{}
 
 func (refusedTuple) HandleSegment(*netem.Interface, *packet.Segment) {}
 
-// TestDialRefusedTupleLeavesNothing: when the host refuses the four-tuple a
-// dial draws (its ephemeral ports wrapped onto a live connection), Dial
-// fails and leaves nothing behind: no token in the host's table, no tracked
-// connection, and the half-built Connection and Subflow back on the free
-// lists, where the next dial takes them without allocating.
+// TestDialRefusedTupleLeavesNothing: when the host has no four-tuple left
+// toward the remote (every ephemeral port is taken), Dial fails and leaves
+// nothing behind: no token in the host's table, no tracked connection, and
+// the half-built Connection and Subflow back on the free lists, where the
+// next dial takes them without allocating.
 func TestDialRefusedTupleLeavesNothing(t *testing.T) {
 	h := newHarness(t, 3, []netem.PathSpec{
 		netem.Symmetric("p0", netem.Mbps(100), 2*time.Millisecond, 1<<20, 0),
 	})
 	iface := h.net.Client.Interfaces()[0]
 	remote := packet.Endpoint{Addr: h.net.ServerAddr(0), Port: 80}
-	taken := packet.Endpoint{Addr: iface.Addr(), Port: h.net.Client.AllocatePort() + 1}
-	if err := h.net.Client.Register(taken, remote, refusedTuple{}); err != nil {
-		t.Fatal(err)
+	const low = 40000 // the bottom of the ephemeral range
+	for port := low; port < 1<<16; port++ {
+		if err := h.net.Client.Register(packet.Endpoint{Addr: iface.Addr(), Port: uint16(port)}, remote, refusedTuple{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if c, err := h.cliMgr.Dial(iface, remote, DefaultConfig()); err == nil {
-		t.Fatalf("Dial onto a taken four-tuple returned %v and no error", c)
+		t.Fatalf("Dial with every ephemeral port taken returned %v and no error", c)
 	}
 	if n, live := h.cliMgr.tokens.Len(), len(h.cliMgr.conns); n != 0 || live != 0 {
 		t.Fatalf("after the refused dial the host holds %d tokens and tracks %d connections; want 0 and 0", n, live)
@@ -371,8 +373,14 @@ func TestDialRefusedTupleLeavesNothing(t *testing.T) {
 	if n := mallocsOf(func() { free.subflows.Put(free.subflows.Get()) }); n != 0 {
 		t.Error("the refused dial's Subflow is not on the free list")
 	}
-	if _, err := h.cliMgr.Dial(iface, remote, DefaultConfig()); err != nil {
-		t.Fatalf("the next dial, on the next port: %v", err)
+	freed := packet.Endpoint{Addr: iface.Addr(), Port: low + 7}
+	h.net.Client.Unregister(freed, remote)
+	c, err := h.cliMgr.Dial(iface, remote, DefaultConfig())
+	if err != nil {
+		t.Fatalf("the next dial, with one port free: %v", err)
+	}
+	if got := h.net.Client.Handler(freed, remote); got != netem.SegmentHandler(c.Subflows()[0].Endpoint()) {
+		t.Fatalf("the one free tuple %v is held by %v, not by the next dial", freed, got)
 	}
 	if n := h.cliMgr.tokens.Len(); n != 1 {
 		t.Fatalf("after one dial the host holds %d tokens; want 1", n)

@@ -50,9 +50,13 @@ const (
 // NewTokenTable returns an empty table.
 func NewTokenTable() *TokenTable {
 	t := new(TokenTable)
-	t.nodes = t.inline[:0]
+	t.init()
 	return t
 }
+
+// init readies an empty table in place. Its nodes start on its own inline
+// array, so the table must not be copied afterwards.
+func (t *TokenTable) init() { t.nodes = t.inline[:0] }
 
 // Len returns the number of stored tokens.
 func (t *TokenTable) Len() int { return t.count }

@@ -29,6 +29,9 @@ type World struct {
 	// Probe is the flight recorder (nil when the run is not traced; every
 	// Recorder method is nil-safe).
 	Probe *probe.Recorder
+
+	// managers is the slab Managers points into, in host order.
+	managers []core.Manager
 }
 
 // NewWorld builds a world from a graph spec: a fresh simulator seeded with
@@ -53,9 +56,10 @@ func NewWorld(seed uint64, spec netem.GraphSpec, pcapDir string, tr TraceSpec, n
 	if err != nil {
 		return World{}, err
 	}
-	w := World{Sim: s, Net: n, Managers: make(map[string]*core.Manager, len(n.Hosts))}
-	for _, h := range n.Hosts {
-		w.Managers[h.Name()] = core.NewManager(h)
+	w := World{Sim: s, Net: n, Managers: make(map[string]*core.Manager, len(n.Hosts)), managers: core.NewManagers(n.Hosts)}
+	for i := range w.managers {
+		m := &w.managers[i]
+		w.Managers[m.Host().Name()] = m
 	}
 	if pcapDir != "" && len(n.Paths) > 0 {
 		if err := os.MkdirAll(pcapDir, 0o755); err != nil {
@@ -98,18 +102,24 @@ func (w *World) Stop() error {
 }
 
 // Close is Stop for a world that is done for good, and its error. It first
-// recycles the connections that retired after the last dial (core.Reap),
-// then closes the simulator, whose free lists go to the process's stash for
-// the next world (sim.Close). Nothing may touch the world afterwards: a
-// connection it recycled may already serve another world, and the simulator
-// panics if it is stepped. Close is idempotent and a no-op on the zero World,
-// so callers defer it on every path; the facade's Network, which may run
-// again after every stop, never calls it.
+// recycles the connections that retired after the last dial (core.Reap) and
+// hands each manager's connection list back (core.Manager.Close), then
+// closes the simulator, whose free lists and demux maps go to the process's
+// stash for the next world (sim.Close). Nothing may touch the world
+// afterwards: a connection it recycled may already serve another world, and
+// the simulator panics if it is stepped. Close is idempotent and a no-op on
+// the zero World, so callers defer it on every path; the facade's Network,
+// which may run again after every stop, never calls it.
 func (w *World) Close() error {
 	if w.Sim == nil || w.Sim.Closed() {
 		return nil
 	}
 	core.Reap(w.Sim)
+	// Last first: the next world's managers, built in host order, then take
+	// the lists in the order this one's held them.
+	for i := len(w.managers) - 1; i >= 0; i-- {
+		w.managers[i].Close()
+	}
 	err := w.Stop()
 	w.Sim.Close()
 	return err

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -182,4 +183,94 @@ func TestClosedFigureWorldIsCollected(t *testing.T) {
 		}
 	}
 	t.Fatal("the closed figure point's simulator was not garbage-collected")
+}
+
+// TestRebuiltWorldStartsWarm: a world built after one closed takes over the
+// closed world's demux maps and connection lists, emptied. Its hosts answer
+// none of the closed world's four-tuples, and its managers track as many
+// connections as the closed world's did without growing a list.
+func TestRebuiltWorldStartsWarm(t *testing.T) {
+	const clients, perClient = 4, 40
+	spec := netem.GraphSpec{}
+	spec.AddHost("server")
+	for i := 0; i < clients; i++ {
+		spec.AddLink(netem.LinkSpec{A: fmt.Sprintf("c%d", i), B: "server",
+			Config: netem.SymmetricPath(netem.Mbps(100), time.Millisecond, 0, 0)})
+	}
+	build := func() World {
+		w, err := NewWorld(1, spec, "", TraceSpec{}, "warm", 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	// eachTuple visits the four-tuples of the connections dial opens, on
+	// both hosts: the client's ephemeral ports are handed out in order.
+	eachTuple := func(w World, visit func(h *netem.Host, local, remote packet.Endpoint)) {
+		for _, p := range w.Net.Paths {
+			srv := packet.Endpoint{Addr: p.B().Addr(), Port: 80}
+			for j := 0; j < perClient; j++ {
+				cli := packet.Endpoint{Addr: p.A().Addr(), Port: uint16(40001 + j)}
+				visit(p.A().Host(), cli, srv)
+				visit(p.B().Host(), srv, cli)
+			}
+		}
+	}
+	// dial opens perClient connections from each client to the server and
+	// runs until all of them are established.
+	dial := func(w World) {
+		if _, err := w.Managers["server"].Listen(80, core.DefaultConfig(), nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range w.Net.Paths {
+			m := w.Managers[p.A().Host().Name()]
+			for j := 0; j < perClient; j++ {
+				if _, err := m.Dial(p.A(), packet.Endpoint{Addr: p.B().Addr(), Port: 80}, core.DefaultConfig()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := w.Sim.RunUntil(100 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tracked := func(w World) (lens, caps []int) {
+		for _, h := range w.Net.Hosts {
+			conns := w.Managers[h.Name()].Connections()
+			lens, caps = append(lens, len(conns)), append(caps, cap(conns))
+		}
+		return lens, caps
+	}
+
+	first := build()
+	dial(first)
+	eachTuple(first, func(h *netem.Host, local, remote packet.Endpoint) {
+		if h.Handler(local, remote) == nil {
+			t.Fatalf("%s holds no handler for %v-%v after the dials", h.Name(), local, remote)
+		}
+	})
+	held, _ := tracked(first)
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	second := build()
+	defer second.Close()
+	eachTuple(second, func(h *netem.Host, local, remote packet.Endpoint) {
+		if got := h.Handler(local, remote); got != nil {
+			t.Fatalf("%s of the rebuilt world answers %v-%v with the closed world's %T", h.Name(), local, remote, got)
+		}
+	})
+	_, before := tracked(second)
+	dial(second)
+	lens, after := tracked(second)
+	for i, h := range second.Net.Hosts {
+		if lens[i] != held[i] {
+			t.Fatalf("%s tracks %d connections; the closed world's tracked %d", h.Name(), lens[i], held[i])
+		}
+		if before[i] < held[i] || after[i] != before[i] {
+			t.Fatalf("%s's connection list held %d before the dials and %d after, for %d connections: it grew",
+				h.Name(), before[i], after[i], held[i])
+		}
+	}
 }

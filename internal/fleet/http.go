@@ -151,7 +151,7 @@ func buildStar[P any](c *Common, sh *Shard,
 	link func(gi int) (name string, cfg netem.PathConfig),
 	newPool func(gi int, mgr *core.Manager, iface *netem.Interface, serverAddr packet.Addr, onDone func()) (P, error)) (*starState[P], error) {
 
-	g := netem.GraphSpec{}
+	g := netem.GraphSpec{Hosts: make([]string, 0, 1+sh.Members()), Links: make([]netem.LinkSpec, 0, sh.Members())}
 	g.AddHost("server")
 	for gi := sh.Lo; gi < sh.Hi; gi++ {
 		name, cfg := link(gi)
@@ -163,12 +163,13 @@ func buildStar[P any](c *Common, sh *Shard,
 	if _, err := httpsim.StartServer(sh.Manager("server"), httpsim.ServerConfig{Port: 80, Conn: starServerConfig()}); err != nil {
 		return nil, err
 	}
-	st := &starState[P]{remaining: sh.Members()}
+	st := &starState[P]{pools: make([]P, 0, sh.Members()), remaining: sh.Members()}
+	onDone := func() { st.remaining-- }
 	for gi := sh.Lo; gi < sh.Hi; gi++ {
 		mgr := sh.Manager(clientHostName(gi))
 		mgr.SetProbe(sh.Probe, gi)
 		iface := mgr.Host().Interfaces()[0]
-		pool, err := newPool(gi, mgr, iface, iface.Path().Peer(iface).Addr(), func() { st.remaining-- })
+		pool, err := newPool(gi, mgr, iface, iface.Path().Peer(iface).Addr(), onDone)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: shard %d client %d: %w", sh.Index, gi, err)
 		}

@@ -2,9 +2,14 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"slices"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,6 +19,7 @@ import (
 	"mptcpgo/internal/faults"
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/sim"
+	"mptcpgo/internal/trace"
 	"mptcpgo/internal/workload"
 )
 
@@ -148,6 +154,70 @@ func TestStashChangesNothing(t *testing.T) {
 		}
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Errorf("%s: a run on stashed free lists differs from the golden:\n%s", tc.golden, got.String())
+		}
+	}
+}
+
+// TestLatencySamplesStayWithTheirWorld: each open-loop pool's latency
+// record is its own, sized once and never stashed for a later world, since a
+// fleet merges its shards' records after their worlds have closed. A record
+// that crossed worlds would be overwritten by the next shard run on the
+// stash. The quick fleet-openloop run, at one worker and then at two in the
+// same process, must merge the same samples: per shard and in total, the
+// same count, p50 and p99, equal to what a fresh process wrote to the
+// golden.
+func TestLatencySamplesStayWithTheirWorld(t *testing.T) {
+	type summary struct {
+		count    int
+		p50, p99 float64
+	}
+	summarize := func(l latencies) summary {
+		return summary{len(l), trace.Percentile(l, 50), trace.Percentile(l, 99)}
+	}
+	run := func(workers int) []summary {
+		spec := OpenLoopSpec{Common: Common{Seed: 42, Shards: 4, Workers: workers, Quick: true}, Hosts: 32,
+			Arrival: workload.Poisson(60), Sizes: workload.WebMix(), Window: 2 * time.Second}.withDefaults()
+		var got []summary
+		if _, err := Run[*openLoopState, openLoopOut](spec.Common, "fleet-openloop", "latency", spec.Hosts, openLoopScenario{&spec},
+			func(_ *experiments.Result, outs []openLoopOut) {
+				var total latencies
+				for _, o := range outs {
+					got = append(got, summarize(o.latencies))
+					total = append(total, o.latencies...)
+				}
+				got = append(got, summarize(total))
+			}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	one, two := run(1), run(2)
+	if !reflect.DeepEqual(one, two) {
+		t.Fatalf("the merged latency samples differ with the worker count:\n1 worker:  %+v\n2 workers: %+v", one, two)
+	}
+	raw, err := os.ReadFile(filepath.Join("..", "..", "bench", "BENCH_openloop.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden struct {
+		Tables []struct {
+			Columns []string
+			Rows    [][]string
+		}
+	}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	table := golden.Tables[0]
+	col := func(name string) int { return slices.Index(table.Columns, name) }
+	done, p50, p99 := col("done"), col("p50 ms"), col("p99 ms")
+	if len(table.Rows) != len(one) || done < 0 || p50 < 0 || p99 < 0 {
+		t.Fatalf("the golden's table has %d rows and columns %v", len(table.Rows), table.Columns)
+	}
+	for i, row := range table.Rows {
+		got := []string{strconv.Itoa(one[i].count), fmt.Sprintf("%.2f", one[i].p50), fmt.Sprintf("%.2f", one[i].p99)}
+		if want := []string{row[done], row[p50], row[p99]}; !slices.Equal(got, want) {
+			t.Errorf("row %s: %v samples, p50 and p99; a fresh process merged %v", row[0], got, want)
 		}
 	}
 }

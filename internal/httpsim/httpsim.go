@@ -177,10 +177,10 @@ type fetcher struct {
 	iface   *netem.Interface
 	server  packet.Endpoint
 	connCfg core.Config
-	// settle is the owning pool's end-of-flow hook (see fetch), next the method
-	// it schedules to start a flow; both are bound once, not once per flow.
-	settle func(outcome, received int)
-	next   func()
+	// owner is the pool the fetcher is part of: fetch reports each flow's
+	// end to it, and it schedules its own next flow (runNext), so nothing is
+	// bound per pool or per flow.
+	owner flowOwner
 
 	completed int
 	bytes     uint64
@@ -208,6 +208,16 @@ type fetcher struct {
 	// is ever written.
 	req [requestSize]byte
 }
+
+// flowOwner is what each pool kind does when one of its flows ends and when
+// its next flow is due.
+type flowOwner interface {
+	flowEnded(outcome, received int)
+	next()
+}
+
+// runNext is the event that starts an owner's next flow.
+func runNext(owner, _ any) { owner.(flowOwner).next() }
 
 // drainScratch is the one drain buffer every fetcher on a simulator shares
 // (sim.Local): a fleet builds a pool per host, and a buffer per pool was most
@@ -270,13 +280,13 @@ type flow struct {
 
 // fetch runs one flow: dial the server, request size bytes, drain the
 // response, close. A dial error is returned and nothing else happens.
-// Otherwise f.settle runs exactly once, when the flow ends, with its outcome
-// and the bytes it received: flowOK once the whole response and EOF have
-// arrived (the flow is entered in completed, bytes and latency first),
-// flowFailed when the connection closes short or with an error, flowDropped
-// when a positive deadline passes first, in which case the connection is
-// then aborted. The one exception is a flow that ends after doneFired: it is
-// neither recorded nor reported.
+// Otherwise the owner's flowEnded runs exactly once, when the flow ends,
+// with its outcome and the bytes it received: flowOK once the whole
+// response and EOF have arrived (the flow is entered in completed, bytes and
+// latency first), flowFailed when the connection closes short or with an
+// error, flowDropped when a positive deadline passes first, in which case
+// the connection is then aborted. The one exception is a flow that ends
+// after doneFired: it is neither recorded nor reported.
 //
 // The connection is released (core.Connection.Release): the flow touches it
 // only from its events and from its deadline, which settling the flow stops
@@ -330,7 +340,7 @@ func (fl *flow) finish(outcome int) {
 		f.bytes += uint64(fl.received)
 		f.latency = append(f.latency, float64(f.sim.Now()-fl.start)/float64(time.Millisecond))
 	}
-	f.settle(outcome, fl.received)
+	f.owner.flowEnded(outcome, fl.received)
 }
 
 func (fl *flow) onDeadline() {
@@ -475,7 +485,7 @@ func NewClientPool(mgr *core.Manager, cfg ClientPoolConfig) (*ClientPool, error)
 		return nil, err
 	}
 	p := &ClientPool{fetcher: f, cfg: cfg}
-	p.settle, p.next = p.requestEnded, p.issueRequest
+	p.owner = p
 	return p, nil
 }
 
@@ -486,12 +496,12 @@ func (p *ClientPool) Start() {
 		// Stagger client start slightly so the initial handshakes do not all
 		// collide in one burst.
 		delay := time.Duration(i) * 100 * time.Microsecond
-		p.sim.Schedule(delay, p.next)
+		p.sim.ScheduleArgsAt(p.sim.Now()+delay, runNext, p, nil)
 	}
 }
 
-// issueRequest fetches one response.
-func (p *ClientPool) issueRequest() {
+// next fetches one response.
+func (p *ClientPool) next() {
 	if p.cfg.TotalRequests > 0 && p.completed+p.failed >= p.cfg.TotalRequests {
 		return
 	}
@@ -501,20 +511,20 @@ func (p *ClientPool) issueRequest() {
 		// Stay closed-loop, but back off a little: a synchronous dial failure
 		// rescheduled at delay 0 would spin the event queue without advancing
 		// simulated time.
-		p.sim.Schedule(time.Millisecond, p.next)
+		p.sim.ScheduleArgsAt(p.sim.Now()+time.Millisecond, runNext, p, nil)
 	}
 }
 
-// requestEnded counts a request that did not complete and, closed loop,
+// flowEnded counts a request that did not complete and, closed loop,
 // issues the next one at once. A request still in flight when the budget is
 // reached never gets here (fetch drops it), so Completed never exceeds
 // TotalRequests and the (count, window) pair stays consistent.
-func (p *ClientPool) requestEnded(outcome, _ int) {
+func (p *ClientPool) flowEnded(outcome, _ int) {
 	if outcome != flowOK {
 		p.failed++
 	}
 	p.noteProgress()
-	p.sim.Schedule(0, p.next)
+	p.sim.ScheduleArgsAt(p.sim.Now(), runNext, p, nil)
 }
 
 // noteProgress records the completion time of the final request and fires

@@ -2,6 +2,7 @@ package httpsim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"mptcpgo/internal/core"
@@ -115,10 +116,27 @@ func NewOpenLoopPool(mgr *core.Manager, cfg OpenLoopConfig) (*OpenLoopPool, erro
 		return nil, err
 	}
 	p := &OpenLoopPool{fetcher: f, cfg: cfg}
-	p.settle, p.next = p.flowEnded, p.arrive
+	p.latency = make([]float64, 0, expectedArrivals(cfg.Arrival.Rate()*cfg.Window.Seconds()))
+	p.owner = p
 	p.rec, p.member = mgr.Probe()
 	return p, nil
 }
+
+// expectedArrivals sizes a pool's latency record, one sample per completed
+// flow, for a window that expects mean arrivals: the mean plus four standard
+// deviations of a Poisson count, so the record is allocated once, not grown
+// from empty. The record is the pool's own and is never stashed for a later
+// world: Collect hands it on (LatencySamples), and a fleet merges its shards'
+// records after their worlds have closed. A window that expects more than
+// maxPresized arrivals grows its record past that as it fills.
+func expectedArrivals(mean float64) int {
+	if !(mean > 0) {
+		return 0
+	}
+	return int(min(mean+4*math.Sqrt(mean)+1, maxPresized))
+}
+
+const maxPresized = 1 << 20
 
 // Start begins generating arrivals at the current simulation time.
 func (p *OpenLoopPool) Start() {
@@ -137,15 +155,16 @@ func (p *OpenLoopPool) scheduleNextArrival() {
 		p.checkDone()
 		return
 	}
-	p.sim.ScheduleAt(at, p.next)
+	p.sim.ScheduleArgsAt(at, runNext, p, nil)
 }
 
-// arrive spawns one flow and schedules the next arrival. The flow is started
-// (or shed) before the next gap is drawn: scheduleNextArrival may discover
-// the window is over and declare arrivals done, and that check must already
-// see this arrival in flight or the pool would settle without it. The RNG
-// draw order (size, then gap) is fixed either way.
-func (p *OpenLoopPool) arrive() {
+// next is an arrival: it spawns one flow and schedules the next arrival.
+// The flow is started (or shed) before the next gap is drawn:
+// scheduleNextArrival may discover the window is over and declare arrivals
+// done, and that check must already see this arrival in flight or the pool
+// would settle without it. The RNG draw order (size, then gap) is fixed
+// either way.
+func (p *OpenLoopPool) next() {
 	size := p.cfg.Sizes.Sample(p.cfg.Rng)
 	p.offered++
 	p.offeredBytes += uint64(size)

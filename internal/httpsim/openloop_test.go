@@ -6,6 +6,7 @@ import (
 
 	"mptcpgo/internal/core"
 	"mptcpgo/internal/netem"
+	"mptcpgo/internal/packet"
 	"mptcpgo/internal/sim"
 	"mptcpgo/internal/workload"
 )
@@ -218,5 +219,54 @@ func TestLiveConnectionsStayBounded(t *testing.T) {
 	t.Logf("%d flows; at most %d connections tracked at once", res.Completed, peak)
 	if peak > bound {
 		t.Fatalf("%d connections were tracked at once; bound %d (a finished flow's connection must leave at the FIN exchange)", peak, bound)
+	}
+}
+
+// heldTuple handles nothing: it only holds a four-tuple on a host.
+type heldTuple struct{}
+
+func (heldTuple) HandleSegment(*netem.Interface, *packet.Segment) {}
+
+// TestEphemeralPortsWrapPastTakenTuples dials 30 000 short flows through
+// one client host, more than its 25 536 ephemeral ports, so its port counter
+// wraps from 65535 to 40000 mid-run, where a connection that outlives the
+// wrap holds 40000 toward the server. No dial may be refused: the host skips
+// the taken tuple, as Linux's inet_hash_connect does.
+func TestEphemeralPortsWrapPastTakenTuples(t *testing.T) {
+	if testing.Short() {
+		t.Skip("30 000 flows are not run in -short mode")
+	}
+	s := sim.New(9)
+	n := netem.Build(s, netem.Symmetric("p", netem.Gbps(10), 100*time.Microsecond, 4<<20, 0))
+	conn := core.TCPOnlyConfig()
+	if _, err := StartServer(core.NewManager(n.Server), ServerConfig{Port: 80, Conn: conn}); err != nil {
+		t.Fatal(err)
+	}
+	iface := n.Client.Interfaces()[0]
+	server := packet.Endpoint{Addr: n.ServerAddr(0), Port: 80}
+	if err := n.Client.Register(packet.Endpoint{Addr: iface.Addr(), Port: 40000}, server, heldTuple{}); err != nil {
+		t.Fatal(err)
+	}
+	pool, err := NewOpenLoopPool(core.NewManager(n.Client), OpenLoopConfig{
+		Arrival:      workload.FixedRate(10000),
+		Sizes:        workload.FixedSize(1 << 10),
+		Rng:          sim.NewRNG(sim.DeriveSeed(9, 1)),
+		Window:       3*time.Second + time.Millisecond,
+		FlowDeadline: time.Second,
+		ServerAddr:   server.Addr,
+		ServerPort:   80,
+		Conn:         conn,
+		Iface:        iface,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Start()
+	for !pool.Done() && s.Now() < 10*time.Second && s.Step() {
+	}
+	res := pool.Result()
+	t.Logf("%+v", res)
+	if res.Offered < 30000 || res.Failed != 0 || res.Completed != res.Offered {
+		t.Fatalf("of %d flows through one host, %d completed and %d failed; want all completed", res.Offered, res.Completed, res.Failed)
 	}
 }

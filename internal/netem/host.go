@@ -67,15 +67,61 @@ type Host struct {
 	OnUnmatched func(ingress *Interface, seg *packet.Segment)
 }
 
+// Ephemeral ports run from ephemeralLow to 65535; a host's first dial takes
+// ephemeralLow+1.
+const ephemeralLow = 40000
+
 // NewHost creates a host attached to the simulator.
 func NewHost(s *sim.Simulator, name string) *Host {
-	return &Host{
+	h := new(Host)
+	h.init(s, name, nil)
+	return h
+}
+
+// init readies h in place with ifaces as the (empty) start of its interface
+// list: BuildGraph builds a graph's hosts in one slab and carves their lists
+// from one backing array. The four-tuple map comes from the simulator's
+// demuxMaps; the listener map is made by the first Listen, since only
+// servers listen.
+func (h *Host) init(s *sim.Simulator, name string, ifaces []*Interface) {
+	*h = Host{
 		sim:           s,
 		name:          name,
-		conns:         make(map[packet.FourTuple]SegmentHandler),
-		listeners:     make(map[uint16]ListenHandler),
-		nextEphemeral: 40000,
+		ifaces:        ifaces,
+		conns:         sim.Local[demuxMaps](s).take(),
+		nextEphemeral: ephemeralLow,
 	}
+}
+
+// demuxMaps are the four-tuple maps of the hosts one simulator runs
+// (sim.Local), handed out in host creation order. They outlive their world
+// (sim.Retirer): when the simulator closes, Retire clears each map it handed
+// out, which keeps the map's capacity, and the hosts of a later simulator
+// take them, so a warm world's Register grows no table. Nothing iterates a
+// host's map, so which host gets which map cannot change a result.
+type demuxMaps struct {
+	maps []map[packet.FourTuple]SegmentHandler
+	// next is the first map no host of the running simulator has taken.
+	next int
+}
+
+// take returns the next map, made when none is left.
+func (d *demuxMaps) take() map[packet.FourTuple]SegmentHandler {
+	if d.next == len(d.maps) {
+		d.maps = append(d.maps, make(map[packet.FourTuple]SegmentHandler))
+	}
+	m := d.maps[d.next]
+	d.next++
+	return m
+}
+
+// Retire empties the maps the closed simulator's hosts took, so none keeps
+// a handler of the closed world reachable, and hands them all out again.
+func (d *demuxMaps) Retire() {
+	for _, m := range d.maps[:d.next] {
+		clear(m)
+	}
+	d.next = 0
 }
 
 // Name returns the host name.
@@ -86,7 +132,12 @@ func (h *Host) Sim() *sim.Simulator { return h.sim }
 
 // AddInterface attaches a new interface with the given address.
 func (h *Host) AddInterface(addr packet.Addr) *Interface {
-	ifc := &Interface{host: h, addr: addr}
+	return h.attach(new(Interface), addr)
+}
+
+// attach readies ifc in place as the host's next interface.
+func (h *Host) attach(ifc *Interface, addr packet.Addr) *Interface {
+	*ifc = Interface{host: h, addr: addr}
 	h.ifaces = append(h.ifaces, ifc)
 	return ifc
 }
@@ -104,13 +155,23 @@ func (h *Host) InterfaceByAddr(addr packet.Addr) *Interface {
 	return nil
 }
 
-// AllocatePort returns a fresh ephemeral port.
-func (h *Host) AllocatePort() uint16 {
-	h.nextEphemeral++
-	if h.nextEphemeral < 40000 {
-		h.nextEphemeral = 40000
+// AllocatePort returns an ephemeral port whose four-tuple from local to
+// remote no connection (nor a TIME_WAIT record) holds. As Linux's
+// inet_hash_connect does, it searches on from the port after the last one
+// it returned, wrapping from 65535 to the bottom of the range, and fails only
+// when every port of the range is taken toward remote.
+func (h *Host) AllocatePort(local packet.Addr, remote packet.Endpoint) (uint16, error) {
+	for n := 0; n < 1<<16-ephemeralLow; n++ {
+		h.nextEphemeral++
+		if h.nextEphemeral < ephemeralLow {
+			h.nextEphemeral = ephemeralLow
+		}
+		key := packet.FourTuple{Src: packet.Endpoint{Addr: local, Port: h.nextEphemeral}, Dst: remote}
+		if _, taken := h.conns[key]; !taken {
+			return h.nextEphemeral, nil
+		}
 	}
-	return h.nextEphemeral
+	return 0, fmt.Errorf("netem: %s: every ephemeral port from %v to %v is taken", h.name, local, remote)
 }
 
 // Register installs a handler for the connection identified by the local and
@@ -153,6 +214,9 @@ func (h *Host) Handler(local, remote packet.Endpoint) SegmentHandler {
 func (h *Host) Listen(port uint16, handler ListenHandler) error {
 	if _, exists := h.listeners[port]; exists {
 		return fmt.Errorf("netem: %s: port %d already has a listener", h.name, port)
+	}
+	if h.listeners == nil {
+		h.listeners = make(map[uint16]ListenHandler)
 	}
 	h.listeners[port] = handler
 	return nil

@@ -102,13 +102,28 @@ type Link struct {
 
 // NewLink creates a link delivering to dst.
 func NewLink(s *sim.Simulator, name string, cfg LinkConfig, dst Receiver) *Link {
-	l := &Link{sim: s, cfg: cfg, dst: dst, name: name}
-	s.RegisterSettler(l)
+	l := new(Link)
+	l.init(s, name, cfg, dst)
 	return l
 }
 
-// Name returns the link's name.
-func (l *Link) Name() string { return l.name }
+// init readies l in place; a path's links are built by Path.init, nameless.
+func (l *Link) init(s *sim.Simulator, name string, cfg LinkConfig, dst Receiver) {
+	*l = Link{sim: s, cfg: cfg, dst: dst, name: name}
+	s.RegisterSettler(l)
+}
+
+// Name returns the link's name. A path's links are named after the path,
+// "<path>/ab" and "<path>/ba", when asked: only an error message reads it.
+func (l *Link) Name() string {
+	if e, ok := l.dst.(*pathEnd); ok {
+		if e.dir == AtoB {
+			return e.path.name + "/ab"
+		}
+		return e.path.name + "/ba"
+	}
+	return l.name
+}
 
 // Config returns the link configuration.
 func (l *Link) Config() LinkConfig { return l.cfg }
@@ -157,7 +172,7 @@ func wireSize(seg *packet.Segment) int {
 // (its Hop is not zero) panics: it would cross-wire the two FIFOs.
 func (l *Link) Send(seg *packet.Segment) {
 	if seg.Hop != (packet.Hop{}) {
-		panic("netem: segment sent on " + l.name + " while a link still holds it")
+		panic("netem: segment sent on " + l.Name() + " while a link still holds it")
 	}
 	if l.dst == nil {
 		seg.Release()

@@ -1,6 +1,8 @@
 package netem
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -562,3 +564,115 @@ func TestUnmatchedDataAnsweredWithoutAllocating(t *testing.T) {
 		t.Fatalf("answering an unmatched data segment allocates %.1f objects, want 0", allocs)
 	}
 }
+
+// starSpec is a server and clients client hosts, each on its own link.
+func starSpec(clients int) GraphSpec {
+	g := GraphSpec{}
+	g.AddHost("server")
+	for i := 0; i < clients; i++ {
+		g.AddLink(LinkSpec{Name: fmt.Sprintf("access%d", i), A: fmt.Sprintf("c%d", i), B: "server",
+			Config: SymmetricPath(Mbps(100), time.Millisecond, 0, 0)})
+	}
+	return g
+}
+
+// mallocsOf returns how many heap objects f allocates, its first call
+// included (testing.AllocsPerRun's warm-up call would hide a table that
+// grows once).
+func mallocsOf(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestBuildGraphAllocatesPerGraph: a graph is built from a handful of
+// slabs, so on a simulator whose demux maps are warm a 256-client star
+// costs as many heap objects as a 16-client one, but for the simulator's
+// settler list, which grows by doubling as the links register (four more
+// doublings from 32 links to 512); and a path's links are named after it
+// when asked.
+func TestBuildGraphAllocatesPerGraph(t *testing.T) {
+	cost := func(clients int) uint64 {
+		spec := starSpec(clients)
+		s := sim.New(1)
+		if _, err := BuildGraph(s, spec); err != nil {
+			t.Fatal(err)
+		}
+		s.Close() // hands its demux maps to the next simulator
+		s = sim.New(1)
+		defer s.Close()
+		var n *Network
+		objects := mallocsOf(func() { n, _ = BuildGraph(s, spec) })
+		if got := n.PathByName("access3").LinkBA().Name(); got != "access3/ba" {
+			t.Fatalf("access3's B-to-A link is named %q", got)
+		}
+		return objects
+	}
+	small, large := cost(16), cost(256)
+	t.Logf("%d objects for 16 clients, %d for 256", small, large)
+	if large > small+4 {
+		t.Fatalf("BuildGraph allocates %d objects for a 16-client star and %d for a 256-client one; want at most 4 more", small, large)
+	}
+}
+
+// TestRebuiltHostsStartWarm: a host's four-tuple map outlives its closed
+// simulator emptied, and a rebuilt world's hosts register as many tuples as
+// the closed world's held without growing a table.
+func TestRebuiltHostsStartWarm(t *testing.T) {
+	const perClient = 100
+	spec := starSpec(8)
+	// tuples registers perClient four-tuples between each client and the
+	// server on both hosts, as established connections hold them.
+	tuples := func(n *Network, each func(h *Host, local, remote packet.Endpoint)) {
+		for _, p := range n.Paths {
+			for port := 0; port < perClient; port++ {
+				cli := packet.Endpoint{Addr: p.A().Addr(), Port: uint16(40001 + port)}
+				srv := packet.Endpoint{Addr: p.B().Addr(), Port: 80}
+				each(p.A().Host(), cli, srv)
+				each(p.B().Host(), srv, cli)
+			}
+		}
+	}
+	handler := refused{}
+	register := func(n *Network) func() {
+		return func() {
+			tuples(n, func(h *Host, local, remote packet.Endpoint) {
+				if err := h.Register(local, remote, handler); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+	s := sim.New(1)
+	first, err := BuildGraph(s, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := mallocsOf(register(first))
+	s.Close()
+
+	s = sim.New(1)
+	defer s.Close()
+	second, err := BuildGraph(s, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples(second, func(h *Host, local, remote packet.Endpoint) {
+		if got := h.Handler(local, remote); got != nil {
+			t.Fatalf("%s of the rebuilt world answers %v-%v with %v, a closed world's handler", h.Name(), local, remote, got)
+		}
+	})
+	warm := mallocsOf(register(second))
+	t.Logf("registering %d tuples: %d objects in a fresh world, %d in a rebuilt one", 2*perClient*len(second.Paths), cold, warm)
+	if warm != 0 {
+		t.Fatalf("the rebuilt world's hosts allocate %d objects to register as many tuples as the closed world held; want 0", warm)
+	}
+}
+
+// refused handles nothing: it only holds a four-tuple.
+type refused struct{}
+
+func (refused) HandleSegment(*Interface, *packet.Segment) {}

@@ -79,24 +79,45 @@ type Path struct {
 	a, b   *Interface
 	linkAB *Link
 	linkBA *Link
-	boxes  []*element
-	down   bool
+	// ends receive what linkAB and linkBA deliver, indexed by Direction.
+	ends  [2]pathEnd
+	boxes []*element
+	down  bool
+}
+
+// pathEnd is the far end of one of a path's links: it hands what the link
+// delivers to the path's chain, at its first element in the direction.
+type pathEnd struct {
+	path *Path
+	dir  Direction
+}
+
+// Receive implements Receiver.
+func (e *pathEnd) Receive(seg *packet.Segment) {
+	p := e.path
+	if e.dir == AtoB {
+		p.pass(AtoB, 0, seg)
+	} else {
+		p.pass(BtoA, len(p.boxes)-1, seg)
+	}
 }
 
 // NewPath wires interfaces a and b together with the given configuration.
 func NewPath(s *sim.Simulator, name string, a, b *Interface, cfg PathConfig) *Path {
-	p := &Path{sim: s, name: name, a: a, b: b}
-	p.linkAB = NewLink(s, name+"/ab", cfg.AB, ReceiverFunc(func(seg *packet.Segment) {
-		p.pass(AtoB, 0, seg)
-	}))
-	p.linkBA = NewLink(s, name+"/ba", cfg.BA, ReceiverFunc(func(seg *packet.Segment) {
-		p.pass(BtoA, len(p.boxes)-1, seg)
-	}))
-	a.out = p.linkAB
-	a.path = p
-	b.out = p.linkBA
-	b.path = p
+	p := new(Path)
+	p.init(s, name, a, b, cfg, new(Link), new(Link))
 	return p
+}
+
+// init readies p in place over the links ab and ba, which it readies too:
+// BuildGraph builds a graph's paths and links in two slabs.
+func (p *Path) init(s *sim.Simulator, name string, a, b *Interface, cfg PathConfig, ab, ba *Link) {
+	*p = Path{sim: s, name: name, a: a, b: b, linkAB: ab, linkBA: ba}
+	p.ends = [2]pathEnd{{p, AtoB}, {p, BtoA}}
+	ab.init(s, "", cfg.AB, &p.ends[AtoB])
+	ba.init(s, "", cfg.BA, &p.ends[BtoA])
+	a.out, a.path = ab, p
+	b.out, b.path = ba, p
 }
 
 // Name returns the path name.

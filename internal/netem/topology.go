@@ -22,7 +22,8 @@ type Network struct {
 	Hosts []*Host
 	Paths []*Path
 
-	hostByName map[string]*Host
+	// hostByName indexes Hosts by name.
+	hostByName map[string]int
 }
 
 // PathSpec describes one bidirectional path between the client and the
@@ -72,8 +73,9 @@ type GraphSpec struct {
 	Links []LinkSpec
 
 	// hostSet indexes Hosts for AddHost's duplicate check (lazily built, and
-	// seeded from a literal-initialized Hosts slice on first use), keeping
-	// programmatic construction of thousand-host graphs linear.
+	// seeded from a literal-initialized Hosts slice on first use, sized for
+	// its capacity), keeping programmatic construction of thousand-host
+	// graphs linear.
 	hostSet map[string]bool
 }
 
@@ -82,7 +84,7 @@ type GraphSpec struct {
 // generators — the fleet shard builders — use it together with AddLink.
 func (g *GraphSpec) AddHost(name string) *GraphSpec {
 	if g.hostSet == nil {
-		g.hostSet = make(map[string]bool, len(g.Hosts)+1)
+		g.hostSet = make(map[string]bool, max(len(g.Hosts)+1, cap(g.Hosts)))
 		for _, h := range g.Hosts {
 			g.hostSet[h] = true
 		}
@@ -114,55 +116,80 @@ func linkAddrs(i int) (a, b packet.Addr) {
 // declared name and one Path (with a fresh interface on both endpoint hosts)
 // per link. Link i uses the 10.x.y.0/24 subnet derived from its index, A side
 // .1 and B side .2.
+//
+// The graph is built in a handful of allocations, not a few per object: one
+// slab each of hosts, interfaces, paths and links, and one array of
+// interface pointers that each host's list is carved from, sized by its
+// degree.
 func BuildGraph(s *sim.Simulator, spec GraphSpec) (*Network, error) {
 	if len(spec.Links) > 1<<16 {
 		return nil, fmt.Errorf("netem: %d links exceed the addressing plan's 2^16 limit", len(spec.Links))
 	}
-	n := &Network{Sim: s, hostByName: make(map[string]*Host, len(spec.Hosts))}
-	for _, name := range spec.Hosts {
+	n := &Network{Sim: s, hostByName: make(map[string]int, len(spec.Hosts))}
+	for i, name := range spec.Hosts {
 		if name == "" {
 			return nil, fmt.Errorf("netem: empty host name")
 		}
 		if _, dup := n.hostByName[name]; dup {
 			return nil, fmt.Errorf("netem: duplicate host %q", name)
 		}
-		h := NewHost(s, name)
-		n.hostByName[name] = h
-		n.Hosts = append(n.Hosts, h)
+		n.hostByName[name] = i
 	}
+	// A host's degree is the number of links it ends.
+	degree := make([]int, len(spec.Hosts))
 	for i, l := range spec.Links {
-		ha, hb := n.hostByName[l.A], n.hostByName[l.B]
-		if ha == nil {
+		a, okA := n.hostByName[l.A]
+		b, okB := n.hostByName[l.B]
+		if !okA {
 			return nil, fmt.Errorf("netem: link %d references unknown host %q", i, l.A)
 		}
-		if hb == nil {
+		if !okB {
 			return nil, fmt.Errorf("netem: link %d references unknown host %q", i, l.B)
 		}
-		if ha == hb {
+		if a == b {
 			return nil, fmt.Errorf("netem: link %d connects host %q to itself", i, l.A)
 		}
+		degree[a]++
+		degree[b]++
+	}
+	hosts := make([]Host, len(spec.Hosts))
+	n.Hosts = make([]*Host, len(hosts))
+	lists := make([]*Interface, 2*len(spec.Links))
+	for i, name := range spec.Hosts {
+		// The full slice expression caps each list at its host's degree: an
+		// interface attached later grows that host's list elsewhere.
+		hosts[i].init(s, name, lists[:0:degree[i]])
+		lists = lists[degree[i]:]
+		n.Hosts[i] = &hosts[i]
+	}
+	ifaces := make([]Interface, 2*len(spec.Links))
+	links := make([]Link, 2*len(spec.Links))
+	paths := make([]Path, len(spec.Links))
+	n.Paths = make([]*Path, len(paths))
+	for i, l := range spec.Links {
 		cfg := l.Config
 		if cfg.BA == (LinkConfig{}) {
 			cfg.BA = cfg.AB
 		}
 		addrA, addrB := linkAddrs(i)
-		ia := ha.AddInterface(addrA)
-		ib := hb.AddInterface(addrB)
+		ia := hosts[n.hostByName[l.A]].attach(&ifaces[2*i], addrA)
+		ib := hosts[n.hostByName[l.B]].attach(&ifaces[2*i+1], addrB)
 		name := l.Name
 		if name == "" {
 			name = fmt.Sprintf("path%d", i)
 		}
-		p := NewPath(s, name, ia, ib, cfg)
+		p := &paths[i]
+		p.init(s, name, ia, ib, cfg, &links[2*i], &links[2*i+1])
 		for _, b := range l.Boxes {
 			p.AddBox(b)
 		}
-		n.Paths = append(n.Paths, p)
+		n.Paths[i] = p
 	}
 	// The aliases are bound by name, not position: a graph that declares the
 	// server first (or names its hosts differently) must not hand consumers
 	// the wrong host through the historical accessors.
-	n.Client = n.hostByName["client"]
-	n.Server = n.hostByName["server"]
+	n.Client = n.Host("client")
+	n.Server = n.Host("server")
 	return n, nil
 }
 
@@ -188,7 +215,12 @@ func Build(s *sim.Simulator, specs ...PathSpec) *Network {
 }
 
 // Host returns the host with the given name, or nil.
-func (n *Network) Host(name string) *Host { return n.hostByName[name] }
+func (n *Network) Host(name string) *Host {
+	if i, ok := n.hostByName[name]; ok {
+		return n.Hosts[i]
+	}
+	return nil
+}
 
 // HostNames returns the host names in declaration order.
 func (n *Network) HostNames() []string {

@@ -393,6 +393,13 @@ func (s *Simulator) ScheduleArgsAtSeq(at time.Duration, seq uint64, fn func(a, b
 	return ev
 }
 
+// ScheduleArgsAt is ScheduleAt for a callback that receives its context as
+// arguments, as ScheduleArgsAtSeq's does: a caller that would bind a method
+// value per object passes one shared function and the object instead.
+func (s *Simulator) ScheduleArgsAt(at time.Duration, fn func(a, b any), a, b any) *Event {
+	return s.ScheduleArgsAtSeq(at, s.ReserveSeq(), fn, a, b)
+}
+
 // eventSlab is how many events one free-list miss allocates (the list lives
 // and dies with the simulator — Close hands on no event — so a slab pinned by
 // one event costs nothing).

@@ -176,9 +176,11 @@ func newEndpoint(iface *netem.Interface, local, remote packet.Endpoint, cfg Conf
 // Dial creates a client endpoint bound to iface and starts the three-way
 // handshake toward remote. The hooks may be nil for plain TCP.
 func Dial(iface *netem.Interface, remote packet.Endpoint, cfg Config, hooks Hooks) (*Endpoint, error) {
-	host := iface.Host()
-	local := packet.Endpoint{Addr: iface.Addr(), Port: host.AllocatePort()}
-	return DialFrom(iface, local, remote, cfg, hooks)
+	port, err := iface.Host().AllocatePort(iface.Addr(), remote)
+	if err != nil {
+		return nil, err
+	}
+	return DialFrom(iface, packet.Endpoint{Addr: iface.Addr(), Port: port}, remote, cfg, hooks)
 }
 
 // DialFrom is Dial with an explicit local endpoint (used when reopening a
