@@ -238,19 +238,3 @@ func (q *ByteQueue) Reset(headOffset uint64) {
 // teardown, connection finish) so that unacknowledged bytes do not keep
 // their blocks out of the pool; the queue remains usable.
 func (q *ByteQueue) Release() { q.Reset(q.TailOffset()) }
-
-// CompactPrefix removes the first n elements of q in place: survivors shift
-// to the front, the vacated tail slots are zeroed — load-bearing for
-// pointer elements, so freed objects are not pinned (or aliased by free
-// lists) through the backing array — and the shortened slice keeps its
-// capacity. This is the shared drain primitive for the endpoint chunk
-// queues and the connection-level in-flight list; re-slicing with q[n:]
-// instead would leak capacity off the front and reallocate every window.
-func CompactPrefix[T any](q []T, n int) []T {
-	m := copy(q, q[n:])
-	var zero T
-	for i := m; i < len(q); i++ {
-		q[i] = zero
-	}
-	return q[:m]
-}

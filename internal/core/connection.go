@@ -133,7 +133,7 @@ type Connection struct {
 	dataUna         uint64
 	dataNxt         uint64
 	rwndLimit       uint64
-	inflight        []*txMapping
+	inflight        buffer.Queue[*txMapping]
 	// free holds the simulator's free lists, which every connection of a
 	// shard shares: the connection came from them, and its txMappings (one
 	// per transmitted chunk) go back to them as cumulative DATA_ACKs pop them.
@@ -247,7 +247,7 @@ func newConnection(mgr *Manager, cfg Config, isClient bool) *Connection {
 	}
 	c.subflows, c.usableScratch = c.inline.subflows[:0], c.inline.usable[:0]
 	c.candScratch, c.usedRemote = c.inline.cands[:0], c.inline.usedRemote[:0]
-	c.inflight = c.inline.inflight[:0]
+	c.inflight.Init(c.inline.inflight[:])
 	c.sndBuf.UsePool(c.bufs)
 	c.rcvBuf.UsePool(c.bufs)
 	if isClient && mgr.probeRec != nil {
@@ -1194,7 +1194,7 @@ func (c *Connection) recycle() {
 		c.ofo.Release()
 	}
 	c.rcvBuf.Release()
-	for _, m := range c.inflight {
+	for _, m := range c.inflight.Items() {
 		*m = txMapping{}
 		free.mappings.Put(m)
 	}

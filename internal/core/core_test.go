@@ -508,16 +508,15 @@ func TestSubflowsSendFromConnectionQueue(t *testing.T) {
 }
 
 // forEachChunk calls f with the send-queue range of every chunk ep holds,
-// sent or not. The endpoint keeps its chunks to itself, so the test reads
-// them through reflection, without changing anything.
+// sent or not. The endpoint keeps its write queue to itself, so the test
+// reads it through reflection, without changing anything: the queued chunks
+// are the slots of its array from its head on.
 func forEachChunk(ep *tcp.Endpoint, f func(off uint64, n int)) {
-	v := reflect.ValueOf(ep).Elem()
-	for _, q := range []string{"retransQ", "sendQueue"} {
-		chunks := v.FieldByName(q)
-		for i := 0; i < chunks.Len(); i++ {
-			c := chunks.Index(i).Elem()
-			f(c.FieldByName("payOff").Uint(), int(c.FieldByName("payLen").Int()))
-		}
+	q := reflect.ValueOf(ep).Elem().FieldByName("chunks")
+	items := q.FieldByName("items")
+	for i := int(q.FieldByName("head").Int()); i < items.Len(); i++ {
+		c := items.Index(i).Elem()
+		f(c.FieldByName("payOff").Uint(), int(c.FieldByName("payLen").Int()))
 	}
 }
 

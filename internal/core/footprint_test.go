@@ -199,13 +199,20 @@ func TestSpillPastInlineArraysChangesNothing(t *testing.T) {
 	cfg.SubflowsPerInterface = 2
 	const total = 1 << 20
 
+	moved := map[*Connection]bool{}
 	onHeap := func(c *Connection) {
-		if cap(c.inflight) < 4096 { // first sight of c
+		if !moved[c] {
+			moved[c] = true
 			c.subflows = append(make([]*Subflow, 0, 64), c.subflows...)
 			c.usableScratch = make([]*Subflow, 0, 64)
 			c.candScratch = make([]sched.Candidate, 0, 64)
 			c.usedRemote = append(make([]packet.Endpoint, 0, 64), c.usedRemote...)
-			c.inflight = append(make([]*txMapping, 0, 4096), c.inflight...)
+			var q buffer.Queue[*txMapping]
+			q.Init(make([]*txMapping, 0, 4096))
+			for _, m := range c.inflight.Items() {
+				q.Push(m)
+			}
+			c.inflight = q
 		}
 		for _, s := range c.subflows { // subflows come and go; a new one has received nothing yet
 			if cap(s.rxMappings) < 1024 {
@@ -218,7 +225,7 @@ func TestSpillPastInlineArraysChangesNothing(t *testing.T) {
 	// The run under test is only watched: how long did its slices get?
 	var subflows, inflight, rxMappings int
 	got := runPatternTransfer(t, netem.WiFi3GSpec(), cfg, total, func(c *Connection) {
-		subflows, inflight = max(subflows, len(c.subflows)), max(inflight, len(c.inflight))
+		subflows, inflight = max(subflows, len(c.subflows)), max(inflight, c.inflight.Len())
 		for _, s := range c.subflows {
 			rxMappings = max(rxMappings, len(s.rxMappings))
 		}
@@ -229,8 +236,11 @@ func TestSpillPastInlineArraysChangesNothing(t *testing.T) {
 		t.Fatalf("the run held at most %d subflows, %d in-flight mappings and %d received mappings; the inline arrays hold %d, %d and %d, so nothing spilled",
 			subflows, inflight, rxMappings, subflowsInline, inflightInline, rxMappingsInline)
 	}
-	if c := got.client; cap(c.inflight) <= len(c.inline.inflight) || cap(c.subflows) <= len(c.inline.subflows) {
-		t.Fatalf("slices still on their inline arrays after outgrowing them: cap %d and %d", cap(c.inflight), cap(c.subflows))
+	// The in-flight queue is empty once every byte is DATA_ACKed, so its
+	// items start at the front of its array and their capacity is the array's.
+	if c := got.client; c.inflight.Len() > 0 || cap(c.inflight.Items()) <= len(c.inline.inflight) || cap(c.subflows) <= len(c.inline.subflows) {
+		t.Fatalf("slices still on their inline arrays after outgrowing them: %d mappings in flight, cap %d and %d",
+			c.inflight.Len(), cap(c.inflight.Items()), cap(c.subflows))
 	}
 }
 

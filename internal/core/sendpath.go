@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"mptcpgo/internal/buffer"
 	"mptcpgo/internal/packet"
 	"mptcpgo/internal/probe"
 	"mptcpgo/internal/sched"
@@ -55,7 +54,7 @@ func (c *Connection) pump() {
 		// flight, wait until a full-MSS chunk can be sent rather than
 		// dribbling tiny mappings (the only exception is the final tail of
 		// the stream).
-		if want < mss && int(avail) >= mss && len(c.inflight) > 0 {
+		if want < mss && int(avail) >= mss && c.inflight.Len() > 0 {
 			if fcSpace <= int64(mss) {
 				c.onReceiveWindowLimited()
 			}
@@ -108,7 +107,7 @@ func (c *Connection) pickSubflow(size int) *Subflow {
 func (c *Connection) sendMapping(sf *Subflow, dataSeq uint64, n int, reinject *txMapping) bool {
 	offset := uint32(sf.ep.QueuedPayloadBytes())
 	// The DSS option comes from (and returns to) the shard's free list by way
-	// of the subflow endpoint: ownership transfers with SendChunkWithOpt and
+	// of the subflow endpoint: ownership transfers with SendChunk and
 	// the endpoint recycles it once the mapping's bytes are fully
 	// acknowledged.
 	dss := sf.ep.NewDSSOption()
@@ -122,7 +121,7 @@ func (c *Connection) sendMapping(sf *Subflow, dataSeq uint64, n int, reinject *t
 		dss.HasChecksum = true
 		dss.Checksum = packet.DSSChecksum(dss.DataSeq, offset, dss.Length, c.sndBuf.Peek(dataSeq, n))
 	}
-	if !sf.ep.SendChunkWithOpt(dataSeq, n, dss) {
+	if !sf.ep.SendChunk(dataSeq, n, dss) {
 		return false
 	}
 	sf.chunksSent++
@@ -138,7 +137,7 @@ func (c *Connection) sendMapping(sf *Subflow, dataSeq uint64, n int, reinject *t
 			sentAt:      now,
 			sfOffsetEnd: uint64(offset) + uint64(n),
 		}
-		c.inflight = append(c.inflight, m)
+		c.inflight.Push(m)
 	} else {
 		reinject.lastReinject = now
 		reinject.reinjections++
@@ -208,13 +207,13 @@ func (c *Connection) fallbackSubflow() *Subflow {
 // trailing edge of the window on a subflow that has congestion-window space,
 // and penalize the subflow responsible for holding the window up.
 func (c *Connection) onReceiveWindowLimited() {
-	if len(c.inflight) == 0 {
+	if c.inflight.Len() == 0 {
 		return
 	}
 	if !c.cfg.OpportunisticRetransmit && !c.cfg.PenalizeSlowSubflows {
 		return
 	}
-	m := c.inflight[0]
+	m := c.inflight.Items()[0]
 	now := c.sim.Now()
 
 	var fast *Subflow
@@ -320,24 +319,21 @@ func (c *Connection) onDataAck(from *Subflow, relAck uint64, windowBytes int) {
 		c.dataUna = relAck
 		c.lastProgress, c.stalled = c.sim.Now(), false
 		freed := 0
-		for freed < len(c.inflight) && c.inflight[freed].end() <= c.dataUna {
+		for _, m := range c.inflight.Items() {
+			if m.end() > c.dataUna {
+				break
+			}
 			// Zeroed so a free mapping does not pin its subflow.
-			*c.inflight[freed] = txMapping{}
-			c.free.mappings.Put(c.inflight[freed])
+			*m = txMapping{}
+			c.free.mappings.Put(m)
 			freed++
 		}
-		if freed > 0 {
-			// Compact once for the batch so the slice's capacity is reused
-			// instead of leaking off the front (re-slicing would cost one
-			// allocation per mapping at steady state, per-pop compaction a
-			// quadratic copy on large cumulative ACKs).
-			c.inflight = buffer.CompactPrefix(c.inflight, freed)
-		}
+		c.inflight.Drop(freed)
 		if c.dataFinSent && !c.dataFinAcked && c.dataUna >= c.dataFinSeq+1 {
 			c.dataFinAcked = true
 			c.checkDone()
 		}
-		if len(c.inflight) == 0 && (!c.dataFinSent || c.dataFinAcked) {
+		if c.inflight.Len() == 0 && (!c.dataFinSent || c.dataFinAcked) {
 			c.connRtx.Stop()
 		} else {
 			c.connRtx.Reset(c.connRtxInterval())
@@ -369,7 +365,7 @@ func (c *Connection) armConnRtx() {
 	if c.connRtx.Pending() {
 		return
 	}
-	if len(c.inflight) == 0 && (!c.dataFinSent || c.dataFinAcked) {
+	if c.inflight.Len() == 0 && (!c.dataFinSent || c.dataFinAcked) {
 		return
 	}
 	c.connRtx.Reset(c.connRtxInterval())
@@ -385,11 +381,11 @@ func (c *Connection) onConnRetransmitTimeout() {
 		return
 	}
 	c.checkStall()
-	if len(c.inflight) == 0 && (!c.dataFinSent || c.dataFinAcked) {
+	if c.inflight.Len() == 0 && (!c.dataFinSent || c.dataFinAcked) {
 		return
 	}
-	if len(c.inflight) > 0 {
-		m := c.inflight[0]
+	if c.inflight.Len() > 0 {
+		m := c.inflight.Items()[0]
 		if sf := c.pickSubflow(m.length); sf != nil {
 			if c.reinjectable(m) && c.sendMapping(sf, m.dataSeq, m.length, m) {
 				c.stats.ConnLevelRtx++
@@ -438,14 +434,14 @@ func (c *Connection) checkStall() {
 // one of the data sequence mappings (§3.3.5). Without this, such data would
 // only be repaired by the (much slower) connection-level timeout.
 func (c *Connection) recoverDroppedMappings() {
-	if len(c.inflight) == 0 {
+	if c.inflight.Len() == 0 {
 		return
 	}
 	// Only the mapping at the trailing edge of the window can be judged:
 	// if its bytes have been acknowledged at the subflow level but the
 	// data-level cumulative ACK has not moved past it for several round
 	// trips, the receiver has the bytes but could not place them.
-	m := c.inflight[0]
+	m := c.inflight.Items()[0]
 	sf := m.subflow
 	if sf == nil || sf.ep == nil {
 		return
@@ -477,7 +473,7 @@ func (c *Connection) reinjectSubflowData(failed *Subflow) {
 	if c.Fallback() || c.err != nil {
 		return
 	}
-	for _, m := range c.inflight {
+	for _, m := range c.inflight.Items() {
 		if m.subflow != failed {
 			continue
 		}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -161,7 +162,17 @@ func (m *openLoopOut) row(label string) []string {
 	return []string{label, strconv.Itoa(m.hosts), strconv.Itoa(m.offered), strconv.Itoa(m.completed),
 		strconv.Itoa(m.dropped), strconv.Itoa(m.shed), strconv.Itoa(m.failed), strconv.Itoa(m.unfinished),
 		fmt.Sprintf("%.2f", m.offeredMbps()), fmt.Sprintf("%.2f", m.goodputMbps()),
-		fmt.Sprintf("%.2f", trace.Percentile(m.latencies, 50)), fmt.Sprintf("%.2f", trace.Percentile(m.latencies, 99)), fmt.Sprint(m.events)}
+		fmt.Sprintf("%.2f", m.percentile(50)), fmt.Sprintf("%.2f", m.percentile(99)), fmt.Sprint(m.events)}
+}
+
+// percentile returns the p-th percentile of the latencies. An open-loop
+// record is read only through percentiles, never summed in order, so the
+// first call sorts it in place and later ones find it sorted.
+func (m *openLoopOut) percentile(p float64) float64 {
+	if !slices.IsSorted(m.latencies) {
+		slices.Sort(m.latencies)
+	}
+	return trace.Rank(m.latencies, p)
 }
 
 // RunOpenLoop executes the open-loop workload and returns the merged result,
@@ -193,7 +204,7 @@ func RunOpenLoop(spec OpenLoopSpec) (*experiments.Result, error) {
 			}
 			res.AddTable(table)
 			res.AddSeries(shardSeries("goodput", "Mbps", outs, (*openLoopOut).goodputMbps))
-			res.AddSeries(shardSeries("latency p99", "ms", outs, func(m *openLoopOut) float64 { return trace.Percentile(m.latencies, 99) }))
+			res.AddSeries(shardSeries("latency p99", "ms", outs, func(m *openLoopOut) float64 { return m.percentile(99) }))
 		})
 }
 

@@ -48,19 +48,21 @@ type Endpoint struct {
 	sndWnd  int // peer advertised window in bytes (already scaled)
 	peerMSS int
 
-	sendQueue          []*chunk // not yet transmitted
-	retransQ           []*chunk // transmitted, not fully acknowledged
-	queuedBytes        int      // payload bytes across both queues
-	queuedPayloadTotal uint64   // cumulative payload bytes ever queued
-	// First backing stores of the two queues and of sackRanges; append
-	// spills to the heap past them.
-	sendQueueBuf  [sendQueueInline]*chunk
-	retransQBuf   [retransQInline]*chunk
+	// chunks is the write queue, in sequence order: its first sendHead
+	// chunks have been transmitted and are not fully acknowledged yet, the
+	// rest wait for the windows (Linux's write queue and its sk_send_head).
+	chunks             buffer.Queue[*chunk]
+	sendHead           int32
+	queuedBytes        int    // payload bytes across the queue
+	queuedPayloadTotal uint64 // cumulative payload bytes ever queued
+	// First backing stores of chunks and sackRanges, which move to the heap
+	// past them.
+	chunksBuf     [chunksInline]*chunk
 	sackRangesBuf [sackRangesInline]packet.SACKBlock
 
 	// free recycles chunk structs and the DSS options attached to them once
-	// their retransmission lifetime ends (fully acknowledged, popped from
-	// the queues). The lists belong to the simulator, so every endpoint of a
+	// their retransmission lifetime ends (fully acknowledged, dropped from
+	// the queue). The lists belong to the simulator, so every endpoint of a
 	// shard shares them. Together with the block-pooled send queue and the
 	// segment/payload pools this makes the steady-state send path
 	// allocation-free.
@@ -157,7 +159,7 @@ func newEndpoint(iface *netem.Interface, local, remote packet.Endpoint, cfg Conf
 		rto:     initialRTO,
 		sndWnd:  cfg.MSS, // until the peer advertises
 	}
-	e.sendQueue, e.retransQ = e.sendQueueBuf[:0], e.retransQBuf[:0]
+	e.chunks.Init(e.chunksBuf[:])
 	e.sackRanges = e.sackRangesBuf[:0]
 	e.recvQueue.UsePool(e.bufs)
 	if e.sndBuf = hooks.SendQueue(); e.sndBuf == nil {
@@ -197,7 +199,8 @@ func DialFrom(iface *netem.Interface, local, remote packet.Endpoint, cfg Config,
 	syn := e.newChunk()
 	syn.seq, syn.syn = e.sndNxt, true
 	e.sndNxt = e.sndNxt.Add(1)
-	e.retransQ = append(e.retransQ, syn)
+	e.chunks.Push(syn)
+	e.sendHead = 1
 	e.transmitChunk(syn, false)
 	e.armRTO()
 	return e, nil
@@ -222,7 +225,8 @@ func accept(iface *netem.Interface, syn *packet.Segment, cfg Config, hooks Hooks
 	synack := e.newChunk()
 	synack.seq, synack.syn = e.sndNxt, true
 	e.sndNxt = e.sndNxt.Add(1)
-	e.retransQ = append(e.retransQ, synack)
+	e.chunks.Push(synack)
+	e.sendHead = 1
 	e.transmitChunk(synack, false)
 	e.armRTO()
 	return e, nil
@@ -408,59 +412,27 @@ func (e *Endpoint) Write(data []byte) int {
 	return accepted
 }
 
-// admitChunk runs the shared admission test for a pre-segmented chunk of the
-// n bytes at send-queue offset off and, when it is accepted, returns a fresh
-// chunk referencing them. The buffer-space test deliberately lets a chunk
-// through when both queues are empty so a sender can always make progress
-// (the MPTCP layer sizes chunks to the connection-level window).
-func (e *Endpoint) admitChunk(off uint64, n int) (*chunk, bool) {
-	if e.state == StateClosed || e.finQueued || e.err != nil {
-		return nil, false
-	}
-	if n > e.SendBufferSpace() && len(e.sendQueue)+len(e.retransQ) > 0 {
-		return nil, false
-	}
-	c := e.newChunk()
-	e.setRange(c, off, n)
-	return c, true
-}
-
 // SendChunk queues exactly one pre-segmented chunk — the n bytes at offset
 // off of the hook-supplied send queue, which stay where they are — with its
-// accompanying options (the MPTCP data path). It returns false if the chunk
-// does not fit the send buffer. Ownership of the option objects transfers to
-// the endpoint: they are recycled once the chunk is fully acknowledged, so
-// callers must not retain them.
-func (e *Endpoint) SendChunk(off uint64, n int, opts []packet.Option) bool {
-	c, ok := e.admitChunk(off, n)
-	if !ok {
-		return false
-	}
-	c.opts = append(c.optsBuf[:0], opts...)
-	c.ownsOpts = len(opts) > 0
-	e.enqueueChunk(c)
-	e.output()
-	return true
-}
-
-// SendChunkWithOpt is SendChunk for the common single-option case (a data
-// chunk carrying its DSS mapping); it avoids materializing an option slice
-// per chunk. opt may be nil. Ownership of opt transfers to the endpoint in
+// data sequence mapping dss, which may be nil (the MPTCP data path). It
+// returns false if the chunk does not fit the send buffer; the buffer-space
+// test deliberately lets a chunk through when the queue is empty so a sender
+// can always make progress (the MPTCP layer sizes chunks to the
+// connection-level window). Ownership of dss transfers to the endpoint in
 // all cases: on success it is recycled when the chunk's retransmission
-// lifetime ends, on failure immediately — callers must not touch the
-// option after the call either way.
-func (e *Endpoint) SendChunkWithOpt(off uint64, n int, opt packet.Option) bool {
-	c, ok := e.admitChunk(off, n)
-	if !ok {
-		if d, isDSS := opt.(*packet.DSSOption); isDSS {
-			e.recycleDSS(d)
+// lifetime ends, on failure immediately — callers must not touch the option
+// after the call either way.
+func (e *Endpoint) SendChunk(off uint64, n int, dss *packet.DSSOption) bool {
+	closed := e.state == StateClosed || e.finQueued || e.err != nil
+	if closed || n > e.SendBufferSpace() && e.chunks.Len() > 0 {
+		if dss != nil {
+			e.recycleDSS(dss)
 		}
 		return false
 	}
-	if opt != nil {
-		c.opts = append(c.optsBuf[:0], opt)
-		c.ownsOpts = true
-	}
+	c := e.newChunk()
+	e.setRange(c, off, n)
+	c.dss, c.ownsDSS = dss, dss != nil
 	e.enqueueChunk(c)
 	e.output()
 	return true
@@ -504,7 +476,7 @@ func (e *Endpoint) SendAck() {
 	if e.state == StateClosed || e.state == StateSynSent {
 		return
 	}
-	seg := e.makeSegment(packet.FlagACK, e.sndNxt, nil, nil)
+	seg := e.makeSegment(packet.FlagACK, e.sndNxt, nil)
 	e.sendSegment(seg, false)
 }
 
@@ -515,7 +487,7 @@ func (e *Endpoint) SendReset() {
 	if e.state == StateClosed {
 		return
 	}
-	rst := e.makeSegment(packet.FlagRST|packet.FlagACK, e.sndNxt, nil, nil)
+	rst := e.makeSegment(packet.FlagRST|packet.FlagACK, e.sndNxt, nil)
 	e.sendSegment(rst, false)
 	e.teardown(nil)
 }
@@ -537,18 +509,14 @@ func (e *Endpoint) setState(s State) {
 }
 
 func (e *Endpoint) enqueueChunk(c *chunk) {
-	e.sendQueue = append(e.sendQueue, c)
+	e.chunks.Push(c)
 	e.queuedBytes += c.payLen
 	e.queuedPayloadTotal += uint64(c.payLen)
 }
 
-// popChunk removes and returns the head of a chunk queue via the shared
-// compacting drain (see buffer.CompactPrefix); batch drains compact once
-// for the whole batch instead.
-func popChunk(q []*chunk) ([]*chunk, *chunk) {
-	c := q[0]
-	return buffer.CompactPrefix(q, 1), c
-}
+// sentChunks returns the chunks transmitted and not fully acknowledged yet,
+// oldest first.
+func (e *Endpoint) sentChunks() []*chunk { return e.chunks.Items()[:e.sendHead] }
 
 // freeLists are the free lists all endpoints on one simulator share (see
 // sim.Local): a short flow reuses the chunks and options of the flows that
@@ -580,17 +548,13 @@ func (e *Endpoint) setRange(c *chunk, off uint64, n int) {
 }
 
 // freeChunk ends a chunk's retransmission lifetime: its hold on the send
-// queue is dropped, option objects the chunk owns go back to their free
-// list, and the chunk itself is zeroed and retained for reuse. Callers must
-// not touch the chunk afterwards.
+// queue is dropped, a DSS option the chunk owns goes back to its free list,
+// and the chunk itself is zeroed and retained for reuse. Callers must not
+// touch the chunk afterwards.
 func (e *Endpoint) freeChunk(c *chunk) {
 	e.sndBuf.Unhold(c.payOff, c.payLen)
-	if c.ownsOpts {
-		for _, o := range c.opts {
-			if d, ok := o.(*packet.DSSOption); ok {
-				e.recycleDSS(d)
-			}
-		}
+	if c.ownsDSS {
+		e.recycleDSS(c.dss)
 	}
 	*c = chunk{}
 	e.free.chunks.Put(c)
@@ -598,9 +562,9 @@ func (e *Endpoint) freeChunk(c *chunk) {
 
 // NewDSSOption returns a zeroed DSS option from the shard's free list.
 // Ownership transfers to the endpoint when the option is attached to a chunk
-// via SendChunkWithOpt; the endpoint recycles it once the chunk's data has
-// been fully acknowledged. Callers must not retain the pointer beyond the
-// SendChunkWithOpt call.
+// via SendChunk; the endpoint recycles it once the chunk's data has been
+// fully acknowledged. Callers must not retain the pointer beyond the
+// SendChunk call.
 func (e *Endpoint) NewDSSOption() *packet.DSSOption { return e.free.dss.Get() }
 
 func (e *Endpoint) recycleDSS(d *packet.DSSOption) {
@@ -649,10 +613,8 @@ func (e *Endpoint) close(err error) {
 		e.recvOfo.Release()
 	}
 	// The chunks stay queued, but nothing sends them again.
-	for _, q := range [2][]*chunk{e.retransQ, e.sendQueue} {
-		for _, c := range q {
-			e.setRange(c, c.payOff, 0)
-		}
+	for _, c := range e.chunks.Items() {
+		e.setRange(c, c.payOff, 0)
 	}
 	if e.ownsSndBuf {
 		e.sndBuf.Release()
@@ -680,10 +642,8 @@ func (e *Endpoint) Recycle() {
 	}
 	e.rtoTimer.Stop()
 	e.persistTimer.Stop()
-	for _, q := range [2][]*chunk{e.retransQ, e.sendQueue} {
-		for _, c := range q {
-			e.freeChunk(c)
-		}
+	for _, c := range e.chunks.Items() {
+		e.freeChunk(c)
 	}
 	free := e.free
 	*e = Endpoint{}

@@ -89,8 +89,8 @@ func (e *Endpoint) handleSynReceived(seg *packet.Segment) {
 	}
 	if seg.Flags.Has(packet.FlagSYN) {
 		// Retransmitted SYN: retransmit our SYN/ACK.
-		if len(e.retransQ) > 0 && e.retransQ[0].syn {
-			e.transmitChunk(e.retransQ[0], true)
+		if sent := e.sentChunks(); len(sent) > 0 && sent[0].syn {
+			e.transmitChunk(sent[0], true)
 		}
 		return
 	}
@@ -111,13 +111,14 @@ func (e *Endpoint) handleSynReceived(seg *packet.Segment) {
 }
 
 // synAcked completes the handshake once the peer has acknowledged our SYN:
-// the SYN chunk leaves the retransmission queue (an RTT sample unless it was
+// the SYN chunk leaves the write queue (an RTT sample unless it was
 // retransmitted), the recovery episode a SYN timeout opened closes with it,
 // and the endpoint is established.
 func (e *Endpoint) synAcked() {
-	if len(e.retransQ) > 0 && e.retransQ[0].syn {
-		var c *chunk
-		e.retransQ, c = popChunk(e.retransQ)
+	if sent := e.sentChunks(); len(sent) > 0 && sent[0].syn {
+		c := sent[0]
+		e.chunks.Drop(1)
+		e.sendHead--
 		if c.transmissions == 1 {
 			e.sampleRTT(e.sim.Now() - c.sentAt)
 		}

@@ -66,14 +66,13 @@ func (e *Endpoint) sackBlocks() []packet.SACKBlock {
 	return e.sackRanges[:n]
 }
 
-// processSack marks retransmission-queue chunks covered by the peer's SACK
-// blocks.
+// processSack marks the sent chunks covered by the peer's SACK blocks.
 func (e *Endpoint) processSack(opt *packet.SACKOption) {
-	if opt == nil || len(e.retransQ) == 0 {
+	if opt == nil || e.sendHead == 0 {
 		return
 	}
 	for _, blk := range opt.Blocks {
-		for _, c := range e.retransQ {
+		for _, c := range e.sentChunks() {
 			if c.sacked {
 				continue
 			}
@@ -88,7 +87,7 @@ func (e *Endpoint) processSack(opt *packet.SACKOption) {
 // been selectively acknowledged and has not yet been repaired in the current
 // recovery episode. It returns false when there is nothing (left) to repair.
 func (e *Endpoint) retransmitNextHole() bool {
-	for _, c := range e.retransQ {
+	for _, c := range e.sentChunks() {
 		if c.sacked || c.rtxEpoch == e.recoveryEpoch {
 			continue
 		}
@@ -112,13 +111,13 @@ func (e *Endpoint) pipeBytes() int {
 	if e.afterTimeout {
 		high = e.recoveryEnd
 	}
-	for _, c := range e.retransQ {
+	for _, c := range e.sentChunks() {
 		if c.sacked && high.LessThan(c.endSeq()) {
 			high = c.endSeq()
 		}
 	}
 	pipe := 0
-	for _, c := range e.retransQ {
+	for _, c := range e.sentChunks() {
 		size := int(c.seqLen())
 		switch {
 		case c.sacked:

@@ -3,22 +3,21 @@ package tcp
 import (
 	"time"
 
-	"mptcpgo/internal/buffer"
 	"mptcpgo/internal/packet"
 )
 
-// makeSegment builds an outgoing segment with the current acknowledgement and
-// advertised window. Options are deep-copied into the segment's own arena —
-// an in-flight segment never aliases the chunk's retransmission state, which
-// is what lets the endpoint recycle chunks and their DSS options the moment
-// they are fully acknowledged.
-func (e *Endpoint) makeSegment(flags packet.Flags, seq packet.SeqNum, payload []byte, opts []packet.Option) *packet.Segment {
+// makeSegment builds an outgoing segment, without payload, with the current
+// acknowledgement and advertised window. A chunk's DSS option, when dss is
+// not nil, is deep-copied into the segment's own arena — an in-flight segment
+// never aliases the chunk's retransmission state, which is what lets the
+// endpoint recycle chunks and their DSS options the moment they are fully
+// acknowledged.
+func (e *Endpoint) makeSegment(flags packet.Flags, seq packet.SeqNum, dss *packet.DSSOption) *packet.Segment {
 	seg := packet.NewSegment()
 	seg.Src = e.local
 	seg.Dst = e.remote
 	seg.Seq = seq
 	seg.Flags = flags
-	seg.Payload = payload
 	if flags.Has(packet.FlagSYN) {
 		// What SYN and SYN/ACK advertise, built in the segment's arena.
 		seg.AppendMSS(uint16(e.cfg.MSS))
@@ -28,8 +27,8 @@ func (e *Endpoint) makeSegment(flags packet.Flags, seq packet.SeqNum, payload []
 			e.rcvWndShift = shift
 		}
 	}
-	for _, o := range opts {
-		seg.AppendOptionCopy(o)
+	if dss != nil {
+		seg.AppendOptionCopy(dss)
 	}
 	// Every segment carries an acknowledgement except the very first SYN of
 	// an active open (no peer sequence is known yet).
@@ -124,7 +123,7 @@ func (e *Endpoint) transmitChunk(c *chunk, retransmission bool) {
 	if c.payLen > 0 {
 		flags |= packet.FlagPSH
 	}
-	seg := e.makeSegment(flags, c.seq, nil, c.opts)
+	seg := e.makeSegment(flags, c.seq, c.dss)
 	if c.payLen > 0 {
 		buf := e.bufs.Bytes(c.payLen)
 		e.sndBuf.CopyAt(buf, c.payOff)
@@ -183,9 +182,8 @@ func (e *Endpoint) output() {
 	if !e.IsEstablished() && e.state != StateClosing && e.state != StateLastAck {
 		return
 	}
-	popped := 0
-	for popped < len(e.sendQueue) {
-		c := e.sendQueue[popped]
+	for int(e.sendHead) < e.chunks.Len() {
+		c := e.chunks.Items()[e.sendHead]
 		allowance := e.SendSpace()
 		if c.payLen > 0 && allowance < c.payLen && e.BytesInFlight() > 0 {
 			// Not enough room for the whole chunk; wait for ACKs (sending
@@ -202,21 +200,15 @@ func (e *Endpoint) output() {
 			e.armPersist()
 			break
 		}
-		popped++
+		e.sendHead++
 		c.seq = e.sndNxt
 		e.sndNxt = e.sndNxt.Add(c.seqLen())
-		e.retransQ = append(e.retransQ, c)
 		if c.fin {
 			e.onFINSent()
 		}
 		e.transmitChunk(c, false)
 	}
-	if popped > 0 {
-		// Compact once for the whole burst (per-pop compaction would make a
-		// full-buffer drain quadratic in the window, like the ACK loop).
-		e.sendQueue = buffer.CompactPrefix(e.sendQueue, popped)
-	}
-	if len(e.retransQ) > 0 {
+	if e.sendHead > 0 {
 		e.rtoTimer.ResetIfStopped(e.backedOffRTO())
 	}
 }
@@ -267,7 +259,7 @@ func (e *Endpoint) processAck(seg *packet.Segment) {
 	switch {
 	case ack.LessThanEq(e.sndUna):
 		// Duplicate or old ACK.
-		if ack == e.sndUna && len(seg.Payload) == 0 && len(e.retransQ) > 0 && !windowGrew {
+		if ack == e.sndUna && len(seg.Payload) == 0 && e.sendHead > 0 && !windowGrew {
 			e.stats.DupAcksReceived++
 			e.dupAcks++
 			e.onDupAck()
@@ -282,7 +274,7 @@ func (e *Endpoint) processAck(seg *packet.Segment) {
 	if windowGrew || ack == e.sndNxt {
 		e.persistTimer.Stop()
 	}
-	if !e.cfg.ConnectionLevelWindow && e.sndWnd == 0 && len(e.sendQueue) > 0 {
+	if !e.cfg.ConnectionLevelWindow && e.sndWnd == 0 && e.chunks.Len() > int(e.sendHead) {
 		e.armPersist()
 	}
 
@@ -306,8 +298,7 @@ func (e *Endpoint) onAckAdvance(ack packet.SeqNum, tsSample time.Duration) {
 	// chunks would inflate the estimate whenever a cumulative ACK jumps
 	// across a repaired hole.
 	freed := 0
-	for freed < len(e.retransQ) {
-		c := e.retransQ[freed]
+	for _, c := range e.sentChunks() {
 		if c.endSeq().LessThanEq(ack) {
 			if !e.peerTSOK {
 				if c.transmissions == 1 {
@@ -321,9 +312,9 @@ func (e *Endpoint) onAckAdvance(ack packet.SeqNum, tsSample time.Duration) {
 				e.sndBuf.TrimTo(c.payOff + uint64(c.payLen))
 			}
 			// The chunk's retransmission lifetime is over: nothing else
-			// references it (segments carry arena copies of its options), so
-			// it and its DSS options go back to the free lists. Its queue
-			// slot is cleared by the compaction below.
+			// references it (segments carry arena copies of its option), so
+			// it and its DSS option go back to the free lists. Its queue
+			// slot is cleared when the batch is dropped below.
 			e.freeChunk(c)
 			freed++
 			continue
@@ -343,12 +334,8 @@ func (e *Endpoint) onAckAdvance(ack packet.SeqNum, tsSample time.Duration) {
 		}
 		break
 	}
-	if freed > 0 {
-		// Compact once for the whole batch (a cumulative ACK after a stall
-		// can retire the entire queue); per-pop compaction would make this
-		// loop quadratic in the window.
-		e.retransQ = buffer.CompactPrefix(e.retransQ, freed)
-	}
+	e.chunks.Drop(freed)
+	e.sendHead -= int32(freed)
 
 	if rttSample > 0 {
 		e.sampleRTT(rttSample)
@@ -371,16 +358,16 @@ func (e *Endpoint) onAckAdvance(ack packet.SeqNum, tsSample time.Duration) {
 		// still misses; repair it (even if it was already retransmitted
 		// this episode — the partial ACK proves that copy did not arrive),
 		// then fill the pipe with further hole repairs.
-		if len(e.retransQ) > 0 && !e.retransQ[0].sacked {
-			e.retransQ[0].rtxEpoch = e.recoveryEpoch
-			e.transmitChunk(e.retransQ[0], true)
+		if sent := e.sentChunks(); len(sent) > 0 && !sent[0].sacked {
+			sent[0].rtxEpoch = e.recoveryEpoch
+			e.transmitChunk(sent[0], true)
 		}
 		e.recoveryTransmit()
 	}
 	e.noteCCState()
 
 	// Detect whether our FIN has been acknowledged.
-	if e.finQueued && len(e.retransQ) == 0 && len(e.sendQueue) == 0 {
+	if e.finQueued && e.chunks.Len() == 0 {
 		switch e.state {
 		case StateFinWait1:
 			e.setState(StateFinWait2)
@@ -392,7 +379,7 @@ func (e *Endpoint) onAckAdvance(ack packet.SeqNum, tsSample time.Duration) {
 		}
 	}
 
-	if len(e.retransQ) == 0 {
+	if e.sendHead == 0 {
 		e.rtoTimer.Stop()
 	} else {
 		e.rtoTimer.Reset(e.backedOffRTO())
@@ -411,7 +398,7 @@ func (e *Endpoint) onDupAck() {
 		e.output()
 		return
 	}
-	if e.dupAcks == 3 && len(e.retransQ) > 0 {
+	if e.dupAcks == 3 && e.sendHead > 0 {
 		e.stats.FastRetransmits++
 		if e.cfg.Probe != nil {
 			e.cfg.Probe.OnEndpointFastRetransmit(e)
@@ -434,7 +421,7 @@ func (e *Endpoint) enterRecovery(timeout bool) {
 	e.recoveryEnd = e.sndNxt
 	e.recoveryEpoch++
 	if !e.retransmitNextHole() {
-		e.transmitChunk(e.retransQ[0], true)
+		e.transmitChunk(e.sentChunks()[0], true)
 	}
 	e.recoveryTransmit()
 	e.rtoTimer.Reset(e.backedOffRTO())
@@ -507,7 +494,7 @@ func (e *Endpoint) armRTO() {
 // onRTO handles a retransmission timeout.
 func (e *Endpoint) onRTO() {
 	e.mark.Check("tcp.Endpoint")
-	if len(e.retransQ) == 0 {
+	if e.sendHead == 0 {
 		return
 	}
 	e.stats.Timeouts++
@@ -536,31 +523,32 @@ func (e *Endpoint) armPersist() {
 // onPersist sends a zero-window probe: one byte of the next pending chunk.
 func (e *Endpoint) onPersist() {
 	e.mark.Check("tcp.Endpoint")
-	if e.state == StateClosed || len(e.sendQueue) == 0 || e.sndWnd > 0 {
+	if e.state == StateClosed || e.chunks.Len() == int(e.sendHead) || e.sndWnd > 0 {
 		return
 	}
 	e.stats.PersistProbes++
-	c := e.sendQueue[0]
+	c := e.chunks.Items()[e.sendHead]
 	if c.payLen > 1 {
-		// Split off a one-byte probe chunk that carries the same options so
-		// any attached MPTCP mapping still covers its byte range. The probe
-		// borrows the owner's option objects (ownsOpts stays false): the
-		// owning chunk outlives it in the queues, so the owner frees them.
+		// Split off a one-byte probe chunk that carries the same DSS option
+		// so any attached MPTCP mapping still covers its byte range. The
+		// probe borrows the owner's option (ownsDSS stays false): the owning
+		// chunk outlives it in the queue, so the owner frees it.
 		probe := e.newChunk()
 		e.setRange(probe, c.payOff, 1)
-		probe.opts = append(probe.optsBuf[:0], c.opts...)
+		probe.dss = c.dss
 		e.setRange(c, c.payOff+1, c.payLen-1)
-		probe.seq = e.sndNxt
-		e.sndNxt = e.sndNxt.Add(1)
-		e.retransQ = append(e.retransQ, probe)
-		e.transmitChunk(probe, false)
-	} else {
-		e.sendQueue, _ = popChunk(e.sendQueue)
-		c.seq = e.sndNxt
-		e.sndNxt = e.sndNxt.Add(c.seqLen())
-		e.retransQ = append(e.retransQ, c)
-		e.transmitChunk(c, false)
+		// The probe goes in at the send head, before c: the one insertion
+		// into the middle of the queue, which shifts the unsent chunks. No
+		// shipped workload probes a zero window.
+		e.chunks.Push(nil)
+		unsent := e.chunks.Items()[e.sendHead:]
+		copy(unsent[1:], unsent)
+		unsent[0], c = probe, probe
 	}
+	e.sendHead++
+	c.seq = e.sndNxt
+	e.sndNxt = e.sndNxt.Add(c.seqLen())
+	e.transmitChunk(c, false)
 	e.rtoTimer.ResetIfStopped(e.backedOffRTO())
 	e.persistTimer.Reset(2 * e.backedOffRTO())
 }

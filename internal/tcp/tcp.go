@@ -239,21 +239,20 @@ func (NopHooks) NewController(cc.Config) cc.Controller { return nil }
 // SendQueue implements Hooks.
 func (NopHooks) SendQueue() *buffer.SendQueue { return nil }
 
-// Inline capacities of an endpoint's chunk queues and SACK ranges
-// (Endpoint.sendQueueBuf), sized to what the bench/perf fleets were measured
+// Inline capacities of an endpoint's write queue and SACK ranges
+// (Endpoint.chunksBuf), sized to what the bench/perf fleets were measured
 // to hold and never a limit: MPTCP hands a chunk down only when it can be
-// sent at once (one queued, plus a FIN), a flow inside its initial window has
+// sent at once (one unsent, plus a FIN), a flow inside its initial window has
 // at most 11 unacknowledged, and two SACK-range insertions in three leave at
 // most 4 ranges even behind corelink's overloaded core (8 would push the
 // endpoint into the next size class).
 const (
-	sendQueueInline  = 2
-	retransQInline   = 12
+	chunksInline     = 14
 	sackRangesInline = 4
 )
 
-// chunk is one send-queue entry: at most one MSS of payload plus the options
-// that must accompany it on the wire (for MPTCP, its data sequence mapping).
+// chunk is one send-queue entry: at most one MSS of payload plus, for MPTCP,
+// the data sequence mapping that must accompany it on the wire.
 // SYN and FIN are represented as flag-only chunks so that the retransmission
 // machinery handles them uniformly.
 //
@@ -268,21 +267,18 @@ type chunk struct {
 	seq    packet.SeqNum
 	payOff uint64 // absolute send-queue offset of the chunk's first payload byte
 	payLen int    // payload length in bytes
-	opts   []packet.Option
+	dss    *packet.DSSOption
 	syn    bool
 	fin    bool
-	// optsBuf backs opts for the usual single option, a DSS mapping.
-	optsBuf [1]packet.Option
 
-	// ownsOpts marks the option objects in opts as owned by this chunk:
-	// when the chunk's retransmission lifetime ends (fully acknowledged and
-	// popped from the queues) the endpoint recycles them onto its free
-	// lists. Chunks that borrow another chunk's options (the zero-window
-	// probe split) leave it false so the owner frees them exactly once.
-	// Outgoing segments never alias these objects — makeSegment copies every
-	// option into the segment's own arena — so recycling here cannot corrupt
-	// in-flight traffic.
-	ownsOpts bool
+	// ownsDSS marks dss as owned by this chunk: when the chunk's
+	// retransmission lifetime ends (fully acknowledged and dropped from the
+	// queue) the endpoint recycles it onto its free list. A chunk that
+	// borrows another chunk's option (the zero-window probe split) leaves it
+	// false so the owner frees it exactly once. Outgoing segments never alias
+	// the option — makeSegment copies it into the segment's own arena — so
+	// recycling here cannot corrupt in-flight traffic.
+	ownsDSS bool
 
 	sentAt        time.Duration
 	transmissions int

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mptcpgo/internal/buffer"
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
 	"mptcpgo/internal/pool"
@@ -286,22 +287,27 @@ func TestTeardownReleasesSendQueue(t *testing.T) {
 	}
 }
 
-// TestSpillPastInlineQueuesChangesNothing: an endpoint's chunk queues and
+// TestSpillPastInlineQueuesChangesNothing: an endpoint's write queue and
 // SACK ranges start on arrays inside the endpoint and move to the heap when
-// they outgrow them. A lossy plain-TCP transfer whose queues hold hundreds of
-// chunks, and whose receiver holds more holes than its inline array, must run
-// exactly like the same transfer with all three on roomy heap arrays from the
-// start: same bytes at the same time, same counters on both ends. The
-// out-of-order queue, built at the first hole, must have been built.
+// they outgrow them. A lossy plain-TCP transfer whose queue holds hundreds of
+// chunks, sent and unsent, and whose receiver holds more holes than its
+// inline array, must run exactly like the same transfer with both on roomy
+// heap arrays from the start: same bytes at the same time, same counters on
+// both ends. The out-of-order queue, built at the first hole, must have been
+// built.
 func TestSpillPastInlineQueuesChangesNothing(t *testing.T) {
 	link := netem.LinkConfig{RateBps: netem.Mbps(10), Delay: 10 * time.Millisecond, QueueBytes: 32 << 10, LossRate: 0.01}
 	const total = 400 << 10
-	run := func(onHeap bool) (done time.Duration, received int, cli, srv Stats, sendQ, retransQ, sackRanges int) {
+	run := func(onHeap bool) (done time.Duration, received int, cli, srv Stats, peakSent, peakUnsent, sackRanges int) {
 		n := testNet(t, link)
 		prep := func(e *Endpoint) {
 			if onHeap {
-				e.sendQueue = append(make([]*chunk, 0, 4096), e.sendQueue...)
-				e.retransQ = append(make([]*chunk, 0, 4096), e.retransQ...)
+				var q buffer.Queue[*chunk]
+				q.Init(make([]*chunk, 0, 4096))
+				for _, c := range e.chunks.Items() {
+					q.Push(c)
+				}
+				e.chunks = q
 				e.sackRanges = make([]packet.SACKBlock, 0, 64)
 			}
 		}
@@ -341,7 +347,8 @@ func TestSpillPastInlineQueuesChangesNothing(t *testing.T) {
 				}
 				w := client.Write(buf[:k])
 				sent += w
-				sendQ, retransQ = max(sendQ, len(client.sendQueue)), max(retransQ, len(client.retransQ))
+				peakSent = max(peakSent, int(client.sendHead))
+				peakUnsent = max(peakUnsent, client.chunks.Len()-int(client.sendHead))
 				if w == 0 {
 					return
 				}
@@ -368,10 +375,10 @@ func TestSpillPastInlineQueuesChangesNothing(t *testing.T) {
 		if client.recvOfo != nil {
 			t.Fatal("the sender, which received no data, built an out-of-order queue")
 		}
-		return done, received, client.Stats(), server.Stats(), sendQ, retransQ, sackRanges
+		return done, received, client.Stats(), server.Stats(), peakSent, peakUnsent, sackRanges
 	}
 	refDone, refReceived, refCli, refSrv, _, _, _ := run(true)
-	done, received, cli, srv, sendQ, retransQ, sackRanges := run(false)
+	done, received, cli, srv, peakSent, peakUnsent, sackRanges := run(false)
 	if received != total || done == 0 {
 		t.Fatalf("received %d of %d bytes (done at %v)", received, total, done)
 	}
@@ -379,8 +386,8 @@ func TestSpillPastInlineQueuesChangesNothing(t *testing.T) {
 		t.Fatalf("inline-then-heap run differs from the all-heap reference:\ndone %v vs %v, received %d vs %d\nclient %+v\n   ref %+v\nserver %+v\n   ref %+v",
 			done, refDone, received, refReceived, cli, refCli, srv, refSrv)
 	}
-	if sendQ <= sendQueueInline || retransQ <= retransQInline || sackRanges <= sackRangesInline {
-		t.Fatalf("queues peaked at %d and %d chunks and %d SACK ranges; the inline arrays hold %d, %d and %d, so nothing spilled",
-			sendQ, retransQ, sackRanges, sendQueueInline, retransQInline, sackRangesInline)
+	if peakSent <= chunksInline || peakUnsent <= chunksInline || sackRanges <= sackRangesInline {
+		t.Fatalf("the write queue peaked at %d sent and %d unsent chunks and %d SACK ranges; the inline arrays hold %d and %d, so nothing spilled",
+			peakSent, peakUnsent, sackRanges, chunksInline, sackRangesInline)
 	}
 }

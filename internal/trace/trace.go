@@ -35,13 +35,21 @@ func Max(xs []float64) float64 {
 }
 
 // Percentile returns the p-th percentile (0..100) of xs using the ceil-rank
-// convention. xs is not modified.
+// convention. xs is not modified: Percentile sorts a copy of it, so a caller
+// that reads several percentiles of one sample sorts it once and reads each
+// with Rank.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	return Rank(sorted, p)
+}
+
+// Rank returns the p-th percentile (0..100) of sorted, a sample in ascending
+// order, using the ceil-rank convention (0 when empty).
+func Rank(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
 	idx := int(math.Ceil(p/100*float64(len(sorted)))) - 1
 	if idx < 0 {
 		idx = 0
